@@ -181,6 +181,19 @@ def wraparound_budget(grid: Grid, system: SystemSpec, t_end: float, M: float) ->
     return (drift + trust) / grid.half_width
 
 
+def _whole_steps(span: float, dt: float) -> bool:
+    """True iff span is a whole number >= 1 of dt steps, to 1e-9 relative.
+
+    The stepper rounds span/dt to an integer step count, so any other
+    ratio would silently end or sample at a time nobody asked for.
+    """
+    ratio = span / dt
+    if not math.isfinite(ratio):
+        return False
+    steps = round(ratio)
+    return steps >= 1 and abs(ratio - steps) <= 1e-9 * ratio
+
+
 def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Validate a full Scenario: system invariants plus grid/time sanity."""
     report = validate_spec(scenario.system)
@@ -193,8 +206,12 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         violations.append("grid n must be a power of two >= 64")
     if not (0 < scenario.dt < scenario.t_end):
         violations.append("0 < dt < t_end failed")
+    elif not _whole_steps(scenario.t_end, scenario.dt):
+        violations.append("t_end = whole number of dt steps failed")
     if scenario.sample_dt <= 0:
         violations.append("sample_dt > 0 failed")
+    elif scenario.dt > 0 and not _whole_steps(scenario.sample_dt, scenario.dt):
+        violations.append("sample_dt = whole multiple of dt failed")
     cmax = max(abs(scenario.system.c1), abs(scenario.system.c2))
     if grid.n >= 64 and grid.half_width > 0 and scenario.dt * cmax / grid.dx > 10.0:
         violations.append("dt*max|c|/dx <= 10 failed")

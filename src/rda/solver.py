@@ -6,8 +6,20 @@ polynomial couplings are advanced with classical RK4 in spectral space,
 with products formed on the collocation grid and the 2/3 rule applied both
 to the inputs of each product and to the result.
 
-The evolving state lives in spectral space (rfft of each component);
-physical snapshots are materialized only when sampled.
+The evolving state is one stacked (2, n/2+1) array: row 0 is the rfft of
+u, row 1 the rfft of v. Over the non-negative rfft frequencies the modes
+the 2/3 rule keeps, |k| <= 2/3 kmax, are a prefix [:K]. Each RK4 stage
+therefore makes one batched inverse transform of the first K modes of
+both rows, copied into a stage buffer whose modes beyond K stay zero
+(this dealiases the inputs, whatever the state holds beyond K), and one
+batched forward transform of the non-empty coupling slots f1, f2, g1, g2,
+of which only the first K modes are kept; the flux derivative is the
+multiplier ik in spectral space. The monomial
+plan and the RK4 buffers are built once per workspace. Modes beyond K
+never enter the RK4 update and only see the linear multiplier, so they
+stay exactly zero once the initial spectrum is masked.
+
+Physical snapshots are materialized only when sampled.
 """
 
 from __future__ import annotations
@@ -16,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .core import (
     DEFAULT_BLOW_UP_THRESHOLD,
@@ -52,10 +65,13 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class SpectralWorkspace:
-    """Precomputed grids, multipliers, and the dealias mask for one run.
+    """Precomputed grids, multipliers, monomial plan and RK4 buffers for one run.
 
-    last_spectra holds the (u_hat, v_hat) pair produced by the most recent
-    step; tests use it to check that dealiased modes stay identically zero.
+    dealias is the 2/3-rule mask over all n/2+1 modes; the kept modes are
+    its prefix [:n_kept]. slots holds the (coeff, alpha, beta) triples of
+    each non-empty slot in f1, f2, g1, g2 order, one row of the batched
+    forward transform each, and rows maps component 0 (u) and 1 (v) to the
+    slot indices of its reaction and flux terms (None when empty).
     """
 
     grid: Grid
@@ -63,18 +79,49 @@ class SpectralWorkspace:
     dt: float
     k: np.ndarray = field(init=False)
     dealias: np.ndarray = field(init=False)
-    lin_half: tuple[np.ndarray, np.ndarray] = field(init=False)
-    last_spectra: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None)
+    n_kept: int = field(init=False)
+    ik: np.ndarray = field(init=False, repr=False)
+    lin_half: np.ndarray = field(init=False, repr=False)
+    slots: tuple[tuple[tuple[float, int, int], ...], ...] = field(init=False)
+    rows: tuple[tuple[int | None, int | None], ...] = field(init=False)
+    _buffers: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.grid.n
         self.k = 2.0 * math.pi * np.fft.rfftfreq(n, d=self.grid.dx)
         kmax = np.max(np.abs(self.k))
         self.dealias = np.abs(self.k) <= (2.0 / 3.0) * kmax
-        self.lin_half = (
+        self.n_kept = int(np.count_nonzero(self.dealias))
+        self.ik = 1j * self.k[:self.n_kept]
+        self.lin_half = np.stack((
             self._multiplier(self.system.d1, self.system.c1, 0.5 * self.dt),
             self._multiplier(self.system.d2, self.system.c2, 0.5 * self.dt),
-        )
+        ))
+
+        slots: list[tuple[tuple[float, int, int], ...]] = []
+        index: dict[str, int] = {}
+        for name in ("f1", "f2", "g1", "g2"):
+            terms = getattr(self.system, name)
+            if terms:
+                index[name] = len(slots)
+                slots.append(tuple((t.coeff, t.alpha, t.beta) for t in terms))
+        self.slots = tuple(slots)
+        self.rows = ((index.get("f1"), index.get("g1")),
+                     (index.get("f2"), index.get("g2")))
+        max_alpha = max((a for s in slots for _, a, _ in s), default=0)
+        max_beta = max((b for s in slots for _, _, b in s), default=0)
+        stage_shape = (2, self.n_kept)
+        self._buffers = {
+            "phys": np.empty((len(slots), n)),
+            "term": np.empty(n),
+            "pow_u": np.empty((max(max_alpha - 1, 0), n)),
+            "pow_v": np.empty((max(max_beta - 1, 0), n)),
+            # Rows of components without couplings are never written and
+            # stay zero.
+            "acc": np.zeros(stage_shape, dtype=complex),
+            "k": np.zeros(stage_shape, dtype=complex),
+            "stage": np.zeros((2, n // 2 + 1), dtype=complex),
+        }
 
     def _multiplier(self, d: float, c: float, dt: float) -> np.ndarray:
         return np.exp((-d * self.k ** 2 + 1j * c * self.k) * dt)
@@ -82,58 +129,117 @@ class SpectralWorkspace:
 
 @dataclass(frozen=True)
 class SpectralState:
-    """State in spectral space: rfft of u and of v at time t."""
+    """State in spectral space at time t: spectra = rfft of (u, v), shape (2, n/2+1)."""
     t: float
-    u_hat: np.ndarray
-    v_hat: np.ndarray
+    spectra: np.ndarray
+
+    @property
+    def u_hat(self) -> np.ndarray:
+        return self.spectra[0]
+
+    @property
+    def v_hat(self) -> np.ndarray:
+        return self.spectra[1]
 
     def to_physical(self, grid: Grid) -> State:
-        return State(
-            t=self.t,
-            u=np.fft.irfft(self.u_hat, n=grid.n),
-            v=np.fft.irfft(self.v_hat, n=grid.n),
-        )
+        u, v = scipy.fft.irfft(self.spectra, n=grid.n, axis=-1)
+        return State(t=self.t, u=u, v=v)
 
     @staticmethod
     def from_physical(state: State) -> "SpectralState":
         return SpectralState(
             t=state.t,
-            u_hat=np.fft.rfft(state.u),
-            v_hat=np.fft.rfft(state.v),
+            spectra=scipy.fft.rfft(np.stack((state.u, state.v)), axis=-1),
         )
 
 
-def _nonlinear_rhs(ws: SpectralWorkspace, u_hat: np.ndarray, v_hat: np.ndarray):
-    """Spectral RHS of the coupling terms, dealiased on the way in and out."""
-    grid_n = ws.grid.n
-    mask = ws.dealias
-    u = np.fft.irfft(u_hat * mask, n=grid_n)
-    v = np.fft.irfft(v_hat * mask, n=grid_n)
-    powers_u: dict[int, np.ndarray] = {0: np.ones_like(u), 1: u}
-    powers_v: dict[int, np.ndarray] = {0: np.ones_like(v), 1: v}
+def _powers(base: np.ndarray, buf: np.ndarray) -> list:
+    """[None, base, base**2, ...] by repeated multiplication into the rows of buf.
 
-    def monomial(term):
-        for powers, base, order in ((powers_u, u, term.alpha), (powers_v, v, term.beta)):
-            while order not in powers:
-                top = max(powers)
-                powers[top + 1] = powers[top] * base
-        return term.coeff * powers_u[term.alpha] * powers_v[term.beta]
+    None stands for the zeroth power, which products skip.
+    """
+    powers = [None, base]
+    for row in buf:
+        powers.append(np.multiply(powers[-1], base, out=row))
+    return powers
 
-    def assemble(f_terms, g_terms):
-        rhs = np.zeros(u_hat.shape, dtype=complex)
-        if f_terms:
-            phys = sum(monomial(t) for t in f_terms)
-            rhs += np.fft.rfft(phys)
-        if g_terms:
-            phys = sum(monomial(t) for t in g_terms)
-            rhs += 1j * ws.k * np.fft.rfft(phys)
-        rhs *= mask
-        return rhs
 
-    return (
-        assemble(ws.system.f1, ws.system.g1),
-        assemble(ws.system.f2, ws.system.g2),
-    )
+def _monomial(out: np.ndarray, coeff: float, x, y) -> None:
+    """out = (coeff * x) * y, skipping factors that are 1 (coeff 1, power 0)."""
+    factors = [f for f in (x, y) if f is not None]
+    if not factors:
+        out.fill(coeff)
+        return
+    if coeff == 1.0:
+        if len(factors) == 2:
+            np.multiply(factors[0], factors[1], out=out)
+        else:
+            out[...] = factors[0]
+        return
+    np.multiply(factors[0], coeff, out=out)
+    if len(factors) == 2:
+        out *= factors[1]
+
+
+def _coupling_rhs(ws: SpectralWorkspace, y: np.ndarray, out: np.ndarray) -> None:
+    """Write the first K modes of the spectral coupling terms of y into out.
+
+    y is a (2, n/2+1) spectrum whose modes beyond K are zero. Monomials are
+    summed per slot in the order the system lists them; rows of out whose
+    component has no couplings are left untouched.
+    """
+    buf = ws._buffers
+    u, v = scipy.fft.irfft(y, n=ws.grid.n, axis=-1)
+    pu = _powers(u, buf["pow_u"])
+    pv = _powers(v, buf["pow_v"])
+    phys, term = buf["phys"], buf["term"]
+    for row, ((coeff, alpha, beta), *rest) in zip(phys, ws.slots):
+        _monomial(row, coeff, pu[alpha], pv[beta])
+        for coeff, alpha, beta in rest:
+            _monomial(term, coeff, pu[alpha], pv[beta])
+            row += term
+    spec = scipy.fft.rfft(phys, axis=-1)
+    kept = ws.n_kept
+    for comp, (f_row, g_row) in enumerate(ws.rows):
+        if g_row is not None:
+            np.multiply(ws.ik, spec[g_row, :kept], out=out[comp])
+            if f_row is not None:
+                out[comp] += spec[f_row, :kept]
+        elif f_row is not None:
+            out[comp] = spec[f_row, :kept]
+
+
+def _rk4_couplings(ws: SpectralWorkspace, y: np.ndarray) -> None:
+    """Advance the kept modes y[:, :K] by one RK4 step of the couplings, in place.
+
+    acc accumulates k1 + 2 k2 + 2 k3 + k4 in that order, k holds the
+    current stage slope and stage the next stage's input; modes beyond K of
+    the stage buffer stay zero, which dealiases every stage input.
+    """
+    buf = ws._buffers
+    acc, k, padded = buf["acc"], buf["k"], buf["stage"]
+    stage = padded[:, :ws.n_kept]
+    dt = ws.dt
+    half = 0.5 * dt
+    kept = y[:, :ws.n_kept]
+    stage[...] = kept
+    _coupling_rhs(ws, padded, acc)
+    np.multiply(acc, half, out=stage)
+    stage += kept
+    _coupling_rhs(ws, padded, k)
+    np.multiply(k, half, out=stage)
+    stage += kept
+    k *= 2.0
+    acc += k
+    _coupling_rhs(ws, padded, k)
+    np.multiply(k, dt, out=stage)
+    stage += kept
+    k *= 2.0
+    acc += k
+    _coupling_rhs(ws, padded, k)
+    acc += k
+    acc *= dt / 6.0
+    kept += acc
 
 
 def detect_blow_up(u_hat: np.ndarray, v_hat: np.ndarray, n: int,
@@ -143,12 +249,11 @@ def detect_blow_up(u_hat: np.ndarray, v_hat: np.ndarray, n: int,
     Parseval gives a cheap upper bound first; the exact sup norm is only
     computed when the bound is already suspicious.
     """
-    bound = (np.sum(np.abs(u_hat)) + np.sum(np.abs(v_hat))) * (2.0 / n)
+    spectra = np.stack((u_hat, v_hat))
+    bound = float(np.sum(np.abs(spectra))) * (2.0 / n)
     if math.isfinite(bound) and bound <= threshold:
         return None
-    u = np.fft.irfft(u_hat, n=n)
-    v = np.fft.irfft(v_hat, n=n)
-    sup = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))))
+    sup = float(np.max(np.abs(scipy.fft.irfft(spectra, n=n, axis=-1))))
     if not math.isfinite(sup) or sup > threshold:
         return sup if math.isfinite(sup) else math.inf
     return None
@@ -157,26 +262,15 @@ def detect_blow_up(u_hat: np.ndarray, v_hat: np.ndarray, n: int,
 def step(ws: SpectralWorkspace, state: SpectralState,
          blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD) -> SpectralState:
     """One Strang step: half linear, RK4 on the couplings, half linear."""
-    dt = ws.dt
-    m1, m2 = ws.lin_half
-    u = state.u_hat * m1
-    v = state.v_hat * m2
-
-    k1u, k1v = _nonlinear_rhs(ws, u, v)
-    k2u, k2v = _nonlinear_rhs(ws, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-    k3u, k3v = _nonlinear_rhs(ws, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-    k4u, k4v = _nonlinear_rhs(ws, u + dt * k3u, v + dt * k3v)
-    u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-
-    u *= m1
-    v *= m2
-    ws.last_spectra = (u, v)
-    t_next = state.t + dt
-    sup = detect_blow_up(u, v, ws.grid.n, blow_up_threshold)
+    y = state.spectra * ws.lin_half
+    if ws.slots:
+        _rk4_couplings(ws, y)
+    y *= ws.lin_half
+    t_next = state.t + ws.dt
+    sup = detect_blow_up(y[0], y[1], ws.grid.n, blow_up_threshold)
     if sup is not None:
         raise BlowUpError(t_next, sup)
-    return SpectralState(t=t_next, u_hat=u, v_hat=v)
+    return SpectralState(t=t_next, spectra=y)
 
 
 @dataclass(frozen=True)
@@ -202,10 +296,9 @@ def run(ws: SpectralWorkspace, initial: State, t_end: float, sample_dt: float,
     """
     raw = SpectralState.from_physical(initial)
     # Mask the initial spectrum once: dealiased modes then stay identically
-    # zero (the linear multiplier preserves zeros and every nonlinear
-    # increment is masked), which makes the nullity invariant exact.
-    state = SpectralState(t=raw.t, u_hat=raw.u_hat * ws.dealias,
-                          v_hat=raw.v_hat * ws.dealias)
+    # zero (the linear multiplier preserves zeros and the RK4 update never
+    # touches them), which makes the nullity invariant exact.
+    state = SpectralState(t=raw.t, spectra=raw.spectra * ws.dealias)
     samples = [initial]
     steps_total = int(round((t_end - initial.t) / ws.dt))
     stride = max(1, int(round(sample_dt / ws.dt)))

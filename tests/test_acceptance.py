@@ -360,8 +360,9 @@ class TestProperty5DealiasNullity:
                         u=0.05 * rng.standard_normal(grid.n) * np.exp(-x ** 2 / 9),
                         v=0.05 * rng.standard_normal(grid.n) * np.exp(-x ** 2 / 9))
         ws = SpectralWorkspace(grid=grid, system=system, dt=0.01)
-        run(ws, initial, t_end=0.05, sample_dt=0.05)
-        u_hat, v_hat = ws.last_spectra
+        seen = []
+        run(ws, initial, t_end=0.05, sample_dt=0.05, observer=seen.append)
+        u_hat, v_hat = seen[-1].u_hat, seen[-1].v_hat
         assert np.max(np.abs(u_hat[~ws.dealias])) == 0.0
         assert np.max(np.abs(v_hat[~ws.dealias])) == 0.0
 

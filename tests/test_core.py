@@ -71,6 +71,18 @@ class TestValidateScenario:
         bad = make_scenario(dt=2.0, t_end=1.0)
         assert not validate_scenario(bad).valid
 
+    def test_t_end_not_whole_number_of_steps(self):
+        # The stepper would silently stop at t = 0.9.
+        report = validate_scenario(make_scenario(t_end=1.0, dt=0.3))
+        assert "t_end = whole number of dt steps failed" in report.violations
+
+    @pytest.mark.parametrize("sample_dt", [0.004, 0.015, float("nan")])
+    def test_sample_dt_not_whole_multiple_of_dt(self, sample_dt):
+        # sample_dt < dt would silently sample every step, 0.015 every
+        # other step, and NaN passes the sample_dt > 0 check.
+        report = validate_scenario(make_scenario(dt=0.01, sample_dt=sample_dt))
+        assert "sample_dt = whole multiple of dt failed" in report.violations
+
     def test_envelope_m_floor(self):
         bad = make_scenario(envelope=EnvelopeSpec(kind="exponential", M=2.0))
         report = validate_scenario(bad)

@@ -65,8 +65,9 @@ def test_dealiased_modes_identically_zero():
     initial = State(t=0.0, u=0.01 * np.exp(-x ** 2),
                     v=0.01 * np.exp(-(x - 1) ** 2))
     ws = SpectralWorkspace(grid=grid, system=system, dt=0.01)
-    run(ws, initial, t_end=1.0, sample_dt=0.5)
-    u_hat, v_hat = ws.last_spectra
+    seen = []
+    run(ws, initial, t_end=1.0, sample_dt=0.5, observer=seen.append)
+    u_hat, v_hat = seen[-1].u_hat, seen[-1].v_hat
     assert np.max(np.abs(u_hat[~ws.dealias])) == 0.0
     assert np.max(np.abs(v_hat[~ws.dealias])) == 0.0
 

@@ -288,8 +288,9 @@ def eta_drag(history: Sequence[State], grid: Grid, system: SystemSpec,
     swept-source integral, which tolerates the non-Gaussian tails that
     irrelevant cross couplings produce.
 
-    The trust region per component covers the segment swept between the two
-    comoving frames plus the Gaussian margin.
+    The trust region covers the segment swept between the two comoving
+    frames plus the Gaussian margin; it is the same for both components, so
+    one drag_weight_profile call per sample serves u (row 0) and v (row 1).
     """
     if env.kind != "drag":
         raise ValueError("eta_drag requires envelope kind 'drag'")
@@ -297,33 +298,31 @@ def eta_drag(history: Sequence[State], grid: Grid, system: SystemSpec,
         raise ValueError("drag weight requires c1 != c2")
     x = grid.points()
     M = env.M
+    c1, c2 = system.c1, system.c2
     values = np.empty(len(history))
     for i, state in enumerate(history):
         s = state.t
-        total = np.zeros_like(x)
-        for field, c_self, c_other in (
-                (state.u, system.c1, system.c2),
-                (state.v, system.c2, system.c1)):
-            margin = math.sqrt(M * (1.0 + s) * TRUST_LOG)
-            lo = min(-c_self * s, -c_other * s) - margin
-            hi = max(-c_self * s, -c_other * s) + margin
-            mask = (x >= lo) & (x <= hi)
-            xm = x[mask]
+        margin = math.sqrt(M * (1.0 + s) * TRUST_LOG)
+        lo = min(-c1 * s, -c2 * s) - margin
+        hi = max(-c1 * s, -c2 * s) + margin
+        mask = (x >= lo) & (x <= hi)
+        xm = x[mask]
+        if s > 0.0:
+            drag = drag_weight_profile(xm, s, c1, c2, M)
+        else:
+            drag = np.zeros((2, len(xm)))
+        total = np.zeros_like(xm)
+        for field, c_self, row in ((state.u, c1, drag[0]), (state.v, c2, drag[1])):
             shifted = xm + c_self * s
             gauss = np.exp(-shifted ** 2 / (M * (1.0 + s))) / math.sqrt(1.0 + s)
-            if s > 0.0:
-                drag = drag_weight_profile(xm, s, c_self, c_other, M)
-            else:
-                drag = np.zeros_like(xm)
-            denom = gauss + drag
+            denom = gauss + row
             # Same 1e-12-of-peak rule as the Gaussian trust region, applied
             # to the composite denominator: below it the weighted field is
             # round-off amplified past meaning.
             keep = denom >= 1e-12 * float(np.max(denom))
-            sub = np.zeros_like(xm)
-            sub[keep] = np.abs(field[mask][keep]) / denom[keep]
-            total[mask] += sub
-        values[i] = float(np.max(total))
+            total[keep] += np.abs(field[mask][keep]) / denom[keep]
+        # Outside the trust region the weighted field counts as 0.
+        values[i] = float(np.max(total, initial=0.0))
     times = np.array([st.t for st in history])
     return _finalize_verdict("drag", history, times, values)
 

@@ -93,11 +93,11 @@ def _exact_remark51(scenario: Scenario, state):
 
 def run_experiment(scenario: Scenario, out_dir) -> int:
     """Run one scenario end to end and write its output files."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report = validate_scenario(scenario)
     if not report.valid:
         raise ConfigError("invalid scenario: " + "; ".join(report.violations))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for warning in report.warnings:
         print(f"[{scenario.name}] warning: {warning}", file=sys.stderr)
 

@@ -231,7 +231,9 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 "wraparound budget exceeded: envelope checks unreliable past the "
                 "time where frame drift plus the trust radius reaches the "
                 "half-domain width")
+    grid_ok = grid.half_width > 0 and grid.n >= 64
     for label, init in (("initial.u", scenario.initial_u), ("initial.v", scenario.initial_v)):
+        before = len(violations)
         if init.kind not in INITIAL_KINDS:
             violations.append(f"{label}: unknown kind {init.kind!r}")
         elif init.kind == "custom":
@@ -241,6 +243,13 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 violations.append(f"{label}: {exc}")
         if not math.isfinite(init.amplitude):
             violations.append(f"{label}: finite amplitude failed")
+        if len(violations) == before and grid_ok:
+            # A pole or overflow on a grid point would otherwise be reported
+            # as blow-up at the first step.
+            with np.errstate(all="ignore"):
+                values = evaluate_initial(init, grid.points())
+            if not np.all(np.isfinite(values)):
+                violations.append(f"{label}: finite values on the grid failed")
     return ValidationReport(violations=tuple(violations), warnings=tuple(warnings))
 
 

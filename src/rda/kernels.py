@@ -21,13 +21,9 @@ from .quadrature import gauss_legendre_panels, quad_adaptive
 from .special import erfcx, gamma
 
 __all__ = [
-    "GaussKernelParams",
     "DragParams",
     "IdentityReport",
-    "heat_kernel",
     "gauss_integral",
-    "linear_envelope_bound",
-    "drag_integral",
     "drag_profile",
     "drag_weight_profile",
     "conv_same_velocity",
@@ -37,20 +33,6 @@ __all__ = [
     "quartic_tail_integral",
     "verify_identity_suite",
 ]
-
-
-@dataclass(frozen=True)
-class GaussKernelParams:
-    """Diffusion-advection kernel parameters."""
-    d: float
-    c: float
-    t: float
-
-    def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError("diffusion coefficient d must be positive")
-        if self.t <= 0:
-            raise ValueError("elapsed time t must be positive")
 
 
 @dataclass(frozen=True)
@@ -74,11 +56,6 @@ class DragParams:
             raise ValueError("j must be 0 or 1")
 
 
-def heat_kernel(x, p: GaussKernelParams):
-    """Drifting heat kernel e^{-(x+ct)^2/(4dt)} / sqrt(4 pi d t)."""
-    return np.exp(-((x + p.c * p.t) ** 2) / (4.0 * p.d * p.t)) / math.sqrt(4.0 * math.pi * p.d * p.t)
-
-
 def gauss_integral(a: float, b: float, c: float) -> float:
     """Exact value of the completed-square Gaussian integral.
 
@@ -89,48 +66,31 @@ def gauss_integral(a: float, b: float, c: float) -> float:
     return math.sqrt(math.pi / a) * math.exp((b * b + 4.0 * a * c) / (4.0 * a))
 
 
-def linear_envelope_bound(x, t, M: float, d: float, c: float, delta: float):
-    """Propagated Gaussian envelope of delta*e^{-x^2/M} initial data.
+# Row block of the Gaussian sweep, in doubles: 512 KB, so the block and
+# its exponentials stay in cache while the weights are applied.
+_BLOCK_DOUBLES = 65536
 
-    This is an upper envelope, not the exact convolution: the exact result
-    delta*sqrt(M/(M+4dt))*e^{-(x+ct)^2/(M+4dt)} is dominated by this bound
-    precisely when M >= 4d (with equality at M = 4d).
+
+def _gaussian_sweep(x: np.ndarray, nodes: np.ndarray, scale: float,
+                    weights: np.ndarray) -> np.ndarray:
+    """sum over j of e^{-(x_i + nodes_j)^2 / scale} weights[j, :], for every x_i.
+
+    weights is (len(nodes), k) and the result (len(x), k). The Gaussian
+    matrix is built in row blocks of about 512 KB in one reused buffer, so
+    no (len(x), len(nodes)) temporary is allocated.
     """
-    if M < 4.0 * d:
-        raise ValueError("envelope bound requires M >= 4d")
-    return (
-        delta * math.sqrt(M) * np.exp(-((x + c * t) ** 2) / (M * (1.0 + t)))
-        / (2.0 * math.sqrt(d * (1.0 + t)))
-    )
-
-
-def _drag_exponent(x, t: float, s, p: DragParams):
-    shift = x + t * p.c_self + s * (p.c_other - p.c_self)
-    return -(shift ** 2) / (p.M * (1.0 + t))
-
-
-def drag_integral(x: float, t: float, p: DragParams, tol: float = 1e-9) -> float:
-    """Adaptive-quadrature value of the drag integral at a single point.
-
-    integral over s in [0, t] of
-        e^{-(x + t c_self + s(c_other-c_self))^2 / (M(1+t))}
-        / (sqrt(1+t) (1+s)^{power_decay} (t-s)^{j/2}) ds.
-
-    For j=1 the endpoint singularity at s=t is removed by s = t - w^2.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    root = 1.0 / math.sqrt(1.0 + t)
-    if p.j == 0:
-        def integrand(s):
-            return np.exp(_drag_exponent(x, t, s, p)) * root / (1.0 + s) ** p.power_decay
-        return quad_adaptive(integrand, 0.0, t, tol=tol)
-
-    def integrand_w(w):
-        s = t - w * w
-        return 2.0 * np.exp(_drag_exponent(x, t, s, p)) * root / (1.0 + s) ** p.power_decay
-
-    return quad_adaptive(integrand_w, 0.0, math.sqrt(t), tol=tol)
+    out = np.empty((len(x), weights.shape[1]))
+    rows = max(1, _BLOCK_DOUBLES // len(nodes))
+    buf = np.empty((min(rows, len(x)), len(nodes)))
+    for start in range(0, len(x), rows):
+        xb = x[start:start + rows]
+        block = buf[:len(xb)]
+        np.add(xb[:, None], nodes, out=block)
+        np.square(block, out=block)
+        block /= -scale
+        np.exp(block, out=block)
+        np.dot(block, weights, out=out[start:start + len(xb)])
+    return out
 
 
 def _refine_panels(evaluate, start: int = 8, cap: int = 1024, tol: float = 1e-8):
@@ -140,74 +100,84 @@ def _refine_panels(evaluate, start: int = 8, cap: int = 1024, tol: float = 1e-8)
     while panels < cap:
         panels *= 2
         cur = evaluate(panels)
-        if float(np.max(np.abs(cur - prev))) <= tol:
+        if float(np.max(np.abs(cur - prev), initial=0.0)) <= tol:
             return cur
         prev = cur
     return prev
 
 
 def drag_profile(x: np.ndarray, t: float, p: DragParams, tol: float = 1e-8) -> np.ndarray:
-    """Vectorized drag_integral over an array of spatial points.
+    """Drag integral over an array of spatial points.
 
-    Shares the s-quadrature nodes across all x, which is what the envelope
-    checks and the exact-solution comparison need (one integral per grid
-    point would re-adapt the same smooth integrand thousands of times).
+    integral over s in [0, t] of
+        e^{-(x + t c_self + s(c_other-c_self))^2 / (M(1+t))}
+        / (sqrt(1+t) (1+s)^{power_decay} (t-s)^{j/2}) ds.
+
+    For j=1 the endpoint singularity at s=t is removed by s = t - w^2.
+    The s-quadrature nodes are shared across all x, which is what the
+    envelope checks and the exact-solution comparison need (one integral
+    per grid point would re-adapt the same smooth integrand thousands of
+    times).
     """
     if t <= 0:
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
     root = 1.0 / math.sqrt(1.0 + t)
+    shifted = x + t * p.c_self
+    dc = p.c_other - p.c_self
+    scale = p.M * (1.0 + t)
 
-    if p.j == 0:
-        def evaluate(panels):
+    def evaluate(panels):
+        if p.j == 0:
             s, w = gauss_legendre_panels(0.0, t, panels)
-            vals = np.exp(_drag_exponent(x[:, None], t, s[None, :], p))
-            vals *= root / (1.0 + s[None, :]) ** p.power_decay
-            return vals @ w
-    else:
-        def evaluate(panels):
+            w = w * (root / (1.0 + s) ** p.power_decay)
+        else:
             wn, ww = gauss_legendre_panels(0.0, math.sqrt(t), panels)
             s = t - wn * wn
-            vals = np.exp(_drag_exponent(x[:, None], t, s[None, :], p))
-            vals *= 2.0 * root / (1.0 + s[None, :]) ** p.power_decay
-            return vals @ ww
+            w = ww * (2.0 * root / (1.0 + s) ** p.power_decay)
+        return _gaussian_sweep(shifted, s * dc, scale, w[:, None])[:, 0]
 
     return _refine_panels(evaluate, tol=tol)
 
 
 def drag_weight_profile(
-    x: np.ndarray, s: float, c_self: float, c_other: float, M: float, tol: float = 1e-8
+    x: np.ndarray, s: float, c1: float, c2: float, M: float, tol: float = 1e-8
 ) -> np.ndarray:
-    """Drag-augmented weight integral, vectorized over x, at sample time s.
+    """Drag-augmented weight integrals of both components at sample time s.
+
+    Row 0 of the (2, len(x)) result is u's weight (c_self = c1, c_other =
+    c2) and row 1 is v's (c_self = c2, c_other = c1), each
 
     integral over r in [0, s] of
         e^{-(x + s c_self + r(c_other-c_self))^2 / (M(1+s))}
         / (sqrt(1+s)(1+r)) * ((1+r)^{1/4}/sqrt(r) + 1/sqrt(s-r)) dr.
 
     Both endpoint singularities are integrable square roots; r = w^2 and
-    r = s - w^2 remove them.
+    r = s - w^2 remove them, with w on one set of GL nodes in [0, sqrt(s)].
+    In c1's frame v's Gaussian at r is u's at s - r, so one Gaussian matrix
+    over the nodes [w^2, s - w^2] serves both rows: it is evaluated in row
+    blocks of about 512 KB and multiplied by a (2m, 2) weight matrix. The
+    panel count is refined until both rows stop moving. s <= 0 gives zeros.
     """
-    if s <= 0:
-        return np.zeros_like(np.asarray(x, dtype=float))
     x = np.asarray(x, dtype=float)
+    if s <= 0:
+        return np.zeros((2, len(x)))
     root = 1.0 / math.sqrt(1.0 + s)
-    dc = c_other - c_self
-    sqrt_s = math.sqrt(s)
-
-    def gaussian(r):
-        shift = x[:, None] + s * c_self + r[None, :] * dc
-        return np.exp(-(shift ** 2) / (M * (1.0 + s)))
+    shifted = x + s * c1
+    dc = c2 - c1
+    scale = M * (1.0 + s)
 
     def evaluate(panels):
-        # 1/((1+r)^{3/4} sqrt(r)) part, r = w^2.
-        w1, q1 = gauss_legendre_panels(0.0, sqrt_s, panels)
-        r1 = w1 * w1
-        part1 = (gaussian(r1) * (2.0 * root / (1.0 + r1) ** 0.75)[None, :]) @ q1
-        # 1/((1+r) sqrt(s-r)) part, r = s - w^2.
-        w2, q2 = gauss_legendre_panels(0.0, sqrt_s, panels)
-        r2 = s - w2 * w2
-        part2 = (gaussian(r2) * (2.0 * root / (1.0 + r2))[None, :]) @ q2
-        return part1 + part2
+        w, q = gauss_legendre_panels(0.0, math.sqrt(s), panels)
+        near = w * w
+        far = s - near
+        # 1/((1+r)^{3/4} sqrt(r)) at r = w^2, 1/((1+r) sqrt(s-r)) at r = s - w^2.
+        at_near = q * (2.0 * root / (1.0 + near) ** 0.75)
+        at_far = q * (2.0 * root / (1.0 + far))
+        weights = np.column_stack((np.concatenate((at_near, at_far)),
+                                   np.concatenate((at_far, at_near))))
+        nodes = np.concatenate((near, far)) * dc
+        return _gaussian_sweep(shifted, nodes, scale, weights).T
 
     return _refine_panels(evaluate, tol=tol)
 

@@ -20,7 +20,8 @@ from rda.analysis import (
     l1_norm_series,
     sup_norm_series,
 )
-from rda.core import EnvelopeSpec, Grid, PolyTerm, State, SystemSpec
+from rda.core import TRUST_LOG, EnvelopeSpec, Grid, PolyTerm, State, SystemSpec
+from rda.kernels import drag_weight_profile
 from rda.scenarios import get_scenario
 from rda.solver import NormalFormState
 
@@ -134,6 +135,29 @@ class TestEnvelopes:
             hist.append(State(t=s, u=u, v=np.zeros_like(x)))
         verdict = eta_algebraic(hist, self.grid, self.system,
                                 EnvelopeSpec(kind="algebraic", M=M, r=r))
+        np.testing.assert_allclose(verdict.eta_series, 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("component", ["u", "v"])
+    def test_drag_weight_saturating_field(self, component):
+        # A field equal to its own composite denominator (the Gaussian plus
+        # the drag weight, both in its own comoving frame) weighs one.
+        x = self.grid.points()
+        M = 16.0
+        c1, c2 = self.system.c1, self.system.c2
+        c_self, c_other = (c1, c2) if component == "u" else (c2, c1)
+        hist = []
+        for s in np.linspace(0.0, 6.0, 7):
+            margin = math.sqrt(M * (1.0 + s) * TRUST_LOG)
+            mask = (x >= min(-c_self * s, -c_other * s) - margin) \
+                & (x <= max(-c_self * s, -c_other * s) + margin)
+            xm = x[mask]
+            field = np.zeros_like(x)
+            field[mask] = np.exp(-(xm + c_self * s) ** 2 / (M * (1.0 + s))) / math.sqrt(1.0 + s) \
+                + drag_weight_profile(xm, s, c_self, c_other, M)[0]
+            zero = np.zeros_like(x)
+            hist.append(State(t=s, u=field, v=zero) if component == "u"
+                        else State(t=s, u=zero, v=field))
+        verdict = eta_drag(hist, self.grid, self.system, EnvelopeSpec(kind="drag", M=M))
         np.testing.assert_allclose(verdict.eta_series, 1.0, rtol=1e-12)
 
     def test_drag_weight_dominates_exponential(self):

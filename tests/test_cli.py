@@ -135,6 +135,20 @@ class TestMain:
         assert (out / "a" / "trajectory.csv").exists()
         assert (out / "b" / "trajectory.csv").exists()
 
+    def test_nonfinite_initial_data_fails_cleanly(self, tmp_path, capsys):
+        conf = tmp_path / "pole.conf"
+        conf.write_text(FAST_CONFIG.replace(
+            "initial.u.kind = gaussian\ninitial.u.amplitude = 1e-3",
+            "initial.u.kind = custom\ninitial.u.expression = 1/x"),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: invalid scenario: initial.u: finite values on the grid failed"]
+        assert not out.exists()
+
     def test_unknown_target_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "no-such-scenario", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err

@@ -113,6 +113,20 @@ class TestValidateScenario:
         report = validate_scenario(bad)
         assert not report.valid
 
+    @pytest.mark.parametrize("label,field", [("initial.u", "initial_u"),
+                                             ("initial.v", "initial_v")])
+    def test_nonfinite_initial_values_reported(self, label, field):
+        # x = 0 is a grid point, so 1/x is infinite there.
+        bad = make_scenario(**{field: InitialData(kind="custom", expression="1/x")})
+        report = validate_scenario(bad)
+        assert report.violations == (f"{label}: finite values on the grid failed",)
+
+    def test_overflowing_initial_values_reported(self):
+        bad = make_scenario(
+            initial_u=InitialData(kind="custom", expression="exp(x^2)"))
+        report = validate_scenario(bad)
+        assert "initial.u: finite values on the grid failed" in report.violations
+
 
 class TestExpressionGrammar:
     @pytest.mark.parametrize("expr,fn", [

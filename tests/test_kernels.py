@@ -1,26 +1,90 @@
 """Kernel closed forms against independent oracles (mpmath, scipy)."""
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
 from rda.kernels import (
     DragParams,
-    GaussKernelParams,
     conv_cross_velocity,
     conv_mix,
     conv_same_velocity,
-    drag_integral,
+    _BLOCK_DOUBLES,
+    _gaussian_sweep,
     drag_profile,
+    drag_weight_profile,
     gauss_integral,
     halfline_gauss_integral,
-    heat_kernel,
-    linear_envelope_bound,
     quartic_tail_integral,
     verify_identity_suite,
 )
+from rda.quadrature import quad_adaptive
+
+
+@dataclass(frozen=True)
+class GaussKernelParams:
+    """Diffusion-advection kernel parameters."""
+    d: float
+    c: float
+    t: float
+
+    def __post_init__(self):
+        if self.d <= 0:
+            raise ValueError("diffusion coefficient d must be positive")
+        if self.t <= 0:
+            raise ValueError("elapsed time t must be positive")
+
+
+def heat_kernel(x, p: GaussKernelParams):
+    """Drifting heat kernel e^{-(x+ct)^2/(4dt)} / sqrt(4 pi d t)."""
+    return np.exp(-((x + p.c * p.t) ** 2) / (4.0 * p.d * p.t)) / math.sqrt(4.0 * math.pi * p.d * p.t)
+
+
+def linear_envelope_bound(x, t, M: float, d: float, c: float, delta: float):
+    """Propagated Gaussian envelope of delta*e^{-x^2/M} initial data.
+
+    This is an upper envelope, not the exact convolution: the exact result
+    delta*sqrt(M/(M+4dt))*e^{-(x+ct)^2/(M+4dt)} is dominated by this bound
+    precisely when M >= 4d (with equality at M = 4d).
+    """
+    if M < 4.0 * d:
+        raise ValueError("envelope bound requires M >= 4d")
+    return (
+        delta * math.sqrt(M) * np.exp(-((x + c * t) ** 2) / (M * (1.0 + t)))
+        / (2.0 * math.sqrt(d * (1.0 + t)))
+    )
+
+
+def drag_integral(x: float, t: float, p: DragParams, tol: float = 1e-9) -> float:
+    """Adaptive-quadrature value of the drag integral at a single point.
+
+    The pointwise oracle for drag_profile: the same integrand, each point
+    adapted on its own. For j=1 the endpoint singularity at s=t is removed
+    by s = t - w^2.
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    root = 1.0 / math.sqrt(1.0 + t)
+
+    def gaussian(s):
+        shift = x + t * p.c_self + s * (p.c_other - p.c_self)
+        return np.exp(-(shift ** 2) / (p.M * (1.0 + t)))
+
+    if p.j == 0:
+        def integrand(s):
+            return gaussian(s) * root / (1.0 + s) ** p.power_decay
+        return quad_adaptive(integrand, 0.0, t, tol=tol)
+
+    def integrand_w(w):
+        s = t - w * w
+        return 2.0 * gaussian(s) * root / (1.0 + s) ** p.power_decay
+
+    return quad_adaptive(integrand_w, 0.0, math.sqrt(t), tol=tol)
+
 
 IDENTITY_NAMES = {
     "gauss", "conv_same_velocity", "conv_mix",
@@ -150,3 +214,69 @@ def test_conv_closed_forms_spot_check_vs_mpmath():
         [-mpmath.inf, mpmath.inf])) / (
             math.sqrt(4 * math.pi * d1 * (t - s)) * (1 + s))
     assert conv_mix(x, t, s, c1, c2, M, d1) == pytest.approx(mix, rel=1e-9)
+
+
+def _drag_weight_quad(x, s, c_self, c_other, M):
+    """The drag-augmented weight by QUADPACK, each square-root endpoint
+    handled by its algebraic weight."""
+    def gaussian(r):
+        shift = x + s * c_self + r * (c_other - c_self)
+        return math.exp(-shift ** 2 / (M * (1.0 + s))) / math.sqrt(1.0 + s)
+
+    near, _ = integrate.quad(lambda r: gaussian(r) / (1.0 + r) ** 0.75, 0.0, s,
+                             weight="alg", wvar=(-0.5, 0.0),
+                             epsabs=1e-13, epsrel=1e-13, limit=200)
+    far, _ = integrate.quad(lambda r: gaussian(r) / (1.0 + r), 0.0, s,
+                            weight="alg", wvar=(0.0, -0.5),
+                            epsabs=1e-13, epsrel=1e-13, limit=200)
+    return near + far
+
+
+@pytest.mark.parametrize("s,c1,c2,M", [(3.0, 0.0, 1.0, 32.0),
+                                       (0.7, -1.5, 2.0, 16.0)])
+def test_drag_weight_rows_vs_quad(s, c1, c2, M):
+    x = np.array([-2.5 * s, -s, 0.0, 0.5, 3.0])
+    profile = drag_weight_profile(x, s, c1, c2, M)
+    assert profile.shape == (2, len(x))
+    for row, (c_self, c_other) in enumerate(((c1, c2), (c2, c1))):
+        ref = [_drag_weight_quad(float(xi), s, c_self, c_other, M) for xi in x]
+        np.testing.assert_allclose(profile[row], ref, rtol=0.0, atol=1e-8)
+
+
+def test_drag_weight_rows_swap_with_velocities():
+    x = np.linspace(-12.0, 6.0, 301)
+    forward = drag_weight_profile(x, 2.5, 0.5, 2.0, 32.0)
+    backward = drag_weight_profile(x, 2.5, 2.0, 0.5, 32.0)
+    np.testing.assert_allclose(forward[1], backward[0], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(forward[0], backward[1], rtol=1e-13, atol=0.0)
+
+
+def test_drag_weight_zero_at_initial_time():
+    x = np.linspace(-5.0, 5.0, 11)
+    np.testing.assert_array_equal(drag_weight_profile(x, 0.0, 0.0, 1.0, 16.0),
+                                  np.zeros((2, len(x))))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_drag_weight_short_inputs(n):
+    x = np.linspace(-1.0, 1.0, n)
+    profile = drag_weight_profile(x, 1.0, 0.0, 1.0, 16.0)
+    assert profile.shape == (2, n)
+    if n:
+        ref = drag_weight_profile(np.array([-1.0, 0.5]), 1.0, 0.0, 1.0, 16.0)
+        assert profile[:, 0] == pytest.approx(ref[:, 0], abs=1e-8)
+
+
+_SWEEP_NODES = np.linspace(-3.0, 2.0, 257)
+_SWEEP_ROWS = _BLOCK_DOUBLES // len(_SWEEP_NODES)
+
+
+@pytest.mark.parametrize("n", [0, 1, _SWEEP_ROWS - 1, _SWEEP_ROWS,
+                               _SWEEP_ROWS + 1, 4 * _SWEEP_ROWS + 7])
+def test_gaussian_sweep_blocks_match_dense(n):
+    x = np.linspace(-8.0, 8.0, n)
+    weights = np.random.default_rng(0).standard_normal((len(_SWEEP_NODES), 2))
+    dense = np.exp(-(x[:, None] + _SWEEP_NODES[None, :]) ** 2 / 7.0) @ weights
+    swept = _gaussian_sweep(x, _SWEEP_NODES, 7.0, weights)
+    assert swept.shape == (n, 2)
+    np.testing.assert_allclose(swept, dense, rtol=1e-13, atol=1e-13)

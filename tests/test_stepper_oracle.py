@@ -3,17 +3,19 @@
 The reference below is the plain form of the same scheme: each component
 is transformed on its own, the 2/3 rule re-masks every product input and
 result, and the powers are rebuilt for every monomial. The stacked
-stepper must reproduce it to round-off.
+stepper must reproduce it to round-off while the solution stays below the
+blow-up threshold, and must raise BlowUpError once it does not.
 """
 
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from rda.core import Grid, PolyTerm, State, SystemSpec
-from rda.solver import SpectralState, SpectralWorkspace, step
+from rda.core import DEFAULT_BLOW_UP_THRESHOLD, Grid, PolyTerm, State, SystemSpec
+from rda.solver import BlowUpError, SpectralState, SpectralWorkspace, step
 
 RTOL = 1e-12
 STEPS = 10
@@ -79,15 +81,37 @@ def _initial_spectra(grid, seed, masked=True):
     return spectra * _wavenumbers(grid)[1] if masked else spectra
 
 
-def assert_matches_reference(grid, system, dt, spectra):
+def reference_run(grid, system, dt, spectra):
+    """STEPS reference steps, or None once the sup norm of either component
+    goes non-finite or past the blow-up threshold (the reference itself
+    never stops)."""
+    u_ref, v_ref = spectra
+    with np.errstate(all="ignore"):
+        for _ in range(STEPS):
+            u_ref, v_ref = reference_step(grid, system, dt, u_ref, v_ref)
+            sup = max(np.max(np.abs(np.fft.irfft(u_ref, n=grid.n))),
+                      np.max(np.abs(np.fft.irfft(v_ref, n=grid.n))))
+            if not sup <= DEFAULT_BLOW_UP_THRESHOLD:
+                return None
+    return np.stack((u_ref, v_ref))
+
+
+def stepped(grid, system, dt, spectra):
     ws = SpectralWorkspace(grid=grid, system=system, dt=dt)
     state = SpectralState(t=0.0, spectra=spectra)
-    u_ref, v_ref = spectra
     for _ in range(STEPS):
         state = step(ws, state)
-        u_ref, v_ref = reference_step(grid, system, dt, u_ref, v_ref)
-    ref = np.stack((u_ref, v_ref))
-    assert np.max(np.abs(state.spectra - ref)) <= RTOL * np.max(np.abs(ref))
+    return state.spectra
+
+
+def assert_close(spectra, ref):
+    assert np.max(np.abs(spectra - ref)) <= RTOL * np.max(np.abs(ref))
+
+
+def assert_matches_reference(grid, system, dt, spectra):
+    ref = reference_run(grid, system, dt, spectra)
+    assert ref is not None
+    assert_close(stepped(grid, system, dt, spectra), ref)
 
 
 _coeffs = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda c: c != 1.0)
@@ -105,13 +129,38 @@ _systems = st.builds(SystemSpec,
                      f1=_slot(0), f2=_slot(0), g1=_slot(1), g2=_slot(1))
 
 
+# Constant forcing drives v up until the v^4 flux steepens it past the
+# threshold on the last of the STEPS steps: both steppers pass 1e40 there.
+_UNSTABLE = dict(
+    system=SystemSpec(d1=1.0, d2=0.25, c1=0.0, c2=0.0,
+                      f1=(PolyTerm(0.0, 0, 0, 0),),
+                      f2=(PolyTerm(3.0, 0, 0, 0), PolyTerm(3.0, 0, 0, 0)),
+                      g1=(PolyTerm(0.0, 0, 0, 1),),
+                      g2=(PolyTerm(2.0, 0, 4, 1),)),
+    n=128, dt=0.03125, seed=0)
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(system=_systems, n=st.sampled_from([64, 128]),
        dt=st.floats(1e-3, 0.05), seed=st.integers(0, 2 ** 31 - 1))
+@example(**_UNSTABLE)
 def test_all_slots_match_reference(system, n, dt, seed):
     grid = Grid(half_width=20.0, n=n)
-    assert_matches_reference(grid, system, dt, _initial_spectra(grid, seed))
+    spectra = _initial_spectra(grid, seed)
+    ref = reference_run(grid, system, dt, spectra)
+    # A draw whose reference solution leaves the finite-amplitude range is
+    # a blow-up, which step() reports instead of matching.
+    assume(ref is not None)
+    assert_close(stepped(grid, system, dt, spectra), ref)
+
+
+def test_unstable_draw_raises_blow_up():
+    grid = Grid(half_width=20.0, n=_UNSTABLE["n"])
+    spectra = _initial_spectra(grid, _UNSTABLE["seed"])
+    assert reference_run(grid, _UNSTABLE["system"], _UNSTABLE["dt"], spectra) is None
+    with pytest.raises(BlowUpError):
+        stepped(grid, _UNSTABLE["system"], _UNSTABLE["dt"], spectra)
 
 
 def test_unmasked_input_matches_reference():

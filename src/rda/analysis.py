@@ -16,11 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy import stats
+from scipy.special import erf
 
 from .core import TRUST_LOG, EnvelopeSpec, Grid, PolyTerm, State, SystemSpec
 from .kernels import drag_weight_profile
 from .solver import NormalFormState
-from .special import erf
 
 __all__ = [
     "TermClass",
@@ -28,6 +28,7 @@ __all__ = [
     "classify_term",
     "AdmissibilityReport",
     "check_admissibility",
+    "normal_form_coeffs",
     "EnvelopeVerdict",
     "eta_exponential",
     "eta_algebraic",
@@ -38,8 +39,7 @@ __all__ = [
     "cas2_lower_bounds",
     "AmplitudeLawVerdict",
     "amplitude_law_check",
-    "sup_norm_series",
-    "l1_norm_series",
+    "norm_series",
 ]
 
 
@@ -145,9 +145,7 @@ def check_admissibility(system: SystemSpec) -> AdmissibilityReport:
     sign_condition = None
     sign_value = None
     if thm4:
-        alpha_c = _coeff(system.f1, 1, 1, 0)
-        beta_c = _coeff(system.f1, 3, 0, 0)
-        gamma_c = _coeff(system.g2, 2, 0, 1)
+        alpha_c, beta_c, gamma_c = normal_form_coeffs(system)
         c = system.c2 - system.c1
         sign_value = beta_c - gamma_c * alpha_c / c
         sign_condition = sign_value < 0.0
@@ -157,8 +155,15 @@ def check_admissibility(system: SystemSpec) -> AdmissibilityReport:
         reasons=tuple(reasons))
 
 
-def _coeff(terms, alpha, beta, gamma):
-    return sum(t.coeff for t in terms if (t.alpha, t.beta, t.gamma) == (alpha, beta, gamma))
+def normal_form_coeffs(system: SystemSpec) -> tuple[float, float, float]:
+    """(alpha, beta, gamma) of f1 = alpha uv + beta u^3 and g2 = gamma u^2.
+
+    Each is the summed coefficient of its monomial, 0 when it is absent.
+    """
+    def coeff(terms, shape):
+        return sum(t.coeff for t in terms if (t.alpha, t.beta, t.gamma) == shape)
+    return (coeff(system.f1, (1, 1, 0)), coeff(system.f1, (3, 0, 0)),
+            coeff(system.g2, (2, 0, 1)))
 
 
 def _matches_normal_form_shape(system: SystemSpec) -> bool:
@@ -183,22 +188,19 @@ class EnvelopeVerdict:
     times: np.ndarray
     eta_series: np.ndarray          # cumulative sup, nondecreasing
     max_eta: float
-    bounded: bool
-    decay_exponent: float
-    decay_half_width: float
-    valid: bool = True
+    bounded_flags: np.ndarray       # eta <= 3 x anchor, per sample
+    bounded: bool                   # every sample bounded
 
 
-def sup_norm_series(history: Sequence[State]) -> np.ndarray:
-    return np.array([
-        max(float(np.max(np.abs(s.u))), float(np.max(np.abs(s.v))))
-        for s in history])
-
-
-def l1_norm_series(history: Sequence[State], grid: Grid) -> np.ndarray:
+def norm_series(history: Sequence[State], grid: Grid):
+    """(times, linf_u, linf_v, l1_u, l1_v) arrays over a sampled history."""
     dx = grid.dx
-    return np.array([
-        float(np.sum(np.abs(s.u)) + np.sum(np.abs(s.v))) * dx for s in history])
+    times = np.array([st.t for st in history])
+    linf_u = np.array([np.max(np.abs(st.u)) for st in history])
+    linf_v = np.array([np.max(np.abs(st.v)) for st in history])
+    l1_u = np.array([np.sum(np.abs(st.u)) * dx for st in history])
+    l1_v = np.array([np.sum(np.abs(st.v)) * dx for st in history])
+    return times, linf_u, linf_v, l1_u, l1_v
 
 
 def _comoving(x: np.ndarray, c: float, s: float, half_width: float) -> np.ndarray:
@@ -212,22 +214,20 @@ def _comoving(x: np.ndarray, c: float, s: float, half_width: float) -> np.ndarra
 
 
 def _finalize_verdict(kind: str, history: Sequence[State],
-                      times: np.ndarray, pointwise: np.ndarray,
-                      valid: bool = True) -> EnvelopeVerdict:
+                      pointwise: np.ndarray) -> EnvelopeVerdict:
+    """Cumulative sup of the pointwise values and the bounded rule.
+
+    A sample is bounded when its eta is at most 3x the anchor, the eta of
+    the first sample at t >= 1 (the first sample if there is none); the
+    verdict is bounded when every sample is.
+    """
+    times = np.array([st.t for st in history])
     eta_series = np.maximum.accumulate(pointwise)
-    max_eta = float(eta_series[-1])
     anchor_idx = int(np.argmax(times >= 1.0)) if np.any(times >= 1.0) else 0
-    anchor = eta_series[anchor_idx]
-    bounded = bool(max_eta <= 3.0 * anchor) if anchor > 0 else True
-    sup_series = sup_norm_series(history)
-    try:
-        exponent, half_width = fit_decay_exponent(times, sup_series, t_min=1.0)
-    except ValueError:
-        exponent, half_width = math.nan, math.nan
+    flags = eta_series <= 3.0 * eta_series[anchor_idx]
     return EnvelopeVerdict(kind=kind, times=times, eta_series=eta_series,
-                           max_eta=max_eta, bounded=bounded,
-                           decay_exponent=exponent, decay_half_width=half_width,
-                           valid=valid)
+                           max_eta=float(eta_series[-1]), bounded_flags=flags,
+                           bounded=bool(np.all(flags)))
 
 
 def eta_exponential(history: Sequence[State], grid: Grid, system: SystemSpec,
@@ -252,8 +252,7 @@ def eta_exponential(history: Sequence[State], grid: Grid, system: SystemSpec,
             total[mask] += np.abs(field[mask]) * np.exp(
                 shifted[mask] ** 2 / (M * (1.0 + s)))
         values[i] = math.sqrt(1.0 + s) * float(np.max(total))
-    times = np.array([st.t for st in history])
-    return _finalize_verdict("exponential", history, times, values)
+    return _finalize_verdict("exponential", history, values)
 
 
 def eta_algebraic(history: Sequence[State], grid: Grid, system: SystemSpec,
@@ -278,8 +277,7 @@ def eta_algebraic(history: Sequence[State], grid: Grid, system: SystemSpec,
                 + np.exp(-shifted ** 2 / (M * (1.0 + s))) / math.sqrt(1.0 + s)
             total += np.abs(field) / denom
         values[i] = float(np.max(total))
-    times = np.array([st.t for st in history])
-    return _finalize_verdict("algebraic", history, times, values)
+    return _finalize_verdict("algebraic", history, values)
 
 
 def eta_drag(history: Sequence[State], grid: Grid, system: SystemSpec,
@@ -323,8 +321,7 @@ def eta_drag(history: Sequence[State], grid: Grid, system: SystemSpec,
             total[keep] += np.abs(field[mask][keep]) / denom[keep]
         # Outside the trust region the weighted field counts as 0.
         values[i] = float(np.max(total, initial=0.0))
-    times = np.array([st.t for st in history])
-    return _finalize_verdict("drag", history, times, values)
+    return _finalize_verdict("drag", history, values)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +402,12 @@ def cas2_lower_bounds(params: Cas2Params, times: np.ndarray) -> LowerBoundCurve:
         regime = "equal_velocities"
     else:
         dc = abs(params.c1 - params.c2)
-        erf_l1 = np.array([erf(math.sqrt(a) * dc * ti / (2.0 * math.sqrt(Xi)))
-                           for ti, Xi in zip(t, X)])
+        erf_l1 = erf(math.sqrt(a) * dc * t / (2.0 * np.sqrt(X)))
         l1 = nu0 ** 4 * dm ** 4 * math.sqrt(math.pi) * t * (
             -2.0 * np.sqrt(X) + math.sqrt(a * math.pi) * dc * t * erf_l1
         ) / (32.0 * d1 ** 3 * d2 * a ** 2 * dc ** 2 * math.sqrt(a) * X)
         l1 = np.maximum(l1, 0.0)
-        erf_li = np.array([erf(math.sqrt(2.0 * a * ti / Xi) * dc)
-                           for ti, Xi in zip(t, X)])
+        erf_li = erf(np.sqrt(2.0 * a * t / X) * dc)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_term = np.log((1.0 + 4.0 * a * t) / (1.0 + 4.0 * a * np.sqrt(t)))
         linf = nu0 ** 4 * dm ** 4 * math.pi * log_term * erf_li ** 2 / (

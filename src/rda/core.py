@@ -194,8 +194,18 @@ def _whole_steps(span: float, dt: float) -> bool:
     return steps >= 1 and abs(ratio - steps) <= 1e-9 * ratio
 
 
+def _has_remark51_shape(scenario: Scenario) -> bool:
+    """True iff the scenario is the exactly solvable benchmark of remark 5.1."""
+    s = scenario.system
+    return (s.d1 == 1.0 and s.d2 == 0.25 and not s.f1 and not s.g1 and not s.g2
+            and tuple((t.alpha, t.beta, t.gamma) for t in s.f2) == ((4, 0, 0),)
+            and scenario.initial_u.kind == "remark51"
+            and scenario.initial_v.kind == "zero")
+
+
 def validate_scenario(scenario: Scenario) -> ValidationReport:
-    """Validate a full Scenario: system invariants plus grid/time sanity."""
+    """Validate a full Scenario: system invariants, grid/time sanity, and
+    that each requested output can be computed for it."""
     report = validate_spec(scenario.system)
     violations = list(report.violations)
     warnings: list[str] = []
@@ -219,6 +229,10 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         env = scenario.envelope
         if env.kind not in ENVELOPE_KINDS:
             violations.append(f"unknown envelope kind {env.kind!r}")
+        elif env.kind == "normal-form" and "envelope" in scenario.outputs:
+            violations.append(
+                "envelope output requires an envelope kind with an evaluator "
+                "(exponential, algebraic, drag), not 'normal-form'")
         if env.kind in ("exponential", "drag", "normal-form"):
             m0 = max(16.0 * scenario.system.d1, 16.0 * scenario.system.d2, 1.0)
             if env.M < m0:
@@ -231,6 +245,12 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 "wraparound budget exceeded: envelope checks unreliable past the "
                 "time where frame drift plus the trust radius reaches the "
                 "half-domain width")
+    if "lower_bounds" in scenario.outputs and scenario.initial_u.kind != "gaussian":
+        violations.append("lower_bounds output requires Gaussian initial data")
+    if "exact_error" in scenario.outputs and not _has_remark51_shape(scenario):
+        violations.append(
+            "exact_error output requires the exactly solvable benchmark shape: "
+            "d=(1, 1/4), f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0")
     grid_ok = grid.half_width > 0 and grid.n >= 64
     for label, init in (("initial.u", scenario.initial_u), ("initial.v", scenario.initial_v)):
         before = len(violations)

@@ -2,8 +2,8 @@
 
 Everything here is a pure function of its arguments. The closed forms are
 the analytic building blocks of the envelope machinery; each one is paired
-with an adaptive-quadrature left-hand side in verify_identity_suite so the
-quadrature acts as the oracle for the algebra.
+with a left-hand side integrated by QUADPACK (scipy.integrate.quad) in
+verify_identity_suite, so the quadrature acts as the oracle for the algebra.
 
 Note on conv_same_velocity: the exact value of that convolution carries a
 factor 1/2 relative to the way it is sometimes quoted; the closed form
@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .quadrature import gauss_legendre_panels, quad_adaptive
-from .special import erfcx, gamma
+from scipy import integrate
+from scipy.special import erfcx, gamma
 
 __all__ = [
     "DragParams",
@@ -26,6 +25,7 @@ __all__ = [
     "gauss_integral",
     "drag_profile",
     "drag_weight_profile",
+    "gauss_legendre_panels",
     "conv_same_velocity",
     "conv_mix",
     "conv_cross_velocity",
@@ -64,6 +64,22 @@ def gauss_integral(a: float, b: float, c: float) -> float:
     if a <= 0:
         raise ValueError("a must be positive")
     return math.sqrt(math.pi / a) * math.exp((b * b + 4.0 * a * c) / (4.0 * a))
+
+
+def gauss_legendre_panels(a: float, b: float, panels: int, order: int = 16):
+    """Composite Gauss-Legendre nodes/weights on [a, b] split into equal panels.
+
+    Used by the vectorized envelope evaluators, where the same s-integral is
+    needed simultaneously at every grid point x and adaptivity per point
+    would be wasteful.
+    """
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mids[:, None] + half[:, None] * xg[None, :]).ravel()
+    weights = (half[:, None] * wg[None, :]).ravel()
+    return nodes, weights
 
 
 # Row block of the Gaussian sweep, in doubles: 512 KB, so the block and
@@ -298,7 +314,7 @@ def _conv_lattice():
 
 
 def _quad_conv(f, lo: float, hi: float, tol: float = 1e-11) -> float:
-    return quad_adaptive(f, lo, hi, tol=tol, limit=4000, min_intervals=8)
+    return integrate.quad(f, lo, hi, epsabs=tol, epsrel=0.0, limit=4000)[0]
 
 
 def _product_gaussian_window(terms, spread: float = 9.0):

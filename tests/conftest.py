@@ -1,6 +1,5 @@
 """Shared fixtures: the expensive scenario runs are computed once per session."""
 
-import numpy as np
 import pytest
 
 from rda.scenarios import get_scenario
@@ -36,12 +35,3 @@ def remark51_run():
     scenario = get_scenario("remark51-exact")
     return scenario, run_scenario(scenario)
 
-
-def norm_series(result, grid):
-    """(times, linf_u, linf_v, l1_u, l1_v) arrays for a RunResult."""
-    times = np.array([s.t for s in result.states])
-    linf_u = np.array([np.max(np.abs(s.u)) for s in result.states])
-    linf_v = np.array([np.max(np.abs(s.v)) for s in result.states])
-    l1_u = np.array([np.sum(np.abs(s.u)) * grid.dx for s in result.states])
-    l1_v = np.array([np.sum(np.abs(s.v)) * grid.dx for s in result.states])
-    return times, linf_u, linf_v, l1_u, l1_v

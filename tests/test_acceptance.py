@@ -31,12 +31,11 @@ from rda.analysis import (
     eta_drag,
     eta_exponential,
     fit_decay_exponent,
+    norm_series,
 )
 from rda.core import EnvelopeSpec, Grid, PolyTerm, State, SystemSpec
 from rda.scenarios import get_scenario
 from rda.solver import SpectralState, SpectralWorkspace, run, to_normal_form
-
-from conftest import norm_series
 
 PROPERTY_SETTINGS = settings(
     max_examples=200, deadline=None,
@@ -87,7 +86,7 @@ def test_criterion_2_exact_benchmark(remark51_run):
 
 def test_criterion_3_decay_exponent(toy_run):
     scenario, result = toy_run
-    times, linf_u, _, _, _ = norm_series(result, scenario.grid)
+    times, linf_u, _, _, _ = norm_series(result.states, scenario.grid)
     exponent, _ = fit_decay_exponent(times, linf_u, t_min=5.0)
     assert exponent == pytest.approx(-0.5, abs=0.1)
 
@@ -101,7 +100,7 @@ def test_criterion_3_envelope_bounded(toy_run):
 
 def test_criterion_3_l1_nearly_conserved(toy_run):
     scenario, result = toy_run
-    _, _, _, l1_u, _ = norm_series(result, scenario.grid)
+    _, _, _, l1_u, _ = norm_series(result.states, scenario.grid)
     variation = float(np.max(l1_u) / np.min(l1_u)) - 1.0
     assert variation < 0.20
 
@@ -119,7 +118,7 @@ def test_criterion_4_drag_envelope_bounded(thm2_run):
 
 def test_criterion_4_both_components_decay(thm2_run):
     scenario, result = thm2_run
-    times, linf_u, linf_v, _, _ = norm_series(result, scenario.grid)
+    times, linf_u, linf_v, _, _ = norm_series(result.states, scenario.grid)
     for series in (linf_u, linf_v):
         exponent, _ = fit_decay_exponent(times, series, t_min=10.0)
         assert exponent <= -0.4
@@ -138,7 +137,7 @@ def _cas2_params(scenario):
 
 def test_criterion_5_l1_dominates_lower_bound(cas2_distinct_run):
     scenario, result = cas2_distinct_run
-    times, _, _, l1_u, l1_v = norm_series(result, scenario.grid)
+    times, _, _, l1_u, l1_v = norm_series(result.states, scenario.grid)
     curve = cas2_lower_bounds(_cas2_params(scenario), times)
     assert curve.regime == "distinct_velocities"
     l1_total = l1_u + l1_v
@@ -147,7 +146,7 @@ def test_criterion_5_l1_dominates_lower_bound(cas2_distinct_run):
 
 def test_criterion_5_l1_growth_exponent(cas2_distinct_run):
     scenario, result = cas2_distinct_run
-    times, _, _, l1_u, l1_v = norm_series(result, scenario.grid)
+    times, _, _, l1_u, l1_v = norm_series(result.states, scenario.grid)
     exponent, _ = fit_decay_exponent(times, l1_u + l1_v,
                                      t_min=times[-1] / 10.0)
     assert exponent >= 0.8
@@ -165,7 +164,7 @@ def test_criterion_5_linf_bound_increases_after_two(cas2_distinct_run):
 
 def test_criterion_5_simulated_linf_grows(cas2_distinct_run):
     scenario, result = cas2_distinct_run
-    times, linf_u, linf_v, _, _ = norm_series(result, scenario.grid)
+    times, linf_u, linf_v, _, _ = norm_series(result.states, scenario.grid)
     sup = np.maximum(linf_u, linf_v)
     half = times >= times[-1] / 2.0
     assert np.all(np.diff(sup[half]) > 0.0)
@@ -183,7 +182,7 @@ def test_criterion_6_no_blow_up(cas3_run):
 
 def test_criterion_6_decay_exponent(cas3_run):
     scenario, result = cas3_run
-    times, linf_u, _, _, _ = norm_series(result, scenario.grid)
+    times, linf_u, _, _, _ = norm_series(result.states, scenario.grid)
     exponent, _ = fit_decay_exponent(times, linf_u, t_min=10.0)
     assert exponent == pytest.approx(-0.5, abs=0.15)
 

@@ -17,8 +17,7 @@ from rda.analysis import (
     eta_drag,
     eta_exponential,
     fit_decay_exponent,
-    l1_norm_series,
-    sup_norm_series,
+    norm_series,
 )
 from rda.core import TRUST_LOG, EnvelopeSpec, Grid, PolyTerm, State, SystemSpec
 from rda.kernels import drag_weight_profile
@@ -112,6 +111,17 @@ class TestEnvelopes:
         assert verdict.bounded
         assert verdict.max_eta == pytest.approx(0.01, rel=1e-12)
 
+    def test_growing_field_flags_samples_past_three_anchors(self):
+        # eta = 0.01 (1+t)^2; the anchor at t = 1 is 0.04, so samples with
+        # (1+t)^2 > 12 exceed three anchors.
+        times = np.linspace(0.0, 10.0, 21)
+        hist = [State(t=st.t, u=st.u * (1 + st.t) ** 2, v=st.v) for st in
+                _history_exponential(self.grid, self.system, 16.0, 0.01, times)]
+        verdict = eta_exponential(hist, self.grid, self.system,
+                                  EnvelopeSpec(kind="exponential", M=16.0))
+        np.testing.assert_array_equal(verdict.bounded_flags, times <= 2.0)
+        assert not verdict.bounded
+
     def test_exponential_eta_scales_linearly_in_amplitude(self):
         times = np.linspace(0.0, 5.0, 11)
         small = _history_exponential(self.grid, self.system, 16.0, 1e-3, times)
@@ -188,10 +198,15 @@ class TestEnvelopes:
     def test_norm_series(self):
         x = self.grid.points()
         u = np.exp(-np.abs(x))
-        hist = [State(t=0.0, u=u, v=2 * u)]
-        assert sup_norm_series(hist)[0] == pytest.approx(2.0)
-        # integral of 3 e^{-|x|} over the line is 6
-        assert l1_norm_series(hist, self.grid)[0] == pytest.approx(6.0, rel=1e-2)
+        hist = [State(t=0.0, u=u, v=2 * u), State(t=0.5, u=0.5 * u, v=0 * u)]
+        times, linf_u, linf_v, l1_u, l1_v = norm_series(hist, self.grid)
+        np.testing.assert_array_equal(times, [0.0, 0.5])
+        assert linf_u[0] == pytest.approx(1.0) and linf_v[0] == pytest.approx(2.0)
+        assert linf_u[1] == pytest.approx(0.5) and linf_v[1] == 0.0
+        # integral of e^{-|x|} over the line is 2
+        assert l1_u[0] == pytest.approx(2.0, rel=1e-2)
+        assert l1_v[0] == pytest.approx(4.0, rel=1e-2)
+        assert l1_u[1] == pytest.approx(1.0, rel=1e-2) and l1_v[1] == 0.0
 
 
 class TestDecayFit:

@@ -149,6 +149,44 @@ class TestMain:
             "error: invalid scenario: initial.u: finite values on the grid failed"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("replacements,message", [
+        ((("initial.u.kind = gaussian", "initial.u.kind = algebraic"),
+          ("outputs = trajectory, envelope, decay",
+           "outputs = trajectory, lower_bounds")),
+         "lower_bounds output requires Gaussian initial data"),
+        ((("envelope.kind = exponential", "envelope.kind = normal-form"),),
+         "envelope output requires an envelope kind with an evaluator "
+         "(exponential, algebraic, drag), not 'normal-form'"),
+        ((("outputs = trajectory, envelope, decay",
+           "outputs = trajectory, exact_error"),),
+         "exact_error output requires the exactly solvable benchmark shape: "
+         "d=(1, 1/4), f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0"),
+    ], ids=["lower_bounds", "normal_form_envelope", "exact_error"])
+    def test_uncomputable_output_fails_before_running(
+            self, tmp_path, capsys, replacements, message):
+        text = FAST_CONFIG
+        for old, new in replacements:
+            assert old in text
+            text = text.replace(old, new)
+        conf = tmp_path / "bad.conf"
+        conf.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: invalid scenario: {message}"]
+        assert not out.exists()
+
+    def test_bounded_flags_match_envelope_verdict(self, tmp_path):
+        assert main(["run", "remark51-exact", "--out", str(tmp_path)]) == 0
+        _, env_rows = read_csv(tmp_path / "envelope.csv")
+        _, v_rows = read_csv(tmp_path / "verdicts.csv")
+        verdicts = {row[0]: row[1] for row in v_rows}
+        flags = {row[2] for row in env_rows}
+        assert flags <= {"0", "1"}
+        assert (flags == {"1"}) == (verdicts["eta_drag"] == "pass")
+
     def test_unknown_target_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "no-such-scenario", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err

@@ -18,11 +18,11 @@ from rda.kernels import (
     drag_profile,
     drag_weight_profile,
     gauss_integral,
+    gauss_legendre_panels,
     halfline_gauss_integral,
     quartic_tail_integral,
     verify_identity_suite,
 )
-from rda.quadrature import quad_adaptive
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def linear_envelope_bound(x, t, M: float, d: float, c: float, delta: float):
 
 
 def drag_integral(x: float, t: float, p: DragParams, tol: float = 1e-9) -> float:
-    """Adaptive-quadrature value of the drag integral at a single point.
+    """QUADPACK value of the drag integral at a single point.
 
     The pointwise oracle for drag_profile: the same integrand, each point
     adapted on its own. For j=1 the endpoint singularity at s=t is removed
@@ -77,13 +77,13 @@ def drag_integral(x: float, t: float, p: DragParams, tol: float = 1e-9) -> float
     if p.j == 0:
         def integrand(s):
             return gaussian(s) * root / (1.0 + s) ** p.power_decay
-        return quad_adaptive(integrand, 0.0, t, tol=tol)
+        return integrate.quad(integrand, 0.0, t, epsabs=tol, epsrel=0.0)[0]
 
     def integrand_w(w):
         s = t - w * w
         return 2.0 * gaussian(s) * root / (1.0 + s) ** p.power_decay
 
-    return quad_adaptive(integrand_w, 0.0, math.sqrt(t), tol=tol)
+    return integrate.quad(integrand_w, 0.0, math.sqrt(t), epsabs=tol, epsrel=0.0)[0]
 
 
 IDENTITY_NAMES = {
@@ -100,6 +100,15 @@ def test_identity_suite_passes_strict():
     assert report.passed(1e-8)
     name, worst = report.worst()
     assert worst <= 1e-10, (name, worst)
+
+
+def test_gauss_legendre_panels_weights_sum():
+    nodes, weights = gauss_legendre_panels(-3.0, 5.0, panels=7, order=12)
+    assert weights.sum() == pytest.approx(8.0, abs=1e-12)
+    assert nodes.min() > -3.0 and nodes.max() < 5.0
+    value = float(np.dot(weights, np.exp(-nodes ** 2)))
+    exact = math.sqrt(math.pi) / 2.0 * (math.erf(5.0) + math.erf(3.0))
+    assert value == pytest.approx(exact, abs=1e-10)
 
 
 def test_heat_kernel_unit_mass():

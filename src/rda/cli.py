@@ -55,13 +55,6 @@ def _resolve_target(target: str) -> Scenario:
     return parse_scenario(path)
 
 
-_ETA_FUNCTIONS = {
-    "exponential": analysis.eta_exponential,
-    "algebraic": analysis.eta_algebraic,
-    "drag": analysis.eta_drag,
-}
-
-
 def _exact_remark51(scenario: Scenario, state):
     """Closed-form (u, v) of the exactly solvable benchmark at state.t.
 
@@ -70,9 +63,8 @@ def _exact_remark51(scenario: Scenario, state):
     s = scenario.system
     x = scenario.grid.points()
     t = state.t
-    u_exact = np.exp(-((x + s.c1 * t) ** 2) / (4.0 * (1.0 + t))) / math.sqrt(
-        4.0 * math.pi * (1.0 + t))
-    params = kernels.DragParams(c_self=s.c2, c_other=s.c1, M=1.0, j=0,
+    u_exact = solver.gaussian_profile(x + s.c1 * t, t, s.d1)
+    params = kernels.DragParams(c_self=s.c2, c_other=s.c1, M=1.0,
                                 power_decay=1.5)
     v_exact = kernels.drag_profile(x, t, params) / (16.0 * math.pi ** 2)
     return u_exact, v_exact
@@ -104,8 +96,8 @@ def run_experiment(scenario: Scenario, out_dir) -> int:
     outputs = scenario.outputs
 
     if "envelope" in outputs and scenario.envelope is not None:
-        eta_fn = _ETA_FUNCTIONS[scenario.envelope.kind]
-        verdict = eta_fn(hist, grid, scenario.system, scenario.envelope)
+        verdict = analysis.envelope_verdict(hist, grid, scenario.system,
+                                            scenario.envelope)
         env_rows = [[t, eta, int(flag)] for t, eta, flag in zip(
             verdict.times, verdict.eta_series, verdict.bounded_flags)]
         _write_csv(out / "envelope.csv", ["t", "eta", "bounded_flag"], env_rows)
@@ -117,8 +109,8 @@ def run_experiment(scenario: Scenario, out_dir) -> int:
                            x_label="1 + t", y_label="eta")
         (out / "plot_envelope.svg").write_text(chart, encoding="utf-8")
 
+    sup_series = np.maximum(linf_u, linf_v)
     if "decay" in outputs:
-        sup_series = np.maximum(linf_u, linf_v)
         try:
             exponent, half_width = analysis.fit_decay_exponent(
                 times, sup_series, t_min=min(5.0, times[-1] / 4.0))
@@ -138,7 +130,6 @@ def run_experiment(scenario: Scenario, out_dir) -> int:
         dominates = bool(np.all(l1_total >= curve.l1_bound))
         verdicts.append(["l1_lower_bound", "pass" if dominates else "fail",
                          float(np.min(l1_total - curve.l1_bound))])
-        sup_series = np.maximum(linf_u, linf_v)
         half = times >= times[-1] / 2.0
         growing = bool(np.all(np.diff(sup_series[half]) > 0)) \
             if np.sum(half) >= 2 else False
@@ -181,14 +172,18 @@ def run_experiment(scenario: Scenario, out_dir) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     targets = [_resolve_target(t) for t in args.targets]
     out_root = Path(args.out)
     jobs = []
     for scenario in targets:
         dest = out_root if len(targets) == 1 else out_root / scenario.name
         jobs.append((scenario, dest))
-    if args.jobs > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers at once: ask for no more than needed.
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_experiment, sc, dest) for sc, dest in jobs]
             for future in futures:
                 future.result()

@@ -94,9 +94,6 @@ class State:
     u: np.ndarray
     v: np.ndarray
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v)))
-
 
 @dataclass(frozen=True)
 class EnvelopeSpec:
@@ -174,11 +171,15 @@ def validate_spec(spec: SystemSpec) -> ValidationReport:
     return ValidationReport(violations=tuple(violations))
 
 
+def trust_radius(M: float, s: float) -> float:
+    """Distance from a comoving centre at which e^{-y^2/(M(1+s))} falls to 1e-12."""
+    return math.sqrt(M * (1.0 + s) * TRUST_LOG)
+
+
 def wraparound_budget(grid: Grid, system: SystemSpec, t_end: float, M: float) -> float:
     """Fraction of the half-domain consumed by frame drift plus the trust radius."""
     drift = max(abs(system.c1), abs(system.c2)) * t_end
-    trust = math.sqrt(M * (1.0 + t_end) * TRUST_LOG)
-    return (drift + trust) / grid.half_width
+    return (drift + trust_radius(M, t_end)) / grid.half_width
 
 
 def _whole_steps(span: float, dt: float) -> bool:

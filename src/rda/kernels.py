@@ -41,19 +41,16 @@ class DragParams:
 
     The integrand is a Gaussian whose center sweeps from the c_self-comoving
     frame to the c_other one as s runs over [0, t], damped algebraically in
-    (1+s) and, for j=1, carrying the (t-s)^{-1/2} derivative singularity.
+    (1+s).
     """
     c_self: float
     c_other: float
     M: float
-    j: int = 0
     power_decay: float = 0.0
 
     def __post_init__(self):
         if self.M <= 0:
             raise ValueError("M must be positive")
-        if self.j not in (0, 1):
-            raise ValueError("j must be 0 or 1")
 
 
 def gauss_integral(a: float, b: float, c: float) -> float:
@@ -127,9 +124,8 @@ def drag_profile(x: np.ndarray, t: float, p: DragParams, tol: float = 1e-8) -> n
 
     integral over s in [0, t] of
         e^{-(x + t c_self + s(c_other-c_self))^2 / (M(1+t))}
-        / (sqrt(1+t) (1+s)^{power_decay} (t-s)^{j/2}) ds.
+        / (sqrt(1+t) (1+s)^{power_decay}) ds.
 
-    For j=1 the endpoint singularity at s=t is removed by s = t - w^2.
     The s-quadrature nodes are shared across all x, which is what the
     envelope checks and the exact-solution comparison need (one integral
     per grid point would re-adapt the same smooth integrand thousands of
@@ -144,13 +140,8 @@ def drag_profile(x: np.ndarray, t: float, p: DragParams, tol: float = 1e-8) -> n
     scale = p.M * (1.0 + t)
 
     def evaluate(panels):
-        if p.j == 0:
-            s, w = gauss_legendre_panels(0.0, t, panels)
-            w = w * (root / (1.0 + s) ** p.power_decay)
-        else:
-            wn, ww = gauss_legendre_panels(0.0, math.sqrt(t), panels)
-            s = t - wn * wn
-            w = ww * (2.0 * root / (1.0 + s) ** p.power_decay)
+        s, w = gauss_legendre_panels(0.0, t, panels)
+        w = w * (root / (1.0 + s) ** p.power_decay)
         return _gaussian_sweep(shifted, s * dc, scale, w[:, None])[:, 0]
 
     return _refine_panels(evaluate, tol=tol)

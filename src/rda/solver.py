@@ -133,14 +133,6 @@ class SpectralState:
     t: float
     spectra: np.ndarray
 
-    @property
-    def u_hat(self) -> np.ndarray:
-        return self.spectra[0]
-
-    @property
-    def v_hat(self) -> np.ndarray:
-        return self.spectra[1]
-
     def to_physical(self, grid: Grid) -> State:
         u, v = scipy.fft.irfft(self.spectra, n=grid.n, axis=-1)
         return State(t=self.t, u=u, v=v)
@@ -242,14 +234,14 @@ def _rk4_couplings(ws: SpectralWorkspace, y: np.ndarray) -> None:
     kept += acc
 
 
-def detect_blow_up(u_hat: np.ndarray, v_hat: np.ndarray, n: int,
+def detect_blow_up(spectra: np.ndarray, n: int,
                    threshold: float = DEFAULT_BLOW_UP_THRESHOLD) -> float | None:
     """Return the sup amplitude if it is non-finite or above threshold, else None.
 
-    Parseval gives a cheap upper bound first; the exact sup norm is only
-    computed when the bound is already suspicious.
+    spectra is the stacked (2, n/2+1) rfft of (u, v). Parseval gives a cheap
+    upper bound first; the exact sup norm is only computed when the bound
+    is already suspicious.
     """
-    spectra = np.stack((u_hat, v_hat))
     bound = float(np.sum(np.abs(spectra))) * (2.0 / n)
     if math.isfinite(bound) and bound <= threshold:
         return None
@@ -267,7 +259,7 @@ def step(ws: SpectralWorkspace, state: SpectralState,
         _rk4_couplings(ws, y)
     y *= ws.lin_half
     t_next = state.t + ws.dt
-    sup = detect_blow_up(y[0], y[1], ws.grid.n, blow_up_threshold)
+    sup = detect_blow_up(y, ws.grid.n, blow_up_threshold)
     if sup is not None:
         raise BlowUpError(t_next, sup)
     return SpectralState(t=t_next, spectra=y)
@@ -279,10 +271,6 @@ class RunResult:
     states: tuple[State, ...]
     blew_up: bool
     blow_up_time: float | None
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
 
 
 def run(ws: SpectralWorkspace, initial: State, t_end: float, sample_dt: float,

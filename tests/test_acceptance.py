@@ -27,9 +27,7 @@ from rda.analysis import (
     cas2_lower_bounds,
     check_admissibility,
     classify_term,
-    eta_algebraic,
-    eta_drag,
-    eta_exponential,
+    envelope_verdict,
     fit_decay_exponent,
     norm_series,
 )
@@ -70,7 +68,7 @@ def test_criterion_2_exact_benchmark(remark51_run):
 
     u_exact = np.exp(-((x + s.c1 * t) ** 2) / (4.0 * (1.0 + t))) / math.sqrt(
         4.0 * math.pi * (1.0 + t))
-    params = kernels.DragParams(c_self=s.c2, c_other=s.c1, M=1.0, j=0,
+    params = kernels.DragParams(c_self=s.c2, c_other=s.c1, M=1.0,
                                 power_decay=1.5)
     v_exact = kernels.drag_profile(x, t, params) / (16.0 * math.pi ** 2)
 
@@ -93,8 +91,8 @@ def test_criterion_3_decay_exponent(toy_run):
 
 def test_criterion_3_envelope_bounded(toy_run):
     scenario, result = toy_run
-    verdict = eta_exponential(result.states, scenario.grid, scenario.system,
-                              scenario.envelope)
+    verdict = envelope_verdict(result.states, scenario.grid, scenario.system,
+                               scenario.envelope)
     assert verdict.bounded, f"eta grew to {verdict.max_eta:.3e}"
 
 
@@ -111,8 +109,8 @@ def test_criterion_3_l1_nearly_conserved(toy_run):
 
 def test_criterion_4_drag_envelope_bounded(thm2_run):
     scenario, result = thm2_run
-    verdict = eta_drag(result.states, scenario.grid, scenario.system,
-                       scenario.envelope)
+    verdict = envelope_verdict(result.states, scenario.grid, scenario.system,
+                               scenario.envelope)
     assert verdict.bounded, f"drag eta grew to {verdict.max_eta:.3e}"
 
 
@@ -264,12 +262,10 @@ class TestProperty2EnvelopeHomogeneityAndOrdering:
     def test_homogeneity(self, amplitude, width, offset, scale):
         hist = self._history(amplitude, width, offset)
         scaled = [State(t=s.t, u=scale * s.u, v=scale * s.v) for s in hist]
-        for eta_fn, env in ((eta_exponential,
-                             EnvelopeSpec(kind="exponential", M=16.0)),
-                            (eta_algebraic,
-                             EnvelopeSpec(kind="algebraic", M=16.0, r=3.0))):
-            base = eta_fn(hist, self.grid, self.system, env)
-            big = eta_fn(scaled, self.grid, self.system, env)
+        for env in (EnvelopeSpec(kind="exponential", M=16.0),
+                    EnvelopeSpec(kind="algebraic", M=16.0, r=3.0)):
+            base = envelope_verdict(hist, self.grid, self.system, env)
+            big = envelope_verdict(scaled, self.grid, self.system, env)
             np.testing.assert_allclose(big.eta_series,
                                        scale * base.eta_series, rtol=1e-10)
 
@@ -281,10 +277,10 @@ class TestProperty2EnvelopeHomogeneityAndOrdering:
         # The drag weight only enlarges the denominator, so its supremum is
         # dominated by the pure-Gaussian one on the same history.
         hist = self._history(amplitude, width, offset)
-        exp_v = eta_exponential(hist, self.grid, self.system,
-                                EnvelopeSpec(kind="exponential", M=16.0))
-        drag_v = eta_drag(hist, self.grid, self.system,
-                          EnvelopeSpec(kind="drag", M=16.0))
+        exp_v = envelope_verdict(hist, self.grid, self.system,
+                                 EnvelopeSpec(kind="exponential", M=16.0))
+        drag_v = envelope_verdict(hist, self.grid, self.system,
+                                  EnvelopeSpec(kind="drag", M=16.0))
         assert np.all(drag_v.eta_series <=
                       exp_v.eta_series * (1.0 + 1e-9) + 1e-300)
 
@@ -305,9 +301,10 @@ class TestProperty3LinearMassConservation:
         v = rng.uniform(-1, 1) * np.exp(-x ** 2 / rng.uniform(1, 9))
         ws = SpectralWorkspace(grid=grid, system=system, dt=dt)
         state = SpectralState.from_physical(State(t=0.0, u=u, v=v))
-        before = (state.u_hat[0].real, state.v_hat[0].real)
+        before = (state.spectra[0][0].real, state.spectra[1][0].real)
         after_state = solver.step(ws, state)
-        after = (after_state.u_hat[0].real, after_state.v_hat[0].real)
+        after = (after_state.spectra[0][0].real,
+                 after_state.spectra[1][0].real)
         scale = grid.dx
         assert abs(after[0] - before[0]) * scale <= 1e-12
         assert abs(after[1] - before[1]) * scale <= 1e-12
@@ -361,7 +358,7 @@ class TestProperty5DealiasNullity:
         ws = SpectralWorkspace(grid=grid, system=system, dt=0.01)
         seen = []
         run(ws, initial, t_end=0.05, sample_dt=0.05, observer=seen.append)
-        u_hat, v_hat = seen[-1].u_hat, seen[-1].v_hat
+        u_hat, v_hat = seen[-1].spectra[0], seen[-1].spectra[1]
         assert np.max(np.abs(u_hat[~ws.dealias])) == 0.0
         assert np.max(np.abs(v_hat[~ws.dealias])) == 0.0
 

@@ -13,13 +13,12 @@ from rda.analysis import (
     cas2_lower_bounds,
     check_admissibility,
     classify_term,
-    eta_algebraic,
-    eta_drag,
-    eta_exponential,
+    envelope_verdict,
     fit_decay_exponent,
     norm_series,
 )
-from rda.core import TRUST_LOG, EnvelopeSpec, Grid, PolyTerm, State, SystemSpec
+from rda.core import (EnvelopeSpec, Grid, PolyTerm, State, SystemSpec,
+                      trust_radius)
 from rda.kernels import drag_weight_profile
 from rda.scenarios import get_scenario
 from rda.solver import NormalFormState
@@ -98,6 +97,17 @@ def _history_exponential(grid, system, M, delta, times):
     return hist
 
 
+def _spiked(history, grid, at, height):
+    """The history with u raised by height at the grid point nearest at."""
+    i = int(np.argmin(np.abs(grid.points() - at)))
+    spiked = []
+    for st in history:
+        u = st.u.copy()
+        u[i] += height
+        spiked.append(State(t=st.t, u=u, v=st.v))
+    return spiked
+
+
 class TestEnvelopes:
     grid = Grid(half_width=100.0, n=1024)
     system = SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0)
@@ -105,8 +115,8 @@ class TestEnvelopes:
     def test_exponential_weight_saturating_field(self):
         times = np.linspace(0.0, 10.0, 21)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01, times)
-        verdict = eta_exponential(hist, self.grid, self.system,
-                                  EnvelopeSpec(kind="exponential", M=16.0))
+        verdict = envelope_verdict(hist, self.grid, self.system,
+                                   EnvelopeSpec(kind="exponential", M=16.0))
         np.testing.assert_allclose(verdict.eta_series, 0.01, rtol=1e-12)
         assert verdict.bounded
         assert verdict.max_eta == pytest.approx(0.01, rel=1e-12)
@@ -117,8 +127,8 @@ class TestEnvelopes:
         times = np.linspace(0.0, 10.0, 21)
         hist = [State(t=st.t, u=st.u * (1 + st.t) ** 2, v=st.v) for st in
                 _history_exponential(self.grid, self.system, 16.0, 0.01, times)]
-        verdict = eta_exponential(hist, self.grid, self.system,
-                                  EnvelopeSpec(kind="exponential", M=16.0))
+        verdict = envelope_verdict(hist, self.grid, self.system,
+                                   EnvelopeSpec(kind="exponential", M=16.0))
         np.testing.assert_array_equal(verdict.bounded_flags, times <= 2.0)
         assert not verdict.bounded
 
@@ -127,8 +137,8 @@ class TestEnvelopes:
         small = _history_exponential(self.grid, self.system, 16.0, 1e-3, times)
         large = _history_exponential(self.grid, self.system, 16.0, 5e-3, times)
         env = EnvelopeSpec(kind="exponential", M=16.0)
-        eta_small = eta_exponential(small, self.grid, self.system, env)
-        eta_large = eta_exponential(large, self.grid, self.system, env)
+        eta_small = envelope_verdict(small, self.grid, self.system, env)
+        eta_large = envelope_verdict(large, self.grid, self.system, env)
         np.testing.assert_allclose(eta_large.eta_series,
                                    5.0 * eta_small.eta_series, rtol=1e-12)
 
@@ -143,8 +153,8 @@ class TestEnvelopes:
             u = (1 + np.abs(shifted) + math.sqrt(s)) ** (-r) \
                 + np.exp(-shifted ** 2 / (M * (1 + s))) / math.sqrt(1 + s)
             hist.append(State(t=s, u=u, v=np.zeros_like(x)))
-        verdict = eta_algebraic(hist, self.grid, self.system,
-                                EnvelopeSpec(kind="algebraic", M=M, r=r))
+        verdict = envelope_verdict(hist, self.grid, self.system,
+                                   EnvelopeSpec(kind="algebraic", M=M, r=r))
         np.testing.assert_allclose(verdict.eta_series, 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("component", ["u", "v"])
@@ -157,7 +167,7 @@ class TestEnvelopes:
         c_self, c_other = (c1, c2) if component == "u" else (c2, c1)
         hist = []
         for s in np.linspace(0.0, 6.0, 7):
-            margin = math.sqrt(M * (1.0 + s) * TRUST_LOG)
+            margin = trust_radius(M, s)
             mask = (x >= min(-c_self * s, -c_other * s) - margin) \
                 & (x <= max(-c_self * s, -c_other * s) + margin)
             xm = x[mask]
@@ -167,7 +177,8 @@ class TestEnvelopes:
             zero = np.zeros_like(x)
             hist.append(State(t=s, u=field, v=zero) if component == "u"
                         else State(t=s, u=zero, v=field))
-        verdict = eta_drag(hist, self.grid, self.system, EnvelopeSpec(kind="drag", M=M))
+        verdict = envelope_verdict(hist, self.grid, self.system,
+                                   EnvelopeSpec(kind="drag", M=M))
         np.testing.assert_allclose(verdict.eta_series, 1.0, rtol=1e-12)
 
     def test_drag_weight_dominates_exponential(self):
@@ -175,10 +186,10 @@ class TestEnvelopes:
         # history the drag eta can never exceed the exponential eta.
         times = np.linspace(0.5, 8.0, 16)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01, times)
-        exp_v = eta_exponential(hist, self.grid, self.system,
-                                EnvelopeSpec(kind="exponential", M=16.0))
-        drag_v = eta_drag(hist, self.grid, self.system,
-                          EnvelopeSpec(kind="drag", M=16.0))
+        exp_v = envelope_verdict(hist, self.grid, self.system,
+                                 EnvelopeSpec(kind="exponential", M=16.0))
+        drag_v = envelope_verdict(hist, self.grid, self.system,
+                                  EnvelopeSpec(kind="drag", M=16.0))
         assert np.all(drag_v.eta_series <= exp_v.eta_series + 1e-12)
 
     def test_drag_requires_distinct_velocities(self):
@@ -186,14 +197,68 @@ class TestEnvelopes:
                                     np.array([0.0, 1.0]))
         equal = SystemSpec(d1=1, d2=1, c1=1.0, c2=1.0)
         with pytest.raises(ValueError):
-            eta_drag(hist, self.grid, equal, EnvelopeSpec(kind="drag", M=16.0))
+            envelope_verdict(hist, self.grid, equal,
+                             EnvelopeSpec(kind="drag", M=16.0))
 
-    def test_kind_mismatch_rejected(self):
+    def test_normal_form_kind_rejected(self):
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01,
                                     np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
-            eta_exponential(hist, self.grid, self.system,
-                            EnvelopeSpec(kind="drag", M=16.0))
+            envelope_verdict(hist, self.grid, self.system,
+                             EnvelopeSpec(kind="normal-form", M=16.0))
+
+    # Trust regions. At s <= 4 with M = 16 the trust radius is at most 47,
+    # so x = 60 lies outside u's region (centred at 0) for every kind and
+    # outside the drag rule's swept segment [-4 - 47, 47].
+
+    @pytest.mark.parametrize("kind", ["exponential", "drag"])
+    def test_spike_outside_trust_region_ignored(self, kind):
+        env = EnvelopeSpec(kind=kind, M=16.0)
+        hist = _history_exponential(self.grid, self.system, 16.0, 0.01,
+                                    np.array([0.0, 1.0, 2.0, 4.0]))
+        base = envelope_verdict(hist, self.grid, self.system, env)
+        outside = envelope_verdict(_spiked(hist, self.grid, 60.0, 1e-6),
+                                   self.grid, self.system, env)
+        inside = envelope_verdict(_spiked(hist, self.grid, -20.0, 1e-6),
+                                  self.grid, self.system, env)
+        np.testing.assert_array_equal(outside.eta_series, base.eta_series)
+        assert inside.max_eta > 10.0 * base.max_eta
+
+    def test_algebraic_keeps_whole_domain(self):
+        env = EnvelopeSpec(kind="algebraic", M=16.0, r=3.0)
+        hist = _history_exponential(self.grid, self.system, 16.0, 0.01,
+                                    np.array([0.0, 1.0, 2.0, 4.0]))
+        base = envelope_verdict(hist, self.grid, self.system, env)
+        far = envelope_verdict(_spiked(hist, self.grid, 99.0, 1.0),
+                               self.grid, self.system, env)
+        assert far.max_eta > 10.0 * base.max_eta
+
+    def test_drag_drops_denominators_below_trust_floor(self):
+        # At s = 4, x = -50 is inside the swept segment [-51, 47], but u's
+        # composite denominator there is below 1e-12 of its peak.
+        env = EnvelopeSpec(kind="drag", M=16.0)
+        hist = _history_exponential(self.grid, self.system, 16.0, 0.01,
+                                    np.array([4.0]))
+        base = envelope_verdict(hist, self.grid, self.system, env)
+        edge = envelope_verdict(_spiked(hist, self.grid, -50.0, 1e-6),
+                                self.grid, self.system, env)
+        np.testing.assert_array_equal(edge.eta_series, base.eta_series)
+
+    @pytest.mark.parametrize("kind", ["exponential", "algebraic"])
+    def test_distance_is_periodic(self, kind):
+        # v drifts with c2 = 1: at s = 150 its centre -150 has wrapped round
+        # the torus [-100, 100) to 50. A v equal to its own denominator at
+        # the periodic distance from 50 weighs exactly delta.
+        env = EnvelopeSpec(kind=kind, M=16.0, r=3.0)
+        s, delta, L = 150.0, 0.01, self.grid.half_width
+        x = self.grid.points()
+        d = np.mod(x - 50.0 + L, 2.0 * L) - L
+        v = np.exp(-d ** 2 / (env.M * (1.0 + s))) / math.sqrt(1.0 + s)
+        if kind == "algebraic":
+            v += (1.0 + np.abs(d) + math.sqrt(s)) ** (-env.r)
+        hist = [State(t=s, u=np.zeros_like(x), v=delta * v)]
+        verdict = envelope_verdict(hist, self.grid, self.system, env)
+        np.testing.assert_allclose(verdict.eta_series, delta, rtol=1e-12)
 
     def test_norm_series(self):
         x = self.grid.points()

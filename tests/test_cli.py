@@ -1,10 +1,12 @@
 """Command-line interface: output schema, exit codes, round-trip fidelity."""
 
+import concurrent.futures
 import csv
 
 import numpy as np
 import pytest
 
+from rda import cli
 from rda.cli import main, run_experiment
 from rda.core import (
     EnvelopeSpec,
@@ -134,6 +136,52 @@ class TestMain:
         assert main(["run", str(conf_a), str(conf_b), "--out", str(out)]) == 0
         assert (out / "a" / "trajectory.csv").exists()
         assert (out / "b" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("jobs,pools", [("1", []), ("2", [2]), ("8", [2])])
+    def test_jobs_capped_at_target_count(self, tmp_path, monkeypatch, jobs,
+                                         pools):
+        # A stand-in pool records its size and runs each job inline, so no
+        # process is started.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        confs = []
+        for name in ("a", "b"):
+            conf = tmp_path / f"{name}.conf"
+            conf.write_text(FAST_CONFIG.replace("name = fast", f"name = {name}"),
+                            encoding="utf-8")
+            confs.append(str(conf))
+        out = tmp_path / "out"
+        assert main(["run", *confs, "--out", str(out), "--jobs", jobs]) == 0
+        assert sizes == pools
+        assert (out / "a" / "verdicts.csv").exists()
+        assert (out / "b" / "verdicts.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        assert main(["run", "toy", "--out", str(out), "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --jobs must be at least 1, got {jobs}"]
+        assert not out.exists()
 
     def test_nonfinite_initial_data_fails_cleanly(self, tmp_path, capsys):
         conf = tmp_path / "pole.conf"

@@ -63,8 +63,7 @@ def drag_integral(x: float, t: float, p: DragParams, tol: float = 1e-9) -> float
     """QUADPACK value of the drag integral at a single point.
 
     The pointwise oracle for drag_profile: the same integrand, each point
-    adapted on its own. For j=1 the endpoint singularity at s=t is removed
-    by s = t - w^2.
+    adapted on its own.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -74,16 +73,10 @@ def drag_integral(x: float, t: float, p: DragParams, tol: float = 1e-9) -> float
         shift = x + t * p.c_self + s * (p.c_other - p.c_self)
         return np.exp(-(shift ** 2) / (p.M * (1.0 + t)))
 
-    if p.j == 0:
-        def integrand(s):
-            return gaussian(s) * root / (1.0 + s) ** p.power_decay
-        return integrate.quad(integrand, 0.0, t, epsabs=tol, epsrel=0.0)[0]
+    def integrand(s):
+        return gaussian(s) * root / (1.0 + s) ** p.power_decay
 
-    def integrand_w(w):
-        s = t - w * w
-        return 2.0 * gaussian(s) * root / (1.0 + s) ** p.power_decay
-
-    return integrate.quad(integrand_w, 0.0, math.sqrt(t), epsabs=tol, epsrel=0.0)[0]
+    return integrate.quad(integrand, 0.0, t, epsabs=tol, epsrel=0.0)[0]
 
 
 IDENTITY_NAMES = {
@@ -156,26 +149,14 @@ def test_linear_envelope_requires_wide_mass():
 def test_drag_integral_constant_integrand():
     # With equal velocities and no extra decay factors the integrand is
     # constant in s, so the integral is t * e^{...} / sqrt(1+t).
-    p = DragParams(c_self=1.0, c_other=1.0, M=8.0, j=0, power_decay=0.0)
+    p = DragParams(c_self=1.0, c_other=1.0, M=8.0, power_decay=0.0)
     t = 3.0
     assert drag_integral(-t * 1.0, t, p) == pytest.approx(t / math.sqrt(1 + t),
                                                           rel=1e-9)
 
 
-def test_drag_integral_singular_vs_mpmath():
-    p = DragParams(c_self=0.0, c_other=2.0, M=8.0, j=1, power_decay=0.5)
-    x, t = 0.5, 2.0
-    ref = float(mpmath.quad(
-        lambda s: mpmath.exp(-((x + t * p.c_self
-                                + s * (p.c_other - p.c_self)) ** 2)
-                             / (p.M * (1 + t)))
-        / (mpmath.sqrt(1 + t) * (1 + s) ** p.power_decay * mpmath.sqrt(t - s)),
-        [0, t]))
-    assert drag_integral(x, t, p) == pytest.approx(ref, abs=1e-8)
-
-
 def test_drag_profile_matches_pointwise():
-    p = DragParams(c_self=1.0, c_other=0.0, M=4.0, j=0, power_decay=1.5)
+    p = DragParams(c_self=1.0, c_other=0.0, M=4.0, power_decay=1.5)
     x = np.linspace(-10, 5, 7)
     profile = drag_profile(x, 4.0, p)
     for xi, vi in zip(x, profile):

@@ -11,10 +11,9 @@ import argparse
 
 import numpy as np
 
-from rda.core import State
+from rda.core import evaluate_initial
 from rda.scenarios import get_scenario
 from rda.solver import SpectralWorkspace, run
-from rda.core import evaluate_initial
 
 
 def main() -> None:
@@ -26,19 +25,18 @@ def main() -> None:
 
     scenario = get_scenario("toy")
     x = scenario.grid.points()
-    initial = State(t=0.0,
-                    u=evaluate_initial(scenario.initial_u, x),
-                    v=evaluate_initial(scenario.initial_v, x))
+    initial = np.stack((evaluate_initial(scenario.initial_u, x),
+                        evaluate_initial(scenario.initial_v, x)))
     finals = []
     for dt in args.dts:
         ws = SpectralWorkspace(grid=scenario.grid, system=scenario.system, dt=dt)
         result = run(ws, initial, args.t_final, sample_dt=args.t_final)
-        finals.append(result.states[-1])
+        finals.append(result.fields[-1])
         print(f"dt={dt:g}: done")
     diffs = []
     for coarse, fine, dt in zip(finals, finals[1:], args.dts):
-        err = max(float(np.max(np.abs(coarse.u - fine.u))),
-                  float(np.max(np.abs(coarse.v - fine.v))))
+        err = max(float(np.max(np.abs(coarse[0] - fine[0]))),
+                  float(np.max(np.abs(coarse[1] - fine[1]))))
         diffs.append(err)
         print(f"dt={dt:g} vs dt={dt / 2:g}: max diff {err:.3e}")
     for e_coarse, e_fine in zip(diffs, diffs[1:]):

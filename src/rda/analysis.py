@@ -12,15 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import stats
 from scipy.special import erf
 
-from .core import EnvelopeSpec, Grid, PolyTerm, State, SystemSpec, trust_radius
+from .core import EnvelopeSpec, Grid, PolyTerm, SystemSpec, trust_radius
 from .kernels import drag_weight_profile
-from .solver import NormalFormState
 
 __all__ = [
     "TermClass",
@@ -29,6 +28,7 @@ __all__ = [
     "AdmissibilityReport",
     "check_admissibility",
     "normal_form_coeffs",
+    "normal_form_rates",
     "EnvelopeVerdict",
     "envelope_verdict",
     "fit_decay_exponent",
@@ -143,9 +143,7 @@ def check_admissibility(system: SystemSpec) -> AdmissibilityReport:
     sign_condition = None
     sign_value = None
     if thm4:
-        alpha_c, beta_c, gamma_c = normal_form_coeffs(system)
-        c = system.c2 - system.c1
-        sign_value = beta_c - gamma_c * alpha_c / c
+        sign_value = -normal_form_rates(system)[0]
         sign_condition = sign_value < 0.0
     return AdmissibilityReport(
         thm1_admissible=thm1, thm2_admissible=thm2, thm4_shape=thm4,
@@ -162,6 +160,21 @@ def normal_form_coeffs(system: SystemSpec) -> tuple[float, float, float]:
         return sum(t.coeff for t in terms if (t.alpha, t.beta, t.gamma) == shape)
     return (coeff(system.f1, (1, 1, 0)), coeff(system.f1, (3, 0, 0)),
             coeff(system.g2, (2, 0, 1)))
+
+
+def normal_form_rates(system: SystemSpec) -> tuple[float, float]:
+    """(mu, nu) of the normal form of the cubic-flux system shape.
+
+    The transform v + (gamma/c) u^2 divides by c = c2 - c1, so c1 != c2 is
+    required. mu = gamma*alpha/c - beta is the effective cubic coefficient
+    and nu = mu/(4 sqrt(3) d1 pi) the amplitude-law rate.
+    """
+    c = system.c2 - system.c1
+    if c == 0.0:
+        raise ValueError("normal form requires c1 != c2")
+    alpha, beta, gamma = normal_form_coeffs(system)
+    mu = gamma * alpha / c - beta
+    return mu, mu / (4.0 * math.sqrt(3.0) * system.d1 * math.pi)
 
 
 def _matches_normal_form_shape(system: SystemSpec) -> bool:
@@ -195,15 +208,21 @@ class EnvelopeVerdict:
         return bool(np.all(self.bounded_flags))
 
 
-def norm_series(history: Sequence[State], grid: Grid):
-    """(times, linf_u, linf_v, l1_u, l1_v) arrays over a sampled history."""
-    dx = grid.dx
-    times = np.array([st.t for st in history])
-    linf_u = np.array([np.max(np.abs(st.u)) for st in history])
-    linf_v = np.array([np.max(np.abs(st.v)) for st in history])
-    l1_u = np.array([np.sum(np.abs(st.u)) * dx for st in history])
-    l1_v = np.array([np.sum(np.abs(st.v)) * dx for st in history])
-    return times, linf_u, linf_v, l1_u, l1_v
+def norm_series(times: np.ndarray, fields: np.ndarray, dx: float):
+    """(times, linf_u, linf_v, l1_u, l1_v) arrays over the (S, 2, n) samples.
+
+    |fields| is taken one sample at a time into a reused (2, n) buffer, so
+    no temporary of the whole array's size is allocated.
+    """
+    buf = np.empty(fields.shape[1:])
+    linf = np.empty(fields.shape[:2])
+    l1 = np.empty(fields.shape[:2])
+    for j, row in enumerate(fields):
+        np.abs(row, out=buf)
+        linf[j] = buf.max(axis=-1)
+        l1[j] = buf.sum(axis=-1)
+    l1 *= dx
+    return np.asarray(times), linf[:, 0], linf[:, 1], l1[:, 0], l1[:, 1]
 
 
 # Envelope rules. Each maps (x, s, grid, system, env) to (denom, keep), two
@@ -266,9 +285,11 @@ _ENVELOPE_RULES = {"exponential": _exponential_rule,
                    "algebraic": _algebraic_rule, "drag": _drag_rule}
 
 
-def envelope_verdict(history: Sequence[State], grid: Grid, system: SystemSpec,
-                     env: EnvelopeSpec) -> EnvelopeVerdict:
+def envelope_verdict(times: np.ndarray, fields: np.ndarray, grid: Grid,
+                     system: SystemSpec, env: EnvelopeSpec) -> EnvelopeVerdict:
     """Weighted supremum eta(s) = sup_x sum_i |field_i| / denom_i and its verdict.
+
+    fields[j] is the (2, n) pair (u, v) sampled at times[j].
 
     The sup runs over the trust region of env.kind's rule; eta_series is
     its cumulative sup. A sample is bounded when its eta is at most 3x the
@@ -279,11 +300,11 @@ def envelope_verdict(history: Sequence[State], grid: Grid, system: SystemSpec,
     if rule is None:
         raise ValueError(f"envelope kind {env.kind!r} has no evaluator")
     x = grid.points()
-    times = np.array([st.t for st in history])
-    eta = np.empty(len(history))
-    for i, state in enumerate(history):
-        denom, keep = rule(x, state.t, grid, system, env)
-        weighted = np.divide(np.abs((state.u, state.v)), denom,
+    times = np.asarray(times)
+    eta = np.empty(len(times))
+    for i, (s, row) in enumerate(zip(times, fields)):
+        denom, keep = rule(x, float(s), grid, system, env)
+        weighted = np.divide(np.abs(row), denom,
                              out=np.zeros_like(denom), where=keep)
         eta[i] = np.max(weighted.sum(axis=0), initial=0.0)
     eta_series = np.maximum.accumulate(eta)
@@ -393,31 +414,30 @@ def cas2_lower_bounds(params: Cas2Params, times: np.ndarray) -> LowerBoundCurve:
 @dataclass(frozen=True)
 class AmplitudeLawVerdict:
     times: np.ndarray
-    amplitudes: np.ndarray
     law_values: np.ndarray          # |A(t)| sqrt(2 nu log(1+t))
     nu: float
     passed: bool
     in_window: bool                 # final-decade values within [0.3, 1.1]
 
 
-def amplitude_law_check(nf_series: Sequence[NormalFormState], delta: float,
-                        t_burn: float = 10.0) -> AmplitudeLawVerdict:
+def amplitude_law_check(times: np.ndarray, amplitudes: np.ndarray, mu: float,
+                        nu: float, t_burn: float = 10.0) -> AmplitudeLawVerdict:
     """Check the logarithmic amplitude decay |A(t)| sqrt(2 nu log(1+t)) <= 1.1.
+
+    amplitudes[j] is the normal-form amplitude A, the integral of u, at
+    times[j]; mu and nu come from normal_form_rates.
 
     The pass verdict is the upper bound alone for t >= t_burn. The
     in_window flag additionally asks the quantity to sit in [0.3, 1.1]
     over the final decade; it diagnoses whether the law is saturated
     rather than vacuously satisfied and is not part of the pass verdict.
     """
-    if not nf_series:
+    times = np.asarray(times, dtype=float)
+    if len(times) == 0:
         raise ValueError("empty normal-form series")
-    nu = nf_series[-1].nu
-    mu = nf_series[-1].mu
     if mu <= 0.0:
         raise ValueError("amplitude law requires mu > 0")
-    times = np.array([s.t for s in nf_series])
-    amps = np.array([s.A for s in nf_series])
-    law = np.abs(amps) * np.sqrt(2.0 * nu * np.log1p(times))
+    law = np.abs(amplitudes) * np.sqrt(2.0 * nu * np.log1p(times))
     after = times >= t_burn
     passed = bool(np.all(law[after] <= 1.1)) if np.any(after) else False
     t_end = times[-1]
@@ -425,5 +445,5 @@ def amplitude_law_check(nf_series: Sequence[NormalFormState], delta: float,
     window_vals = law[decade & after] if np.any(decade & after) else law[decade]
     in_window = bool(len(window_vals) > 0
                      and np.all((window_vals >= 0.3) & (window_vals <= 1.1)))
-    return AmplitudeLawVerdict(times=times, amplitudes=amps, law_values=law,
+    return AmplitudeLawVerdict(times=times, law_values=law,
                                nu=nu, passed=passed, in_window=in_window)

@@ -55,14 +55,13 @@ def _resolve_target(target: str) -> Scenario:
     return parse_scenario(path)
 
 
-def _exact_remark51(scenario: Scenario, state):
-    """Closed-form (u, v) of the exactly solvable benchmark at state.t.
+def _exact_remark51(scenario: Scenario, t: float):
+    """Closed-form (u, v) of the exactly solvable benchmark at time t.
 
     validate_scenario has checked the benchmark's shape.
     """
     s = scenario.system
     x = scenario.grid.points()
-    t = state.t
     u_exact = solver.gaussian_profile(x + s.c1 * t, t, s.d1)
     params = kernels.DragParams(c_self=s.c2, c_other=s.c1, M=1.0,
                                 power_decay=1.5)
@@ -81,13 +80,14 @@ def run_experiment(scenario: Scenario, out_dir) -> int:
         print(f"[{scenario.name}] warning: {warning}", file=sys.stderr)
 
     result = solver.run_scenario(scenario)
-    hist = result.states
+    fields = result.fields
     grid = scenario.grid
-    times, linf_u, linf_v, l1_u, l1_v = analysis.norm_series(hist, grid)
+    times, linf_u, linf_v, l1_u, l1_v = analysis.norm_series(
+        result.times, fields, grid.dx)
 
     rows = []
-    for i in range(len(hist)):
-        flag = 1 if (result.blew_up and i == len(hist) - 1) else 0
+    for i in range(len(times)):
+        flag = 1 if (result.blew_up and i == len(times) - 1) else 0
         rows.append([times[i], linf_u[i], linf_v[i], l1_u[i], l1_v[i], flag])
     _write_csv(out / "trajectory.csv",
                ["t", "linf_u", "linf_v", "l1_u", "l1_v", "blow_up_flag"], rows)
@@ -96,7 +96,7 @@ def run_experiment(scenario: Scenario, out_dir) -> int:
     outputs = scenario.outputs
 
     if "envelope" in outputs and scenario.envelope is not None:
-        verdict = analysis.envelope_verdict(hist, grid, scenario.system,
+        verdict = analysis.envelope_verdict(times, fields, grid, scenario.system,
                                             scenario.envelope)
         env_rows = [[t, eta, int(flag)] for t, eta, flag in zip(
             verdict.times, verdict.eta_series, verdict.bounded_flags)]
@@ -138,15 +138,14 @@ def run_experiment(scenario: Scenario, out_dir) -> int:
 
     if "amplitude_law" in outputs:
         adm = analysis.check_admissibility(scenario.system)
-        alpha, beta, gamma = analysis.normal_form_coeffs(scenario.system)
         if not adm.thm4_shape or not adm.sign_condition:
             verdicts.append(["amplitude_law", "fail",
                              adm.sign_value if adm.sign_value is not None
                              else math.nan])
         else:
-            nf = [solver.to_normal_form(st, grid, scenario.system,
-                                        alpha, beta, gamma) for st in hist]
-            law = analysis.amplitude_law_check(nf, scenario.initial_u.amplitude)
+            mu, nu = analysis.normal_form_rates(scenario.system)
+            amplitudes = np.trapezoid(fields[:, 0], dx=grid.dx, axis=-1)
+            law = analysis.amplitude_law_check(times, amplitudes, mu, nu)
             after = law.times >= 10.0
             stat = float(np.max(law.law_values[after])) if np.any(after) \
                 else float(np.max(law.law_values))
@@ -154,9 +153,10 @@ def run_experiment(scenario: Scenario, out_dir) -> int:
                              stat])
 
     if "exact_error" in outputs:
-        u_exact, v_exact = _exact_remark51(scenario, hist[-1])
-        err_u = float(np.max(np.abs(hist[-1].u - u_exact)) / np.max(np.abs(u_exact)))
-        err_v = float(np.max(np.abs(hist[-1].v - v_exact)) / np.max(np.abs(v_exact)))
+        u_exact, v_exact = _exact_remark51(scenario, times[-1])
+        u, v = fields[-1]
+        err_u = float(np.max(np.abs(u - u_exact)) / np.max(np.abs(u_exact)))
+        err_v = float(np.max(np.abs(v - v_exact)) / np.max(np.abs(v_exact)))
         ok = err_u <= 1e-4 and err_v <= 5e-4
         verdicts.append(["exact_error", "pass" if ok else "fail",
                          max(err_u, err_v)])

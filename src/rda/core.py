@@ -1,7 +1,6 @@
 """Domain types, scenario configuration, and validation.
 
-All types are immutable value objects; arrays inside State are treated as
-frozen by convention (nothing in the package mutates them in place).
+All types are immutable value objects.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ __all__ = [
     "PolyTerm",
     "SystemSpec",
     "Grid",
-    "State",
     "EnvelopeSpec",
     "InitialData",
     "Scenario",
@@ -28,7 +26,7 @@ __all__ = [
     "parse_expression",
 ]
 
-ENVELOPE_KINDS = ("exponential", "algebraic", "drag", "normal-form")
+ENVELOPE_KINDS = ("exponential", "algebraic", "drag")
 INITIAL_KINDS = ("gaussian", "algebraic", "remark51", "zero", "custom")
 DEFAULT_BLOW_UP_THRESHOLD = 1e8
 
@@ -85,14 +83,6 @@ class Grid:
 
     def points(self) -> np.ndarray:
         return -self.half_width + self.dx * np.arange(self.n)
-
-
-@dataclass(frozen=True)
-class State:
-    """Both solution fields at one time instant."""
-    t: float
-    u: np.ndarray
-    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -230,11 +220,9 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         env = scenario.envelope
         if env.kind not in ENVELOPE_KINDS:
             violations.append(f"unknown envelope kind {env.kind!r}")
-        elif env.kind == "normal-form" and "envelope" in scenario.outputs:
-            violations.append(
-                "envelope output requires an envelope kind with an evaluator "
-                "(exponential, algebraic, drag), not 'normal-form'")
-        if env.kind in ("exponential", "drag", "normal-form"):
+        if env.kind == "drag" and scenario.system.c1 == scenario.system.c2:
+            violations.append("drag envelope requires c1 != c2")
+        if env.kind in ("exponential", "drag"):
             m0 = max(16.0 * scenario.system.d1, 16.0 * scenario.system.d2, 1.0)
             if env.M < m0:
                 violations.append(f"envelope M >= max(16 d1, 16 d2, 1) = {m0} failed")

@@ -172,7 +172,6 @@ def _cas3_stable() -> Scenario:
         initial_u=_gauss(1e-2, 4.0),
         initial_v=_gauss(1e-2, 4.0),
         t_end=200.0, dt=0.02, sample_dt=1.0,
-        envelope=EnvelopeSpec(kind="normal-form", M=16.0),
         outputs=("trajectory", "decay", "amplitude_law"),
     )
 

@@ -19,7 +19,9 @@ plan and the RK4 buffers are built once per workspace. Modes beyond K
 never enter the RK4 update and only see the linear multiplier, so they
 stay exactly zero once the initial spectrum is masked.
 
-Physical snapshots are materialized only when sampled.
+Physical fields are materialized only when sampled, by one batched
+inverse transform per sample into the next row of the run's (S, 2, n)
+sample array.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .core import (
     DEFAULT_BLOW_UP_THRESHOLD,
     Grid,
     Scenario,
-    State,
     SystemSpec,
     evaluate_initial,
 )
@@ -47,9 +48,7 @@ __all__ = [
     "step",
     "run",
     "run_scenario",
-    "NormalFormState",
     "gaussian_profile",
-    "to_normal_form",
     "detect_blow_up",
 ]
 
@@ -132,17 +131,6 @@ class SpectralState:
     """State in spectral space at time t: spectra = rfft of (u, v), shape (2, n/2+1)."""
     t: float
     spectra: np.ndarray
-
-    def to_physical(self, grid: Grid) -> State:
-        u, v = scipy.fft.irfft(self.spectra, n=grid.n, axis=-1)
-        return State(t=self.t, u=u, v=v)
-
-    @staticmethod
-    def from_physical(state: State) -> "SpectralState":
-        return SpectralState(
-            t=state.t,
-            spectra=scipy.fft.rfft(np.stack((state.u, state.v)), axis=-1),
-        )
 
 
 def _powers(base: np.ndarray, buf: np.ndarray) -> list:
@@ -267,29 +255,40 @@ def step(ws: SpectralWorkspace, state: SpectralState,
 
 @dataclass(frozen=True)
 class RunResult:
-    """Sampled trajectory of one simulation."""
-    states: tuple[State, ...]
+    """Sampled trajectory of one simulation: fields[j] is (u, v) at times[j].
+
+    times has shape (S,) and fields (S, 2, n); row 0 is the initial data.
+    After a blow-up both hold only the samples taken before it.
+    """
+    times: np.ndarray
+    fields: np.ndarray
     blew_up: bool
     blow_up_time: float | None
 
 
-def run(ws: SpectralWorkspace, initial: State, t_end: float, sample_dt: float,
+def run(ws: SpectralWorkspace, initial: np.ndarray, t_end: float, sample_dt: float,
         blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD,
         observer=None) -> RunResult:
-    """Advance from the initial state to t_end, sampling every sample_dt.
+    """Advance the (2, n) initial fields (u, v) from t = 0 to t_end, sampling
+    every sample_dt.
 
     Blow-up terminates the run cleanly: the result carries the samples
     collected so far plus the flag and detection time. The optional observer
     is called as observer(SpectralState) at every accepted step.
     """
-    raw = SpectralState.from_physical(initial)
     # Mask the initial spectrum once: dealiased modes then stay identically
     # zero (the linear multiplier preserves zeros and the RK4 update never
     # touches them), which makes the nullity invariant exact.
-    state = SpectralState(t=raw.t, spectra=raw.spectra * ws.dealias)
-    samples = [initial]
-    steps_total = int(round((t_end - initial.t) / ws.dt))
+    state = SpectralState(t=0.0,
+                          spectra=scipy.fft.rfft(initial, axis=-1) * ws.dealias)
+    steps_total = int(round(t_end / ws.dt))
     stride = max(1, int(round(sample_dt / ws.dt)))
+    # One row for t = 0, one per stride steps and one for a final partial stride.
+    times = np.empty(1 + math.ceil(steps_total / stride))
+    fields = np.empty((len(times), 2, ws.grid.n))
+    times[0] = 0.0
+    fields[0] = initial
+    taken = 1
     blew_up = False
     blow_up_time = None
     for i in range(1, steps_total + 1):
@@ -302,69 +301,25 @@ def run(ws: SpectralWorkspace, initial: State, t_end: float, sample_dt: float,
         if observer is not None:
             observer(state)
         if i % stride == 0 or i == steps_total:
-            samples.append(state.to_physical(ws.grid))
-    return RunResult(states=tuple(samples), blew_up=blew_up, blow_up_time=blow_up_time)
+            times[taken] = state.t
+            fields[taken] = scipy.fft.irfft(state.spectra, n=ws.grid.n, axis=-1)
+            taken += 1
+    return RunResult(times=times[:taken], fields=fields[:taken],
+                     blew_up=blew_up, blow_up_time=blow_up_time)
 
 
 def run_scenario(scenario: Scenario, observer=None) -> RunResult:
     """Build the workspace and initial data for a Scenario and run it."""
     grid = scenario.grid
     x = grid.points()
-    initial = State(
-        t=0.0,
-        u=evaluate_initial(scenario.initial_u, x),
-        v=evaluate_initial(scenario.initial_v, x),
-    )
+    initial = np.stack((evaluate_initial(scenario.initial_u, x),
+                        evaluate_initial(scenario.initial_v, x)))
     ws = SpectralWorkspace(grid=grid, system=scenario.system, dt=scenario.dt)
     return run(ws, initial, scenario.t_end, scenario.sample_dt,
                blow_up_threshold=scenario.blow_up_threshold, observer=observer)
-
-
-@dataclass(frozen=True)
-class NormalFormState:
-    """Comoving normal-form decomposition of one sampled state.
-
-    w is the first component in the frame zeta = x + c1 t, v_tilde absorbs
-    the flux coupling through v + (gamma/c) u^2 with c = c2 - c1, and
-    w = sigma * A + R splits off the diffusive Gaussian profile sigma with
-    amplitude A = integral of w.
-    """
-    t: float
-    zeta: np.ndarray
-    w: np.ndarray
-    v_tilde: np.ndarray
-    A: float
-    sigma: np.ndarray
-    R: np.ndarray
-    mu: float
-    nu: float
 
 
 def gaussian_profile(zeta: np.ndarray, t: float, d1: float) -> np.ndarray:
     """Unit-mass diffusive profile e^{-zeta^2/(4 d1 (1+t))}/sqrt(4 pi d1 (1+t))."""
     return np.exp(-zeta ** 2 / (4.0 * d1 * (1.0 + t))) / math.sqrt(
         4.0 * math.pi * d1 * (1.0 + t))
-
-
-def to_normal_form(state: State, grid: Grid, system: SystemSpec,
-                   alpha: float, beta: float, gamma_coeff: float) -> NormalFormState:
-    """Normal-form transform for the cubic-flux system shape.
-
-    Requires c1 != c2: the transform v_tilde = v + (gamma/c) u^2 divides by
-    c = c2 - c1. The effective cubic coefficient is mu = gamma*alpha/c - beta
-    and the amplitude-law rate is nu = mu/(4 sqrt(3) d1 pi).
-    """
-    c = system.c2 - system.c1
-    if c == 0.0:
-        raise ValueError("normal form requires c1 != c2")
-    t = state.t
-    zeta = grid.points() + system.c1 * t
-    w = state.u
-    v_tilde = state.v + (gamma_coeff / c) * w ** 2
-    A = float(np.trapezoid(w, dx=grid.dx))
-    sigma = gaussian_profile(zeta, t, system.d1)
-    R = w - sigma * A
-    mu = gamma_coeff * alpha / c - beta
-    nu = mu / (4.0 * math.sqrt(3.0) * system.d1 * math.pi)
-    return NormalFormState(t=t, zeta=zeta, w=w, v_tilde=v_tilde, A=A,
-                           sigma=sigma, R=R, mu=mu, nu=nu)

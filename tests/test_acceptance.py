@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -30,10 +31,11 @@ from rda.analysis import (
     envelope_verdict,
     fit_decay_exponent,
     norm_series,
+    normal_form_rates,
 )
-from rda.core import EnvelopeSpec, Grid, PolyTerm, State, SystemSpec
+from rda.core import EnvelopeSpec, Grid, PolyTerm, SystemSpec
 from rda.scenarios import get_scenario
-from rda.solver import SpectralState, SpectralWorkspace, run, to_normal_form
+from rda.solver import SpectralState, SpectralWorkspace, run
 
 PROPERTY_SETTINGS = settings(
     max_examples=200, deadline=None,
@@ -60,8 +62,8 @@ def test_criterion_1_identity_suite():
 def test_criterion_2_exact_benchmark(remark51_run):
     scenario, result = remark51_run
     assert not result.blew_up
-    final = result.states[-1]
-    t = final.t
+    final_u, final_v = result.fields[-1]
+    t = result.times[-1]
     assert t == pytest.approx(5.0, abs=1e-9)
     x = scenario.grid.points()
     s = scenario.system
@@ -72,8 +74,8 @@ def test_criterion_2_exact_benchmark(remark51_run):
                                 power_decay=1.5)
     v_exact = kernels.drag_profile(x, t, params) / (16.0 * math.pi ** 2)
 
-    err_u = np.max(np.abs(final.u - u_exact)) / np.max(np.abs(u_exact))
-    err_v = np.max(np.abs(final.v - v_exact)) / np.max(np.abs(v_exact))
+    err_u = np.max(np.abs(final_u - u_exact)) / np.max(np.abs(u_exact))
+    err_v = np.max(np.abs(final_v - v_exact)) / np.max(np.abs(v_exact))
     assert err_u <= 1e-4
     assert err_v <= 5e-4
 
@@ -84,21 +86,23 @@ def test_criterion_2_exact_benchmark(remark51_run):
 
 def test_criterion_3_decay_exponent(toy_run):
     scenario, result = toy_run
-    times, linf_u, _, _, _ = norm_series(result.states, scenario.grid)
+    times, linf_u, _, _, _ = norm_series(result.times, result.fields,
+                                         scenario.grid.dx)
     exponent, _ = fit_decay_exponent(times, linf_u, t_min=5.0)
     assert exponent == pytest.approx(-0.5, abs=0.1)
 
 
 def test_criterion_3_envelope_bounded(toy_run):
     scenario, result = toy_run
-    verdict = envelope_verdict(result.states, scenario.grid, scenario.system,
-                               scenario.envelope)
+    verdict = envelope_verdict(result.times, result.fields, scenario.grid,
+                               scenario.system, scenario.envelope)
     assert verdict.bounded, f"eta grew to {verdict.max_eta:.3e}"
 
 
 def test_criterion_3_l1_nearly_conserved(toy_run):
     scenario, result = toy_run
-    _, _, _, l1_u, _ = norm_series(result.states, scenario.grid)
+    _, _, _, l1_u, _ = norm_series(result.times, result.fields,
+                                   scenario.grid.dx)
     variation = float(np.max(l1_u) / np.min(l1_u)) - 1.0
     assert variation < 0.20
 
@@ -109,14 +113,15 @@ def test_criterion_3_l1_nearly_conserved(toy_run):
 
 def test_criterion_4_drag_envelope_bounded(thm2_run):
     scenario, result = thm2_run
-    verdict = envelope_verdict(result.states, scenario.grid, scenario.system,
-                               scenario.envelope)
+    verdict = envelope_verdict(result.times, result.fields, scenario.grid,
+                               scenario.system, scenario.envelope)
     assert verdict.bounded, f"drag eta grew to {verdict.max_eta:.3e}"
 
 
 def test_criterion_4_both_components_decay(thm2_run):
     scenario, result = thm2_run
-    times, linf_u, linf_v, _, _ = norm_series(result.states, scenario.grid)
+    times, linf_u, linf_v, _, _ = norm_series(result.times, result.fields,
+                                              scenario.grid.dx)
     for series in (linf_u, linf_v):
         exponent, _ = fit_decay_exponent(times, series, t_min=10.0)
         assert exponent <= -0.4
@@ -135,7 +140,8 @@ def _cas2_params(scenario):
 
 def test_criterion_5_l1_dominates_lower_bound(cas2_distinct_run):
     scenario, result = cas2_distinct_run
-    times, _, _, l1_u, l1_v = norm_series(result.states, scenario.grid)
+    times, _, _, l1_u, l1_v = norm_series(result.times, result.fields,
+                                          scenario.grid.dx)
     curve = cas2_lower_bounds(_cas2_params(scenario), times)
     assert curve.regime == "distinct_velocities"
     l1_total = l1_u + l1_v
@@ -144,7 +150,8 @@ def test_criterion_5_l1_dominates_lower_bound(cas2_distinct_run):
 
 def test_criterion_5_l1_growth_exponent(cas2_distinct_run):
     scenario, result = cas2_distinct_run
-    times, _, _, l1_u, l1_v = norm_series(result.states, scenario.grid)
+    times, _, _, l1_u, l1_v = norm_series(result.times, result.fields,
+                                          scenario.grid.dx)
     exponent, _ = fit_decay_exponent(times, l1_u + l1_v,
                                      t_min=times[-1] / 10.0)
     assert exponent >= 0.8
@@ -162,7 +169,8 @@ def test_criterion_5_linf_bound_increases_after_two(cas2_distinct_run):
 
 def test_criterion_5_simulated_linf_grows(cas2_distinct_run):
     scenario, result = cas2_distinct_run
-    times, linf_u, linf_v, _, _ = norm_series(result.states, scenario.grid)
+    times, linf_u, linf_v, _, _ = norm_series(result.times, result.fields,
+                                              scenario.grid.dx)
     sup = np.maximum(linf_u, linf_v)
     half = times >= times[-1] / 2.0
     assert np.all(np.diff(sup[half]) > 0.0)
@@ -175,12 +183,13 @@ def test_criterion_5_simulated_linf_grows(cas2_distinct_run):
 def test_criterion_6_no_blow_up(cas3_run):
     _, result = cas3_run
     assert not result.blew_up
-    assert result.states[-1].t == pytest.approx(200.0, abs=1e-6)
+    assert result.times[-1] == pytest.approx(200.0, abs=1e-6)
 
 
 def test_criterion_6_decay_exponent(cas3_run):
     scenario, result = cas3_run
-    times, linf_u, _, _, _ = norm_series(result.states, scenario.grid)
+    times, linf_u, _, _, _ = norm_series(result.times, result.fields,
+                                         scenario.grid.dx)
     exponent, _ = fit_decay_exponent(times, linf_u, t_min=10.0)
     assert exponent == pytest.approx(-0.5, abs=0.15)
 
@@ -189,12 +198,11 @@ def test_criterion_6_amplitude_law(cas3_run):
     scenario, result = cas3_run
     adm = check_admissibility(scenario.system)
     assert adm.thm4_shape and adm.sign_condition
-    nf = [to_normal_form(st_, scenario.grid, scenario.system,
-                         alpha=1.0, beta=0.5, gamma_coeff=1.0)
-          for st_ in result.states]
-    assert nf[-1].mu == pytest.approx(0.5)
-    assert nf[-1].nu == pytest.approx(0.5 / (4 * math.sqrt(3) * math.pi))
-    verdict = amplitude_law_check(nf, delta=scenario.initial_u.amplitude,
+    mu, nu = normal_form_rates(scenario.system)
+    assert mu == pytest.approx(0.5)
+    assert nu == pytest.approx(0.5 / (4 * math.sqrt(3) * math.pi))
+    amplitudes = np.trapezoid(result.fields[:, 0], dx=scenario.grid.dx, axis=-1)
+    verdict = amplitude_law_check(result.times, amplitudes, mu, nu,
                                   t_burn=10.0)
     assert verdict.passed, \
         f"law peaked at {np.max(verdict.law_values):.3f} after burn-in"
@@ -245,14 +253,14 @@ class TestProperty2EnvelopeHomogeneityAndOrdering:
 
     def _history(self, amplitude, width, offset):
         x = self.grid.points()
-        hist = []
-        for s_t in (0.5, 2.0, 5.0):
-            u = amplitude * np.exp(-(x - offset + self.system.c1 * s_t) ** 2
-                                   / width) / math.sqrt(1 + s_t)
-            v = amplitude * np.exp(-(x - offset + self.system.c2 * s_t) ** 2
-                                   / width) / math.sqrt(1 + s_t)
-            hist.append(State(t=s_t, u=u, v=v))
-        return hist
+        times = np.array([0.5, 2.0, 5.0])
+        fields = np.empty((len(times), 2, self.grid.n))
+        for j, s_t in enumerate(times):
+            fields[j, 0] = amplitude * np.exp(
+                -(x - offset + self.system.c1 * s_t) ** 2 / width) / math.sqrt(1 + s_t)
+            fields[j, 1] = amplitude * np.exp(
+                -(x - offset + self.system.c2 * s_t) ** 2 / width) / math.sqrt(1 + s_t)
+        return times, fields
 
     @PROPERTY_SETTINGS
     @given(amplitude=st.floats(1e-6, 1.0, allow_nan=False),
@@ -260,12 +268,12 @@ class TestProperty2EnvelopeHomogeneityAndOrdering:
            offset=st.floats(-3.0, 3.0, allow_nan=False),
            scale=st.floats(0.1, 10.0, allow_nan=False))
     def test_homogeneity(self, amplitude, width, offset, scale):
-        hist = self._history(amplitude, width, offset)
-        scaled = [State(t=s.t, u=scale * s.u, v=scale * s.v) for s in hist]
+        times, fields = self._history(amplitude, width, offset)
         for env in (EnvelopeSpec(kind="exponential", M=16.0),
                     EnvelopeSpec(kind="algebraic", M=16.0, r=3.0)):
-            base = envelope_verdict(hist, self.grid, self.system, env)
-            big = envelope_verdict(scaled, self.grid, self.system, env)
+            base = envelope_verdict(times, fields, self.grid, self.system, env)
+            big = envelope_verdict(times, scale * fields, self.grid,
+                                   self.system, env)
             np.testing.assert_allclose(big.eta_series,
                                        scale * base.eta_series, rtol=1e-10)
 
@@ -277,9 +285,9 @@ class TestProperty2EnvelopeHomogeneityAndOrdering:
         # The drag weight only enlarges the denominator, so its supremum is
         # dominated by the pure-Gaussian one on the same history.
         hist = self._history(amplitude, width, offset)
-        exp_v = envelope_verdict(hist, self.grid, self.system,
+        exp_v = envelope_verdict(*hist, self.grid, self.system,
                                  EnvelopeSpec(kind="exponential", M=16.0))
-        drag_v = envelope_verdict(hist, self.grid, self.system,
+        drag_v = envelope_verdict(*hist, self.grid, self.system,
                                   EnvelopeSpec(kind="drag", M=16.0))
         assert np.all(drag_v.eta_series <=
                       exp_v.eta_series * (1.0 + 1e-9) + 1e-300)
@@ -300,7 +308,8 @@ class TestProperty3LinearMassConservation:
         u = rng.uniform(-1, 1) * np.exp(-x ** 2 / rng.uniform(1, 9))
         v = rng.uniform(-1, 1) * np.exp(-x ** 2 / rng.uniform(1, 9))
         ws = SpectralWorkspace(grid=grid, system=system, dt=dt)
-        state = SpectralState.from_physical(State(t=0.0, u=u, v=v))
+        state = SpectralState(t=0.0,
+                              spectra=scipy.fft.rfft(np.stack((u, v)), axis=-1))
         before = (state.spectra[0][0].real, state.spectra[1][0].real)
         after_state = solver.step(ws, state)
         after = (after_state.spectra[0][0].real,
@@ -321,9 +330,8 @@ class TestProperty4GalileanConsistency:
         grid = Grid(half_width=20.0, n=64)
         rng = np.random.default_rng(seed)
         x = grid.points()
-        initial = State(t=0.0,
-                        u=0.1 * rng.uniform(0.5, 1) * np.exp(-x ** 2 / 4),
-                        v=0.1 * rng.uniform(0.5, 1) * np.exp(-x ** 2 / 4))
+        initial = np.stack((0.1 * rng.uniform(0.5, 1) * np.exp(-x ** 2 / 4),
+                            0.1 * rng.uniform(0.5, 1) * np.exp(-x ** 2 / 4)))
         f1 = (PolyTerm(coeff, 1, 1, 0),) if coeff != 0.0 else ()
         dt, steps = 0.02, 10
         t_end = dt * steps
@@ -331,7 +339,7 @@ class TestProperty4GalileanConsistency:
         def final_u(c1, c2):
             system = SystemSpec(d1=1.0, d2=1.0, c1=c1, c2=c2, f1=f1)
             ws = SpectralWorkspace(grid=grid, system=system, dt=dt)
-            return run(ws, initial, t_end, sample_dt=t_end).states[-1].u
+            return run(ws, initial, t_end, sample_dt=t_end).fields[-1, 0]
 
         base = final_u(0.0, 1.0)
         boosted = final_u(boost, 1.0 + boost)
@@ -352,36 +360,13 @@ class TestProperty5DealiasNullity:
         system = SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0, **kwargs)
         rng = np.random.default_rng(seed)
         x = grid.points()
-        initial = State(t=0.0,
-                        u=0.05 * rng.standard_normal(grid.n) * np.exp(-x ** 2 / 9),
-                        v=0.05 * rng.standard_normal(grid.n) * np.exp(-x ** 2 / 9))
+        initial = 0.05 * rng.standard_normal((2, grid.n)) * np.exp(-x ** 2 / 9)
         ws = SpectralWorkspace(grid=grid, system=system, dt=0.01)
         seen = []
         run(ws, initial, t_end=0.05, sample_dt=0.05, observer=seen.append)
         u_hat, v_hat = seen[-1].spectra[0], seen[-1].spectra[1]
         assert np.max(np.abs(u_hat[~ws.dealias])) == 0.0
         assert np.max(np.abs(v_hat[~ws.dealias])) == 0.0
-
-
-class TestProperty6NormalFormResidual:
-    @PROPERTY_SETTINGS
-    @given(amplitude=st.floats(-2.0, 2.0, allow_nan=False),
-           width=st.floats(1.0, 16.0, allow_nan=False),
-           offset=st.floats(-5.0, 5.0, allow_nan=False),
-           t=st.floats(0.0, 10.0, allow_nan=False),
-           d1=st.floats(0.25, 2.0, allow_nan=False))
-    def test_residual_integral_vanishes(self, amplitude, width, offset, t, d1):
-        # R = w - sigma A with A the integral of w and sigma unit-mass, so
-        # the integral of R must vanish identically.
-        grid = Grid(half_width=60.0, n=512)
-        system = SystemSpec(d1=d1, d2=1.0, c1=0.0, c2=1.0)
-        x = grid.points()
-        w = amplitude * np.exp(-(x - offset) ** 2 / width)
-        state = State(t=t, u=w, v=np.zeros_like(w))
-        nf = to_normal_form(state, grid, system, 1.0, 0.1, 1.0)
-        r_integral = abs(float(np.trapezoid(nf.R, dx=grid.dx)))
-        w_l1 = float(np.sum(np.abs(w)) * grid.dx)
-        assert r_integral <= 1e-10 * w_l1 + 1e-300
 
 
 class TestProperty7FitExactness:
@@ -406,14 +391,13 @@ def test_criterion_8_self_convergence():
     scenario = get_scenario("toy")
     x = scenario.grid.points()
     from rda.core import evaluate_initial
-    initial = State(t=0.0,
-                    u=evaluate_initial(scenario.initial_u, x),
-                    v=evaluate_initial(scenario.initial_v, x))
+    initial = np.stack((evaluate_initial(scenario.initial_u, x),
+                        evaluate_initial(scenario.initial_v, x)))
 
     def final_u(dt):
         ws = SpectralWorkspace(grid=scenario.grid, system=scenario.system,
                                dt=dt)
-        return run(ws, initial, t_end=1.0, sample_dt=1.0).states[-1].u
+        return run(ws, initial, t_end=1.0, sample_dt=1.0).fields[-1, 0]
 
     coarse, mid, fine = (final_u(dt) for dt in (4e-3, 2e-3, 1e-3))
     err_coarse = float(np.max(np.abs(coarse - mid)))

@@ -1,5 +1,6 @@
 """Classification, admissibility, envelopes, fits, and the growth bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,11 +18,10 @@ from rda.analysis import (
     fit_decay_exponent,
     norm_series,
 )
-from rda.core import (EnvelopeSpec, Grid, PolyTerm, State, SystemSpec,
-                      trust_radius)
+from rda.core import (EnvelopeSpec, Grid, PolyTerm, SystemSpec, trust_radius,
+                      validate_scenario)
 from rda.kernels import drag_weight_profile
 from rda.scenarios import get_scenario
-from rda.solver import NormalFormState
 
 
 class TestClassification:
@@ -87,25 +87,23 @@ class TestAdmissibility:
 
 
 def _history_exponential(grid, system, M, delta, times):
-    """Fields that saturate the Gaussian weight exactly: eta should be delta."""
+    """(times, fields) that saturate the Gaussian weight exactly: eta
+    should be delta."""
     x = grid.points()
-    hist = []
-    for s in times:
-        u = delta * np.exp(-(x + system.c1 * s) ** 2 / (M * (1 + s))) \
+    fields = np.zeros((len(times), 2, grid.n))
+    for j, s in enumerate(times):
+        fields[j, 0] = delta * np.exp(-(x + system.c1 * s) ** 2 / (M * (1 + s))) \
             / math.sqrt(1 + s)
-        hist.append(State(t=s, u=u, v=np.zeros_like(x)))
-    return hist
+    return np.asarray(times, dtype=float), fields
 
 
 def _spiked(history, grid, at, height):
     """The history with u raised by height at the grid point nearest at."""
+    times, fields = history
     i = int(np.argmin(np.abs(grid.points() - at)))
-    spiked = []
-    for st in history:
-        u = st.u.copy()
-        u[i] += height
-        spiked.append(State(t=st.t, u=u, v=st.v))
-    return spiked
+    spiked = fields.copy()
+    spiked[:, 0, i] += height
+    return times, spiked
 
 
 class TestEnvelopes:
@@ -115,7 +113,7 @@ class TestEnvelopes:
     def test_exponential_weight_saturating_field(self):
         times = np.linspace(0.0, 10.0, 21)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01, times)
-        verdict = envelope_verdict(hist, self.grid, self.system,
+        verdict = envelope_verdict(*hist, self.grid, self.system,
                                    EnvelopeSpec(kind="exponential", M=16.0))
         np.testing.assert_allclose(verdict.eta_series, 0.01, rtol=1e-12)
         assert verdict.bounded
@@ -125,9 +123,10 @@ class TestEnvelopes:
         # eta = 0.01 (1+t)^2; the anchor at t = 1 is 0.04, so samples with
         # (1+t)^2 > 12 exceed three anchors.
         times = np.linspace(0.0, 10.0, 21)
-        hist = [State(t=st.t, u=st.u * (1 + st.t) ** 2, v=st.v) for st in
-                _history_exponential(self.grid, self.system, 16.0, 0.01, times)]
-        verdict = envelope_verdict(hist, self.grid, self.system,
+        _, fields = _history_exponential(self.grid, self.system, 16.0, 0.01,
+                                         times)
+        fields[:, 0] *= ((1 + times) ** 2)[:, None]
+        verdict = envelope_verdict(times, fields, self.grid, self.system,
                                    EnvelopeSpec(kind="exponential", M=16.0))
         np.testing.assert_array_equal(verdict.bounded_flags, times <= 2.0)
         assert not verdict.bounded
@@ -137,8 +136,8 @@ class TestEnvelopes:
         small = _history_exponential(self.grid, self.system, 16.0, 1e-3, times)
         large = _history_exponential(self.grid, self.system, 16.0, 5e-3, times)
         env = EnvelopeSpec(kind="exponential", M=16.0)
-        eta_small = envelope_verdict(small, self.grid, self.system, env)
-        eta_large = envelope_verdict(large, self.grid, self.system, env)
+        eta_small = envelope_verdict(*small, self.grid, self.system, env)
+        eta_large = envelope_verdict(*large, self.grid, self.system, env)
         np.testing.assert_allclose(eta_large.eta_series,
                                    5.0 * eta_small.eta_series, rtol=1e-12)
 
@@ -147,13 +146,13 @@ class TestEnvelopes:
         # field identically one.
         x = self.grid.points()
         M, r = 16.0, 3.0
-        hist = []
-        for s in np.linspace(0.0, 10.0, 21):
+        times = np.linspace(0.0, 10.0, 21)
+        fields = np.zeros((len(times), 2, self.grid.n))
+        for j, s in enumerate(times):
             shifted = x + self.system.c1 * s
-            u = (1 + np.abs(shifted) + math.sqrt(s)) ** (-r) \
+            fields[j, 0] = (1 + np.abs(shifted) + math.sqrt(s)) ** (-r) \
                 + np.exp(-shifted ** 2 / (M * (1 + s))) / math.sqrt(1 + s)
-            hist.append(State(t=s, u=u, v=np.zeros_like(x)))
-        verdict = envelope_verdict(hist, self.grid, self.system,
+        verdict = envelope_verdict(times, fields, self.grid, self.system,
                                    EnvelopeSpec(kind="algebraic", M=M, r=r))
         np.testing.assert_allclose(verdict.eta_series, 1.0, rtol=1e-12)
 
@@ -165,19 +164,17 @@ class TestEnvelopes:
         M = 16.0
         c1, c2 = self.system.c1, self.system.c2
         c_self, c_other = (c1, c2) if component == "u" else (c2, c1)
-        hist = []
-        for s in np.linspace(0.0, 6.0, 7):
+        row = 0 if component == "u" else 1
+        times = np.linspace(0.0, 6.0, 7)
+        fields = np.zeros((len(times), 2, self.grid.n))
+        for j, s in enumerate(times):
             margin = trust_radius(M, s)
             mask = (x >= min(-c_self * s, -c_other * s) - margin) \
                 & (x <= max(-c_self * s, -c_other * s) + margin)
             xm = x[mask]
-            field = np.zeros_like(x)
-            field[mask] = np.exp(-(xm + c_self * s) ** 2 / (M * (1.0 + s))) / math.sqrt(1.0 + s) \
+            fields[j, row, mask] = np.exp(-(xm + c_self * s) ** 2 / (M * (1.0 + s))) / math.sqrt(1.0 + s) \
                 + drag_weight_profile(xm, s, c_self, c_other, M)[0]
-            zero = np.zeros_like(x)
-            hist.append(State(t=s, u=field, v=zero) if component == "u"
-                        else State(t=s, u=zero, v=field))
-        verdict = envelope_verdict(hist, self.grid, self.system,
+        verdict = envelope_verdict(times, fields, self.grid, self.system,
                                    EnvelopeSpec(kind="drag", M=M))
         np.testing.assert_allclose(verdict.eta_series, 1.0, rtol=1e-12)
 
@@ -186,9 +183,9 @@ class TestEnvelopes:
         # history the drag eta can never exceed the exponential eta.
         times = np.linspace(0.5, 8.0, 16)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01, times)
-        exp_v = envelope_verdict(hist, self.grid, self.system,
+        exp_v = envelope_verdict(*hist, self.grid, self.system,
                                  EnvelopeSpec(kind="exponential", M=16.0))
-        drag_v = envelope_verdict(hist, self.grid, self.system,
+        drag_v = envelope_verdict(*hist, self.grid, self.system,
                                   EnvelopeSpec(kind="drag", M=16.0))
         assert np.all(drag_v.eta_series <= exp_v.eta_series + 1e-12)
 
@@ -197,15 +194,20 @@ class TestEnvelopes:
                                     np.array([0.0, 1.0]))
         equal = SystemSpec(d1=1, d2=1, c1=1.0, c2=1.0)
         with pytest.raises(ValueError):
-            envelope_verdict(hist, self.grid, equal,
+            envelope_verdict(*hist, self.grid, equal,
                              EnvelopeSpec(kind="drag", M=16.0))
 
     def test_normal_form_kind_rejected(self):
+        # normal-form is not an envelope kind: validation reports it as
+        # unknown, and the evaluator has no rule for it.
+        env = EnvelopeSpec(kind="normal-form", M=16.0)
+        scenario = get_scenario("toy")
+        report = validate_scenario(dataclasses.replace(scenario, envelope=env))
+        assert report.violations == ("unknown envelope kind 'normal-form'",)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01,
                                     np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            envelope_verdict(hist, self.grid, self.system,
-                             EnvelopeSpec(kind="normal-form", M=16.0))
+        with pytest.raises(ValueError, match="has no evaluator"):
+            envelope_verdict(*hist, self.grid, self.system, env)
 
     # Trust regions. At s <= 4 with M = 16 the trust radius is at most 47,
     # so x = 60 lies outside u's region (centred at 0) for every kind and
@@ -216,10 +218,10 @@ class TestEnvelopes:
         env = EnvelopeSpec(kind=kind, M=16.0)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01,
                                     np.array([0.0, 1.0, 2.0, 4.0]))
-        base = envelope_verdict(hist, self.grid, self.system, env)
-        outside = envelope_verdict(_spiked(hist, self.grid, 60.0, 1e-6),
+        base = envelope_verdict(*hist, self.grid, self.system, env)
+        outside = envelope_verdict(*_spiked(hist, self.grid, 60.0, 1e-6),
                                    self.grid, self.system, env)
-        inside = envelope_verdict(_spiked(hist, self.grid, -20.0, 1e-6),
+        inside = envelope_verdict(*_spiked(hist, self.grid, -20.0, 1e-6),
                                   self.grid, self.system, env)
         np.testing.assert_array_equal(outside.eta_series, base.eta_series)
         assert inside.max_eta > 10.0 * base.max_eta
@@ -228,8 +230,8 @@ class TestEnvelopes:
         env = EnvelopeSpec(kind="algebraic", M=16.0, r=3.0)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01,
                                     np.array([0.0, 1.0, 2.0, 4.0]))
-        base = envelope_verdict(hist, self.grid, self.system, env)
-        far = envelope_verdict(_spiked(hist, self.grid, 99.0, 1.0),
+        base = envelope_verdict(*hist, self.grid, self.system, env)
+        far = envelope_verdict(*_spiked(hist, self.grid, 99.0, 1.0),
                                self.grid, self.system, env)
         assert far.max_eta > 10.0 * base.max_eta
 
@@ -239,8 +241,8 @@ class TestEnvelopes:
         env = EnvelopeSpec(kind="drag", M=16.0)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01,
                                     np.array([4.0]))
-        base = envelope_verdict(hist, self.grid, self.system, env)
-        edge = envelope_verdict(_spiked(hist, self.grid, -50.0, 1e-6),
+        base = envelope_verdict(*hist, self.grid, self.system, env)
+        edge = envelope_verdict(*_spiked(hist, self.grid, -50.0, 1e-6),
                                 self.grid, self.system, env)
         np.testing.assert_array_equal(edge.eta_series, base.eta_series)
 
@@ -256,15 +258,17 @@ class TestEnvelopes:
         v = np.exp(-d ** 2 / (env.M * (1.0 + s))) / math.sqrt(1.0 + s)
         if kind == "algebraic":
             v += (1.0 + np.abs(d) + math.sqrt(s)) ** (-env.r)
-        hist = [State(t=s, u=np.zeros_like(x), v=delta * v)]
-        verdict = envelope_verdict(hist, self.grid, self.system, env)
+        fields = np.stack((np.zeros_like(x), delta * v))[None]
+        verdict = envelope_verdict(np.array([s]), fields, self.grid,
+                                   self.system, env)
         np.testing.assert_allclose(verdict.eta_series, delta, rtol=1e-12)
 
     def test_norm_series(self):
         x = self.grid.points()
         u = np.exp(-np.abs(x))
-        hist = [State(t=0.0, u=u, v=2 * u), State(t=0.5, u=0.5 * u, v=0 * u)]
-        times, linf_u, linf_v, l1_u, l1_v = norm_series(hist, self.grid)
+        fields = np.array([[u, 2 * u], [0.5 * u, 0 * u]])
+        times, linf_u, linf_v, l1_u, l1_v = norm_series(
+            np.array([0.0, 0.5]), fields, self.grid.dx)
         np.testing.assert_array_equal(times, [0.0, 0.5])
         assert linf_u[0] == pytest.approx(1.0) and linf_v[0] == pytest.approx(2.0)
         assert linf_u[1] == pytest.approx(0.5) and linf_v[1] == 0.0
@@ -272,6 +276,23 @@ class TestEnvelopes:
         assert l1_u[0] == pytest.approx(2.0, rel=1e-2)
         assert l1_v[0] == pytest.approx(4.0, rel=1e-2)
         assert l1_u[1] == pytest.approx(1.0, rel=1e-2) and l1_v[1] == 0.0
+
+    def test_norm_series_matches_per_row_numpy_exactly(self):
+        # Signed rough rows, one of them all zero: each norm must equal the
+        # per-row NumPy reduction bit for bit.
+        rng = np.random.default_rng(3)
+        fields = rng.standard_normal((5, 2, self.grid.n)) \
+            * rng.uniform(1e-6, 1e3, size=(5, 2, 1))
+        fields[2, 1] = 0.0
+        times = np.linspace(0.0, 2.0, 5)
+        dx = self.grid.dx
+        got_times, linf_u, linf_v, l1_u, l1_v = norm_series(times, fields, dx)
+        np.testing.assert_array_equal(got_times, times)
+        for j, (u, v) in enumerate(fields):
+            assert linf_u[j] == np.max(np.abs(u))
+            assert linf_v[j] == np.max(np.abs(v))
+            assert l1_u[j] == np.sum(np.abs(u)) * dx
+            assert l1_v[j] == np.sum(np.abs(v)) * dx
 
 
 class TestDecayFit:
@@ -339,42 +360,35 @@ class TestLowerBounds:
         assert np.all(np.diff(tail) > 0.0)
 
 
-def _nf(t, A, mu, nu):
-    z = np.zeros(4)
-    return NormalFormState(t=t, zeta=z, w=z, v_tilde=z, A=A, sigma=z, R=z,
-                           mu=mu, nu=nu)
-
-
 class TestAmplitudeLaw:
     def test_slow_log_decay_passes(self):
         nu = 0.04
         times = np.linspace(0.0, 200.0, 401)
-        series = [_nf(t, 1.0 / math.sqrt(max(1e-9, 2 * nu * math.log1p(t))) * 0.9
-                      if t > 0 else 1.0, mu=0.5, nu=nu) for t in times]
-        verdict = amplitude_law_check(series, delta=1e-2)
+        amps = [1.0 / math.sqrt(max(1e-9, 2 * nu * math.log1p(t))) * 0.9
+                if t > 0 else 1.0 for t in times]
+        verdict = amplitude_law_check(times, np.array(amps), mu=0.5, nu=nu)
         assert verdict.passed
         assert verdict.in_window
         assert verdict.nu == pytest.approx(nu)
 
     def test_constant_amplitude_fails(self):
         times = np.linspace(0.0, 200.0, 401)
-        series = [_nf(t, 5.0, mu=0.5, nu=0.04) for t in times]
-        verdict = amplitude_law_check(series, delta=1e-2)
+        verdict = amplitude_law_check(times, np.full(len(times), 5.0),
+                                      mu=0.5, nu=0.04)
         assert not verdict.passed
 
     def test_fast_decay_passes_but_not_in_window(self):
         times = np.linspace(0.0, 200.0, 401)
-        series = [_nf(t, 1e-4 * (1 + t) ** -0.5, mu=0.5, nu=0.04)
-                  for t in times]
-        verdict = amplitude_law_check(series, delta=1e-2)
+        verdict = amplitude_law_check(times, 1e-4 * (1 + times) ** -0.5,
+                                      mu=0.5, nu=0.04)
         assert verdict.passed
         assert not verdict.in_window
 
     def test_wrong_sign_rejected(self):
-        series = [_nf(t, 1.0, mu=-0.5, nu=-0.02) for t in (0.0, 1.0)]
         with pytest.raises(ValueError):
-            amplitude_law_check(series, delta=1e-2)
+            amplitude_law_check(np.array([0.0, 1.0]), np.ones(2),
+                                mu=-0.5, nu=-0.02)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            amplitude_law_check([], delta=1e-2)
+            amplitude_law_check(np.array([]), np.array([]), mu=0.5, nu=0.04)

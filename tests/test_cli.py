@@ -203,13 +203,16 @@ class TestMain:
            "outputs = trajectory, lower_bounds")),
          "lower_bounds output requires Gaussian initial data"),
         ((("envelope.kind = exponential", "envelope.kind = normal-form"),),
-         "envelope output requires an envelope kind with an evaluator "
-         "(exponential, algebraic, drag), not 'normal-form'"),
+         "unknown envelope kind 'normal-form'"),
+        ((("envelope.kind = exponential", "envelope.kind = drag"),
+          ("system.c2 = 1.0", "system.c2 = 0.0")),
+         "drag envelope requires c1 != c2"),
         ((("outputs = trajectory, envelope, decay",
            "outputs = trajectory, exact_error"),),
          "exact_error output requires the exactly solvable benchmark shape: "
          "d=(1, 1/4), f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0"),
-    ], ids=["lower_bounds", "normal_form_envelope", "exact_error"])
+    ], ids=["lower_bounds", "normal_form_envelope", "drag_equal_velocities",
+            "exact_error"])
     def test_uncomputable_output_fails_before_running(
             self, tmp_path, capsys, replacements, message):
         text = FAST_CONFIG

@@ -88,6 +88,14 @@ class TestValidateScenario:
         report = validate_scenario(bad)
         assert any("M >=" in v for v in report.violations)
 
+    def test_drag_requires_distinct_velocities(self):
+        env = EnvelopeSpec(kind="drag", M=16.0)
+        equal = make_scenario(system=SystemSpec(d1=1.0, d2=1.0, c1=0.5, c2=0.5),
+                              envelope=env)
+        assert validate_scenario(equal).violations == (
+            "drag envelope requires c1 != c2",)
+        assert validate_scenario(make_scenario(envelope=env)).valid
+
     def test_algebraic_r_floor(self):
         bad = make_scenario(envelope=EnvelopeSpec(kind="algebraic", M=16.0, r=2.0))
         assert not validate_scenario(bad).valid

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rda.analysis import envelope_verdict
-from rda.core import TRUST_LOG, EnvelopeSpec, Grid, State, SystemSpec
+from rda.core import TRUST_LOG, EnvelopeSpec, Grid, SystemSpec
 from rda.kernels import drag_weight_profile
 
 RTOL = 1e-12
@@ -23,14 +23,13 @@ def _wrapped(x, c, s, half_width):
     return np.mod(x + c * s + half_width, 2.0 * half_width) - half_width
 
 
-def reference_eta(history, grid, system, env):
+def reference_eta(times, samples, grid, system, env):
     """Per-sample eta of the weight env.kind, before the cumulative sup."""
     x = grid.points()
     M = env.M
     values = []
-    for state in history:
-        s = state.t
-        fields = ((state.u, system.c1), (state.v, system.c2))
+    for s, (u, v) in zip(times, samples):
+        fields = ((u, system.c1), (v, system.c2))
         if env.kind == "exponential":
             total = np.zeros_like(x)
             for field, c in fields:
@@ -70,13 +69,13 @@ def random_history(seed, grid, times):
     """Gaussian bumps plus a small rough floor, so every tail is non-zero."""
     rng = np.random.default_rng(seed)
     x = grid.points()
-    history = []
-    for s in times:
-        u, v = (rng.uniform(0.1, 1.0) * np.exp(
-            -(x - rng.uniform(-10.0, 10.0)) ** 2 / rng.uniform(4.0, 40.0))
-            + 1e-10 * rng.random(len(x)) for _ in range(2))
-        history.append(State(t=s, u=u, v=v))
-    return history
+    fields = np.empty((len(times), 2, grid.n))
+    for j in range(len(times)):
+        for i in range(2):
+            fields[j, i] = rng.uniform(0.1, 1.0) * np.exp(
+                -(x - rng.uniform(-10.0, 10.0)) ** 2 / rng.uniform(4.0, 40.0)) \
+                + 1e-10 * rng.random(len(x))
+    return fields
 
 
 @pytest.mark.parametrize("kind", ["exponential", "algebraic", "drag"])
@@ -89,8 +88,8 @@ def test_matches_reference(kind, seed):
     env = EnvelopeSpec(kind=kind, M=float(rng.choice([4.0, 16.0])), r=3.0)
     # Up to |c| s = 90 > L: drifts wrap round the torus.
     times = np.array([0.0, 0.5, 1.0, 3.0, 8.0, 30.0])
-    history = random_history(seed, grid, times)
-    verdict = envelope_verdict(history, grid, system, env)
-    eta = np.maximum.accumulate(reference_eta(history, grid, system, env))
+    fields = random_history(seed, grid, times)
+    verdict = envelope_verdict(times, fields, grid, system, env)
+    eta = np.maximum.accumulate(reference_eta(times, fields, grid, system, env))
     np.testing.assert_allclose(verdict.eta_series, eta, rtol=RTOL)
     np.testing.assert_array_equal(verdict.bounded_flags, eta <= 3.0 * eta[2])

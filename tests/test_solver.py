@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from rda.core import Grid, InitialData, PolyTerm, Scenario, State, SystemSpec
+from rda.analysis import normal_form_rates
+from rda.core import Grid, InitialData, PolyTerm, Scenario, SystemSpec
 from rda.solver import (
-    SpectralState,
     SpectralWorkspace,
     detect_blow_up,
     gaussian_profile,
     run,
     run_scenario,
-    to_normal_form,
 )
 
 
@@ -29,18 +28,18 @@ def test_linear_problem_solved_exactly():
     system = linear_system()
     x = grid.points()
     w = 4.0
-    initial = State(t=0.0, u=np.exp(-x ** 2 / w), v=np.exp(-x ** 2 / w))
+    initial = np.stack((np.exp(-x ** 2 / w), np.exp(-x ** 2 / w)))
     ws = SpectralWorkspace(grid=grid, system=system, dt=0.05)
     result = run(ws, initial, t_end=2.0, sample_dt=2.0)
-    final = result.states[-1]
-    t = final.t
+    final_u, final_v = result.fields[-1]
+    t = result.times[-1]
 
     def exact(d, c):
         spread = w + 4.0 * d * t
         return math.sqrt(w / spread) * np.exp(-((x + c * t) ** 2) / spread)
 
-    assert np.max(np.abs(final.u - exact(system.d1, system.c1))) < 1e-12
-    assert np.max(np.abs(final.v - exact(system.d2, system.c2))) < 1e-12
+    assert np.max(np.abs(final_u - exact(system.d1, system.c1))) < 1e-12
+    assert np.max(np.abs(final_v - exact(system.d2, system.c2))) < 1e-12
 
 
 def test_zero_data_stays_zero():
@@ -48,12 +47,12 @@ def test_zero_data_stays_zero():
     system = SystemSpec(d1=1, d2=1, c1=0, c2=1,
                         f1=(PolyTerm(1.0, 1, 1, 0),),
                         f2=(PolyTerm(1.0, 2, 0, 0),))
-    initial = State(t=0.0, u=np.zeros(grid.n), v=np.zeros(grid.n))
+    initial = np.zeros((2, grid.n))
     ws = SpectralWorkspace(grid=grid, system=system, dt=0.01)
     result = run(ws, initial, t_end=0.5, sample_dt=0.1)
     assert not result.blew_up
-    for s in result.states:
-        assert not s.u.any() and not s.v.any()
+    for u, v in result.fields:
+        assert not u.any() and not v.any()
 
 
 def test_dealiased_modes_identically_zero():
@@ -62,8 +61,7 @@ def test_dealiased_modes_identically_zero():
                         f1=(PolyTerm(1.0, 2, 0, 0),),
                         g2=(PolyTerm(0.5, 2, 0, 1),))
     x = grid.points()
-    initial = State(t=0.0, u=0.01 * np.exp(-x ** 2),
-                    v=0.01 * np.exp(-(x - 1) ** 2))
+    initial = np.stack((0.01 * np.exp(-x ** 2), 0.01 * np.exp(-(x - 1) ** 2)))
     ws = SpectralWorkspace(grid=grid, system=system, dt=0.01)
     seen = []
     run(ws, initial, t_end=1.0, sample_dt=0.5, observer=seen.append)
@@ -78,15 +76,17 @@ def test_blow_up_detected_and_run_terminates():
     system = SystemSpec(d1=1, d2=1, c1=0, c2=1,
                         f1=(PolyTerm(1.0, 2, 0, 0),))
     x = grid.points()
-    initial = State(t=0.0, u=50.0 * np.exp(-x ** 2), v=np.zeros(grid.n))
+    initial = np.stack((50.0 * np.exp(-x ** 2), np.zeros(grid.n)))
     ws = SpectralWorkspace(grid=grid, system=system, dt=1e-3)
     result = run(ws, initial, t_end=5.0, sample_dt=0.05,
                  blow_up_threshold=1e6)
     assert result.blew_up
     assert result.blow_up_time is not None and result.blow_up_time < 5.0
-    assert result.states[-1].t <= result.blow_up_time
-    assert all(np.isfinite(s.u).all() and np.isfinite(s.v).all()
-               for s in result.states)
+    # Only the samples taken before the blow-up are returned.
+    assert result.times.shape == (len(result.fields),)
+    assert len(result.times) < 1 + round(5.0 / 0.05)
+    assert result.times[-1] <= result.blow_up_time
+    assert np.isfinite(result.fields).all()
 
 
 def test_detect_blow_up_flags_threshold_and_nan():
@@ -112,19 +112,27 @@ def test_run_scenario_sampling_cadence():
         t_end=1.0, dt=0.01, sample_dt=0.25,
     )
     result = run_scenario(scenario)
-    np.testing.assert_allclose([st.t for st in result.states],
+    np.testing.assert_allclose(result.times,
                                [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
 
 
-def test_spectral_state_round_trip():
+@pytest.mark.parametrize("t_end,sample_dt", [(1.0, 0.25), (1.0, 0.3), (0.5, 1.0)])
+def test_sample_array_shape_and_initial_row(t_end, sample_dt):
+    # One row at t = 0, one every sample_dt and one at t_end; row 0 is the
+    # initial data bit for bit, not its dealiased spectral round trip.
     grid = Grid(half_width=10.0, n=128)
+    system = SystemSpec(d1=1, d2=1, c1=0, c2=1, f1=(PolyTerm(1.0, 1, 1, 0),))
     rng = np.random.default_rng(7)
-    state = State(t=1.5, u=rng.standard_normal(grid.n),
-                  v=rng.standard_normal(grid.n))
-    back = SpectralState.from_physical(state).to_physical(grid)
-    assert back.t == state.t
-    np.testing.assert_allclose(back.u, state.u, atol=1e-13)
-    np.testing.assert_allclose(back.v, state.v, atol=1e-13)
+    initial = 1e-3 * rng.standard_normal((2, grid.n))
+    ws = SpectralWorkspace(grid=grid, system=system, dt=0.05)
+    result = run(ws, initial, t_end=t_end, sample_dt=sample_dt)
+    steps, stride = round(t_end / 0.05), round(sample_dt / 0.05)
+    expected = [0.0, *(0.05 * i for i in range(1, steps + 1)
+                       if i % stride == 0 or i == steps)]
+    assert result.times.shape == (len(expected),)
+    assert result.fields.shape == (len(expected), 2, grid.n)
+    np.testing.assert_allclose(result.times, expected, atol=1e-12)
+    assert result.fields[0].tobytes() == initial.tobytes()
 
 
 class TestNormalForm:
@@ -133,37 +141,29 @@ class TestNormalForm:
 
     def test_requires_distinct_velocities(self):
         equal = SystemSpec(d1=1, d2=1, c1=2.0, c2=2.0)
-        state = State(t=0.0, u=np.zeros(self.grid.n), v=np.zeros(self.grid.n))
         with pytest.raises(ValueError):
-            to_normal_form(state, self.grid, equal, 1.0, 0.1, 1.0)
-
-    def test_v_tilde_vanishes_on_slaved_branch(self):
-        # v = -(gamma/c) u^2 is exactly the branch the transform removes.
-        x = self.grid.points()
-        u = 0.3 * np.exp(-x ** 2 / 3)
-        gamma = 2.0
-        c = self.system.c2 - self.system.c1
-        state = State(t=0.5, u=u, v=-(gamma / c) * u ** 2)
-        nf = to_normal_form(state, self.grid, self.system, 1.0, 0.1, gamma)
-        assert np.max(np.abs(nf.v_tilde)) < 1e-15
+            normal_form_rates(equal)
 
     def test_gaussian_input_has_no_residual(self):
+        # A Gaussian u is all amplitude: A, the trapezoid integral of u as
+        # the CLI takes it over the sample array, is its mass.
         t, a = 3.0, 0.7
         zeta = self.grid.points() + self.system.c1 * t
         u = a * gaussian_profile(zeta, t, self.system.d1)
-        state = State(t=t, u=u, v=np.zeros(self.grid.n))
-        nf = to_normal_form(state, self.grid, self.system, 1.0, 0.1, 1.0)
-        assert nf.A == pytest.approx(a, abs=1e-9)
-        assert np.max(np.abs(nf.R)) < 1e-9
+        fields = np.stack((u, np.zeros(self.grid.n)))[None]
+        A = np.trapezoid(fields[:, 0], dx=self.grid.dx, axis=-1)
+        assert A.shape == (1,)
+        assert A[0] == pytest.approx(a, abs=1e-9)
 
     def test_rate_constants(self):
-        state = State(t=0.0, u=np.zeros(self.grid.n), v=np.zeros(self.grid.n))
-        nf = to_normal_form(state, self.grid, self.system,
-                            alpha=1.0, beta=0.1, gamma_coeff=1.0)
-        assert nf.mu == pytest.approx(0.9)
-        assert nf.nu == pytest.approx(0.9 / (4 * math.sqrt(3) * math.pi),
-                                      rel=1e-12)
-        assert nf.nu == pytest.approx(0.0413497, abs=5e-8)
+        system = SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0,
+                            f1=(PolyTerm(1.0, 1, 1, 0), PolyTerm(0.1, 3, 0, 0)),
+                            g2=(PolyTerm(1.0, 2, 0, 1),))
+        mu, nu = normal_form_rates(system)
+        assert mu == pytest.approx(0.9)
+        assert nu == pytest.approx(0.9 / (4 * math.sqrt(3) * math.pi),
+                                   rel=1e-12)
+        assert nu == pytest.approx(0.0413497, abs=5e-8)
 
     def test_profile_unit_mass(self):
         x = np.linspace(-200, 200, 40001)
@@ -178,11 +178,11 @@ def test_strang_self_convergence_second_order():
                         f1=(PolyTerm(1.0, 1, 1, 0),),
                         f2=(PolyTerm(-1.0, 2, 0, 0),))
     x = grid.points()
-    initial = State(t=0.0, u=0.5 * np.exp(-x ** 2), v=0.5 * np.exp(-x ** 2))
+    initial = np.stack((0.5 * np.exp(-x ** 2), 0.5 * np.exp(-x ** 2)))
 
     def final_u(dt):
         ws = SpectralWorkspace(grid=grid, system=system, dt=dt)
-        return run(ws, initial, t_end=1.0, sample_dt=1.0).states[-1].u
+        return run(ws, initial, t_end=1.0, sample_dt=1.0).fields[-1, 0]
 
     coarse, mid, fine = (final_u(dt) for dt in (0.04, 0.02, 0.01))
     err_coarse = np.max(np.abs(coarse - mid))

@@ -11,10 +11,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from rda.core import DEFAULT_BLOW_UP_THRESHOLD, Grid, PolyTerm, State, SystemSpec
+from rda.core import DEFAULT_BLOW_UP_THRESHOLD, Grid, PolyTerm, SystemSpec
 from rda.solver import BlowUpError, SpectralState, SpectralWorkspace, step
 
 RTOL = 1e-12
@@ -74,10 +75,9 @@ def _initial_spectra(grid, seed, masked=True):
     rng = np.random.default_rng(seed)
     x = grid.points()
     envelope = np.exp(-x ** 2 / 9.0)
-    state = State(t=0.0,
-                  u=0.05 * (1.0 + rng.standard_normal(grid.n)) * envelope,
-                  v=0.05 * (1.0 + rng.standard_normal(grid.n)) * envelope)
-    spectra = SpectralState.from_physical(state).spectra
+    fields = np.stack((0.05 * (1.0 + rng.standard_normal(grid.n)) * envelope,
+                       0.05 * (1.0 + rng.standard_normal(grid.n)) * envelope))
+    spectra = scipy.fft.rfft(fields, axis=-1)
     return spectra * _wavenumbers(grid)[1] if masked else spectra
 
 

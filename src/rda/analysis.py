@@ -4,7 +4,8 @@ This module turns sampled trajectories into the quantities the theory
 talks about: scaling classes of polynomial terms, structural admissibility
 of a system for each stability result, spatio-temporal weight suprema, the
 fitted temporal decay exponent, the explicit blow-up lower bounds, and the
-logarithmic amplitude law of the normal form.
+logarithmic amplitude law of the normal form. diagnose applies every
+pass/fail rule to one sampled run.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy import stats
-from scipy.special import erf
+from scipy.special import erf, stdtrit
 
-from .core import EnvelopeSpec, Grid, PolyTerm, SystemSpec, trust_radius
+from . import kernels, solver
+from .core import EnvelopeSpec, Grid, PolyTerm, Scenario, SystemSpec, trust_radius
 from .kernels import drag_weight_profile
 
 __all__ = [
@@ -35,9 +36,12 @@ __all__ = [
     "Cas2Params",
     "LowerBoundCurve",
     "cas2_lower_bounds",
+    "T_BURN",
     "AmplitudeLawVerdict",
     "amplitude_law_check",
     "norm_series",
+    "Diagnosis",
+    "diagnose",
 ]
 
 
@@ -338,12 +342,10 @@ def fit_decay_exponent(times: np.ndarray, values: np.ndarray,
     slope = float(coef[0])
     resid = Y - A @ coef
     dof = len(t) - 2
-    if dof <= 0:
-        return slope, 0.0
     s2 = float(resid @ resid) / dof
     sxx = float(np.sum((X - X.mean()) ** 2))
     stderr = math.sqrt(s2 / sxx) if sxx > 0 else math.inf
-    half_width = float(stats.t.ppf(0.975, dof)) * stderr
+    half_width = float(stdtrit(dof, 0.975)) * stderr
     return slope, half_width
 
 
@@ -363,7 +365,6 @@ class Cas2Params:
 
 @dataclass(frozen=True)
 class LowerBoundCurve:
-    times: np.ndarray
     l1_bound: np.ndarray
     linf_bound: np.ndarray
     regime: str  # "equal_velocities" or "distinct_velocities"
@@ -402,7 +403,7 @@ def cas2_lower_bounds(params: Cas2Params, times: np.ndarray) -> LowerBoundCurve:
             128.0 * a ** 2 * d1 * math.sqrt(d1 * d2) * dc ** 2)
         linf = np.maximum(np.nan_to_num(linf, nan=0.0), 0.0)
         regime = "distinct_velocities"
-    return LowerBoundCurve(times=t, l1_bound=np.asarray(l1, dtype=float),
+    return LowerBoundCurve(l1_bound=np.asarray(l1, dtype=float),
                            linf_bound=np.asarray(linf, dtype=float),
                            regime=regime)
 
@@ -411,26 +412,32 @@ def cas2_lower_bounds(params: Cas2Params, times: np.ndarray) -> LowerBoundCurve:
 # Amplitude law
 # ---------------------------------------------------------------------------
 
+# Burn-in: the amplitude law is judged on samples with t >= T_BURN only.
+T_BURN = 10.0
+
+
 @dataclass(frozen=True)
 class AmplitudeLawVerdict:
-    times: np.ndarray
     law_values: np.ndarray          # |A(t)| sqrt(2 nu log(1+t))
     nu: float
     passed: bool
     in_window: bool                 # final-decade values within [0.3, 1.1]
+    statistic: float                # max law value past the burn-in
 
 
 def amplitude_law_check(times: np.ndarray, amplitudes: np.ndarray, mu: float,
-                        nu: float, t_burn: float = 10.0) -> AmplitudeLawVerdict:
+                        nu: float) -> AmplitudeLawVerdict:
     """Check the logarithmic amplitude decay |A(t)| sqrt(2 nu log(1+t)) <= 1.1.
 
     amplitudes[j] is the normal-form amplitude A, the integral of u, at
     times[j]; mu and nu come from normal_form_rates.
 
-    The pass verdict is the upper bound alone for t >= t_burn. The
-    in_window flag additionally asks the quantity to sit in [0.3, 1.1]
-    over the final decade; it diagnoses whether the law is saturated
-    rather than vacuously satisfied and is not part of the pass verdict.
+    The pass verdict is the upper bound alone for t >= T_BURN, and the
+    statistic is the largest law value there (over all samples if none is
+    past the burn-in). The in_window flag additionally asks the quantity to
+    sit in [0.3, 1.1] over the final decade; it diagnoses whether the law is
+    saturated rather than vacuously satisfied and is not part of the pass
+    verdict.
     """
     times = np.asarray(times, dtype=float)
     if len(times) == 0:
@@ -438,12 +445,98 @@ def amplitude_law_check(times: np.ndarray, amplitudes: np.ndarray, mu: float,
     if mu <= 0.0:
         raise ValueError("amplitude law requires mu > 0")
     law = np.abs(amplitudes) * np.sqrt(2.0 * nu * np.log1p(times))
-    after = times >= t_burn
+    after = times >= T_BURN
     passed = bool(np.all(law[after] <= 1.1)) if np.any(after) else False
+    statistic = float(np.max(law[after] if np.any(after) else law))
     t_end = times[-1]
     decade = times >= t_end / 10.0
     window_vals = law[decade & after] if np.any(decade & after) else law[decade]
     in_window = bool(len(window_vals) > 0
                      and np.all((window_vals >= 0.3) & (window_vals <= 1.1)))
-    return AmplitudeLawVerdict(times=times, law_values=law,
-                               nu=nu, passed=passed, in_window=in_window)
+    return AmplitudeLawVerdict(law_values=law, nu=nu, passed=passed,
+                               in_window=in_window, statistic=statistic)
+
+
+# ---------------------------------------------------------------------------
+# Verdicts of one run
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Diagnosis:
+    norms: tuple                    # norm_series: (times, linf_u, linf_v, l1_u, l1_v)
+    envelope: Optional[EnvelopeVerdict]
+    verdicts: tuple                 # (name, passed, statistic) rows
+
+
+def _exact_remark51(scenario: Scenario, t: float):
+    """Closed-form (u, v) of the exactly solvable benchmark at time t.
+
+    validate_scenario has checked the benchmark's shape.
+    """
+    s = scenario.system
+    x = scenario.grid.points()
+    u_exact = solver.gaussian_profile(x + s.c1 * t, t, s.d1)
+    params = kernels.DragParams(c_self=s.c2, c_other=s.c1, M=1.0,
+                                power_decay=1.5)
+    v_exact = kernels.drag_profile(x, t, params) / (16.0 * math.pi ** 2)
+    return u_exact, v_exact
+
+
+def diagnose(scenario: Scenario, times: np.ndarray, fields: np.ndarray) -> Diagnosis:
+    """Norm series, envelope verdict and verdict rows of one sampled run.
+
+    fields[j] is the (2, n) pair (u, v) sampled at times[j]; the scenario
+    has passed validate_scenario. Each output the scenario asks for adds its
+    rows in the order of core.OUTPUTS.
+    """
+    grid, system, outputs = scenario.grid, scenario.system, scenario.outputs
+    norms = norm_series(times, fields, grid.dx)
+    times, linf_u, linf_v, l1_u, l1_v = norms
+    sup = np.maximum(linf_u, linf_v)
+    envelope = None
+    rows: list[tuple] = []
+    if "envelope" in outputs:
+        envelope = envelope_verdict(times, fields, grid, system, scenario.envelope)
+        rows.append((f"eta_{scenario.envelope.kind}", envelope.bounded,
+                     envelope.max_eta))
+    if "decay" in outputs:
+        # Exponent <= -0.4 over t >= min(5, t_end/4); without a fit, nan fails.
+        try:
+            exponent, _ = fit_decay_exponent(times, sup,
+                                             t_min=min(5.0, times[-1] / 4.0))
+        except ValueError:
+            exponent = math.nan
+        rows.append(("decay_exponent", exponent <= -0.4, exponent))
+    if "lower_bounds" in outputs:
+        # L1 dominates the explicit bound at every sample, and the sup norm
+        # grows strictly over the second half of the run.
+        init = scenario.initial_u
+        curve = cas2_lower_bounds(Cas2Params(
+            d1=system.d1, d2=system.d2, c1=system.c1, c2=system.c2,
+            nu0=init.amplitude, alpha_width=1.0 / init.width), times)
+        l1 = l1_u + l1_v
+        late = sup[times >= times[-1] / 2.0]
+        rows.append(("l1_lower_bound", bool(np.all(l1 >= curve.l1_bound)),
+                     float(np.min(l1 - curve.l1_bound))))
+        rows.append(("linf_growth",
+                     len(late) >= 2 and bool(np.all(np.diff(late) > 0)),
+                     float(sup[-1])))
+    if "amplitude_law" in outputs:
+        # Without the normal-form shape and the stabilizing sign the law
+        # fails with the sign value (nan without the shape).
+        adm = check_admissibility(system)
+        if adm.thm4_shape and adm.sign_condition:
+            amplitudes = np.trapezoid(fields[:, 0], dx=grid.dx, axis=-1)
+            law = amplitude_law_check(times, amplitudes, *normal_form_rates(system))
+            rows.append(("amplitude_law", law.passed, law.statistic))
+        else:
+            rows.append(("amplitude_law", False, math.nan
+                         if adm.sign_value is None else adm.sign_value))
+    if "exact_error" in outputs:
+        # Relative sup errors of the final sample: u within 1e-4, v within 5e-4.
+        err_u, err_v = (float(np.max(np.abs(f - exact)) / np.max(np.abs(exact)))
+                        for f, exact in zip(fields[-1],
+                                            _exact_remark51(scenario, times[-1])))
+        rows.append(("exact_error", err_u <= 1e-4 and err_v <= 5e-4,
+                     max(err_u, err_v)))
+    return Diagnosis(norms=norms, envelope=envelope, verdicts=tuple(rows))

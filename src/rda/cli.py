@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import math
 import sys
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .config import ConfigError, parse_scenario
 from .core import Scenario, validate_scenario
 from .svg import line_chart
 
-__all__ = ["main", "run_experiment"]
+__all__ = ["main", "run_experiment", "write_outputs"]
 
 
 def _fmt(value) -> str:
@@ -55,119 +54,49 @@ def _resolve_target(target: str) -> Scenario:
     return parse_scenario(path)
 
 
-def _exact_remark51(scenario: Scenario, t: float):
-    """Closed-form (u, v) of the exactly solvable benchmark at time t.
-
-    validate_scenario has checked the benchmark's shape.
-    """
-    s = scenario.system
-    x = scenario.grid.points()
-    u_exact = solver.gaussian_profile(x + s.c1 * t, t, s.d1)
-    params = kernels.DragParams(c_self=s.c2, c_other=s.c1, M=1.0,
-                                power_decay=1.5)
-    v_exact = kernels.drag_profile(x, t, params) / (16.0 * math.pi ** 2)
-    return u_exact, v_exact
-
-
-def run_experiment(scenario: Scenario, out_dir) -> int:
-    """Run one scenario end to end and write its output files."""
-    report = validate_scenario(scenario)
-    if not report.valid:
-        raise ConfigError("invalid scenario: " + "; ".join(report.violations))
+def write_outputs(scenario: Scenario, diagnosis: analysis.Diagnosis,
+                  blew_up: bool, out_dir) -> None:
+    """Write the CSV tables and SVG charts of one diagnosed run to out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for warning in report.warnings:
-        print(f"[{scenario.name}] warning: {warning}", file=sys.stderr)
-
-    result = solver.run_scenario(scenario)
-    fields = result.fields
-    grid = scenario.grid
-    times, linf_u, linf_v, l1_u, l1_v = analysis.norm_series(
-        result.times, fields, grid.dx)
-
-    rows = []
-    for i in range(len(times)):
-        flag = 1 if (result.blew_up and i == len(times) - 1) else 0
-        rows.append([times[i], linf_u[i], linf_v[i], l1_u[i], l1_v[i], flag])
+    times, linf_u, linf_v, l1_u, l1_v = diagnosis.norms
+    last = len(times) - 1
     _write_csv(out / "trajectory.csv",
-               ["t", "linf_u", "linf_v", "l1_u", "l1_v", "blow_up_flag"], rows)
+               ["t", "linf_u", "linf_v", "l1_u", "l1_v", "blow_up_flag"],
+               [[times[i], linf_u[i], linf_v[i], l1_u[i], l1_v[i],
+                 1 if blew_up and i == last else 0] for i in range(len(times))])
 
-    verdicts: list[list] = []
-    outputs = scenario.outputs
-
-    if "envelope" in outputs and scenario.envelope is not None:
-        verdict = analysis.envelope_verdict(times, fields, grid, scenario.system,
-                                            scenario.envelope)
-        env_rows = [[t, eta, int(flag)] for t, eta, flag in zip(
-            verdict.times, verdict.eta_series, verdict.bounded_flags)]
-        _write_csv(out / "envelope.csv", ["t", "eta", "bounded_flag"], env_rows)
-        verdicts.append([f"eta_{scenario.envelope.kind}",
-                         "pass" if verdict.bounded else "fail",
-                         verdict.max_eta])
-        chart = line_chart({"eta": (1.0 + verdict.times, verdict.eta_series)},
+    env = diagnosis.envelope
+    if env is not None:
+        _write_csv(out / "envelope.csv", ["t", "eta", "bounded_flag"],
+                   [[t, eta, int(flag)] for t, eta, flag in zip(
+                       env.times, env.eta_series, env.bounded_flags)])
+        chart = line_chart({"eta": (1.0 + env.times, env.eta_series)},
                            title=f"{scenario.name}: envelope supremum",
                            x_label="1 + t", y_label="eta")
         (out / "plot_envelope.svg").write_text(chart, encoding="utf-8")
 
-    sup_series = np.maximum(linf_u, linf_v)
-    if "decay" in outputs:
-        try:
-            exponent, half_width = analysis.fit_decay_exponent(
-                times, sup_series, t_min=min(5.0, times[-1] / 4.0))
-            verdicts.append(["decay_exponent",
-                             "pass" if exponent <= -0.4 else "fail", exponent])
-        except ValueError:
-            verdicts.append(["decay_exponent", "fail", math.nan])
-
-    if "lower_bounds" in outputs:
-        init = scenario.initial_u
-        params = analysis.Cas2Params(
-            d1=scenario.system.d1, d2=scenario.system.d2,
-            c1=scenario.system.c1, c2=scenario.system.c2,
-            nu0=init.amplitude, alpha_width=1.0 / init.width)
-        curve = analysis.cas2_lower_bounds(params, times)
-        l1_total = l1_u + l1_v
-        dominates = bool(np.all(l1_total >= curve.l1_bound))
-        verdicts.append(["l1_lower_bound", "pass" if dominates else "fail",
-                         float(np.min(l1_total - curve.l1_bound))])
-        half = times >= times[-1] / 2.0
-        growing = bool(np.all(np.diff(sup_series[half]) > 0)) \
-            if np.sum(half) >= 2 else False
-        verdicts.append(["linf_growth", "pass" if growing else "fail",
-                         float(sup_series[-1])])
-
-    if "amplitude_law" in outputs:
-        adm = analysis.check_admissibility(scenario.system)
-        if not adm.thm4_shape or not adm.sign_condition:
-            verdicts.append(["amplitude_law", "fail",
-                             adm.sign_value if adm.sign_value is not None
-                             else math.nan])
-        else:
-            mu, nu = analysis.normal_form_rates(scenario.system)
-            amplitudes = np.trapezoid(fields[:, 0], dx=grid.dx, axis=-1)
-            law = analysis.amplitude_law_check(times, amplitudes, mu, nu)
-            after = law.times >= 10.0
-            stat = float(np.max(law.law_values[after])) if np.any(after) \
-                else float(np.max(law.law_values))
-            verdicts.append(["amplitude_law", "pass" if law.passed else "fail",
-                             stat])
-
-    if "exact_error" in outputs:
-        u_exact, v_exact = _exact_remark51(scenario, times[-1])
-        u, v = fields[-1]
-        err_u = float(np.max(np.abs(u - u_exact)) / np.max(np.abs(u_exact)))
-        err_v = float(np.max(np.abs(v - v_exact)) / np.max(np.abs(v_exact)))
-        ok = err_u <= 1e-4 and err_v <= 5e-4
-        verdicts.append(["exact_error", "pass" if ok else "fail",
-                         max(err_u, err_v)])
-
-    _write_csv(out / "verdicts.csv", ["name", "result", "statistic"], verdicts)
+    _write_csv(out / "verdicts.csv", ["name", "result", "statistic"],
+               [[name, "pass" if passed else "fail", statistic]
+                for name, passed, statistic in diagnosis.verdicts])
 
     chart = line_chart(
         {"linf_u": (1.0 + times, linf_u), "linf_v": (1.0 + times, linf_v),
          "l1_u": (1.0 + times, l1_u), "l1_v": (1.0 + times, l1_v)},
         title=f"{scenario.name}: norms", x_label="1 + t", y_label="norm")
     (out / "plot_trajectory.svg").write_text(chart, encoding="utf-8")
+
+
+def run_experiment(scenario: Scenario, out_dir) -> int:
+    """Validate, run, diagnose and write one scenario."""
+    report = validate_scenario(scenario)
+    if not report.valid:
+        raise ConfigError("invalid scenario: " + "; ".join(report.violations))
+    for warning in report.warnings:
+        print(f"[{scenario.name}] warning: {warning}", file=sys.stderr)
+    result = solver.run_scenario(scenario)
+    diagnosis = analysis.diagnose(scenario, result.times, result.fields)
+    write_outputs(scenario, diagnosis, result.blew_up, out_dir)
     return 0
 
 

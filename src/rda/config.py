@@ -29,28 +29,34 @@ class ConfigError(ValueError):
     """Malformed or invalid scenario config."""
 
 
+# Optional keys by dataclass field; an absent key takes the field's default.
+_SCENARIO_FIELDS = {
+    "name": str, "description": str, "blow_up_threshold": float,
+    "outputs": lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
+}
+_ENVELOPE_FIELDS = {"kind": str, "M": float, "r": float}
+_INITIAL_FIELDS = {"kind": str, "amplitude": float, "width": float,
+                   "power": float, "center": float, "expression": str}
+
 _KNOWN_KEYS = {
-    "name", "description",
     "system.d1", "system.d2", "system.c1", "system.c2",
     "system.f1", "system.f2", "system.g1", "system.g2",
     "grid.L", "grid.n",
     "time.dt", "time.t_end", "time.sample_dt",
-    "envelope.kind", "envelope.M", "envelope.r",
-    "outputs", "blow_up_threshold",
+    *_SCENARIO_FIELDS,
+    *(f"envelope.{f}" for f in _ENVELOPE_FIELDS),
+    *(f"initial.{comp}.{f}" for comp in ("u", "v") for f in _INITIAL_FIELDS),
 }
-_INITIAL_FIELDS = {"kind", "amplitude", "width", "power", "center", "expression"}
-for _comp in ("u", "v"):
-    for _f in _INITIAL_FIELDS:
-        _KNOWN_KEYS.add(f"initial.{_comp}.{_f}")
 
 _TERM_RE = re.compile(
     r"^\s*([+-]?\d*\.?\d+(?:[eE][+-]?\d+)?)\s+u\^(\d+)\s+v\^(\d+)(\s+ddx)?\s*$")
 
 
-def _parse_terms(value: str, key: str, line_no: int) -> tuple[PolyTerm, ...]:
-    terms = []
+def _terms_for(pairs, key: str) -> tuple[PolyTerm, ...]:
+    value, line_no = pairs.get(key, ("", 0))
     if not value.strip():
         return ()
+    terms = []
     for entry in value.split(","):
         m = _TERM_RE.match(entry)
         if m is None:
@@ -61,13 +67,6 @@ def _parse_terms(value: str, key: str, line_no: int) -> tuple[PolyTerm, ...]:
             coeff=float(m.group(1)), alpha=int(m.group(2)),
             beta=int(m.group(3)), gamma=1 if m.group(4) else 0))
     return tuple(terms)
-
-
-def _terms_for(pairs, key: str) -> tuple[PolyTerm, ...]:
-    if key not in pairs:
-        return ()
-    value, line_no = pairs[key]
-    return _parse_terms(value, key, line_no)
 
 
 def _parse_pairs(text: str) -> dict[str, tuple[str, int]]:
@@ -87,11 +86,9 @@ def _parse_pairs(text: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def _get(pairs, key, convert, default=None, required=False):
+def _get(pairs, key, convert):
     if key not in pairs:
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+        raise ConfigError(f"missing required key {key!r}")
     value, line_no = pairs[key]
     try:
         return convert(value)
@@ -99,27 +96,21 @@ def _get(pairs, key, convert, default=None, required=False):
         raise ConfigError(f"line {line_no}: bad value for {key!r}: {exc}") from None
 
 
-def _parse_initial(pairs, comp: str) -> InitialData:
-    prefix = f"initial.{comp}."
-    kind = _get(pairs, prefix + "kind", str, default="zero")
-    return InitialData(
-        kind=kind,
-        amplitude=_get(pairs, prefix + "amplitude", float, default=0.0),
-        width=_get(pairs, prefix + "width", float, default=4.0),
-        power=_get(pairs, prefix + "power", float, default=3.0),
-        center=_get(pairs, prefix + "center", float, default=0.0),
-        expression=_get(pairs, prefix + "expression", str, default=""),
-    )
+def _present(pairs, prefix: str, fields: dict) -> dict:
+    """Converted values of the fields whose keys the config sets, so the
+    dataclass defaults in core apply to the others."""
+    return {name: _get(pairs, prefix + name, convert)
+            for name, convert in fields.items() if prefix + name in pairs}
 
 
 def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
     """Parse config text into a validated Scenario."""
     pairs = _parse_pairs(text)
     system = SystemSpec(
-        d1=_get(pairs, "system.d1", float, required=True),
-        d2=_get(pairs, "system.d2", float, required=True),
-        c1=_get(pairs, "system.c1", float, required=True),
-        c2=_get(pairs, "system.c2", float, required=True),
+        d1=_get(pairs, "system.d1", float),
+        d2=_get(pairs, "system.d2", float),
+        c1=_get(pairs, "system.c1", float),
+        c2=_get(pairs, "system.c2", float),
         f1=_terms_for(pairs, "system.f1"),
         f2=_terms_for(pairs, "system.f2"),
         g1=_terms_for(pairs, "system.g1"),
@@ -127,32 +118,22 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
     )
     envelope = None
     if "envelope.kind" in pairs:
-        envelope = EnvelopeSpec(
-            kind=_get(pairs, "envelope.kind", str),
-            M=_get(pairs, "envelope.M", float, default=16.0),
-            r=_get(pairs, "envelope.r", float, default=3.0),
-        )
-    outputs = _get(
-        pairs, "outputs",
-        lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
-        default=("trajectory",))
+        envelope = EnvelopeSpec(**_present(pairs, "envelope.", _ENVELOPE_FIELDS))
+    top = _present(pairs, "", _SCENARIO_FIELDS)
     scenario = Scenario(
-        name=_get(pairs, "name", str, default=name_hint),
-        description=_get(pairs, "description", str, default=""),
+        name=top.pop("name", name_hint),
         system=system,
         grid=Grid(
-            half_width=_get(pairs, "grid.L", float, required=True),
-            n=_get(pairs, "grid.n", int, required=True),
+            half_width=_get(pairs, "grid.L", float),
+            n=_get(pairs, "grid.n", int),
         ),
-        initial_u=_parse_initial(pairs, "u"),
-        initial_v=_parse_initial(pairs, "v"),
-        t_end=_get(pairs, "time.t_end", float, required=True),
-        dt=_get(pairs, "time.dt", float, required=True),
-        sample_dt=_get(pairs, "time.sample_dt", float, required=True),
+        initial_u=InitialData(**_present(pairs, "initial.u.", _INITIAL_FIELDS)),
+        initial_v=InitialData(**_present(pairs, "initial.v.", _INITIAL_FIELDS)),
+        t_end=_get(pairs, "time.t_end", float),
+        dt=_get(pairs, "time.dt", float),
+        sample_dt=_get(pairs, "time.sample_dt", float),
         envelope=envelope,
-        outputs=outputs,
-        blow_up_threshold=_get(pairs, "blow_up_threshold", float,
-                               default=DEFAULT_BLOW_UP_THRESHOLD),
+        **top,
     )
     report = validate_scenario(scenario)
     if not report.valid:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 ENVELOPE_KINDS = ("exponential", "algebraic", "drag")
+# What a scenario can ask to be written: the trajectory, then the verdicts
+# in the order analysis.diagnose computes them.
+OUTPUTS = ("trajectory", "envelope", "decay", "lower_bounds", "amplitude_law",
+           "exact_error")
 INITIAL_KINDS = ("gaussian", "algebraic", "remark51", "zero", "custom")
 DEFAULT_BLOW_UP_THRESHOLD = 1e8
 
@@ -96,7 +100,7 @@ class EnvelopeSpec:
 @dataclass(frozen=True)
 class InitialData:
     """Per-component initial profile."""
-    kind: str
+    kind: str = "zero"
     amplitude: float = 0.0
     width: float = 4.0       # gaussian: e^{-(x-center)^2/width}
     power: float = 3.0       # algebraic: (1 + |x-center|)^{-power}
@@ -234,6 +238,11 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 "wraparound budget exceeded: envelope checks unreliable past the "
                 "time where frame drift plus the trust radius reaches the "
                 "half-domain width")
+    for name in scenario.outputs:
+        if name not in OUTPUTS:
+            violations.append(f"unknown output {name!r}")
+    if "envelope" in scenario.outputs and scenario.envelope is None:
+        violations.append("envelope output requires an envelope.kind")
     if "lower_bounds" in scenario.outputs and scenario.initial_u.kind != "gaussian":
         violations.append("lower_bounds output requires Gaussian initial data")
     if "exact_error" in scenario.outputs and not _has_remark51_shape(scenario):

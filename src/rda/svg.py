@@ -1,4 +1,4 @@
-"""Minimal static SVG line charts, log-log by default, no rendering deps.
+"""Minimal static SVG log-log line charts, no rendering deps.
 
 Output is deterministic text: fixed canvas, fixed tick logic, floats
 formatted with repr.
@@ -15,49 +15,31 @@ _ML, _MR, _MT, _MB = 70, 20, 30, 50
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-def _transform(value: float, lo: float, hi: float, log: bool) -> float:
-    if log:
-        value, lo, hi = math.log10(value), math.log10(lo), math.log10(hi)
+def _transform(value: float, lo: float, hi: float) -> float:
+    value, lo, hi = math.log10(value), math.log10(lo), math.log10(hi)
     if hi == lo:
         return 0.5
     return (value - lo) / (hi - lo)
 
 
-def _ticks(lo: float, hi: float, log: bool) -> list[float]:
-    if log:
-        lo_e = math.floor(math.log10(lo))
-        hi_e = math.ceil(math.log10(hi))
-        return [10.0 ** e for e in range(int(lo_e), int(hi_e) + 1)]
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    step = 10.0 ** math.floor(math.log10(span / 4))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= 6:
-            step *= mult
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * abs(step):
-        ticks.append(t)
-        t += step
-    return ticks
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Powers of ten from the one at or below lo to the one at or above hi."""
+    lo_e = math.floor(math.log10(lo))
+    hi_e = math.ceil(math.log10(hi))
+    return [10.0 ** e for e in range(int(lo_e), int(hi_e) + 1)]
 
 
 def line_chart(series: dict[str, tuple[list, list]], title: str = "",
-               x_label: str = "t", y_label: str = "", log_x: bool = True,
-               log_y: bool = True) -> str:
-    """Render named (x, y) series as an SVG string.
+               x_label: str = "t", y_label: str = "") -> str:
+    """Render named (x, y) series as an SVG string on log-log axes.
 
-    Nonpositive points are dropped on log axes; a series with no plottable
-    points is skipped.
+    Nonpositive points are dropped; a series with no plottable points is
+    skipped.
     """
     plottable: dict[str, tuple[list, list]] = {}
     for name, (xs, ys) in series.items():
         pts = [(float(x), float(y)) for x, y in zip(xs, ys)
-               if math.isfinite(x) and math.isfinite(y)
-               and (not log_x or x > 0) and (not log_y or y > 0)]
+               if math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0]
         if pts:
             plottable[name] = ([p[0] for p in pts], [p[1] for p in pts])
     parts = [
@@ -82,15 +64,15 @@ def line_chart(series: dict[str, tuple[list, list]], title: str = "",
         if x_lo == x_hi:
             x_hi = x_lo + 1.0
         if y_lo == y_hi:
-            y_lo, y_hi = y_lo * 0.5 if log_y else y_lo - 1.0, y_hi * 2.0 if log_y else y_hi + 1.0
+            y_lo, y_hi = y_lo * 0.5, y_hi * 2.0
 
         def sx(x):
-            return px0 + _transform(x, x_lo, x_hi, log_x) * (px1 - px0)
+            return px0 + _transform(x, x_lo, x_hi) * (px1 - px0)
 
         def sy(y):
-            return py0 - _transform(y, y_lo, y_hi, log_y) * (py0 - py1)
+            return py0 - _transform(y, y_lo, y_hi) * (py0 - py1)
 
-        for t in _ticks(x_lo, x_hi, log_x):
+        for t in _ticks(x_lo, x_hi):
             if t < x_lo or t > x_hi:
                 continue
             parts.append(
@@ -99,7 +81,7 @@ def line_chart(series: dict[str, tuple[list, list]], title: str = "",
             parts.append(
                 f'<text x="{sx(t):.2f}" y="{py0 + 18}" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="11">{t:g}</text>')
-        for t in _ticks(y_lo, y_hi, log_y):
+        for t in _ticks(y_lo, y_hi):
             if t < y_lo or t > y_hi:
                 continue
             parts.append(

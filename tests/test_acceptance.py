@@ -20,7 +20,7 @@ import scipy.fft
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rda import analysis, kernels, solver
+from rda import kernels, solver
 from rda.analysis import (
     Cas2Params,
     Category,
@@ -202,8 +202,7 @@ def test_criterion_6_amplitude_law(cas3_run):
     assert mu == pytest.approx(0.5)
     assert nu == pytest.approx(0.5 / (4 * math.sqrt(3) * math.pi))
     amplitudes = np.trapezoid(result.fields[:, 0], dx=scenario.grid.dx, axis=-1)
-    verdict = amplitude_law_check(result.times, amplitudes, mu, nu,
-                                  t_burn=10.0)
+    verdict = amplitude_law_check(result.times, amplitudes, mu, nu)
     assert verdict.passed, \
         f"law peaked at {np.max(verdict.law_values):.3f} after burn-in"
 

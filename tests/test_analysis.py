@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from rda.analysis import (
-    AmplitudeLawVerdict,
+    T_BURN,
     Cas2Params,
     Category,
     amplitude_law_check,
@@ -307,6 +308,19 @@ class TestDecayFit:
         exponent, _ = fit_decay_exponent(t, 7.3 * (1 + t) ** -1.25, t_min=5.0)
         assert exponent == pytest.approx(-1.25, abs=1e-12)
 
+    def test_half_width_is_the_student_t_interval(self):
+        # 95% half-width of the slope: linregress's standard error times the
+        # two-sided Student-t quantile with n - 2 degrees of freedom.
+        rng = np.random.default_rng(3)
+        t = np.linspace(5.0, 200.0, 40)
+        y = 2.0 * (1 + t) ** -0.6 * np.exp(0.05 * rng.standard_normal(len(t)))
+        exponent, half_width = fit_decay_exponent(t, y, t_min=5.0)
+        fit = stats.linregress(np.log1p(t), np.log(y))
+        assert exponent == pytest.approx(fit.slope, rel=1e-12)
+        assert half_width == pytest.approx(
+            fit.stderr * stats.t.ppf(0.975, len(t) - 2), rel=1e-12)
+        assert half_width > 0.0
+
     def test_too_few_samples(self):
         t = np.linspace(1.0, 2.0, 5)
         with pytest.raises(ValueError):
@@ -383,6 +397,20 @@ class TestAmplitudeLaw:
                                       mu=0.5, nu=0.04)
         assert verdict.passed
         assert not verdict.in_window
+
+    def test_statistic_is_max_past_burn_in(self):
+        times = np.linspace(0.0, 200.0, 401)
+        amps = np.where(times < T_BURN, 50.0, 1.0)
+        verdict = amplitude_law_check(times, amps, mu=0.5, nu=0.04)
+        after = times >= T_BURN
+        assert verdict.statistic == np.max(verdict.law_values[after])
+        assert verdict.statistic < np.max(verdict.law_values)
+
+    def test_statistic_without_samples_past_burn_in(self):
+        times = np.linspace(0.0, 0.9 * T_BURN, 10)
+        verdict = amplitude_law_check(times, np.ones(len(times)), mu=0.5, nu=0.04)
+        assert not verdict.passed
+        assert verdict.statistic == np.max(verdict.law_values)
 
     def test_wrong_sign_rejected(self):
         with pytest.raises(ValueError):

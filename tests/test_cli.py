@@ -211,8 +211,13 @@ class TestMain:
            "outputs = trajectory, exact_error"),),
          "exact_error output requires the exactly solvable benchmark shape: "
          "d=(1, 1/4), f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0"),
+        ((("outputs = trajectory, envelope, decay",
+           "outputs = trajectory, decayy"),),
+         "unknown output 'decayy'"),
+        ((("envelope.kind = exponential\nenvelope.M = 16.0\n", ""),),
+         "envelope output requires an envelope.kind"),
     ], ids=["lower_bounds", "normal_form_envelope", "drag_equal_velocities",
-            "exact_error"])
+            "exact_error", "unknown_output", "envelope_without_kind"])
     def test_uncomputable_output_fails_before_running(
             self, tmp_path, capsys, replacements, message):
         text = FAST_CONFIG

@@ -1,0 +1,59 @@
+"""Import hygiene: no unused imports, and no heavy module pulled in by the CLI."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rda
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(path for folder in ("src/rda", "tests", "scripts")
+                 for path in (ROOT / folder).rglob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Imported names a module never uses and does not list in __all__."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_checker_catches_an_unused_import():
+    source = ("import math\nimport os.path\nfrom re import compile as c, escape\n"
+              "__all__ = ['escape']\nprint(math.pi)\n")
+    assert unused_imports(source) == ["line 2: os", "line 3: c"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about half a second and 20 MB at startup.
+    src = str(Path(rda.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, rda.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "False"

@@ -28,6 +28,9 @@ from .svg import line_chart
 
 __all__ = ["main", "run_experiment", "write_outputs"]
 
+# The errors main reports as one `error:` line and exit status 1.
+_REPORTED = (ConfigError, ValueError, OSError)
+
 
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
@@ -100,28 +103,49 @@ def run_experiment(scenario: Scenario, out_dir) -> int:
     return 0
 
 
+def _error_of(fn, *args):
+    """Call fn(*args); return the error main reports for it, or None."""
+    try:
+        fn(*args)
+    except _REPORTED as exc:
+        return exc
+    return None
+
+
 def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    targets = [_resolve_target(t) for t in args.targets]
     out_root = Path(args.out)
+    single = len(args.targets) == 1
+    # Each target fails on its own: (name, error), the target as given when
+    # it names no scenario.
+    failures = []
     jobs = []
-    for scenario in targets:
-        dest = out_root if len(targets) == 1 else out_root / scenario.name
-        jobs.append((scenario, dest))
+    for target in args.targets:
+        try:
+            scenario = _resolve_target(target)
+        except _REPORTED as exc:
+            failures.append((target, exc))
+            continue
+        jobs.append((scenario, out_root if single else out_root / scenario.name))
     # The pool starts all its workers at once: ask for no more than needed.
     workers = min(args.jobs, len(jobs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_experiment, sc, dest) for sc, dest in jobs]
-            for future in futures:
-                future.result()
+            errors = [_error_of(future.result) for future in futures]
     else:
-        for sc, dest in jobs:
-            run_experiment(sc, dest)
-    for sc, dest in jobs:
-        print(f"{sc.name}: wrote {dest}")
-    return 0
+        errors = [_error_of(run_experiment, sc, dest) for sc, dest in jobs]
+    for (sc, dest), exc in zip(jobs, errors):
+        if exc is None:
+            print(f"{sc.name}: wrote {dest}")
+        else:
+            failures.append((sc.name, exc))
+    if single and failures:
+        raise failures[0][1]  # main's one `error:` line, without the name
+    for name, exc in failures:
+        print(f"error: {name}: {exc}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_verify_identities(args) -> int:
@@ -217,7 +241,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except _REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

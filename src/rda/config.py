@@ -38,6 +38,17 @@ _ENVELOPE_FIELDS = {"kind": str, "M": float, "r": float}
 _INITIAL_FIELDS = {"kind": str, "amplitude": float, "width": float,
                    "power": float, "center": float, "expression": str}
 
+# The fields each kind reads besides kind itself, in serialization order.
+# Parsing rejects the others and serialize_scenario writes exactly these.
+# None stands for an absent envelope.kind.
+_INITIAL_READS = {
+    "zero": (), "remark51": (), "custom": ("expression",),
+    "gaussian": ("amplitude", "width", "center"),
+    "algebraic": ("amplitude", "power", "center"),
+}
+_ENVELOPE_READS = {None: (), "exponential": ("M",), "drag": ("M",),
+                   "algebraic": ("M", "r")}
+
 _KNOWN_KEYS = {
     "system.d1", "system.d2", "system.c1", "system.c2",
     "system.f1", "system.f2", "system.g1", "system.g2",
@@ -103,9 +114,26 @@ def _present(pairs, prefix: str, fields: dict) -> dict:
             for name, convert in fields.items() if prefix + name in pairs}
 
 
+def _reject_unread(pairs, prefix: str, reads: dict, default_kind) -> None:
+    """Raise on a key under prefix that the kind it sets does not read.
+
+    An unknown kind is left to validate_scenario, which names it.
+    """
+    kind = pairs[prefix + "kind"][0] if prefix + "kind" in pairs else default_kind
+    if kind not in reads:
+        return
+    for key, (_, line_no) in pairs.items():
+        if key.startswith(prefix) and key[len(prefix):] not in ("kind", *reads[kind]):
+            owner = f"by {prefix}kind {kind!r}" if kind else f"without {prefix}kind"
+            raise ConfigError(f"line {line_no}: {key!r} is not read {owner}")
+
+
 def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
     """Parse config text into a validated Scenario."""
     pairs = _parse_pairs(text)
+    _reject_unread(pairs, "envelope.", _ENVELOPE_READS, None)
+    for comp in ("u", "v"):
+        _reject_unread(pairs, f"initial.{comp}.", _INITIAL_READS, InitialData.kind)
     system = SystemSpec(
         d1=_get(pairs, "system.d1", float),
         d2=_get(pairs, "system.d2", float),
@@ -161,6 +189,19 @@ def _fmt_terms(terms) -> str:
     return ", ".join(parts)
 
 
+def _read_lines(prefix: str, spec, reads: dict) -> list[str]:
+    """The `key = value` lines of the fields spec's kind reads; a zero
+    center is the default and is left out."""
+    lines = []
+    for name in reads.get(spec.kind, ()):
+        value = getattr(spec, name)
+        if name == "center" and value == 0.0:
+            continue
+        lines.append(f"{prefix}{name} = "
+                     f"{value if isinstance(value, str) else _fmt(value)}")
+    return lines
+
+
 def serialize_scenario(scenario: Scenario) -> str:
     """Config text that parses back to an identical Scenario."""
     lines = [f"name = {scenario.name}"]
@@ -186,22 +227,10 @@ def serialize_scenario(scenario: Scenario) -> str:
     ]
     for comp, init in (("u", scenario.initial_u), ("v", scenario.initial_v)):
         lines.append(f"initial.{comp}.kind = {init.kind}")
-        if init.kind == "custom":
-            lines.append(f"initial.{comp}.expression = {init.expression}")
-        elif init.kind in ("gaussian", "algebraic"):
-            lines.append(f"initial.{comp}.amplitude = {_fmt(init.amplitude)}")
-            if init.kind == "gaussian":
-                lines.append(f"initial.{comp}.width = {_fmt(init.width)}")
-            else:
-                lines.append(f"initial.{comp}.power = {_fmt(init.power)}")
-            if init.center != 0.0:
-                lines.append(f"initial.{comp}.center = {_fmt(init.center)}")
+        lines += _read_lines(f"initial.{comp}.", init, _INITIAL_READS)
     if scenario.envelope is not None:
-        env = scenario.envelope
-        lines.append(f"envelope.kind = {env.kind}")
-        lines.append(f"envelope.M = {_fmt(env.M)}")
-        if env.kind == "algebraic":
-            lines.append(f"envelope.r = {_fmt(env.r)}")
+        lines.append(f"envelope.kind = {scenario.envelope.kind}")
+        lines += _read_lines("envelope.", scenario.envelope, _ENVELOPE_READS)
     lines.append("outputs = " + ", ".join(scenario.outputs))
     if scenario.blow_up_threshold != DEFAULT_BLOW_UP_THRESHOLD:
         lines.append(f"blow_up_threshold = {_fmt(scenario.blow_up_threshold)}")

@@ -8,16 +8,30 @@ to the inputs of each product and to the result.
 
 The evolving state is one stacked (2, n/2+1) array: row 0 is the rfft of
 u, row 1 the rfft of v. Over the non-negative rfft frequencies the modes
-the 2/3 rule keeps, |k| <= 2/3 kmax, are a prefix [:K]. Each RK4 stage
-therefore makes one batched inverse transform of the first K modes of
-both rows, copied into a stage buffer whose modes beyond K stay zero
-(this dealiases the inputs, whatever the state holds beyond K), and one
-batched forward transform of the non-empty coupling slots f1, f2, g1, g2,
-of which only the first K modes are kept; the flux derivative is the
-multiplier ik in spectral space. The monomial
-plan and the RK4 buffers are built once per workspace. Modes beyond K
-never enter the RK4 update and only see the linear multiplier, so they
-stay exactly zero once the initial spectrum is masked.
+the 2/3 rule keeps, |k| <= 2/3 kmax, are a prefix [:K]. The stage input
+is copied into a buffer whose modes beyond K stay zero, which dealiases
+it whatever the state holds beyond K. The flux derivative is the
+multiplier ik in spectral space. The monomial plan, the RK4 buffers and
+the row sets below are built once per workspace. Modes beyond K never
+enter the RK4 update and only see the linear multiplier, so they stay
+exactly zero once the initial spectrum is masked.
+
+Each RK4 step transforms only what can change:
+
+- stage 1 makes one batched inverse transform of the rows the monomials
+  read (components with a power above zero), and one batched forward
+  transform of the non-empty coupling slots f1, f2, g1, g2, of which only
+  the first K modes are kept;
+- stages 2-4 inverse-transform only the read rows of components that
+  move, i.e. have coupling terms. A component without couplings has
+  rows of acc and k that are never written and stay zero, so it enters
+  every stage with the same kept modes, and its stage-1 field and powers
+  are reused as they are;
+- when no read component moves, the stage-1 forward transform is the
+  slope of every stage and is reused, with no transform and no monomial
+  work.
+
+No transform is made of an empty set of rows.
 
 Physical fields are materialized only when sampled, by one batched
 inverse transform per sample into the next row of the run's (S, 2, n)
@@ -70,7 +84,9 @@ class SpectralWorkspace:
     its prefix [:n_kept]. slots holds the (coeff, alpha, beta) triples of
     each non-empty slot in f1, f2, g1, g2 order, one row of the batched
     forward transform each, and rows maps component 0 (u) and 1 (v) to the
-    slot indices of its reaction and flux terms (None when empty).
+    slot indices of its reaction and flux terms (None when empty). read is
+    the range of components the monomials read and read_moving those of
+    them that have coupling terms; each is a row slice, or None when empty.
     """
 
     grid: Grid
@@ -83,7 +99,9 @@ class SpectralWorkspace:
     lin_half: np.ndarray = field(init=False, repr=False)
     slots: tuple[tuple[tuple[float, int, int], ...], ...] = field(init=False)
     rows: tuple[tuple[int | None, int | None], ...] = field(init=False)
-    _buffers: dict[str, np.ndarray] = field(init=False, repr=False)
+    read: slice | None = field(init=False)
+    read_moving: slice | None = field(init=False)
+    _buffers: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.grid.n
@@ -109,12 +127,20 @@ class SpectralWorkspace:
                      (index.get("f2"), index.get("g2")))
         max_alpha = max((a for s in slots for _, a, _ in s), default=0)
         max_beta = max((b for s in slots for _, _, b in s), default=0)
+        read = [comp for comp, top in enumerate((max_alpha, max_beta)) if top > 0]
+        moving = [comp for comp, pair in enumerate(self.rows) if pair != (None, None)]
+        self.read = _row_slice(read)
+        self.read_moving = _row_slice([comp for comp in read if comp in moving])
         stage_shape = (2, self.n_kept)
         self._buffers = {
             "phys": np.empty((len(slots), n)),
             "term": np.empty(n),
-            "pow_u": np.empty((max(max_alpha - 1, 0), n)),
-            "pow_v": np.empty((max(max_beta - 1, 0), n)),
+            "pow": (np.empty((max(max_alpha - 1, 0), n)),
+                    np.empty((max(max_beta - 1, 0), n))),
+            # The powers of u and v the monomials index, [None] for a
+            # component they do not read, and the last forward transform.
+            "powers": [[None], [None]],
+            "spec": None,
             # Rows of components without couplings are never written and
             # stay zero.
             "acc": np.zeros(stage_shape, dtype=complex),
@@ -124,6 +150,14 @@ class SpectralWorkspace:
 
     def _multiplier(self, d: float, c: float, dt: float) -> np.ndarray:
         return np.exp((-d * self.k ** 2 + 1j * c * self.k) * dt)
+
+
+def _row_slice(comps: list[int]) -> slice | None:
+    """The rows of the sorted components comps as one slice, None if empty.
+
+    Every non-empty subset of the two components is contiguous.
+    """
+    return slice(comps[0], comps[-1] + 1) if comps else None
 
 
 @dataclass(frozen=True)
@@ -161,24 +195,34 @@ def _monomial(out: np.ndarray, coeff: float, x, y) -> None:
         out *= factors[1]
 
 
-def _coupling_rhs(ws: SpectralWorkspace, y: np.ndarray, out: np.ndarray) -> None:
+def _coupling_rhs(ws: SpectralWorkspace, y: np.ndarray, out: np.ndarray,
+                  first: bool) -> None:
     """Write the first K modes of the spectral coupling terms of y into out.
 
-    y is a (2, n/2+1) spectrum whose modes beyond K are zero. Monomials are
-    summed per slot in the order the system lists them; rows of out whose
-    component has no couplings are left untouched.
+    y is a (2, n/2+1) spectrum whose modes beyond K are zero. At the first
+    stage of a step (first) every read row of y is transformed; later
+    stages transform only the read rows that move and reuse the others'
+    powers, or, when none moves, reuse the first stage's forward transform.
+    Monomials are summed per slot in the order the system lists them; rows
+    of out whose component has no couplings are left untouched.
     """
     buf = ws._buffers
-    u, v = scipy.fft.irfft(y, n=ws.grid.n, axis=-1)
-    pu = _powers(u, buf["pow_u"])
-    pv = _powers(v, buf["pow_v"])
-    phys, term = buf["phys"], buf["term"]
-    for row, ((coeff, alpha, beta), *rest) in zip(phys, ws.slots):
-        _monomial(row, coeff, pu[alpha], pv[beta])
-        for coeff, alpha, beta in rest:
-            _monomial(term, coeff, pu[alpha], pv[beta])
-            row += term
-    spec = scipy.fft.rfft(phys, axis=-1)
+    rows = ws.read if first else ws.read_moving
+    if first or rows is not None:
+        powers = buf["powers"]
+        if rows is not None:
+            fields = scipy.fft.irfft(y[rows], n=ws.grid.n, axis=-1)
+            for comp, base in zip(range(rows.start, rows.stop), fields):
+                powers[comp] = _powers(base, buf["pow"][comp])
+        pu, pv = powers
+        phys, term = buf["phys"], buf["term"]
+        for row, ((coeff, alpha, beta), *rest) in zip(phys, ws.slots):
+            _monomial(row, coeff, pu[alpha], pv[beta])
+            for coeff, alpha, beta in rest:
+                _monomial(term, coeff, pu[alpha], pv[beta])
+                row += term
+        buf["spec"] = scipy.fft.rfft(phys, axis=-1)
+    spec = buf["spec"]
     kept = ws.n_kept
     for comp, (f_row, g_row) in enumerate(ws.rows):
         if g_row is not None:
@@ -203,20 +247,20 @@ def _rk4_couplings(ws: SpectralWorkspace, y: np.ndarray) -> None:
     half = 0.5 * dt
     kept = y[:, :ws.n_kept]
     stage[...] = kept
-    _coupling_rhs(ws, padded, acc)
+    _coupling_rhs(ws, padded, acc, first=True)
     np.multiply(acc, half, out=stage)
     stage += kept
-    _coupling_rhs(ws, padded, k)
+    _coupling_rhs(ws, padded, k, first=False)
     np.multiply(k, half, out=stage)
     stage += kept
     k *= 2.0
     acc += k
-    _coupling_rhs(ws, padded, k)
+    _coupling_rhs(ws, padded, k, first=False)
     np.multiply(k, dt, out=stage)
     stage += kept
     k *= 2.0
     acc += k
-    _coupling_rhs(ws, padded, k)
+    _coupling_rhs(ws, padded, k, first=False)
     acc += k
     acc *= dt / 6.0
     kept += acc

@@ -56,6 +56,34 @@ def fast_scenario(**overrides):
     return Scenario(**base)
 
 
+def inline_pool(monkeypatch):
+    """Replace the process pool by a stand-in that runs each job inline, so
+    no process is started; return the list of pool sizes it records."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            # Like a real pool, an error is raised by the future's result().
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 def read_csv(path):
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -140,27 +168,7 @@ class TestMain:
     @pytest.mark.parametrize("jobs,pools", [("1", []), ("2", [2]), ("8", [2])])
     def test_jobs_capped_at_target_count(self, tmp_path, monkeypatch, jobs,
                                          pools):
-        # A stand-in pool records its size and runs each job inline, so no
-        # process is started.
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
-                            InlinePool)
+        sizes = inline_pool(monkeypatch)
         confs = []
         for name in ("a", "b"):
             conf = tmp_path / f"{name}.conf"
@@ -172,6 +180,33 @@ class TestMain:
         assert sizes == pools
         assert (out / "a" / "verdicts.csv").exists()
         assert (out / "b" / "verdicts.csv").exists()
+
+    @pytest.mark.parametrize("jobs,pools", [("1", []), ("3", [2])])
+    def test_failing_target_does_not_stop_the_others(
+            self, tmp_path, monkeypatch, capsys, jobs, pools):
+        # Of three targets one is an invalid scenario and one cannot write
+        # its output directory; the third still runs and writes.
+        sizes = inline_pool(monkeypatch)
+        confs = {}
+        for name, text in (
+                ("a", FAST_CONFIG.replace("name = fast", "name = a")),
+                ("bad", FAST_CONFIG.replace("decay\n", "decayy\n")),
+                ("b", FAST_CONFIG.replace("name = fast", "name = b"))):
+            confs[name] = tmp_path / f"{name}.conf"
+            confs[name].write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "b").write_text("not a directory", encoding="utf-8")
+        assert main(["run", *map(str, confs.values()), "--out", str(out),
+                     "--jobs", jobs]) == 1
+        assert sizes == pools
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [f"a: wrote {out / 'a'}"]
+        bad_line, b_line = captured.err.splitlines()
+        assert bad_line == (f"error: {confs['bad']}: invalid scenario: "
+                            "unknown output 'decayy'")
+        assert b_line.startswith("error: b: ") and "File exists" in b_line
+        assert (out / "a" / "verdicts.csv").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):

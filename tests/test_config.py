@@ -2,12 +2,14 @@
 
 import pytest
 
+from rda import config
 from rda.config import (
     ConfigError,
     parse_scenario,
     parse_scenario_text,
     serialize_scenario,
 )
+from rda.core import ENVELOPE_KINDS, INITIAL_KINDS
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 
 MINIMAL = """\
@@ -109,3 +111,54 @@ def test_term_list_with_flux_entries():
     assert len(scenario.system.f1) == 2
     assert scenario.system.f1[1].coeff == -0.5
     assert scenario.system.g2[0].gamma == 1
+
+
+@pytest.mark.parametrize("edits,message", [
+    ((("", "envelope.M = 2.0\n"),),
+     "line 14: 'envelope.M' is not read without envelope.kind"),
+    ((("", "envelope.r = 4.0\n"),),
+     "line 14: 'envelope.r' is not read without envelope.kind"),
+    ((("", "envelope.kind = exponential\nenvelope.M = 2.0\nenvelope.r = 4.0\n"),),
+     "line 16: 'envelope.r' is not read by envelope.kind 'exponential'"),
+    ((("", "initial.u.power = 7.0\n"),),
+     "line 14: 'initial.u.power' is not read by initial.u.kind 'gaussian'"),
+    ((("initial.u.kind = gaussian", "initial.u.kind = algebraic"),
+      ("", "initial.u.width = 2.0\n")),
+     "line 14: 'initial.u.width' is not read by initial.u.kind 'algebraic'"),
+    ((("", "initial.u.expression = x\n"),),
+     "line 14: 'initial.u.expression' is not read by initial.u.kind 'gaussian'"),
+    ((("", "initial.v.amplitude = 1e-3\n"),),
+     "line 14: 'initial.v.amplitude' is not read by initial.v.kind 'zero'"),
+    ((("initial.u.kind = gaussian\ninitial.u.amplitude = 1e-3",
+       "initial.u.kind = remark51\ninitial.u.center = 1.0"),),
+     "line 13: 'initial.u.center' is not read by initial.u.kind 'remark51'"),
+], ids=["envelope_M_without_kind", "envelope_r_without_kind",
+        "envelope_r_on_exponential", "power_on_gaussian", "width_on_algebraic",
+        "expression_on_gaussian", "shape_on_zero", "shape_on_remark51"])
+def test_key_the_kind_does_not_read_is_rejected(edits, message):
+    # Each edit either replaces a line or, with an empty old text, appends.
+    text = MINIMAL
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new) if old else text + new
+    with pytest.raises(ConfigError) as info:
+        parse_scenario_text(text)
+    assert str(info.value) == message
+
+
+def test_keys_the_kind_reads_are_kept():
+    text = MINIMAL.replace("initial.u.kind = gaussian", "initial.u.kind = algebraic") + (
+        "initial.u.power = 3.0\ninitial.u.center = 2.0\n"
+        "initial.v.kind = custom\ninitial.v.expression = 0.001*exp(-x^2)\n"
+        "envelope.kind = algebraic\nenvelope.M = 2.0\nenvelope.r = 4.0\n")
+    scenario = parse_scenario_text(text)
+    assert (scenario.initial_u.power, scenario.initial_u.center) == (3.0, 2.0)
+    assert scenario.initial_v.expression == "0.001*exp(-x^2)"
+    assert (scenario.envelope.M, scenario.envelope.r) == (2.0, 4.0)
+    assert parse_scenario_text(serialize_scenario(scenario)) == scenario
+
+
+def test_read_tables_cover_every_kind():
+    # A kind missing from a table would parse any key and serialize none.
+    assert set(config._INITIAL_READS) == set(INITIAL_KINDS)
+    assert set(config._ENVELOPE_READS) == {None, *ENVELOPE_KINDS}

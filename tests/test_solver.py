@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from rda import solver
 from rda.analysis import normal_form_rates
 from rda.core import Grid, InitialData, PolyTerm, Scenario, SystemSpec
 from rda.solver import (
+    SpectralState,
     SpectralWorkspace,
     detect_blow_up,
     gaussian_profile,
     run,
     run_scenario,
+    step,
 )
 
 
@@ -87,6 +90,46 @@ def test_blow_up_detected_and_run_terminates():
     assert len(result.times) < 1 + round(5.0 / 0.05)
     assert result.times[-1] <= result.blow_up_time
     assert np.isfinite(result.fields).all()
+
+
+def _count_transform_rows(monkeypatch):
+    """Wrap scipy.fft.irfft/rfft as the solver calls them; each records the
+    number of rows of every call."""
+    rows = {"irfft": [], "rfft": []}
+    for name, calls in rows.items():
+        transform = getattr(solver.scipy.fft, name)
+
+        def counted(x, *args, _transform=transform, _calls=calls, **kwargs):
+            _calls.append(1 if np.ndim(x) == 1 else len(x))
+            return _transform(x, *args, **kwargs)
+
+        monkeypatch.setattr(solver.scipy.fft, name, counted)
+    return rows
+
+
+@pytest.mark.parametrize("couplings,inverse,forward", [
+    # toy: f1 reads both components, only u moves; v's stage-1 field is reused.
+    (dict(f1=(PolyTerm(1.0, 4, 0, 0), PolyTerm(1.0, 1, 1, 0))),
+     [2, 1, 1, 1], [1, 1, 1, 1]),
+    # remark51: f2 reads only u, which does not move; the stage-1 slope is reused.
+    (dict(f2=(PolyTerm(1.0, 4, 0, 0),)), [1], [1]),
+    # Both components move: every stage transforms both rows.
+    (dict(f1=(PolyTerm(1.0, 1, 1, 0),), f2=(PolyTerm(-1.0, 2, 0, 0),)),
+     [2, 2, 2, 2], [2, 2, 2, 2]),
+], ids=["toy", "remark51", "both_move"])
+def test_rows_transformed_per_step(monkeypatch, couplings, inverse, forward):
+    grid = Grid(half_width=30.0, n=128)
+    system = SystemSpec(d1=1.0, d2=0.25, c1=0.0, c2=5.0, **couplings)
+    x = grid.points()
+    initial = np.stack((1e-3 * np.exp(-x ** 2 / 4.0), 1e-3 * np.exp(-(x - 1) ** 2)))
+    ws = SpectralWorkspace(grid=grid, system=system, dt=0.01)
+    state = SpectralState(t=0.0, spectra=np.fft.rfft(initial) * ws.dealias)
+    rows = _count_transform_rows(monkeypatch)
+    steps = 3
+    for _ in range(steps):
+        state = step(ws, state)
+    assert rows["irfft"] == inverse * steps
+    assert rows["rfft"] == forward * steps
 
 
 def test_detect_blow_up_flags_threshold_and_nan():

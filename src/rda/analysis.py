@@ -23,7 +23,6 @@ from .core import EnvelopeSpec, Grid, PolyTerm, Scenario, SystemSpec, trust_radi
 from .kernels import drag_weight_profile
 
 __all__ = [
-    "TermClass",
     "Category",
     "classify_term",
     "AdmissibilityReport",
@@ -33,7 +32,6 @@ __all__ = [
     "EnvelopeVerdict",
     "envelope_verdict",
     "fit_decay_exponent",
-    "Cas2Params",
     "LowerBoundCurve",
     "cas2_lower_bounds",
     "T_BURN",
@@ -55,26 +53,16 @@ class Category(str, Enum):
     IRRELEVANT = "Irrelevant"
 
 
-@dataclass(frozen=True)
-class TermClass:
-    p: int
-    category: Category
-    is_mix: bool
-
-
-def classify_term(term: PolyTerm, dims: int = 1) -> TermClass:
-    """Scaling class of one monomial against the threshold 1 + 2/dims."""
+def classify_term(term: PolyTerm, dims: int = 1) -> Category:
+    """Scaling class of one monomial: its degree term.p against 1 + 2/dims."""
     if dims < 1:
         raise ValueError("dims must be a positive integer")
     threshold = 1.0 + 2.0 / dims
-    p = term.p
-    if p < threshold:
-        cat = Category.RELEVANT
-    elif p > threshold:
-        cat = Category.IRRELEVANT
-    else:
-        cat = Category.MARGINAL
-    return TermClass(p=p, category=cat, is_mix=term.is_mix)
+    if term.p < threshold:
+        return Category.RELEVANT
+    if term.p > threshold:
+        return Category.IRRELEVANT
+    return Category.MARGINAL
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +187,6 @@ def _matches_normal_form_shape(system: SystemSpec) -> bool:
 
 @dataclass(frozen=True)
 class EnvelopeVerdict:
-    times: np.ndarray
     eta_series: np.ndarray          # cumulative sup, nondecreasing
     bounded_flags: np.ndarray       # eta <= 3 x anchor, per sample
 
@@ -293,7 +280,8 @@ def envelope_verdict(times: np.ndarray, fields: np.ndarray, grid: Grid,
                      system: SystemSpec, env: EnvelopeSpec) -> EnvelopeVerdict:
     """Weighted supremum eta(s) = sup_x sum_i |field_i| / denom_i and its verdict.
 
-    fields[j] is the (2, n) pair (u, v) sampled at times[j].
+    fields[j] is the (2, n) pair (u, v) sampled at times[j], and
+    eta_series[j] and bounded_flags[j] belong to the same time.
 
     The sup runs over the trust region of env.kind's rule; eta_series is
     its cumulative sup. A sample is bounded when its eta is at most 3x the
@@ -313,7 +301,7 @@ def envelope_verdict(times: np.ndarray, fields: np.ndarray, grid: Grid,
         eta[i] = np.max(weighted.sum(axis=0), initial=0.0)
     eta_series = np.maximum.accumulate(eta)
     flags = eta_series <= 3.0 * eta_series[np.argmax(times >= 1.0)]
-    return EnvelopeVerdict(times=times, eta_series=eta_series, bounded_flags=flags)
+    return EnvelopeVerdict(eta_series=eta_series, bounded_flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -354,43 +342,31 @@ def fit_decay_exponent(times: np.ndarray, values: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Cas2Params:
-    d1: float
-    d2: float
-    c1: float
-    c2: float
-    nu0: float
-    alpha_width: float
-
-
-@dataclass(frozen=True)
 class LowerBoundCurve:
     l1_bound: np.ndarray
     linf_bound: np.ndarray
-    regime: str  # "equal_velocities" or "distinct_velocities"
 
 
-def cas2_lower_bounds(params: Cas2Params, times: np.ndarray) -> LowerBoundCurve:
+def cas2_lower_bounds(system: SystemSpec, nu0: float, a: float,
+                      times: np.ndarray) -> LowerBoundCurve:
     """Explicit lower bounds on ||u(t)||_1 and ||u(t)||_inf for the
-    quadratically cross-coupled system with u0 >= nu0 e^{-alpha x^2}.
+    quadratically cross-coupled system with u0 >= nu0 e^{-a x^2}.
 
-    Evaluates the closed-form final displays of the growth proof; the
-    distinct-velocity L1 display can dip negative for small t and is
-    clamped at zero (the norm bound is vacuous there).
+    Evaluates the closed-form final displays of the growth proof, one for
+    equal and one for distinct velocities c1, c2; the distinct-velocity L1
+    display can dip negative for small t and is clamped at zero (the norm
+    bound is vacuous there).
     """
     t = np.asarray(times, dtype=float)
-    d1, d2 = params.d1, params.d2
+    d1, d2 = system.d1, system.d2
     dm = min(d1, d2)
-    a = params.alpha_width
-    nu0 = params.nu0
     X = 1.0 + 4.0 * a * dm * t
-    if params.c1 == params.c2:
+    if system.c1 == system.c2:
         l1 = nu0 ** 4 * dm ** 4 * math.sqrt(math.pi) * t ** 3 / (
             64.0 * d1 ** 3 * d2 * math.sqrt(a) * X ** 1.5)
         linf = nu0 ** 4 * dm ** 4 * t ** 3 / (32.0 * d1 ** 3 * d2 * X ** 2)
-        regime = "equal_velocities"
     else:
-        dc = abs(params.c1 - params.c2)
+        dc = abs(system.c1 - system.c2)
         erf_l1 = erf(math.sqrt(a) * dc * t / (2.0 * np.sqrt(X)))
         l1 = nu0 ** 4 * dm ** 4 * math.sqrt(math.pi) * t * (
             -2.0 * np.sqrt(X) + math.sqrt(a * math.pi) * dc * t * erf_l1
@@ -402,10 +378,8 @@ def cas2_lower_bounds(params: Cas2Params, times: np.ndarray) -> LowerBoundCurve:
         linf = nu0 ** 4 * dm ** 4 * math.pi * log_term * erf_li ** 2 / (
             128.0 * a ** 2 * d1 * math.sqrt(d1 * d2) * dc ** 2)
         linf = np.maximum(np.nan_to_num(linf, nan=0.0), 0.0)
-        regime = "distinct_velocities"
     return LowerBoundCurve(l1_bound=np.asarray(l1, dtype=float),
-                           linf_bound=np.asarray(linf, dtype=float),
-                           regime=regime)
+                           linf_bound=np.asarray(linf, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +393,6 @@ T_BURN = 10.0
 @dataclass(frozen=True)
 class AmplitudeLawVerdict:
     law_values: np.ndarray          # |A(t)| sqrt(2 nu log(1+t))
-    nu: float
     passed: bool
     in_window: bool                 # final-decade values within [0.3, 1.1]
     statistic: float                # max law value past the burn-in
@@ -453,7 +426,7 @@ def amplitude_law_check(times: np.ndarray, amplitudes: np.ndarray, mu: float,
     window_vals = law[decade & after] if np.any(decade & after) else law[decade]
     in_window = bool(len(window_vals) > 0
                      and np.all((window_vals >= 0.3) & (window_vals <= 1.1)))
-    return AmplitudeLawVerdict(law_values=law, nu=nu, passed=passed,
+    return AmplitudeLawVerdict(law_values=law, passed=passed,
                                in_window=in_window, statistic=statistic)
 
 
@@ -476,9 +449,8 @@ def _exact_remark51(scenario: Scenario, t: float):
     s = scenario.system
     x = scenario.grid.points()
     u_exact = solver.gaussian_profile(x + s.c1 * t, t, s.d1)
-    params = kernels.DragParams(c_self=s.c2, c_other=s.c1, M=1.0,
-                                power_decay=1.5)
-    v_exact = kernels.drag_profile(x, t, params) / (16.0 * math.pi ** 2)
+    v_exact = kernels.drag_profile(x, t, s.c2, s.c1, 1.0,
+                                   power_decay=1.5) / (16.0 * math.pi ** 2)
     return u_exact, v_exact
 
 
@@ -511,9 +483,8 @@ def diagnose(scenario: Scenario, times: np.ndarray, fields: np.ndarray) -> Diagn
         # L1 dominates the explicit bound at every sample, and the sup norm
         # grows strictly over the second half of the run.
         init = scenario.initial_u
-        curve = cas2_lower_bounds(Cas2Params(
-            d1=system.d1, d2=system.d2, c1=system.c1, c2=system.c2,
-            nu0=init.amplitude, alpha_width=1.0 / init.width), times)
+        curve = cas2_lower_bounds(system, init.amplitude, 1.0 / init.width,
+                                  times)
         l1 = l1_u + l1_v
         late = sup[times >= times[-1] / 2.0]
         rows.append(("l1_lower_bound", bool(np.all(l1 >= curve.l1_bound)),

@@ -14,6 +14,7 @@ blow-up) are recorded in verdicts.csv, not in the exit status.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import csv
 import sys
@@ -73,8 +74,8 @@ def write_outputs(scenario: Scenario, diagnosis: analysis.Diagnosis,
     if env is not None:
         _write_csv(out / "envelope.csv", ["t", "eta", "bounded_flag"],
                    [[t, eta, int(flag)] for t, eta, flag in zip(
-                       env.times, env.eta_series, env.bounded_flags)])
-        chart = line_chart({"eta": (1.0 + env.times, env.eta_series)},
+                       times, env.eta_series, env.bounded_flags)])
+        chart = line_chart({"eta": (1.0 + times, env.eta_series)},
                            title=f"{scenario.name}: envelope supremum",
                            x_label="1 + t", y_label="eta")
         (out / "plot_envelope.svg").write_text(chart, encoding="utf-8")
@@ -128,6 +129,14 @@ def _cmd_run(args) -> int:
             failures.append((target, exc))
             continue
         jobs.append((scenario, out_root if single else out_root / scenario.name))
+    # Targets that share a name would write one directory: none of them runs.
+    counts = collections.Counter(sc.name for sc, _ in jobs)
+    for sc, dest in jobs:
+        if counts[sc.name] > 1:
+            failures.append((sc.name, ConfigError(
+                f"{counts[sc.name]} targets share the name and the output "
+                f"directory {dest}")))
+    jobs = [(sc, dest) for sc, dest in jobs if counts[sc.name] == 1]
     # The pool starts all its workers at once: ask for no more than needed.
     workers = min(args.jobs, len(jobs))
     if workers > 1:
@@ -166,10 +175,10 @@ def _cmd_classify(args) -> int:
     print(f"{'slot':4s} {'coeff':>10s} {'alpha':>5s} {'beta':>4s} {'gamma':>5s} "
           f"{'p':>2s} {'category':10s} {'mix':>3s}")
     for slot, term in scenario.system.all_terms():
-        tc = analysis.classify_term(term)
+        category = analysis.classify_term(term)
         print(f"{slot:4s} {term.coeff:10.4g} {term.alpha:5d} {term.beta:4d} "
-              f"{term.gamma:5d} {tc.p:2d} {tc.category.value:10s} "
-              f"{'yes' if tc.is_mix else 'no':>3s}")
+              f"{term.gamma:5d} {term.p:2d} {category.value:10s} "
+              f"{'yes' if term.is_mix else 'no':>3s}")
     adm = analysis.check_admissibility(scenario.system)
     print(f"thm1_admissible: {adm.thm1_admissible}")
     print(f"thm2_admissible: {adm.thm2_admissible}")

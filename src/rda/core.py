@@ -148,13 +148,19 @@ def _check_terms(name: str, terms, expected_gamma: int, out: list[str]):
             out.append(f"{name}: finite coefficient failed for {term}")
 
 
+def _check_positive(name: str, value: float, out: list[str]):
+    """Record a violation unless value is finite and > 0; nan fails > 0."""
+    if not (value > 0):
+        out.append(f"{name} > 0 failed")
+    elif not math.isfinite(value):
+        out.append(f"{name} finite failed")
+
+
 def validate_spec(spec: SystemSpec) -> ValidationReport:
     """Structural validation of a SystemSpec; pure and non-throwing."""
     violations: list[str] = []
-    if not (spec.d1 > 0):
-        violations.append("d1 > 0 failed")
-    if not (spec.d2 > 0):
-        violations.append("d2 > 0 failed")
+    for d_name in ("d1", "d2"):
+        _check_positive(d_name, getattr(spec, d_name), violations)
     for c_name in ("c1", "c2"):
         if not math.isfinite(getattr(spec, c_name)):
             violations.append(f"{c_name} finite failed")
@@ -200,15 +206,20 @@ def _has_remark51_shape(scenario: Scenario) -> bool:
 
 def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Validate a full Scenario: system invariants, grid/time sanity, and
-    that each requested output can be computed for it."""
+    that each requested output can be computed for it.
+
+    Never raises: every float, nan and infinities included, is either
+    accepted or reported as a violation. The wraparound warning is only
+    worked out for a scenario without violations.
+    """
     report = validate_spec(scenario.system)
     violations = list(report.violations)
     warnings: list[str] = []
     grid = scenario.grid
-    if grid.half_width <= 0:
-        violations.append("grid half-width > 0 failed")
+    _check_positive("grid half-width", grid.half_width, violations)
     if grid.n < 64 or (grid.n & (grid.n - 1)) != 0:
         violations.append("grid n must be a power of two >= 64")
+    grid_ok = grid.n >= 64 and 0 < grid.half_width < math.inf
     if not (0 < scenario.dt < scenario.t_end):
         violations.append("0 < dt < t_end failed")
     elif not _whole_steps(scenario.t_end, scenario.dt):
@@ -218,26 +229,26 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     elif scenario.dt > 0 and not _whole_steps(scenario.sample_dt, scenario.dt):
         violations.append("sample_dt = whole multiple of dt failed")
     cmax = max(abs(scenario.system.c1), abs(scenario.system.c2))
-    if grid.n >= 64 and grid.half_width > 0 and scenario.dt * cmax / grid.dx > 10.0:
+    # dt*max|c|/dx <= 10, multiplied out so that no dx divides.
+    if grid_ok and scenario.dt * cmax > 10.0 * grid.dx:
         violations.append("dt*max|c|/dx <= 10 failed")
-    if scenario.envelope is not None:
-        env = scenario.envelope
+    _check_positive("blow_up_threshold", scenario.blow_up_threshold, violations)
+    env = scenario.envelope
+    if env is not None:
         if env.kind not in ENVELOPE_KINDS:
             violations.append(f"unknown envelope kind {env.kind!r}")
         if env.kind == "drag" and scenario.system.c1 == scenario.system.c2:
             violations.append("drag envelope requires c1 != c2")
-        if env.kind in ("exponential", "drag"):
+        before = len(violations)
+        _check_positive("envelope M", env.M, violations)
+        if len(violations) == before and env.kind in ("exponential", "drag"):
             m0 = max(16.0 * scenario.system.d1, 16.0 * scenario.system.d2, 1.0)
             if env.M < m0:
                 violations.append(f"envelope M >= max(16 d1, 16 d2, 1) = {m0} failed")
-        if env.kind == "algebraic" and env.r < 3:
+        if not (env.r >= 3):
             violations.append("envelope r >= 3 failed")
-        if grid.half_width > 0 and wraparound_budget(
-                grid, scenario.system, scenario.t_end, env.M) > 1.0:
-            warnings.append(
-                "wraparound budget exceeded: envelope checks unreliable past the "
-                "time where frame drift plus the trust radius reaches the "
-                "half-domain width")
+        elif not math.isfinite(env.r):
+            violations.append("envelope r finite failed")
     for name in scenario.outputs:
         if name not in OUTPUTS:
             violations.append(f"unknown output {name!r}")
@@ -249,7 +260,6 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         violations.append(
             "exact_error output requires the exactly solvable benchmark shape: "
             "d=(1, 1/4), f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0")
-    grid_ok = grid.half_width > 0 and grid.n >= 64
     for label, init in (("initial.u", scenario.initial_u), ("initial.v", scenario.initial_v)):
         before = len(violations)
         if init.kind not in INITIAL_KINDS:
@@ -268,6 +278,12 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 values = evaluate_initial(init, grid.points())
             if not np.all(np.isfinite(values)):
                 violations.append(f"{label}: finite values on the grid failed")
+    if env is not None and not violations and wraparound_budget(
+            grid, scenario.system, scenario.t_end, env.M) > 1.0:
+        warnings.append(
+            "wraparound budget exceeded: envelope checks unreliable past the "
+            "time where frame drift plus the trust radius reaches the "
+            "half-domain width")
     return ValidationReport(violations=tuple(violations), warnings=tuple(warnings))
 
 

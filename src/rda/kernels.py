@@ -20,7 +20,6 @@ from scipy import integrate
 from scipy.special import erfcx, gamma
 
 __all__ = [
-    "DragParams",
     "IdentityReport",
     "gauss_integral",
     "drag_profile",
@@ -33,24 +32,6 @@ __all__ = [
     "quartic_tail_integral",
     "verify_identity_suite",
 ]
-
-
-@dataclass(frozen=True)
-class DragParams:
-    """Parameters of the drag-integral family.
-
-    The integrand is a Gaussian whose center sweeps from the c_self-comoving
-    frame to the c_other one as s runs over [0, t], damped algebraically in
-    (1+s).
-    """
-    c_self: float
-    c_other: float
-    M: float
-    power_decay: float = 0.0
-
-    def __post_init__(self):
-        if self.M <= 0:
-            raise ValueError("M must be positive")
 
 
 def gauss_integral(a: float, b: float, c: float) -> float:
@@ -106,25 +87,35 @@ def _gaussian_sweep(x: np.ndarray, nodes: np.ndarray, scale: float,
     return out
 
 
-def _refine_panels(evaluate, start: int = 8, cap: int = 1024, tol: float = 1e-8):
-    """Double composite-GL panel counts until the profile stops moving."""
-    panels = start
+_REFINE_START = 8
+_REFINE_CAP = 1024
+_REFINE_TOL = 1e-8
+
+
+def _refine_panels(evaluate):
+    """Double composite-GL panel counts from _REFINE_START until the
+    profile moves by at most _REFINE_TOL, or the count reaches _REFINE_CAP."""
+    panels = _REFINE_START
     prev = evaluate(panels)
-    while panels < cap:
+    while panels < _REFINE_CAP:
         panels *= 2
         cur = evaluate(panels)
-        if float(np.max(np.abs(cur - prev), initial=0.0)) <= tol:
+        if float(np.max(np.abs(cur - prev), initial=0.0)) <= _REFINE_TOL:
             return cur
         prev = cur
     return prev
 
 
-def drag_profile(x: np.ndarray, t: float, p: DragParams, tol: float = 1e-8) -> np.ndarray:
+def drag_profile(x: np.ndarray, t: float, c_self: float, c_other: float,
+                 M: float, power_decay: float = 0.0) -> np.ndarray:
     """Drag integral over an array of spatial points.
 
     integral over s in [0, t] of
         e^{-(x + t c_self + s(c_other-c_self))^2 / (M(1+t))}
-        / (sqrt(1+t) (1+s)^{power_decay}) ds.
+        / (sqrt(1+t) (1+s)^{power_decay}) ds,
+
+    a Gaussian whose center sweeps from the c_self-comoving frame to the
+    c_other one, damped algebraically in (1+s).
 
     The s-quadrature nodes are shared across all x, which is what the
     envelope checks and the exact-solution comparison need (one integral
@@ -133,23 +124,24 @@ def drag_profile(x: np.ndarray, t: float, p: DragParams, tol: float = 1e-8) -> n
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    if M <= 0:
+        raise ValueError("M must be positive")
     x = np.asarray(x, dtype=float)
     root = 1.0 / math.sqrt(1.0 + t)
-    shifted = x + t * p.c_self
-    dc = p.c_other - p.c_self
-    scale = p.M * (1.0 + t)
+    shifted = x + t * c_self
+    dc = c_other - c_self
+    scale = M * (1.0 + t)
 
     def evaluate(panels):
         s, w = gauss_legendre_panels(0.0, t, panels)
-        w = w * (root / (1.0 + s) ** p.power_decay)
+        w = w * (root / (1.0 + s) ** power_decay)
         return _gaussian_sweep(shifted, s * dc, scale, w[:, None])[:, 0]
 
-    return _refine_panels(evaluate, tol=tol)
+    return _refine_panels(evaluate)
 
 
-def drag_weight_profile(
-    x: np.ndarray, s: float, c1: float, c2: float, M: float, tol: float = 1e-8
-) -> np.ndarray:
+def drag_weight_profile(x: np.ndarray, s: float, c1: float, c2: float,
+                        M: float) -> np.ndarray:
     """Drag-augmented weight integrals of both components at sample time s.
 
     Row 0 of the (2, len(x)) result is u's weight (c_self = c1, c_other =
@@ -186,7 +178,7 @@ def drag_weight_profile(
         nodes = np.concatenate((near, far)) * dc
         return _gaussian_sweep(shifted, nodes, scale, weights).T
 
-    return _refine_panels(evaluate, tol=tol)
+    return _refine_panels(evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +296,9 @@ def _conv_lattice():
     return cases
 
 
-def _quad_conv(f, lo: float, hi: float, tol: float = 1e-11) -> float:
-    return integrate.quad(f, lo, hi, epsabs=tol, epsrel=0.0, limit=4000)[0]
+def _quad_conv(f, lo: float, hi: float) -> float:
+    """QUADPACK integral of f over [lo, hi] to an absolute tolerance of 1e-11."""
+    return integrate.quad(f, lo, hi, epsabs=1e-11, epsrel=0.0, limit=4000)[0]
 
 
 def _product_gaussian_window(terms, spread: float = 9.0):
@@ -321,11 +314,12 @@ def _product_gaussian_window(terms, spread: float = 9.0):
     return center - spread * width, center + spread * width
 
 
-def verify_identity_suite(tol: float = 1e-11) -> IdentityReport:
+def verify_identity_suite() -> IdentityReport:
     """Evaluate every identity LHS by quadrature and RHS in closed form.
 
-    tol is the quadrature tolerance; the reported numbers are the actual
-    discrepancies, which the caller judges (the acceptance gate is 1e-8).
+    The quadrature runs to an absolute tolerance of 1e-11; the reported
+    numbers are the actual discrepancies, which the caller judges
+    (the acceptance gate is 1e-8).
     """
     errors: dict[str, float] = {}
     counts: dict[str, int] = {}

@@ -33,9 +33,13 @@ Each RK4 step transforms only what can change:
 
 No transform is made of an empty set of rows.
 
-Physical fields are materialized only when sampled, by one batched
-inverse transform per sample into the next row of the run's (S, 2, n)
-sample array.
+step maps a spectrum to a new one and never writes its input, so an
+observer may keep the spectra it is given. run owns the time t, advanced
+as t += dt after each step, and the blow-up check: detect_blow_up runs
+after every step, and the first flagged step ends the run with its t as
+the blow-up time. Physical fields are materialized only when sampled, by
+one batched inverse transform per sample into the next row of the run's
+(S, 2, n) sample array.
 """
 
 from __future__ import annotations
@@ -55,9 +59,7 @@ from .core import (
 )
 
 __all__ = [
-    "BlowUpError",
     "SpectralWorkspace",
-    "SpectralState",
     "RunResult",
     "step",
     "run",
@@ -65,15 +67,6 @@ __all__ = [
     "gaussian_profile",
     "detect_blow_up",
 ]
-
-
-class BlowUpError(RuntimeError):
-    """Raised by step() when a field exceeds the finite-amplitude threshold."""
-
-    def __init__(self, t: float, sup: float):
-        super().__init__(f"solution exceeded blow-up threshold at t={t} (sup={sup:.3e})")
-        self.t = t
-        self.sup = sup
 
 
 @dataclass
@@ -158,13 +151,6 @@ def _row_slice(comps: list[int]) -> slice | None:
     Every non-empty subset of the two components is contiguous.
     """
     return slice(comps[0], comps[-1] + 1) if comps else None
-
-
-@dataclass(frozen=True)
-class SpectralState:
-    """State in spectral space at time t: spectra = rfft of (u, v), shape (2, n/2+1)."""
-    t: float
-    spectra: np.ndarray
 
 
 def _powers(base: np.ndarray, buf: np.ndarray) -> list:
@@ -283,18 +269,14 @@ def detect_blow_up(spectra: np.ndarray, n: int,
     return None
 
 
-def step(ws: SpectralWorkspace, state: SpectralState,
-         blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD) -> SpectralState:
-    """One Strang step: half linear, RK4 on the couplings, half linear."""
-    y = state.spectra * ws.lin_half
+def step(ws: SpectralWorkspace, spectra: np.ndarray) -> np.ndarray:
+    """One Strang step of the (2, n/2+1) spectra: half linear, RK4 on the
+    couplings, half linear. Returns a new array; spectra is not written."""
+    y = spectra * ws.lin_half
     if ws.slots:
         _rk4_couplings(ws, y)
     y *= ws.lin_half
-    t_next = state.t + ws.dt
-    sup = detect_blow_up(y, ws.grid.n, blow_up_threshold)
-    if sup is not None:
-        raise BlowUpError(t_next, sup)
-    return SpectralState(t=t_next, spectra=y)
+    return y
 
 
 @dataclass(frozen=True)
@@ -316,15 +298,16 @@ def run(ws: SpectralWorkspace, initial: np.ndarray, t_end: float, sample_dt: flo
     """Advance the (2, n) initial fields (u, v) from t = 0 to t_end, sampling
     every sample_dt.
 
-    Blow-up terminates the run cleanly: the result carries the samples
-    collected so far plus the flag and detection time. The optional observer
-    is called as observer(SpectralState) at every accepted step.
+    Blow-up terminates the run cleanly: the first step detect_blow_up
+    flags is not accepted, and the result carries the samples collected
+    before it plus the flag and its time. The optional observer is called
+    as observer(t, spectra) at every accepted step.
     """
     # Mask the initial spectrum once: dealiased modes then stay identically
     # zero (the linear multiplier preserves zeros and the RK4 update never
     # touches them), which makes the nullity invariant exact.
-    state = SpectralState(t=0.0,
-                          spectra=scipy.fft.rfft(initial, axis=-1) * ws.dealias)
+    spectra = scipy.fft.rfft(initial, axis=-1) * ws.dealias
+    t = 0.0
     steps_total = int(round(t_end / ws.dt))
     stride = max(1, int(round(sample_dt / ws.dt)))
     # One row for t = 0, one per stride steps and one for a final partial stride.
@@ -333,23 +316,21 @@ def run(ws: SpectralWorkspace, initial: np.ndarray, t_end: float, sample_dt: flo
     times[0] = 0.0
     fields[0] = initial
     taken = 1
-    blew_up = False
     blow_up_time = None
     for i in range(1, steps_total + 1):
-        try:
-            state = step(ws, state, blow_up_threshold)
-        except BlowUpError as exc:
-            blew_up = True
-            blow_up_time = exc.t
+        spectra = step(ws, spectra)
+        t += ws.dt
+        if detect_blow_up(spectra, ws.grid.n, blow_up_threshold) is not None:
+            blow_up_time = t
             break
         if observer is not None:
-            observer(state)
+            observer(t, spectra)
         if i % stride == 0 or i == steps_total:
-            times[taken] = state.t
-            fields[taken] = scipy.fft.irfft(state.spectra, n=ws.grid.n, axis=-1)
+            times[taken] = t
+            fields[taken] = scipy.fft.irfft(spectra, n=ws.grid.n, axis=-1)
             taken += 1
     return RunResult(times=times[:taken], fields=fields[:taken],
-                     blew_up=blew_up, blow_up_time=blow_up_time)
+                     blew_up=blow_up_time is not None, blow_up_time=blow_up_time)
 
 
 def run_scenario(scenario: Scenario, observer=None) -> RunResult:

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from rda import kernels, solver
 from rda.analysis import (
-    Cas2Params,
     Category,
     amplitude_law_check,
     cas2_lower_bounds,
@@ -35,7 +34,7 @@ from rda.analysis import (
 )
 from rda.core import EnvelopeSpec, Grid, PolyTerm, SystemSpec
 from rda.scenarios import get_scenario
-from rda.solver import SpectralState, SpectralWorkspace, run
+from rda.solver import SpectralWorkspace, run
 
 PROPERTY_SETTINGS = settings(
     max_examples=200, deadline=None,
@@ -70,9 +69,8 @@ def test_criterion_2_exact_benchmark(remark51_run):
 
     u_exact = np.exp(-((x + s.c1 * t) ** 2) / (4.0 * (1.0 + t))) / math.sqrt(
         4.0 * math.pi * (1.0 + t))
-    params = kernels.DragParams(c_self=s.c2, c_other=s.c1, M=1.0,
-                                power_decay=1.5)
-    v_exact = kernels.drag_profile(x, t, params) / (16.0 * math.pi ** 2)
+    v_exact = kernels.drag_profile(x, t, s.c2, s.c1, 1.0,
+                                   power_decay=1.5) / (16.0 * math.pi ** 2)
 
     err_u = np.max(np.abs(final_u - u_exact)) / np.max(np.abs(u_exact))
     err_v = np.max(np.abs(final_v - v_exact)) / np.max(np.abs(v_exact))
@@ -131,19 +129,17 @@ def test_criterion_4_both_components_decay(thm2_run):
 # Criterion 5: norm growth vs the explicit lower bounds
 # ---------------------------------------------------------------------------
 
-def _cas2_params(scenario):
+def _cas2_bounds(scenario, times):
     init = scenario.initial_u
-    return Cas2Params(d1=scenario.system.d1, d2=scenario.system.d2,
-                      c1=scenario.system.c1, c2=scenario.system.c2,
-                      nu0=init.amplitude, alpha_width=1.0 / init.width)
+    return cas2_lower_bounds(scenario.system, init.amplitude, 1.0 / init.width,
+                             times)
 
 
 def test_criterion_5_l1_dominates_lower_bound(cas2_distinct_run):
     scenario, result = cas2_distinct_run
     times, _, _, l1_u, l1_v = norm_series(result.times, result.fields,
                                           scenario.grid.dx)
-    curve = cas2_lower_bounds(_cas2_params(scenario), times)
-    assert curve.regime == "distinct_velocities"
+    curve = _cas2_bounds(scenario, times)
     l1_total = l1_u + l1_v
     assert np.all(l1_total >= curve.l1_bound)
 
@@ -163,7 +159,7 @@ def test_criterion_5_linf_bound_increases_after_two(cas2_distinct_run):
     # growth takes over, which the companion test below checks.
     scenario, _ = cas2_distinct_run
     t = np.linspace(2.0, 20.0, 721)
-    curve = cas2_lower_bounds(_cas2_params(scenario), t)
+    curve = _cas2_bounds(scenario, t)
     assert np.all(np.diff(curve.linf_bound) > 0.0)
 
 
@@ -223,14 +219,14 @@ class TestProperty1Classification:
     @PROPERTY_SETTINGS
     @given(term=_terms, dims=st.integers(1, 4))
     def test_partition(self, term, dims):
-        tc = classify_term(term, dims=dims)
+        category = classify_term(term, dims=dims)
         threshold = 1.0 + 2.0 / dims
         if term.p < threshold:
-            assert tc.category is Category.RELEVANT
+            assert category is Category.RELEVANT
         elif term.p > threshold:
-            assert tc.category is Category.IRRELEVANT
+            assert category is Category.IRRELEVANT
         else:
-            assert tc.category is Category.MARGINAL
+            assert category is Category.MARGINAL
 
     @PROPERTY_SETTINGS
     @given(f1=st.lists(_terms.map(lambda t: PolyTerm(t.coeff, t.alpha, t.beta, 0)),
@@ -307,12 +303,10 @@ class TestProperty3LinearMassConservation:
         u = rng.uniform(-1, 1) * np.exp(-x ** 2 / rng.uniform(1, 9))
         v = rng.uniform(-1, 1) * np.exp(-x ** 2 / rng.uniform(1, 9))
         ws = SpectralWorkspace(grid=grid, system=system, dt=dt)
-        state = SpectralState(t=0.0,
-                              spectra=scipy.fft.rfft(np.stack((u, v)), axis=-1))
-        before = (state.spectra[0][0].real, state.spectra[1][0].real)
-        after_state = solver.step(ws, state)
-        after = (after_state.spectra[0][0].real,
-                 after_state.spectra[1][0].real)
+        spectra = scipy.fft.rfft(np.stack((u, v)), axis=-1)
+        before = (spectra[0][0].real, spectra[1][0].real)
+        after_spectra = solver.step(ws, spectra)
+        after = (after_spectra[0][0].real, after_spectra[1][0].real)
         scale = grid.dx
         assert abs(after[0] - before[0]) * scale <= 1e-12
         assert abs(after[1] - before[1]) * scale <= 1e-12
@@ -362,8 +356,9 @@ class TestProperty5DealiasNullity:
         initial = 0.05 * rng.standard_normal((2, grid.n)) * np.exp(-x ** 2 / 9)
         ws = SpectralWorkspace(grid=grid, system=system, dt=0.01)
         seen = []
-        run(ws, initial, t_end=0.05, sample_dt=0.05, observer=seen.append)
-        u_hat, v_hat = seen[-1].spectra[0], seen[-1].spectra[1]
+        run(ws, initial, t_end=0.05, sample_dt=0.05,
+            observer=lambda t, spectra: seen.append(spectra))
+        u_hat, v_hat = seen[-1][0], seen[-1][1]
         assert np.max(np.abs(u_hat[~ws.dealias])) == 0.0
         assert np.max(np.abs(v_hat[~ws.dealias])) == 0.0
 

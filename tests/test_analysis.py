@@ -9,7 +9,6 @@ from scipy import stats
 
 from rda.analysis import (
     T_BURN,
-    Cas2Params,
     Category,
     amplitude_law_check,
     cas2_lower_bounds,
@@ -35,14 +34,14 @@ class TestClassification:
         (2, 3, Category.IRRELEVANT),
     ])
     def test_one_dimension(self, alpha, beta, expected):
-        tc = classify_term(PolyTerm(1.0, alpha, beta, 0))
-        assert tc.category is expected
-        assert tc.p == alpha + beta
+        term = PolyTerm(1.0, alpha, beta, 0)
+        assert classify_term(term) is expected
+        assert term.p == alpha + beta
 
     def test_threshold_moves_with_dimension(self):
         quad = PolyTerm(1.0, 2, 0, 0)
-        assert classify_term(quad, dims=2).category is Category.MARGINAL
-        assert classify_term(quad, dims=3).category is Category.IRRELEVANT
+        assert classify_term(quad, dims=2) is Category.MARGINAL
+        assert classify_term(quad, dims=3) is Category.IRRELEVANT
 
     def test_dims_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -334,42 +333,44 @@ class TestDecayFit:
             fit_decay_exponent(t, v, t_min=1.0)
 
 
+def _system(d1, d2, c1, c2):
+    return SystemSpec(d1=d1, d2=d2, c1=c1, c2=c2)
+
+
 class TestLowerBounds:
     def test_equal_velocity_closed_form_value(self):
-        lb = cas2_lower_bounds(Cas2Params(1, 1, 0, 0, 1, 1), np.array([4.0]))
-        assert lb.regime == "equal_velocities"
+        lb = cas2_lower_bounds(_system(1, 1, 0, 0), 1, 1, np.array([4.0]))
         assert lb.l1_bound[0] == pytest.approx(math.sqrt(math.pi) / 17 ** 1.5,
                                                rel=1e-14)
 
     def test_zero_initial_mass_gives_zero_bounds(self):
         t = np.linspace(0.0, 30.0, 61)
         for c2 in (0.0, 2.0):
-            lb = cas2_lower_bounds(Cas2Params(1, 1, 0, c2, 0.0, 1), t)
+            lb = cas2_lower_bounds(_system(1, 1, 0, c2), 0.0, 1, t)
             assert not lb.l1_bound.any() and not lb.linf_bound.any()
 
     def test_bounds_are_nonnegative(self):
         t = np.linspace(0.0, 50.0, 201)
         for c2 in (0.0, 2.0):
-            lb = cas2_lower_bounds(Cas2Params(1.0, 0.5, 0.0, c2, 0.8, 1.0), t)
+            lb = cas2_lower_bounds(_system(1.0, 0.5, 0.0, c2), 0.8, 1.0, t)
             assert np.all(lb.l1_bound >= 0.0)
             assert np.all(lb.linf_bound >= 0.0)
 
     def test_equal_velocity_large_time_growth(self):
         # l1 ~ t^{3/2} and linf ~ t for large t in the equal-velocity regime.
         t = np.array([1e4, 4e4])
-        lb = cas2_lower_bounds(Cas2Params(1, 1, 0, 0, 1, 1), t)
+        lb = cas2_lower_bounds(_system(1, 1, 0, 0), 1, 1, t)
         assert lb.l1_bound[1] / lb.l1_bound[0] == pytest.approx(8.0, rel=0.01)
         assert lb.linf_bound[1] / lb.linf_bound[0] == pytest.approx(4.0, rel=0.01)
 
     def test_distinct_velocity_linf_increases_after_two(self):
         t = np.linspace(2.0, 100.0, 500)
-        lb = cas2_lower_bounds(Cas2Params(1, 1, 0, 2, 0.5, 1), t)
-        assert lb.regime == "distinct_velocities"
+        lb = cas2_lower_bounds(_system(1, 1, 0, 2), 0.5, 1, t)
         assert np.all(np.diff(lb.linf_bound) > 0.0)
 
     def test_distinct_velocity_l1_eventually_increases(self):
         t = np.linspace(0.0, 100.0, 500)
-        lb = cas2_lower_bounds(Cas2Params(1, 1, 0, 2, 0.5, 1), t)
+        lb = cas2_lower_bounds(_system(1, 1, 0, 2), 0.5, 1, t)
         tail = lb.l1_bound[t >= 20.0]
         assert np.all(np.diff(tail) > 0.0)
 
@@ -383,7 +384,6 @@ class TestAmplitudeLaw:
         verdict = amplitude_law_check(times, np.array(amps), mu=0.5, nu=nu)
         assert verdict.passed
         assert verdict.in_window
-        assert verdict.nu == pytest.approx(nu)
 
     def test_constant_amplitude_fails(self):
         times = np.linspace(0.0, 200.0, 401)

@@ -84,6 +84,23 @@ def inline_pool(monkeypatch):
     return sizes
 
 
+def assert_rejected_before_running(tmp_path, capsys, replacements, message):
+    """rda run of FAST_CONFIG with the replacements exits 1 with one
+    `error:` line naming the violation and writes no output directory."""
+    text = FAST_CONFIG
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    conf = tmp_path / "bad.conf"
+    conf.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(conf), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: invalid scenario: {message}"]
+    assert not out.exists()
+
+
 def read_csv(path):
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -208,6 +225,34 @@ class TestMain:
         assert b_line.startswith("error: b: ") and "File exists" in b_line
         assert (out / "a" / "verdicts.csv").exists()
 
+    @pytest.mark.parametrize("jobs,pools", [("1", []), ("4", [2])])
+    def test_shared_name_runs_none_of_its_targets(
+            self, tmp_path, monkeypatch, capsys, jobs, pools):
+        # Two targets named "same" would write one directory; both fail and
+        # the two other targets still run and write.
+        sizes = inline_pool(monkeypatch)
+        confs = []
+        for file, name, amplitude in (("a", "same", "1e-3"), ("b", "same", "2e-3"),
+                                      ("c", "c", "1e-3"), ("d", "d", "1e-3")):
+            conf = tmp_path / f"{file}.conf"
+            conf.write_text(FAST_CONFIG.replace("name = fast", f"name = {name}")
+                            .replace("initial.u.amplitude = 1e-3",
+                                     f"initial.u.amplitude = {amplitude}"),
+                            encoding="utf-8")
+            confs.append(str(conf))
+        out = tmp_path / "out"
+        assert main(["run", *confs, "--out", str(out), "--jobs", jobs]) == 1
+        assert sizes == pools
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [f"c: wrote {out / 'c'}",
+                                             f"d: wrote {out / 'd'}"]
+        message = (f"error: same: 2 targets share the name and the output "
+                   f"directory {out / 'same'}")
+        assert captured.err.splitlines() == [message, message]
+        assert not (out / "same").exists()
+        assert (out / "c" / "verdicts.csv").exists()
+        assert (out / "d" / "verdicts.csv").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
         out = tmp_path / "out"
@@ -255,19 +300,28 @@ class TestMain:
             "exact_error", "unknown_output", "envelope_without_kind"])
     def test_uncomputable_output_fails_before_running(
             self, tmp_path, capsys, replacements, message):
-        text = FAST_CONFIG
-        for old, new in replacements:
-            assert old in text
-            text = text.replace(old, new)
-        conf = tmp_path / "bad.conf"
-        conf.write_text(text, encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["run", str(conf), "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"error: invalid scenario: {message}"]
-        assert not out.exists()
+        assert_rejected_before_running(tmp_path, capsys, replacements, message)
+
+    @pytest.mark.parametrize("replacements,message", [
+        ((("envelope.M = 16.0", "envelope.M = nan"),), "envelope M > 0 failed"),
+        ((("envelope.M = 16.0", "envelope.M = -1"),), "envelope M > 0 failed"),
+        ((("envelope.kind = exponential\nenvelope.M = 16.0",
+           "envelope.kind = algebraic\nenvelope.M = 0"),),
+         "envelope M > 0 failed"),
+        ((("envelope.kind = exponential\nenvelope.M = 16.0",
+           "envelope.kind = algebraic\nenvelope.M = 16.0\nenvelope.r = nan"),),
+         "envelope r >= 3 failed"),
+        ((("name = fast", "name = fast\nblow_up_threshold = -1"),),
+         "blow_up_threshold > 0 failed"),
+        ((("name = fast", "name = fast\nblow_up_threshold = nan"),),
+         "blow_up_threshold > 0 failed"),
+        ((("system.d2 = 1.0", "system.d2 = inf"),),
+         "d2 finite failed; envelope M >= max(16 d1, 16 d2, 1) = inf failed"),
+    ], ids=["M_nan", "M_negative", "algebraic_M_zero", "r_nan",
+            "threshold_negative", "threshold_nan", "d2_inf"])
+    def test_number_out_of_range_fails_before_running(
+            self, tmp_path, capsys, replacements, message):
+        assert_rejected_before_running(tmp_path, capsys, replacements, message)
 
     def test_bounded_flags_match_envelope_verdict(self, tmp_path):
         assert main(["run", "remark51-exact", "--out", str(tmp_path)]) == 0

@@ -1,5 +1,6 @@
 """Domain types, validation, and the initial-data expression grammar."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -128,6 +129,58 @@ class TestValidateScenario:
         bad = make_scenario(**{field: InitialData(kind="custom", expression="1/x")})
         report = validate_scenario(bad)
         assert report.violations == (f"{label}: finite values on the grid failed",)
+
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(envelope=EnvelopeSpec(kind="exponential", M=math.nan)),
+         "envelope M > 0 failed"),
+        (dict(envelope=EnvelopeSpec(kind="exponential", M=-1.0)),
+         "envelope M > 0 failed"),
+        (dict(envelope=EnvelopeSpec(kind="drag", M=math.inf)),
+         "envelope M finite failed"),
+        (dict(envelope=EnvelopeSpec(kind="algebraic", M=0.0)),
+         "envelope M > 0 failed"),
+        (dict(envelope=EnvelopeSpec(kind="algebraic", r=math.nan)),
+         "envelope r >= 3 failed"),
+        (dict(envelope=EnvelopeSpec(kind="algebraic", r=math.inf)),
+         "envelope r finite failed"),
+        (dict(blow_up_threshold=-1.0), "blow_up_threshold > 0 failed"),
+        (dict(blow_up_threshold=math.nan), "blow_up_threshold > 0 failed"),
+        (dict(blow_up_threshold=math.inf), "blow_up_threshold finite failed"),
+        (dict(system=SystemSpec(d1=1.0, d2=math.inf, c1=0.0, c2=1.0)),
+         "d2 finite failed"),
+        (dict(system=SystemSpec(d1=math.inf, d2=1.0, c1=0.0, c2=1.0)),
+         "d1 finite failed"),
+        (dict(system=SystemSpec(d1=math.nan, d2=1.0, c1=0.0, c2=1.0)),
+         "d1 > 0 failed"),
+        (dict(grid=Grid(half_width=math.nan, n=256)),
+         "grid half-width > 0 failed"),
+        (dict(grid=Grid(half_width=math.inf, n=256)),
+         "grid half-width finite failed"),
+    ], ids=["M_nan", "M_negative", "M_inf_drag", "M_zero_algebraic", "r_nan",
+            "r_inf", "threshold_negative", "threshold_nan", "threshold_inf",
+            "d2_inf", "d1_inf", "d1_nan", "half_width_nan", "half_width_inf"])
+    def test_nonfinite_or_out_of_range_number_reported(self, overrides, message):
+        # Each of these ran before and reported its effect as a result
+        # (a pass, a nan statistic or a blow-up), or stopped with a math
+        # domain error.
+        report = validate_scenario(make_scenario(**overrides))
+        assert report.violations == (message,)
+
+    @pytest.mark.parametrize("field", [
+        "t_end", "dt", "sample_dt", "blow_up_threshold", "system.d1",
+        "system.c2", "grid.half_width", "envelope.M", "envelope.r",
+        "initial_u.amplitude", "initial_u.width", "initial_u.center"])
+    @pytest.mark.parametrize("kind", ["exponential", "algebraic", "drag"])
+    def test_never_raises_on_any_float(self, kind, field):
+        base = make_scenario(envelope=EnvelopeSpec(kind=kind))
+        owner, _, name = field.rpartition(".")
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e308):
+            if owner:
+                part = dataclasses.replace(getattr(base, owner), **{name: value})
+                scenario = dataclasses.replace(base, **{owner: part})
+            else:
+                scenario = dataclasses.replace(base, **{name: value})
+            validate_scenario(scenario)
 
     def test_overflowing_initial_values_reported(self):
         bad = make_scenario(

@@ -1,6 +1,8 @@
-"""Import hygiene: no unused imports, and no heavy module pulled in by the CLI."""
+"""Import hygiene: no unused imports, no stale __all__ entry, and no heavy
+module pulled in by the CLI."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -46,6 +48,14 @@ def test_checker_catches_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in (ROOT / "src/rda").glob("*.py") if path.stem != "__init__"))
+def test_all_names_exist(module):
+    # A stale __all__ entry breaks `from rda.<module> import *`.
+    mod = importlib.import_module(f"rda.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_cli_import_leaves_out_scipy_stats():

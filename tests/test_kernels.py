@@ -9,7 +9,6 @@ import pytest
 from scipy import integrate
 
 from rda.kernels import (
-    DragParams,
     conv_cross_velocity,
     conv_mix,
     conv_same_velocity,
@@ -59,7 +58,8 @@ def linear_envelope_bound(x, t, M: float, d: float, c: float, delta: float):
     )
 
 
-def drag_integral(x: float, t: float, p: DragParams, tol: float = 1e-9) -> float:
+def drag_integral(x: float, t: float, c_self: float, c_other: float, M: float,
+                  power_decay: float = 0.0, tol: float = 1e-9) -> float:
     """QUADPACK value of the drag integral at a single point.
 
     The pointwise oracle for drag_profile: the same integrand, each point
@@ -70,11 +70,11 @@ def drag_integral(x: float, t: float, p: DragParams, tol: float = 1e-9) -> float
     root = 1.0 / math.sqrt(1.0 + t)
 
     def gaussian(s):
-        shift = x + t * p.c_self + s * (p.c_other - p.c_self)
-        return np.exp(-(shift ** 2) / (p.M * (1.0 + t)))
+        shift = x + t * c_self + s * (c_other - c_self)
+        return np.exp(-(shift ** 2) / (M * (1.0 + t)))
 
     def integrand(s):
-        return gaussian(s) * root / (1.0 + s) ** p.power_decay
+        return gaussian(s) * root / (1.0 + s) ** power_decay
 
     return integrate.quad(integrand, 0.0, t, epsabs=tol, epsrel=0.0)[0]
 
@@ -149,18 +149,23 @@ def test_linear_envelope_requires_wide_mass():
 def test_drag_integral_constant_integrand():
     # With equal velocities and no extra decay factors the integrand is
     # constant in s, so the integral is t * e^{...} / sqrt(1+t).
-    p = DragParams(c_self=1.0, c_other=1.0, M=8.0, power_decay=0.0)
     t = 3.0
-    assert drag_integral(-t * 1.0, t, p) == pytest.approx(t / math.sqrt(1 + t),
-                                                          rel=1e-9)
+    assert drag_integral(-t * 1.0, t, 1.0, 1.0, 8.0) == pytest.approx(
+        t / math.sqrt(1 + t), rel=1e-9)
 
 
 def test_drag_profile_matches_pointwise():
-    p = DragParams(c_self=1.0, c_other=0.0, M=4.0, power_decay=1.5)
+    drag = dict(c_self=1.0, c_other=0.0, M=4.0, power_decay=1.5)
     x = np.linspace(-10, 5, 7)
-    profile = drag_profile(x, 4.0, p)
+    profile = drag_profile(x, 4.0, **drag)
     for xi, vi in zip(x, profile):
-        assert vi == pytest.approx(drag_integral(float(xi), 4.0, p), abs=1e-7)
+        assert vi == pytest.approx(drag_integral(float(xi), 4.0, **drag), abs=1e-7)
+
+
+@pytest.mark.parametrize("M", [0.0, -1.0])
+def test_drag_profile_rejects_nonpositive_m(M):
+    with pytest.raises(ValueError, match="M must be positive"):
+        drag_profile(np.zeros(3), 1.0, 1.0, 0.0, M)
 
 
 @pytest.mark.parametrize("a,r", [(0.5, 0.0), (1.0, 2.0), (4.0, 10.0)])

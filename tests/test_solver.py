@@ -9,7 +9,6 @@ from rda import solver
 from rda.analysis import normal_form_rates
 from rda.core import Grid, InitialData, PolyTerm, Scenario, SystemSpec
 from rda.solver import (
-    SpectralState,
     SpectralWorkspace,
     detect_blow_up,
     gaussian_profile,
@@ -67,8 +66,9 @@ def test_dealiased_modes_identically_zero():
     initial = np.stack((0.01 * np.exp(-x ** 2), 0.01 * np.exp(-(x - 1) ** 2)))
     ws = SpectralWorkspace(grid=grid, system=system, dt=0.01)
     seen = []
-    run(ws, initial, t_end=1.0, sample_dt=0.5, observer=seen.append)
-    u_hat, v_hat = seen[-1].spectra[0], seen[-1].spectra[1]
+    run(ws, initial, t_end=1.0, sample_dt=0.5,
+        observer=lambda t, spectra: seen.append(spectra))
+    u_hat, v_hat = seen[-1][0], seen[-1][1]
     assert np.max(np.abs(u_hat[~ws.dealias])) == 0.0
     assert np.max(np.abs(v_hat[~ws.dealias])) == 0.0
 
@@ -90,6 +90,26 @@ def test_blow_up_detected_and_run_terminates():
     assert len(result.times) < 1 + round(5.0 / 0.05)
     assert result.times[-1] <= result.blow_up_time
     assert np.isfinite(result.fields).all()
+
+
+def test_blow_up_guard_stops_before_the_flagged_step():
+    # u_t = u_xx + u^2 with large data ignites within the first 0.1.
+    grid = Grid(half_width=30.0, n=64)
+    system = SystemSpec(d1=1, d2=1, c1=0, c2=1, f1=(PolyTerm(1.0, 2, 0, 0),))
+    x = grid.points()
+    initial = np.stack((50.0 * np.exp(-x ** 2), np.zeros(grid.n)))
+    ws = SpectralWorkspace(grid=grid, system=system, dt=1e-3)
+    seen = []
+    result = run(ws, initial, t_end=1.0, sample_dt=0.01, blow_up_threshold=1e6,
+                 observer=lambda t, spectra: seen.append((t, spectra, spectra.copy())))
+    assert result.blew_up and seen
+    # The flagged step is not observed; it is the step after the last one.
+    assert result.blow_up_time not in [t for t, _, _ in seen]
+    assert result.blow_up_time == seen[-1][0] + ws.dt
+    assert result.times[-1] <= result.blow_up_time
+    # step writes a new array, so the spectra the observer kept are intact.
+    for _, spectra, copy in seen:
+        assert spectra.tobytes() == copy.tobytes()
 
 
 def _count_transform_rows(monkeypatch):
@@ -123,11 +143,11 @@ def test_rows_transformed_per_step(monkeypatch, couplings, inverse, forward):
     x = grid.points()
     initial = np.stack((1e-3 * np.exp(-x ** 2 / 4.0), 1e-3 * np.exp(-(x - 1) ** 2)))
     ws = SpectralWorkspace(grid=grid, system=system, dt=0.01)
-    state = SpectralState(t=0.0, spectra=np.fft.rfft(initial) * ws.dealias)
+    spectra = np.fft.rfft(initial) * ws.dealias
     rows = _count_transform_rows(monkeypatch)
     steps = 3
     for _ in range(steps):
-        state = step(ws, state)
+        spectra = step(ws, spectra)
     assert rows["irfft"] == inverse * steps
     assert rows["rfft"] == forward * steps
 

@@ -17,6 +17,7 @@ import argparse
 import collections
 import concurrent.futures
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -158,6 +159,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
+    if not (0 < args.tol < math.inf):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol:g}")
     report = kernels.verify_identity_suite()
     worst_name, worst = report.worst()
     for name in sorted(report.max_abs_error):

@@ -269,6 +269,10 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 parse_expression(init.expression)
             except ValueError as exc:
                 violations.append(f"{label}: {exc}")
+        elif init.kind == "gaussian":
+            _check_positive(f"{label}: width", init.width, violations)
+        elif init.kind == "algebraic":
+            _check_positive(f"{label}: power", init.power, violations)
         if not math.isfinite(init.amplitude):
             violations.append(f"{label}: finite amplitude failed")
         if len(violations) == before and grid_ok:

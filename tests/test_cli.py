@@ -317,8 +317,11 @@ class TestMain:
          "blow_up_threshold > 0 failed"),
         ((("system.d2 = 1.0", "system.d2 = inf"),),
          "d2 finite failed; envelope M >= max(16 d1, 16 d2, 1) = inf failed"),
+        ((("initial.u.amplitude = 1e-3",
+           "initial.u.amplitude = 1e-3\ninitial.u.width = -1"),),
+         "initial.u: width > 0 failed"),
     ], ids=["M_nan", "M_negative", "algebraic_M_zero", "r_nan",
-            "threshold_negative", "threshold_nan", "d2_inf"])
+            "threshold_negative", "threshold_nan", "d2_inf", "width_negative"])
     def test_number_out_of_range_fails_before_running(
             self, tmp_path, capsys, replacements, message):
         assert_rejected_before_running(tmp_path, capsys, replacements, message)
@@ -340,6 +343,17 @@ class TestMain:
         assert main(["verify-identities"]) == 0
         out = capsys.readouterr().out
         assert "worst:" in out and "within tolerance" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_verify_identities_rejects_bad_tol(self, capsys, monkeypatch, tol):
+        # A bad tolerance is an input defect, not a failed identity, so the
+        # suite must not even run.
+        monkeypatch.setattr(cli.kernels, "verify_identity_suite", None)
+        assert main(["verify-identities", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --tol must be finite and > 0, got {tol}"]
 
     def test_classify_builtin(self, capsys):
         assert main(["classify", "toy"]) == 0

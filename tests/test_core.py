@@ -166,10 +166,40 @@ class TestValidateScenario:
         report = validate_scenario(make_scenario(**overrides))
         assert report.violations == (message,)
 
+    @pytest.mark.parametrize("label,field", [("initial.u", "initial_u"),
+                                             ("initial.v", "initial_v")])
+    @pytest.mark.parametrize("kind,name,value,condition", [
+        ("gaussian", "width", math.inf, "finite"),
+        ("gaussian", "width", -math.inf, "> 0"),
+        ("gaussian", "width", -1e308, "> 0"),
+        ("gaussian", "width", 0.0, "> 0"),
+        ("gaussian", "width", math.nan, "> 0"),
+        ("algebraic", "power", 0.0, "> 0"),
+        ("algebraic", "power", -1.0, "> 0"),
+        ("algebraic", "power", math.inf, "finite"),
+        ("algebraic", "power", math.nan, "> 0"),
+    ])
+    def test_shape_parameter_out_of_range_reported(
+            self, label, field, kind, name, value, condition):
+        # Each of these starts from data that is not localized (constant,
+        # growing like 1+|x|, or a one-point spike).
+        init = InitialData(kind=kind, amplitude=1e-3, **{name: value})
+        report = validate_scenario(make_scenario(**{field: init}))
+        assert report.violations == (f"{label}: {name} {condition} failed",)
+
+    @pytest.mark.parametrize("kind,name", [("gaussian", "power"),
+                                           ("algebraic", "width"),
+                                           ("zero", "width"),
+                                           ("remark51", "power")])
+    def test_shape_parameter_checked_only_where_read(self, kind, name):
+        init = InitialData(kind=kind, amplitude=1e-3, **{name: -1.0})
+        assert validate_scenario(make_scenario(initial_u=init)).violations == ()
+
     @pytest.mark.parametrize("field", [
         "t_end", "dt", "sample_dt", "blow_up_threshold", "system.d1",
         "system.c2", "grid.half_width", "envelope.M", "envelope.r",
-        "initial_u.amplitude", "initial_u.width", "initial_u.center"])
+        "initial_u.amplitude", "initial_u.width", "initial_u.power",
+        "initial_u.center"])
     @pytest.mark.parametrize("kind", ["exponential", "algebraic", "drag"])
     def test_never_raises_on_any_float(self, kind, field):
         base = make_scenario(envelope=EnvelopeSpec(kind=kind))

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from rda import kernels
 from rda.kernels import (
+    _conv_lattice,
     conv_cross_velocity,
     conv_mix,
     conv_same_velocity,
@@ -92,7 +94,32 @@ def test_identity_suite_passes_strict():
         assert report.cases[name] >= 20
     assert report.passed(1e-8)
     name, worst = report.worst()
-    assert worst <= 1e-10, (name, worst)
+    assert worst <= 1e-12, (name, worst)
+
+
+def test_conv_lattice_has_s_before_t():
+    # The convolution integrands divide by t - s with no guard.
+    cases = _conv_lattice()
+    assert len(cases) == 31
+    for x, t, s, c1, c2, M in cases:
+        assert 0.0 <= s < t, (x, t, s)
+
+
+def test_identity_suite_oracle_is_strict_and_integrands_scalar(monkeypatch):
+    quad = integrate.quad
+    calls = []
+
+    def recording_quad(f, lo, hi, **kwargs):
+        calls.append((kwargs, f(0.5 * (lo + hi))))
+        return quad(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(kernels.integrate, "quad", recording_quad)
+    verify_identity_suite()
+    assert len(calls) == 158
+    for kwargs, midpoint_value in calls:
+        assert kwargs == dict(epsabs=1e-11, epsrel=0.0, limit=4000)
+        # An np.float64 here means a numpy scalar path crept back in.
+        assert type(midpoint_value) is float
 
 
 def test_gauss_legendre_panels_weights_sum():

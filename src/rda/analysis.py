@@ -18,8 +18,16 @@ from typing import Optional
 import numpy as np
 from scipy.special import erf, stdtrit
 
-from . import kernels, solver
-from .core import EnvelopeSpec, Grid, PolyTerm, Scenario, SystemSpec, trust_radius
+from . import kernels
+from .core import (
+    EnvelopeSpec,
+    Grid,
+    PolyTerm,
+    Scenario,
+    SystemSpec,
+    gaussian_profile,
+    trust_radius,
+)
 from .kernels import drag_weight_profile
 
 __all__ = [
@@ -79,18 +87,6 @@ class AdmissibilityReport:
     reasons: tuple[str, ...] = ()
 
 
-def _term_role(slot: str, term: PolyTerm) -> str:
-    """One of 'self', 'mix', 'cross' relative to the equation the slot is in."""
-    own_is_u = slot in ("f1", "g1")
-    own = term.alpha if own_is_u else term.beta
-    other = term.beta if own_is_u else term.alpha
-    if own >= 1 and other >= 1:
-        return "mix"
-    if other >= 1:
-        return "cross"
-    return "self"
-
-
 def check_admissibility(system: SystemSpec) -> AdmissibilityReport:
     """Structural admissibility for the two stability results and the
     normal-form shape.
@@ -108,14 +104,15 @@ def check_admissibility(system: SystemSpec) -> AdmissibilityReport:
         thm1 = thm2 = False
         reasons.append("velocities are equal: no velocity separation to exploit")
     for slot, term in system.all_terms():
-        role = _term_role(slot, term)
+        if term.is_mix:
+            continue
+        # own and other: the powers of this equation's component and of
+        # the other one.
         own_is_u = slot in ("f1", "g1")
         own = term.alpha if own_is_u else term.beta
         other = term.beta if own_is_u else term.alpha
         is_flux = slot in ("g1", "g2")
-        if role == "mix":
-            continue
-        if role == "self":
+        if other < 1:  # self term
             min_deg = 2 if is_flux else 4
             if own < min_deg:
                 thm1 = thm2 = False
@@ -448,7 +445,7 @@ def _exact_remark51(scenario: Scenario, t: float):
     """
     s = scenario.system
     x = scenario.grid.points()
-    u_exact = solver.gaussian_profile(x + s.c1 * t, t, s.d1)
+    u_exact = gaussian_profile(x + s.c1 * t, t, s.d1)
     v_exact = kernels.drag_profile(x, t, s.c2, s.c1, 1.0,
                                    power_decay=1.5) / (16.0 * math.pi ** 2)
     return u_exact, v_exact

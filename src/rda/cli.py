@@ -202,11 +202,23 @@ def _cmd_list(args) -> int:
 def _cmd_plot(args) -> int:
     with open(args.csv, encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
+        if not header:
+            raise ValueError(f"{args.csv}: line 1: no header row")
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise ValueError(f"{args.csv}: line 1: duplicate column {repeated[0]!r}")
         columns = {name: [] for name in header}
         for row in reader:
+            where = f"{args.csv}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{where}: {len(row)} cells, the header has {len(header)}")
             for name, cell in zip(header, row):
-                columns[name].append(float(cell))
+                try:
+                    columns[name].append(float(cell))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
     times = np.array(columns[header[0]])
     series = {name: (1.0 + times, np.array(vals))
               for name, vals in columns.items()

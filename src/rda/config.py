@@ -13,6 +13,8 @@ from pathlib import Path
 
 from .core import (
     DEFAULT_BLOW_UP_THRESHOLD,
+    ENVELOPE_READS,
+    INITIAL_READS,
     EnvelopeSpec,
     Grid,
     InitialData,
@@ -37,17 +39,6 @@ _SCENARIO_FIELDS = {
 _ENVELOPE_FIELDS = {"kind": str, "M": float, "r": float}
 _INITIAL_FIELDS = {"kind": str, "amplitude": float, "width": float,
                    "power": float, "center": float, "expression": str}
-
-# The fields each kind reads besides kind itself, in serialization order.
-# Parsing rejects the others and serialize_scenario writes exactly these.
-# None stands for an absent envelope.kind.
-_INITIAL_READS = {
-    "zero": (), "remark51": (), "custom": ("expression",),
-    "gaussian": ("amplitude", "width", "center"),
-    "algebraic": ("amplitude", "power", "center"),
-}
-_ENVELOPE_READS = {None: (), "exponential": ("M",), "drag": ("M",),
-                   "algebraic": ("M", "r")}
 
 _KNOWN_KEYS = {
     "system.d1", "system.d2", "system.c1", "system.c2",
@@ -131,9 +122,10 @@ def _reject_unread(pairs, prefix: str, reads: dict, default_kind) -> None:
 def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
     """Parse config text into a validated Scenario."""
     pairs = _parse_pairs(text)
-    _reject_unread(pairs, "envelope.", _ENVELOPE_READS, None)
+    # None stands for an absent envelope.kind, which reads no field.
+    _reject_unread(pairs, "envelope.", {None: (), **ENVELOPE_READS}, None)
     for comp in ("u", "v"):
-        _reject_unread(pairs, f"initial.{comp}.", _INITIAL_READS, InitialData.kind)
+        _reject_unread(pairs, f"initial.{comp}.", INITIAL_READS, InitialData.kind)
     system = SystemSpec(
         d1=_get(pairs, "system.d1", float),
         d2=_get(pairs, "system.d2", float),
@@ -227,10 +219,10 @@ def serialize_scenario(scenario: Scenario) -> str:
     ]
     for comp, init in (("u", scenario.initial_u), ("v", scenario.initial_v)):
         lines.append(f"initial.{comp}.kind = {init.kind}")
-        lines += _read_lines(f"initial.{comp}.", init, _INITIAL_READS)
+        lines += _read_lines(f"initial.{comp}.", init, INITIAL_READS)
     if scenario.envelope is not None:
         lines.append(f"envelope.kind = {scenario.envelope.kind}")
-        lines += _read_lines("envelope.", scenario.envelope, _ENVELOPE_READS)
+        lines += _read_lines("envelope.", scenario.envelope, ENVELOPE_READS)
     lines.append("outputs = " + ", ".join(scenario.outputs))
     if scenario.blow_up_threshold != DEFAULT_BLOW_UP_THRESHOLD:
         lines.append(f"blow_up_threshold = {_fmt(scenario.blow_up_threshold)}")

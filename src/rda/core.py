@@ -5,6 +5,7 @@ All types are immutable value objects.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from dataclasses import dataclass
@@ -23,15 +24,25 @@ __all__ = [
     "validate_spec",
     "validate_scenario",
     "evaluate_initial",
+    "gaussian_profile",
     "parse_expression",
 ]
 
-ENVELOPE_KINDS = ("exponential", "algebraic", "drag")
+# The fields each initial-data and envelope kind reads besides kind itself,
+# in serialization order. Config parsing rejects the others and
+# serialization writes exactly these.
+INITIAL_READS = {
+    "gaussian": ("amplitude", "width", "center"),
+    "algebraic": ("amplitude", "power", "center"),
+    "remark51": (), "zero": (), "custom": ("expression",),
+}
+ENVELOPE_READS = {"exponential": ("M",), "algebraic": ("M", "r"), "drag": ("M",)}
+INITIAL_KINDS = tuple(INITIAL_READS)
+ENVELOPE_KINDS = tuple(ENVELOPE_READS)
 # What a scenario can ask to be written: the trajectory, then the verdicts
 # in the order analysis.diagnose computes them.
 OUTPUTS = ("trajectory", "envelope", "decay", "lower_bounds", "amplitude_law",
            "exact_error")
-INITIAL_KINDS = ("gaussian", "algebraic", "remark51", "zero", "custom")
 DEFAULT_BLOW_UP_THRESHOLD = 1e8
 
 # Trust-region cutoff: the sup of exponentially weighted fields is only
@@ -296,10 +307,29 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(\d+\.?\d*(?:[eE][+-]?\d+)?|[()+\-*/^]|x|exp|abs)")
+# The longest expression parse_expression accepts. It bounds the depth of
+# Python's parser, of the tree walk and of the evaluation, so no input can
+# reach the recursion limit.
+MAX_EXPRESSION_TOKENS = 256
+_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+           ast.Div: np.divide, ast.Pow: np.power}
+_FUNCTIONS = {"exp": np.exp, "abs": np.abs}
 
 
-def _tokenize(expr: str) -> list[str]:
-    tokens = []
+def parse_expression(expr: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Parse the small arithmetic grammar (+,-,*,/,^, exp, abs, x).
+
+    Precedence is Python's, with ^ for **: ^ is right-associative and
+    binds tighter than unary minus (-x^2 is -(x^2)), which binds tighter
+    than * and /. At most MAX_EXPRESSION_TOKENS tokens are accepted.
+
+    Returns a numpy-vectorized callable of x. Raises ValueError on any
+    malformed input. Python's parser only builds the syntax tree; a
+    whitelist walk turns it into numpy calls, so there is no eval and no
+    name lookup.
+    """
+    words: list[str] = []
+    constants: dict[str, float] = {}
     pos = 0
     while pos < len(expr):
         m = _TOKEN.match(expr, pos)
@@ -307,91 +337,51 @@ def _tokenize(expr: str) -> list[str]:
             if expr[pos:].strip() == "":
                 break
             raise ValueError(f"bad token at position {pos} in {expr!r}")
-        tokens.append(m.group(1))
+        if len(words) == MAX_EXPRESSION_TOKENS:
+            raise ValueError(f"more than {MAX_EXPRESSION_TOKENS} tokens in expression")
+        token = m.group(1)
+        if token[0].isdigit():
+            # A placeholder name keeps float()'s reading of 007 and 1e999.
+            name = f"c{len(constants)}"
+            constants[name] = float(token)
+            token = name
+        words.append("**" if token == "^" else token)
         pos = m.end()
-    return tokens
-
-
-def parse_expression(expr: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Parse the small arithmetic grammar (+,-,*,/,^, exp, abs, x).
-
-    Returns a numpy-vectorized callable of x. Raises ValueError on any
-    malformed input; there is no eval and no name lookup.
-    """
-    tokens = _tokenize(expr)
-    if not tokens:
+    if not words:
         raise ValueError("empty expression")
-    pos = 0
+    try:
+        tree = ast.parse(" ".join(words), mode="eval").body
+    except SyntaxError:
+        raise ValueError(f"malformed expression {expr!r}") from None
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of expression")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, found {tok!r}")
-        pos += 1
-        return tok
-
-    def parse_sum():
-        node = parse_product()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_product()
-            node = (lambda a, b: (lambda x: a(x) + b(x)))(node, rhs) if op == "+" \
-                else (lambda a, b: (lambda x: a(x) - b(x)))(node, rhs)
-        return node
-
-    def parse_product():
-        node = parse_power()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_power()
-            node = (lambda a, b: (lambda x: a(x) * b(x)))(node, rhs) if op == "*" \
-                else (lambda a, b: (lambda x: a(x) / b(x)))(node, rhs)
-        return node
-
-    def parse_power():
-        # Unary minus binds looser than ^: -x^2 means -(x^2).
-        if peek() == "-":
-            take()
-            inner = parse_power()
-            return lambda x: -inner(x)
-        base = parse_atom()
-        if peek() == "^":
-            take("^")
-            expo = parse_power()  # right associative
-            return lambda x: base(x) ** expo(x)
-        return base
-
-    def parse_atom():
-        tok = peek()
-        if tok == "(":
-            take("(")
-            inner = parse_sum()
-            take(")")
-            return inner
-        if tok in ("exp", "abs"):
-            fn = np.exp if take() == "exp" else np.abs
-            take("(")
-            inner = parse_sum()
-            take(")")
-            return (lambda f, g: lambda x: f(g(x)))(fn, inner)
-        if tok == "x":
-            take()
+    def build(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            op = _BINARY[type(node.op)]
+            left, right = build(node.left), build(node.right)
+            return lambda x: op(left(x), right(x))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            operand = build(node.operand)
+            return lambda x: np.negative(operand(x))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS and len(node.args) == 1
+                and not node.keywords):
+            fn, arg = _FUNCTIONS[node.func.id], build(node.args[0])
+            return lambda x: fn(arg(x))
+        if isinstance(node, ast.Name) and node.id == "x":
             return lambda x: x
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        value = float(take())
-        return lambda x: np.full_like(x, value, dtype=float)
+        if isinstance(node, ast.Name) and node.id in constants:
+            value = constants[node.id]
+            return lambda x: np.full_like(x, value, dtype=float)
+        raise ValueError(f"malformed expression {expr!r}")
 
-    result = parse_sum()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens {tokens[pos:]!r}")
+    result = build(tree)
     return lambda x: np.asarray(result(np.asarray(x, dtype=float)), dtype=float)
+
+
+def gaussian_profile(zeta: np.ndarray, t: float, d1: float) -> np.ndarray:
+    """Unit-mass diffusive profile e^{-zeta^2/(4 d1 (1+t))}/sqrt(4 pi d1 (1+t))."""
+    return np.exp(-zeta ** 2 / (4.0 * d1 * (1.0 + t))) / math.sqrt(
+        4.0 * math.pi * d1 * (1.0 + t))
 
 
 def evaluate_initial(init: InitialData, x: np.ndarray) -> np.ndarray:
@@ -406,7 +396,7 @@ def evaluate_initial(init: InitialData, x: np.ndarray) -> np.ndarray:
     if init.kind == "remark51":
         # u-component of the exact drag solution at t=0; the matching
         # v-component starts from zero, so use kind="zero" there.
-        return np.exp(-(x ** 2) / 4.0) / math.sqrt(4.0 * math.pi)
+        return gaussian_profile(x, 0.0, 1.0)
     if init.kind == "custom":
         return parse_expression(init.expression)(x)
     raise ValueError(f"unknown initial kind {init.kind!r}")

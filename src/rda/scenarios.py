@@ -28,8 +28,24 @@ def _gauss(amplitude: float, width: float) -> InitialData:
 _ZERO = InitialData(kind="zero")
 
 
-def _toy() -> Scenario:
-    return Scenario(
+def _cas2_system(c2: float) -> SystemSpec:
+    return SystemSpec(
+        d1=1.0, d2=1.0, c1=0.0, c2=c2,
+        f1=(PolyTerm(1.0, 0, 2, 0),),
+        f2=(PolyTerm(1.0, 2, 0, 0),),
+    )
+
+
+def _cas3_system(beta: float) -> SystemSpec:
+    return SystemSpec(
+        d1=1.0, d2=1.0, c1=0.0, c2=1.0,
+        f1=(PolyTerm(1.0, 1, 1, 0), PolyTerm(beta, 3, 0, 0)),
+        g2=(PolyTerm(1.0, 2, 0, 1),),
+    )
+
+
+_BUILTINS = {scenario.name: scenario for scenario in (
+    Scenario(
         name="toy",
         description="quartic self term plus mix coupling; small-data Gaussian decay",
         system=SystemSpec(
@@ -42,11 +58,8 @@ def _toy() -> Scenario:
         t_end=100.0, dt=0.02, sample_dt=1.0,
         envelope=EnvelopeSpec(kind="exponential", M=32.0),
         outputs=("trajectory", "envelope", "decay"),
-    )
-
-
-def _thm1_exp() -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         name="thm1-exp",
         description="all-mix couplings, exponentially localized data",
         system=SystemSpec(
@@ -62,11 +75,8 @@ def _thm1_exp() -> Scenario:
         t_end=50.0, dt=0.02, sample_dt=0.5,
         envelope=EnvelopeSpec(kind="exponential", M=32.0),
         outputs=("trajectory", "envelope", "decay"),
-    )
-
-
-def _thm1_alg() -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         name="thm1-alg",
         description="all-mix couplings, algebraically localized data",
         system=SystemSpec(
@@ -82,11 +92,8 @@ def _thm1_alg() -> Scenario:
         t_end=50.0, dt=0.02, sample_dt=0.5,
         envelope=EnvelopeSpec(kind="algebraic", M=32.0, r=3.0),
         outputs=("trajectory", "envelope", "decay"),
-    )
-
-
-def _thm2_irrelevant() -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         name="thm2-irrelevant",
         description="irrelevant quartic cross coupling into the second component",
         system=SystemSpec(
@@ -100,11 +107,8 @@ def _thm2_irrelevant() -> Scenario:
         t_end=100.0, dt=0.02, sample_dt=1.0,
         envelope=EnvelopeSpec(kind="drag", M=32.0),
         outputs=("trajectory", "envelope", "decay"),
-    )
-
-
-def _remark51_exact() -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         name="remark51-exact",
         description="exactly solvable drag benchmark: linear u forcing v by u^4",
         system=SystemSpec(
@@ -117,20 +121,9 @@ def _remark51_exact() -> Scenario:
         t_end=5.0, dt=2.5e-3, sample_dt=0.25,
         envelope=EnvelopeSpec(kind="drag", M=16.0),
         outputs=("trajectory", "envelope", "exact_error"),
-    )
-
-
-def _cas2_system(c2: float) -> SystemSpec:
-    return SystemSpec(
-        d1=1.0, d2=1.0, c1=0.0, c2=c2,
-        f1=(PolyTerm(1.0, 0, 2, 0),),
-        f2=(PolyTerm(1.0, 2, 0, 0),),
-    )
-
-
-def _cas2_equal() -> Scenario:
+    ),
     # Blows up near t = 8.16 with this data; t_end leaves room to observe it.
-    return Scenario(
+    Scenario(
         name="cas2-equal",
         description="quadratic cross couplings, equal velocities; finite-time blow-up",
         system=_cas2_system(0.0),
@@ -139,11 +132,8 @@ def _cas2_equal() -> Scenario:
         initial_v=_gauss(0.5, 1.0),
         t_end=20.0, dt=0.01, sample_dt=0.1,
         outputs=("trajectory", "lower_bounds"),
-    )
-
-
-def _cas2_distinct() -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         name="cas2-distinct",
         description="quadratic cross couplings, distinct velocities; norm growth",
         system=_cas2_system(2.0),
@@ -152,19 +142,8 @@ def _cas2_distinct() -> Scenario:
         initial_v=_gauss(0.5, 1.0),
         t_end=20.0, dt=0.01, sample_dt=0.1,
         outputs=("trajectory", "lower_bounds"),
-    )
-
-
-def _cas3_system(beta: float) -> SystemSpec:
-    return SystemSpec(
-        d1=1.0, d2=1.0, c1=0.0, c2=1.0,
-        f1=(PolyTerm(1.0, 1, 1, 0), PolyTerm(beta, 3, 0, 0)),
-        g2=(PolyTerm(1.0, 2, 0, 1),),
-    )
-
-
-def _cas3_stable() -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         name="cas3-stable",
         description="marginal couplings with the stabilizing sign; log-corrected decay",
         system=_cas3_system(0.5),
@@ -173,11 +152,8 @@ def _cas3_stable() -> Scenario:
         initial_v=_gauss(1e-2, 4.0),
         t_end=200.0, dt=0.02, sample_dt=1.0,
         outputs=("trajectory", "decay", "amplitude_law"),
-    )
-
-
-def _cas3_sign_violated() -> Scenario:
-    return Scenario(
+    ),
+    Scenario(
         name="cas3-sign-violated",
         description="marginal couplings with the stabilizing sign violated",
         system=_cas3_system(1.5),
@@ -186,27 +162,15 @@ def _cas3_sign_violated() -> Scenario:
         initial_v=_gauss(1e-2, 4.0),
         t_end=50.0, dt=0.02, sample_dt=0.5,
         outputs=("trajectory", "decay"),
-    )
+    ),
+)}
 
-
-_FACTORIES = {
-    "toy": _toy,
-    "thm1-exp": _thm1_exp,
-    "thm1-alg": _thm1_alg,
-    "thm2-irrelevant": _thm2_irrelevant,
-    "remark51-exact": _remark51_exact,
-    "cas2-equal": _cas2_equal,
-    "cas2-distinct": _cas2_distinct,
-    "cas3-stable": _cas3_stable,
-    "cas3-sign-violated": _cas3_sign_violated,
-}
-
-BUILTIN_SCENARIOS = tuple(_FACTORIES)
+BUILTIN_SCENARIOS = tuple(_BUILTINS)
 
 
 def get_scenario(name: str) -> Scenario:
     try:
-        return _FACTORIES[name]()
+        return _BUILTINS[name]
     except KeyError:
         raise KeyError(
             f"unknown scenario {name!r}; built-ins: {', '.join(BUILTIN_SCENARIOS)}"
@@ -214,4 +178,4 @@ def get_scenario(name: str) -> Scenario:
 
 
 def list_scenarios() -> list[Scenario]:
-    return [factory() for factory in _FACTORIES.values()]
+    return list(_BUILTINS.values())

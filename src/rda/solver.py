@@ -64,7 +64,6 @@ __all__ = [
     "step",
     "run",
     "run_scenario",
-    "gaussian_profile",
     "detect_blow_up",
 ]
 
@@ -342,9 +341,3 @@ def run_scenario(scenario: Scenario, observer=None) -> RunResult:
     ws = SpectralWorkspace(grid=grid, system=scenario.system, dt=scenario.dt)
     return run(ws, initial, scenario.t_end, scenario.sample_dt,
                blow_up_threshold=scenario.blow_up_threshold, observer=observer)
-
-
-def gaussian_profile(zeta: np.ndarray, t: float, d1: float) -> np.ndarray:
-    """Unit-mass diffusive profile e^{-zeta^2/(4 d1 (1+t))}/sqrt(4 pi d1 (1+t))."""
-    return np.exp(-zeta ** 2 / (4.0 * d1 * (1.0 + t))) / math.sqrt(
-        4.0 * math.pi * d1 * (1.0 + t))

@@ -326,6 +326,19 @@ class TestMain:
             self, tmp_path, capsys, replacements, message):
         assert_rejected_before_running(tmp_path, capsys, replacements, message)
 
+    @pytest.mark.parametrize("expression", [
+        "(" * 300 + "x" + ")" * 300,
+        "+".join(["x"] * 5001),
+        "-" * 2000 + "x",
+    ], ids=["nested_parentheses", "long_sum", "leading_minus"])
+    def test_deep_expression_fails_before_running(
+            self, tmp_path, capsys, expression):
+        assert_rejected_before_running(
+            tmp_path, capsys,
+            (("initial.u.kind = gaussian\ninitial.u.amplitude = 1e-3",
+              f"initial.u.kind = custom\ninitial.u.expression = {expression}"),),
+            "initial.u: more than 256 tokens in expression")
+
     def test_bounded_flags_match_envelope_verdict(self, tmp_path):
         assert main(["run", "remark51-exact", "--out", str(tmp_path)]) == 0
         _, env_rows = read_csv(tmp_path / "envelope.csv")
@@ -375,6 +388,24 @@ class TestMain:
                      "--out", str(svg)]) == 0
         text = svg.read_text(encoding="utf-8")
         assert text.startswith("<svg") and "linf_u" in text
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "line 1: no header row"),
+        ("t,linf_u\n1.0\n", "line 2: 1 cells, the header has 2"),
+        ("t,linf_u\n1.0,2.0,3.0\n", "line 2: 3 cells, the header has 2"),
+        ("t,t\n1.0,2.0\n", "line 1: duplicate column 't'"),
+        ("t,linf_u\n1.0,2.0\n2.0,abc\n",
+         "line 3: could not convert string to float: 'abc'"),
+    ], ids=["empty", "short_row", "long_row", "duplicate_header", "bad_number"])
+    def test_plot_rejects_malformed_csv(self, tmp_path, capsys, text, message):
+        table = tmp_path / "bad.csv"
+        table.write_text(text, encoding="utf-8")
+        svg = tmp_path / "bad.svg"
+        assert main(["plot", str(table), "--out", str(svg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {table}: {message}"]
+        assert not svg.exists()
 
     def test_plot_is_deterministic(self, tmp_path):
         run_experiment(fast_scenario(), tmp_path)

@@ -2,14 +2,12 @@
 
 import pytest
 
-from rda import config
 from rda.config import (
     ConfigError,
     parse_scenario,
     parse_scenario_text,
     serialize_scenario,
 )
-from rda.core import ENVELOPE_KINDS, INITIAL_KINDS
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 
 MINIMAL = """\
@@ -156,9 +154,3 @@ def test_keys_the_kind_reads_are_kept():
     assert scenario.initial_v.expression == "0.001*exp(-x^2)"
     assert (scenario.envelope.M, scenario.envelope.r) == (2.0, 4.0)
     assert parse_scenario_text(serialize_scenario(scenario)) == scenario
-
-
-def test_read_tables_cover_every_kind():
-    # A kind missing from a table would parse any key and serialize none.
-    assert set(config._INITIAL_READS) == set(INITIAL_KINDS)
-    assert set(config._ENVELOPE_READS) == {None, *ENVELOPE_KINDS}

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rda.core import (
     EnvelopeSpec,
@@ -212,6 +214,18 @@ class TestValidateScenario:
                 scenario = dataclasses.replace(base, **{name: value})
             validate_scenario(scenario)
 
+    @pytest.mark.parametrize("expr", [
+        "(" * 300 + "x" + ")" * 300,
+        "+".join(["x"] * 5001),
+        "-" * 2000 + "x",
+    ], ids=["nested_parentheses", "long_sum", "leading_minus"])
+    def test_deep_expression_reported(self, expr):
+        # Each of these once ended in a RecursionError, while parsing or
+        # while evaluating on the grid.
+        bad = make_scenario(initial_u=InitialData(kind="custom", expression=expr))
+        assert validate_scenario(bad).violations == (
+            "initial.u: more than 256 tokens in expression",)
+
     def test_overflowing_initial_values_reported(self):
         bad = make_scenario(
             initial_u=InitialData(kind="custom", expression="exp(x^2)"))
@@ -219,7 +233,73 @@ class TestValidateScenario:
         assert "initial.u: finite values on the grid failed" in report.violations
 
 
+# Binding levels of the grammar: 1 sum, 2 product, 3 unary minus, 4 power,
+# 5 atom. A binary operator's right operand binds one level tighter than
+# its left one, except for the right-associative ^.
+_LEVELS = {"+": 1, "-": 1, "*": 2, "/": 2}
+_NUMPY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+          "^": np.power, "neg": np.negative, "exp": np.exp, "abs": np.abs}
+
+_LEAVES = st.one_of(
+    st.just(("x",)),
+    st.floats(0.0, 1e3).map(lambda v: ("num", repr(v))),
+    st.integers(0, 999).map(lambda n: ("num", f"{n:03d}")),
+    st.just(("num", "1e999")),
+)
+_TREES = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.tuples(st.sampled_from("+-*/^"), children, children),
+    st.tuples(st.sampled_from(["neg", "exp", "abs"]), children),
+), max_leaves=24)
+
+
+def _render(tree):
+    """(text, level): tree written with only the parentheses that the
+    grammar's precedence needs."""
+    kind = tree[0]
+    if kind == "x":
+        return "x", 5
+    if kind == "num":
+        return tree[1], 5
+    if kind in ("exp", "abs"):
+        return f"{kind}({_render(tree[1])[0]})", 5
+    if kind == "neg":
+        return "-" + _operand(tree[1], 3), 3
+    if kind == "^":
+        return f"{_operand(tree[1], 5)} ^ {_operand(tree[2], 3)}", 4
+    level = _LEVELS[kind]
+    return f"{_operand(tree[1], level)} {kind} {_operand(tree[2], level + 1)}", level
+
+
+def _operand(tree, min_level):
+    text, level = _render(tree)
+    return text if level >= min_level else f"({text})"
+
+
+def _evaluate(tree, x):
+    if tree[0] == "x":
+        return x
+    if tree[0] == "num":
+        return np.full_like(x, float(tree[1]))
+    return _NUMPY[tree[0]](*(_evaluate(child, x) for child in tree[1:]))
+
+
 class TestExpressionGrammar:
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_matches_numpy_on_random_trees(self, tree):
+        x = np.linspace(-3.0, 3.0, 25)
+        text = _render(tree)[0]
+        with np.errstate(all="ignore"):
+            expected = _evaluate(tree, x)
+            got = parse_expression(text)(x)
+        assert got.tobytes() == expected.tobytes(), text
+
+    def test_token_bound(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        assert parse_expression("-" * 255 + "x")(x).tobytes() == (-x).tobytes()
+        with pytest.raises(ValueError, match="more than 256 tokens"):
+            parse_expression("-" * 256 + "x")
+
     @pytest.mark.parametrize("expr,fn", [
         ("x", lambda x: x),
         ("2 + 3 * x", lambda x: 2 + 3 * x),
@@ -228,6 +308,7 @@ class TestExpressionGrammar:
         ("1 / (1 + abs(x)) ^ 3", lambda x: 1 / (1 + np.abs(x)) ** 3),
         ("-x + 2 ^ 2 ^ 2", lambda x: -x + 16.0),
         ("1.5e-3 * exp(-abs(x))", lambda x: 1.5e-3 * np.exp(-np.abs(x))),
+        ("007 * x - 1e999", lambda x: 7.0 * x - np.inf),
     ])
     def test_evaluates(self, expr, fn):
         x = np.linspace(-5, 5, 101)
@@ -235,6 +316,7 @@ class TestExpressionGrammar:
 
     @pytest.mark.parametrize("expr", [
         "", "x +", "(x", "x)", "sin(x)", "x ** 2", "1 2", "exp x",
+        "+x", "exp", "exp()", "exp(*x)", "exp(^x)", "2(x)", "x(2)", "exp(x)(x)",
     ])
     def test_rejects(self, expr):
         with pytest.raises(ValueError):

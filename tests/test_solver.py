@@ -7,11 +7,17 @@ import pytest
 
 from rda import solver
 from rda.analysis import normal_form_rates
-from rda.core import Grid, InitialData, PolyTerm, Scenario, SystemSpec
+from rda.core import (
+    Grid,
+    InitialData,
+    PolyTerm,
+    Scenario,
+    SystemSpec,
+    gaussian_profile,
+)
 from rda.solver import (
     SpectralWorkspace,
     detect_blow_up,
-    gaussian_profile,
     run,
     run_scenario,
     step,

@@ -17,6 +17,7 @@ import argparse
 import collections
 import concurrent.futures
 import csv
+import functools
 import math
 import sys
 from pathlib import Path
@@ -223,13 +224,22 @@ def _cmd_plot(args) -> int:
     series = {name: (1.0 + times, np.array(vals))
               for name, vals in columns.items()
               if name not in (header[0], "blow_up_flag")}
+    # line_chart keeps only the points with finite values > 0.
+    if not any(np.any(np.isfinite(x) & np.isfinite(y) & (x > 0) & (y > 0))
+               for x, y in series.values()):
+        raise ValueError(f"{args.csv}: nothing to plot: " + (
+            f"no column besides {header[0]!r}" if not series
+            else "no rows" if times.size == 0
+            else "no point with finite values > 0"))
     chart = line_chart(series, title=Path(args.csv).stem, x_label="1 + t")
     Path(args.out).write_text(chart, encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The rda argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rda",
         description="numerical laboratory for two-component "
@@ -261,8 +271,11 @@ def main(argv=None) -> int:
     p_plot.add_argument("csv")
     p_plot.add_argument("--out", required=True)
     p_plot.set_defaults(func=_cmd_plot)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _REPORTED as exc:

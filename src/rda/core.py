@@ -215,6 +215,12 @@ def _has_remark51_shape(scenario: Scenario) -> bool:
             and scenario.initial_v.kind == "zero")
 
 
+# The largest |initial value| at the box edge, relative to the maximum, that
+# validate_scenario accepts. Every builtin reads at most 2.8e-8; algebraic
+# power-3 data on a half-width of 60 reads 61^-3 = 4.4e-6.
+_EDGE_RATIO = 1e-5
+
+
 def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Validate a full Scenario: system invariants, grid/time sanity, and
     that each requested output can be computed for it.
@@ -293,6 +299,13 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 values = evaluate_initial(init, grid.points())
             if not np.all(np.isfinite(values)):
                 violations.append(f"{label}: finite values on the grid failed")
+            elif (max(abs(values[0]), abs(values[-1]))
+                  > _EDGE_RATIO * np.max(np.abs(values))):
+                # Data cut off at the box edge has a jump there once the
+                # grid is made periodic.
+                violations.append(
+                    f"{label}: |value at the box edge| <= {_EDGE_RATIO:g} "
+                    "max|value| failed")
     if env is not None and not violations and wraparound_budget(
             grid, scenario.system, scenario.t_end, env.M) > 1.0:
         warnings.append(

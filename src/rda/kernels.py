@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erfcx, gamma
 
 __all__ = [
@@ -298,6 +297,9 @@ def _conv_lattice():
 
 def _quad_conv(f, lo: float, hi: float) -> float:
     """QUADPACK integral of f over [lo, hi] to an absolute tolerance of 1e-11."""
+    # Imported here so that `rda run`, which never integrates, skips its cost.
+    from scipy import integrate
+
     return integrate.quad(f, lo, hi, epsabs=1e-11, epsrel=0.0, limit=4000)[0]
 
 

@@ -2,12 +2,14 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 from rda import cli
 from rda.cli import main, run_experiment
+from rda.config import serialize_scenario
 from rda.core import (
     EnvelopeSpec,
     Grid,
@@ -16,7 +18,7 @@ from rda.core import (
     PolyTerm,
     SystemSpec,
 )
-from rda.scenarios import BUILTIN_SCENARIOS
+from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 
 FAST_CONFIG = """\
 name = fast
@@ -277,6 +279,26 @@ class TestMain:
             "error: invalid scenario: initial.u: finite values on the grid failed"]
         assert not out.exists()
 
+    def test_data_cut_off_at_the_box_edge_fails_before_running(
+            self, tmp_path, capsys):
+        # cas2-distinct with both Gaussians centred on the edge x = L = 60.
+        scenario = get_scenario("cas2-distinct")
+        shifted = dataclasses.replace(
+            scenario,
+            initial_u=dataclasses.replace(scenario.initial_u, center=60.0),
+            initial_v=dataclasses.replace(scenario.initial_v, center=60.0))
+        conf = tmp_path / "edge.conf"
+        conf.write_text(serialize_scenario(shifted), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: invalid scenario: "
+            "initial.u: |value at the box edge| <= 1e-05 max|value| failed; "
+            "initial.v: |value at the box edge| <= 1e-05 max|value| failed"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("replacements,message", [
         ((("initial.u.kind = gaussian", "initial.u.kind = algebraic"),
           ("outputs = trajectory, envelope, decay",
@@ -396,7 +418,12 @@ class TestMain:
         ("t,t\n1.0,2.0\n", "line 1: duplicate column 't'"),
         ("t,linf_u\n1.0,2.0\n2.0,abc\n",
          "line 3: could not convert string to float: 'abc'"),
-    ], ids=["empty", "short_row", "long_row", "duplicate_header", "bad_number"])
+        ("t\n0.0\n1.0\n", "nothing to plot: no column besides 't'"),
+        ("t,linf_u\n", "nothing to plot: no rows"),
+        ("t,linf_u\n0.0,nan\n1.0,inf\n",
+         "nothing to plot: no point with finite values > 0"),
+    ], ids=["empty", "short_row", "long_row", "duplicate_header", "bad_number",
+            "time_only", "no_rows", "nonfinite_values"])
     def test_plot_rejects_malformed_csv(self, tmp_path, capsys, text, message):
         table = tmp_path / "bad.csv"
         table.write_text(text, encoding="utf-8")

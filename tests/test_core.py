@@ -21,6 +21,7 @@ from rda.core import (
     validate_spec,
     wraparound_budget,
 )
+from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 
 
 def make_scenario(**overrides):
@@ -131,6 +132,17 @@ class TestValidateScenario:
         bad = make_scenario(**{field: InitialData(kind="custom", expression="1/x")})
         report = validate_scenario(bad)
         assert report.violations == (f"{label}: finite values on the grid failed",)
+
+    def test_data_cut_off_at_the_box_edge_reported(self):
+        # On L = 60 this reads 1/61 of its peak at the edge.
+        init = InitialData(kind="algebraic", amplitude=1e-3, power=1.0)
+        report = validate_scenario(make_scenario(initial_u=init))
+        assert report.violations == (
+            "initial.u: |value at the box edge| <= 1e-05 max|value| failed",)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtins_are_valid(self, name):
+        assert validate_scenario(get_scenario(name)).violations == ()
 
     @pytest.mark.parametrize("overrides,message", [
         (dict(envelope=EnvelopeSpec(kind="exponential", M=math.nan)),

@@ -3,6 +3,7 @@ module pulled in by the CLI."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -58,12 +59,45 @@ def test_all_names_exist(module):
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about half a second and 20 MB at startup.
+# Each costs startup time and memory that a scenario run never uses:
+# scipy.integrate alone, with the rest it loads, is a quarter of both.
+HEAVY = ["scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse",
+         "scipy.linalg"]
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """The HEAVY modules a fresh interpreter holds after each step: import
+    rda.cli, rda run of two scenarios that between them read lower bounds,
+    the drag envelope and the exact error, then rda verify-identities."""
     src = str(Path(rda.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, rda.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
-    assert proc.stdout.strip() == "False"
+    code = f"""if True:
+        import json, sys
+        import rda.cli
+        def seen():
+            return [name for name in {HEAVY!r} if name in sys.modules]
+        steps = {{"import": seen()}}
+        assert rda.cli.main(["run", "cas2-equal", "remark51-exact",
+                             "--out", sys.argv[1]]) == 0
+        steps["run"] = seen()
+        assert rda.cli.main(["verify-identities"]) == 0
+        steps["verify-identities"] = seen()
+        print(json.dumps(steps))
+        """
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path_factory.mktemp("out"))],
+        env=env, check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", HEAVY)
+@pytest.mark.parametrize("step", ["import", "run"])
+def test_cli_leaves_out_heavy_scipy(loaded, step, module):
+    assert module not in loaded[step]
+
+
+def test_verify_identities_loads_quadpack(loaded):
+    # The control for the test above: a module the CLI loads is seen.
+    assert "scipy.integrate" in loaded["verify-identities"]

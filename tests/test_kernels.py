@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from rda import kernels
 from rda.kernels import (
     _conv_lattice,
     conv_cross_velocity,
@@ -113,7 +112,7 @@ def test_identity_suite_oracle_is_strict_and_integrands_scalar(monkeypatch):
         calls.append((kwargs, f(0.5 * (lo + hi))))
         return quad(f, lo, hi, **kwargs)
 
-    monkeypatch.setattr(kernels.integrate, "quad", recording_quad)
+    monkeypatch.setattr(integrate, "quad", recording_quad)
     verify_identity_suite()
     assert len(calls) == 158
     for kwargs, midpoint_value in calls:

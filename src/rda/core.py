@@ -292,6 +292,10 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             _check_positive(f"{label}: power", init.power, violations)
         if not math.isfinite(init.amplitude):
             violations.append(f"{label}: finite amplitude failed")
+        if "envelope" in scenario.outputs and init.center != 0.0:
+            # The envelope weights are centred at x = 0, comoving, whatever
+            # the data's centre is.
+            violations.append(f"{label}.center = 0 with an envelope output failed")
         if len(violations) == before and grid_ok:
             # A pole or overflow on a grid point would otherwise be reported
             # as blow-up at the first step.

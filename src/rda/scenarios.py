@@ -135,7 +135,8 @@ _BUILTINS = {scenario.name: scenario for scenario in (
     ),
     Scenario(
         name="cas2-distinct",
-        description="quadratic cross couplings, distinct velocities; norm growth",
+        description=("quadratic cross couplings, distinct velocities; norm growth; "
+                     "blow-up guard fires near t = 14.21"),
         system=_cas2_system(2.0),
         grid=Grid(half_width=60.0, n=1024),
         initial_u=_gauss(0.5, 1.0),

@@ -16,30 +16,47 @@ the row sets below are built once per workspace. Modes beyond K never
 enter the RK4 update and only see the linear multiplier, so they stay
 exactly zero once the initial spectrum is masked.
 
+A component with coupling terms "moves"; one without is "still" (toy's v
+and remark51-exact's u are the still components among the builtins). RK4
+works on the moving rows only: acc and k have one row per moving
+component, and the still rows of the stage buffer are copied from the
+state once per step, so a still component enters every stage with the
+same kept modes and leaves RK4 untouched.
+
 Each RK4 step transforms only what can change:
 
 - stage 1 makes one batched inverse transform of the rows the monomials
   read (components with a power above zero), and one batched forward
   transform of the non-empty coupling slots f1, f2, g1, g2, of which only
   the first K modes are kept;
-- stages 2-4 inverse-transform only the read rows of components that
-  move, i.e. have coupling terms. A component without couplings has
-  rows of acc and k that are never written and stay zero, so it enters
-  every stage with the same kept modes, and its stage-1 field and powers
-  are reused as they are;
+- stages 2-4 inverse-transform only the read rows that move; the stage-1
+  field and powers of a still component are reused as they are;
 - when no read component moves, the stage-1 forward transform is the
   slope of every stage and is reused, with no transform and no monomial
   work.
 
 No transform is made of an empty set of rows.
 
+A still component only sees its linear multiplier, so its high modes
+decay geometrically into the subnormal range, where rounding pins them
+and they never reach zero; every multiply, transform and blow-up check on
+a subnormal then costs a slow microcode assist. After each step the
+subnormal real and imaginary parts of the kept modes of still rows are
+set to zero: nothing refills these modes, and a value below the smallest
+normal float is far under the last bit of any field value it enters.
+Moving rows are left as they are, since the round-off of the coupling
+terms reaches them at every stage.
+
 step maps a spectrum to a new one and never writes its input, so an
 observer may keep the spectra it is given. run owns the time t, advanced
 as t += dt after each step, and the blow-up check: detect_blow_up runs
 after every step, and the first flagged step ends the run with its t as
-the blow-up time. Physical fields are materialized only when sampled, by
-one batched inverse transform per sample into the next row of the run's
-(S, 2, n) sample array.
+the blow-up time. It first bounds the sup by sum(|Re| + |Im|) * 2/n,
+which needs no hypot and is at least the Parseval bound sum|z| * 2/n, and
+only takes the Parseval bound and then the exact sup when that bound is
+not finite or exceeds the threshold. Physical fields are materialized
+only when sampled, by one batched inverse transform per sample into the
+next row of the run's (S, 2, n) sample array.
 """
 
 from __future__ import annotations
@@ -67,6 +84,9 @@ __all__ = [
     "detect_blow_up",
 ]
 
+# The smallest positive normal float; a smaller nonzero magnitude is subnormal.
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass
 class SpectralWorkspace:
@@ -76,9 +96,10 @@ class SpectralWorkspace:
     its prefix [:n_kept]. slots holds the (coeff, alpha, beta) triples of
     each non-empty slot in f1, f2, g1, g2 order, one row of the batched
     forward transform each, and rows maps component 0 (u) and 1 (v) to the
-    slot indices of its reaction and flux terms (None when empty). read is
-    the range of components the monomials read and read_moving those of
-    them that have coupling terms; each is a row slice, or None when empty.
+    slot indices of its reaction and flux terms (None when empty). moving
+    is the range of components with coupling terms and still the others;
+    read is the range of components the monomials read and read_moving
+    those of them that move. Each range is a row slice, or None when empty.
     """
 
     grid: Grid
@@ -91,6 +112,8 @@ class SpectralWorkspace:
     lin_half: np.ndarray = field(init=False, repr=False)
     slots: tuple[tuple[tuple[float, int, int], ...], ...] = field(init=False)
     rows: tuple[tuple[int | None, int | None], ...] = field(init=False)
+    moving: slice | None = field(init=False)
+    still: slice | None = field(init=False)
     read: slice | None = field(init=False)
     read_moving: slice | None = field(init=False)
     _buffers: dict = field(init=False, repr=False)
@@ -121,9 +144,11 @@ class SpectralWorkspace:
         max_beta = max((b for s in slots for _, _, b in s), default=0)
         read = [comp for comp, top in enumerate((max_alpha, max_beta)) if top > 0]
         moving = [comp for comp, pair in enumerate(self.rows) if pair != (None, None)]
+        self.moving = _row_slice(moving)
+        self.still = _row_slice([comp for comp in (0, 1) if comp not in moving])
         self.read = _row_slice(read)
         self.read_moving = _row_slice([comp for comp in read if comp in moving])
-        stage_shape = (2, self.n_kept)
+        stage_shape = (len(moving), self.n_kept)
         self._buffers = {
             "phys": np.empty((len(slots), n)),
             "term": np.empty(n),
@@ -133,10 +158,9 @@ class SpectralWorkspace:
             # component they do not read, and the last forward transform.
             "powers": [[None], [None]],
             "spec": None,
-            # Rows of components without couplings are never written and
-            # stay zero.
-            "acc": np.zeros(stage_shape, dtype=complex),
-            "k": np.zeros(stage_shape, dtype=complex),
+            # One row per moving component.
+            "acc": np.empty(stage_shape, dtype=complex),
+            "k": np.empty(stage_shape, dtype=complex),
             "stage": np.zeros((2, n // 2 + 1), dtype=complex),
         }
 
@@ -188,8 +212,8 @@ def _coupling_rhs(ws: SpectralWorkspace, y: np.ndarray, out: np.ndarray,
     stage of a step (first) every read row of y is transformed; later
     stages transform only the read rows that move and reuse the others'
     powers, or, when none moves, reuse the first stage's forward transform.
-    Monomials are summed per slot in the order the system lists them; rows
-    of out whose component has no couplings are left untouched.
+    Monomials are summed per slot in the order the system lists them, and
+    out has one row per moving component.
     """
     buf = ws._buffers
     rows = ws.read if first else ws.read_moving
@@ -209,29 +233,33 @@ def _coupling_rhs(ws: SpectralWorkspace, y: np.ndarray, out: np.ndarray,
         buf["spec"] = scipy.fft.rfft(phys, axis=-1)
     spec = buf["spec"]
     kept = ws.n_kept
-    for comp, (f_row, g_row) in enumerate(ws.rows):
-        if g_row is not None:
-            np.multiply(ws.ik, spec[g_row, :kept], out=out[comp])
+    for row, (f_row, g_row) in zip(out, ws.rows[ws.moving]):
+        if g_row is None:
+            row[...] = spec[f_row, :kept]
+        else:
+            np.multiply(ws.ik, spec[g_row, :kept], out=row)
             if f_row is not None:
-                out[comp] += spec[f_row, :kept]
-        elif f_row is not None:
-            out[comp] = spec[f_row, :kept]
+                row += spec[f_row, :kept]
 
 
 def _rk4_couplings(ws: SpectralWorkspace, y: np.ndarray) -> None:
-    """Advance the kept modes y[:, :K] by one RK4 step of the couplings, in place.
+    """Advance the kept modes y[moving, :K] by one RK4 step of the couplings,
+    in place.
 
     acc accumulates k1 + 2 k2 + 2 k3 + k4 in that order, k holds the
-    current stage slope and stage the next stage's input; modes beyond K of
-    the stage buffer stay zero, which dealiases every stage input.
+    current stage slope and stage the next stage's input, all over the
+    moving rows. The still rows of the stage buffer are copied from y once
+    and hold for every stage; modes beyond K of the stage buffer stay zero,
+    which dealiases every stage input.
     """
     buf = ws._buffers
     acc, k, padded = buf["acc"], buf["k"], buf["stage"]
-    stage = padded[:, :ws.n_kept]
+    n_kept = ws.n_kept
+    stage = padded[ws.moving, :n_kept]
     dt = ws.dt
     half = 0.5 * dt
-    kept = y[:, :ws.n_kept]
-    stage[...] = kept
+    kept = y[ws.moving, :n_kept]
+    padded[:, :n_kept] = y[:, :n_kept]
     _coupling_rhs(ws, padded, acc, first=True)
     np.multiply(acc, half, out=stage)
     stage += kept
@@ -255,10 +283,15 @@ def detect_blow_up(spectra: np.ndarray, n: int,
                    threshold: float = DEFAULT_BLOW_UP_THRESHOLD) -> float | None:
     """Return the sup amplitude if it is non-finite or above threshold, else None.
 
-    spectra is the stacked (2, n/2+1) rfft of (u, v). Parseval gives a cheap
-    upper bound first; the exact sup norm is only computed when the bound
-    is already suspicious.
+    spectra is the stacked, C-contiguous (2, n/2+1) rfft of (u, v). Two
+    cheap upper bounds come first: sum(|Re| + |Im|) * 2/n, which needs no
+    hypot and is at least the Parseval bound sum|z| * 2/n, and then the
+    Parseval bound itself; the exact sup norm is only computed when both
+    are already suspicious.
     """
+    coarse = float(np.sum(np.abs(spectra.view(np.float64)))) * (2.0 / n)
+    if math.isfinite(coarse) and coarse <= threshold:
+        return None
     bound = float(np.sum(np.abs(spectra))) * (2.0 / n)
     if math.isfinite(bound) and bound <= threshold:
         return None
@@ -272,9 +305,16 @@ def step(ws: SpectralWorkspace, spectra: np.ndarray) -> np.ndarray:
     """One Strang step of the (2, n/2+1) spectra: half linear, RK4 on the
     couplings, half linear. Returns a new array; spectra is not written."""
     y = spectra * ws.lin_half
-    if ws.slots:
+    if ws.moving is not None:
         _rk4_couplings(ws, y)
     y *= ws.lin_half
+    if ws.still is not None:
+        # Nothing refills the kept modes of a still row, so a subnormal
+        # part would otherwise stay pinned there by rounding and slow every
+        # later operation on it; it lies far under the last bit of any
+        # field value it enters.
+        parts = y[ws.still, :ws.n_kept].view(np.float64)
+        np.copyto(parts, 0.0, where=np.abs(parts) < _TINY)
     return y
 
 

@@ -299,6 +299,14 @@ class TestMain:
             "initial.v: |value at the box edge| <= 1e-05 max|value| failed"]
         assert not out.exists()
 
+    def test_off_centre_data_with_an_envelope_fails_before_running(
+            self, tmp_path, capsys):
+        assert_rejected_before_running(
+            tmp_path, capsys,
+            (("initial.u.amplitude = 1e-3",
+              "initial.u.amplitude = 1e-3\ninitial.u.center = 10"),),
+            "initial.u.center = 0 with an envelope output failed")
+
     @pytest.mark.parametrize("replacements,message", [
         ((("initial.u.kind = gaussian", "initial.u.kind = algebraic"),
           ("outputs = trajectory, envelope, decay",

@@ -140,6 +140,21 @@ class TestValidateScenario:
         assert report.violations == (
             "initial.u: |value at the box edge| <= 1e-05 max|value| failed",)
 
+    def test_off_centre_data_reported_only_with_an_envelope(self):
+        # The envelope weights are centred at x = 0; the lower bounds' L1 and
+        # sup norms do not depend on a translation.
+        shifted = InitialData(kind="gaussian", amplitude=1e-3, center=10.0)
+        enveloped = make_scenario(
+            initial_u=shifted, initial_v=shifted,
+            envelope=EnvelopeSpec(kind="exponential", M=16.0),
+            outputs=("trajectory", "envelope"))
+        assert validate_scenario(enveloped).violations == (
+            "initial.u.center = 0 with an envelope output failed",
+            "initial.v.center = 0 with an envelope output failed")
+        bounded = make_scenario(initial_u=shifted, initial_v=shifted,
+                                outputs=("trajectory", "lower_bounds"))
+        assert validate_scenario(bounded).violations == ()
+
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
     def test_builtins_are_valid(self, name):
         assert validate_scenario(get_scenario(name)).violations == ()

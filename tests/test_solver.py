@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rda import solver
 from rda.analysis import normal_form_rates
@@ -142,7 +145,9 @@ def _count_transform_rows(monkeypatch):
     # Both components move: every stage transforms both rows.
     (dict(f1=(PolyTerm(1.0, 1, 1, 0),), f2=(PolyTerm(-1.0, 2, 0, 0),)),
      [2, 2, 2, 2], [2, 2, 2, 2]),
-], ids=["toy", "remark51", "both_move"])
+    # No couplings: both rows are still and nothing is transformed.
+    ({}, [], []),
+], ids=["toy", "remark51", "both_move", "no_coupling"])
 def test_rows_transformed_per_step(monkeypatch, couplings, inverse, forward):
     grid = Grid(half_width=30.0, n=128)
     system = SystemSpec(d1=1.0, d2=0.25, c1=0.0, c2=5.0, **couplings)
@@ -156,6 +161,123 @@ def test_rows_transformed_per_step(monkeypatch, couplings, inverse, forward):
         spectra = step(ws, spectra)
     assert rows["irfft"] == inverse * steps
     assert rows["rfft"] == forward * steps
+
+
+# Systems with one still component (no coupling terms) that diffuses fast
+# enough for its top kept modes to fall below the smallest normal float
+# from t = 2.1 on, on the grid of still_workspace.
+STILL_SYSTEMS = {
+    # u moves under u^4 + u v; v is still.
+    "toy": (SystemSpec(d1=1.0, d2=4.0, c1=0.0, c2=5.0,
+                       f1=(PolyTerm(1.0, 4, 0, 0), PolyTerm(1.0, 1, 1, 0))),
+            slice(1, 2)),
+    # v moves under u^4; u is still.
+    "remark51": (SystemSpec(d1=4.0, d2=0.25, c1=0.0, c2=1.0,
+                            f2=(PolyTerm(1.0, 4, 0, 0),)),
+                 slice(0, 1)),
+}
+TINY = np.finfo(np.float64).tiny
+
+
+def still_workspace(name):
+    system, still = STILL_SYSTEMS[name]
+    ws = SpectralWorkspace(grid=Grid(half_width=30.0, n=256), system=system, dt=0.01)
+    assert ws.still == still
+    x = ws.grid.points()
+    initial = np.stack((1e-3 * np.exp(-x ** 2 / 4.0), 1e-3 * np.exp(-x ** 2 / 4.0)))
+    return ws, still, initial
+
+
+def count_subnormal(values):
+    parts = np.abs(values.view(np.float64))
+    return int(np.count_nonzero((parts > 0.0) & (parts < TINY)))
+
+
+@pytest.mark.parametrize("name", sorted(STILL_SYSTEMS))
+def test_observed_spectra_hold_no_subnormal(name):
+    ws, still, initial = still_workspace(name)
+    seen = []
+    run(ws, initial, t_end=4.0, sample_dt=1.0,
+        observer=lambda t, spectra: seen.append(spectra))
+    assert len(seen) == 400
+    assert [count_subnormal(spectra) for spectra in seen] == [0] * len(seen)
+    # The still row's top kept modes did underflow: they are exactly zero.
+    assert not seen[-1][still, ws.n_kept - 1].any()
+
+
+@pytest.mark.parametrize("name", sorted(STILL_SYSTEMS))
+def test_still_row_only_sees_the_linear_multiplier(name):
+    ws, still, initial = still_workspace(name)
+    spectra = np.fft.rfft(initial) * ws.dealias
+    # Magnitudes from 1e-300 down to 1e-320 in the still row's upper kept
+    # modes, so that some parts turn subnormal under the multipliers.
+    rng = np.random.default_rng(3)
+    upper = slice(ws.n_kept // 2, ws.n_kept)
+    size = upper.stop - upper.start
+    spectra[still, upper] = (10.0 ** rng.uniform(-320.0, -300.0, size)
+                             * np.exp(2j * np.pi * rng.uniform(size=size)))
+    expected = spectra[still] * ws.lin_half[still] * ws.lin_half[still]
+    assert count_subnormal(expected) > 0
+    # The flush covers the kept modes; the others are zero already.
+    parts = expected[:, :ws.n_kept].view(np.float64)
+    parts[np.abs(parts) < TINY] = 0.0
+    assert step(ws, spectra)[still].tobytes() == expected.tobytes()
+
+
+def parseval_then_sup(spectra, n, threshold):
+    """The blow-up rule without a pre-check: the Parseval bound, then the sup."""
+    bound = float(np.sum(np.abs(spectra))) * (2.0 / n)
+    if math.isfinite(bound) and bound <= threshold:
+        return None
+    sup = float(np.max(np.abs(scipy.fft.irfft(spectra, n=n, axis=-1))))
+    if not math.isfinite(sup):
+        return math.inf
+    return sup if sup > threshold else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([64, 256]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       decay=st.floats(0.0, 3.0),
+       spread=st.floats(0.0, 1.0),
+       balance=st.sampled_from([0.0, 1e-3, 1.0]),
+       threshold=st.sampled_from([1e-3, 1.0, 1e6]),
+       sup=st.sampled_from([0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.001, 1.1, 2.0]),
+       bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+       row=st.integers(0, 1),
+       part=st.integers(0, 1),
+       mode=st.integers(0, 32))
+# Phase-aligned spectra of one row, whose sup is close to the Parseval
+# bound, with the sup on either side of the threshold.
+@example(n=64, seed=0, decay=0.1, spread=0.0, balance=0.0, threshold=1.0,
+         sup=0.5, bad=None, row=0, part=0, mode=0)
+@example(n=64, seed=0, decay=0.1, spread=0.0, balance=0.0, threshold=1.0,
+         sup=1.001, bad=None, row=0, part=0, mode=0)
+def test_detect_blow_up_matches_parseval_then_sup(n, seed, decay, spread, balance,
+                                                  threshold, sup, bad, row, part,
+                                                  mode):
+    # Random moduli decaying like e^{-decay k} with phases in
+    # spread * [-pi, pi], so that spread 0 brings the sup close to the
+    # Parseval bound; v's row is balance times as large as u's. The spectra are
+    # scaled so that the sup is the given multiple of the threshold, and
+    # bad then replaces the real or the imaginary part of one mode of one
+    # row.
+    rng = np.random.default_rng(seed)
+    modes = n // 2 + 1
+    spectra = (np.abs(rng.standard_normal((2, modes)))
+               * np.exp(-decay * np.arange(modes))
+               * np.exp(1j * spread * rng.uniform(-np.pi, np.pi, (2, modes))))
+    spectra[1] *= balance
+    spectra *= sup * threshold / np.max(np.abs(np.fft.irfft(spectra, n=n)))
+    if bad is not None:
+        spectra.view(np.float64)[row, 2 * mode + part] = bad
+    expected = parseval_then_sup(spectra, n, threshold)
+    assert detect_blow_up(spectra, n, threshold) == expected
+    # The inverse transform ignores the imaginary parts of modes 0 and n/2.
+    if bad is None or (part == 1 and mode in (0, n // 2)):
+        assert (expected is None) == (sup < 1.0)
+    else:
+        assert expected == math.inf
 
 
 def test_detect_blow_up_flags_threshold_and_nan():

@@ -52,8 +52,7 @@ observer may keep the spectra it is given. run owns the time t, advanced
 as t += dt after each step, and the blow-up check: detect_blow_up runs
 after every step, and the first flagged step ends the run with its t as
 the blow-up time. It first bounds the sup by sum(|Re| + |Im|) * 2/n,
-which needs no hypot and is at least the Parseval bound sum|z| * 2/n, and
-only takes the Parseval bound and then the exact sup when that bound is
+which needs no hypot, and only computes the exact sup when that bound is
 not finite or exceeds the threshold. Physical fields are materialized
 only when sampled, by one batched inverse transform per sample into the
 next row of the run's (S, 2, n) sample array.
@@ -283,16 +282,12 @@ def detect_blow_up(spectra: np.ndarray, n: int,
                    threshold: float = DEFAULT_BLOW_UP_THRESHOLD) -> float | None:
     """Return the sup amplitude if it is non-finite or above threshold, else None.
 
-    spectra is the stacked, C-contiguous (2, n/2+1) rfft of (u, v). Two
-    cheap upper bounds come first: sum(|Re| + |Im|) * 2/n, which needs no
-    hypot and is at least the Parseval bound sum|z| * 2/n, and then the
-    Parseval bound itself; the exact sup norm is only computed when both
-    are already suspicious.
+    spectra is the stacked, C-contiguous (2, n/2+1) rfft of (u, v). The
+    bound sum(|Re| + |Im|) * 2/n on the sup needs no hypot; the exact sup
+    norm is only computed when that bound is not finite or exceeds the
+    threshold.
     """
-    coarse = float(np.sum(np.abs(spectra.view(np.float64)))) * (2.0 / n)
-    if math.isfinite(coarse) and coarse <= threshold:
-        return None
-    bound = float(np.sum(np.abs(spectra))) * (2.0 / n)
+    bound = float(np.sum(np.abs(spectra.view(np.float64)))) * (2.0 / n)
     if math.isfinite(bound) and bound <= threshold:
         return None
     sup = float(np.max(np.abs(scipy.fft.irfft(spectra, n=n, axis=-1))))

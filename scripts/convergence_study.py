@@ -2,7 +2,9 @@
 
 Halves dt repeatedly, compares solutions at a fixed time, and prints the
 max-norm differences between consecutive refinements together with the
-observed convergence factors (4 for a clean second-order scheme).
+observed convergence factors (4 for a clean second-order scheme). Each
+run's samples go through the CLI's per-sample reduction, whose last
+sample is the solution at the fixed time.
 
 Usage: python scripts/convergence_study.py [--t-final 1.0]
 """
@@ -11,6 +13,7 @@ import argparse
 
 import numpy as np
 
+from rda.analysis import SampleReduction
 from rda.core import evaluate_initial
 from rda.scenarios import get_scenario
 from rda.solver import SpectralWorkspace, run
@@ -30,8 +33,9 @@ def main() -> None:
     finals = []
     for dt in args.dts:
         ws = SpectralWorkspace(grid=scenario.grid, system=scenario.system, dt=dt)
-        result = run(ws, initial, args.t_final, sample_dt=args.t_final)
-        finals.append(result.fields[-1])
+        samples = SampleReduction(scenario)
+        run(ws, initial, args.t_final, args.t_final, samples)
+        finals.append(samples.last)
         print(f"dt={dt:g}: done")
     diffs = []
     for coarse, fine, dt in zip(finals, finals[1:], args.dts):

@@ -4,8 +4,9 @@ This module turns sampled trajectories into the quantities the theory
 talks about: scaling classes of polynomial terms, structural admissibility
 of a system for each stability result, spatio-temporal weight suprema, the
 fitted temporal decay exponent, the explicit blow-up lower bounds, and the
-logarithmic amplitude law of the normal form. diagnose applies every
-pass/fail rule to one sampled run.
+logarithmic amplitude law of the normal form. A run's samples are reduced
+one at a time as they are taken (SampleReduction, the solver's on_sample
+hook), and diagnose applies every pass/fail rule to the reduced rows.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "check_admissibility",
     "normal_form_coeffs",
     "normal_form_rates",
+    "Envelope",
     "EnvelopeVerdict",
     "envelope_verdict",
     "fit_decay_exponent",
@@ -45,7 +47,8 @@ __all__ = [
     "T_BURN",
     "AmplitudeLawVerdict",
     "amplitude_law_check",
-    "norm_series",
+    "sample_norms",
+    "SampleReduction",
     "Diagnosis",
     "diagnose",
 ]
@@ -196,107 +199,105 @@ class EnvelopeVerdict:
         return bool(np.all(self.bounded_flags))
 
 
-def norm_series(times: np.ndarray, fields: np.ndarray, dx: float):
-    """(times, linf_u, linf_v, l1_u, l1_v) arrays over the (S, 2, n) samples.
+def sample_norms(fields: np.ndarray, dx: float, buf: np.ndarray | None = None):
+    """(linf, l1): the sup and L1 norms of the rows u and v of one (2, n) sample.
 
-    |fields| is taken one sample at a time into a reused (2, n) buffer, so
-    no temporary of the whole array's size is allocated.
+    |fields| is taken into buf when one is given, so a run reuses one buffer.
     """
-    buf = np.empty(fields.shape[1:])
-    linf = np.empty(fields.shape[:2])
-    l1 = np.empty(fields.shape[:2])
-    for j, row in enumerate(fields):
-        np.abs(row, out=buf)
-        linf[j] = buf.max(axis=-1)
-        l1[j] = buf.sum(axis=-1)
-    l1 *= dx
-    return np.asarray(times), linf[:, 0], linf[:, 1], l1[:, 0], l1[:, 1]
+    buf = np.abs(fields, out=buf)
+    return buf.max(axis=-1), buf.sum(axis=-1) * dx
 
-
-# Envelope rules. Each maps (x, s, grid, system, env) to (denom, keep), two
-# (2, len(x)) arrays for u and v at sample time s: the weight denominators
-# and the trust region where the weighted field counts. Outside it the
-# weighted field is round-off amplified past meaning.
 
 def _gaussian(shifted: np.ndarray, s: float, M: float) -> np.ndarray:
     return np.exp(-shifted ** 2 / (M * (1.0 + s))) / math.sqrt(1.0 + s)
 
 
-def _comoving(x: np.ndarray, s: float, grid: Grid, system: SystemSpec) -> np.ndarray:
-    """x + c_i s per component, wrapped back into the periodic domain.
+class Envelope:
+    """The weighted supremum eta(s) = sup_x sum_i |field_i| / denom_i of one
+    sample under env.kind's weights.
 
-    The simulation lives on a torus, so the distance to the drifting pulse
-    is the periodic one; without wrapping, tails near the far edge would be
-    weighted as if they were a full drift further out.
+    Each rule maps the sample time s to (denom, keep), two (2, n) arrays for
+    u and v: the weight denominators and the trust region where the
+    weighted field counts. Outside it the weighted field is round-off
+    amplified past meaning. The grid points and the velocity column
+    (c1, c2) are built once, here.
     """
-    L = grid.half_width
-    return np.mod(x + np.array([[system.c1], [system.c2]]) * s + L, 2.0 * L) - L
 
+    def __init__(self, grid: Grid, system: SystemSpec, env: EnvelopeSpec):
+        rules = {"exponential": self._exponential_rule,
+                 "algebraic": self._algebraic_rule, "drag": self._drag_rule}
+        self._rule = rules.get(env.kind)
+        if self._rule is None:
+            raise ValueError(f"envelope kind {env.kind!r} has no evaluator")
+        if env.kind == "drag" and system.c1 == system.c2:
+            raise ValueError("drag weight requires c1 != c2")
+        self.grid, self.system, self.env = grid, system, env
+        self.x = grid.points()
+        self.velocity = np.array([[system.c1], [system.c2]])
 
-def _exponential_rule(x, s, grid, system, env):
-    """Gaussian e^{-(x+c_i s)^2/(M(1+s))}/sqrt(1+s) within the trust radius."""
-    shifted = _comoving(x, s, grid, system)
-    return _gaussian(shifted, s, env.M), np.abs(shifted) <= trust_radius(env.M, s)
-
-
-def _algebraic_rule(x, s, grid, system, env):
-    """Gaussian plus (1+|x+c_i s|+sqrt(s))^{-r}, which keeps the weight
-    polynomially bounded, so the whole domain is kept."""
-    shifted = _comoving(x, s, grid, system)
-    denom = (1.0 + np.abs(shifted) + math.sqrt(s)) ** (-env.r) \
-        + _gaussian(shifted, s, env.M)
-    return denom, np.ones(denom.shape, dtype=bool)
-
-
-def _drag_rule(x, s, grid, system, env):
-    """Gaussian plus the swept-source drag weight, which tolerates the
-    non-Gaussian tails that irrelevant cross couplings produce.
-
-    Both components share one unwrapped segment, the one swept between the
-    comoving centres plus the trust radius; within it a denominator below
-    1e-12 of its segment max is dropped, as in the Gaussian trust region.
-    """
-    c1, c2 = system.c1, system.c2
-    if c1 == c2:
-        raise ValueError("drag weight requires c1 != c2")
-    margin = trust_radius(env.M, s)
-    segment = (x >= min(-c1 * s, -c2 * s) - margin) \
-        & (x <= max(-c1 * s, -c2 * s) + margin)
-    xs = x[segment]
-    denom = np.zeros((2, len(x)))
-    denom[:, segment] = _gaussian(xs + np.array([[c1], [c2]]) * s, s, env.M) \
-        + drag_weight_profile(xs, s, c1, c2, env.M)
-    return denom, segment & (denom >= 1e-12 * denom.max(axis=1, keepdims=True))
-
-
-_ENVELOPE_RULES = {"exponential": _exponential_rule,
-                   "algebraic": _algebraic_rule, "drag": _drag_rule}
-
-
-def envelope_verdict(times: np.ndarray, fields: np.ndarray, grid: Grid,
-                     system: SystemSpec, env: EnvelopeSpec) -> EnvelopeVerdict:
-    """Weighted supremum eta(s) = sup_x sum_i |field_i| / denom_i and its verdict.
-
-    fields[j] is the (2, n) pair (u, v) sampled at times[j], and
-    eta_series[j] and bounded_flags[j] belong to the same time.
-
-    The sup runs over the trust region of env.kind's rule; eta_series is
-    its cumulative sup. A sample is bounded when its eta is at most 3x the
-    anchor, the eta of the first sample at t >= 1 (the first sample if
-    there is none); the verdict is bounded when every sample is.
-    """
-    rule = _ENVELOPE_RULES.get(env.kind)
-    if rule is None:
-        raise ValueError(f"envelope kind {env.kind!r} has no evaluator")
-    x = grid.points()
-    times = np.asarray(times)
-    eta = np.empty(len(times))
-    for i, (s, row) in enumerate(zip(times, fields)):
-        denom, keep = rule(x, float(s), grid, system, env)
-        weighted = np.divide(np.abs(row), denom,
+    def eta(self, s: float, fields: np.ndarray) -> float:
+        """eta of the (2, n) pair (u, v) sampled at time s."""
+        denom, keep = self._rule(s)
+        weighted = np.divide(np.abs(fields), denom,
                              out=np.zeros_like(denom), where=keep)
-        eta[i] = np.max(weighted.sum(axis=0), initial=0.0)
-    eta_series = np.maximum.accumulate(eta)
+        return float(np.max(weighted.sum(axis=0), initial=0.0))
+
+    def _comoving(self, s: float) -> np.ndarray:
+        """x + c_i s per component, wrapped back into the periodic domain.
+
+        The simulation lives on a torus, so the distance to the drifting
+        pulse is the periodic one; without wrapping, tails near the far edge
+        would be weighted as if they were a full drift further out.
+        """
+        L = self.grid.half_width
+        return np.mod(self.x + self.velocity * s + L, 2.0 * L) - L
+
+    def _exponential_rule(self, s):
+        """Gaussian e^{-(x+c_i s)^2/(M(1+s))}/sqrt(1+s) within the trust radius."""
+        shifted = self._comoving(s)
+        M = self.env.M
+        return _gaussian(shifted, s, M), np.abs(shifted) <= trust_radius(M, s)
+
+    def _algebraic_rule(self, s):
+        """Gaussian plus (1+|x+c_i s|+sqrt(s))^{-r}, which keeps the weight
+        polynomially bounded, so the whole domain is kept."""
+        shifted = self._comoving(s)
+        denom = (1.0 + np.abs(shifted) + math.sqrt(s)) ** (-self.env.r) \
+            + _gaussian(shifted, s, self.env.M)
+        return denom, np.ones(denom.shape, dtype=bool)
+
+    def _drag_rule(self, s):
+        """Gaussian plus the swept-source drag weight, which tolerates the
+        non-Gaussian tails that irrelevant cross couplings produce.
+
+        Both components share one unwrapped segment, the one swept between
+        the comoving centres plus the trust radius; within it a denominator
+        below 1e-12 of its segment max is dropped, as in the Gaussian trust
+        region.
+        """
+        x, M = self.x, self.env.M
+        c1, c2 = self.system.c1, self.system.c2
+        margin = trust_radius(M, s)
+        segment = (x >= min(-c1 * s, -c2 * s) - margin) \
+            & (x <= max(-c1 * s, -c2 * s) + margin)
+        xs = x[segment]
+        denom = np.zeros((2, len(x)))
+        denom[:, segment] = _gaussian(xs + self.velocity * s, s, M) \
+            + drag_weight_profile(xs, s, c1, c2, M)
+        return denom, segment & (denom >= 1e-12 * denom.max(axis=1, keepdims=True))
+
+
+def envelope_verdict(times: np.ndarray, eta: np.ndarray) -> EnvelopeVerdict:
+    """The verdict on a run's per-sample suprema: eta[j] is Envelope.eta of
+    the sample at times[j].
+
+    eta_series is the cumulative sup of eta. A sample is bounded when its
+    eta_series value is at most 3x the anchor, the value at the first
+    sample with t >= 1 (the first sample if there is none); the verdict is
+    bounded when every sample is.
+    """
+    times = np.asarray(times)
+    eta_series = np.maximum.accumulate(np.asarray(eta, dtype=float))
     flags = eta_series <= 3.0 * eta_series[np.argmax(times >= 1.0)]
     return EnvelopeVerdict(eta_series=eta_series, bounded_flags=flags)
 
@@ -431,9 +432,47 @@ def amplitude_law_check(times: np.ndarray, amplitudes: np.ndarray, mu: float,
 # Verdicts of one run
 # ---------------------------------------------------------------------------
 
+class SampleReduction:
+    """The per-sample reduction of one run of a scenario, called as the
+    solver's on_sample(t, spectra, fields) hook.
+
+    Each call reduces the (2, n) sample to one row of rows: t, linf_u,
+    linf_v, l1_u, l1_v, then eta when the scenario declares the envelope
+    output and the normal-form amplitude A, the integral of u, when its
+    amplitude law can be judged; a quantity not asked for is nan. last is
+    the latest sample's fields, which exact_error reads; no other sample is
+    kept. What does not depend on the sample is built once, here: the
+    |fields| buffer, the Envelope, and the admissibility report and
+    normal-form rates (mu, nu) of the amplitude law (rates is None when the
+    law cannot be judged).
+    """
+
+    def __init__(self, scenario: Scenario):
+        grid, system, outputs = scenario.grid, scenario.system, scenario.outputs
+        self.dx = grid.dx
+        self._abs = np.empty((2, grid.n))
+        self.envelope = (Envelope(grid, system, scenario.envelope)
+                         if "envelope" in outputs else None)
+        self.admissibility = (check_admissibility(system)
+                              if "amplitude_law" in outputs else None)
+        adm = self.admissibility
+        self.rates = (normal_form_rates(system) if adm is not None
+                      and adm.thm4_shape and adm.sign_condition else None)
+        self.rows: list[tuple] = []
+        self.last = None
+
+    def __call__(self, t: float, spectra: np.ndarray, fields: np.ndarray) -> None:
+        linf, l1 = sample_norms(fields, self.dx, self._abs)
+        eta = math.nan if self.envelope is None else self.envelope.eta(t, fields)
+        amplitude = (math.nan if self.rates is None
+                     else np.trapezoid(fields[0], dx=self.dx))
+        self.rows.append((t, *linf, *l1, eta, amplitude))
+        self.last = fields
+
+
 @dataclass(frozen=True)
 class Diagnosis:
-    norms: tuple                    # norm_series: (times, linf_u, linf_v, l1_u, l1_v)
+    norms: tuple                    # (times, linf_u, linf_v, l1_u, l1_v) arrays
     envelope: Optional[EnvelopeVerdict]
     verdicts: tuple                 # (name, passed, statistic) rows
 
@@ -451,21 +490,21 @@ def _exact_remark51(scenario: Scenario, t: float):
     return u_exact, v_exact
 
 
-def diagnose(scenario: Scenario, times: np.ndarray, fields: np.ndarray) -> Diagnosis:
-    """Norm series, envelope verdict and verdict rows of one sampled run.
+def diagnose(scenario: Scenario, samples: SampleReduction) -> Diagnosis:
+    """Norm series, envelope verdict and verdict rows of one run.
 
-    fields[j] is the (2, n) pair (u, v) sampled at times[j]; the scenario
-    has passed validate_scenario. Each output the scenario asks for adds its
+    samples has reduced every sample of a run of the scenario, which has
+    passed validate_scenario. Each output the scenario asks for adds its
     rows in the order of core.OUTPUTS.
     """
-    grid, system, outputs = scenario.grid, scenario.system, scenario.outputs
-    norms = norm_series(times, fields, grid.dx)
-    times, linf_u, linf_v, l1_u, l1_v = norms
+    system, outputs = scenario.system, scenario.outputs
+    times, linf_u, linf_v, l1_u, l1_v, eta, amplitudes = np.array(samples.rows).T
+    norms = (times, linf_u, linf_v, l1_u, l1_v)
     sup = np.maximum(linf_u, linf_v)
     envelope = None
     rows: list[tuple] = []
     if "envelope" in outputs:
-        envelope = envelope_verdict(times, fields, grid, system, scenario.envelope)
+        envelope = envelope_verdict(times, eta)
         rows.append((f"eta_{scenario.envelope.kind}", envelope.bounded,
                      envelope.max_eta))
     if "decay" in outputs:
@@ -492,18 +531,17 @@ def diagnose(scenario: Scenario, times: np.ndarray, fields: np.ndarray) -> Diagn
     if "amplitude_law" in outputs:
         # Without the normal-form shape and the stabilizing sign the law
         # fails with the sign value (nan without the shape).
-        adm = check_admissibility(system)
-        if adm.thm4_shape and adm.sign_condition:
-            amplitudes = np.trapezoid(fields[:, 0], dx=grid.dx, axis=-1)
-            law = amplitude_law_check(times, amplitudes, *normal_form_rates(system))
+        if samples.rates is not None:
+            law = amplitude_law_check(times, amplitudes, *samples.rates)
             rows.append(("amplitude_law", law.passed, law.statistic))
         else:
-            rows.append(("amplitude_law", False, math.nan
-                         if adm.sign_value is None else adm.sign_value))
+            sign_value = samples.admissibility.sign_value
+            rows.append(("amplitude_law", False,
+                         math.nan if sign_value is None else sign_value))
     if "exact_error" in outputs:
         # Relative sup errors of the final sample: u within 1e-4, v within 5e-4.
         err_u, err_v = (float(np.max(np.abs(f - exact)) / np.max(np.abs(exact)))
-                        for f, exact in zip(fields[-1],
+                        for f, exact in zip(samples.last,
                                             _exact_remark51(scenario, times[-1])))
         rows.append(("exact_error", err_u <= 1e-4 and err_v <= 5e-4,
                      max(err_u, err_v)))

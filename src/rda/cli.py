@@ -94,14 +94,19 @@ def write_outputs(scenario: Scenario, diagnosis: analysis.Diagnosis,
 
 
 def run_experiment(scenario: Scenario, out_dir) -> int:
-    """Validate, run, diagnose and write one scenario."""
+    """Validate, run, diagnose and write one scenario.
+
+    The run hands each sample to the scenario's SampleReduction and keeps
+    none, so a run holds one (2, n) sample at a time.
+    """
     report = validate_scenario(scenario)
     if not report.valid:
         raise ConfigError("invalid scenario: " + "; ".join(report.violations))
     for warning in report.warnings:
         print(f"[{scenario.name}] warning: {warning}", file=sys.stderr)
-    result = solver.run_scenario(scenario)
-    diagnosis = analysis.diagnose(scenario, result.times, result.fields)
+    samples = analysis.SampleReduction(scenario)
+    result = solver.run_scenario(scenario, samples)
+    diagnosis = analysis.diagnose(scenario, samples)
     write_outputs(scenario, diagnosis, result.blew_up, out_dir)
     return 0
 

@@ -303,13 +303,18 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 values = evaluate_initial(init, grid.points())
             if not np.all(np.isfinite(values)):
                 violations.append(f"{label}: finite values on the grid failed")
-            elif (max(abs(values[0]), abs(values[-1]))
-                  > _EDGE_RATIO * np.max(np.abs(values))):
+                continue
+            peak = np.max(np.abs(values))
+            if max(abs(values[0]), abs(values[-1])) > _EDGE_RATIO * peak:
                 # Data cut off at the box edge has a jump there once the
                 # grid is made periodic.
                 violations.append(
                     f"{label}: |value at the box edge| <= {_EDGE_RATIO:g} "
                     "max|value| failed")
+            if 0 < scenario.blow_up_threshold <= peak:
+                # The blow-up guard would flag the first step, and the
+                # input would be reported as a blow-up at t = 0.
+                violations.append(f"{label}: max|value| < blow_up_threshold failed")
     if env is not None and not violations and wraparound_budget(
             grid, scenario.system, scenario.t_end, env.M) > 1.0:
         warnings.append(

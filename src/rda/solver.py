@@ -47,15 +47,16 @@ normal float is far under the last bit of any field value it enters.
 Moving rows are left as they are, since the round-off of the coupling
 terms reaches them at every stage.
 
-step maps a spectrum to a new one and never writes its input, so an
-observer may keep the spectra it is given. run owns the time t, advanced
+step maps a spectrum to a new one and never writes its input, so a
+caller may keep the spectra it is given. run owns the time t, advanced
 as t += dt after each step, and the blow-up check: detect_blow_up runs
 after every step, and the first flagged step ends the run with its t as
 the blow-up time. It first bounds the sup by sum(|Re| + |Im|) * 2/n,
 which needs no hypot, and only computes the exact sup when that bound is
 not finite or exceeds the threshold. Physical fields are materialized
-only when sampled, by one batched inverse transform per sample into the
-next row of the run's (S, 2, n) sample array.
+only when sampled, by one batched inverse transform per sample, and
+handed with the spectrum to the run's on_sample hook. run keeps no
+sample, so a run's memory does not grow with its sample count.
 """
 
 from __future__ import annotations
@@ -315,27 +316,27 @@ def step(ws: SpectralWorkspace, spectra: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Sampled trajectory of one simulation: fields[j] is (u, v) at times[j].
+    """How one simulation ended: times[j] is the time of the j-th sample.
 
-    times has shape (S,) and fields (S, 2, n); row 0 is the initial data.
-    After a blow-up both hold only the samples taken before it.
+    times has shape (S,); times[0] = 0 is the initial data. After a
+    blow-up it holds only the samples taken before it.
     """
     times: np.ndarray
-    fields: np.ndarray
     blew_up: bool
     blow_up_time: float | None
 
 
 def run(ws: SpectralWorkspace, initial: np.ndarray, t_end: float, sample_dt: float,
-        blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD,
-        observer=None) -> RunResult:
-    """Advance the (2, n) initial fields (u, v) from t = 0 to t_end, sampling
-    every sample_dt.
+        on_sample, blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD) -> RunResult:
+    """Advance the (2, n) initial fields (u, v) from t = 0 to t_end, handing
+    a sample to on_sample every sample_dt.
 
-    Blow-up terminates the run cleanly: the first step detect_blow_up
-    flags is not accepted, and the result carries the samples collected
-    before it plus the flag and its time. The optional observer is called
-    as observer(t, spectra) at every accepted step.
+    on_sample(t, spectra, fields) is called at t = 0 with the masked
+    initial spectrum and the initial fields as given, then every stride
+    steps and at the last step; fields is the fresh (2, n) inverse
+    transform of spectra, so the hook may keep either. Blow-up terminates
+    the run cleanly: the first step detect_blow_up flags is not accepted
+    and is never sampled, and the result carries the flag and its time.
     """
     # Mask the initial spectrum once: dealiased modes then stay identically
     # zero (the linear multiplier preserves zeros and the RK4 update never
@@ -344,11 +345,10 @@ def run(ws: SpectralWorkspace, initial: np.ndarray, t_end: float, sample_dt: flo
     t = 0.0
     steps_total = int(round(t_end / ws.dt))
     stride = max(1, int(round(sample_dt / ws.dt)))
-    # One row for t = 0, one per stride steps and one for a final partial stride.
+    # One sample at t = 0, one per stride steps and one for a final partial stride.
     times = np.empty(1 + math.ceil(steps_total / stride))
-    fields = np.empty((len(times), 2, ws.grid.n))
     times[0] = 0.0
-    fields[0] = initial
+    on_sample(0.0, spectra, initial)
     taken = 1
     blow_up_time = None
     for i in range(1, steps_total + 1):
@@ -357,22 +357,21 @@ def run(ws: SpectralWorkspace, initial: np.ndarray, t_end: float, sample_dt: flo
         if detect_blow_up(spectra, ws.grid.n, blow_up_threshold) is not None:
             blow_up_time = t
             break
-        if observer is not None:
-            observer(t, spectra)
         if i % stride == 0 or i == steps_total:
             times[taken] = t
-            fields[taken] = scipy.fft.irfft(spectra, n=ws.grid.n, axis=-1)
+            on_sample(t, spectra, scipy.fft.irfft(spectra, n=ws.grid.n, axis=-1))
             taken += 1
-    return RunResult(times=times[:taken], fields=fields[:taken],
-                     blew_up=blow_up_time is not None, blow_up_time=blow_up_time)
+    return RunResult(times=times[:taken], blew_up=blow_up_time is not None,
+                     blow_up_time=blow_up_time)
 
 
-def run_scenario(scenario: Scenario, observer=None) -> RunResult:
-    """Build the workspace and initial data for a Scenario and run it."""
+def run_scenario(scenario: Scenario, on_sample) -> RunResult:
+    """Build the workspace and initial data for a Scenario and run it,
+    handing each sample to on_sample."""
     grid = scenario.grid
     x = grid.points()
     initial = np.stack((evaluate_initial(scenario.initial_u, x),
                         evaluate_initial(scenario.initial_v, x)))
     ws = SpectralWorkspace(grid=grid, system=scenario.system, dt=scenario.dt)
-    return run(ws, initial, scenario.t_end, scenario.sample_dt,
-               blow_up_threshold=scenario.blow_up_threshold, observer=observer)
+    return run(ws, initial, scenario.t_end, scenario.sample_dt, on_sample,
+               blow_up_threshold=scenario.blow_up_threshold)

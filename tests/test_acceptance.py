@@ -20,6 +20,7 @@ import scipy.fft
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import history_envelope, history_norms, record_run
 from rda import kernels, solver
 from rda.analysis import (
     Category,
@@ -27,9 +28,7 @@ from rda.analysis import (
     cas2_lower_bounds,
     check_admissibility,
     classify_term,
-    envelope_verdict,
     fit_decay_exponent,
-    norm_series,
     normal_form_rates,
 )
 from rda.core import EnvelopeSpec, Grid, PolyTerm, SystemSpec
@@ -84,23 +83,23 @@ def test_criterion_2_exact_benchmark(remark51_run):
 
 def test_criterion_3_decay_exponent(toy_run):
     scenario, result = toy_run
-    times, linf_u, _, _, _ = norm_series(result.times, result.fields,
-                                         scenario.grid.dx)
+    times, linf_u, _, _, _ = history_norms(result.times, result.fields,
+                                           scenario.grid.dx)
     exponent, _ = fit_decay_exponent(times, linf_u, t_min=5.0)
     assert exponent == pytest.approx(-0.5, abs=0.1)
 
 
 def test_criterion_3_envelope_bounded(toy_run):
     scenario, result = toy_run
-    verdict = envelope_verdict(result.times, result.fields, scenario.grid,
+    verdict = history_envelope(result.times, result.fields, scenario.grid,
                                scenario.system, scenario.envelope)
     assert verdict.bounded, f"eta grew to {verdict.max_eta:.3e}"
 
 
 def test_criterion_3_l1_nearly_conserved(toy_run):
     scenario, result = toy_run
-    _, _, _, l1_u, _ = norm_series(result.times, result.fields,
-                                   scenario.grid.dx)
+    _, _, _, l1_u, _ = history_norms(result.times, result.fields,
+                                     scenario.grid.dx)
     variation = float(np.max(l1_u) / np.min(l1_u)) - 1.0
     assert variation < 0.20
 
@@ -111,15 +110,15 @@ def test_criterion_3_l1_nearly_conserved(toy_run):
 
 def test_criterion_4_drag_envelope_bounded(thm2_run):
     scenario, result = thm2_run
-    verdict = envelope_verdict(result.times, result.fields, scenario.grid,
+    verdict = history_envelope(result.times, result.fields, scenario.grid,
                                scenario.system, scenario.envelope)
     assert verdict.bounded, f"drag eta grew to {verdict.max_eta:.3e}"
 
 
 def test_criterion_4_both_components_decay(thm2_run):
     scenario, result = thm2_run
-    times, linf_u, linf_v, _, _ = norm_series(result.times, result.fields,
-                                              scenario.grid.dx)
+    times, linf_u, linf_v, _, _ = history_norms(result.times, result.fields,
+                                                scenario.grid.dx)
     for series in (linf_u, linf_v):
         exponent, _ = fit_decay_exponent(times, series, t_min=10.0)
         assert exponent <= -0.4
@@ -137,8 +136,8 @@ def _cas2_bounds(scenario, times):
 
 def test_criterion_5_l1_dominates_lower_bound(cas2_distinct_run):
     scenario, result = cas2_distinct_run
-    times, _, _, l1_u, l1_v = norm_series(result.times, result.fields,
-                                          scenario.grid.dx)
+    times, _, _, l1_u, l1_v = history_norms(result.times, result.fields,
+                                            scenario.grid.dx)
     curve = _cas2_bounds(scenario, times)
     l1_total = l1_u + l1_v
     assert np.all(l1_total >= curve.l1_bound)
@@ -146,8 +145,8 @@ def test_criterion_5_l1_dominates_lower_bound(cas2_distinct_run):
 
 def test_criterion_5_l1_growth_exponent(cas2_distinct_run):
     scenario, result = cas2_distinct_run
-    times, _, _, l1_u, l1_v = norm_series(result.times, result.fields,
-                                          scenario.grid.dx)
+    times, _, _, l1_u, l1_v = history_norms(result.times, result.fields,
+                                            scenario.grid.dx)
     exponent, _ = fit_decay_exponent(times, l1_u + l1_v,
                                      t_min=times[-1] / 10.0)
     assert exponent >= 0.8
@@ -165,8 +164,8 @@ def test_criterion_5_linf_bound_increases_after_two(cas2_distinct_run):
 
 def test_criterion_5_simulated_linf_grows(cas2_distinct_run):
     scenario, result = cas2_distinct_run
-    times, linf_u, linf_v, _, _ = norm_series(result.times, result.fields,
-                                              scenario.grid.dx)
+    times, linf_u, linf_v, _, _ = history_norms(result.times, result.fields,
+                                                scenario.grid.dx)
     sup = np.maximum(linf_u, linf_v)
     half = times >= times[-1] / 2.0
     assert np.all(np.diff(sup[half]) > 0.0)
@@ -184,8 +183,8 @@ def test_criterion_6_no_blow_up(cas3_run):
 
 def test_criterion_6_decay_exponent(cas3_run):
     scenario, result = cas3_run
-    times, linf_u, _, _, _ = norm_series(result.times, result.fields,
-                                         scenario.grid.dx)
+    times, linf_u, _, _, _ = history_norms(result.times, result.fields,
+                                           scenario.grid.dx)
     exponent, _ = fit_decay_exponent(times, linf_u, t_min=10.0)
     assert exponent == pytest.approx(-0.5, abs=0.15)
 
@@ -266,8 +265,8 @@ class TestProperty2EnvelopeHomogeneityAndOrdering:
         times, fields = self._history(amplitude, width, offset)
         for env in (EnvelopeSpec(kind="exponential", M=16.0),
                     EnvelopeSpec(kind="algebraic", M=16.0, r=3.0)):
-            base = envelope_verdict(times, fields, self.grid, self.system, env)
-            big = envelope_verdict(times, scale * fields, self.grid,
+            base = history_envelope(times, fields, self.grid, self.system, env)
+            big = history_envelope(times, scale * fields, self.grid,
                                    self.system, env)
             np.testing.assert_allclose(big.eta_series,
                                        scale * base.eta_series, rtol=1e-10)
@@ -280,9 +279,9 @@ class TestProperty2EnvelopeHomogeneityAndOrdering:
         # The drag weight only enlarges the denominator, so its supremum is
         # dominated by the pure-Gaussian one on the same history.
         hist = self._history(amplitude, width, offset)
-        exp_v = envelope_verdict(*hist, self.grid, self.system,
+        exp_v = history_envelope(*hist, self.grid, self.system,
                                  EnvelopeSpec(kind="exponential", M=16.0))
-        drag_v = envelope_verdict(*hist, self.grid, self.system,
+        drag_v = history_envelope(*hist, self.grid, self.system,
                                   EnvelopeSpec(kind="drag", M=16.0))
         assert np.all(drag_v.eta_series <=
                       exp_v.eta_series * (1.0 + 1e-9) + 1e-300)
@@ -332,7 +331,7 @@ class TestProperty4GalileanConsistency:
         def final_u(c1, c2):
             system = SystemSpec(d1=1.0, d2=1.0, c1=c1, c2=c2, f1=f1)
             ws = SpectralWorkspace(grid=grid, system=system, dt=dt)
-            return run(ws, initial, t_end, sample_dt=t_end).fields[-1, 0]
+            return record_run(ws, initial, t_end, sample_dt=t_end).fields[-1, 0]
 
         base = final_u(0.0, 1.0)
         boosted = final_u(boost, 1.0 + boost)
@@ -356,8 +355,8 @@ class TestProperty5DealiasNullity:
         initial = 0.05 * rng.standard_normal((2, grid.n)) * np.exp(-x ** 2 / 9)
         ws = SpectralWorkspace(grid=grid, system=system, dt=0.01)
         seen = []
-        run(ws, initial, t_end=0.05, sample_dt=0.05,
-            observer=lambda t, spectra: seen.append(spectra))
+        run(ws, initial, t_end=0.05, sample_dt=ws.dt,
+            on_sample=lambda t, spectra, fields: seen.append(spectra))
         u_hat, v_hat = seen[-1][0], seen[-1][1]
         assert np.max(np.abs(u_hat[~ws.dealias])) == 0.0
         assert np.max(np.abs(v_hat[~ws.dealias])) == 0.0
@@ -391,7 +390,7 @@ def test_criterion_8_self_convergence():
     def final_u(dt):
         ws = SpectralWorkspace(grid=scenario.grid, system=scenario.system,
                                dt=dt)
-        return run(ws, initial, t_end=1.0, sample_dt=1.0).fields[-1, 0]
+        return record_run(ws, initial, t_end=1.0, sample_dt=1.0).fields[-1, 0]
 
     coarse, mid, fine = (final_u(dt) for dt in (4e-3, 2e-3, 1e-3))
     err_coarse = float(np.max(np.abs(coarse - mid)))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import history_envelope, history_norms
 from rda.analysis import (
     T_BURN,
     Category,
@@ -14,9 +15,7 @@ from rda.analysis import (
     cas2_lower_bounds,
     check_admissibility,
     classify_term,
-    envelope_verdict,
     fit_decay_exponent,
-    norm_series,
 )
 from rda.core import (EnvelopeSpec, Grid, PolyTerm, SystemSpec, trust_radius,
                       validate_scenario)
@@ -113,7 +112,7 @@ class TestEnvelopes:
     def test_exponential_weight_saturating_field(self):
         times = np.linspace(0.0, 10.0, 21)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01, times)
-        verdict = envelope_verdict(*hist, self.grid, self.system,
+        verdict = history_envelope(*hist, self.grid, self.system,
                                    EnvelopeSpec(kind="exponential", M=16.0))
         np.testing.assert_allclose(verdict.eta_series, 0.01, rtol=1e-12)
         assert verdict.bounded
@@ -126,7 +125,7 @@ class TestEnvelopes:
         _, fields = _history_exponential(self.grid, self.system, 16.0, 0.01,
                                          times)
         fields[:, 0] *= ((1 + times) ** 2)[:, None]
-        verdict = envelope_verdict(times, fields, self.grid, self.system,
+        verdict = history_envelope(times, fields, self.grid, self.system,
                                    EnvelopeSpec(kind="exponential", M=16.0))
         np.testing.assert_array_equal(verdict.bounded_flags, times <= 2.0)
         assert not verdict.bounded
@@ -136,8 +135,8 @@ class TestEnvelopes:
         small = _history_exponential(self.grid, self.system, 16.0, 1e-3, times)
         large = _history_exponential(self.grid, self.system, 16.0, 5e-3, times)
         env = EnvelopeSpec(kind="exponential", M=16.0)
-        eta_small = envelope_verdict(*small, self.grid, self.system, env)
-        eta_large = envelope_verdict(*large, self.grid, self.system, env)
+        eta_small = history_envelope(*small, self.grid, self.system, env)
+        eta_large = history_envelope(*large, self.grid, self.system, env)
         np.testing.assert_allclose(eta_large.eta_series,
                                    5.0 * eta_small.eta_series, rtol=1e-12)
 
@@ -152,7 +151,7 @@ class TestEnvelopes:
             shifted = x + self.system.c1 * s
             fields[j, 0] = (1 + np.abs(shifted) + math.sqrt(s)) ** (-r) \
                 + np.exp(-shifted ** 2 / (M * (1 + s))) / math.sqrt(1 + s)
-        verdict = envelope_verdict(times, fields, self.grid, self.system,
+        verdict = history_envelope(times, fields, self.grid, self.system,
                                    EnvelopeSpec(kind="algebraic", M=M, r=r))
         np.testing.assert_allclose(verdict.eta_series, 1.0, rtol=1e-12)
 
@@ -174,7 +173,7 @@ class TestEnvelopes:
             xm = x[mask]
             fields[j, row, mask] = np.exp(-(xm + c_self * s) ** 2 / (M * (1.0 + s))) / math.sqrt(1.0 + s) \
                 + drag_weight_profile(xm, s, c_self, c_other, M)[0]
-        verdict = envelope_verdict(times, fields, self.grid, self.system,
+        verdict = history_envelope(times, fields, self.grid, self.system,
                                    EnvelopeSpec(kind="drag", M=M))
         np.testing.assert_allclose(verdict.eta_series, 1.0, rtol=1e-12)
 
@@ -183,9 +182,9 @@ class TestEnvelopes:
         # history the drag eta can never exceed the exponential eta.
         times = np.linspace(0.5, 8.0, 16)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01, times)
-        exp_v = envelope_verdict(*hist, self.grid, self.system,
+        exp_v = history_envelope(*hist, self.grid, self.system,
                                  EnvelopeSpec(kind="exponential", M=16.0))
-        drag_v = envelope_verdict(*hist, self.grid, self.system,
+        drag_v = history_envelope(*hist, self.grid, self.system,
                                   EnvelopeSpec(kind="drag", M=16.0))
         assert np.all(drag_v.eta_series <= exp_v.eta_series + 1e-12)
 
@@ -194,7 +193,7 @@ class TestEnvelopes:
                                     np.array([0.0, 1.0]))
         equal = SystemSpec(d1=1, d2=1, c1=1.0, c2=1.0)
         with pytest.raises(ValueError):
-            envelope_verdict(*hist, self.grid, equal,
+            history_envelope(*hist, self.grid, equal,
                              EnvelopeSpec(kind="drag", M=16.0))
 
     def test_normal_form_kind_rejected(self):
@@ -207,7 +206,7 @@ class TestEnvelopes:
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01,
                                     np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="has no evaluator"):
-            envelope_verdict(*hist, self.grid, self.system, env)
+            history_envelope(*hist, self.grid, self.system, env)
 
     # Trust regions. At s <= 4 with M = 16 the trust radius is at most 47,
     # so x = 60 lies outside u's region (centred at 0) for every kind and
@@ -218,10 +217,10 @@ class TestEnvelopes:
         env = EnvelopeSpec(kind=kind, M=16.0)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01,
                                     np.array([0.0, 1.0, 2.0, 4.0]))
-        base = envelope_verdict(*hist, self.grid, self.system, env)
-        outside = envelope_verdict(*_spiked(hist, self.grid, 60.0, 1e-6),
+        base = history_envelope(*hist, self.grid, self.system, env)
+        outside = history_envelope(*_spiked(hist, self.grid, 60.0, 1e-6),
                                    self.grid, self.system, env)
-        inside = envelope_verdict(*_spiked(hist, self.grid, -20.0, 1e-6),
+        inside = history_envelope(*_spiked(hist, self.grid, -20.0, 1e-6),
                                   self.grid, self.system, env)
         np.testing.assert_array_equal(outside.eta_series, base.eta_series)
         assert inside.max_eta > 10.0 * base.max_eta
@@ -230,8 +229,8 @@ class TestEnvelopes:
         env = EnvelopeSpec(kind="algebraic", M=16.0, r=3.0)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01,
                                     np.array([0.0, 1.0, 2.0, 4.0]))
-        base = envelope_verdict(*hist, self.grid, self.system, env)
-        far = envelope_verdict(*_spiked(hist, self.grid, 99.0, 1.0),
+        base = history_envelope(*hist, self.grid, self.system, env)
+        far = history_envelope(*_spiked(hist, self.grid, 99.0, 1.0),
                                self.grid, self.system, env)
         assert far.max_eta > 10.0 * base.max_eta
 
@@ -241,8 +240,8 @@ class TestEnvelopes:
         env = EnvelopeSpec(kind="drag", M=16.0)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01,
                                     np.array([4.0]))
-        base = envelope_verdict(*hist, self.grid, self.system, env)
-        edge = envelope_verdict(*_spiked(hist, self.grid, -50.0, 1e-6),
+        base = history_envelope(*hist, self.grid, self.system, env)
+        edge = history_envelope(*_spiked(hist, self.grid, -50.0, 1e-6),
                                 self.grid, self.system, env)
         np.testing.assert_array_equal(edge.eta_series, base.eta_series)
 
@@ -259,7 +258,7 @@ class TestEnvelopes:
         if kind == "algebraic":
             v += (1.0 + np.abs(d) + math.sqrt(s)) ** (-env.r)
         fields = np.stack((np.zeros_like(x), delta * v))[None]
-        verdict = envelope_verdict(np.array([s]), fields, self.grid,
+        verdict = history_envelope(np.array([s]), fields, self.grid,
                                    self.system, env)
         np.testing.assert_allclose(verdict.eta_series, delta, rtol=1e-12)
 
@@ -267,7 +266,7 @@ class TestEnvelopes:
         x = self.grid.points()
         u = np.exp(-np.abs(x))
         fields = np.array([[u, 2 * u], [0.5 * u, 0 * u]])
-        times, linf_u, linf_v, l1_u, l1_v = norm_series(
+        times, linf_u, linf_v, l1_u, l1_v = history_norms(
             np.array([0.0, 0.5]), fields, self.grid.dx)
         np.testing.assert_array_equal(times, [0.0, 0.5])
         assert linf_u[0] == pytest.approx(1.0) and linf_v[0] == pytest.approx(2.0)
@@ -286,7 +285,7 @@ class TestEnvelopes:
         fields[2, 1] = 0.0
         times = np.linspace(0.0, 2.0, 5)
         dx = self.grid.dx
-        got_times, linf_u, linf_v, l1_u, l1_v = norm_series(times, fields, dx)
+        got_times, linf_u, linf_v, l1_u, l1_v = history_norms(times, fields, dx)
         np.testing.assert_array_equal(got_times, times)
         for j, (u, v) in enumerate(fields):
             assert linf_u[j] == np.max(np.abs(u))

@@ -350,8 +350,12 @@ class TestMain:
         ((("initial.u.amplitude = 1e-3",
            "initial.u.amplitude = 1e-3\ninitial.u.width = -1"),),
          "initial.u: width > 0 failed"),
+        # Run, it would end at its first step with a blow-up at t = 0.
+        ((("initial.u.amplitude = 1e-3", "initial.u.amplitude = 2e8"),),
+         "initial.u: max|value| < blow_up_threshold failed"),
     ], ids=["M_nan", "M_negative", "algebraic_M_zero", "r_nan",
-            "threshold_negative", "threshold_nan", "d2_inf", "width_negative"])
+            "threshold_negative", "threshold_nan", "d2_inf", "width_negative",
+            "data_above_threshold"])
     def test_number_out_of_range_fails_before_running(
             self, tmp_path, capsys, replacements, message):
         assert_rejected_before_running(tmp_path, capsys, replacements, message)

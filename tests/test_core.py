@@ -140,6 +140,24 @@ class TestValidateScenario:
         assert report.violations == (
             "initial.u: |value at the box edge| <= 1e-05 max|value| failed",)
 
+    @pytest.mark.parametrize("label,field", [("initial.u", "initial_u"),
+                                             ("initial.v", "initial_v")])
+    def test_data_above_blow_up_threshold_reported(self, label, field):
+        # Against the default threshold 1e8 the blow-up guard would flag the
+        # first step and report the input as a blow-up at t = 0.
+        bad = make_scenario(**{field: InitialData(kind="gaussian", amplitude=2e8)})
+        assert validate_scenario(bad).violations == (
+            f"{label}: max|value| < blow_up_threshold failed",)
+
+    def test_data_reaching_the_threshold_reported(self):
+        # x = 0 is a grid point, so the peak is the amplitude itself.
+        init = InitialData(kind="gaussian", amplitude=2.0)
+        at = make_scenario(initial_u=init, blow_up_threshold=2.0)
+        above = make_scenario(initial_u=init, blow_up_threshold=2.5)
+        assert validate_scenario(at).violations == (
+            "initial.u: max|value| < blow_up_threshold failed",)
+        assert validate_scenario(above).valid
+
     def test_off_centre_data_reported_only_with_an_envelope(self):
         # The envelope weights are centred at x = 0; the lower bounds' L1 and
         # sup norms do not depend on a translation.

@@ -1,8 +1,8 @@
-"""envelope_verdict against a per-kind reference loop.
+"""The per-sample Envelope and envelope_verdict against a per-kind reference loop.
 
 The reference keeps the envelope evaluators as three separate loops, one
 per weight, each restricting the sup to its own trust region with boolean
-indexing. envelope_verdict must reproduce their eta series to round-off
+indexing. Envelope.eta and envelope_verdict must reproduce their eta series to round-off
 and their bounded flags exactly, on fields with tails that reach every
 trust-region edge and on drifts that wrap round the torus.
 """
@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from rda.analysis import envelope_verdict
+from conftest import history_envelope
 from rda.core import TRUST_LOG, EnvelopeSpec, Grid, SystemSpec
 from rda.kernels import drag_weight_profile
 
@@ -89,7 +89,7 @@ def test_matches_reference(kind, seed):
     # Up to |c| s = 90 > L: drifts wrap round the torus.
     times = np.array([0.0, 0.5, 1.0, 3.0, 8.0, 30.0])
     fields = random_history(seed, grid, times)
-    verdict = envelope_verdict(times, fields, grid, system, env)
+    verdict = history_envelope(times, fields, grid, system, env)
     eta = np.maximum.accumulate(reference_eta(times, fields, grid, system, env))
     np.testing.assert_allclose(verdict.eta_series, eta, rtol=RTOL)
     np.testing.assert_array_equal(verdict.bounded_flags, eta <= 3.0 * eta[2])

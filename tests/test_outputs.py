@@ -1,6 +1,6 @@
 """Written outputs of the session runs against the benchmark's reference.
 
-Each session fixture's samples go through analysis.diagnose and
+Each session fixture's reduced samples go through analysis.diagnose and
 cli.write_outputs, so diagnostics and writing are checked without a second
 simulation. The comparison is perfbench's own: file list,
 verdict pattern, blow-up flag and row count exactly, and the final
@@ -26,7 +26,7 @@ _spec.loader.exec_module(checks)
                                      "cas3_run", "remark51_run"])
 def test_outputs_match_reference(fixture, request, tmp_path):
     scenario, result = request.getfixturevalue(fixture)
-    write_outputs(scenario, diagnose(scenario, result.times, result.fields),
+    write_outputs(scenario, diagnose(scenario, result.samples),
                   result.blew_up, tmp_path)
     checker = checks.Checker()
     ref = checks.load_reference()["scenarios"][scenario.name]

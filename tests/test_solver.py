@@ -1,6 +1,8 @@
 """Time stepper against exact linear solutions and normal-form identities."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import record_run, record_scenario
 from rda import solver
-from rda.analysis import normal_form_rates
+from rda.analysis import SampleReduction, diagnose, normal_form_rates
 from rda.core import (
+    EnvelopeSpec,
     Grid,
     InitialData,
     PolyTerm,
@@ -41,7 +45,7 @@ def test_linear_problem_solved_exactly():
     w = 4.0
     initial = np.stack((np.exp(-x ** 2 / w), np.exp(-x ** 2 / w)))
     ws = SpectralWorkspace(grid=grid, system=system, dt=0.05)
-    result = run(ws, initial, t_end=2.0, sample_dt=2.0)
+    result = record_run(ws, initial, t_end=2.0, sample_dt=2.0)
     final_u, final_v = result.fields[-1]
     t = result.times[-1]
 
@@ -60,7 +64,7 @@ def test_zero_data_stays_zero():
                         f2=(PolyTerm(1.0, 2, 0, 0),))
     initial = np.zeros((2, grid.n))
     ws = SpectralWorkspace(grid=grid, system=system, dt=0.01)
-    result = run(ws, initial, t_end=0.5, sample_dt=0.1)
+    result = record_run(ws, initial, t_end=0.5, sample_dt=0.1)
     assert not result.blew_up
     for u, v in result.fields:
         assert not u.any() and not v.any()
@@ -75,8 +79,8 @@ def test_dealiased_modes_identically_zero():
     initial = np.stack((0.01 * np.exp(-x ** 2), 0.01 * np.exp(-(x - 1) ** 2)))
     ws = SpectralWorkspace(grid=grid, system=system, dt=0.01)
     seen = []
-    run(ws, initial, t_end=1.0, sample_dt=0.5,
-        observer=lambda t, spectra: seen.append(spectra))
+    run(ws, initial, t_end=1.0, sample_dt=ws.dt,
+        on_sample=lambda t, spectra, fields: seen.append(spectra))
     u_hat, v_hat = seen[-1][0], seen[-1][1]
     assert np.max(np.abs(u_hat[~ws.dealias])) == 0.0
     assert np.max(np.abs(v_hat[~ws.dealias])) == 0.0
@@ -90,8 +94,8 @@ def test_blow_up_detected_and_run_terminates():
     x = grid.points()
     initial = np.stack((50.0 * np.exp(-x ** 2), np.zeros(grid.n)))
     ws = SpectralWorkspace(grid=grid, system=system, dt=1e-3)
-    result = run(ws, initial, t_end=5.0, sample_dt=0.05,
-                 blow_up_threshold=1e6)
+    result = record_run(ws, initial, t_end=5.0, sample_dt=0.05,
+                        blow_up_threshold=1e6)
     assert result.blew_up
     assert result.blow_up_time is not None and result.blow_up_time < 5.0
     # Only the samples taken before the blow-up are returned.
@@ -109,14 +113,15 @@ def test_blow_up_guard_stops_before_the_flagged_step():
     initial = np.stack((50.0 * np.exp(-x ** 2), np.zeros(grid.n)))
     ws = SpectralWorkspace(grid=grid, system=system, dt=1e-3)
     seen = []
-    result = run(ws, initial, t_end=1.0, sample_dt=0.01, blow_up_threshold=1e6,
-                 observer=lambda t, spectra: seen.append((t, spectra, spectra.copy())))
+    result = run(ws, initial, t_end=1.0, sample_dt=ws.dt, blow_up_threshold=1e6,
+                 on_sample=lambda t, spectra, fields: seen.append(
+                     (t, spectra, spectra.copy())))
     assert result.blew_up and seen
-    # The flagged step is not observed; it is the step after the last one.
+    # The flagged step is not sampled; it is the step after the last one.
     assert result.blow_up_time not in [t for t, _, _ in seen]
     assert result.blow_up_time == seen[-1][0] + ws.dt
     assert result.times[-1] <= result.blow_up_time
-    # step writes a new array, so the spectra the observer kept are intact.
+    # step writes a new array, so the spectra the hook kept are intact.
     for _, spectra, copy in seen:
         assert spectra.tobytes() == copy.tobytes()
 
@@ -197,8 +202,13 @@ def count_subnormal(values):
 def test_observed_spectra_hold_no_subnormal(name):
     ws, still, initial = still_workspace(name)
     seen = []
-    run(ws, initial, t_end=4.0, sample_dt=1.0,
-        observer=lambda t, spectra: seen.append(spectra))
+
+    def on_sample(t, spectra, fields):
+        # The initial spectrum has not been stepped, so it is not flushed.
+        if t > 0:
+            seen.append(spectra)
+
+    run(ws, initial, t_end=4.0, sample_dt=ws.dt, on_sample=on_sample)
     assert len(seen) == 400
     assert [count_subnormal(spectra) for spectra in seen] == [0] * len(seen)
     # The still row's top kept modes did underflow: they are exactly zero.
@@ -302,9 +312,39 @@ def test_run_scenario_sampling_cadence():
         initial_v=InitialData(kind="zero"),
         t_end=1.0, dt=0.01, sample_dt=0.25,
     )
-    result = run_scenario(scenario)
+    result = record_scenario(scenario)
     np.testing.assert_allclose(result.times,
                                [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
+
+
+def test_run_memory_does_not_grow_with_sample_count():
+    # A run through the CLI's per-sample reduction holds one sample at a
+    # time: keeping all 1001 samples of n = 1024 would add about 16 MB.
+    scenario = Scenario(
+        name="memory",
+        system=SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0,
+                          f1=(PolyTerm(1.0, 1, 1, 0),)),
+        grid=Grid(half_width=60.0, n=1024),
+        initial_u=InitialData(kind="gaussian", amplitude=1e-3),
+        initial_v=InitialData(kind="gaussian", amplitude=1e-3),
+        t_end=5.0, dt=0.005, sample_dt=5.0,
+        envelope=EnvelopeSpec(kind="exponential", M=16.0),
+        outputs=("trajectory", "envelope", "decay"))
+
+    def peak(sample_dt):
+        sc = dataclasses.replace(scenario, sample_dt=sample_dt)
+        tracemalloc.start()
+        try:
+            samples = SampleReduction(sc)
+            result = run_scenario(sc, samples)
+            diagnose(sc, samples)
+            return len(result.times), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (few, few_peak), (many, many_peak) = peak(5.0), peak(0.005)
+    assert (few, many) == (2, 1001)
+    assert many_peak - few_peak < 2 ** 20
 
 
 @pytest.mark.parametrize("t_end,sample_dt", [(1.0, 0.25), (1.0, 0.3), (0.5, 1.0)])
@@ -316,7 +356,7 @@ def test_sample_array_shape_and_initial_row(t_end, sample_dt):
     rng = np.random.default_rng(7)
     initial = 1e-3 * rng.standard_normal((2, grid.n))
     ws = SpectralWorkspace(grid=grid, system=system, dt=0.05)
-    result = run(ws, initial, t_end=t_end, sample_dt=sample_dt)
+    result = record_run(ws, initial, t_end=t_end, sample_dt=sample_dt)
     steps, stride = round(t_end / 0.05), round(sample_dt / 0.05)
     expected = [0.0, *(0.05 * i for i in range(1, steps + 1)
                        if i % stride == 0 or i == steps)]
@@ -373,7 +413,7 @@ def test_strang_self_convergence_second_order():
 
     def final_u(dt):
         ws = SpectralWorkspace(grid=grid, system=system, dt=dt)
-        return run(ws, initial, t_end=1.0, sample_dt=1.0).fields[-1, 0]
+        return record_run(ws, initial, t_end=1.0, sample_dt=1.0).fields[-1, 0]
 
     coarse, mid, fine = (final_u(dt) for dt in (0.04, 0.02, 0.01))
     err_coarse = np.max(np.abs(coarse - mid))

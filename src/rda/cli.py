@@ -105,7 +105,7 @@ def run_experiment(scenario: Scenario, out_dir) -> int:
     for warning in report.warnings:
         print(f"[{scenario.name}] warning: {warning}", file=sys.stderr)
     samples = analysis.SampleReduction(scenario)
-    result = solver.run_scenario(scenario, samples)
+    result = solver.run_scenario(scenario, report.initial, samples)
     diagnosis = analysis.diagnose(scenario, samples)
     write_outputs(scenario, diagnosis, result.blew_up, out_dir)
     return 0

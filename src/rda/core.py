@@ -8,7 +8,7 @@ from __future__ import annotations
 import ast
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -137,8 +137,13 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """What validation found. validate_scenario also hands on the read-only
+    (2, n) initial fields (u, v) it evaluated on the grid when the scenario
+    is valid, so a run does not evaluate them again; initial is None
+    otherwise."""
     violations: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
+    initial: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @property
     def valid(self) -> bool:
@@ -226,8 +231,8 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     that each requested output can be computed for it.
 
     Never raises: every float, nan and infinities included, is either
-    accepted or reported as a violation. The wraparound warning is only
-    worked out for a scenario without violations.
+    accepted or reported as a violation. The wraparound warning and the
+    initial fields are only worked out for a scenario without violations.
     """
     report = validate_spec(scenario.system)
     violations = list(report.violations)
@@ -277,6 +282,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         violations.append(
             "exact_error output requires the exactly solvable benchmark shape: "
             "d=(1, 1/4), f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0")
+    fields = []
     for label, init in (("initial.u", scenario.initial_u), ("initial.v", scenario.initial_v)):
         before = len(violations)
         if init.kind not in INITIAL_KINDS:
@@ -315,13 +321,20 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 # The blow-up guard would flag the first step, and the
                 # input would be reported as a blow-up at t = 0.
                 violations.append(f"{label}: max|value| < blow_up_threshold failed")
+            fields.append(values)
     if env is not None and not violations and wraparound_budget(
             grid, scenario.system, scenario.t_end, env.M) > 1.0:
         warnings.append(
             "wraparound budget exceeded: envelope checks unreliable past the "
             "time where frame drift plus the trust radius reaches the "
             "half-domain width")
-    return ValidationReport(violations=tuple(violations), warnings=tuple(warnings))
+    initial = None
+    if not violations:
+        # A valid scenario has a valid grid and both data, so both were evaluated.
+        initial = np.stack(fields)
+        initial.flags.writeable = False
+    return ValidationReport(violations=tuple(violations), warnings=tuple(warnings),
+                            initial=initial)
 
 
 # ---------------------------------------------------------------------------

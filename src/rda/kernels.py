@@ -12,6 +12,7 @@ below is the exact one (checked symbolically and against quadrature).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +44,19 @@ def gauss_integral(a: float, b: float, c: float) -> float:
     return math.sqrt(math.pi / a) * math.exp((b * b + 4.0 * a * c) / (4.0 * a))
 
 
+@functools.cache
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    leggauss costs about 0.4 ms, and the drag refinement asks for the same
+    rule at every level.
+    """
+    rule = np.polynomial.legendre.leggauss(order)
+    for values in rule:
+        values.flags.writeable = False
+    return rule
+
+
 def gauss_legendre_panels(a: float, b: float, panels: int, order: int = 16):
     """Composite Gauss-Legendre nodes/weights on [a, b] split into equal panels.
 
@@ -50,7 +64,7 @@ def gauss_legendre_panels(a: float, b: float, panels: int, order: int = 16):
     needed simultaneously at every grid point x and adaptivity per point
     would be wasteful.
     """
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _legendre_rule(order)
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mids = 0.5 * (edges[1:] + edges[:-1])

@@ -57,6 +57,14 @@ not finite or exceeds the threshold. Physical fields are materialized
 only when sampled, by one batched inverse transform per sample, and
 handed with the spectrum to the run's on_sample hook. run keeps no
 sample, so a run's memory does not grow with its sample count.
+
+Every transform goes through _rfft and _irfft, which call pocketfft's
+r2c and c2r kernels directly with the arguments that scipy.fft's rfft
+and irfft pass them along the last axis. scipy.fft's dispatch and argument
+checks cost about 10 us per call, as much as the transform itself at
+n <= 2048, and a step makes up to 8 calls. The kernels' signature is
+private to scipy; a test pins both functions bit for bit to scipy.fft
+(checked on scipy 1.17.1), so a changed signature fails loudly.
 """
 
 from __future__ import annotations
@@ -65,15 +73,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
 
-from .core import (
-    DEFAULT_BLOW_UP_THRESHOLD,
-    Grid,
-    Scenario,
-    SystemSpec,
-    evaluate_initial,
-)
+from .core import DEFAULT_BLOW_UP_THRESHOLD, Grid, Scenario, SystemSpec
 
 __all__ = [
     "SpectralWorkspace",
@@ -86,6 +88,17 @@ __all__ = [
 
 # The smallest positive normal float; a smaller nonzero magnitude is subnormal.
 _TINY = np.finfo(np.float64).tiny
+
+
+def _rfft(x: np.ndarray) -> np.ndarray:
+    """scipy.fft's rfft(x, axis=-1) of a float64 array: pocketfft's r2c kernel."""
+    return pypocketfft.r2c(x, (x.ndim - 1,), True, 0, None, 1)
+
+
+def _irfft(x: np.ndarray, n: int) -> np.ndarray:
+    """scipy.fft's irfft(x, n=n, axis=-1) of a complex128 array with n//2+1
+    modes on its last axis: pocketfft's c2r kernel."""
+    return pypocketfft.c2r(x, (x.ndim - 1,), n, False, 2, None, 1)
 
 
 @dataclass
@@ -120,7 +133,9 @@ class SpectralWorkspace:
 
     def __post_init__(self):
         n = self.grid.n
-        self.k = 2.0 * math.pi * np.fft.rfftfreq(n, d=self.grid.dx)
+        # numpy.fft.rfftfreq(n, d=dx), operation for operation.
+        freq = np.arange(n // 2 + 1) * (1.0 / (n * self.grid.dx))
+        self.k = 2.0 * math.pi * freq
         kmax = np.max(np.abs(self.k))
         self.dealias = np.abs(self.k) <= (2.0 / 3.0) * kmax
         self.n_kept = int(np.count_nonzero(self.dealias))
@@ -220,7 +235,7 @@ def _coupling_rhs(ws: SpectralWorkspace, y: np.ndarray, out: np.ndarray,
     if first or rows is not None:
         powers = buf["powers"]
         if rows is not None:
-            fields = scipy.fft.irfft(y[rows], n=ws.grid.n, axis=-1)
+            fields = _irfft(y[rows], ws.grid.n)
             for comp, base in zip(range(rows.start, rows.stop), fields):
                 powers[comp] = _powers(base, buf["pow"][comp])
         pu, pv = powers
@@ -230,7 +245,7 @@ def _coupling_rhs(ws: SpectralWorkspace, y: np.ndarray, out: np.ndarray,
             for coeff, alpha, beta in rest:
                 _monomial(term, coeff, pu[alpha], pv[beta])
                 row += term
-        buf["spec"] = scipy.fft.rfft(phys, axis=-1)
+        buf["spec"] = _rfft(phys)
     spec = buf["spec"]
     kept = ws.n_kept
     for row, (f_row, g_row) in zip(out, ws.rows[ws.moving]):
@@ -291,7 +306,7 @@ def detect_blow_up(spectra: np.ndarray, n: int,
     bound = float(np.sum(np.abs(spectra.view(np.float64)))) * (2.0 / n)
     if math.isfinite(bound) and bound <= threshold:
         return None
-    sup = float(np.max(np.abs(scipy.fft.irfft(spectra, n=n, axis=-1))))
+    sup = float(np.max(np.abs(_irfft(spectra, n))))
     if not math.isfinite(sup) or sup > threshold:
         return sup if math.isfinite(sup) else math.inf
     return None
@@ -341,7 +356,7 @@ def run(ws: SpectralWorkspace, initial: np.ndarray, t_end: float, sample_dt: flo
     # Mask the initial spectrum once: dealiased modes then stay identically
     # zero (the linear multiplier preserves zeros and the RK4 update never
     # touches them), which makes the nullity invariant exact.
-    spectra = scipy.fft.rfft(initial, axis=-1) * ws.dealias
+    spectra = _rfft(initial) * ws.dealias
     t = 0.0
     steps_total = int(round(t_end / ws.dt))
     stride = max(1, int(round(sample_dt / ws.dt)))
@@ -359,19 +374,16 @@ def run(ws: SpectralWorkspace, initial: np.ndarray, t_end: float, sample_dt: flo
             break
         if i % stride == 0 or i == steps_total:
             times[taken] = t
-            on_sample(t, spectra, scipy.fft.irfft(spectra, n=ws.grid.n, axis=-1))
+            on_sample(t, spectra, _irfft(spectra, ws.grid.n))
             taken += 1
     return RunResult(times=times[:taken], blew_up=blow_up_time is not None,
                      blow_up_time=blow_up_time)
 
 
-def run_scenario(scenario: Scenario, on_sample) -> RunResult:
-    """Build the workspace and initial data for a Scenario and run it,
-    handing each sample to on_sample."""
-    grid = scenario.grid
-    x = grid.points()
-    initial = np.stack((evaluate_initial(scenario.initial_u, x),
-                        evaluate_initial(scenario.initial_v, x)))
-    ws = SpectralWorkspace(grid=grid, system=scenario.system, dt=scenario.dt)
+def run_scenario(scenario: Scenario, initial: np.ndarray, on_sample) -> RunResult:
+    """Build the workspace for a Scenario and run it from the (2, n) initial
+    fields, the ValidationReport.initial of the scenario, handing each
+    sample to on_sample."""
+    ws = SpectralWorkspace(grid=scenario.grid, system=scenario.system, dt=scenario.dt)
     return run(ws, initial, scenario.t_end, scenario.sample_dt, on_sample,
                blow_up_threshold=scenario.blow_up_threshold)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from rda.analysis import Envelope, SampleReduction, envelope_verdict, sample_norms
+from rda.core import validate_scenario
 from rda.scenarios import get_scenario
 from rda.solver import run, run_scenario
 
@@ -50,7 +51,8 @@ def record_scenario(scenario) -> Recorded:
     """solver.run_scenario, keeping every sample and reducing it as the CLI does."""
     kept = []
     samples = SampleReduction(scenario)
-    result = run_scenario(scenario, _recorder(kept, samples))
+    result = run_scenario(scenario, validate_scenario(scenario).initial,
+                          _recorder(kept, samples))
     return Recorded(result.times, np.array(kept), result.blew_up,
                     result.blow_up_time, samples)
 

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rda import cli
+from rda import analysis, cli, config, core, solver
 from rda.cli import main, run_experiment
 from rda.config import serialize_scenario
 from rda.core import (
@@ -171,6 +171,21 @@ class TestMain:
         assert main(["run", str(conf), "--out", str(out)]) == 0
         assert (out / "trajectory.csv").exists()
         assert "fast: wrote" in capsys.readouterr().out
+
+    def test_builtin_run_evaluates_each_initial_datum_once(self, tmp_path, monkeypatch):
+        # Validation evaluates both data on the grid and hands the (2, n)
+        # array on to the solver.
+        calls = []
+
+        def counted(init, x, _evaluate=core.evaluate_initial):
+            calls.append(init.kind)
+            return _evaluate(init, x)
+
+        for module in (analysis, cli, config, core, solver):
+            if hasattr(module, "evaluate_initial"):
+                monkeypatch.setattr(module, "evaluate_initial", counted)
+        assert main(["run", "remark51-exact", "--out", str(tmp_path)]) == 0
+        assert calls == ["remark51", "zero"]
 
     def test_run_multiple_targets_get_subdirs(self, tmp_path):
         conf_a = tmp_path / "a.conf"

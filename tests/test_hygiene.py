@@ -101,3 +101,63 @@ def test_cli_leaves_out_heavy_scipy(loaded, step, module):
 def test_verify_identities_loads_quadpack(loaded):
     # The control for the test above: a module the CLI loads is seen.
     assert "scipy.integrate" in loaded["verify-identities"]
+
+
+_DISPATCHING = ("numpy.fft", "scipy.fft")
+
+
+def transform_dispatch(source: str, may_import_kernels: bool) -> list[str]:
+    """Calls into numpy.fft or scipy.fft, names imported from them, and, unless
+    may_import_kernels, any import of pocketfft's kernel module pypocketfft."""
+    tree = ast.parse(source)
+    aliases: dict[str, str] = {}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                if "pypocketfft" in alias.name and not may_import_kernels:
+                    found.append(f"line {node.lineno}: import {alias.name}")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if "pypocketfft" in name and not may_import_kernels:
+                    found.append(f"line {node.lineno}: import {name}")
+                elif name in _DISPATCHING or node.module in _DISPATCHING:
+                    found.append(
+                        f"line {node.lineno}: from {node.module} import {alias.name}")
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts = []
+        func = node.func
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name):
+            continue
+        name = ".".join([aliases.get(func.id, func.id), *reversed(parts)])
+        if name.startswith(tuple(f"{module}." for module in _DISPATCHING)):
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_transform_checker_catches_dispatch():
+    source = ("import numpy as np\nimport scipy.fft\nfrom scipy import fft\n"
+              "from scipy.fft._pocketfft import pypocketfft\n"
+              "np.fft.rfftfreq(8)\nscipy.fft.irfft(x, n=8)\nnp.abs(x)\n")
+    assert transform_dispatch(source, may_import_kernels=True) == [
+        "line 3: from scipy import fft", "line 5: numpy.fft.rfftfreq",
+        "line 6: scipy.fft.irfft"]
+    assert "line 4: import scipy.fft._pocketfft.pypocketfft" in transform_dispatch(
+        source, may_import_kernels=False)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/rda").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_transforms_only_through_the_solver_kernels(path):
+    # scipy.fft's dispatch costs about as much as a transform at the step
+    # loop's sizes; every transform goes through solver._rfft/_irfft.
+    assert transform_dispatch(path.read_text(encoding="utf-8"),
+                              may_import_kernels=path.name == "solver.py") == []

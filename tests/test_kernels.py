@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from rda import kernels
 from rda.kernels import (
     _conv_lattice,
     conv_cross_velocity,
@@ -128,6 +129,16 @@ def test_gauss_legendre_panels_weights_sum():
     value = float(np.dot(weights, np.exp(-nodes ** 2)))
     exact = math.sqrt(math.pi) / 2.0 * (math.erf(5.0) + math.erf(3.0))
     assert value == pytest.approx(exact, abs=1e-10)
+
+
+@pytest.mark.parametrize("order", [12, 16])
+def test_legendre_rule_built_once_per_order_and_read_only(order):
+    nodes, weights = kernels._legendre_rule(order)
+    assert kernels._legendre_rule(order)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    fresh = np.polynomial.legendre.leggauss(order)
+    assert nodes.tobytes() == fresh[0].tobytes()
+    assert weights.tobytes() == fresh[1].tobytes()
 
 
 def test_heat_kernel_unit_mass():

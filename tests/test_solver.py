@@ -21,6 +21,7 @@ from rda.core import (
     Scenario,
     SystemSpec,
     gaussian_profile,
+    validate_scenario,
 )
 from rda.solver import (
     SpectralWorkspace,
@@ -127,17 +128,17 @@ def test_blow_up_guard_stops_before_the_flagged_step():
 
 
 def _count_transform_rows(monkeypatch):
-    """Wrap scipy.fft.irfft/rfft as the solver calls them; each records the
-    number of rows of every call."""
+    """Wrap the solver's _irfft/_rfft; each records the number of rows of
+    every call."""
     rows = {"irfft": [], "rfft": []}
     for name, calls in rows.items():
-        transform = getattr(solver.scipy.fft, name)
+        transform = getattr(solver, f"_{name}")
 
         def counted(x, *args, _transform=transform, _calls=calls, **kwargs):
             _calls.append(1 if np.ndim(x) == 1 else len(x))
             return _transform(x, *args, **kwargs)
 
-        monkeypatch.setattr(solver.scipy.fft, name, counted)
+        monkeypatch.setattr(solver, f"_{name}", counted)
     return rows
 
 
@@ -166,6 +167,32 @@ def test_rows_transformed_per_step(monkeypatch, couplings, inverse, forward):
         spectra = step(ws, spectra)
     assert rows["irfft"] == inverse * steps
     assert rows["rfft"] == forward * steps
+
+
+@pytest.mark.parametrize("n", [64, 1024, 8192])
+@pytest.mark.parametrize("rows", [slice(1, 2), slice(0, 2)], ids=["1row", "2rows"])
+def test_transforms_equal_scipy_fft_bit_for_bit(rows, n):
+    # _rfft/_irfft call pocketfft's private r2c/c2r kernels; a change of
+    # their signature or convention in scipy must fail here.
+    rng = np.random.default_rng(n)
+    fields = rng.standard_normal((2, n))[rows]
+    kept = fields.copy()
+    spectra = solver._rfft(fields)
+    assert fields.tobytes() == kept.tobytes()
+    expected = scipy.fft.rfft(fields, axis=-1)
+    assert spectra.dtype == expected.dtype and spectra.shape == expected.shape
+    assert spectra.tobytes() == expected.tobytes()
+    # A stage spectrum: modes beyond K are zero, and _coupling_rhs passes
+    # the row-slice view y[rows] of the (2, n/2+1) stage buffer.
+    y = scipy.fft.rfft(rng.standard_normal((2, n)), axis=-1)
+    y[:, n // 3 + 1:] = 0.0
+    view = y[rows]
+    kept = y.copy()
+    fields = solver._irfft(view, n)
+    assert y.tobytes() == kept.tobytes()
+    expected = scipy.fft.irfft(view, n=n, axis=-1)
+    assert fields.dtype == expected.dtype and fields.shape == expected.shape
+    assert fields.tobytes() == expected.tobytes()
 
 
 # Systems with one still component (no coupling terms) that diffuses fast
@@ -336,7 +363,7 @@ def test_run_memory_does_not_grow_with_sample_count():
         tracemalloc.start()
         try:
             samples = SampleReduction(sc)
-            result = run_scenario(sc, samples)
+            result = run_scenario(sc, validate_scenario(sc).initial, samples)
             diagnose(sc, samples)
             return len(result.times), tracemalloc.get_traced_memory()[1]
         finally:

@@ -3,8 +3,8 @@
 Halves dt repeatedly, compares solutions at a fixed time, and prints the
 max-norm differences between consecutive refinements together with the
 observed convergence factors (4 for a clean second-order scheme). Each
-run's samples go through the CLI's per-sample reduction, whose last
-sample is the solution at the fixed time.
+run starts from toy's validated initial fields and keeps only its last
+sample, the solution at the fixed time.
 
 Usage: python scripts/convergence_study.py [--t-final 1.0]
 """
@@ -13,8 +13,7 @@ import argparse
 
 import numpy as np
 
-from rda.analysis import SampleReduction
-from rda.core import evaluate_initial
+from rda.core import validate_scenario
 from rda.scenarios import get_scenario
 from rda.solver import SpectralWorkspace, run
 
@@ -27,15 +26,14 @@ def main() -> None:
     args = parser.parse_args()
 
     scenario = get_scenario("toy")
-    x = scenario.grid.points()
-    initial = np.stack((evaluate_initial(scenario.initial_u, x),
-                        evaluate_initial(scenario.initial_v, x)))
+    initial = validate_scenario(scenario).initial
     finals = []
     for dt in args.dts:
         ws = SpectralWorkspace(grid=scenario.grid, system=scenario.system, dt=dt)
-        samples = SampleReduction(scenario)
-        run(ws, initial, args.t_final, args.t_final, samples)
-        finals.append(samples.last)
+        last = {}
+        run(ws, initial, args.t_final, args.t_final,
+            lambda t, spectra, fields: last.update(fields=fields))
+        finals.append(last["fields"])
         print(f"dt={dt:g}: done")
     diffs = []
     for coarse, fine, dt in zip(finals, finals[1:], args.dts):

@@ -438,13 +438,11 @@ class SampleReduction:
 
     Each call reduces the (2, n) sample to one row of rows: t, linf_u,
     linf_v, l1_u, l1_v, then eta when the scenario declares the envelope
-    output and the normal-form amplitude A, the integral of u, when its
-    amplitude law can be judged; a quantity not asked for is nan. last is
-    the latest sample's fields, which exact_error reads; no other sample is
-    kept. What does not depend on the sample is built once, here: the
-    |fields| buffer, the Envelope, and the admissibility report and
-    normal-form rates (mu, nu) of the amplitude law (rates is None when the
-    law cannot be judged).
+    output and the normal-form amplitude A, the integral of u, when it
+    declares the amplitude_law output; a quantity not asked for is nan.
+    last is the latest sample's fields, which exact_error reads; no other
+    sample is kept. What does not depend on the sample is built once,
+    here: the |fields| buffer and the Envelope.
     """
 
     def __init__(self, scenario: Scenario):
@@ -453,19 +451,15 @@ class SampleReduction:
         self._abs = np.empty((2, grid.n))
         self.envelope = (Envelope(grid, system, scenario.envelope)
                          if "envelope" in outputs else None)
-        self.admissibility = (check_admissibility(system)
-                              if "amplitude_law" in outputs else None)
-        adm = self.admissibility
-        self.rates = (normal_form_rates(system) if adm is not None
-                      and adm.thm4_shape and adm.sign_condition else None)
+        self.amplitude_law = "amplitude_law" in outputs
         self.rows: list[tuple] = []
         self.last = None
 
     def __call__(self, t: float, spectra: np.ndarray, fields: np.ndarray) -> None:
         linf, l1 = sample_norms(fields, self.dx, self._abs)
         eta = math.nan if self.envelope is None else self.envelope.eta(t, fields)
-        amplitude = (math.nan if self.rates is None
-                     else np.trapezoid(fields[0], dx=self.dx))
+        amplitude = (np.trapezoid(fields[0], dx=self.dx) if self.amplitude_law
+                     else math.nan)
         self.rows.append((t, *linf, *l1, eta, amplitude))
         self.last = fields
 
@@ -529,15 +523,15 @@ def diagnose(scenario: Scenario, samples: SampleReduction) -> Diagnosis:
                      len(late) >= 2 and bool(np.all(np.diff(late) > 0)),
                      float(sup[-1])))
     if "amplitude_law" in outputs:
-        # Without the normal-form shape and the stabilizing sign the law
-        # fails with the sign value (nan without the shape).
-        if samples.rates is not None:
-            law = amplitude_law_check(times, amplitudes, *samples.rates)
+        # Judged only with the normal-form shape and the stabilizing sign;
+        # otherwise the law fails with the sign value (nan without the shape).
+        adm = check_admissibility(system)
+        if adm.sign_condition:
+            law = amplitude_law_check(times, amplitudes, *normal_form_rates(system))
             rows.append(("amplitude_law", law.passed, law.statistic))
         else:
-            sign_value = samples.admissibility.sign_value
             rows.append(("amplitude_law", False,
-                         math.nan if sign_value is None else sign_value))
+                         math.nan if adm.sign_value is None else adm.sign_value))
     if "exact_error" in outputs:
         # Relative sup errors of the final sample: u within 1e-4, v within 5e-4.
         err_u, err_v = (float(np.max(np.abs(f - exact)) / np.max(np.abs(exact)))

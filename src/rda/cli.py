@@ -105,9 +105,9 @@ def run_experiment(scenario: Scenario, out_dir) -> int:
     for warning in report.warnings:
         print(f"[{scenario.name}] warning: {warning}", file=sys.stderr)
     samples = analysis.SampleReduction(scenario)
-    result = solver.run_scenario(scenario, report.initial, samples)
+    blow_up_time = solver.run_scenario(scenario, report.initial, samples)
     diagnosis = analysis.diagnose(scenario, samples)
-    write_outputs(scenario, diagnosis, result.blew_up, out_dir)
+    write_outputs(scenario, diagnosis, blow_up_time is not None, out_dir)
     return 0
 
 
@@ -200,7 +200,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    for scenario in scenarios.list_scenarios():
+    for scenario in map(scenarios.get_scenario, scenarios.BUILTIN_SCENARIOS):
         print(f"{scenario.name:20s} {scenario.description}")
     return 0
 

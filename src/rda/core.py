@@ -21,7 +21,6 @@ __all__ = [
     "InitialData",
     "Scenario",
     "ValidationReport",
-    "validate_spec",
     "validate_scenario",
     "evaluate_initial",
     "gaussian_profile",
@@ -37,8 +36,6 @@ INITIAL_READS = {
     "remark51": (), "zero": (), "custom": ("expression",),
 }
 ENVELOPE_READS = {"exponential": ("M",), "algebraic": ("M", "r"), "drag": ("M",)}
-INITIAL_KINDS = tuple(INITIAL_READS)
-ENVELOPE_KINDS = tuple(ENVELOPE_READS)
 # What a scenario can ask to be written: the trajectory, then the verdicts
 # in the order analysis.diagnose computes them.
 OUTPUTS = ("trajectory", "envelope", "decay", "lower_bounds", "amplitude_law",
@@ -172,19 +169,17 @@ def _check_positive(name: str, value: float, out: list[str]):
         out.append(f"{name} finite failed")
 
 
-def validate_spec(spec: SystemSpec) -> ValidationReport:
-    """Structural validation of a SystemSpec; pure and non-throwing."""
-    violations: list[str] = []
+def _check_system(spec: SystemSpec, out: list[str]):
+    """Record the violations of the system's coefficients and terms."""
     for d_name in ("d1", "d2"):
-        _check_positive(d_name, getattr(spec, d_name), violations)
+        _check_positive(d_name, getattr(spec, d_name), out)
     for c_name in ("c1", "c2"):
         if not math.isfinite(getattr(spec, c_name)):
-            violations.append(f"{c_name} finite failed")
-    _check_terms("f1", spec.f1, 0, violations)
-    _check_terms("f2", spec.f2, 0, violations)
-    _check_terms("g1", spec.g1, 1, violations)
-    _check_terms("g2", spec.g2, 1, violations)
-    return ValidationReport(violations=tuple(violations))
+            out.append(f"{c_name} finite failed")
+    _check_terms("f1", spec.f1, 0, out)
+    _check_terms("f2", spec.f2, 0, out)
+    _check_terms("g1", spec.g1, 1, out)
+    _check_terms("g2", spec.g2, 1, out)
 
 
 def trust_radius(M: float, s: float) -> float:
@@ -234,8 +229,8 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     accepted or reported as a violation. The wraparound warning and the
     initial fields are only worked out for a scenario without violations.
     """
-    report = validate_spec(scenario.system)
-    violations = list(report.violations)
+    violations: list[str] = []
+    _check_system(scenario.system, violations)
     warnings: list[str] = []
     grid = scenario.grid
     _check_positive("grid half-width", grid.half_width, violations)
@@ -257,7 +252,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     _check_positive("blow_up_threshold", scenario.blow_up_threshold, violations)
     env = scenario.envelope
     if env is not None:
-        if env.kind not in ENVELOPE_KINDS:
+        if env.kind not in ENVELOPE_READS:
             violations.append(f"unknown envelope kind {env.kind!r}")
         if env.kind == "drag" and scenario.system.c1 == scenario.system.c2:
             violations.append("drag envelope requires c1 != c2")
@@ -285,7 +280,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     fields = []
     for label, init in (("initial.u", scenario.initial_u), ("initial.v", scenario.initial_v)):
         before = len(violations)
-        if init.kind not in INITIAL_KINDS:
+        if init.kind not in INITIAL_READS:
             violations.append(f"{label}: unknown kind {init.kind!r}")
         elif init.kind == "custom":
             try:

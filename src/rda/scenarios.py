@@ -18,7 +18,7 @@ from .core import (
     SystemSpec,
 )
 
-__all__ = ["BUILTIN_SCENARIOS", "get_scenario", "list_scenarios"]
+__all__ = ["BUILTIN_SCENARIOS", "get_scenario"]
 
 
 def _gauss(amplitude: float, width: float) -> InitialData:
@@ -176,7 +176,3 @@ def get_scenario(name: str) -> Scenario:
         raise KeyError(
             f"unknown scenario {name!r}; built-ins: {', '.join(BUILTIN_SCENARIOS)}"
         ) from None
-
-
-def list_scenarios() -> list[Scenario]:
-    return list(_BUILTINS.values())

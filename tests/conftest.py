@@ -31,8 +31,9 @@ class Recorded:
     samples: SampleReduction | None = None
 
 
-def _recorder(kept, reduction=None):
+def _recorder(times, kept, reduction=None):
     def on_sample(t, spectra, fields):
+        times.append(t)
         kept.append(fields)
         if reduction is not None:
             reduction(t, spectra, fields)
@@ -41,20 +42,21 @@ def _recorder(kept, reduction=None):
 
 def record_run(ws, initial, t_end, sample_dt, **kwargs) -> Recorded:
     """solver.run, keeping every sample."""
-    kept = []
-    result = run(ws, initial, t_end, sample_dt, _recorder(kept), **kwargs)
-    return Recorded(result.times, np.array(kept), result.blew_up,
-                    result.blow_up_time)
+    times, kept = [], []
+    blow_up_time = run(ws, initial, t_end, sample_dt, _recorder(times, kept),
+                       **kwargs)
+    return Recorded(np.array(times), np.array(kept), blow_up_time is not None,
+                    blow_up_time)
 
 
 def record_scenario(scenario) -> Recorded:
     """solver.run_scenario, keeping every sample and reducing it as the CLI does."""
-    kept = []
+    times, kept = [], []
     samples = SampleReduction(scenario)
-    result = run_scenario(scenario, validate_scenario(scenario).initial,
-                          _recorder(kept, samples))
-    return Recorded(result.times, np.array(kept), result.blew_up,
-                    result.blow_up_time, samples)
+    blow_up_time = run_scenario(scenario, validate_scenario(scenario).initial,
+                                _recorder(times, kept, samples))
+    return Recorded(np.array(times), np.array(kept), blow_up_time is not None,
+                    blow_up_time, samples)
 
 
 def history_norms(times, fields, dx):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import history_envelope, history_norms
+from conftest import history_envelope, history_norms, record_scenario
 from rda.analysis import (
     T_BURN,
     Category,
@@ -15,6 +15,7 @@ from rda.analysis import (
     cas2_lower_bounds,
     check_admissibility,
     classify_term,
+    diagnose,
     fit_decay_exponent,
 )
 from rda.core import (EnvelopeSpec, Grid, PolyTerm, SystemSpec, trust_radius,
@@ -419,3 +420,17 @@ class TestAmplitudeLaw:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             amplitude_law_check(np.array([]), np.array([]), mu=0.5, nu=0.04)
+
+    @pytest.mark.parametrize("name,statistic", [
+        ("toy", math.nan),                  # no normal-form shape
+        ("cas3-sign-violated", 0.5),        # the sign value -mu = 0.5
+    ])
+    def test_unjudged_law_fails_with_the_sign_value(self, name, statistic):
+        # Without the shape and the stabilizing sign the law is not judged:
+        # its row fails with the sign value, nan without the shape.
+        scenario = dataclasses.replace(
+            get_scenario(name), grid=Grid(half_width=60.0, n=256), t_end=1.0,
+            sample_dt=0.5, outputs=("trajectory", "amplitude_law"))
+        (row,) = diagnose(scenario, record_scenario(scenario).samples).verdicts
+        assert row[:2] == ("amplitude_law", False)
+        np.testing.assert_equal(row[2], statistic)

@@ -18,7 +18,6 @@ from rda.core import (
     evaluate_initial,
     parse_expression,
     validate_scenario,
-    validate_spec,
     wraparound_budget,
 )
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
@@ -42,25 +41,27 @@ class TestValidateSpec:
         spec = SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=3.0,
                           f1=(PolyTerm(1.0, 1, 1, 0),),
                           g2=(PolyTerm(-0.5, 2, 0, 1),))
-        assert validate_spec(spec).valid
+        assert validate_scenario(make_scenario(system=spec)).valid
 
     def test_nonpositive_diffusion_rejected(self):
-        assert not validate_spec(SystemSpec(d1=0.0, d2=1.0, c1=0, c2=1)).valid
-        assert not validate_spec(SystemSpec(d1=1.0, d2=-1.0, c1=0, c2=1)).valid
+        spec = SystemSpec(d1=0.0, d2=1.0, c1=0, c2=1)
+        assert not validate_scenario(make_scenario(system=spec)).valid
+        spec = SystemSpec(d1=1.0, d2=-1.0, c1=0, c2=1)
+        assert not validate_scenario(make_scenario(system=spec)).valid
 
     def test_linear_term_rejected(self):
         spec = SystemSpec(d1=1, d2=1, c1=0, c2=1, f1=(PolyTerm(1.0, 1, 0, 0),))
-        report = validate_spec(spec)
+        report = validate_scenario(make_scenario(system=spec))
         assert not report.valid
         assert any("alpha+beta >= 2" in v for v in report.violations)
 
     def test_flux_slot_requires_derivative_flag(self):
         spec = SystemSpec(d1=1, d2=1, c1=0, c2=1, g1=(PolyTerm(1.0, 2, 0, 0),))
-        assert not validate_spec(spec).valid
+        assert not validate_scenario(make_scenario(system=spec)).valid
 
     def test_reaction_slot_rejects_derivative_flag(self):
         spec = SystemSpec(d1=1, d2=1, c1=0, c2=1, f1=(PolyTerm(1.0, 2, 0, 1),))
-        assert not validate_spec(spec).valid
+        assert not validate_scenario(make_scenario(system=spec)).valid
 
 
 class TestValidateScenario:

@@ -1,5 +1,5 @@
-"""Import hygiene: no unused imports, no stale __all__ entry, and no heavy
-module pulled in by the CLI."""
+"""Import hygiene: no unused imports, no stale __all__ entry, no export
+that only tests read, and no heavy module pulled in by the CLI."""
 
 import ast
 import importlib
@@ -57,6 +57,52 @@ def test_all_names_exist(module):
     # A stale __all__ entry breaks `from rda.<module> import *`.
     mod = importlib.import_module(f"rda.{module}")
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+# The code that counts as a reader of the package: perfbench calls
+# config.serialize_scenario, which nothing else in the product does.
+PRODUCT = sorted(path for folder in ("src/rda", "scripts", "perfbench")
+                 for path in (ROOT / folder).rglob("*.py"))
+
+
+def loaded_names(source: str) -> set[str]:
+    """Every name a module reads, bare (name) or as an attribute (x.name)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def unread_exports(source: str, loaded: set[str]) -> list[str]:
+    """The names of the module's __all__ that are not in loaded."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            return [name for name in ast.literal_eval(node.value)
+                    if name not in loaded]
+    return []
+
+
+def test_checker_catches_an_export_only_tests_read():
+    module = "__all__ = ['called', 'read', 'stored', 'tested']\n"
+    product = ("import m\nfrom m import called, stored\ncalled()\n"
+               "x = m.read\nm.stored = 1\n")
+    assert unread_exports(module, loaded_names(product)) == ["stored", "tested"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in (ROOT / "src/rda").glob("*.py") if path.stem != "__init__"))
+def test_every_export_has_a_product_reader(module):
+    # No product code that only tests use: an exported name the package,
+    # its scripts and its benchmark never read is there for tests alone.
+    loaded = set().union(*(loaded_names(path.read_text(encoding="utf-8"))
+                           for path in PRODUCT))
+    source = (ROOT / "src/rda" / f"{module}.py").read_text(encoding="utf-8")
+    assert unread_exports(source, loaded) == []
 
 
 # Each costs startup time and memory that a scenario run never uses:

@@ -36,7 +36,6 @@ __all__ = [
     "classify_term",
     "AdmissibilityReport",
     "check_admissibility",
-    "normal_form_coeffs",
     "normal_form_rates",
     "Envelope",
     "EnvelopeVerdict",
@@ -64,14 +63,11 @@ class Category(str, Enum):
     IRRELEVANT = "Irrelevant"
 
 
-def classify_term(term: PolyTerm, dims: int = 1) -> Category:
-    """Scaling class of one monomial: its degree term.p against 1 + 2/dims."""
-    if dims < 1:
-        raise ValueError("dims must be a positive integer")
-    threshold = 1.0 + 2.0 / dims
-    if term.p < threshold:
+def classify_term(term: PolyTerm) -> Category:
+    """Scaling class of one monomial on the line: its degree term.p against 3."""
+    if term.p < 3:
         return Category.RELEVANT
-    if term.p > threshold:
+    if term.p > 3:
         return Category.IRRELEVANT
     return Category.MARGINAL
 
@@ -84,9 +80,7 @@ def classify_term(term: PolyTerm, dims: int = 1) -> Category:
 class AdmissibilityReport:
     thm1_admissible: bool
     thm2_admissible: bool
-    thm4_shape: bool
-    sign_condition: Optional[bool]
-    sign_value: Optional[float]
+    sign_value: Optional[float]     # -mu, stabilizing if < 0; None without the shape
     reasons: tuple[str, ...] = ()
 
 
@@ -131,31 +125,17 @@ def check_admissibility(system: SystemSpec) -> AdmissibilityReport:
                     f"{slot}: cross coupling degree {other} below the required "
                     f"{min_deg}, not irrelevant")
 
-    thm4 = _matches_normal_form_shape(system)
-    sign_condition = None
     sign_value = None
-    if thm4:
+    if _matches_normal_form_shape(system):
         sign_value = -normal_form_rates(system)[0]
-        sign_condition = sign_value < 0.0
     return AdmissibilityReport(
-        thm1_admissible=thm1, thm2_admissible=thm2, thm4_shape=thm4,
-        sign_condition=sign_condition, sign_value=sign_value,
+        thm1_admissible=thm1, thm2_admissible=thm2, sign_value=sign_value,
         reasons=tuple(reasons))
 
 
-def normal_form_coeffs(system: SystemSpec) -> tuple[float, float, float]:
-    """(alpha, beta, gamma) of f1 = alpha uv + beta u^3 and g2 = gamma u^2.
-
-    Each is the summed coefficient of its monomial, 0 when it is absent.
-    """
-    def coeff(terms, shape):
-        return sum(t.coeff for t in terms if (t.alpha, t.beta, t.gamma) == shape)
-    return (coeff(system.f1, (1, 1, 0)), coeff(system.f1, (3, 0, 0)),
-            coeff(system.g2, (2, 0, 1)))
-
-
 def normal_form_rates(system: SystemSpec) -> tuple[float, float]:
-    """(mu, nu) of the normal form of the cubic-flux system shape.
+    """(mu, nu) of the normal form of the shape f1 = alpha uv + beta u^3,
+    g2 = gamma u^2, each coefficient summed over its monomial (0 if absent).
 
     The transform v + (gamma/c) u^2 divides by c = c2 - c1, so c1 != c2 is
     required. mu = gamma*alpha/c - beta is the effective cubic coefficient
@@ -164,7 +144,10 @@ def normal_form_rates(system: SystemSpec) -> tuple[float, float]:
     c = system.c2 - system.c1
     if c == 0.0:
         raise ValueError("normal form requires c1 != c2")
-    alpha, beta, gamma = normal_form_coeffs(system)
+    alpha, beta, gamma = (
+        sum(t.coeff for t in terms if (t.alpha, t.beta, t.gamma) == shape)
+        for terms, shape in ((system.f1, (1, 1, 0)), (system.f1, (3, 0, 0)),
+                             (system.g2, (2, 0, 1))))
     mu = gamma * alpha / c - beta
     return mu, mu / (4.0 * math.sqrt(3.0) * system.d1 * math.pi)
 
@@ -525,13 +508,13 @@ def diagnose(scenario: Scenario, samples: SampleReduction) -> Diagnosis:
     if "amplitude_law" in outputs:
         # Judged only with the normal-form shape and the stabilizing sign;
         # otherwise the law fails with the sign value (nan without the shape).
-        adm = check_admissibility(system)
-        if adm.sign_condition:
+        sign_value = check_admissibility(system).sign_value
+        if sign_value is not None and sign_value < 0.0:
             law = amplitude_law_check(times, amplitudes, *normal_form_rates(system))
             rows.append(("amplitude_law", law.passed, law.statistic))
         else:
             rows.append(("amplitude_law", False,
-                         math.nan if adm.sign_value is None else adm.sign_value))
+                         math.nan if sign_value is None else sign_value))
     if "exact_error" in outputs:
         # Relative sup errors of the final sample: u within 1e-4, v within 5e-4.
         err_u, err_v = (float(np.max(np.abs(f - exact)) / np.max(np.abs(exact)))

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analysis, kernels, scenarios, solver
 from .config import ConfigError, parse_scenario
-from .core import Scenario, validate_scenario
+from .core import Scenario, ValidationReport, validate_scenario
 from .svg import line_chart
 
 __all__ = ["main", "run_experiment", "write_outputs"]
@@ -50,14 +50,20 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
                              for cell in row])
 
 
-def _resolve_target(target: str) -> Scenario:
+def _resolve_target(target: str) -> tuple[Scenario, ValidationReport]:
+    """(scenario, report) of a builtin name or config file path: the one
+    validation of a target. Raises ConfigError if the scenario is invalid."""
     if target in scenarios.BUILTIN_SCENARIOS:
-        return scenarios.get_scenario(target)
-    path = Path(target)
-    if not path.exists():
+        scenario = scenarios.get_scenario(target)
+    elif Path(target).exists():
+        scenario = parse_scenario(target)
+    else:
         raise ConfigError(
             f"{target!r} is neither a builtin scenario nor an existing file")
-    return parse_scenario(path)
+    report = validate_scenario(scenario)
+    if not report.valid:
+        raise ConfigError("invalid scenario: " + "; ".join(report.violations))
+    return scenario, report
 
 
 def write_outputs(scenario: Scenario, diagnosis: analysis.Diagnosis,
@@ -93,15 +99,12 @@ def write_outputs(scenario: Scenario, diagnosis: analysis.Diagnosis,
     (out / "plot_trajectory.svg").write_text(chart, encoding="utf-8")
 
 
-def run_experiment(scenario: Scenario, out_dir) -> int:
-    """Validate, run, diagnose and write one scenario.
+def run_experiment(scenario: Scenario, report: ValidationReport, out_dir) -> int:
+    """Run from report.initial, diagnose and write one validated scenario.
 
     The run hands each sample to the scenario's SampleReduction and keeps
     none, so a run holds one (2, n) sample at a time.
     """
-    report = validate_scenario(scenario)
-    if not report.valid:
-        raise ConfigError("invalid scenario: " + "; ".join(report.violations))
     for warning in report.warnings:
         print(f"[{scenario.name}] warning: {warning}", file=sys.stderr)
     samples = analysis.SampleReduction(scenario)
@@ -131,28 +134,29 @@ def _cmd_run(args) -> int:
     jobs = []
     for target in args.targets:
         try:
-            scenario = _resolve_target(target)
+            scenario, report = _resolve_target(target)
         except _REPORTED as exc:
             failures.append((target, exc))
             continue
-        jobs.append((scenario, out_root if single else out_root / scenario.name))
+        jobs.append((scenario, report,
+                     out_root if single else out_root / scenario.name))
     # Targets that share a name would write one directory: none of them runs.
-    counts = collections.Counter(sc.name for sc, _ in jobs)
-    for sc, dest in jobs:
+    counts = collections.Counter(sc.name for sc, _, _ in jobs)
+    for sc, _, dest in jobs:
         if counts[sc.name] > 1:
             failures.append((sc.name, ConfigError(
                 f"{counts[sc.name]} targets share the name and the output "
                 f"directory {dest}")))
-    jobs = [(sc, dest) for sc, dest in jobs if counts[sc.name] == 1]
+    jobs = [(sc, rep, dest) for sc, rep, dest in jobs if counts[sc.name] == 1]
     # The pool starts all its workers at once: ask for no more than needed.
     workers = min(args.jobs, len(jobs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_experiment, sc, dest) for sc, dest in jobs]
+            futures = [pool.submit(run_experiment, *job) for job in jobs]
             errors = [_error_of(future.result) for future in futures]
     else:
-        errors = [_error_of(run_experiment, sc, dest) for sc, dest in jobs]
-    for (sc, dest), exc in zip(jobs, errors):
+        errors = [_error_of(run_experiment, *job) for job in jobs]
+    for (sc, _, dest), exc in zip(jobs, errors):
         if exc is None:
             print(f"{sc.name}: wrote {dest}")
         else:
@@ -179,7 +183,7 @@ def _cmd_verify_identities(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    scenario = _resolve_target(args.target)
+    scenario, _ = _resolve_target(args.target)
     print(f"scenario: {scenario.name}")
     print(f"{'slot':4s} {'coeff':>10s} {'alpha':>5s} {'beta':>4s} {'gamma':>5s} "
           f"{'p':>2s} {'category':10s} {'mix':>3s}")
@@ -191,9 +195,9 @@ def _cmd_classify(args) -> int:
     adm = analysis.check_admissibility(scenario.system)
     print(f"thm1_admissible: {adm.thm1_admissible}")
     print(f"thm2_admissible: {adm.thm2_admissible}")
-    print(f"thm4_shape: {adm.thm4_shape}")
-    if adm.sign_condition is not None:
-        print(f"sign_condition: {adm.sign_condition} (value {adm.sign_value:g})")
+    print(f"thm4_shape: {adm.sign_value is not None}")
+    if adm.sign_value is not None:
+        print(f"sign_condition: {adm.sign_value < 0.0} (value {adm.sign_value:g})")
     for reason in adm.reasons:
         print(f"  note: {reason}")
     return 0

@@ -1,4 +1,4 @@
-"""Flat key-value scenario configs: parsing, validation, serialization.
+"""Flat key-value scenario configs: parsing and serialization.
 
 Format: one `key = value` pair per line, dotted section names, `#`
 comments, UTF-8, LF. Polynomial term lists use entries of the form
@@ -21,7 +21,6 @@ from .core import (
     PolyTerm,
     Scenario,
     SystemSpec,
-    validate_scenario,
 )
 
 __all__ = ["ConfigError", "parse_scenario", "parse_scenario_text", "serialize_scenario"]
@@ -108,7 +107,7 @@ def _present(pairs, prefix: str, fields: dict) -> dict:
 def _reject_unread(pairs, prefix: str, reads: dict, default_kind) -> None:
     """Raise on a key under prefix that the kind it sets does not read.
 
-    An unknown kind is left to validate_scenario, which names it.
+    An unknown kind is left to validation, which names it.
     """
     kind = pairs[prefix + "kind"][0] if prefix + "kind" in pairs else default_kind
     if kind not in reads:
@@ -120,7 +119,10 @@ def _reject_unread(pairs, prefix: str, reads: dict, default_kind) -> None:
 
 
 def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
-    """Parse config text into a validated Scenario."""
+    """Parse config text into the Scenario it describes, unvalidated.
+
+    ConfigError reports format errors only: syntax, unknown, duplicate,
+    unread or missing keys, and bad numbers."""
     pairs = _parse_pairs(text)
     # None stands for an absent envelope.kind, which reads no field.
     _reject_unread(pairs, "envelope.", {None: (), **ENVELOPE_READS}, None)
@@ -140,7 +142,7 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
     if "envelope.kind" in pairs:
         envelope = EnvelopeSpec(**_present(pairs, "envelope.", _ENVELOPE_FIELDS))
     top = _present(pairs, "", _SCENARIO_FIELDS)
-    scenario = Scenario(
+    return Scenario(
         name=top.pop("name", name_hint),
         system=system,
         grid=Grid(
@@ -155,10 +157,6 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
         envelope=envelope,
         **top,
     )
-    report = validate_scenario(scenario)
-    if not report.valid:
-        raise ConfigError("invalid scenario: " + "; ".join(report.violations))
-    return scenario
 
 
 def parse_scenario(path) -> Scenario:

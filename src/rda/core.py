@@ -230,6 +230,10 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     initial fields are only worked out for a scenario without violations.
     """
     violations: list[str] = []
+    name = scenario.name  # the output directory of a multi-target run
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        violations.append(
+            f"name {name!r}: non-empty, not '.' or '..', no '/' or '\\' failed")
     _check_system(scenario.system, violations)
     warnings: list[str] = []
     grid = scenario.grid

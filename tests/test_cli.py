@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rda import analysis, cli, config, core, solver
+from rda import analysis, cli, config, core, scenarios, solver
 from rda.cli import main, run_experiment
 from rda.config import serialize_scenario
 from rda.core import (
@@ -56,6 +56,13 @@ def fast_scenario(**overrides):
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+def run_valid(scenario, out_dir):
+    """run_experiment of a scenario after the validation rda run makes."""
+    report = core.validate_scenario(scenario)
+    assert report.valid
+    return run_experiment(scenario, report, out_dir)
 
 
 def inline_pool(monkeypatch):
@@ -113,7 +120,7 @@ def read_csv(path):
 
 class TestRunExperiment:
     def test_output_files_and_schema(self, tmp_path):
-        assert run_experiment(fast_scenario(), tmp_path) == 0
+        assert run_valid(fast_scenario(), tmp_path) == 0
         header, rows = read_csv(tmp_path / "trajectory.csv")
         assert header == ["t", "linf_u", "linf_v", "l1_u", "l1_v",
                           "blow_up_flag"]
@@ -131,7 +138,7 @@ class TestRunExperiment:
 
     def test_csv_floats_parse_back_exactly(self, tmp_path):
         # Values are written with repr, i.e. shortest round-trip precision.
-        run_experiment(fast_scenario(), tmp_path)
+        run_valid(fast_scenario(), tmp_path)
         _, rows = read_csv(tmp_path / "trajectory.csv")
         times = [float(row[0]) for row in rows]
         np.testing.assert_allclose(times, np.arange(9) * 0.5, atol=1e-12)
@@ -150,14 +157,14 @@ class TestRunExperiment:
             envelope=None, outputs=("trajectory",),
             blow_up_threshold=1e6,
         )
-        assert run_experiment(scenario, tmp_path) == 0
+        assert run_valid(scenario, tmp_path) == 0
         _, rows = read_csv(tmp_path / "trajectory.csv")
         assert rows[-1][5] == "1"
         assert all(row[5] == "0" for row in rows[:-1])
         assert float(rows[-1][0]) < 5.0
 
     def test_envelope_eta_bounded_for_small_data(self, tmp_path):
-        run_experiment(fast_scenario(), tmp_path)
+        run_valid(fast_scenario(), tmp_path)
         _, v_rows = read_csv(tmp_path / "verdicts.csv")
         verdicts = {row[0]: row[1] for row in v_rows}
         assert verdicts["eta_exponential"] == "pass"
@@ -172,20 +179,38 @@ class TestMain:
         assert (out / "trajectory.csv").exists()
         assert "fast: wrote" in capsys.readouterr().out
 
-    def test_builtin_run_evaluates_each_initial_datum_once(self, tmp_path, monkeypatch):
-        # Validation evaluates both data on the grid and hands the (2, n)
+    @pytest.mark.parametrize("as_config", [False, True],
+                             ids=["remark51-exact", "config"])
+    def test_builtin_run_evaluates_each_initial_datum_once(
+            self, tmp_path, monkeypatch, as_config):
+        # A target is validated once, builtin or config file, and the
+        # validation evaluates both data on the grid and hands the (2, n)
         # array on to the solver.
+        target = "remark51-exact"
+        if as_config:
+            conf = tmp_path / "remark51.conf"
+            conf.write_text(serialize_scenario(get_scenario(target)),
+                            encoding="utf-8")
+            target = str(conf)
         calls = []
+        validations = []
 
         def counted(init, x, _evaluate=core.evaluate_initial):
             calls.append(init.kind)
             return _evaluate(init, x)
 
-        for module in (analysis, cli, config, core, solver):
+        def counted_validation(scenario, _validate=core.validate_scenario):
+            validations.append(scenario.name)
+            return _validate(scenario)
+
+        for module in (analysis, cli, config, core, scenarios, solver):
             if hasattr(module, "evaluate_initial"):
                 monkeypatch.setattr(module, "evaluate_initial", counted)
-        assert main(["run", "remark51-exact", "--out", str(tmp_path)]) == 0
+            if hasattr(module, "validate_scenario"):
+                monkeypatch.setattr(module, "validate_scenario", counted_validation)
+        assert main(["run", target, "--out", str(tmp_path / "out")]) == 0
         assert calls == ["remark51", "zero"]
+        assert len(validations) == 1
 
     def test_run_multiple_targets_get_subdirs(self, tmp_path):
         conf_a = tmp_path / "a.conf"
@@ -269,6 +294,32 @@ class TestMain:
         assert not (out / "same").exists()
         assert (out / "c" / "verdicts.csv").exists()
         assert (out / "d" / "verdicts.csv").exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", ""],
+                             ids=["parent", "nested", "empty"])
+    def test_name_that_leaves_the_output_directory_is_refused(
+            self, tmp_path, capsys, name):
+        # Each target of a multi-target run writes OUT/<name>: a name that
+        # would write outside OUT or into OUT itself is an invalid scenario,
+        # and the other target still runs.
+        confs = tmp_path / "confs"
+        confs.mkdir()
+        bad = confs / "bad.conf"
+        bad.write_text(FAST_CONFIG.replace("name = fast", f"name = {name}"),
+                       encoding="utf-8")
+        good = confs / "b.conf"
+        good.write_text(FAST_CONFIG.replace("name = fast", "name = b"),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(bad), str(good), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [f"b: wrote {out / 'b'}"]
+        assert captured.err.splitlines() == [
+            f"error: {bad}: invalid scenario: name {name!r}: non-empty, "
+            "not '.' or '..', no '/' or '\\' failed"]
+        written = [path for path in tmp_path.rglob("*")
+                   if path.is_file() and path.parent != confs]
+        assert written and all(path.parent == out / "b" for path in written)
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
@@ -431,7 +482,7 @@ class TestMain:
         assert len(BUILTIN_SCENARIOS) == 9
 
     def test_plot_round_trip(self, tmp_path, capsys):
-        run_experiment(fast_scenario(), tmp_path)
+        run_valid(fast_scenario(), tmp_path)
         svg = tmp_path / "replot.svg"
         assert main(["plot", str(tmp_path / "trajectory.csv"),
                      "--out", str(svg)]) == 0
@@ -462,7 +513,7 @@ class TestMain:
         assert not svg.exists()
 
     def test_plot_is_deterministic(self, tmp_path):
-        run_experiment(fast_scenario(), tmp_path)
+        run_valid(fast_scenario(), tmp_path)
         svg1 = tmp_path / "one.svg"
         svg2 = tmp_path / "two.svg"
         main(["plot", str(tmp_path / "trajectory.csv"), "--out", str(svg1)])

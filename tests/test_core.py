@@ -174,6 +174,19 @@ class TestValidateScenario:
                                 outputs=("trajectory", "lower_bounds"))
         assert validate_scenario(bounded).violations == ()
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "", ".", "..", "a\\b"],
+                             ids=["parent", "nested", "empty", "dot", "dotdot",
+                                  "backslash"])
+    def test_name_that_is_not_one_directory_reported(self, name):
+        # A multi-target run writes each scenario to OUT/<name>.
+        report = validate_scenario(make_scenario(name=name))
+        assert report.violations == (
+            f"name {name!r}: non-empty, not '.' or '..', no '/' or '\\' failed",)
+
+    @pytest.mark.parametrize("name", ["toy", "a.b", "..a"])
+    def test_plain_names_pass(self, name):
+        assert validate_scenario(make_scenario(name=name)).valid
+
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
     def test_builtins_are_valid(self, name):
         assert validate_scenario(get_scenario(name)).violations == ()

@@ -11,10 +11,10 @@ u, row 1 the rfft of v. Over the non-negative rfft frequencies the modes
 the 2/3 rule keeps, |k| <= 2/3 kmax, are a prefix [:K]. The stage input
 is copied into a buffer whose modes beyond K stay zero, which dealiases
 it whatever the state holds beyond K. The flux derivative is the
-multiplier ik in spectral space. The monomial plan, the RK4 buffers and
-the row sets below are built once per workspace. Modes beyond K never
-enter the RK4 update and only see the linear multiplier, so they stay
-exactly zero once the initial spectrum is masked.
+multiplier ik in spectral space. The RK4 and transform buffers, the row
+sets below and the stage op lists are built once per workspace. Modes
+beyond K never enter the RK4 update and only see the linear multiplier,
+so they stay exactly zero once the initial spectrum is masked.
 
 A component with coupling terms "moves"; one without is "still" (toy's v
 and remark51-exact's u are the still components among the builtins). RK4
@@ -35,7 +35,18 @@ Each RK4 step transforms only what can change:
   slope of every stage and is reused, with no transform and no monomial
   work.
 
-No transform is made of an empty set of rows.
+No transform is made of an empty set of rows. The stage transforms write
+into a (2, n) field buffer and an (n_slots, n/2+1) spectrum buffer. Stage
+1 and stages 2-4 each have one op list of bound ufunc calls with out=:
+the powers [None, base, base**2, ...] of the rows the stage transforms,
+in the rows of the field and power buffers; each monomial, in one or two
+calls (a coefficient of 1 is not multiplied, a power of 0 is not a
+factor), summed per slot in the order the system lists the terms; and
+the rows of acc or k (a copy of the reaction slot, ik times the flux
+slot, plus the reaction slot). A stage makes no other decision, so a
+step allocates its (2, n/2+1) result and little else: under tracemalloc
+its peak at n = 1024 is 1.4 (toy's shape) to 1.8 (both components move)
+times the result's bytes.
 
 A still component only sees its linear multiplier, so its high modes
 decay geometrically into the subnormal range, where rounding pins them
@@ -57,9 +68,9 @@ the blow-up time, which run returns. It first bounds the sup by
 sum(|Re| + |Im|) * 2/n, which needs no hypot, and only computes the
 exact sup when that bound is not finite or exceeds the threshold.
 Physical fields are materialized only when sampled, by one batched
-inverse transform per sample, and handed with t and the spectrum to the
-run's on_sample hook. run keeps no sample, not even its time, so a run's
-memory does not grow with its sample count.
+inverse transform per sample into a new array, and handed with t and the
+spectrum to the run's on_sample hook. run keeps no sample, not even its
+time, so a run's memory does not grow with its sample count.
 
 Every transform goes through _rfft and _irfft, which call pocketfft's
 r2c and c2r kernels directly with the arguments that scipy.fft's rfft
@@ -93,29 +104,35 @@ __all__ = [
 _TINY = np.finfo(np.float64).tiny
 
 
-def _rfft(x: np.ndarray) -> np.ndarray:
-    """scipy.fft's rfft(x, axis=-1) of a float64 array: pocketfft's r2c kernel."""
-    return pypocketfft.r2c(x, (x.ndim - 1,), True, 0, None, 1)
+def _rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """scipy.fft's rfft(x, axis=-1) of a float64 array: pocketfft's r2c
+    kernel, written into out when it is given."""
+    return pypocketfft.r2c(x, (x.ndim - 1,), True, 0, out, 1)
 
 
-def _irfft(x: np.ndarray, n: int) -> np.ndarray:
+def _irfft(x: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """scipy.fft's irfft(x, n=n, axis=-1) of a complex128 array with n//2+1
-    modes on its last axis: pocketfft's c2r kernel."""
-    return pypocketfft.c2r(x, (x.ndim - 1,), n, False, 2, None, 1)
+    modes on its last axis: pocketfft's c2r kernel, written into out when
+    it is given."""
+    return pypocketfft.c2r(x, (x.ndim - 1,), n, False, 2, out, 1)
 
 
 @dataclass
 class SpectralWorkspace:
-    """Precomputed grids, multipliers, monomial plan and RK4 buffers for one run.
+    """Precomputed grids, multipliers, buffers and stage op lists for one run.
 
     dealias is the 2/3-rule mask over all n/2+1 modes; the kept modes are
     its prefix [:n_kept]. slots holds the (coeff, alpha, beta) triples of
     each non-empty slot in f1, f2, g1, g2 order, one row of the batched
     forward transform each, and rows maps component 0 (u) and 1 (v) to the
     slot indices of its reaction and flux terms (None when empty). moving
-    is the range of components with coupling terms and still the others;
-    read is the range of components the monomials read and read_moving
-    those of them that move. Each range is a row slice, or None when empty.
+    is the range of components with coupling terms and still the others.
+    _stages holds (rows, ops, writes) for stage 1 and for stages 2-4: the
+    range of components to inverse-transform (those the monomials read,
+    and at stages 2-4 only those of them that move), the power and
+    monomial calls (None when the stage reuses stage 1's forward
+    transform) and the calls that write acc or k. Each range is a row
+    slice, or None when empty.
     """
 
     grid: Grid
@@ -130,9 +147,8 @@ class SpectralWorkspace:
     rows: tuple[tuple[int | None, int | None], ...] = field(init=False)
     moving: slice | None = field(init=False)
     still: slice | None = field(init=False)
-    read: slice | None = field(init=False)
-    read_moving: slice | None = field(init=False)
     _buffers: dict = field(init=False, repr=False)
+    _stages: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.grid.n
@@ -164,23 +180,46 @@ class SpectralWorkspace:
         moving = [comp for comp, pair in enumerate(self.rows) if pair != (None, None)]
         self.moving = _row_slice(moving)
         self.still = _row_slice([comp for comp in (0, 1) if comp not in moving])
-        self.read = _row_slice(read)
-        self.read_moving = _row_slice([comp for comp in read if comp in moving])
+        late = [comp for comp in read if comp in moving]
         stage_shape = (len(moving), self.n_kept)
-        self._buffers = {
+        buf = self._buffers = {
+            "fields": np.empty((2, n)),
             "phys": np.empty((len(slots), n)),
-            "term": np.empty(n),
-            "pow": (np.empty((max(max_alpha - 1, 0), n)),
-                    np.empty((max(max_beta - 1, 0), n))),
-            # The powers of u and v the monomials index, [None] for a
-            # component they do not read, and the last forward transform.
-            "powers": [[None], [None]],
-            "spec": None,
+            "spec": np.empty((len(slots), n // 2 + 1), dtype=complex),
             # One row per moving component.
             "acc": np.empty(stage_shape, dtype=complex),
             "k": np.empty(stage_shape, dtype=complex),
             "stage": np.zeros((2, n // 2 + 1), dtype=complex),
         }
+        # [None, base, base**2, ...] for u and v; None is the zeroth power.
+        pows = [np.empty((max(top - 1, 0), n)) for top in (max_alpha, max_beta)]
+        pu, pv = powers = [[None, buf["fields"][c], *pows[c]] for c in (0, 1)]
+        term, mono = np.empty(n), []
+        for row, ((coeff, alpha, beta), *rest) in zip(buf["phys"], slots):
+            mono += _product_ops(row, coeff, pu[alpha], pv[beta])
+            for coeff, alpha, beta in rest:
+                mono += _product_ops(term, coeff, pu[alpha], pv[beta])
+                mono.append((np.add, (row, term, row)))
+        spec = buf["spec"][:, :self.n_kept]
+
+        def ops(comps):
+            return [(np.multiply, (powers[c][j], powers[c][1], powers[c][j + 1]))
+                    for c in comps for j in range(1, len(powers[c]) - 1)] + mono
+
+        def writes(out):
+            calls = []
+            for row, (f_row, g_row) in zip(out, (self.rows[c] for c in moving)):
+                if g_row is None:
+                    calls.append((np.copyto, (row, spec[f_row])))
+                    continue
+                calls.append((np.multiply, (self.ik, spec[g_row], row)))
+                if f_row is not None:
+                    calls.append((np.add, (row, spec[f_row], row)))
+            return calls
+
+        self._stages = ((_row_slice(read), ops(read), writes(buf["acc"])),
+                        (_row_slice(late), ops(late) if late else None,
+                         writes(buf["k"])))
 
     def _multiplier(self, d: float, c: float, dt: float) -> np.ndarray:
         return np.exp((-d * self.k ** 2 + 1j * c * self.k) * dt)
@@ -194,70 +233,38 @@ def _row_slice(comps: list[int]) -> slice | None:
     return slice(comps[0], comps[-1] + 1) if comps else None
 
 
-def _powers(base: np.ndarray, buf: np.ndarray) -> list:
-    """[None, base, base**2, ...] by repeated multiplication into the rows of buf.
-
-    None stands for the zeroth power, which products skip.
-    """
-    powers = [None, base]
-    for row in buf:
-        powers.append(np.multiply(powers[-1], base, out=row))
-    return powers
-
-
-def _monomial(out: np.ndarray, coeff: float, x, y) -> None:
-    """out = (coeff * x) * y, skipping factors that are 1 (coeff 1, power 0)."""
+def _product_ops(out: np.ndarray, coeff: float, x, y) -> list:
+    """The calls that set out = (coeff * x) * y, skipping factors that are
+    1 (coeff 1, power 0)."""
     factors = [f for f in (x, y) if f is not None]
     if not factors:
-        out.fill(coeff)
-        return
+        return [(out.fill, (coeff,))]
     if coeff == 1.0:
         if len(factors) == 2:
-            np.multiply(factors[0], factors[1], out=out)
-        else:
-            out[...] = factors[0]
-        return
-    np.multiply(factors[0], coeff, out=out)
-    if len(factors) == 2:
-        out *= factors[1]
+            return [(np.multiply, (*factors, out))]
+        return [(np.copyto, (out, factors[0]))]
+    return [(np.multiply, (factors[0], coeff, out)),
+            *[(np.multiply, (out, f, out)) for f in factors[1:]]]
 
 
-def _coupling_rhs(ws: SpectralWorkspace, y: np.ndarray, out: np.ndarray,
-                  first: bool) -> None:
-    """Write the first K modes of the spectral coupling terms of y into out.
+def _coupling_rhs(ws: SpectralWorkspace, first: bool) -> None:
+    """Write the first K modes of the spectral coupling terms of the stage
+    buffer into acc (first) or k, one row per moving component.
 
-    y is a (2, n/2+1) spectrum whose modes beyond K are zero. At the first
-    stage of a step (first) every read row of y is transformed; later
+    At the first stage of a step every read row is transformed; later
     stages transform only the read rows that move and reuse the others'
     powers, or, when none moves, reuse the first stage's forward transform.
-    Monomials are summed per slot in the order the system lists them, and
-    out has one row per moving component.
     """
-    buf = ws._buffers
-    rows = ws.read if first else ws.read_moving
-    if first or rows is not None:
-        powers = buf["powers"]
+    rows, ops, writes = ws._stages[0 if first else 1]
+    if ops is not None:
+        buf = ws._buffers
         if rows is not None:
-            fields = _irfft(y[rows], ws.grid.n)
-            for comp, base in zip(range(rows.start, rows.stop), fields):
-                powers[comp] = _powers(base, buf["pow"][comp])
-        pu, pv = powers
-        phys, term = buf["phys"], buf["term"]
-        for row, ((coeff, alpha, beta), *rest) in zip(phys, ws.slots):
-            _monomial(row, coeff, pu[alpha], pv[beta])
-            for coeff, alpha, beta in rest:
-                _monomial(term, coeff, pu[alpha], pv[beta])
-                row += term
-        buf["spec"] = _rfft(phys)
-    spec = buf["spec"]
-    kept = ws.n_kept
-    for row, (f_row, g_row) in zip(out, ws.rows[ws.moving]):
-        if g_row is None:
-            row[...] = spec[f_row, :kept]
-        else:
-            np.multiply(ws.ik, spec[g_row, :kept], out=row)
-            if f_row is not None:
-                row += spec[f_row, :kept]
+            _irfft(buf["stage"][rows], ws.grid.n, out=buf["fields"][rows])
+        for op, args in ops:
+            op(*args)
+        _rfft(buf["phys"], out=buf["spec"])
+    for op, args in writes:
+        op(*args)
 
 
 def _rk4_couplings(ws: SpectralWorkspace, y: np.ndarray) -> None:
@@ -278,20 +285,20 @@ def _rk4_couplings(ws: SpectralWorkspace, y: np.ndarray) -> None:
     half = 0.5 * dt
     kept = y[ws.moving, :n_kept]
     padded[:, :n_kept] = y[:, :n_kept]
-    _coupling_rhs(ws, padded, acc, first=True)
+    _coupling_rhs(ws, first=True)
     np.multiply(acc, half, out=stage)
     stage += kept
-    _coupling_rhs(ws, padded, k, first=False)
+    _coupling_rhs(ws, first=False)
     np.multiply(k, half, out=stage)
     stage += kept
     k *= 2.0
     acc += k
-    _coupling_rhs(ws, padded, k, first=False)
+    _coupling_rhs(ws, first=False)
     np.multiply(k, dt, out=stage)
     stage += kept
     k *= 2.0
     acc += k
-    _coupling_rhs(ws, padded, k, first=False)
+    _coupling_rhs(ws, first=False)
     acc += k
     acc *= dt / 6.0
     kept += acc

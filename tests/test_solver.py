@@ -174,26 +174,93 @@ def test_rows_transformed_per_step(monkeypatch, couplings, inverse, forward):
 @pytest.mark.parametrize("rows", [slice(1, 2), slice(0, 2)], ids=["1row", "2rows"])
 def test_transforms_equal_scipy_fft_bit_for_bit(rows, n):
     # _rfft/_irfft call pocketfft's private r2c/c2r kernels; a change of
-    # their signature or convention in scipy must fail here.
+    # their signature or convention in scipy must fail here, whether they
+    # return a new array or write into a preallocated one.
     rng = np.random.default_rng(n)
     fields = rng.standard_normal((2, n))[rows]
     kept = fields.copy()
-    spectra = solver._rfft(fields)
-    assert fields.tobytes() == kept.tobytes()
     expected = scipy.fft.rfft(fields, axis=-1)
-    assert spectra.dtype == expected.dtype and spectra.shape == expected.shape
-    assert spectra.tobytes() == expected.tobytes()
+    buffer = np.empty_like(expected)
+    for out in (None, buffer):
+        spectra = solver._rfft(fields, out=out)
+        assert out is None or spectra is out
+        assert fields.tobytes() == kept.tobytes()
+        assert spectra.dtype == expected.dtype and spectra.shape == expected.shape
+        assert spectra.tobytes() == expected.tobytes()
     # A stage spectrum: modes beyond K are zero, and _coupling_rhs passes
-    # the row-slice view y[rows] of the (2, n/2+1) stage buffer.
+    # the row-slice view y[rows] of the (2, n/2+1) stage buffer and writes
+    # into the same rows of a (2, n) field buffer.
     y = scipy.fft.rfft(rng.standard_normal((2, n)), axis=-1)
     y[:, n // 3 + 1:] = 0.0
     view = y[rows]
     kept = y.copy()
-    fields = solver._irfft(view, n)
-    assert y.tobytes() == kept.tobytes()
     expected = scipy.fft.irfft(view, n=n, axis=-1)
-    assert fields.dtype == expected.dtype and fields.shape == expected.shape
-    assert fields.tobytes() == expected.tobytes()
+    stage_fields = np.empty((2, n))
+    for out in (None, np.empty_like(expected), stage_fields[rows]):
+        fields = solver._irfft(view, n, out=out)
+        assert out is None or fields is out
+        assert y.tobytes() == kept.tobytes()
+        assert fields.dtype == expected.dtype and fields.shape == expected.shape
+        assert fields.tobytes() == expected.tobytes()
+    assert stage_fields[rows].tobytes() == expected.tobytes()
+
+
+# A system with one still component and one where both components move,
+# on a grid where the stepper's buffers are far smaller than a spectrum.
+BUFFER_SYSTEMS = {
+    "toy": SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=5.0,
+                      f1=(PolyTerm(1.0, 4, 0, 0), PolyTerm(1.0, 1, 1, 0))),
+    "both_move": SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=2.0,
+                            f1=(PolyTerm(1.0, 1, 1, 0),),
+                            f2=(PolyTerm(-1.0, 2, 0, 0),),
+                            g2=(PolyTerm(0.5, 0, 2, 1),)),
+}
+
+
+def buffer_workspace(name, n):
+    grid = Grid(half_width=30.0, n=n)
+    ws = SpectralWorkspace(grid=grid, system=BUFFER_SYSTEMS[name], dt=0.01)
+    x = grid.points()
+    initial = np.stack((0.1 * np.exp(-x ** 2 / 4.0), 0.1 * np.exp(-(x - 1) ** 2)))
+    return ws, initial
+
+
+@pytest.mark.parametrize("name", sorted(BUFFER_SYSTEMS))
+def test_samples_and_steps_never_alias_workspace_buffers(name):
+    # The stage transforms write into workspace buffers; what run hands
+    # its hook and what step returns must not be one of them.
+    ws, initial = buffer_workspace(name, 128)
+    seen = []
+    run(ws, initial, t_end=0.2, sample_dt=ws.dt,
+        on_sample=lambda t, spectra, fields: seen.append(
+            (spectra, spectra.copy(), fields, fields.copy())))
+    assert len(seen) == 21
+    for spectra, spectra_copy, fields, fields_copy in seen:
+        assert spectra.tobytes() == spectra_copy.tobytes()
+        assert fields.tobytes() == fields_copy.tobytes()
+    first = step(ws, seen[-1][0])
+    kept = first.copy()
+    second = step(ws, first)
+    assert second is not first and not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BUFFER_SYSTEMS))
+def test_step_allocates_little_more_than_its_result(name):
+    # Every stage transform and monomial writes into a workspace buffer,
+    # so a steady-state step allocates its (2, n/2+1) result and little
+    # else.
+    ws, initial = buffer_workspace(name, 1024)
+    spectra = np.fft.rfft(initial) * ws.dealias
+    for _ in range(3):
+        spectra = step(ws, spectra)
+    tracemalloc.start()
+    try:
+        result = step(ws, spectra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * result.nbytes
 
 
 # Systems with one still component (no coupling terms) that diffuses fast

@@ -117,7 +117,8 @@ def assert_matches_reference(grid, system, dt, spectra):
     assert_close(stepped(grid, system, dt, spectra), ref)
 
 
-_coeffs = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda c: c != 1.0)
+# Every builtin term has coefficient 1, which the stepper does not multiply.
+_coeffs = st.one_of(st.just(1.0), st.floats(-3.0, 3.0, allow_nan=False))
 
 
 def _slot(gamma):

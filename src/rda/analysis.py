@@ -27,6 +27,7 @@ from .core import (
     Scenario,
     SystemSpec,
     gaussian_profile,
+    matches_normal_form_shape,
     trust_radius,
 )
 from .kernels import drag_weight_profile
@@ -126,7 +127,7 @@ def check_admissibility(system: SystemSpec) -> AdmissibilityReport:
                     f"{min_deg}, not irrelevant")
 
     sign_value = None
-    if _matches_normal_form_shape(system):
+    if matches_normal_form_shape(system):
         sign_value = -normal_form_rates(system)[0]
     return AdmissibilityReport(
         thm1_admissible=thm1, thm2_admissible=thm2, sign_value=sign_value,
@@ -150,18 +151,6 @@ def normal_form_rates(system: SystemSpec) -> tuple[float, float]:
                              (system.g2, (2, 0, 1))))
     mu = gamma * alpha / c - beta
     return mu, mu / (4.0 * math.sqrt(3.0) * system.d1 * math.pi)
-
-
-def _matches_normal_form_shape(system: SystemSpec) -> bool:
-    """True iff the couplings are exactly f1 = a uv + b u^3 and g2 = g u^2."""
-    if system.c1 == system.c2:
-        return False
-    if system.g1 or system.f2:
-        return False
-    f1_shapes = {(t.alpha, t.beta, t.gamma) for t in system.f1}
-    g2_shapes = {(t.alpha, t.beta, t.gamma) for t in system.g2}
-    return (f1_shapes <= {(1, 1, 0), (3, 0, 0)} and (1, 1, 0) in f1_shapes
-            and g2_shapes == {(2, 0, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +495,15 @@ def diagnose(scenario: Scenario, samples: SampleReduction) -> Diagnosis:
                      len(late) >= 2 and bool(np.all(np.diff(late) > 0)),
                      float(sup[-1])))
     if "amplitude_law" in outputs:
-        # Judged only with the normal-form shape and the stabilizing sign;
-        # otherwise the law fails with the sign value (nan without the shape).
-        sign_value = check_admissibility(system).sign_value
-        if sign_value is not None and sign_value < 0.0:
-            law = amplitude_law_check(times, amplitudes, *normal_form_rates(system))
+        # Validation has checked the normal-form shape. The law is judged
+        # only with the stabilizing sign mu > 0; otherwise it fails with
+        # the sign value -mu.
+        mu, nu = normal_form_rates(system)
+        if mu > 0.0:
+            law = amplitude_law_check(times, amplitudes, mu, nu)
             rows.append(("amplitude_law", law.passed, law.statistic))
         else:
-            rows.append(("amplitude_law", False,
-                         math.nan if sign_value is None else sign_value))
+            rows.append(("amplitude_law", False, -mu))
     if "exact_error" in outputs:
         # Relative sup errors of the final sample: u within 1e-4, v within 5e-4.
         err_u, err_v = (float(np.max(np.abs(f - exact)) / np.max(np.abs(exact)))

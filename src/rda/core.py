@@ -215,6 +215,19 @@ def _has_remark51_shape(scenario: Scenario) -> bool:
             and scenario.initial_v.kind == "zero")
 
 
+def matches_normal_form_shape(system: SystemSpec) -> bool:
+    """True iff the couplings are exactly f1 = a uv + b u^3 and g2 = g u^2
+    with c1 != c2, the shape whose normal form the amplitude law reads."""
+    if system.c1 == system.c2:
+        return False
+    if system.g1 or system.f2:
+        return False
+    f1_shapes = {(t.alpha, t.beta, t.gamma) for t in system.f1}
+    g2_shapes = {(t.alpha, t.beta, t.gamma) for t in system.g2}
+    return (f1_shapes <= {(1, 1, 0), (3, 0, 0)} and (1, 1, 0) in f1_shapes
+            and g2_shapes == {(2, 0, 1)})
+
+
 # The largest |initial value| at the box edge, relative to the maximum, that
 # validate_scenario accepts. Every builtin reads at most 2.8e-8; algebraic
 # power-3 data on a half-width of 60 reads 61^-3 = 4.4e-6.
@@ -281,6 +294,11 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         violations.append(
             "exact_error output requires the exactly solvable benchmark shape: "
             "d=(1, 1/4), f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0")
+    if ("amplitude_law" in scenario.outputs
+            and not matches_normal_form_shape(scenario.system)):
+        violations.append(
+            "amplitude_law output requires the normal-form shape: "
+            "f1 = a uv (+ b u^3), g2 = g (u^2)_x, no f2 or g1, c1 != c2")
     fields = []
     for label, init in (("initial.u", scenario.initial_u), ("initial.v", scenario.initial_v)):
         before = len(violations)

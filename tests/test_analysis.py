@@ -412,13 +412,14 @@ class TestAmplitudeLaw:
         with pytest.raises(ValueError):
             amplitude_law_check(np.array([]), np.array([]), mu=0.5, nu=0.04)
 
+    # A system without the normal-form shape is refused by validation
+    # (tests/test_core.py); one with the shape and the wrong sign runs.
     @pytest.mark.parametrize("name,statistic", [
-        ("toy", math.nan),                  # no normal-form shape
         ("cas3-sign-violated", 0.5),        # the sign value -mu = 0.5
     ])
     def test_unjudged_law_fails_with_the_sign_value(self, name, statistic):
-        # Without the shape and the stabilizing sign the law is not judged:
-        # its row fails with the sign value, nan without the shape.
+        # Without the stabilizing sign the law is not judged: its row
+        # fails with the sign value, a scientific result.
         scenario = dataclasses.replace(
             get_scenario(name), grid=Grid(half_width=60.0, n=256), t_end=1.0,
             sample_dt=0.5, outputs=("trajectory", "amplitude_law"))

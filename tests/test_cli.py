@@ -387,13 +387,19 @@ class TestMain:
            "outputs = trajectory, exact_error"),),
          "exact_error output requires the exactly solvable benchmark shape: "
          "d=(1, 1/4), f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0"),
+        # f1 = uv but no g2 = (u^2)_x: no normal form to judge the law on.
+        ((("outputs = trajectory, envelope, decay",
+           "outputs = trajectory, amplitude_law"),),
+         "amplitude_law output requires the normal-form shape: "
+         "f1 = a uv (+ b u^3), g2 = g (u^2)_x, no f2 or g1, c1 != c2"),
         ((("outputs = trajectory, envelope, decay",
            "outputs = trajectory, decayy"),),
          "unknown output 'decayy'"),
         ((("envelope.kind = exponential\nenvelope.M = 16.0\n", ""),),
          "envelope output requires an envelope.kind"),
     ], ids=["lower_bounds", "normal_form_envelope", "drag_equal_velocities",
-            "exact_error", "unknown_output", "envelope_without_kind"])
+            "exact_error", "amplitude_law", "unknown_output",
+            "envelope_without_kind"])
     def test_uncomputable_output_fails_before_running(
             self, tmp_path, capsys, replacements, message):
         assert_rejected_before_running(tmp_path, capsys, replacements, message)

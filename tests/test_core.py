@@ -101,6 +101,19 @@ class TestValidateScenario:
             "drag envelope requires c1 != c2",)
         assert validate_scenario(make_scenario(envelope=env)).valid
 
+    def test_amplitude_law_requires_the_normal_form_shape(self):
+        # The law is judged on the normal form, which toy's quartic self
+        # term and mix coupling do not have.
+        outputs = ("trajectory", "amplitude_law")
+        toy = dataclasses.replace(get_scenario("toy"), outputs=outputs)
+        assert validate_scenario(toy).violations == (
+            "amplitude_law output requires the normal-form shape: "
+            "f1 = a uv (+ b u^3), g2 = g (u^2)_x, no f2 or g1, c1 != c2",)
+        # The shape with the wrong sign runs, and its law fails as a result.
+        signed = dataclasses.replace(get_scenario("cas3-sign-violated"),
+                                     outputs=outputs)
+        assert validate_scenario(signed).valid
+
     def test_algebraic_r_floor(self):
         bad = make_scenario(envelope=EnvelopeSpec(kind="algebraic", M=16.0, r=2.0))
         assert not validate_scenario(bad).valid

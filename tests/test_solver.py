@@ -247,9 +247,9 @@ def test_samples_and_steps_never_alias_workspace_buffers(name):
 
 @pytest.mark.parametrize("name", sorted(BUFFER_SYSTEMS))
 def test_step_allocates_little_more_than_its_result(name):
-    # Every stage transform and monomial writes into a workspace buffer,
-    # so a steady-state step allocates its (2, n/2+1) result and little
-    # else.
+    # Every stage transform, monomial, RK4 update and still-row flush
+    # writes into a workspace buffer, so a steady-state step allocates its
+    # (2, n/2+1) result and little else.
     ws, initial = buffer_workspace(name, 1024)
     spectra = np.fft.rfft(initial) * ws.dealias
     for _ in range(3):
@@ -260,7 +260,7 @@ def test_step_allocates_little_more_than_its_result(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * result.nbytes
+    assert peak <= 1.25 * result.nbytes
 
 
 # Systems with one still component (no coupling terms) that diffuses fast

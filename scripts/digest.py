@@ -22,7 +22,7 @@ CPU model:
 each builtin: its index, its t and max|delta| of its sup norms (a lower
 bound on the field's). A version or CPU that differs from the recorded one
 is printed first, since it can move bits without any change to the code.
-The full set takes about half a minute.
+The full set takes about 20 s.
 """
 
 from __future__ import annotations

@@ -84,7 +84,13 @@ def _gaussian_sweep(x: np.ndarray, nodes: np.ndarray, scale: float,
 
     weights is (len(nodes), k) and the result (len(x), k). The Gaussian
     matrix is built in row blocks of about 512 KB in one reused buffer, so
-    no (len(x), len(nodes)) temporary is allocated.
+    no (len(x), len(nodes)) temporary is allocated. Each block is the nodes
+    copied into every row plus x as a column, in place: the same sums as
+    the broadcast x[:, None] + nodes (IEEE addition commutes), at a fraction
+    of the cost of numpy's two-operand broadcast loop. The block size and
+    the np.dot layout stay as they are: BLAS sums the products in an order
+    that depends on both, so another block size or a transposed product
+    changes the weights' last bits.
     """
     out = np.empty((len(x), weights.shape[1]))
     rows = max(1, _BLOCK_DOUBLES // len(nodes))
@@ -92,7 +98,8 @@ def _gaussian_sweep(x: np.ndarray, nodes: np.ndarray, scale: float,
     for start in range(0, len(x), rows):
         xb = x[start:start + rows]
         block = buf[:len(xb)]
-        np.add(xb[:, None], nodes, out=block)
+        block[...] = nodes
+        block += xb[:, None]
         np.square(block, out=block)
         block /= -scale
         np.exp(block, out=block)
@@ -279,8 +286,10 @@ class IdentityReport:
     cases: dict[str, int] = field(default_factory=dict)
 
     def worst(self) -> tuple[str, float]:
-        name = max(self.max_abs_error, key=self.max_abs_error.get)
-        return name, self.max_abs_error[name]
+        """The family with the largest error; a NaN error ranks above any number."""
+        errors = self.max_abs_error
+        name = max(errors, key=lambda k: (math.isnan(errors[k]), errors[k]))
+        return name, errors[name]
 
     def passed(self, tol: float = 1e-8) -> bool:
         return self.worst()[1] <= tol
@@ -338,20 +347,26 @@ def verify_identity_suite() -> IdentityReport:
     (the acceptance gate is 1e-8).
 
     QUADPACK calls each integrand one point at a time, about 35 000 times
-    per suite, so the integrands are scalar closures over `math.exp` and
+    per suite, so the integrands are scalar functions of `math.exp` and
     `math.sqrt` (a numpy ufunc costs about twice as much on a Python
-    float), and everything that does not depend on the integration
-    variable is computed once per case. The integrands square by
-    multiplication, since a float ** 2 is a libm pow call. Only the
-    quartic tail keeps w ** 4: (w * w) * (w * w) rounds twice and doubles
-    that identity's largest error.
+    float), bound as defaults like every per-case constant, and everything
+    that does not depend on the integration variable is computed once per
+    case. The integrands square by multiplication, since a float ** 2 is a
+    libm pow call. Only the quartic tail keeps w ** 4: (w * w) * (w * w)
+    rounds twice and doubles that identity's largest error.
+
+    Each exponent's sign, and the mix term's factor -2, is folded into a
+    per-case default (-a, -M(t-s), M(t-s)/-2), so no integrand negates per
+    call. This changes no bit: IEEE multiplication and division are
+    sign-symmetric, and scaling by a power of two is exact, so
+    -(a*a)/M == (a*a)/(-M) and (-2*x)/M == x/(M/-2).
     """
     errors: dict[str, float] = {}
     counts: dict[str, int] = {}
-    exp, sqrt = math.exp, math.sqrt  # spares the integrands a module lookup per call
-
     def record(name: str, err: float):
-        errors[name] = max(errors.get(name, 0.0), err)
+        # A NaN error stays recorded: max(0.0, nan) would drop it.
+        old = errors.get(name, 0.0)
+        errors[name] = err if math.isnan(err) or err > old else old
         counts[name] = counts.get(name, 0) + 1
 
     # Completed-square Gaussian integral.
@@ -362,7 +377,8 @@ def verify_identity_suite() -> IdentityReport:
             c = c_cycle[i % 3]
             i += 1
             lo, hi = _gauss_window(b / (2 * a), 1.0 / math.sqrt(a))
-            lhs = _quad_conv(lambda y, a=a, b=b, c=c: exp(-a * y * y + b * y + c), lo, hi)
+            lhs = _quad_conv(lambda y, na=-a, b=b, c=c, exp=math.exp:
+                             exp(na * y * y + b * y + c), lo, hi)
             record("gauss", abs(lhs - gauss_integral(a, b, c)))
 
     d1 = 1.0
@@ -374,27 +390,29 @@ def verify_identity_suite() -> IdentityReport:
 
         lo, hi = _product_gaussian_window([(a_ts, xc), (a_s, -m1)])
 
-        def lhs1(y, xc=xc, m1=m1, M_ts=M_ts, M_s=M_s, norm=root * (1.0 + s) ** 2):
+        def lhs1(y, xc=xc, m1=m1, nM_ts=-M_ts, M_s=M_s, norm=root * (1.0 + s) ** 2,
+                 exp=math.exp):
             a, b = xc - y, y + m1
-            return exp(-(a * a) / M_ts - (b * b) / M_s) / norm
+            return exp((a * a) / nM_ts - (b * b) / M_s) / norm
 
         record("conv_same_velocity",
                abs(_quad_conv(lhs1, lo, hi) - conv_same_velocity(x, t, s, c1, M, d1)))
 
         lo, hi = _product_gaussian_window([(2.0 * a_ts, xc), (a_s, -m1), (a_s, -m2)])
 
-        def lhs2(y, xc=xc, m1=m1, m2=m2, M_ts=M_ts, M_s=M_s, norm=root * (1.0 + s)):
+        def lhs2(y, xc=xc, m1=m1, m2=m2, hM_ts=M_ts / -2.0, M_s=M_s,
+                 norm=root * (1.0 + s), exp=math.exp):
             a, b, c = xc - y, y + m1, y + m2
-            return exp(-2.0 * (a * a) / M_ts - (b * b) / M_s - (c * c) / M_s) / norm
+            return exp((a * a) / hM_ts - (b * b) / M_s - (c * c) / M_s) / norm
 
         record("conv_mix",
                abs(_quad_conv(lhs2, lo, hi) - conv_mix(x, t, s, c1, c2, M, d1)))
 
         lo, hi = _product_gaussian_window([(a_ts, xc), (a_s, -m2)])
 
-        def lhs3(y, xc=xc, m2=m2, M_ts=M_ts, M_s=M_s):
+        def lhs3(y, xc=xc, m2=m2, nM_ts=-M_ts, M_s=M_s, exp=math.exp):
             a, b = xc - y, y + m2
-            return exp(-(a * a) / M_ts - (b * b) / M_s)
+            return exp((a * a) / nM_ts - (b * b) / M_s)
 
         record("conv_cross_velocity",
                abs(_quad_conv(lhs3, lo, hi) - conv_cross_velocity(x, t, s, c1, c2, M)))
@@ -406,9 +424,9 @@ def verify_identity_suite() -> IdentityReport:
             K = 45.0
             u_star = (K + math.sqrt(K * K + 4.0 * a * K * (1.0 + r))) / (2.0 * a)
 
-            def lhs4(u, a=a, r1=1.0 + r):
+            def lhs4(u, na=-a, r1=1.0 + r, exp=math.exp, sqrt=math.sqrt):
                 w = r1 + u
-                return exp(-u * u * a / w) / sqrt(w)
+                return exp(u * u * na / w) / sqrt(w)
 
             lhs = _quad_conv(lhs4, 0.0, 2.0 * u_star)
             record("halfline_gauss", abs(lhs - halfline_gauss_integral(a, r)))
@@ -418,8 +436,8 @@ def verify_identity_suite() -> IdentityReport:
         a = float(a)
         cutoff = (45.0 / a) ** 0.25
 
-        def lhs5(w, a=a):
-            return 2.0 * exp(-a * w ** 4)
+        def lhs5(w, na=-a, exp=math.exp):
+            return 2.0 * exp(na * w ** 4)
 
         lhs = _quad_conv(lhs5, 0.0, 2.0 * cutoff)
         record("quartic_tail", abs(lhs - quartic_tail_integral(a)))

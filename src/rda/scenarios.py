@@ -122,7 +122,8 @@ _BUILTINS = {scenario.name: scenario for scenario in (
         envelope=EnvelopeSpec(kind="drag", M=16.0),
         outputs=("trajectory", "envelope", "exact_error"),
     ),
-    # Blows up near t = 8.16 with this data; t_end leaves room to observe it.
+    # Blow-up is flagged at t = 8.16 with this data at dt = 0.01; t_end leaves
+    # room to observe it.
     Scenario(
         name="cas2-equal",
         description="quadratic cross couplings, equal velocities; finite-time blow-up",
@@ -136,7 +137,7 @@ _BUILTINS = {scenario.name: scenario for scenario in (
     Scenario(
         name="cas2-distinct",
         description=("quadratic cross couplings, distinct velocities; norm growth; "
-                     "blow-up guard fires near t = 14.21"),
+                     "blow-up guard fires at t = 14.21 with dt = 0.01"),
         system=_cas2_system(2.0),
         grid=Grid(half_width=60.0, n=1024),
         initial_u=_gauss(0.5, 1.0),

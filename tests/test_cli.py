@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -462,6 +463,24 @@ class TestMain:
         assert main(["verify-identities"]) == 0
         out = capsys.readouterr().out
         assert "worst:" in out and "within tolerance" in out
+
+    @pytest.mark.parametrize("nan_calls", [range(31), [0], [30]])
+    def test_verify_identities_fails_on_nan(self, capsys, monkeypatch, nan_calls):
+        # max(0.0, nan) is 0.0, so a NaN error once read as a perfect match,
+        # whether every case of the family or only its first or last was NaN.
+        conv_mix, calls = cli.kernels.conv_mix, []
+
+        def nan_closed_form(*args):
+            calls.append(args)
+            return math.nan if len(calls) - 1 in nan_calls else conv_mix(*args)
+
+        monkeypatch.setattr(cli.kernels, "conv_mix", nan_closed_form)
+        assert main(["verify-identities"]) == 1
+        assert len(calls) == 31
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("conv_mix ")] == [
+            "conv_mix                 cases= 31 max_abs_error=nan"]
+        assert out[-1] == "worst: conv_mix at nan (EXCEEDS tolerance 1e-08)"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_verify_identities_rejects_bad_tol(self, capsys, monkeypatch, tol):

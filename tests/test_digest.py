@@ -1,25 +1,23 @@
 """The committed DIGEST.json pins the builtins' samples and the identity
 suite's integrals bit for bit.
 
-scripts/digest.py checks the whole set (about half a minute); these tests
-check the part that runs in about a second: every builtin cut to t_end <= 2
-and sample_dt <= 0.5 on its full grid, cas2-equal and cas2-distinct run to
+scripts/digest.py checks the whole set (about 20 s); these tests check the
+part that runs in about two seconds: every builtin cut to t_end <= 2 and
+sample_dt <= 0.5 on its full grid, cas2-equal and cas2-distinct run to
 their blow-up, and the 158 values the identity suite's QUADPACK integrals
-return. A failure names the first differing sample, and says when the
-installed versions or CPU differ from the recorded ones, since those can
-move bits without any change to the code.
+return, with the `rda verify-identities` printout. A failure names the
+first differing sample, and says when the installed versions or CPU differ
+from the recorded ones, since those can move bits without any change to
+the code.
 """
 
-import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 import scipy
 
-from rda import kernels
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "digest.py"
@@ -49,20 +47,11 @@ def test_blow_up_samples_match_digest(name):
     assert line is None, _mismatch(line)
 
 
-def test_identity_integrals_match_digest(monkeypatch):
+def test_identity_integrals_match_digest():
     if scipy.__version__ != RECORDED["machine"]["scipy"]:
         pytest.skip(f"integrals recorded with scipy {RECORDED['machine']['scipy']}, "
                     f"scipy {scipy.__version__} is installed")
-    values = []
-    quad = kernels._quad_conv
-
-    def recording(f, lo, hi):
-        values.append(quad(f, lo, hi))
-        return values[-1]
-
-    monkeypatch.setattr(kernels, "_quad_conv", recording)
-    kernels.verify_identity_suite()
-    assert len(values) == RECORDED["identities"]["integral_count"] == 158
-    sha = hashlib.sha256(np.array(values).tobytes()).hexdigest()
-    assert sha == RECORDED["identities"]["integrals"], _mismatch(
-        "the identity suite's integral values differ from DIGEST.json")
+    identities = digest.identity_digest()
+    assert identities["integral_count"] == 158
+    assert identities == RECORDED["identities"], _mismatch(
+        "the identity suite's integral values or printout differ from DIGEST.json")

@@ -26,6 +26,7 @@ from rda.kernels import (
     quartic_tail_integral,
     verify_identity_suite,
 )
+from rda.scenarios import get_scenario
 
 
 @dataclass(frozen=True)
@@ -112,37 +113,54 @@ def test_identity_suite_oracle_is_strict_and_integrands_scalar(monkeypatch):
     calls = []
 
     def recording_quad(f, lo, hi, **kwargs):
-        calls.append((kwargs, f(0.5 * (lo + hi))))
+        calls.append((kwargs, f(0.5 * (lo + hi)), f.__closure__))
         return quad(f, lo, hi, **kwargs)
 
     monkeypatch.setattr(integrate, "quad", recording_quad)
     verify_identity_suite()
     assert len(calls) == 158
-    for kwargs, midpoint_value in calls:
+    for kwargs, midpoint_value, closure in calls:
         assert kwargs == dict(epsabs=1e-11, epsrel=0.0, limit=4000)
         # An np.float64 here means a numpy scalar path crept back in.
         assert type(midpoint_value) is float
+        # Everything an integrand reads, exp and sqrt included, is a default
+        # (a fast local), not a cell of the enclosing suite.
+        assert closure is None
+
+
+def _integrand_body_nodes():
+    """(integrand, node) for every AST node in the bodies of the identity
+    suite's integrands. Only the bodies run per call; the defaults are
+    per-case constants, evaluated once."""
+    (suite,) = ast.parse(inspect.getsource(verify_identity_suite)).body
+    for node in ast.walk(suite):
+        if isinstance(node, ast.Lambda):
+            name, body = "lambda", [node.body]
+        elif isinstance(node, ast.FunctionDef) and node.name.startswith("lhs"):
+            name, body = node.name, node.body
+        else:
+            continue
+        for stmt in body:
+            for op in ast.walk(stmt):
+                yield name, op
 
 
 def test_identity_integrands_square_by_multiplication():
     # QUADPACK calls the integrands about 35 000 times per suite, and each
-    # float ** 2 is a libm pow call. Only the bodies run per call; the
-    # defaults are per-case constants, evaluated once.
-    (suite,) = ast.parse(inspect.getsource(verify_identity_suite)).body
-    pows = []
-    for node in ast.walk(suite):
-        if isinstance(node, ast.Lambda):
-            body = [node.body]
-        elif isinstance(node, ast.FunctionDef) and node is not suite:
-            body = node.body
-        else:
-            continue
-        pows += [(getattr(node, "name", "lambda"), ast.unparse(op))
-                 for stmt in body for op in ast.walk(stmt)
-                 if isinstance(op, ast.BinOp) and isinstance(op.op, ast.Pow)]
+    # float ** 2 is a libm pow call.
+    pows = [(name, ast.unparse(op)) for name, op in _integrand_body_nodes()
+            if isinstance(op, ast.BinOp) and isinstance(op.op, ast.Pow)]
     # The one exception: (w * w) * (w * w) rounds twice, and the quartic
     # tail's largest error doubles from 4.441e-16 to 8.882e-16 with it.
     assert pows == [("lhs5", "w ** 4")]
+
+
+def test_identity_integrands_negate_nothing():
+    # Each sign (and the mix term's -2) is a per-case default, which keeps
+    # every bit: -(a*a)/M == (a*a)/(-M) and (-2*x)/M == x/(M/-2).
+    negations = [(name, ast.unparse(op)) for name, op in _integrand_body_nodes()
+                 if isinstance(op, ast.UnaryOp) and isinstance(op.op, ast.USub)]
+    assert negations == []
 
 
 def test_gauss_legendre_panels_weights_sum():
@@ -335,3 +353,30 @@ def test_gaussian_sweep_blocks_match_dense(n):
     swept = _gaussian_sweep(x, _SWEEP_NODES, 7.0, weights)
     assert swept.shape == (n, 2)
     np.testing.assert_allclose(swept, dense, rtol=1e-13, atol=1e-13)
+    # nodes + x and x + nodes are the same IEEE sums, block by block.
+    assert np.array_equal(swept, _broadcast_sweep(x, _SWEEP_NODES, 7.0, weights))
+
+
+def _broadcast_sweep(x, nodes, scale, weights):
+    """_gaussian_sweep with each block built by the broadcast x[:, None] + nodes."""
+    out = np.empty((len(x), weights.shape[1]))
+    rows = max(1, _BLOCK_DOUBLES // len(nodes))
+    buf = np.empty((min(rows, len(x)), len(nodes)))
+    for start in range(0, len(x), rows):
+        xb = x[start:start + rows]
+        block = buf[:len(xb)]
+        np.add(xb[:, None], nodes, out=block)
+        np.square(block, out=block)
+        block /= -scale
+        np.exp(block, out=block)
+        np.dot(block, weights, out=out[start:start + len(xb)])
+    return out
+
+
+def test_drag_weight_of_a_thm2_sample_is_the_broadcast_sweeps(monkeypatch):
+    scenario = get_scenario("thm2-irrelevant")
+    x, system = scenario.grid.points(), scenario.system
+    args = (x, 37.0, system.c1, system.c2, scenario.envelope.M)
+    profile = drag_weight_profile(*args)
+    monkeypatch.setattr(kernels, "_gaussian_sweep", _broadcast_sweep)
+    assert np.array_equal(profile, drag_weight_profile(*args))

@@ -7,7 +7,8 @@ Usage:
 
 DIGEST.json records, beside the Python, numpy and scipy versions and the
 CPU model:
-  - builtins: for each builtin run to its t_end, a SHA-256 over every
+  - builtins: for each builtin run to its t_end by `rda run`'s own
+    cli.run_experiment, a SHA-256 over every
     (repr(t), spectra bytes, fields bytes) the on_sample hook receives and
     the repr of the blow-up time, one short record per sample (its own
     hash, its t and the sup norms of u and v), and the SHA-256 of each file
@@ -44,10 +45,9 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from rda import analysis, cli, kernels  # noqa: E402
+from rda import cli, kernels, solver  # noqa: E402
 from rda.core import validate_scenario  # noqa: E402
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario  # noqa: E402
-from rda.solver import run_scenario  # noqa: E402
 
 DIGEST = ROOT / "DIGEST.json"
 CUT_T_END = 2.0
@@ -73,35 +73,44 @@ def cut(scenario):
 
 
 def run_digest(scenario, out_dir=None) -> dict:
-    """Run scenario and digest every sample its on_sample hook receives.
+    """Run scenario through `rda run`'s own pipeline, cli.run_experiment,
+    and digest every sample its on_sample hook receives.
 
-    With out_dir, the samples also go through the CLI's reduction and
-    write_outputs writes the run's files there, each of which is hashed.
+    run_experiment writes the run's files into out_dir, each of which is
+    hashed; without out_dir they go to a temporary directory, unhashed.
     """
     whole = hashlib.sha256()
     records = []
-    samples = analysis.SampleReduction(scenario) if out_dir is not None else None
+    run = solver.run_scenario
+    blow_up = []
 
-    def on_sample(t, spectra, fields):
-        data = repr(t).encode() + spectra.tobytes() + fields.tobytes()
-        whole.update(data)
-        sup_u, sup_v = np.max(np.abs(fields), axis=1)
-        records.append(f"{hashlib.sha256(data).hexdigest()[:16]} {t!r} "
-                       f"{float(sup_u)!r} {float(sup_v)!r}")
-        if samples is not None:
-            samples(t, spectra, fields)
+    def digesting_run(scenario, initial, on_sample):
+        def both(t, spectra, fields):
+            data = repr(t).encode() + spectra.tobytes() + fields.tobytes()
+            whole.update(data)
+            sup_u, sup_v = np.max(np.abs(fields), axis=1)
+            records.append(f"{hashlib.sha256(data).hexdigest()[:16]} {t!r} "
+                           f"{float(sup_u)!r} {float(sup_v)!r}")
+            on_sample(t, spectra, fields)
 
-    blow_up_time = run_scenario(scenario, validate_scenario(scenario).initial,
-                                on_sample)
-    whole.update(repr(blow_up_time).encode())
-    digest = {"sha256": whole.hexdigest(), "blow_up_time": repr(blow_up_time),
-              "samples": records}
-    if out_dir is not None:
-        out = Path(out_dir) / scenario.name
-        cli.write_outputs(scenario, analysis.diagnose(scenario, samples),
-                          blow_up_time is not None, out)
-        digest["files"] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                           for path in sorted(out.iterdir())}
+        blow_up.append(run(scenario, initial, both))
+        return blow_up[-1]
+
+    with contextlib.ExitStack() as stack:
+        root = out_dir or stack.enter_context(tempfile.TemporaryDirectory())
+        out = Path(root) / scenario.name
+        solver.run_scenario = digesting_run
+        try:
+            cli.run_experiment(scenario, validate_scenario(scenario), out)
+        finally:
+            solver.run_scenario = run
+        (blow_up_time,) = blow_up
+        whole.update(repr(blow_up_time).encode())
+        digest = {"sha256": whole.hexdigest(), "blow_up_time": repr(blow_up_time),
+                  "samples": records}
+        if out_dir is not None:
+            digest["files"] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                               for path in sorted(out.iterdir())}
     return digest
 
 

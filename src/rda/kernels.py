@@ -84,13 +84,10 @@ def _gaussian_sweep(x: np.ndarray, nodes: np.ndarray, scale: float,
 
     weights is (len(nodes), k) and the result (len(x), k). The Gaussian
     matrix is built in row blocks of about 512 KB in one reused buffer, so
-    no (len(x), len(nodes)) temporary is allocated. Each block is the nodes
-    copied into every row plus x as a column, in place: the same sums as
-    the broadcast x[:, None] + nodes (IEEE addition commutes), at a fraction
-    of the cost of numpy's two-operand broadcast loop. The block size and
-    the np.dot layout stay as they are: BLAS sums the products in an order
-    that depends on both, so another block size or a transposed product
-    changes the weights' last bits.
+    no (len(x), len(nodes)) temporary is allocated. The block size and the
+    np.dot layout stay as they are: BLAS sums the products in an order that
+    depends on both, so another block size or a transposed product changes
+    the weights' last bits.
     """
     out = np.empty((len(x), weights.shape[1]))
     rows = max(1, _BLOCK_DOUBLES // len(nodes))
@@ -98,8 +95,7 @@ def _gaussian_sweep(x: np.ndarray, nodes: np.ndarray, scale: float,
     for start in range(0, len(x), rows):
         xb = x[start:start + rows]
         block = buf[:len(xb)]
-        block[...] = nodes
-        block += xb[:, None]
+        np.add(xb[:, None], nodes, out=block)
         np.square(block, out=block)
         block /= -scale
         np.exp(block, out=block)

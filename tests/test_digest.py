@@ -6,9 +6,10 @@ part that runs in about two seconds: every builtin cut to t_end <= 2 and
 sample_dt <= 0.5 on its full grid, cas2-equal and cas2-distinct run to
 their blow-up, and the 158 values the identity suite's QUADPACK integrals
 return, with the `rda verify-identities` printout. A failure names the
-first differing sample, and says when the installed versions or CPU differ
-from the recorded ones, since those can move bits without any change to
-the code.
+first differing sample. Every test skips, naming the versions, when the
+installed Python, numpy or scipy differs from the recorded one, since a
+version can move bits without any change to the code; a CPU that differs
+is named in the failure message.
 """
 
 import importlib.util
@@ -16,7 +17,6 @@ import json
 from pathlib import Path
 
 import pytest
-import scipy
 
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 
@@ -26,6 +26,13 @@ digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(digest)
 
 RECORDED = json.loads(digest.DIGEST.read_text(encoding="utf-8"))
+_INSTALLED = digest.machine()
+_OTHER_VERSIONS = [f"{key} {RECORDED['machine'][key]} recorded, {_INSTALLED[key]} installed"
+                   for key in ("python", "numpy", "scipy")
+                   if RECORDED["machine"][key] != _INSTALLED[key]]
+pytestmark = pytest.mark.skipif(
+    bool(_OTHER_VERSIONS),
+    reason="DIGEST.json pins other versions' bits: " + "; ".join(_OTHER_VERSIONS))
 
 
 def _mismatch(line: str) -> str:
@@ -48,9 +55,6 @@ def test_blow_up_samples_match_digest(name):
 
 
 def test_identity_integrals_match_digest():
-    if scipy.__version__ != RECORDED["machine"]["scipy"]:
-        pytest.skip(f"integrals recorded with scipy {RECORDED['machine']['scipy']}, "
-                    f"scipy {scipy.__version__} is installed")
     identities = digest.identity_digest()
     assert identities["integral_count"] == 158
     assert identities == RECORDED["identities"], _mismatch(

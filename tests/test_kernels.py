@@ -26,7 +26,6 @@ from rda.kernels import (
     quartic_tail_integral,
     verify_identity_suite,
 )
-from rda.scenarios import get_scenario
 
 
 @dataclass(frozen=True)
@@ -129,14 +128,15 @@ def test_identity_suite_oracle_is_strict_and_integrands_scalar(monkeypatch):
 
 
 def _integrand_body_nodes():
-    """(integrand, node) for every AST node in the bodies of the identity
-    suite's integrands. Only the bodies run per call; the defaults are
-    per-case constants, evaluated once."""
+    """(function, node) for every AST node in the body of every function
+    nested in the identity suite, the integrands among them. Only the
+    bodies run per call; the defaults are per-case constants, evaluated
+    once."""
     (suite,) = ast.parse(inspect.getsource(verify_identity_suite)).body
     for node in ast.walk(suite):
         if isinstance(node, ast.Lambda):
             name, body = "lambda", [node.body]
-        elif isinstance(node, ast.FunctionDef) and node.name.startswith("lhs"):
+        elif isinstance(node, ast.FunctionDef) and node is not suite:
             name, body = node.name, node.body
         else:
             continue
@@ -353,30 +353,3 @@ def test_gaussian_sweep_blocks_match_dense(n):
     swept = _gaussian_sweep(x, _SWEEP_NODES, 7.0, weights)
     assert swept.shape == (n, 2)
     np.testing.assert_allclose(swept, dense, rtol=1e-13, atol=1e-13)
-    # nodes + x and x + nodes are the same IEEE sums, block by block.
-    assert np.array_equal(swept, _broadcast_sweep(x, _SWEEP_NODES, 7.0, weights))
-
-
-def _broadcast_sweep(x, nodes, scale, weights):
-    """_gaussian_sweep with each block built by the broadcast x[:, None] + nodes."""
-    out = np.empty((len(x), weights.shape[1]))
-    rows = max(1, _BLOCK_DOUBLES // len(nodes))
-    buf = np.empty((min(rows, len(x)), len(nodes)))
-    for start in range(0, len(x), rows):
-        xb = x[start:start + rows]
-        block = buf[:len(xb)]
-        np.add(xb[:, None], nodes, out=block)
-        np.square(block, out=block)
-        block /= -scale
-        np.exp(block, out=block)
-        np.dot(block, weights, out=out[start:start + len(xb)])
-    return out
-
-
-def test_drag_weight_of_a_thm2_sample_is_the_broadcast_sweeps(monkeypatch):
-    scenario = get_scenario("thm2-irrelevant")
-    x, system = scenario.grid.points(), scenario.system
-    args = (x, 37.0, system.c1, system.c2, scenario.envelope.M)
-    profile = drag_weight_profile(*args)
-    monkeypatch.setattr(kernels, "_gaussian_sweep", _broadcast_sweep)
-    assert np.array_equal(profile, drag_weight_profile(*args))

@@ -2,8 +2,14 @@
 
 Everything here is a pure function of its arguments. The closed forms are
 the analytic building blocks of the envelope machinery; each one is paired
-with a left-hand side integrated by QUADPACK (scipy.integrate.quad) in
-verify_identity_suite, so the quadrature acts as the oracle for the algebra.
+with a left-hand side integrated by QUADPACK in verify_identity_suite, so
+the quadrature acts as the oracle for the algebra. QUADPACK's _qagse is
+called with the arguments scipy.integrate.quad passes it, from the
+compiled module loaded on the suite's first integral by
+_scipy_ext.load_extension: rda never imports the scipy.integrate package,
+which loads scipy.optimize, scipy.sparse and scipy.linalg with it (about
+160 ms and 24 MB). Unlike quad, which only warns, a QUADPACK failure
+gives a nan integral, which fails the suite.
 
 Note on conv_same_velocity: the exact value of that convolution carries a
 factor 1/2 relative to the way it is sometimes quoted; the closed form
@@ -18,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erfcx, gamma
+
+from ._scipy_ext import load_extension
 
 __all__ = [
     "IdentityReport",
@@ -314,12 +322,21 @@ def _conv_lattice():
     return cases
 
 
-def _quad_conv(f, lo: float, hi: float) -> float:
-    """QUADPACK integral of f over [lo, hi] to an absolute tolerance of 1e-11."""
-    # Imported here so that `rda run`, which never integrates, skips its cost.
-    from scipy import integrate
+@functools.cache
+def _quadpack():
+    """scipy's QUADPACK module, loaded on first use: `rda run` never integrates."""
+    return load_extension("scipy.integrate._quadpack")
 
-    return integrate.quad(f, lo, hi, epsabs=1e-11, epsrel=0.0, limit=4000)[0]
+
+def _quad_conv(f, lo: float, hi: float) -> float:
+    """QUADPACK integral of f over [lo, hi] to an absolute tolerance of 1e-11,
+    or nan when QUADPACK reports a failure (ier != 0).
+
+    This is integrate.quad(f, lo, hi, epsabs=1e-11, epsrel=0.0, limit=4000)
+    for lo < hi: the same _qagse call, without quad's argument handling.
+    """
+    value, _, ier = _quadpack()._qagse(f, lo, hi, (), 0, 1e-11, 0.0, 4000)
+    return value if ier == 0 else math.nan
 
 
 def _product_gaussian_window(terms, spread: float = 9.0):

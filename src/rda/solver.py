@@ -84,10 +84,13 @@ Every transform goes through _rfft and _irfft, which call pocketfft's
 r2c and c2r kernels directly with the arguments that scipy.fft's rfft
 and irfft pass them along the last axis. scipy.fft's dispatch and argument
 checks cost about 10 us per call, as much as the transform itself at
-n <= 2048, and a step makes up to 8 calls. The kernels' signature is
-private to scipy; a test pins both functions bit for bit to scipy.fft
-(checked on scipy 1.17.1), so a changed signature fails loudly, and a
-hygiene test keeps every other transform and kernel import out of rda.
+n <= 2048, and a step makes up to 8 calls. The kernels' compiled module
+is loaded from its file by _scipy_ext.load_extension, so rda never
+imports the scipy.fft package (about 37 ms). The kernels' signature and
+the module's place are private to scipy; a test pins both functions bit
+for bit to scipy.fft (checked on scipy 1.17.1), so a changed signature or
+a moved module fails loudly, and a hygiene test keeps every other
+transform and kernel load out of rda.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft._pocketfft import pypocketfft
 
+from ._scipy_ext import load_extension
 from .core import DEFAULT_BLOW_UP_THRESHOLD, Grid, Scenario, SystemSpec
 
 __all__ = [
@@ -107,6 +110,8 @@ __all__ = [
     "run_scenario",
     "detect_blow_up",
 ]
+
+pypocketfft = load_extension("scipy.fft._pocketfft.pypocketfft")
 
 # The smallest positive normal float; a smaller nonzero magnitude is subnormal.
 _TINY = np.finfo(np.float64).tiny

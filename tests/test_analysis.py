@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from conftest import history_envelope, history_norms, record_scenario
+from rda import analysis
 from rda.analysis import (
     T_BURN,
     Category,
@@ -426,3 +427,24 @@ class TestAmplitudeLaw:
         (row,) = diagnose(scenario, record_scenario(scenario).samples).verdicts
         assert row[:2] == ("amplitude_law", False)
         np.testing.assert_equal(row[2], statistic)
+
+
+class TestExactError:
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_nan_error_fails_with_nan(self, remark51_run, monkeypatch, component):
+        # max(err_u, nan) is err_u, so a nan v error once read as u's tiny
+        # finite error in a failed row.
+        scenario, result = remark51_run
+        exact = analysis._exact_remark51
+
+        def nan_exact(scenario, t):
+            fields = list(exact(scenario, t))
+            fields[component] = np.full_like(fields[component], np.nan)
+            return tuple(fields)
+
+        monkeypatch.setattr(analysis, "_exact_remark51", nan_exact)
+        rows = {name: (passed, statistic) for name, passed, statistic
+                in diagnose(scenario, result.samples).verdicts}
+        passed, statistic = rows["exact_error"]
+        assert passed is False
+        assert math.isnan(statistic)

@@ -106,17 +106,20 @@ def test_every_export_has_a_product_reader(module):
     assert unread_exports(source, loaded) == []
 
 
-# Each costs startup time and memory that a scenario run never uses:
-# scipy.integrate alone, with the rest it loads, is a quarter of both.
-HEAVY = ["scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse",
-         "scipy.linalg"]
+# Each costs startup time and memory that rda never uses: scipy.integrate
+# alone, with the rest it loads, is a quarter of both. rda loads the two
+# compiled modules it calls, QUADPACK and pocketfft, without their packages.
+HEAVY = ["scipy.stats", "scipy.fft", "scipy.integrate", "scipy.optimize",
+         "scipy.sparse", "scipy.linalg"]
+QUADPACK = "scipy.integrate._quadpack"
 
 
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
-    """The HEAVY modules a fresh interpreter holds after each step: import
-    rda.cli, rda run of two scenarios that between them read lower bounds,
-    the drag envelope and the exact error, then rda verify-identities."""
+    """The HEAVY modules, and QUADPACK, that a fresh interpreter holds after
+    each step: import rda.cli, rda run of two scenarios that between them
+    read lower bounds, the drag envelope and the exact error, rda
+    verify-identities, and last, as the control, import scipy.integrate."""
     src = str(Path(rda.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -124,13 +127,15 @@ def loaded(tmp_path_factory):
         import json, sys
         import rda.cli
         def seen():
-            return [name for name in {HEAVY!r} if name in sys.modules]
+            return [name for name in {[*HEAVY, QUADPACK]!r} if name in sys.modules]
         steps = {{"import": seen()}}
         assert rda.cli.main(["run", "cas2-equal", "remark51-exact",
                              "--out", sys.argv[1]]) == 0
         steps["run"] = seen()
         assert rda.cli.main(["verify-identities"]) == 0
         steps["verify-identities"] = seen()
+        import scipy.integrate
+        steps["import scipy.integrate"] = seen()
         print(json.dumps(steps))
         """
     proc = subprocess.run(
@@ -140,14 +145,49 @@ def loaded(tmp_path_factory):
 
 
 @pytest.mark.parametrize("module", HEAVY)
-@pytest.mark.parametrize("step", ["import", "run"])
+@pytest.mark.parametrize("step", ["import", "run", "verify-identities"])
 def test_cli_leaves_out_heavy_scipy(loaded, step, module):
     assert module not in loaded[step]
 
 
 def test_verify_identities_loads_quadpack(loaded):
-    # The control for the test above: a module the CLI loads is seen.
-    assert "scipy.integrate" in loaded["verify-identities"]
+    # Only the suite integrates, so only it loads QUADPACK.
+    assert QUADPACK not in loaded["run"]
+    assert QUADPACK in loaded["verify-identities"]
+
+
+def test_control_import_is_seen(loaded):
+    # The control for the tests above: a package imported normally is seen,
+    # with what it loads.
+    assert set(loaded["import scipy.integrate"]) >= {
+        "scipy.fft", "scipy.integrate", "scipy.optimize", "scipy.sparse",
+        "scipy.linalg", QUADPACK}
+
+
+@pytest.mark.parametrize("first", ["rda", "scipy"])
+def test_loaded_extensions_are_scipys_modules(first):
+    # A direct load and a normal import of the package share one module
+    # object, in either order, so neither runs a second copy.
+    steps = ["import rda.cli; assert rda.cli.main(['verify-identities']) == 0",
+             "import scipy.fft, scipy.integrate"]
+    code = "\n".join([*(steps if first == "rda" else steps[::-1]),
+                      "import sys",
+                      "from rda import kernels, solver",
+                      "print(kernels._quadpack() is "
+                      "sys.modules['scipy.integrate._quadpack_py']._quadpack, "
+                      "solver.pypocketfft is "
+                      "sys.modules['scipy.fft._pocketfft.basic'].pfft)"])
+    proc = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.stdout.splitlines()[-1] == "True True"
+
+
+def test_loader_refuses_a_missing_extension():
+    from rda._scipy_ext import load_extension
+
+    with pytest.raises(ImportError, match="no compiled module"):
+        load_extension("scipy.integrate._no_such_module")
 
 
 _DISPATCHING = ("numpy.fft", "scipy.fft")
@@ -155,12 +195,16 @@ _DISPATCHING = ("numpy.fft", "scipy.fft")
 
 def transform_dispatch(source: str, may_import_kernels: bool) -> list[str]:
     """Calls into numpy.fft or scipy.fft, names imported from them, and, unless
-    may_import_kernels, any import of pocketfft's kernel module pypocketfft."""
+    may_import_kernels, any import of pocketfft's kernel module pypocketfft
+    or any string that names it, such as a module name handed to a loader."""
     tree = ast.parse(source)
     aliases: dict[str, str] = {}
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "pypocketfft" in node.value and not may_import_kernels):
+            found.append(f"line {node.lineno}: {node.value!r}")
+        elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
                     aliases[alias.asname] = alias.name
@@ -193,12 +237,14 @@ def transform_dispatch(source: str, may_import_kernels: bool) -> list[str]:
 def test_transform_checker_catches_dispatch():
     source = ("import numpy as np\nimport scipy.fft\nfrom scipy import fft\n"
               "from scipy.fft._pocketfft import pypocketfft\n"
-              "np.fft.rfftfreq(8)\nscipy.fft.irfft(x, n=8)\nnp.abs(x)\n")
+              "np.fft.rfftfreq(8)\nscipy.fft.irfft(x, n=8)\nnp.abs(x)\n"
+              "load_extension('scipy.fft._pocketfft.pypocketfft')\n")
     assert transform_dispatch(source, may_import_kernels=True) == [
         "line 3: from scipy import fft", "line 5: numpy.fft.rfftfreq",
         "line 6: scipy.fft.irfft"]
-    assert "line 4: import scipy.fft._pocketfft.pypocketfft" in transform_dispatch(
-        source, may_import_kernels=False)
+    found = transform_dispatch(source, may_import_kernels=False)
+    assert "line 4: import scipy.fft._pocketfft.pypocketfft" in found
+    assert "line 8: 'scipy.fft._pocketfft.pypocketfft'" in found
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src/rda").glob("*.py")),

@@ -108,23 +108,64 @@ def test_conv_lattice_has_s_before_t():
 
 
 def test_identity_suite_oracle_is_strict_and_integrands_scalar(monkeypatch):
-    quad = integrate.quad
+    quadpack = kernels._quadpack()
+    qagse = quadpack._qagse
     calls = []
 
-    def recording_quad(f, lo, hi, **kwargs):
-        calls.append((kwargs, f(0.5 * (lo + hi)), f.__closure__))
-        return quad(f, lo, hi, **kwargs)
+    def recording_qagse(f, lo, hi, *args):
+        calls.append((args, f(0.5 * (lo + hi)), f.__closure__))
+        return qagse(f, lo, hi, *args)
 
-    monkeypatch.setattr(integrate, "quad", recording_quad)
+    monkeypatch.setattr(quadpack, "_qagse", recording_qagse)
     verify_identity_suite()
     assert len(calls) == 158
-    for kwargs, midpoint_value, closure in calls:
-        assert kwargs == dict(epsabs=1e-11, epsrel=0.0, limit=4000)
+    for args, midpoint_value, closure in calls:
+        # (args, full_output, epsabs, epsrel, limit), as integrate.quad
+        # passes them for epsabs=1e-11, epsrel=0.0, limit=4000.
+        assert args == ((), 0, 1e-11, 0.0, 4000)
         # An np.float64 here means a numpy scalar path crept back in.
         assert type(midpoint_value) is float
         # Everything an integrand reads, exp and sqrt included, is a default
         # (a fast local), not a cell of the enclosing suite.
         assert closure is None
+
+
+def _suite_integrals():
+    """(f, lo, hi) of every integral the identity suite computes."""
+    quad_conv = kernels._quad_conv
+    integrals = []
+
+    def recording(f, lo, hi):
+        integrals.append((f, lo, hi))
+        return quad_conv(f, lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_quad_conv", recording)
+        verify_identity_suite()
+    return integrals
+
+
+def test_quad_conv_equals_scipy_quad_bit_for_bit():
+    # _quad_conv calls QUADPACK's private _qagse from the compiled module
+    # it loads itself; a change of that call's signature or convention in
+    # scipy, or a moved module, must fail here.
+    integrals = _suite_integrals()
+    assert len(integrals) == 158
+    for f, lo, hi in integrals:
+        assert lo < hi
+        expected = integrate.quad(f, lo, hi, epsabs=1e-11, epsrel=0.0,
+                                  limit=4000)[0]
+        assert kernels._quad_conv(f, lo, hi) == expected
+
+
+def test_quad_conv_is_nan_when_quadpack_fails():
+    # QUADPACK gives up on 1/y with ier = 3 and 709.87; integrate.quad only
+    # warns and returns that number, which the suite would have judged.
+    with pytest.warns(integrate.IntegrationWarning):
+        value = integrate.quad(lambda y: 1.0 / y, 0.0, 1.0, epsabs=1e-11,
+                               epsrel=0.0, limit=4000)[0]
+    assert 709.0 < value < 710.0
+    assert math.isnan(kernels._quad_conv(lambda y: 1.0 / y, 0.0, 1.0))
 
 
 def _integrand_body_nodes():

@@ -4,9 +4,9 @@ This module turns sampled trajectories into the quantities the theory
 talks about: scaling classes of polynomial terms, structural admissibility
 of a system for each stability result, spatio-temporal weight suprema, the
 fitted temporal decay exponent, the explicit blow-up lower bounds, and the
-logarithmic amplitude law of the normal form. A run's samples are reduced
-one at a time as they are taken (SampleReduction, the solver's on_sample
-hook), and diagnose applies every pass/fail rule to the reduced rows.
+logarithmic amplitude law of the normal form. OUTPUT_RULES holds, per
+output, what validation requires, what each sample is reduced to
+(SampleReduction, the solver's on_sample hook) and how diagnose judges it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import erf, stdtrit
@@ -27,7 +28,7 @@ from .core import (
     Scenario,
     SystemSpec,
     gaussian_profile,
-    matches_normal_form_shape,
+    sample_times,
     trust_radius,
 )
 from .kernels import drag_weight_profile
@@ -48,6 +49,9 @@ __all__ = [
     "AmplitudeLawVerdict",
     "amplitude_law_check",
     "sample_norms",
+    "Rule",
+    "OUTPUT_RULES",
+    "output_violations",
     "SampleReduction",
     "Diagnosis",
     "diagnose",
@@ -127,11 +131,22 @@ def check_admissibility(system: SystemSpec) -> AdmissibilityReport:
                     f"{min_deg}, not irrelevant")
 
     sign_value = None
-    if matches_normal_form_shape(system):
+    if _has_normal_form_shape(system):
         sign_value = -normal_form_rates(system)[0]
     return AdmissibilityReport(
         thm1_admissible=thm1, thm2_admissible=thm2, sign_value=sign_value,
         reasons=tuple(reasons))
+
+
+def _has_normal_form_shape(system: SystemSpec) -> bool:
+    """True iff the couplings are exactly f1 = a uv + b u^3 and g2 = g u^2
+    with c1 != c2, the shape whose normal form the amplitude law reads."""
+    if system.c1 == system.c2 or system.g1 or system.f2:
+        return False
+    f1_shapes = {(t.alpha, t.beta, t.gamma) for t in system.f1}
+    g2_shapes = {(t.alpha, t.beta, t.gamma) for t in system.g2}
+    return (f1_shapes <= {(1, 1, 0), (3, 0, 0)} and (1, 1, 0) in f1_shapes
+            and g2_shapes == {(2, 0, 1)})
 
 
 def normal_form_rates(system: SystemSpec) -> tuple[float, float]:
@@ -265,8 +280,8 @@ def envelope_verdict(times: np.ndarray, eta: np.ndarray) -> EnvelopeVerdict:
 
     eta_series is the cumulative sup of eta. A sample is bounded when its
     eta_series value is at most 3x the anchor, the value at the first
-    sample with t >= 1 (the first sample if there is none); the verdict is
-    bounded when every sample is.
+    sample with t >= 1, which times must hold; the verdict is bounded when
+    every sample is.
     """
     times = np.asarray(times)
     eta_series = np.maximum.accumulate(np.asarray(eta, dtype=float))
@@ -376,63 +391,194 @@ def amplitude_law_check(times: np.ndarray, amplitudes: np.ndarray, mu: float,
     times[j]; mu and nu come from normal_form_rates.
 
     The pass verdict is the upper bound alone for t >= T_BURN, and the
-    statistic is the largest law value there (over all samples if none is
-    past the burn-in). The in_window flag additionally asks the quantity to
-    sit in [0.3, 1.1] over the final decade; it diagnoses whether the law is
+    statistic is the largest law value there; times must reach T_BURN. The
+    in_window flag additionally asks the quantity to sit in [0.3, 1.1] over
+    the final decade past the burn-in; it diagnoses whether the law is
     saturated rather than vacuously satisfied and is not part of the pass
     verdict.
     """
     times = np.asarray(times, dtype=float)
-    if len(times) == 0:
-        raise ValueError("empty normal-form series")
+    if not np.any(times >= T_BURN):
+        raise ValueError(f"amplitude law needs a sample at t >= {T_BURN:g}")
     if mu <= 0.0:
         raise ValueError("amplitude law requires mu > 0")
     law = np.abs(amplitudes) * np.sqrt(2.0 * nu * np.log1p(times))
-    after = times >= T_BURN
-    passed = bool(np.all(law[after] <= 1.1)) if np.any(after) else False
-    statistic = float(np.max(law[after] if np.any(after) else law))
-    t_end = times[-1]
-    decade = times >= t_end / 10.0
-    window_vals = law[decade & after] if np.any(decade & after) else law[decade]
-    in_window = bool(len(window_vals) > 0
-                     and np.all((window_vals >= 0.3) & (window_vals <= 1.1)))
+    after = law[times >= T_BURN]
+    window = law[(times >= T_BURN) & (times >= times[-1] / 10.0)]
+    passed = bool(np.all(after <= 1.1))
+    in_window = bool(np.all((window >= 0.3) & (window <= 1.1)))
     return AmplitudeLawVerdict(law_values=law, passed=passed,
-                               in_window=in_window, statistic=statistic)
+                               in_window=in_window, statistic=float(np.max(after)))
 
 
 # ---------------------------------------------------------------------------
-# Verdicts of one run
+# The outputs: what each needs, reads and is judged by
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Rule:
+    """One output: its verdict row names ({envelope.kind} is filled in), its
+    requirements as (predicate, what it requires) pairs on the scenario and
+    its (2, n) initial fields (needs) and on the sample times (samples), the
+    reader(t, fields) = column(scenario) of its per-sample value, and
+    judge(scenario, run) -> ((passed, statistic) per row, the verdict that
+    write_outputs draws or None), run holding times, sup = max(linf_u,
+    linf_v), l1 = l1_u + l1_v, the column's values and the last fields."""
+    rows: tuple = ()
+    needs: tuple = ()
+    samples: tuple = ()
+    column: Optional[Callable] = None
+    judge: Optional[Callable] = None
+
+
+def _judge_envelope(scenario: Scenario, run):
+    verdict = envelope_verdict(run.times, run.column)
+    return [(verdict.bounded, verdict.max_eta)], verdict
+
+
+def _decay_t_min(times: np.ndarray) -> float:
+    return min(5.0, times[-1] / 4.0)
+
+
+def _judge_decay(scenario: Scenario, run):
+    exponent, _ = fit_decay_exponent(run.times, run.sup, _decay_t_min(run.times))
+    return [(exponent <= -0.4, exponent)], None
+
+
+def _judge_lower_bounds(scenario: Scenario, run):
+    # L1 dominates the explicit bound at every sample, and the sup norm
+    # grows strictly over the second half of the run.
+    init = scenario.initial_u
+    bound = cas2_lower_bounds(scenario.system, init.amplitude, 1.0 / init.width,
+                              run.times).l1_bound
+    late = run.sup[run.times >= run.times[-1] / 2.0]
+    return [(bool(np.all(run.l1 >= bound)), float(np.min(run.l1 - bound))),
+            (bool(np.all(np.diff(late) > 0)), float(run.sup[-1]))], None
+
+
+def _judge_amplitude_law(scenario: Scenario, run):
+    # Without the stabilizing sign mu > 0 the law fails with the sign value.
+    mu, nu = normal_form_rates(scenario.system)
+    if mu <= 0.0:
+        return [(False, -mu)], None
+    law = amplitude_law_check(run.times, run.column, mu, nu)
+    return [(law.passed, law.statistic)], None
+
+
+def _exact_remark51(scenario: Scenario, t: float):
+    """Closed-form (u, v) of the exactly solvable benchmark at time t."""
+    s = scenario.system
+    x = scenario.grid.points()
+    u_exact = gaussian_profile(x + s.c1 * t, t, s.d1)
+    v_exact = kernels.drag_profile(x, t, s.c2, s.c1, 1.0,
+                                   power_decay=1.5) / (16.0 * math.pi ** 2)
+    return u_exact, v_exact
+
+
+def _judge_exact_error(scenario: Scenario, run):
+    # Relative sup errors of the final sample: u within 1e-4, v within 5e-4.
+    exact = _exact_remark51(scenario, run.times[-1])
+    err_u, err_v = (float(np.max(np.abs(f - e)) / np.max(np.abs(e)))
+                    for f, e in zip(run.last, exact))
+    # np.maximum keeps a nan error, which max(err_u, nan) would drop.
+    return [(err_u <= 1e-4 and err_v <= 5e-4, float(np.maximum(err_u, err_v)))], None
+
+
+def _has_remark51_shape(scenario: Scenario, _initial) -> bool:
+    s = scenario.system
+    return (s.d1 == 1.0 and s.d2 == 0.25 and not s.f1 and not s.g1 and not s.g2
+            and tuple((t.alpha, t.beta, t.gamma) for t in s.f2) == ((4, 0, 0),)
+            and scenario.initial_u.kind == "remark51"
+            and scenario.initial_v.kind == "zero")
+
+
+# Every output, in the order diagnose writes their rows. The envelope
+# weights are centred at x = 0, comoving, whatever the data's centre is;
+# the amplitude law reads A, the integral of u.
+OUTPUT_RULES = {
+    "trajectory": Rule(),
+    "envelope": Rule(
+        ("eta_{envelope.kind}",),
+        ((lambda sc, _: sc.envelope is not None, "an envelope.kind"),
+         (lambda sc, _: sc.initial_u.center == 0.0, "initial.u.center = 0"),
+         (lambda sc, _: sc.initial_v.center == 0.0, "initial.v.center = 0")),
+        ((lambda times: np.any(times >= 1.0), "a sample at t >= 1, its anchor"),),
+        column=lambda sc: Envelope(sc.grid, sc.system, sc.envelope).eta,
+        judge=_judge_envelope),
+    "decay": Rule(
+        ("decay_exponent",),
+        ((lambda sc, initial: np.any(initial), "nonzero initial data"),),
+        ((lambda times: np.count_nonzero(times >= _decay_t_min(times)) >= 8,
+          ">= 8 samples at t >= min(5, t_end/4)"),),
+        judge=_judge_decay),
+    "lower_bounds": Rule(
+        ("l1_lower_bound", "linf_growth"),
+        ((lambda sc, _: sc.initial_u.kind == "gaussian", "Gaussian initial data"),),
+        ((lambda times: np.count_nonzero(times >= times[-1] / 2.0) >= 2,
+          ">= 2 samples in the second half of the run"),),
+        judge=_judge_lower_bounds),
+    "amplitude_law": Rule(
+        ("amplitude_law",),
+        ((lambda sc, _: _has_normal_form_shape(sc.system),
+          "the normal-form shape: f1 = a uv (+ b u^3), g2 = g (u^2)_x, "
+          "no f2 or g1, c1 != c2"),),
+        ((lambda times: np.any(times >= T_BURN),
+          f"a sample at t >= T_BURN = {T_BURN:g}"),),
+        column=lambda sc: lambda t, fields: np.trapezoid(fields[0], dx=sc.grid.dx),
+        judge=_judge_amplitude_law),
+    "exact_error": Rule(
+        ("exact_error",),
+        ((_has_remark51_shape, "the exactly solvable benchmark shape: d=(1, 1/4), "
+          "f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0"),),
+        judge=_judge_exact_error),
+}
+
+
+def _declared(scenario: Scenario):
+    """(name, rule) of each output the scenario declares, in table order."""
+    return [(name, rule) for name, rule in OUTPUT_RULES.items()
+            if name in scenario.outputs]
+
+
+def output_violations(scenario: Scenario, initial: Optional[np.ndarray]) -> list[str]:
+    """Each unknown output name, then, for a scenario otherwise valid with
+    the (2, n) initial fields initial, what each declared output requires
+    and lacks; its sample requirements are checked once its needs are met."""
+    violations = [f"unknown output {name!r}" for name in scenario.outputs
+                  if name not in OUTPUT_RULES]
+    if violations or initial is None:
+        return violations
+    declared = _declared(scenario)
+    times = (sample_times(scenario) if any(rule.samples for _, rule in declared)
+             else None)
+    for name, rule in declared:
+        unmet = [needed for holds, needed in rule.needs if not holds(scenario, initial)]
+        unmet = unmet or [needed for holds, needed in rule.samples if not holds(times)]
+        violations += [f"{name} output requires {needed}" for needed in unmet]
+    return violations
+
 
 class SampleReduction:
-    """The per-sample reduction of one run of a scenario, called as the
-    solver's on_sample(t, spectra, fields) hook.
-
-    Each call reduces the (2, n) sample to one row of rows: t, linf_u,
-    linf_v, l1_u, l1_v, then eta when the scenario declares the envelope
-    output and the normal-form amplitude A, the integral of u, when it
-    declares the amplitude_law output; a quantity not asked for is nan.
-    last is the latest sample's fields, which exact_error reads; no other
-    sample is kept. What does not depend on the sample is built once,
-    here: the |fields| buffer and the Envelope.
-    """
+    """The per-sample reduction of one run of a scenario, the solver's
+    on_sample(t, spectra, fields) hook: each call appends t, linf_u, linf_v,
+    l1_u, l1_v to rows and each declared output's per-sample value (eta, A)
+    to columns[output]. last is the latest sample's fields, which
+    exact_error reads; no other sample is kept."""
 
     def __init__(self, scenario: Scenario):
-        grid, system, outputs = scenario.grid, scenario.system, scenario.outputs
-        self.dx = grid.dx
-        self._abs = np.empty((2, grid.n))
-        self.envelope = (Envelope(grid, system, scenario.envelope)
-                         if "envelope" in outputs else None)
-        self.amplitude_law = "amplitude_law" in outputs
+        self.dx = scenario.grid.dx
+        self._abs = np.empty((2, scenario.grid.n))
+        self._readers = {name: rule.column(scenario)
+                         for name, rule in _declared(scenario) if rule.column}
         self.rows: list[tuple] = []
+        self.columns: dict[str, list] = {name: [] for name in self._readers}
         self.last = None
 
     def __call__(self, t: float, spectra: np.ndarray, fields: np.ndarray) -> None:
         linf, l1 = sample_norms(fields, self.dx, self._abs)
-        eta = math.nan if self.envelope is None else self.envelope.eta(t, fields)
-        amplitude = (np.trapezoid(fields[0], dx=self.dx) if self.amplitude_law
-                     else math.nan)
-        self.rows.append((t, *linf, *l1, eta, amplitude))
+        self.rows.append((t, *linf, *l1))
+        for name, read in self._readers.items():
+            self.columns[name].append(read(t, fields))
         self.last = fields
 
 
@@ -443,73 +589,24 @@ class Diagnosis:
     verdicts: tuple                 # (name, passed, statistic) rows
 
 
-def _exact_remark51(scenario: Scenario, t: float):
-    """Closed-form (u, v) of the exactly solvable benchmark at time t.
-
-    validate_scenario has checked the benchmark's shape.
-    """
-    s = scenario.system
-    x = scenario.grid.points()
-    u_exact = gaussian_profile(x + s.c1 * t, t, s.d1)
-    v_exact = kernels.drag_profile(x, t, s.c2, s.c1, 1.0,
-                                   power_decay=1.5) / (16.0 * math.pi ** 2)
-    return u_exact, v_exact
-
-
 def diagnose(scenario: Scenario, samples: SampleReduction) -> Diagnosis:
-    """Norm series, envelope verdict and verdict rows of one run.
+    """Norm series, envelope verdict and verdict rows of one validated run.
 
-    samples has reduced every sample of a run of the scenario, which has
-    passed validate_scenario. Each output the scenario asks for adds its
-    rows in the order of core.OUTPUTS.
+    Each declared output's judge adds its rows in the order of OUTPUT_RULES.
+    An output whose sample requirements fail on the times the run reached,
+    which only a blow-up can cut short, writes its rows as fail, nan.
     """
-    system, outputs = scenario.system, scenario.outputs
-    times, linf_u, linf_v, l1_u, l1_v, eta, amplitudes = np.array(samples.rows).T
-    norms = (times, linf_u, linf_v, l1_u, l1_v)
-    sup = np.maximum(linf_u, linf_v)
-    envelope = None
-    rows: list[tuple] = []
-    if "envelope" in outputs:
-        envelope = envelope_verdict(times, eta)
-        rows.append((f"eta_{scenario.envelope.kind}", envelope.bounded,
-                     envelope.max_eta))
-    if "decay" in outputs:
-        # Exponent <= -0.4 over t >= min(5, t_end/4); without a fit, nan fails.
-        try:
-            exponent, _ = fit_decay_exponent(times, sup,
-                                             t_min=min(5.0, times[-1] / 4.0))
-        except ValueError:
-            exponent = math.nan
-        rows.append(("decay_exponent", exponent <= -0.4, exponent))
-    if "lower_bounds" in outputs:
-        # L1 dominates the explicit bound at every sample, and the sup norm
-        # grows strictly over the second half of the run.
-        init = scenario.initial_u
-        curve = cas2_lower_bounds(system, init.amplitude, 1.0 / init.width,
-                                  times)
-        l1 = l1_u + l1_v
-        late = sup[times >= times[-1] / 2.0]
-        rows.append(("l1_lower_bound", bool(np.all(l1 >= curve.l1_bound)),
-                     float(np.min(l1 - curve.l1_bound))))
-        rows.append(("linf_growth",
-                     len(late) >= 2 and bool(np.all(np.diff(late) > 0)),
-                     float(sup[-1])))
-    if "amplitude_law" in outputs:
-        # Validation has checked the normal-form shape. The law is judged
-        # only with the stabilizing sign mu > 0; otherwise it fails with
-        # the sign value -mu.
-        mu, nu = normal_form_rates(system)
-        if mu > 0.0:
-            law = amplitude_law_check(times, amplitudes, mu, nu)
-            rows.append(("amplitude_law", law.passed, law.statistic))
-        else:
-            rows.append(("amplitude_law", False, -mu))
-    if "exact_error" in outputs:
-        # Relative sup errors of the final sample: u within 1e-4, v within 5e-4.
-        err_u, err_v = (float(np.max(np.abs(f - exact)) / np.max(np.abs(exact)))
-                        for f, exact in zip(samples.last,
-                                            _exact_remark51(scenario, times[-1])))
-        # np.maximum keeps a nan error, which max(err_u, nan) would drop.
-        rows.append(("exact_error", err_u <= 1e-4 and err_v <= 5e-4,
-                     float(np.maximum(err_u, err_v))))
+    norms = tuple(np.array(samples.rows).T)
+    times, linf_u, linf_v, l1_u, l1_v = norms
+    sup, l1 = np.maximum(linf_u, linf_v), l1_u + l1_v
+    envelope, rows = None, []
+    for name, rule in _declared(scenario):
+        values = [(False, math.nan)] * len(rule.rows)
+        if rule.judge and all(holds(times) for holds, _ in rule.samples):
+            values, drawn = rule.judge(scenario, SimpleNamespace(
+                times=times, sup=sup, l1=l1, last=samples.last,
+                column=np.array(samples.columns.get(name, ()))))
+            envelope = envelope if drawn is None else drawn
+        rows += [(row.format(envelope=scenario.envelope), *value)
+                 for row, value in zip(rule.rows, values)]
     return Diagnosis(norms=norms, envelope=envelope, verdicts=tuple(rows))

@@ -1,4 +1,4 @@
-"""Domain types, scenario configuration, and validation.
+"""Domain types, scenario configuration, validation, and the time grid.
 
 All types are immutable value objects.
 """
@@ -22,6 +22,8 @@ __all__ = [
     "Scenario",
     "ValidationReport",
     "validate_scenario",
+    "steps",
+    "sample_times",
     "evaluate_initial",
     "gaussian_profile",
     "parse_expression",
@@ -36,10 +38,6 @@ INITIAL_READS = {
     "remark51": (), "zero": (), "custom": ("expression",),
 }
 ENVELOPE_READS = {"exponential": ("M",), "algebraic": ("M", "r"), "drag": ("M",)}
-# What a scenario can ask to be written: the trajectory, then the verdicts
-# in the order analysis.diagnose computes them.
-OUTPUTS = ("trajectory", "envelope", "decay", "lower_bounds", "amplitude_law",
-           "exact_error")
 DEFAULT_BLOW_UP_THRESHOLD = 1e8
 
 # Trust-region cutoff: the sup of exponentially weighted fields is only
@@ -206,26 +204,20 @@ def _whole_steps(span: float, dt: float) -> bool:
     return steps >= 1 and abs(ratio - steps) <= 1e-9 * ratio
 
 
-def _has_remark51_shape(scenario: Scenario) -> bool:
-    """True iff the scenario is the exactly solvable benchmark of remark 5.1."""
-    s = scenario.system
-    return (s.d1 == 1.0 and s.d2 == 0.25 and not s.f1 and not s.g1 and not s.g2
-            and tuple((t.alpha, t.beta, t.gamma) for t in s.f2) == ((4, 0, 0),)
-            and scenario.initial_u.kind == "remark51"
-            and scenario.initial_v.kind == "zero")
+def steps(t_end: float, dt: float, sample_dt: float):
+    """(t, sampled) after each of a run's round(t_end/dt) steps, t advanced
+    as t += dt: the run's one time grid. A run samples t = 0, every
+    round(sample_dt/dt) steps and its last step."""
+    total, stride, t = round(t_end / dt), max(1, round(sample_dt / dt)), 0.0
+    for i in range(1, total + 1):
+        t += dt
+        yield t, i % stride == 0 or i == total
 
 
-def matches_normal_form_shape(system: SystemSpec) -> bool:
-    """True iff the couplings are exactly f1 = a uv + b u^3 and g2 = g u^2
-    with c1 != c2, the shape whose normal form the amplitude law reads."""
-    if system.c1 == system.c2:
-        return False
-    if system.g1 or system.f2:
-        return False
-    f1_shapes = {(t.alpha, t.beta, t.gamma) for t in system.f1}
-    g2_shapes = {(t.alpha, t.beta, t.gamma) for t in system.g2}
-    return (f1_shapes <= {(1, 1, 0), (3, 0, 0)} and (1, 1, 0) in f1_shapes
-            and g2_shapes == {(2, 0, 1)})
+def sample_times(scenario: Scenario) -> np.ndarray:
+    """The t of every sample a run of scenario takes unless it blows up."""
+    return np.array([0.0, *(t for t, sampled in steps(
+        scenario.t_end, scenario.dt, scenario.sample_dt) if sampled)])
 
 
 # The largest |initial value| at the box edge, relative to the maximum, that
@@ -235,8 +227,9 @@ _EDGE_RATIO = 1e-5
 
 
 def validate_scenario(scenario: Scenario) -> ValidationReport:
-    """Validate a full Scenario: system invariants, grid/time sanity, and
-    that each requested output can be computed for it.
+    """Validate a full Scenario: system invariants, grid/time sanity, and,
+    once these hold, what each requested output requires of its initial
+    fields and sample times (analysis.output_violations).
 
     Never raises: every float, nan and infinities included, is either
     accepted or reported as a violation. The wraparound warning and the
@@ -283,22 +276,6 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             violations.append("envelope r >= 3 failed")
         elif not math.isfinite(env.r):
             violations.append("envelope r finite failed")
-    for name in scenario.outputs:
-        if name not in OUTPUTS:
-            violations.append(f"unknown output {name!r}")
-    if "envelope" in scenario.outputs and scenario.envelope is None:
-        violations.append("envelope output requires an envelope.kind")
-    if "lower_bounds" in scenario.outputs and scenario.initial_u.kind != "gaussian":
-        violations.append("lower_bounds output requires Gaussian initial data")
-    if "exact_error" in scenario.outputs and not _has_remark51_shape(scenario):
-        violations.append(
-            "exact_error output requires the exactly solvable benchmark shape: "
-            "d=(1, 1/4), f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0")
-    if ("amplitude_law" in scenario.outputs
-            and not matches_normal_form_shape(scenario.system)):
-        violations.append(
-            "amplitude_law output requires the normal-form shape: "
-            "f1 = a uv (+ b u^3), g2 = g (u^2)_x, no f2 or g1, c1 != c2")
     fields = []
     for label, init in (("initial.u", scenario.initial_u), ("initial.v", scenario.initial_v)):
         before = len(violations)
@@ -315,10 +292,6 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             _check_positive(f"{label}: power", init.power, violations)
         if not math.isfinite(init.amplitude):
             violations.append(f"{label}: finite amplitude failed")
-        if "envelope" in scenario.outputs and init.center != 0.0:
-            # The envelope weights are centred at x = 0, comoving, whatever
-            # the data's centre is.
-            violations.append(f"{label}.center = 0 with an envelope output failed")
         if len(violations) == before and grid_ok:
             # A pole or overflow on a grid point would otherwise be reported
             # as blow-up at the first step.
@@ -339,19 +312,21 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 # input would be reported as a blow-up at t = 0.
                 violations.append(f"{label}: max|value| < blow_up_threshold failed")
             fields.append(values)
+    initial = None
+    if not violations:
+        # A valid scenario has a valid grid and both data, so both were evaluated.
+        initial = np.stack(fields)
+        initial.flags.writeable = False
+    from .analysis import output_violations  # analysis imports this module
+    violations += output_violations(scenario, initial)
     if env is not None and not violations and wraparound_budget(
             grid, scenario.system, scenario.t_end, env.M) > 1.0:
         warnings.append(
             "wraparound budget exceeded: envelope checks unreliable past the "
             "time where frame drift plus the trust radius reaches the "
             "half-domain width")
-    initial = None
-    if not violations:
-        # A valid scenario has a valid grid and both data, so both were evaluated.
-        initial = np.stack(fields)
-        initial.flags.writeable = False
     return ValidationReport(violations=tuple(violations), warnings=tuple(warnings),
-                            initial=initial)
+                            initial=None if violations else initial)
 
 
 # ---------------------------------------------------------------------------

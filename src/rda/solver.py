@@ -69,10 +69,11 @@ Moving rows are left as they are, since the round-off of the coupling
 terms reaches them at every stage.
 
 step maps a spectrum to a new one and never writes its input, so a
-caller may keep the spectra it is given. run owns the time t, advanced
-as t += dt after each step, and the blow-up check: detect_blow_up runs
-after every step, and the first flagged step ends the run with its t as
-the blow-up time, which run returns. It first bounds the sup by
+caller may keep the spectra it is given. run reads each step's time t
+and whether it is sampled from core.steps, the one owner of the time
+grid, and owns the blow-up check: detect_blow_up runs after every step,
+and the first flagged step ends the run with its t as the blow-up time,
+which run returns. It first bounds the sup by
 sum(|Re| + |Im|) * 2/n, which needs no hypot, and only computes the
 exact sup when that bound is not finite or exceeds the threshold.
 Physical fields are materialized only when sampled, by one batched
@@ -101,7 +102,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scipy_ext import load_extension
-from .core import DEFAULT_BLOW_UP_THRESHOLD, Grid, Scenario, SystemSpec
+from .core import DEFAULT_BLOW_UP_THRESHOLD, Grid, Scenario, SystemSpec, steps
 
 __all__ = [
     "SpectralWorkspace",
@@ -372,26 +373,23 @@ def run(ws: SpectralWorkspace, initial: np.ndarray, t_end: float, sample_dt: flo
     when the run reaches t_end.
 
     on_sample(t, spectra, fields) is called at t = 0 with the masked
-    initial spectrum and the initial fields as given, then every stride
-    steps and at the last step; fields is the fresh (2, n) inverse
-    transform of spectra, so the hook may keep either. Blow-up terminates
-    the run cleanly: the first step detect_blow_up flags is not accepted
-    and is never sampled, and its t is the blow-up time.
+    initial spectrum and the initial fields as given, then at each step
+    that core.steps marks as sampled, with its t; fields is the fresh
+    (2, n) inverse transform of spectra, so the hook may keep either.
+    Blow-up terminates the run cleanly: the first step detect_blow_up
+    flags is not accepted and is never sampled, and its t is the blow-up
+    time.
     """
     # Mask the initial spectrum once: dealiased modes then stay identically
     # zero (the linear multiplier preserves zeros and the RK4 update never
     # touches them), which makes the nullity invariant exact.
     spectra = _rfft(initial) * ws.dealias
-    t = 0.0
-    steps_total = int(round(t_end / ws.dt))
-    stride = max(1, int(round(sample_dt / ws.dt)))
     on_sample(0.0, spectra, initial)
-    for i in range(1, steps_total + 1):
+    for t, sampled in steps(t_end, ws.dt, sample_dt):
         spectra = step(ws, spectra)
-        t += ws.dt
         if detect_blow_up(spectra, ws.grid.n, blow_up_threshold) is not None:
             return t
-        if i % stride == 0 or i == steps_total:
+        if sampled:
             on_sample(t, spectra, _irfft(spectra, ws.grid.n))
     return None
 

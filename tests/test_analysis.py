@@ -398,11 +398,12 @@ class TestAmplitudeLaw:
         assert verdict.statistic == np.max(verdict.law_values[after])
         assert verdict.statistic < np.max(verdict.law_values)
 
-    def test_statistic_without_samples_past_burn_in(self):
+    def test_no_sample_past_burn_in_rejected(self):
+        # A series too short to judge is refused, not failed: validation
+        # requires a sample at t >= T_BURN of the amplitude_law output.
         times = np.linspace(0.0, 0.9 * T_BURN, 10)
-        verdict = amplitude_law_check(times, np.ones(len(times)), mu=0.5, nu=0.04)
-        assert not verdict.passed
-        assert verdict.statistic == np.max(verdict.law_values)
+        with pytest.raises(ValueError, match="t >= 10"):
+            amplitude_law_check(times, np.ones(len(times)), mu=0.5, nu=0.04)
 
     def test_wrong_sign_rejected(self):
         with pytest.raises(ValueError):
@@ -421,9 +422,12 @@ class TestAmplitudeLaw:
     def test_unjudged_law_fails_with_the_sign_value(self, name, statistic):
         # Without the stabilizing sign the law is not judged: its row
         # fails with the sign value, a scientific result.
+        # The run must reach T_BURN; at t_end = T_BURN its last t, summed
+        # as t += 0.02, is 9.99999999999983.
         scenario = dataclasses.replace(
-            get_scenario(name), grid=Grid(half_width=60.0, n=256), t_end=1.0,
-            sample_dt=0.5, outputs=("trajectory", "amplitude_law"))
+            get_scenario(name), grid=Grid(half_width=60.0, n=256),
+            t_end=T_BURN + 1.0, sample_dt=0.5,
+            outputs=("trajectory", "amplitude_law"))
         (row,) = diagnose(scenario, record_scenario(scenario).samples).verdicts
         assert row[:2] == ("amplitude_law", False)
         np.testing.assert_equal(row[2], statistic)

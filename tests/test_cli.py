@@ -1,12 +1,19 @@
 """Command-line interface: output schema, exit codes, round-trip fidelity."""
 
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
+import importlib.util
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rda import analysis, cli, config, core, scenarios, solver
 from rda.cli import main, run_experiment
@@ -32,7 +39,7 @@ grid.L = 60.0
 grid.n = 256
 time.dt = 0.02
 time.t_end = 4.0
-time.sample_dt = 0.5
+time.sample_dt = 0.2
 initial.u.kind = gaussian
 initial.u.amplitude = 1e-3
 initial.v.kind = gaussian
@@ -51,7 +58,7 @@ def fast_scenario(**overrides):
         grid=Grid(half_width=60.0, n=256),
         initial_u=InitialData(kind="gaussian", amplitude=1e-3),
         initial_v=InitialData(kind="gaussian", amplitude=1e-3),
-        t_end=4.0, dt=0.02, sample_dt=0.5,
+        t_end=4.0, dt=0.02, sample_dt=0.2,
         envelope=EnvelopeSpec(kind="exponential", M=16.0),
         outputs=("trajectory", "envelope", "decay"),
     )
@@ -101,6 +108,12 @@ def assert_rejected_before_running(tmp_path, capsys, replacements, message):
     for old, new in replacements:
         assert old in text
         text = text.replace(old, new)
+    assert_config_rejected(tmp_path, capsys, text, message)
+
+
+def assert_config_rejected(tmp_path, capsys, text, message):
+    """rda run of the config text exits 1 with the one line
+    `error: invalid scenario: <message>` and writes no output directory."""
     conf = tmp_path / "bad.conf"
     conf.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
@@ -125,7 +138,7 @@ class TestRunExperiment:
         header, rows = read_csv(tmp_path / "trajectory.csv")
         assert header == ["t", "linf_u", "linf_v", "l1_u", "l1_v",
                           "blow_up_flag"]
-        assert len(rows) == 9          # t = 0, 0.5, ..., 4.0
+        assert len(rows) == 21         # t = 0, 0.2, ..., 4.0
         assert all(row[5] == "0" for row in rows)
         env_header, env_rows = read_csv(tmp_path / "envelope.csv")
         assert env_header == ["t", "eta", "bounded_flag"]
@@ -142,7 +155,7 @@ class TestRunExperiment:
         run_valid(fast_scenario(), tmp_path)
         _, rows = read_csv(tmp_path / "trajectory.csv")
         times = [float(row[0]) for row in rows]
-        np.testing.assert_allclose(times, np.arange(9) * 0.5, atol=1e-12)
+        np.testing.assert_allclose(times, np.arange(21) * 0.2, atol=1e-12)
         for row in rows:
             value = float(row[1])
             assert repr(value) == row[1]
@@ -372,7 +385,7 @@ class TestMain:
             tmp_path, capsys,
             (("initial.u.amplitude = 1e-3",
               "initial.u.amplitude = 1e-3\ninitial.u.center = 10"),),
-            "initial.u.center = 0 with an envelope output failed")
+            "envelope output requires initial.u.center = 0")
 
     @pytest.mark.parametrize("replacements,message", [
         ((("initial.u.kind = gaussian", "initial.u.kind = algebraic"),
@@ -404,6 +417,52 @@ class TestMain:
     def test_uncomputable_output_fails_before_running(
             self, tmp_path, capsys, replacements, message):
         assert_rejected_before_running(tmp_path, capsys, replacements, message)
+
+    # Each of these once ran and wrote a verdict: a fail with a nan or a
+    # number taken from too few samples, or, for the anchor, a verdict that
+    # hung on the round-off of t += dt (the last t at dt = 0.1 is
+    # 0.9999999999999999, at dt = 0.02 it is 1.0000000000000004).
+    @pytest.mark.parametrize("text,message", [
+        (serialize_scenario(dataclasses.replace(
+            get_scenario("thm1-exp"), t_end=2.0, sample_dt=1.0)),
+         "decay output requires >= 8 samples at t >= min(5, t_end/4)"),
+        (serialize_scenario(dataclasses.replace(get_scenario("cas3-stable"),
+                                                t_end=5.0)),
+         "decay output requires >= 8 samples at t >= min(5, t_end/4); "
+         "amplitude_law output requires a sample at t >= T_BURN = 10"),
+        (serialize_scenario(dataclasses.replace(
+            get_scenario("cas2-equal"), t_end=1.0, sample_dt=1.0)),
+         "lower_bounds output requires >= 2 samples in the second half of "
+         "the run"),
+        # 7 samples at t >= 1; the fit needs 8.
+        (FAST_CONFIG.replace("time.sample_dt = 0.2", "time.sample_dt = 0.5"),
+         "decay output requires >= 8 samples at t >= min(5, t_end/4)"),
+        (FAST_CONFIG.replace("initial.u.kind = gaussian\ninitial.u.amplitude = 1e-3",
+                             "initial.u.kind = zero")
+         .replace("initial.v.kind = gaussian\ninitial.v.amplitude = 1e-3",
+                  "initial.v.kind = zero"),
+         "decay output requires nonzero initial data"),
+        (FAST_CONFIG.replace("time.dt = 0.02", "time.dt = 0.1")
+         .replace("time.t_end = 4.0", "time.t_end = 1.0")
+         .replace("time.sample_dt = 0.2", "time.sample_dt = 0.1")
+         .replace("outputs = trajectory, envelope, decay",
+                  "outputs = trajectory, envelope"),
+         "envelope output requires a sample at t >= 1, its anchor"),
+    ], ids=["thm1-exp-short", "cas3-stable-short", "cas2-equal-short",
+            "fast-sample-dt-0.5", "zero-data-decay", "anchor-at-dt-0.1"])
+    def test_run_too_short_to_judge_fails_before_running(
+            self, tmp_path, capsys, text, message):
+        assert_config_rejected(tmp_path, capsys, text, message)
+
+    def test_anchor_reached_at_dt_0_02_runs(self, tmp_path):
+        conf = tmp_path / "anchor.conf"
+        conf.write_text(FAST_CONFIG.replace("time.t_end = 4.0", "time.t_end = 1.0")
+                        .replace("time.sample_dt = 0.2", "time.sample_dt = 0.1")
+                        .replace("outputs = trajectory, envelope, decay",
+                                 "outputs = trajectory, envelope"), encoding="utf-8")
+        assert main(["run", str(conf), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_csv(tmp_path / "out" / "envelope.csv")
+        assert rows[-1][0] == "1.0000000000000004"
 
     @pytest.mark.parametrize("replacements,message", [
         ((("envelope.M = 16.0", "envelope.M = nan"),), "envelope M > 0 failed"),
@@ -560,3 +619,105 @@ class TestMain:
         main(["plot", str(tmp_path / "trajectory.csv"), "--out", str(svg1)])
         main(["plot", str(tmp_path / "trajectory.csv"), "--out", str(svg2)])
         assert svg1.read_bytes() == svg2.read_bytes()
+
+
+_DIGEST_SPEC = importlib.util.spec_from_file_location(
+    "digest", Path(__file__).resolve().parents[1] / "scripts" / "digest.py")
+digest = importlib.util.module_from_spec(_DIGEST_SPEC)
+_DIGEST_SPEC.loader.exec_module(digest)
+
+
+def hook_times(scenario):
+    """The t of every sample the run's on_sample hook receives."""
+    times = []
+    solver.run_scenario(scenario, core.validate_scenario(scenario).initial,
+                        lambda t, spectra, fields: times.append(t))
+    return times
+
+
+class TestPredictedSampleTimes:
+    # Validation judges a run's sample requirements on core.sample_times, so
+    # these must be the very floats the hook receives.
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_cut_builtin(self, name):
+        scenario = digest.cut(get_scenario(name))
+        assert core.sample_times(scenario).tolist() == hook_times(scenario)
+
+    def test_fast_config(self, tmp_path):
+        conf = tmp_path / "fast.conf"
+        conf.write_text(FAST_CONFIG, encoding="utf-8")
+        scenario = config.parse_scenario(conf)
+        assert scenario == fast_scenario()
+        assert core.sample_times(scenario).tolist() == hook_times(scenario)
+
+    @pytest.mark.parametrize("name", ["cas2-equal", "cas2-distinct"])
+    def test_blow_up_run_is_a_prefix(self, name):
+        scenario = get_scenario(name)
+        times = hook_times(scenario)
+        predicted = core.sample_times(scenario).tolist()
+        assert len(times) < len(predicted)
+        assert predicted[:len(times)] == times
+
+
+_PROPERTY_CONFIG = """\
+name = prop
+system.d1 = 1.0
+system.d2 = 1.0
+system.c1 = 0.0
+system.c2 = 1.0
+system.f1 = 1.0 u^1 v^1, {beta} u^3 v^0
+system.g2 = 1.0 u^2 v^0 ddx
+grid.L = 60.0
+grid.n = 64
+time.dt = {dt}
+time.t_end = {t_end}
+time.sample_dt = {sample_dt}
+initial.u.kind = gaussian
+initial.u.amplitude = {amplitude}
+initial.v.kind = gaussian
+initial.v.amplitude = {amplitude}
+envelope.kind = exponential
+envelope.M = 16.0
+blow_up_threshold = 100
+outputs = {outputs}
+"""
+
+
+class TestRunContract:
+    # A normal-form system at n = 64 (so amplitude_law can be valid): with
+    # the stabilizing sign (u^3 coefficient 0.5) or without it (1.5), small
+    # data or data that blows up within a few steps.
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(t_end=st.sampled_from([0.5, 1.0, 2.0, 5.0, 11.0]),
+           dt=st.sampled_from([0.05, 0.1, 0.3]),
+           sample_dt=st.sampled_from([0.1, 0.2, 0.5, 1.0]),
+           outputs=st.lists(st.sampled_from(list(analysis.OUTPUT_RULES)[1:]),
+                            unique=True, max_size=3),
+           beta=st.sampled_from([0.5, 1.5]),
+           amplitude=st.sampled_from([1e-3, 5.0]))
+    def test_exit_status_matches_what_is_written(
+            self, t_end, dt, sample_dt, outputs, beta, amplitude):
+        # Exit 0: every verdict statistic is finite unless the run blew up.
+        # Exit 1: one `error:` line and no output directory.
+        text = _PROPERTY_CONFIG.format(
+            t_end=t_end, dt=dt, sample_dt=sample_dt, beta=beta,
+            amplitude=amplitude, outputs=", ".join(["trajectory", *outputs]))
+        with tempfile.TemporaryDirectory() as tmp:
+            conf, out = Path(tmp) / "prop.conf", Path(tmp) / "out"
+            conf.write_text(text, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", str(conf), "--out", str(out)])
+            if code == 1:
+                (line,) = err.getvalue().splitlines()
+                assert line.startswith("error: ")
+                assert not out.exists()
+                return
+            assert code == 0
+            _, trajectory = read_csv(out / "trajectory.csv")
+            _, verdicts = read_csv(out / "verdicts.csv")
+            assert len(verdicts) == sum(
+                len(analysis.OUTPUT_RULES[name].rows) for name in outputs)
+            if trajectory[-1][5] == "0":
+                assert all(math.isfinite(float(row[2])) for row in verdicts)

@@ -181,8 +181,8 @@ class TestValidateScenario:
             envelope=EnvelopeSpec(kind="exponential", M=16.0),
             outputs=("trajectory", "envelope"))
         assert validate_scenario(enveloped).violations == (
-            "initial.u.center = 0 with an envelope output failed",
-            "initial.v.center = 0 with an envelope output failed")
+            "envelope output requires initial.u.center = 0",
+            "envelope output requires initial.v.center = 0")
         bounded = make_scenario(initial_u=shifted, initial_v=shifted,
                                 outputs=("trajectory", "lower_bounds"))
         assert validate_scenario(bounded).violations == ()

@@ -256,6 +256,36 @@ def test_transforms_only_through_the_solver_kernels(path):
                               may_import_kernels=path.name == "solver.py") == []
 
 
+def output_name_tests(source: str, names) -> list[str]:
+    """Membership tests of a string constant among names: "decay" in ...,
+    the per-output branch that analysis.OUTPUT_RULES replaces."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
+                and node.left.value in names
+                and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)):
+            found.append(f"line {node.lineno}: {node.left.value!r} in ...")
+    return found
+
+
+def test_output_branch_checker_catches_a_membership_test():
+    source = ('if "decay" in outputs:\n    pass\n'
+              'x = "envelope" not in scenario.outputs\n'
+              'y = name in outputs\nz = "a" in "abc"\nw = "decay" == kind\n')
+    assert output_name_tests(source, {"decay", "envelope"}) == [
+        "line 1: 'decay' in ...", "line 3: 'envelope' in ..."]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/rda").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_per_output_branch(path):
+    # What an output needs, reads and how it is judged lives in one entry
+    # of analysis.OUTPUT_RULES; no module asks whether an output is declared.
+    from rda.analysis import OUTPUT_RULES
+
+    assert output_name_tests(path.read_text(encoding="utf-8"), OUTPUT_RULES) == []
+
+
 # The benchmark tracer's lookups that find nothing in the package today.
 # A refactor that moves another traced name adds a line here, or fixes the
 # tracer, instead of letting its layer silently read 0.

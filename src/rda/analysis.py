@@ -7,6 +7,8 @@ fitted temporal decay exponent, the explicit blow-up lower bounds, and the
 logarithmic amplitude law of the normal form. OUTPUT_RULES holds, per
 output, what validation requires, what each sample is reduced to
 (SampleReduction, the solver's on_sample hook) and how diagnose judges it.
+Each requirement on a system's shape compares SystemSpec.monomials(), and
+a slot's component and derivative order are read from core.SLOTS.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from scipy.special import erf, stdtrit
 
 from . import kernels
 from .core import (
+    SLOTS,
     EnvelopeSpec,
     Grid,
     PolyTerm,
@@ -110,10 +113,8 @@ def check_admissibility(system: SystemSpec) -> AdmissibilityReport:
             continue
         # own and other: the powers of this equation's component and of
         # the other one.
-        own_is_u = slot in ("f1", "g1")
-        own = term.alpha if own_is_u else term.beta
-        other = term.beta if own_is_u else term.alpha
-        is_flux = slot in ("g1", "g2")
+        comp, is_flux = SLOTS[slot]
+        own, other = (term.alpha, term.beta)[comp], (term.beta, term.alpha)[comp]
         if other < 1:  # self term
             min_deg = 2 if is_flux else 4
             if own < min_deg:
@@ -138,15 +139,14 @@ def check_admissibility(system: SystemSpec) -> AdmissibilityReport:
         reasons=tuple(reasons))
 
 
+_UV, _U3, _U2X = ("f1", 1, 1), ("f1", 3, 0), ("g2", 2, 0)
+
+
 def _has_normal_form_shape(system: SystemSpec) -> bool:
-    """True iff the couplings are exactly f1 = a uv + b u^3 and g2 = g u^2
-    with c1 != c2, the shape whose normal form the amplitude law reads."""
-    if system.c1 == system.c2 or system.g1 or system.f2:
-        return False
-    f1_shapes = {(t.alpha, t.beta, t.gamma) for t in system.f1}
-    g2_shapes = {(t.alpha, t.beta, t.gamma) for t in system.g2}
-    return (f1_shapes <= {(1, 1, 0), (3, 0, 0)} and (1, 1, 0) in f1_shapes
-            and g2_shapes == {(2, 0, 1)})
+    """True iff c1 != c2 and the couplings are exactly f1 = a uv (+ b u^3),
+    g2 = g (u^2)_x: the shape whose normal form the amplitude law reads."""
+    return (system.c1 != system.c2
+            and {_UV, _U2X} <= set(system.monomials()) <= {_UV, _U3, _U2X})
 
 
 def normal_form_rates(system: SystemSpec) -> tuple[float, float]:
@@ -160,10 +160,8 @@ def normal_form_rates(system: SystemSpec) -> tuple[float, float]:
     c = system.c2 - system.c1
     if c == 0.0:
         raise ValueError("normal form requires c1 != c2")
-    alpha, beta, gamma = (
-        sum(t.coeff for t in terms if (t.alpha, t.beta, t.gamma) == shape)
-        for terms, shape in ((system.f1, (1, 1, 0)), (system.f1, (3, 0, 0)),
-                             (system.g2, (2, 0, 1))))
+    monomials = system.monomials()
+    alpha, beta, gamma = (monomials.get(key, 0) for key in (_UV, _U3, _U2X))
     mu = gamma * alpha / c - beta
     return mu, mu / (4.0 * math.sqrt(3.0) * system.d1 * math.pi)
 
@@ -486,8 +484,7 @@ def _judge_exact_error(scenario: Scenario, run):
 
 def _has_remark51_shape(scenario: Scenario, _initial) -> bool:
     s = scenario.system
-    return (s.d1 == 1.0 and s.d2 == 0.25 and not s.f1 and not s.g1 and not s.g2
-            and tuple((t.alpha, t.beta, t.gamma) for t in s.f2) == ((4, 0, 0),)
+    return (s.d1 == 1.0 and s.d2 == 0.25 and s.monomials() == {("f2", 4, 0): 1.0}
             and scenario.initial_u.kind == "remark51"
             and scenario.initial_v.kind == "zero")
 
@@ -513,7 +510,11 @@ OUTPUT_RULES = {
         judge=_judge_decay),
     "lower_bounds": Rule(
         ("l1_lower_bound", "linf_growth"),
-        ((lambda sc, _: sc.initial_u.kind == "gaussian", "Gaussian initial data"),),
+        ((lambda sc, _: sc.system.monomials() == {("f1", 0, 2): 1.0, ("f2", 2, 0): 1.0},
+          "the growth system: f1 = v^2, f2 = u^2, no other coupling"),
+         (lambda sc, _: sc.initial_u.kind == "gaussian" and sc.initial_u.center == 0
+          and sc.initial_u.amplitude > 0, "initial.u = nu0 e^{-a x^2} with nu0 > 0"),
+         (lambda sc, initial: np.all(initial[1] >= 0), "initial.v >= 0 on the grid")),
         ((lambda times: np.count_nonzero(times >= times[-1] / 2.0) >= 2,
           ">= 2 samples in the second half of the run"),),
         judge=_judge_lower_bounds),

@@ -15,6 +15,7 @@ from .core import (
     DEFAULT_BLOW_UP_THRESHOLD,
     ENVELOPE_READS,
     INITIAL_READS,
+    SLOTS,
     EnvelopeSpec,
     Grid,
     InitialData,
@@ -41,7 +42,7 @@ _INITIAL_FIELDS = {"kind": str, "amplitude": float, "width": float,
 
 _KNOWN_KEYS = {
     "system.d1", "system.d2", "system.c1", "system.c2",
-    "system.f1", "system.f2", "system.g1", "system.g2",
+    *(f"system.{slot}" for slot in SLOTS),
     "grid.L", "grid.n",
     "time.dt", "time.t_end", "time.sample_dt",
     *_SCENARIO_FIELDS,
@@ -133,10 +134,7 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
         d2=_get(pairs, "system.d2", float),
         c1=_get(pairs, "system.c1", float),
         c2=_get(pairs, "system.c2", float),
-        f1=_terms_for(pairs, "system.f1"),
-        f2=_terms_for(pairs, "system.f2"),
-        g1=_terms_for(pairs, "system.g1"),
-        g2=_terms_for(pairs, "system.g2"),
+        **{slot: _terms_for(pairs, f"system.{slot}") for slot in SLOTS},
     )
     envelope = None
     if "envelope.kind" in pairs:
@@ -204,9 +202,8 @@ def serialize_scenario(scenario: Scenario) -> str:
         f"system.c1 = {_fmt(s.c1)}",
         f"system.c2 = {_fmt(s.c2)}",
     ]
-    for slot in ("f1", "f2", "g1", "g2"):
-        terms = getattr(s, slot)
-        if terms:
+    for slot in SLOTS:
+        if terms := getattr(s, slot):
             lines.append(f"system.{slot} = {_fmt_terms(terms)}")
     lines += [
         f"grid.L = {_fmt(scenario.grid.half_width)}",

@@ -1,6 +1,7 @@
 """Domain types, scenario configuration, validation, and the time grid.
 
-All types are immutable value objects.
+All types are immutable value objects. SLOTS is the one owner of the
+coupling convention, and SystemSpec.monomials the one coefficient extractor.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = [
+    "SLOTS",
     "PolyTerm",
     "SystemSpec",
     "Grid",
@@ -43,6 +45,11 @@ DEFAULT_BLOW_UP_THRESHOLD = 1e8
 # Trust-region cutoff: the sup of exponentially weighted fields is only
 # taken where the reference Gaussian exceeds 1e-12 of its peak.
 TRUST_LOG = math.log(1e12)
+
+
+# Each coupling slot's (component whose equation it enters, derivative
+# order gamma): u_t = ... + f1 + (g1)_x and v_t = ... + f2 + (g2)_x.
+SLOTS = {"f1": (0, 0), "f2": (1, 0), "g1": (0, 1), "g2": (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -76,9 +83,17 @@ class SystemSpec:
     g2: tuple[PolyTerm, ...] = ()
 
     def all_terms(self):
-        for name in ("f1", "f2", "g1", "g2"):
+        for name in SLOTS:
             for term in getattr(self, name):
                 yield name, term
+
+    def monomials(self) -> dict[tuple[str, int, int], float]:
+        """{(slot, alpha, beta): coefficient}, the coefficients of equal
+        monomials summed in listed order from 0."""
+        out: dict[tuple[str, int, int], float] = {}
+        for name, t in self.all_terms():
+            out[name, t.alpha, t.beta] = out.get((name, t.alpha, t.beta), 0) + t.coeff
+        return out
 
 
 @dataclass(frozen=True)
@@ -145,20 +160,6 @@ class ValidationReport:
         return not self.violations
 
 
-def _check_terms(name: str, terms, expected_gamma: int, out: list[str]):
-    for term in terms:
-        if term.alpha < 0 or term.beta < 0:
-            out.append(f"{name}: alpha, beta >= 0 failed for {term}")
-        if term.alpha + term.beta < 2:
-            out.append(f"{name}: alpha+beta >= 2 failed for {term}")
-        if term.gamma not in (0, 1):
-            out.append(f"{name}: gamma in {{0,1}} failed for {term}")
-        elif term.gamma != expected_gamma:
-            out.append(f"{name}: gamma = {expected_gamma} failed for {term}")
-        if not math.isfinite(term.coeff):
-            out.append(f"{name}: finite coefficient failed for {term}")
-
-
 def _check_positive(name: str, value: float, out: list[str]):
     """Record a violation unless value is finite and > 0; nan fails > 0."""
     if not (value > 0):
@@ -174,10 +175,17 @@ def _check_system(spec: SystemSpec, out: list[str]):
     for c_name in ("c1", "c2"):
         if not math.isfinite(getattr(spec, c_name)):
             out.append(f"{c_name} finite failed")
-    _check_terms("f1", spec.f1, 0, out)
-    _check_terms("f2", spec.f2, 0, out)
-    _check_terms("g1", spec.g1, 1, out)
-    _check_terms("g2", spec.g2, 1, out)
+    for name, term in spec.all_terms():
+        if term.alpha < 0 or term.beta < 0:
+            out.append(f"{name}: alpha, beta >= 0 failed for {term}")
+        if term.alpha + term.beta < 2:
+            out.append(f"{name}: alpha+beta >= 2 failed for {term}")
+        if term.gamma not in (0, 1):
+            out.append(f"{name}: gamma in {{0,1}} failed for {term}")
+        elif term.gamma != SLOTS[name][1]:
+            out.append(f"{name}: gamma = {SLOTS[name][1]} failed for {term}")
+        if not math.isfinite(term.coeff):
+            out.append(f"{name}: finite coefficient failed for {term}")
 
 
 def trust_radius(M: float, s: float) -> float:

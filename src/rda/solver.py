@@ -102,7 +102,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scipy_ext import load_extension
-from .core import DEFAULT_BLOW_UP_THRESHOLD, Grid, Scenario, SystemSpec, steps
+from .core import DEFAULT_BLOW_UP_THRESHOLD, SLOTS, Grid, Scenario, SystemSpec, steps
 
 __all__ = [
     "SpectralWorkspace",
@@ -137,7 +137,7 @@ class SpectralWorkspace:
 
     dealias is the 2/3-rule mask over all n/2+1 modes; the kept modes are
     its prefix [:n_kept]. slots holds the (coeff, alpha, beta) triples of
-    each non-empty slot in f1, f2, g1, g2 order, one row of the batched
+    each non-empty slot in core.SLOTS order, one row of the batched
     forward transform each, and rows maps component 0 (u) and 1 (v) to the
     slot indices of its reaction and flux terms (None when empty). moving
     is the range of components with coupling terms and still the others.
@@ -179,15 +179,13 @@ class SpectralWorkspace:
         ))
 
         slots: list[tuple[tuple[float, int, int], ...]] = []
-        index: dict[str, int] = {}
-        for name in ("f1", "f2", "g1", "g2"):
-            terms = getattr(self.system, name)
-            if terms:
-                index[name] = len(slots)
+        rows: list[list[int | None]] = [[None, None], [None, None]]
+        for name, (comp, order) in SLOTS.items():
+            if terms := getattr(self.system, name):
+                rows[comp][order] = len(slots)
                 slots.append(tuple((t.coeff, t.alpha, t.beta) for t in terms))
         self.slots = tuple(slots)
-        self.rows = ((index.get("f1"), index.get("g1")),
-                     (index.get("f2"), index.get("g2")))
+        self.rows = tuple(map(tuple, rows))
         max_alpha = max((a for s in slots for _, a, _ in s), default=0)
         max_beta = max((b for s in slots for _, _, b in s), default=0)
         read = [comp for comp, top in enumerate((max_alpha, max_beta)) if top > 0]

@@ -77,6 +77,53 @@ class TestAdmissibility:
         assert report.sign_value == pytest.approx(0.5)
         assert not report.sign_value < 0.0
 
+    @pytest.mark.parametrize("name,thm1,thm2,sign_value,reasons", [
+        ("toy", True, True, None, ()),
+        ("thm1-exp", True, True, None, ()),
+        ("thm1-alg", True, True, None, ()),
+        ("thm2-irrelevant", False, True, None,
+         ("f2: non-mix cross coupling of degree 4",)),
+        ("remark51-exact", False, True, None,
+         ("f2: non-mix cross coupling of degree 4",)),
+        ("cas2-equal", False, False, None,
+         ("velocities are equal: no velocity separation to exploit",
+          "f1: non-mix cross coupling of degree 2",
+          "f1: cross coupling degree 2 below the required 4, not irrelevant",
+          "f2: non-mix cross coupling of degree 2",
+          "f2: cross coupling degree 2 below the required 4, not irrelevant")),
+        ("cas2-distinct", False, False, None,
+         ("f1: non-mix cross coupling of degree 2",
+          "f1: cross coupling degree 2 below the required 4, not irrelevant",
+          "f2: non-mix cross coupling of degree 2",
+          "f2: cross coupling degree 2 below the required 4, not irrelevant")),
+        ("cas3-stable", False, False, -0.5,
+         ("f1: self term of degree 3 below the required 4",
+          "g2: non-mix cross coupling of degree 2",
+          "g2: cross coupling degree 2 below the required 3, not irrelevant")),
+        ("cas3-sign-violated", False, False, 0.5,
+         ("f1: self term of degree 3 below the required 4",
+          "g2: non-mix cross coupling of degree 2",
+          "g2: cross coupling degree 2 below the required 3, not irrelevant")),
+    ])
+    def test_report_of_every_builtin(self, name, thm1, thm2, sign_value, reasons):
+        report = check_admissibility(get_scenario(name).system)
+        assert (report.thm1_admissible, report.thm2_admissible, report.sign_value,
+                report.reasons) == (thm1, thm2, sign_value, reasons)
+
+    def test_each_slot_reads_its_own_component_and_order(self):
+        # f1 and g1 enter u's equation, f2 and g2 v's; g1 and g2 are fluxes.
+        system = SystemSpec(d1=1, d2=1, c1=0.0, c2=1.0,
+                            f1=(PolyTerm(1.0, 3, 0, 0),), f2=(PolyTerm(1.0, 0, 3, 0),),
+                            g1=(PolyTerm(1.0, 0, 2, 1),), g2=(PolyTerm(1.0, 3, 0, 1),))
+        report = check_admissibility(system)
+        assert not report.thm1_admissible and not report.thm2_admissible
+        assert report.reasons == (
+            "f1: self term of degree 3 below the required 4",
+            "f2: self term of degree 3 below the required 4",
+            "g1: non-mix cross coupling of degree 2",
+            "g1: cross coupling degree 2 below the required 3, not irrelevant",
+            "g2: non-mix cross coupling of degree 3")
+
 
 def _history_exponential(grid, system, M, delta, times):
     """(times, fields) that saturate the Gaussian weight exactly: eta

@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import math
@@ -122,6 +123,26 @@ def assert_config_rejected(tmp_path, capsys, text, message):
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: invalid scenario: {message}"]
     assert not out.exists()
+
+
+def _remark51_cut(*f2):
+    """remark51-exact with f2 = the terms f2, cut to t_end = 2, its exact
+    error alone judged."""
+    scenario = get_scenario("remark51-exact")
+    return dataclasses.replace(
+        scenario, system=dataclasses.replace(scenario.system, f2=f2), t_end=2.0,
+        outputs=("trajectory", "exact_error"))
+
+
+_CAS2 = get_scenario("cas2-equal")
+_EXACT_ERROR_REQUIRES = (
+    "exact_error output requires the exactly solvable benchmark shape: "
+    "d=(1, 1/4), f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0")
+_GROWTH_SYSTEM_REQUIRED = (
+    "lower_bounds output requires the growth system: f1 = v^2, f2 = u^2, "
+    "no other coupling")
+_GAUSSIAN_U_REQUIRED = (
+    "lower_bounds output requires initial.u = nu0 e^{-a x^2} with nu0 > 0")
 
 
 def read_csv(path):
@@ -391,7 +412,7 @@ class TestMain:
         ((("initial.u.kind = gaussian", "initial.u.kind = algebraic"),
           ("outputs = trajectory, envelope, decay",
            "outputs = trajectory, lower_bounds")),
-         "lower_bounds output requires Gaussian initial data"),
+         f"{_GROWTH_SYSTEM_REQUIRED}; {_GAUSSIAN_U_REQUIRED}"),
         ((("envelope.kind = exponential", "envelope.kind = normal-form"),),
          "unknown envelope kind 'normal-form'"),
         ((("envelope.kind = exponential", "envelope.kind = drag"),
@@ -399,8 +420,7 @@ class TestMain:
          "drag envelope requires c1 != c2"),
         ((("outputs = trajectory, envelope, decay",
            "outputs = trajectory, exact_error"),),
-         "exact_error output requires the exactly solvable benchmark shape: "
-         "d=(1, 1/4), f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0"),
+         _EXACT_ERROR_REQUIRES),
         # f1 = uv but no g2 = (u^2)_x: no normal form to judge the law on.
         ((("outputs = trajectory, envelope, decay",
            "outputs = trajectory, amplitude_law"),),
@@ -453,6 +473,47 @@ class TestMain:
     def test_run_too_short_to_judge_fails_before_running(
             self, tmp_path, capsys, text, message):
         assert_config_rejected(tmp_path, capsys, text, message)
+
+    # Each of these once ran and wrote a verdict on an input outside the
+    # result it judges: the exact solution has f2 = u^4 with coefficient 1,
+    # and the lower bounds hold for f1 = v^2, f2 = u^2, u0 >= nu0 e^{-a x^2}
+    # and v0 >= 0.
+    @pytest.mark.parametrize("scenario,message", [
+        (_remark51_cut(PolyTerm(2.0, 4, 0, 0)), _EXACT_ERROR_REQUIRES),
+        (_remark51_cut(PolyTerm(0.0, 4, 0, 0)), _EXACT_ERROR_REQUIRES),
+        (dataclasses.replace(_CAS2, system=get_scenario("thm1-exp").system),
+         _GROWTH_SYSTEM_REQUIRED),
+        (dataclasses.replace(_CAS2, system=dataclasses.replace(
+            _CAS2.system, f1=(PolyTerm(-1.0, 0, 2, 0),))),
+         _GROWTH_SYSTEM_REQUIRED),
+        (dataclasses.replace(_CAS2, initial_v=InitialData(
+            kind="gaussian", amplitude=-0.5, width=1.0)),
+         "lower_bounds output requires initial.v >= 0 on the grid"),
+        (dataclasses.replace(_CAS2, initial_u=InitialData(
+            kind="gaussian", amplitude=0.5, width=1.0, center=5.0)),
+         _GAUSSIAN_U_REQUIRED),
+        (dataclasses.replace(_CAS2, initial_u=InitialData(
+            kind="gaussian", amplitude=0.0, width=1.0)),
+         _GAUSSIAN_U_REQUIRED),
+    ], ids=["remark51-f2-2u4", "remark51-f2-0u4", "cas2-equal-thm1-exp-system",
+            "cas2-equal-f1-minus-v2", "cas2-equal-negative-v0",
+            "cas2-equal-u0-centred-at-5", "cas2-equal-zero-u0"])
+    def test_input_outside_the_theorem_fails_before_running(
+            self, tmp_path, capsys, scenario, message):
+        assert_config_rejected(tmp_path, capsys, serialize_scenario(scenario), message)
+
+    def test_exact_error_reads_the_summed_coefficient(self, tmp_path):
+        # f2 = 0.5 u^4 + 0.5 u^4 is f2 = u^4, term by term in every bit.
+        stats = []
+        for terms in ((PolyTerm(1.0, 4, 0, 0),), (PolyTerm(0.5, 4, 0, 0),) * 2):
+            conf = tmp_path / f"{len(terms)}.conf"
+            conf.write_text(serialize_scenario(_remark51_cut(*terms)), encoding="utf-8")
+            out = tmp_path / f"out{len(terms)}"
+            assert main(["run", str(conf), "--out", str(out)]) == 0
+            _, rows = read_csv(out / "verdicts.csv")
+            stats.append({row[0]: row[1:] for row in rows}["exact_error"])
+        assert stats[0][0] == "pass"
+        assert stats[1] == stats[0]
 
     def test_anchor_reached_at_dt_0_02_runs(self, tmp_path):
         conf = tmp_path / "anchor.conf"
@@ -573,6 +634,27 @@ class TestMain:
         out = capsys.readouterr().out
         assert "thm1_admissible: True" in out
         assert "Irrelevant" in out
+
+    # The first 16 hex digits of the SHA-256 of each builtin's printout, as
+    # the slot-by-slot code before core.SLOTS printed it.
+    CLASSIFY_SHA256 = {
+        "toy": "c235491c3f993caa",
+        "thm1-exp": "286819a101e46c2c",
+        "thm1-alg": "084732c4f3f07ad9",
+        "thm2-irrelevant": "3e73697ed52f187f",
+        "remark51-exact": "65c6ef3ec4498b3d",
+        "cas2-equal": "9a9639fbed0176ac",
+        "cas2-distinct": "25ee23765ae0599b",
+        "cas3-stable": "ed7593972ddf4109",
+        "cas3-sign-violated": "00b92c9497e3bd27",
+    }
+
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_classify_printout_of_every_builtin(self, capsys, name):
+        assert main(["classify", name]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == \
+            self.CLASSIFY_SHA256[name]
 
     def test_list_names_all_builtins(self, capsys):
         assert main(["list"]) == 0

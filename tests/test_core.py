@@ -172,9 +172,9 @@ class TestValidateScenario:
             "initial.u: max|value| < blow_up_threshold failed",)
         assert validate_scenario(above).valid
 
-    def test_off_centre_data_reported_only_with_an_envelope(self):
-        # The envelope weights are centred at x = 0; the lower bounds' L1 and
-        # sup norms do not depend on a translation.
+    def test_off_centre_data_reported_with_an_envelope_or_lower_bounds(self):
+        # The envelope weights are centred at x = 0, and the lower bounds
+        # are stated for u0 >= nu0 e^{-a x^2}; a trajectory reads no centre.
         shifted = InitialData(kind="gaussian", amplitude=1e-3, center=10.0)
         enveloped = make_scenario(
             initial_u=shifted, initial_v=shifted,
@@ -183,9 +183,16 @@ class TestValidateScenario:
         assert validate_scenario(enveloped).violations == (
             "envelope output requires initial.u.center = 0",
             "envelope output requires initial.v.center = 0")
-        bounded = make_scenario(initial_u=shifted, initial_v=shifted,
+        bounded = make_scenario(system=get_scenario("cas2-equal").system,
+                                initial_u=shifted, initial_v=shifted,
                                 outputs=("trajectory", "lower_bounds"))
-        assert validate_scenario(bounded).violations == ()
+        assert validate_scenario(bounded).violations == (
+            "lower_bounds output requires initial.u = nu0 e^{-a x^2} with nu0 > 0",)
+        centred = InitialData(kind="gaussian", amplitude=1e-3)
+        assert validate_scenario(dataclasses.replace(
+            bounded, initial_u=centred, initial_v=centred)).valid
+        assert validate_scenario(make_scenario(
+            initial_u=shifted, initial_v=shifted)).valid
 
     @pytest.mark.parametrize("name", ["../escaped", "a/b", "", ".", "..", "a\\b"],
                              ids=["parent", "nested", "empty", "dot", "dotdot",
@@ -416,6 +423,37 @@ class TestInitialData:
     def test_zero(self):
         x = np.linspace(-1, 1, 11)
         assert not evaluate_initial(InitialData(kind="zero"), x).any()
+
+
+class TestMonomials:
+    def test_equal_monomials_summed_in_listed_order(self):
+        # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit.
+        system = SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0,
+                            f1=(PolyTerm(0.1, 1, 1, 0), PolyTerm(2.0, 3, 0, 0),
+                                PolyTerm(0.2, 1, 1, 0), PolyTerm(0.3, 1, 1, 0)),
+                            g2=(PolyTerm(-1.0, 1, 1, 1),))
+        monomials = system.monomials()
+        assert monomials == {("f1", 1, 1): sum((0.1, 0.2, 0.3)),
+                             ("f1", 3, 0): 2.0, ("g2", 1, 1): -1.0}
+        assert monomials[("f1", 1, 1)] != sum((0.3, 0.2, 0.1))
+        assert list(monomials) == [("f1", 1, 1), ("f1", 3, 0), ("g2", 1, 1)]
+
+    def test_same_shape_in_two_slots_stays_apart(self):
+        system = SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0,
+                            f1=(PolyTerm(1.0, 2, 0, 0),),
+                            f2=(PolyTerm(3.0, 2, 0, 0),),
+                            g1=(PolyTerm(5.0, 2, 0, 1),))
+        assert system.monomials() == {("f1", 2, 0): 1.0, ("f2", 2, 0): 3.0,
+                                      ("g1", 2, 0): 5.0}
+
+    def test_opposite_coefficients_keep_their_key(self):
+        # A cancelled monomial is still listed, with coefficient 0.
+        system = SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0,
+                            f2=(PolyTerm(1.0, 4, 0, 0), PolyTerm(-1.0, 4, 0, 0)))
+        assert system.monomials() == {("f2", 4, 0): 0.0}
+
+    def test_no_terms_give_an_empty_map(self):
+        assert SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0).monomials() == {}
 
 
 class TestPolyTerm:

@@ -286,6 +286,47 @@ def test_no_per_output_branch(path):
     assert output_name_tests(path.read_text(encoding="utf-8"), OUTPUT_RULES) == []
 
 
+SLOT_NAMES = frozenset({"f1", "f2", "g1", "g2"})
+
+
+def slot_convention_restated(source: str) -> list[str]:
+    """Reads of a coupling slot as an attribute (system.f1) and tuple, list
+    or set displays that hold two or more slot names (("f1", "g1")): the
+    convention that core.SLOTS owns, spelled out again. A shape key such as
+    ("f1", 1, 1) names one slot and is allowed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in SLOT_NAMES):
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            names = [elt.value for elt in node.elts
+                     if isinstance(elt, ast.Constant) and elt.value in SLOT_NAMES]
+            if len(names) >= 2:
+                found.append((node.lineno, str(names)))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_slot_checker_catches_a_restated_convention():
+    source = ('own_is_u = slot in ("f1", "g1")\nx = system.g2\n'
+              'for name in ["f1", "f2", "g1", "g2"]:\n    pass\n'
+              'flux = {"g1", 2, "g2"}\nkey = ("f1", 1, 1)\n'
+              'terms = getattr(system, name)\nsystem.f1 = ()\n'
+              'spec = SystemSpec(f1=terms)\nm = {"f1": 0, "g1": 1}\n')
+    assert slot_convention_restated(source) == [
+        "line 1: ['f1', 'g1']", "line 2: .g2",
+        "line 3: ['f1', 'f2', 'g1', 'g2']", "line 5: ['g1', 'g2']"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    path for path in (ROOT / "src/rda").glob("*.py") if path.name != "core.py"),
+    ids=lambda p: p.name)
+def test_slot_convention_has_one_owner(path):
+    # Which component and derivative order each slot has is core.SLOTS'
+    # alone; every coefficient is read through SystemSpec.monomials().
+    assert slot_convention_restated(path.read_text(encoding="utf-8")) == []
+
+
 # The benchmark tracer's lookups that find nothing in the package today.
 # A refactor that moves another traced name adds a line here, or fixes the
 # tracer, instead of letting its layer silently read 0.

@@ -1,15 +1,17 @@
 """Domain types, scenario configuration, validation, and the time grid.
 
 All types are immutable value objects. SLOTS is the one owner of the
-coupling convention, and SystemSpec.monomials the one coefficient extractor.
+coupling convention, SystemSpec.monomials the one coefficient extractor,
+and FIELDS the one owner of the config keys.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +24,10 @@ __all__ = [
     "EnvelopeSpec",
     "InitialData",
     "Scenario",
+    "FIELDS",
+    "KEYS",
+    "NAME",
+    "scenario_from",
     "ValidationReport",
     "validate_scenario",
     "steps",
@@ -31,15 +37,6 @@ __all__ = [
     "parse_expression",
 ]
 
-# The fields each initial-data and envelope kind reads besides kind itself,
-# in serialization order. Config parsing rejects the others and
-# serialization writes exactly these.
-INITIAL_READS = {
-    "gaussian": ("amplitude", "width", "center"),
-    "algebraic": ("amplitude", "power", "center"),
-    "remark51": (), "zero": (), "custom": ("expression",),
-}
-ENVELOPE_READS = {"exponential": ("M",), "algebraic": ("M", "r"), "drag": ("M",)}
 DEFAULT_BLOW_UP_THRESHOLD = 1e8
 
 # Trust-region cutoff: the sup of exponentially weighted fields is only
@@ -160,21 +157,150 @@ class ValidationReport:
         return not self.violations
 
 
-def _check_positive(name: str, value: float, out: list[str]):
-    """Record a violation unless value is finite and > 0; nan fails > 0."""
-    if not (value > 0):
-        out.append(f"{name} > 0 failed")
-    elif not math.isfinite(value):
-        out.append(f"{name} finite failed")
+# ---------------------------------------------------------------------------
+# Config keys
+# ---------------------------------------------------------------------------
+
+_INITIAL_KINDS = ("gaussian", "algebraic", "remark51", "zero", "custom")
+_ENVELOPE_KINDS = ("exponential", "algebraic", "drag")
+# The dataclass behind each Scenario attribute that dotted keys fill, and
+# each dataclass field's default, MISSING where it has none.
+_SECTIONS = {"system": SystemSpec, "grid": Grid, "initial_u": InitialData,
+             "initial_v": InitialData, "envelope": EnvelopeSpec}
+_DEFAULTS = {cls: {f.name: f.default for f in dataclasses.fields(cls)}
+             for cls in (Scenario, *_SECTIONS.values())}
 
 
-def _check_system(spec: SystemSpec, out: list[str]):
-    """Record the violations of the system's coefficients and terms."""
-    for d_name in ("d1", "d2"):
-        _check_positive(d_name, getattr(spec, d_name), out)
-    for c_name in ("c1", "c2"):
-        if not math.isfinite(getattr(spec, c_name)):
-            out.append(f"{c_name} finite failed")
+@dataclass(frozen=True)
+class Field:
+    """One config key: the Scenario attribute it sets (path; a dotted key's
+    section, then the attribute there), the converter of its text, the label
+    that names it in refusals ({value!r} shows the value), the kinds of its
+    section that read it (None: every scenario with the section does) and
+    its own requirements as (predicate, text) pairs. An entry both initial
+    components share writes {c} for the component."""
+    key: str
+    path: tuple[str, ...]
+    convert: Callable[[str], object]
+    label: str
+    reads: Optional[tuple[str, ...]] = None
+    needs: tuple = ()
+
+    def at(self, c: str) -> Field:
+        return dataclasses.replace(
+            self, key=self.key.replace("{c}", c), label=self.label.replace("{c}", c),
+            path=tuple(part.replace("{c}", c) for part in self.path))
+
+    @property
+    def default(self):
+        """The field's dataclass default, or MISSING, which no value equals."""
+        *section, attr = self.path
+        return _DEFAULTS[_SECTIONS[section[0]] if section else Scenario][attr]
+
+    @property
+    def required(self) -> bool:
+        """Every config sets the key: neither its field nor its section has a default."""
+        return self.default is MISSING and _DEFAULTS[Scenario][self.path[0]] is MISSING
+
+    def owner(self, scenario: Scenario):
+        """What holds the field in scenario; None when scenario does not read it."""
+        owner = getattr(scenario, self.path[0]) if len(self.path) > 1 else scenario
+        if owner is None or (self.reads is not None and owner.kind not in self.reads):
+            return None
+        return owner
+
+    def unmet(self, value) -> Optional[str]:
+        """The text of the first requirement value fails, None if it meets all."""
+        return next((text for holds, text in self.needs if not holds(value)), None)
+
+
+_TERM = re.compile(
+    r"^\s*([+-]?\d*\.?\d+(?:[eE][+-]?\d+)?)\s+u\^(\d+)\s+v\^(\d+)(\s+ddx)?\s*$")
+
+
+def _terms(text: str) -> tuple[PolyTerm, ...]:
+    """The terms of a "coeff u^a v^b [ddx], ..." list; a blank list has none."""
+    terms = []
+    for entry in text.split(",") if text.strip() else ():
+        m = _TERM.match(entry)
+        if m is None:
+            raise ValueError(f"bad term {entry.strip()!r} (expected \"coeff u^a v^b [ddx]\")")
+        terms.append(PolyTerm(float(m[1]), int(m[2]), int(m[3]), 1 if m[4] else 0))
+    return tuple(terms)
+
+
+_POSITIVE = ((lambda v: v > 0, "> 0"), (math.isfinite, "finite"))
+_FINITE = ((math.isfinite, "finite"),)
+# A string that a config line holds as it is.
+_ONE_LINE = ((lambda s: "#" not in s and s.splitlines() in ([], [s]) and s == s.strip(),
+              "has no '#', line break or surrounding whitespace"),)
+
+# The scenario's name, and the output directory of a multi-target run.
+NAME = Field("name", ("name",), str, "name {value!r}:", needs=(
+    (lambda s: s not in ("", ".", "..") and "/" not in s and "\\" not in s,
+     "non-empty, not '.' or '..', no '/' or '\\'"), *_ONE_LINE))
+
+# Every config key, in serialization order. Validation reports each read
+# field's first unmet requirement as "{label} {text} failed".
+FIELDS = (
+    NAME,
+    Field("description", ("description",), str, "description", needs=_ONE_LINE),
+    Field("system.d1", ("system", "d1"), float, "d1", needs=_POSITIVE),
+    Field("system.d2", ("system", "d2"), float, "d2", needs=_POSITIVE),
+    Field("system.c1", ("system", "c1"), float, "c1", needs=_FINITE),
+    Field("system.c2", ("system", "c2"), float, "c2", needs=_FINITE),
+    *(Field(f"system.{slot}", ("system", slot), _terms, slot) for slot in SLOTS),
+    Field("grid.L", ("grid", "half_width"), float, "grid half-width", needs=_POSITIVE),
+    Field("grid.n", ("grid", "n"), int, "grid n", needs=(
+        (lambda n: n >= 64 and (n & (n - 1)) == 0, "= power of two >= 64"),)),
+    Field("time.dt", ("dt",), float, "dt"),
+    Field("time.t_end", ("t_end",), float, "t_end"),
+    Field("time.sample_dt", ("sample_dt",), float, "sample_dt",
+          needs=((lambda v: v > 0, "> 0"),)),
+    Field("initial.{c}.kind", ("initial_{c}", "kind"), str, "initial.{c}: kind {value!r}",
+          needs=((lambda kind: kind in _INITIAL_KINDS, f"in {_INITIAL_KINDS}"),)),
+    Field("initial.{c}.amplitude", ("initial_{c}", "amplitude"), float,
+          "initial.{c}: amplitude", ("gaussian", "algebraic"), _FINITE),
+    Field("initial.{c}.width", ("initial_{c}", "width"), float,
+          "initial.{c}: width", ("gaussian",), _POSITIVE),
+    Field("initial.{c}.power", ("initial_{c}", "power"), float,
+          "initial.{c}: power", ("algebraic",), _POSITIVE),
+    Field("initial.{c}.center", ("initial_{c}", "center"), float,
+          "initial.{c}: center", ("gaussian", "algebraic"), _FINITE),
+    Field("initial.{c}.expression", ("initial_{c}", "expression"), str,
+          "initial.{c}: expression", ("custom",), _ONE_LINE),
+    Field("envelope.kind", ("envelope", "kind"), str, "envelope kind {value!r}",
+          needs=((lambda kind: kind in _ENVELOPE_KINDS, f"in {_ENVELOPE_KINDS}"),)),
+    Field("envelope.M", ("envelope", "M"), float, "envelope M", _ENVELOPE_KINDS, _POSITIVE),
+    Field("envelope.r", ("envelope", "r"), float, "envelope r", ("algebraic",),
+          ((lambda v: v >= 3, ">= 3"), (math.isfinite, "finite"))),
+    Field("outputs", ("outputs",),
+          lambda text: tuple(name.strip() for name in text.split(",") if name.strip()),
+          "outputs"),
+    Field("blow_up_threshold", ("blow_up_threshold",), float, "blow_up_threshold",
+          needs=_POSITIVE),
+)
+# {key: Field} of every config key in serialization order: the run of
+# entries both components share comes once for u, then once for v.
+_SHARED = [entry for entry in FIELDS if "{c}" in entry.key]
+KEYS = {entry.key: entry for entry in (
+    *FIELDS[:FIELDS.index(_SHARED[0])], *(entry.at(c) for c in "uv" for entry in _SHARED),
+    *FIELDS[FIELDS.index(_SHARED[-1]) + 1:])}
+
+
+def scenario_from(values: dict[tuple[str, ...], object]) -> Scenario:
+    """The Scenario with the value at each path of values and defaults
+    elsewhere; a section no path names is None if that is its default."""
+    top = {path[0]: value for path, value in values.items() if len(path) == 1}
+    for section, cls in _SECTIONS.items():
+        given = {path[1]: value for path, value in values.items() if path[0] == section}
+        if given or _DEFAULTS[Scenario][section] is MISSING:
+            top[section] = cls(**given)
+    return Scenario(**top)
+
+
+def _check_terms(spec: SystemSpec, out: list[str]):
+    """Record the violations of the system's terms."""
     for name, term in spec.all_terms():
         if term.alpha < 0 or term.beta < 0:
             out.append(f"{name}: alpha, beta >= 0 failed for {term}")
@@ -228,6 +354,35 @@ def sample_times(scenario: Scenario) -> np.ndarray:
         scenario.t_end, scenario.dt, scenario.sample_dt) if sampled)])
 
 
+def _m_floor(sc: Scenario) -> Optional[str]:
+    m0 = max(16.0 * sc.system.d1, 16.0 * sc.system.d2, 1.0)
+    if sc.envelope.kind in ("exponential", "drag") and sc.envelope.M < m0:
+        return f"envelope M >= max(16 d1, 16 d2, 1) = {m0} failed"
+    return None
+
+
+# The requirements that relate fields, as (the keys a check reads, the
+# check, which returns its refusal or None). A check runs once the scenario
+# reads its keys and they met their own requirements and every earlier
+# check's; a refusal fails its keys. validate_scenario checks the initial
+# data on the grid last.
+RELATIONS = (
+    (("time.dt", "time.t_end"), lambda sc: "0 < dt < t_end failed"
+     if not 0 < sc.dt < sc.t_end else None),
+    (("time.dt", "time.t_end"), lambda sc: "t_end = whole number of dt steps failed"
+     if not _whole_steps(sc.t_end, sc.dt) else None),
+    (("time.dt", "time.sample_dt"), lambda sc: "sample_dt = whole multiple of dt failed"
+     if not _whole_steps(sc.sample_dt, sc.dt) else None),
+    # dt*max|c|/dx <= 10, multiplied out so that no dx divides.
+    (("time.dt", "grid.L", "grid.n", "system.c1", "system.c2"),
+     lambda sc: "dt*max|c|/dx <= 10 failed"
+     if sc.dt * max(abs(sc.system.c1), abs(sc.system.c2)) > 10.0 * sc.grid.dx else None),
+    (("envelope.kind", "system.c1", "system.c2"), lambda sc: "drag envelope requires c1 != c2"
+     if sc.envelope.kind == "drag" and sc.system.c1 == sc.system.c2 else None),
+    # An infinite d1 or d2 gives an infinite floor, which is reported too.
+    (("envelope.kind", "envelope.M"), _m_floor),
+)
+
 # The largest |initial value| at the box edge, relative to the maximum, that
 # validate_scenario accepts. Every builtin reads at most 2.8e-8; algebraic
 # power-3 data on a half-width of 60 reads 61^-3 = 4.4e-6.
@@ -235,91 +390,58 @@ _EDGE_RATIO = 1e-5
 
 
 def validate_scenario(scenario: Scenario) -> ValidationReport:
-    """Validate a full Scenario: system invariants, grid/time sanity, and,
-    once these hold, what each requested output requires of its initial
-    fields and sample times (analysis.output_violations).
+    """Validate a full Scenario: each field it reads against its entry in
+    FIELDS, the system's terms, the RELATIONS, the initial data on the grid
+    and, once these hold, what each requested output requires of its
+    initial fields and sample times (analysis.output_violations).
 
     Never raises: every float, nan and infinities included, is either
     accepted or reported as a violation. The wraparound warning and the
     initial fields are only worked out for a scenario without violations.
     """
     violations: list[str] = []
-    name = scenario.name  # the output directory of a multi-target run
-    if name in ("", ".", "..") or "/" in name or "\\" in name:
-        violations.append(
-            f"name {name!r}: non-empty, not '.' or '..', no '/' or '\\' failed")
-    _check_system(scenario.system, violations)
-    warnings: list[str] = []
-    grid = scenario.grid
-    _check_positive("grid half-width", grid.half_width, violations)
-    if grid.n < 64 or (grid.n & (grid.n - 1)) != 0:
-        violations.append("grid n must be a power of two >= 64")
-    grid_ok = grid.n >= 64 and 0 < grid.half_width < math.inf
-    if not (0 < scenario.dt < scenario.t_end):
-        violations.append("0 < dt < t_end failed")
-    elif not _whole_steps(scenario.t_end, scenario.dt):
-        violations.append("t_end = whole number of dt steps failed")
-    if scenario.sample_dt <= 0:
-        violations.append("sample_dt > 0 failed")
-    elif scenario.dt > 0 and not _whole_steps(scenario.sample_dt, scenario.dt):
-        violations.append("sample_dt = whole multiple of dt failed")
-    cmax = max(abs(scenario.system.c1), abs(scenario.system.c2))
-    # dt*max|c|/dx <= 10, multiplied out so that no dx divides.
-    if grid_ok and scenario.dt * cmax > 10.0 * grid.dx:
-        violations.append("dt*max|c|/dx <= 10 failed")
-    _check_positive("blow_up_threshold", scenario.blow_up_threshold, violations)
-    env = scenario.envelope
-    if env is not None:
-        if env.kind not in ENVELOPE_READS:
-            violations.append(f"unknown envelope kind {env.kind!r}")
-        if env.kind == "drag" and scenario.system.c1 == scenario.system.c2:
-            violations.append("drag envelope requires c1 != c2")
-        before = len(violations)
-        _check_positive("envelope M", env.M, violations)
-        if len(violations) == before and env.kind in ("exponential", "drag"):
-            m0 = max(16.0 * scenario.system.d1, 16.0 * scenario.system.d2, 1.0)
-            if env.M < m0:
-                violations.append(f"envelope M >= max(16 d1, 16 d2, 1) = {m0} failed")
-        if not (env.r >= 3):
-            violations.append("envelope r >= 3 failed")
-        elif not math.isfinite(env.r):
-            violations.append("envelope r finite failed")
+    read, passed = set(), set()
+    for key, entry in KEYS.items():
+        if (owner := entry.owner(scenario)) is None:
+            continue
+        read.add(key)
+        value = getattr(owner, entry.path[-1])
+        if (unmet := entry.unmet(value)) is None:
+            passed.add(key)
+        else:
+            violations.append(f"{entry.label.format(value=value)} {unmet} failed")
+    _check_terms(scenario.system, violations)
+    for reads, check in RELATIONS:
+        if passed.issuperset(reads) and (refusal := check(scenario)) is not None:
+            violations.append(refusal)
+            passed.difference_update(reads)
     fields = []
-    for label, init in (("initial.u", scenario.initial_u), ("initial.v", scenario.initial_v)):
-        before = len(violations)
-        if init.kind not in INITIAL_READS:
-            violations.append(f"{label}: unknown kind {init.kind!r}")
-        elif init.kind == "custom":
-            try:
-                parse_expression(init.expression)
-            except ValueError as exc:
-                violations.append(f"{label}: {exc}")
-        elif init.kind == "gaussian":
-            _check_positive(f"{label}: width", init.width, violations)
-        elif init.kind == "algebraic":
-            _check_positive(f"{label}: power", init.power, violations)
-        if not math.isfinite(init.amplitude):
-            violations.append(f"{label}: finite amplitude failed")
-        if len(violations) == before and grid_ok:
+    for c in "uv":
+        label, init = f"initial.{c}", getattr(scenario, f"initial_{c}")
+        if any(key.startswith((f"{label}.", "grid.")) for key in read - passed):
+            continue
+        try:
             # A pole or overflow on a grid point would otherwise be reported
             # as blow-up at the first step.
             with np.errstate(all="ignore"):
-                values = evaluate_initial(init, grid.points())
-            if not np.all(np.isfinite(values)):
-                violations.append(f"{label}: finite values on the grid failed")
-                continue
-            peak = np.max(np.abs(values))
-            if max(abs(values[0]), abs(values[-1])) > _EDGE_RATIO * peak:
-                # Data cut off at the box edge has a jump there once the
-                # grid is made periodic.
-                violations.append(
-                    f"{label}: |value at the box edge| <= {_EDGE_RATIO:g} "
-                    "max|value| failed")
-            if 0 < scenario.blow_up_threshold <= peak:
-                # The blow-up guard would flag the first step, and the
-                # input would be reported as a blow-up at t = 0.
-                violations.append(f"{label}: max|value| < blow_up_threshold failed")
-            fields.append(values)
+                values = evaluate_initial(init, scenario.grid.points())
+        except ValueError as exc:  # a custom expression that does not parse
+            violations.append(f"{label}: {exc}")
+            continue
+        if not np.all(np.isfinite(values)):
+            violations.append(f"{label}: finite values on the grid failed")
+            continue
+        peak = np.max(np.abs(values))
+        if max(abs(values[0]), abs(values[-1])) > _EDGE_RATIO * peak:
+            # Data cut off at the box edge has a jump there once the grid is
+            # made periodic.
+            violations.append(f"{label}: |value at the box edge| <= {_EDGE_RATIO:g} "
+                              "max|value| failed")
+        if 0 < scenario.blow_up_threshold <= peak:
+            # The blow-up guard would flag the first step, and the input
+            # would be reported as a blow-up at t = 0.
+            violations.append(f"{label}: max|value| < blow_up_threshold failed")
+        fields.append(values)
     initial = None
     if not violations:
         # A valid scenario has a valid grid and both data, so both were evaluated.
@@ -327,8 +449,9 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         initial.flags.writeable = False
     from .analysis import output_violations  # analysis imports this module
     violations += output_violations(scenario, initial)
+    env, warnings = scenario.envelope, []
     if env is not None and not violations and wraparound_budget(
-            grid, scenario.system, scenario.t_end, env.M) > 1.0:
+            scenario.grid, scenario.system, scenario.t_end, env.M) > 1.0:
         warnings.append(
             "wraparound budget exceeded: envelope checks unreliable past the "
             "time where frame drift plus the trust radius reaches the "

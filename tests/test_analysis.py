@@ -242,7 +242,8 @@ class TestEnvelopes:
         env = EnvelopeSpec(kind="normal-form", M=16.0)
         scenario = get_scenario("toy")
         report = validate_scenario(dataclasses.replace(scenario, envelope=env))
-        assert report.violations == ("unknown envelope kind 'normal-form'",)
+        assert report.violations == (
+            "envelope kind 'normal-form' in ('exponential', 'algebraic', 'drag') failed",)
         hist = _history_exponential(self.grid, self.system, 16.0, 0.01,
                                     np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="has no evaluator"):

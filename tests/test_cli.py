@@ -414,7 +414,7 @@ class TestMain:
            "outputs = trajectory, lower_bounds")),
          f"{_GROWTH_SYSTEM_REQUIRED}; {_GAUSSIAN_U_REQUIRED}"),
         ((("envelope.kind = exponential", "envelope.kind = normal-form"),),
-         "unknown envelope kind 'normal-form'"),
+         "envelope kind 'normal-form' in ('exponential', 'algebraic', 'drag') failed"),
         ((("envelope.kind = exponential", "envelope.kind = drag"),
           ("system.c2 = 1.0", "system.c2 = 0.0")),
          "drag envelope requires c1 != c2"),

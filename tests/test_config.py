@@ -1,14 +1,24 @@
 """Scenario config parsing, serialization round-trips, and error reporting."""
 
-import pytest
+import contextlib
+import dataclasses
+import re
+from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rda.analysis import OUTPUT_RULES
 from rda.config import (
     ConfigError,
     parse_scenario,
     parse_scenario_text,
     serialize_scenario,
 )
-from rda.core import validate_scenario
+from rda.core import (FIELDS, KEYS, SLOTS, InitialData, PolyTerm, parse_expression,
+                      scenario_from, validate_scenario)
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 
 MINIMAL = """\
@@ -67,7 +77,8 @@ def test_duplicate_key_reports_line():
 def test_bad_term_reports_line_and_key():
     text = MINIMAL.replace("system.f1 = 1.0 u^1 v^1",
                            "system.f1 = u squared")
-    with pytest.raises(ConfigError, match=r"line 6: bad term .* in system.f1"):
+    with pytest.raises(ConfigError,
+                       match=r"line 6: bad value for 'system.f1': bad term 'u squared'"):
         parse_scenario_text(text)
 
 
@@ -156,3 +167,102 @@ def test_keys_the_kind_reads_are_kept():
     assert scenario.initial_v.expression == "0.001*exp(-x^2)"
     assert (scenario.envelope.M, scenario.envelope.r) == (2.0, 4.0)
     assert parse_scenario_text(serialize_scenario(scenario)) == scenario
+
+
+def test_numbers_of_any_type_serialize_as_their_fields_read_them():
+    # A library caller may pass an int or a numpy scalar for a float field.
+    scenario = get_scenario("cas3-stable")
+    typed = dataclasses.replace(
+        scenario, dt=np.float64(scenario.dt), t_end=int(scenario.t_end),
+        grid=dataclasses.replace(scenario.grid, n=np.int64(scenario.grid.n)))
+    assert serialize_scenario(typed) == serialize_scenario(scenario)
+
+
+_ONE_LINE = "has no '#', line break or surrounding whitespace failed"
+
+
+@pytest.mark.parametrize("changes,message", [
+    (dict(name="a#b"), f"name 'a#b': {_ONE_LINE}"),
+    (dict(description="a # b"), f"description {_ONE_LINE}"),
+    (dict(description="  lead"), f"description {_ONE_LINE}"),
+    (dict(description="two\nlines"), f"description {_ONE_LINE}"),
+    (dict(initial_u=InitialData(kind="custom", expression="1e-3*exp(-x^2)\n*2")),
+     f"initial.u: expression {_ONE_LINE}"),
+], ids=["hash_in_name", "hash_in_description", "leading_whitespace",
+        "line_break_in_description", "line_break_in_expression"])
+def test_string_a_config_line_cannot_hold_is_refused(changes, message):
+    scenario = dataclasses.replace(get_scenario("cas3-stable"), **changes)
+    assert validate_scenario(scenario).violations == (message,)
+    # Written out anyway, it parses to another scenario or not at all: "a#b"
+    # comes back as "a", "  lead" as "lead", and a line break splits the line.
+    with contextlib.suppress(ConfigError):
+        assert parse_scenario_text(serialize_scenario(scenario)) != scenario
+
+
+def test_expression_with_a_line_break_parses():
+    # The grammar skips whitespace, line breaks included, so only the
+    # table's one-line requirement refuses such an expression.
+    assert parse_expression("1e-3*exp(-x^2)\n*2")(0.0) == 2e-3
+
+
+# Boundary values first, then anything a field's own requirements accept.
+_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 3.0, 16.0]),
+                    st.floats(allow_nan=False))
+_STRINGS = st.one_of(
+    st.sampled_from(["a", "a#b", "a # b", "  lead", "trail ", "two\nlines", "a\r\nb",
+                     "a=b", "a  b", "..a", "1e-3*exp(-x^2)"]),
+    st.text(st.characters(codec="utf-8"), max_size=8))
+_KINDS = st.sampled_from(["gaussian", "algebraic", "remark51", "zero", "custom",
+                          "exponential", "drag"])
+
+
+def _domain(key, entry):
+    """The values of key's field that meet the field's own requirements."""
+    if key.endswith(".kind"):
+        values = _KINDS
+    elif entry.convert is float:
+        values = _FLOATS
+    elif entry.convert is str:
+        values = _STRINGS
+    elif entry.convert is int:
+        values = st.integers(0, 40).map(lambda k: 1 << k)
+    elif key == "outputs":
+        values = st.lists(st.sampled_from(sorted(OUTPUT_RULES)), max_size=3).map(tuple)
+    else:  # a coupling slot's terms
+        values = st.lists(st.builds(
+            PolyTerm, st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(0, 5), st.integers(0, 5), st.just(SLOTS[entry.path[1]][1])),
+            max_size=3).map(tuple)
+    return values.filter(lambda value: entry.unmet(value) is None)
+
+
+_DOMAINS = {key: _domain(key, entry) for key, entry in KEYS.items()}
+
+
+@st.composite
+def _scenarios(draw):
+    """A scenario with each key its kinds read drawn from the key's domain,
+    with or without an envelope, and every other field at its default."""
+    values = {}
+    for key, entry in KEYS.items():
+        kind = values.get((*entry.path[:-1], "kind"))
+        if (key == "envelope.kind" and draw(st.booleans())) or (
+                entry.reads is not None and kind not in entry.reads):
+            continue
+        values[entry.path] = draw(_DOMAINS[key])
+    return scenario_from(values)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_scenarios())
+def test_generated_scenarios_round_trip(scenario):
+    text = serialize_scenario(scenario)
+    assert parse_scenario_text(text) == scenario
+    assert serialize_scenario(parse_scenario_text(text)) == text
+
+
+def test_readme_key_reference_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    assert re.findall(r"^\| `([^`]+)` \|", section, flags=re.M) == [
+        entry.key for entry in FIELDS]

@@ -81,12 +81,16 @@ class TestValidateScenario:
         report = validate_scenario(make_scenario(t_end=1.0, dt=0.3))
         assert "t_end = whole number of dt steps failed" in report.violations
 
-    @pytest.mark.parametrize("sample_dt", [0.004, 0.015, float("nan")])
-    def test_sample_dt_not_whole_multiple_of_dt(self, sample_dt):
+    @pytest.mark.parametrize("sample_dt,message", [
+        (0.004, "sample_dt = whole multiple of dt failed"),
+        (0.015, "sample_dt = whole multiple of dt failed"),
+        (float("nan"), "sample_dt > 0 failed")], ids=["0.004", "0.015", "nan"])
+    def test_sample_dt_not_whole_multiple_of_dt(self, sample_dt, message):
         # sample_dt < dt would silently sample every step, 0.015 every
-        # other step, and NaN passes the sample_dt > 0 check.
+        # other step, and NaN fails the field's own sample_dt > 0 before
+        # the whole-multiple relation sees it.
         report = validate_scenario(make_scenario(dt=0.01, sample_dt=sample_dt))
-        assert "sample_dt = whole multiple of dt failed" in report.violations
+        assert message in report.violations
 
     def test_envelope_m_floor(self):
         bad = make_scenario(envelope=EnvelopeSpec(kind="exponential", M=2.0))
@@ -271,10 +275,22 @@ class TestValidateScenario:
     @pytest.mark.parametrize("kind,name", [("gaussian", "power"),
                                            ("algebraic", "width"),
                                            ("zero", "width"),
-                                           ("remark51", "power")])
+                                           ("remark51", "power"),
+                                           ("zero", "amplitude"),
+                                           ("remark51", "amplitude"),
+                                           ("custom", "amplitude"),
+                                           ("exponential", "r"),
+                                           ("drag", "r")])
     def test_shape_parameter_checked_only_where_read(self, kind, name):
-        init = InitialData(kind=kind, amplitude=1e-3, **{name: -1.0})
-        assert validate_scenario(make_scenario(initial_u=init)).violations == ()
+        # NaN fails every requirement a shape field has (> 0, >= 3, finite),
+        # and only the kinds that read the field check it.
+        if name == "r":
+            scenario = make_scenario(envelope=EnvelopeSpec(kind=kind, r=math.nan))
+        else:
+            scenario = make_scenario(initial_u=InitialData(**{
+                "kind": kind, "amplitude": 1e-3, "expression": "1e-3*exp(-x^2)",
+                name: math.nan}))
+        assert validate_scenario(scenario).violations == ()
 
     @pytest.mark.parametrize("field", [
         "t_end", "dt", "sample_dt", "blow_up_threshold", "system.d1",

@@ -327,6 +327,40 @@ def test_slot_convention_has_one_owner(path):
     assert slot_convention_restated(path.read_text(encoding="utf-8")) == []
 
 
+def config_key_constants(source: str, keys) -> list[str]:
+    """String constants equal to a config key: a key that core.FIELDS owns,
+    spelled out again."""
+    return [f"line {node.lineno}: {node.value!r}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in keys]
+
+
+def test_config_key_checker_catches_a_planted_key():
+    source = ('value = pairs["time.dt"]\nline = "time.dt = 0.01"\n'
+              'key = prefix + "dt"\nif key in ("grid.L", "grid.n"):\n    pass\n')
+    assert config_key_constants(source, {"time.dt", "grid.L", "grid.n"}) == [
+        "line 1: 'time.dt'", "line 4: 'grid.L'", "line 4: 'grid.n'"]
+
+
+# Strings that equal a config key by coincidence, by module: the first
+# column of verdicts.csv is a verdict row's name.
+NOT_CONFIG_KEYS = {"cli.py": {"'name'"}}
+
+
+@pytest.mark.parametrize("path", sorted(
+    path for path in (ROOT / "src/rda").glob("*.py") if path.name != "core.py"),
+    ids=lambda p: p.name)
+def test_config_keys_have_one_owner(path):
+    # Every key, its field, converter, kinds and requirements live in one
+    # entry of core.FIELDS; config parses and serializes through core.KEYS.
+    from rda.core import FIELDS, KEYS
+
+    found = config_key_constants(path.read_text(encoding="utf-8"),
+                                 {*KEYS, *(entry.key for entry in FIELDS)})
+    allowed = NOT_CONFIG_KEYS.get(path.name, set())
+    assert [f for f in found if f.partition(": ")[2] not in allowed] == []
+
+
 # The benchmark tracer's lookups that find nothing in the package today.
 # A refactor that moves another traced name adds a line here, or fixes the
 # tracer, instead of letting its layer silently read 0.

@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import erf, stdtrit
 
 from . import kernels
+from ._scipy_ext import load_extension
 from .core import (
     SLOTS,
     EnvelopeSpec,
@@ -36,6 +36,10 @@ from .core import (
 )
 from .kernels import drag_weight_profile
 
+# The same ufunc as scipy.special.erf, loaded without the scipy.special
+# package (about 0.27 s of import); see kernels for erfcx and gamma.
+erf = load_extension("scipy.special._special_ufuncs").erf
+
 __all__ = [
     "Category",
     "classify_term",
@@ -45,6 +49,7 @@ __all__ = [
     "Envelope",
     "EnvelopeVerdict",
     "envelope_verdict",
+    "DecayFit",
     "fit_decay_exponent",
     "LowerBoundCurve",
     "cas2_lower_bounds",
@@ -291,12 +296,32 @@ def envelope_verdict(times: np.ndarray, eta: np.ndarray) -> EnvelopeVerdict:
 # Decay exponent
 # ---------------------------------------------------------------------------
 
+class DecayFit(NamedTuple):
+    """A decay fit: the slope, its standard error and the residual degrees
+    of freedom."""
+
+    exponent: float
+    stderr: float
+    dof: int
+
+    @property
+    def half_width(self) -> float:
+        """The 95% confidence half-width of the exponent.
+
+        The Student-t quantile lives only in the scipy.special package,
+        so the first read imports it (about 0.27 s); the verdicts do not
+        read it.
+        """
+        from scipy.special import stdtrit
+
+        return float(stdtrit(self.dof, 0.975)) * self.stderr
+
+
 def fit_decay_exponent(times: np.ndarray, values: np.ndarray,
-                       t_min: float) -> tuple[float, float]:
+                       t_min: float) -> DecayFit:
     """Least-squares slope of log(value) against log(1+t) for t >= t_min.
 
-    Returns (exponent, 95% confidence half-width). Requires at least 8
-    samples past t_min with strictly positive values.
+    Requires at least 8 samples past t_min with strictly positive values.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -310,14 +335,12 @@ def fit_decay_exponent(times: np.ndarray, values: np.ndarray,
     Y = np.log(y)
     A = np.column_stack([X, np.ones_like(X)])
     coef, _, _, _ = np.linalg.lstsq(A, Y, rcond=None)
-    slope = float(coef[0])
     resid = Y - A @ coef
     dof = len(t) - 2
     s2 = float(resid @ resid) / dof
     sxx = float(np.sum((X - X.mean()) ** 2))
     stderr = math.sqrt(s2 / sxx) if sxx > 0 else math.inf
-    half_width = float(stdtrit(dof, 0.975)) * stderr
-    return slope, half_width
+    return DecayFit(float(coef[0]), stderr, dof)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +462,7 @@ def _decay_t_min(times: np.ndarray) -> float:
 
 
 def _judge_decay(scenario: Scenario, run):
-    exponent, _ = fit_decay_exponent(run.times, run.sup, _decay_t_min(run.times))
+    exponent = fit_decay_exponent(run.times, run.sup, _decay_t_min(run.times)).exponent
     return [(exponent <= -0.4, exponent)], None
 
 

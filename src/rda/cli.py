@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import concurrent.futures
 import csv
 import functools
 import math
@@ -151,6 +150,10 @@ def _cmd_run(args) -> int:
     # The pool starts all its workers at once: ask for no more than needed.
     workers = min(args.jobs, len(jobs))
     if workers > 1:
+        # Imported here: concurrent.futures loads logging with it, which
+        # every other command would pay for at startup.
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_experiment, *job) for job in jobs]
             errors = [_error_of(future.result) for future in futures]

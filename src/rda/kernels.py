@@ -23,9 +23,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx, gamma
 
 from ._scipy_ext import load_extension
+
+# scipy.special's own ufuncs, loaded without importing the package.
+_special = load_extension("scipy.special._special_ufuncs")
+erfcx, gamma = _special.erfcx, _special.gamma
 
 __all__ = [
     "IdentityReport",

@@ -85,7 +85,7 @@ def test_criterion_3_decay_exponent(toy_run):
     scenario, result = toy_run
     times, linf_u, _, _, _ = history_norms(result.times, result.fields,
                                            scenario.grid.dx)
-    exponent, _ = fit_decay_exponent(times, linf_u, t_min=5.0)
+    exponent = fit_decay_exponent(times, linf_u, t_min=5.0).exponent
     assert exponent == pytest.approx(-0.5, abs=0.1)
 
 
@@ -120,7 +120,7 @@ def test_criterion_4_both_components_decay(thm2_run):
     times, linf_u, linf_v, _, _ = history_norms(result.times, result.fields,
                                                 scenario.grid.dx)
     for series in (linf_u, linf_v):
-        exponent, _ = fit_decay_exponent(times, series, t_min=10.0)
+        exponent = fit_decay_exponent(times, series, t_min=10.0).exponent
         assert exponent <= -0.4
 
 
@@ -147,8 +147,8 @@ def test_criterion_5_l1_growth_exponent(cas2_distinct_run):
     scenario, result = cas2_distinct_run
     times, _, _, l1_u, l1_v = history_norms(result.times, result.fields,
                                             scenario.grid.dx)
-    exponent, _ = fit_decay_exponent(times, l1_u + l1_v,
-                                     t_min=times[-1] / 10.0)
+    exponent = fit_decay_exponent(times, l1_u + l1_v,
+                                  t_min=times[-1] / 10.0).exponent
     assert exponent >= 0.8
 
 
@@ -185,7 +185,7 @@ def test_criterion_6_decay_exponent(cas3_run):
     scenario, result = cas3_run
     times, linf_u, _, _, _ = history_norms(result.times, result.fields,
                                            scenario.grid.dx)
-    exponent, _ = fit_decay_exponent(times, linf_u, t_min=10.0)
+    exponent = fit_decay_exponent(times, linf_u, t_min=10.0).exponent
     assert exponent == pytest.approx(-0.5, abs=0.15)
 
 
@@ -371,9 +371,9 @@ class TestProperty7FitExactness:
     def test_power_law_recovered(self, exponent, prefactor, t_max, samples):
         t = np.linspace(1.0, t_max, samples)
         values = prefactor * (1.0 + t) ** exponent
-        fitted, half_width = fit_decay_exponent(t, values, t_min=1.0)
-        assert fitted == pytest.approx(exponent, abs=1e-10)
-        assert half_width <= 1e-8
+        fit = fit_decay_exponent(t, values, t_min=1.0)
+        assert fit.exponent == pytest.approx(exponent, abs=1e-10)
+        assert fit.half_width <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -337,15 +337,19 @@ class TestEnvelopes:
 
 class TestDecayFit:
     def test_pure_power_law_recovered_exactly(self):
+        # An exact power law leaves no residual: n samples, n - 2 degrees
+        # of freedom, and no scatter.
         t = np.linspace(1.0, 100.0, 50)
-        exponent, half_width = fit_decay_exponent(t, (1 + t) ** -0.5, t_min=1.0)
-        assert exponent == pytest.approx(-0.5, abs=1e-13)
-        assert half_width < 1e-12
+        fit = fit_decay_exponent(t, (1 + t) ** -0.5, t_min=1.0)
+        assert fit.exponent == pytest.approx(-0.5, abs=1e-13)
+        assert fit.dof == len(t) - 2
+        assert fit.stderr == pytest.approx(0.0, abs=1e-12)
+        assert fit.half_width < 1e-12
 
     def test_amplitude_prefactor_does_not_bias_slope(self):
         t = np.linspace(1.0, 100.0, 80)
-        exponent, _ = fit_decay_exponent(t, 7.3 * (1 + t) ** -1.25, t_min=5.0)
-        assert exponent == pytest.approx(-1.25, abs=1e-12)
+        fit = fit_decay_exponent(t, 7.3 * (1 + t) ** -1.25, t_min=5.0)
+        assert fit.exponent == pytest.approx(-1.25, abs=1e-12)
 
     def test_half_width_is_the_student_t_interval(self):
         # 95% half-width of the slope: linregress's standard error times the
@@ -353,12 +357,14 @@ class TestDecayFit:
         rng = np.random.default_rng(3)
         t = np.linspace(5.0, 200.0, 40)
         y = 2.0 * (1 + t) ** -0.6 * np.exp(0.05 * rng.standard_normal(len(t)))
-        exponent, half_width = fit_decay_exponent(t, y, t_min=5.0)
-        fit = stats.linregress(np.log1p(t), np.log(y))
-        assert exponent == pytest.approx(fit.slope, rel=1e-12)
-        assert half_width == pytest.approx(
-            fit.stderr * stats.t.ppf(0.975, len(t) - 2), rel=1e-12)
-        assert half_width > 0.0
+        fit = fit_decay_exponent(t, y, t_min=5.0)
+        reference = stats.linregress(np.log1p(t), np.log(y))
+        assert fit.exponent == pytest.approx(reference.slope, rel=1e-12)
+        assert fit.stderr == pytest.approx(reference.stderr, rel=1e-12)
+        assert fit.dof == len(t) - 2
+        assert fit.half_width == pytest.approx(
+            reference.stderr * stats.t.ppf(0.975, len(t) - 2), rel=1e-12)
+        assert fit.half_width > 0.0
 
     def test_too_few_samples(self):
         t = np.linspace(1.0, 2.0, 5)

@@ -98,7 +98,9 @@ def inline_pool(monkeypatch):
                 future.set_exception(exc)
             return future
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    # cli imports the pool module where it starts a pool, and reads the
+    # class from it there.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes
 
 

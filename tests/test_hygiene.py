@@ -107,52 +107,76 @@ def test_every_export_has_a_product_reader(module):
 
 
 # Each costs startup time and memory that rda never uses: scipy.integrate
-# alone, with the rest it loads, is a quarter of both. rda loads the two
-# compiled modules it calls, QUADPACK and pocketfft, without their packages.
+# alone, with the rest it loads, is a quarter of both, and scipy.special
+# is 0.27 s of import. rda loads the compiled modules it calls, QUADPACK,
+# pocketfft and scipy.special's ufuncs, without their packages.
 HEAVY = ["scipy.stats", "scipy.fft", "scipy.integrate", "scipy.optimize",
-         "scipy.sparse", "scipy.linalg"]
+         "scipy.sparse", "scipy.linalg", "scipy.special"]
 QUADPACK = "scipy.integrate._quadpack"
+# Only rda run --jobs N with N > 1 starts a process pool.
+POOL = "concurrent.futures"
+STEPS = ["import", "list", "classify", "run", "run decay", "verify-identities"]
 
 
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
-    """The HEAVY modules, and QUADPACK, that a fresh interpreter holds after
-    each step: import rda.cli, rda run of two scenarios that between them
-    read lower bounds, the drag envelope and the exact error, rda
-    verify-identities, and last, as the control, import scipy.integrate."""
+    """The HEAVY modules, QUADPACK and the pool module that a fresh
+    interpreter holds after each step: import rda.cli, rda list, rda
+    classify toy, rda run --jobs 1 of two scenarios that between them read
+    lower bounds, the drag envelope and the exact error, rda run --jobs 1
+    of a small config that fits a decay exponent, rda verify-identities,
+    and last, as the control, import scipy.integrate."""
+    from test_cli import FAST_CONFIG
+
+    out = tmp_path_factory.mktemp("out")
+    (out / "fast.cfg").write_text(FAST_CONFIG, encoding="utf-8")
     src = str(Path(rda.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = f"""if True:
         import json, sys
+        from pathlib import Path
         import rda.cli
+        out = Path(sys.argv[1])
         def seen():
-            return [name for name in {[*HEAVY, QUADPACK]!r} if name in sys.modules]
+            return [name for name in {[*HEAVY, QUADPACK, POOL]!r}
+                    if name in sys.modules]
         steps = {{"import": seen()}}
-        assert rda.cli.main(["run", "cas2-equal", "remark51-exact",
-                             "--out", sys.argv[1]]) == 0
-        steps["run"] = seen()
-        assert rda.cli.main(["verify-identities"]) == 0
-        steps["verify-identities"] = seen()
+        for step, argv in [
+                ("list", ["list"]),
+                ("classify", ["classify", "toy"]),
+                ("run", ["run", "cas2-equal", "remark51-exact",
+                         "--out", str(out / "run"), "--jobs", "1"]),
+                ("run decay", ["run", str(out / "fast.cfg"),
+                               "--out", str(out / "fast"), "--jobs", "1"]),
+                ("verify-identities", ["verify-identities"])]:
+            assert rda.cli.main(argv) == 0, step
+            steps[step] = seen()
+        assert "decay_exponent" in (out / "fast" / "verdicts.csv").read_text()
         import scipy.integrate
         steps["import scipy.integrate"] = seen()
         print(json.dumps(steps))
         """
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path_factory.mktemp("out"))],
-        env=env, check=True, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, str(out)],
+                          env=env, check=True, capture_output=True, text=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("module", HEAVY)
-@pytest.mark.parametrize("step", ["import", "run", "verify-identities"])
+@pytest.mark.parametrize("step", STEPS)
 def test_cli_leaves_out_heavy_scipy(loaded, step, module):
     assert module not in loaded[step]
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_cli_leaves_out_the_process_pool(loaded, step):
+    assert POOL not in loaded[step]
 
 
 def test_verify_identities_loads_quadpack(loaded):
     # Only the suite integrates, so only it loads QUADPACK.
     assert QUADPACK not in loaded["run"]
+    assert QUADPACK not in loaded["run decay"]
     assert QUADPACK in loaded["verify-identities"]
 
 
@@ -161,7 +185,19 @@ def test_control_import_is_seen(loaded):
     # with what it loads.
     assert set(loaded["import scipy.integrate"]) >= {
         "scipy.fft", "scipy.integrate", "scipy.optimize", "scipy.sparse",
-        "scipy.linalg", QUADPACK}
+        "scipy.linalg", "scipy.special", QUADPACK}
+
+
+def test_half_width_imports_scipy_special():
+    # The one reader of the Student-t quantile pays for its package.
+    code = ("import sys\nfrom rda.analysis import fit_decay_exponent\n"
+            "fit = fit_decay_exponent(range(1, 11), range(10, 0, -1), 1.0)\n"
+            "print('scipy.special' in sys.modules)\nfit.half_width\n"
+            "print('scipy.special' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.stdout.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("first", ["rda", "scipy"])
@@ -169,18 +205,21 @@ def test_loaded_extensions_are_scipys_modules(first):
     # A direct load and a normal import of the package share one module
     # object, in either order, so neither runs a second copy.
     steps = ["import rda.cli; assert rda.cli.main(['verify-identities']) == 0",
-             "import scipy.fft, scipy.integrate"]
+             "import scipy.fft, scipy.integrate, scipy.special"]
     code = "\n".join([*(steps if first == "rda" else steps[::-1]),
                       "import sys",
-                      "from rda import kernels, solver",
+                      "from rda import analysis, kernels, solver",
                       "print(kernels._quadpack() is "
                       "sys.modules['scipy.integrate._quadpack_py']._quadpack, "
                       "solver.pypocketfft is "
-                      "sys.modules['scipy.fft._pocketfft.basic'].pfft)"])
+                      "sys.modules['scipy.fft._pocketfft.basic'].pfft, "
+                      "analysis.erf is scipy.special.erf, "
+                      "kernels.erfcx is scipy.special.erfcx, "
+                      "kernels.gamma is scipy.special.gamma)"])
     proc = subprocess.run([sys.executable, "-c", code], check=True,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
-    assert proc.stdout.splitlines()[-1] == "True True"
+    assert proc.stdout.splitlines()[-1] == "True True True True True"
 
 
 def test_loader_refuses_a_missing_extension():

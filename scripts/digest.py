@@ -8,17 +8,21 @@ Usage:
 DIGEST.json records, beside the Python, numpy and scipy versions and the
 CPU model:
   - builtins: for each builtin run to its t_end by `rda run`'s own
-    cli.run_experiment, a SHA-256 over every
-    (repr(t), spectra bytes, fields bytes) the on_sample hook receives and
-    the repr of the blow-up time, one short record per sample (its own
-    hash, its t and the sup norms of u and v), and the SHA-256 of each file
-    write_outputs writes;
+    cli.run_experiment, a SHA-256 over every (repr(t), spectra bytes,
+    fields bytes) that run_experiment hands its observers and the repr of
+    the blow-up time it returns, one short record per sample (its own
+    hash, its t and the sup norms of u and v from analysis.sample_norms),
+    and the SHA-256 of each file write_outputs writes;
   - cut: the same sample records for each builtin cut to t_end <= 2 and
     sample_dt <= 0.5 on its full grid, with the trajectory output alone
     (tests/test_digest.py checks these and the two cas2 builtins, which
     blow up in under a second);
   - identities: the SHA-256 of the `rda verify-identities` printout and of
-    the 158 values its QUADPACK integrals return.
+    the 158 values its QUADPACK integrals return, as
+    kernels.verify_identity_suite reports them in IdentityReport.integrals.
+
+The script watches a run only through run_experiment's observers and the
+suite's report; it replaces no attribute of an rda module.
 
 --check exits 1 on any mismatch and names the first differing sample of
 each builtin: its index, its t and max|delta| of its sup norms (a lower
@@ -46,7 +50,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from rda import cli, kernels, solver  # noqa: E402
+from rda import analysis, cli, kernels  # noqa: E402
 from rda.core import validate_scenario  # noqa: E402
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario  # noqa: E402
 
@@ -78,37 +82,26 @@ def cut(scenario):
 
 def run_digest(scenario, out_dir=None) -> dict:
     """Run scenario through `rda run`'s own pipeline, cli.run_experiment,
-    and digest every sample its on_sample hook receives.
+    and digest every sample it hands its observers.
 
     run_experiment writes the run's files into out_dir, each of which is
     hashed; without out_dir they go to a temporary directory, unhashed.
     """
     whole = hashlib.sha256()
     records = []
-    run = solver.run_scenario
-    blow_up = []
 
-    def digesting_run(scenario, initial, on_sample):
-        def both(t, spectra, fields):
-            data = repr(t).encode() + spectra.tobytes() + fields.tobytes()
-            whole.update(data)
-            sup_u, sup_v = np.max(np.abs(fields), axis=1)
-            records.append(f"{hashlib.sha256(data).hexdigest()[:16]} {t!r} "
-                           f"{float(sup_u)!r} {float(sup_v)!r}")
-            on_sample(t, spectra, fields)
-
-        blow_up.append(run(scenario, initial, both))
-        return blow_up[-1]
+    def digest_sample(t, spectra, fields):
+        data = repr(t).encode() + spectra.tobytes() + fields.tobytes()
+        whole.update(data)
+        (sup_u, sup_v), _ = analysis.sample_norms(fields, scenario.grid.dx)
+        records.append(f"{hashlib.sha256(data).hexdigest()[:16]} {t!r} "
+                       f"{float(sup_u)!r} {float(sup_v)!r}")
 
     with contextlib.ExitStack() as stack:
         root = out_dir or stack.enter_context(tempfile.TemporaryDirectory())
         out = Path(root) / scenario.name
-        solver.run_scenario = digesting_run
-        try:
-            cli.run_experiment(scenario, validate_scenario(scenario), out)
-        finally:
-            solver.run_scenario = run
-        (blow_up_time,) = blow_up
+        blow_up_time = cli.run_experiment(scenario, validate_scenario(scenario),
+                                          out, [digest_sample])
         whole.update(repr(blow_up_time).encode())
         digest = {"sha256": whole.hexdigest(), "blow_up_time": repr(blow_up_time),
                   "samples": records}
@@ -119,22 +112,12 @@ def run_digest(scenario, out_dir=None) -> dict:
 
 
 def identity_digest() -> dict:
-    """Hashes of the `rda verify-identities` printout and of the values its
-    QUADPACK integrals return, in call order."""
-    values = []
-    quad = kernels._quad_conv
-
-    def recording(f, lo, hi):
-        values.append(quad(f, lo, hi))
-        return values[-1]
-
+    """Hashes of the `rda verify-identities` printout and of the values the
+    identity suite's QUADPACK integrals return, in call order."""
+    values = kernels.verify_identity_suite().integrals
     printout = io.StringIO()
-    kernels._quad_conv = recording
-    try:
-        with contextlib.redirect_stdout(printout):
-            cli.main(["verify-identities"])
-    finally:
-        kernels._quad_conv = quad
+    with contextlib.redirect_stdout(printout):
+        cli.main(["verify-identities"])
     return {"printout": hashlib.sha256(printout.getvalue().encode()).hexdigest(),
             "integrals": hashlib.sha256(np.array(values).tobytes()).hexdigest(),
             "integral_count": len(values)}

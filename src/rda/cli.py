@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
+import errno
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -98,19 +100,38 @@ def write_outputs(scenario: Scenario, diagnosis: analysis.Diagnosis,
     (out / "plot_trajectory.svg").write_text(chart, encoding="utf-8")
 
 
-def run_experiment(scenario: Scenario, report: ValidationReport, out_dir) -> int:
-    """Run from report.initial, diagnose and write one validated scenario.
+def run_experiment(scenario: Scenario, report: ValidationReport, out_dir,
+                   observers=()) -> float | None:
+    """Run from report.initial, diagnose and write one validated scenario;
+    return the blow-up time, or None when the run reached t_end.
 
-    The run hands each sample to the scenario's SampleReduction and keeps
-    none, so a run holds one (2, n) sample at a time.
+    Each sample (t, spectra, fields) goes to the scenario's SampleReduction
+    and then to each observer, the same objects to each, uncopied. The
+    reduction keeps no sample but the last, so a run holds one (2, n)
+    sample at a time.
     """
     for warning in report.warnings:
         print(f"[{scenario.name}] warning: {warning}", file=sys.stderr)
     samples = analysis.SampleReduction(scenario)
-    blow_up_time = solver.run_scenario(scenario, report.initial, samples)
+    hooks = (samples, *observers)
+
+    def on_sample(t, spectra, fields):
+        for hook in hooks:
+            hook(t, spectra, fields)
+
+    blow_up_time = solver.run_scenario(scenario, report.initial, on_sample)
     diagnosis = analysis.diagnose(scenario, samples)
     write_outputs(scenario, diagnosis, blow_up_time is not None, out_dir)
-    return 0
+    return blow_up_time
+
+
+def _check_out_dir(dest: Path) -> None:
+    """Raise the error write_outputs' mkdir would raise for dest when dest,
+    or its nearest existing ancestor, exists and is not a directory."""
+    existing = next(path for path in (dest, *dest.parents) if path.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == dest else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(existing))
 
 
 def _error_of(fn, *args):
@@ -139,14 +160,21 @@ def _cmd_run(args) -> int:
             continue
         jobs.append((scenario, report,
                      out_root if single else out_root / scenario.name))
-    # Targets that share a name would write one directory: none of them runs.
+    # Targets that share a name would write one directory: none of them
+    # runs. A target whose output directory cannot be made fails before
+    # any step.
     counts = collections.Counter(sc.name for sc, _, _ in jobs)
-    for sc, _, dest in jobs:
+    ready = []
+    for sc, rep, dest in jobs:
         if counts[sc.name] > 1:
             failures.append((sc.name, ConfigError(
                 f"{counts[sc.name]} targets share the name and the output "
                 f"directory {dest}")))
-    jobs = [(sc, rep, dest) for sc, rep, dest in jobs if counts[sc.name] == 1]
+        elif (exc := _error_of(_check_out_dir, dest)) is not None:
+            failures.append((sc.name, exc))
+        else:
+            ready.append((sc, rep, dest))
+    jobs = ready
     # The pool starts all its workers at once: ask for no more than needed.
     workers = min(args.jobs, len(jobs))
     if workers > 1:

@@ -288,9 +288,11 @@ _X_VALUES = (0.0, 1.0, -1.0, 5.0, -5.0)
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Max absolute quadrature-vs-closed-form discrepancy per identity."""
+    """Max absolute quadrature-vs-closed-form discrepancy per identity, and
+    the values the QUADPACK integrals returned, in call order."""
     max_abs_error: dict[str, float] = field(default_factory=dict)
     cases: dict[str, int] = field(default_factory=dict)
+    integrals: tuple[float, ...] = ()
 
     def worst(self) -> tuple[str, float]:
         """The family with the largest error; a NaN error ranks above any number."""
@@ -379,7 +381,11 @@ def verify_identity_suite() -> IdentityReport:
     """
     errors: dict[str, float] = {}
     counts: dict[str, int] = {}
-    def record(name: str, err: float):
+    integrals: list[float] = []
+
+    def record(name: str, lhs: float, rhs: float):
+        integrals.append(lhs)
+        err = abs(lhs - rhs)
         # A NaN error stays recorded: max(0.0, nan) would drop it.
         old = errors.get(name, 0.0)
         errors[name] = err if math.isnan(err) or err > old else old
@@ -395,7 +401,7 @@ def verify_identity_suite() -> IdentityReport:
             lo, hi = _gauss_window(b / (2 * a), 1.0 / math.sqrt(a))
             lhs = _quad_conv(lambda y, na=-a, b=b, c=c, exp=math.exp:
                              exp(na * y * y + b * y + c), lo, hi)
-            record("gauss", abs(lhs - gauss_integral(a, b, c)))
+            record("gauss", lhs, gauss_integral(a, b, c))
 
     d1 = 1.0
     for x, t, s, c1, c2, M in _conv_lattice():
@@ -411,8 +417,8 @@ def verify_identity_suite() -> IdentityReport:
             a, b = xc - y, y + m1
             return exp((a * a) / nM_ts - (b * b) / M_s) / norm
 
-        record("conv_same_velocity",
-               abs(_quad_conv(lhs1, lo, hi) - conv_same_velocity(x, t, s, c1, M, d1)))
+        record("conv_same_velocity", _quad_conv(lhs1, lo, hi),
+               conv_same_velocity(x, t, s, c1, M, d1))
 
         lo, hi = _product_gaussian_window([(2.0 * a_ts, xc), (a_s, -m1), (a_s, -m2)])
 
@@ -421,8 +427,8 @@ def verify_identity_suite() -> IdentityReport:
             a, b, c = xc - y, y + m1, y + m2
             return exp((a * a) / hM_ts - (b * b) / M_s - (c * c) / M_s) / norm
 
-        record("conv_mix",
-               abs(_quad_conv(lhs2, lo, hi) - conv_mix(x, t, s, c1, c2, M, d1)))
+        record("conv_mix", _quad_conv(lhs2, lo, hi),
+               conv_mix(x, t, s, c1, c2, M, d1))
 
         lo, hi = _product_gaussian_window([(a_ts, xc), (a_s, -m2)])
 
@@ -430,8 +436,8 @@ def verify_identity_suite() -> IdentityReport:
             a, b = xc - y, y + m2
             return exp((a * a) / nM_ts - (b * b) / M_s)
 
-        record("conv_cross_velocity",
-               abs(_quad_conv(lhs3, lo, hi) - conv_cross_velocity(x, t, s, c1, c2, M)))
+        record("conv_cross_velocity", _quad_conv(lhs3, lo, hi),
+               conv_cross_velocity(x, t, s, c1, c2, M))
 
     # Half-line Gaussian integral (erfc closed form).
     for a in (0.25, 0.5, 1.0, 2.0, 4.0):
@@ -445,7 +451,7 @@ def verify_identity_suite() -> IdentityReport:
                 return exp(u * u * na / w) / sqrt(w)
 
             lhs = _quad_conv(lhs4, 0.0, 2.0 * u_star)
-            record("halfline_gauss", abs(lhs - halfline_gauss_integral(a, r)))
+            record("halfline_gauss", lhs, halfline_gauss_integral(a, r))
 
     # Quartic-tail integral (Gamma closed form), z = w^2.
     for a in np.geomspace(0.1, 50.0, 20):
@@ -456,6 +462,7 @@ def verify_identity_suite() -> IdentityReport:
             return 2.0 * exp(na * w ** 4)
 
         lhs = _quad_conv(lhs5, 0.0, 2.0 * cutoff)
-        record("quartic_tail", abs(lhs - quartic_tail_integral(a)))
+        record("quartic_tail", lhs, quartic_tail_integral(a))
 
-    return IdentityReport(max_abs_error=errors, cases=counts)
+    return IdentityReport(max_abs_error=errors, cases=counts,
+                          integrals=tuple(integrals))

@@ -157,7 +157,7 @@ def read_csv(path):
 
 class TestRunExperiment:
     def test_output_files_and_schema(self, tmp_path):
-        assert run_valid(fast_scenario(), tmp_path) == 0
+        assert run_valid(fast_scenario(), tmp_path) is None
         header, rows = read_csv(tmp_path / "trajectory.csv")
         assert header == ["t", "linf_u", "linf_v", "l1_u", "l1_v",
                           "blow_up_flag"]
@@ -194,11 +194,30 @@ class TestRunExperiment:
             envelope=None, outputs=("trajectory",),
             blow_up_threshold=1e6,
         )
-        assert run_valid(scenario, tmp_path) == 0
+        blow_up_time = run_valid(scenario, tmp_path)
         _, rows = read_csv(tmp_path / "trajectory.csv")
         assert rows[-1][5] == "1"
         assert all(row[5] == "0" for row in rows[:-1])
-        assert float(rows[-1][0]) < 5.0
+        assert float(rows[-1][0]) < blow_up_time < 5.0
+
+    def test_observers_receive_each_sample_uncopied(self, tmp_path):
+        # Every observer sees the very (t, spectra, fields) objects of each
+        # sample the run takes, at the times core.sample_times predicts.
+        scenario = fast_scenario()
+        first, second = [], []
+        run_experiment(scenario, core.validate_scenario(scenario), tmp_path,
+                       [lambda *sample: first.append(sample),
+                        lambda *sample: second.append(sample)])
+        assert [t for t, _, _ in first] == core.sample_times(scenario).tolist()
+        assert len(first) == len(second)
+        for one, other in zip(first, second):
+            assert all(a is b for a, b in zip(one, other, strict=True))
+
+    @pytest.mark.parametrize("scenario,blow_up_time", [
+        (get_scenario("cas2-equal"), 8.15999999999987),  # as DIGEST.json records
+        (fast_scenario(), None)], ids=["cas2-equal", "fast"])
+    def test_returns_the_blow_up_time(self, tmp_path, scenario, blow_up_time):
+        assert run_valid(scenario, tmp_path) == blow_up_time
 
     def test_envelope_eta_bounded_for_small_data(self, tmp_path):
         run_valid(fast_scenario(), tmp_path)
@@ -280,14 +299,24 @@ class TestMain:
     @pytest.mark.parametrize("jobs,pools", [("1", []), ("3", [2])])
     def test_failing_target_does_not_stop_the_others(
             self, tmp_path, monkeypatch, capsys, jobs, pools):
-        # Of three targets one is an invalid scenario and one cannot write
-        # its output directory; the third still runs and writes.
+        # Of four targets one is an invalid scenario and one cannot make its
+        # output directory, so neither reaches the pool, and one fails while
+        # it runs; the fourth still runs and writes.
         sizes = inline_pool(monkeypatch)
+        write = cli.write_outputs
+
+        def failing_write(scenario, *args):
+            if scenario.name == "c":
+                raise OSError("disk full")
+            write(scenario, *args)
+
+        monkeypatch.setattr(cli, "write_outputs", failing_write)
         confs = {}
         for name, text in (
                 ("a", FAST_CONFIG.replace("name = fast", "name = a")),
                 ("bad", FAST_CONFIG.replace("decay\n", "decayy\n")),
-                ("b", FAST_CONFIG.replace("name = fast", "name = b"))):
+                ("b", FAST_CONFIG.replace("name = fast", "name = b")),
+                ("c", FAST_CONFIG.replace("name = fast", "name = c"))):
             confs[name] = tmp_path / f"{name}.conf"
             confs[name].write_text(text, encoding="utf-8")
         out = tmp_path / "out"
@@ -298,11 +327,36 @@ class TestMain:
         assert sizes == pools
         captured = capsys.readouterr()
         assert captured.out.splitlines() == [f"a: wrote {out / 'a'}"]
-        bad_line, b_line = captured.err.splitlines()
+        bad_line, b_line, c_line = captured.err.splitlines()
         assert bad_line == (f"error: {confs['bad']}: invalid scenario: "
                             "unknown output 'decayy'")
         assert b_line.startswith("error: b: ") and "File exists" in b_line
+        assert c_line == "error: c: disk full"
         assert (out / "a" / "verdicts.csv").exists()
+
+    @pytest.mark.parametrize("targets,out_name,errors", [
+        (["toy"], "file", ["error: [Errno 17] File exists: '{file}'"]),
+        (["toy"], "file/sub", ["error: [Errno 20] Not a directory: '{file}'"]),
+        (["toy", "thm1-exp"], "file",
+         ["error: toy: [Errno 20] Not a directory: '{file}'",
+          "error: thm1-exp: [Errno 20] Not a directory: '{file}'"])],
+        ids=["one-target", "one-target-below-file", "two-targets"])
+    def test_unusable_output_directory_fails_before_any_step(
+            self, tmp_path, monkeypatch, capsys, targets, out_name, errors):
+        # mkdir would refuse the output directory: its nearest existing
+        # ancestor is a file. Each target fails with one line, none runs.
+        def never_run(*args):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(solver, "run_scenario", never_run)
+        file = tmp_path / "file"
+        file.write_text("not a directory", encoding="utf-8")
+        assert main(["run", *targets, "--out", str(tmp_path / out_name)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [e.format(file=file) for e in errors]
+        assert [path.name for path in tmp_path.iterdir()] == ["file"]
+        assert file.read_text(encoding="utf-8") == "not a directory"
 
     @pytest.mark.parametrize("jobs,pools", [("1", []), ("4", [2])])
     def test_shared_name_runs_none_of_its_targets(

@@ -400,6 +400,69 @@ def test_config_keys_have_one_owner(path):
     assert [f for f in found if f.partition(": ")[2] not in allowed] == []
 
 
+def rda_module_patches(source: str) -> list[str]:
+    """Assignments to an attribute of an rda module (solver.run = f,
+    rda.cli.main = g, kernels.x += 1) and setattr calls on one: a script
+    that watches a run by patching the package instead of observing it.
+    A name counts as an rda module when `import rda...` or `from rda
+    import ...` binds it."""
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0]
+                           for alias in node.names
+                           if alias.name.split(".")[0] == "rda")
+        elif isinstance(node, ast.ImportFrom) and node.module == "rda":
+            modules.update(alias.asname or alias.name for alias in node.names)
+
+    def root(node):
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return node.id if isinstance(node, ast.Name) else None
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call) and node.args
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "setattr"
+              and root(node.args[0]) in modules):
+            found.append((node.lineno, f"setattr({ast.unparse(node.args[0])}, ...)"))
+            continue
+        else:
+            continue
+        for target in targets:
+            for part in ast.walk(target):
+                if (isinstance(part, ast.Attribute) and isinstance(part.ctx, ast.Store)
+                        and root(part) in modules):
+                    found.append((node.lineno, f"{ast.unparse(part)} = ..."))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_patch_checker_catches_a_planted_patch():
+    source = ("import rda.cli\nfrom rda import kernels, solver as s\n"
+              "import numpy as np\ns.run_scenario = f\nrda.cli.main = g\n"
+              "setattr(kernels, '_quad_conv', h)\nnp.x = 1\nx.y = s.z\n"
+              "a, kernels.b = 1, 2\nkernels.c += 1\nmp.setattr(s.run, 'y', 2)\n"
+              "value = kernels.verify_identity_suite().integrals\n")
+    assert rda_module_patches(source) == [
+        "line 4: s.run_scenario = ...", "line 5: rda.cli.main = ...",
+        "line 6: setattr(kernels, ...)", "line 9: kernels.b = ...",
+        "line 10: kernels.c = ...", "line 11: setattr(s.run, ...)"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_scripts_patch_no_rda_module(path):
+    # A script watches a run through cli.run_experiment's observers and the
+    # reports the package returns; a patched module attribute breaks
+    # without a word when the package is refactored.
+    assert rda_module_patches(path.read_text(encoding="utf-8")) == []
+
+
 # The benchmark tracer's lookups that find nothing in the package today.
 # A refactor that moves another traced name adds a line here, or fixes the
 # tracer, instead of letting its layer silently read 0.

@@ -112,13 +112,20 @@ def test_identity_suite_oracle_is_strict_and_integrands_scalar(monkeypatch):
     qagse = quadpack._qagse
     calls = []
 
+    values = []
+
     def recording_qagse(f, lo, hi, *args):
         calls.append((args, f(0.5 * (lo + hi)), f.__closure__))
-        return qagse(f, lo, hi, *args)
+        result = qagse(f, lo, hi, *args)
+        values.append(result[0])
+        return result
 
     monkeypatch.setattr(quadpack, "_qagse", recording_qagse)
-    verify_identity_suite()
+    report = verify_identity_suite()
     assert len(calls) == 158
+    # The report holds each integral's value, in call order, one per case.
+    assert report.integrals == tuple(values)
+    assert len(report.integrals) == sum(report.cases.values())
     for args, midpoint_value, closure in calls:
         # (args, full_output, epsabs, epsrel, limit), as integrate.quad
         # passes them for epsabs=1e-11, epsrel=0.0, limit=4000.

@@ -40,6 +40,13 @@ from .kernels import drag_weight_profile
 # package (about 0.27 s of import); see kernels for erfcx and gamma.
 erf = load_extension("scipy.special._special_ufuncs").erf
 
+# The envelope verdict is anchored at the first sample with t >= T_ANCHOR.
+T_ANCHOR = 1.0
+# The fewest samples past its t_min that a decay fit takes.
+DECAY_MIN_SAMPLES = 8
+# Burn-in: the amplitude law is judged on samples with t >= T_BURN only.
+T_BURN = 10.0
+
 __all__ = [
     "Category",
     "classify_term",
@@ -283,12 +290,12 @@ def envelope_verdict(times: np.ndarray, eta: np.ndarray) -> EnvelopeVerdict:
 
     eta_series is the cumulative sup of eta. A sample is bounded when its
     eta_series value is at most 3x the anchor, the value at the first
-    sample with t >= 1, which times must hold; the verdict is bounded when
-    every sample is.
+    sample with t >= T_ANCHOR, which times must hold; the verdict is
+    bounded when every sample is.
     """
     times = np.asarray(times)
     eta_series = np.maximum.accumulate(np.asarray(eta, dtype=float))
-    flags = eta_series <= 3.0 * eta_series[np.argmax(times >= 1.0)]
+    flags = eta_series <= 3.0 * eta_series[np.argmax(times >= T_ANCHOR)]
     return EnvelopeVerdict(eta_series=eta_series, bounded_flags=flags)
 
 
@@ -321,14 +328,16 @@ def fit_decay_exponent(times: np.ndarray, values: np.ndarray,
                        t_min: float) -> DecayFit:
     """Least-squares slope of log(value) against log(1+t) for t >= t_min.
 
-    Requires at least 8 samples past t_min with strictly positive values.
+    Requires at least DECAY_MIN_SAMPLES samples past t_min with strictly
+    positive values.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     sel = times >= t_min
     t, y = times[sel], values[sel]
-    if len(t) < 8:
-        raise ValueError(f"need >= 8 samples with t >= {t_min}, have {len(t)}")
+    if len(t) < DECAY_MIN_SAMPLES:
+        raise ValueError(f"need >= {DECAY_MIN_SAMPLES} samples with t >= {t_min}, "
+                         f"have {len(t)}")
     if np.any(y <= 0.0):
         raise ValueError("values must be strictly positive for a log fit")
     X = np.log1p(t)
@@ -391,10 +400,6 @@ def cas2_lower_bounds(system: SystemSpec, nu0: float, a: float,
 # ---------------------------------------------------------------------------
 # Amplitude law
 # ---------------------------------------------------------------------------
-
-# Burn-in: the amplitude law is judged on samples with t >= T_BURN only.
-T_BURN = 10.0
-
 
 @dataclass(frozen=True)
 class AmplitudeLawVerdict:
@@ -522,14 +527,15 @@ OUTPUT_RULES = {
         ((lambda sc, _: sc.envelope is not None, "an envelope.kind"),
          (lambda sc, _: sc.initial_u.center == 0.0, "initial.u.center = 0"),
          (lambda sc, _: sc.initial_v.center == 0.0, "initial.v.center = 0")),
-        ((lambda times: np.any(times >= 1.0), "a sample at t >= 1, its anchor"),),
+        ((lambda times: np.any(times >= T_ANCHOR),
+          f"a sample at t >= {T_ANCHOR:g}, its anchor"),),
         column=lambda sc: Envelope(sc.grid, sc.system, sc.envelope).eta,
         judge=_judge_envelope),
     "decay": Rule(
         ("decay_exponent",),
         ((lambda sc, initial: np.any(initial), "nonzero initial data"),),
-        ((lambda times: np.count_nonzero(times >= _decay_t_min(times)) >= 8,
-          ">= 8 samples at t >= min(5, t_end/4)"),),
+        ((lambda times: np.count_nonzero(times >= _decay_t_min(times)) >= DECAY_MIN_SAMPLES,
+          f">= {DECAY_MIN_SAMPLES} samples at t >= min(5, t_end/4)"),),
         judge=_judge_decay),
     "lower_bounds": Rule(
         ("l1_lower_bound", "linf_growth"),

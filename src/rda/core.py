@@ -2,7 +2,8 @@
 
 All types are immutable value objects. SLOTS is the one owner of the
 coupling convention, SystemSpec.monomials the one coefficient extractor,
-and FIELDS the one owner of the config keys.
+FIELDS the one owner of the config keys, and FIELDS, RELATIONS, DATA_NEEDS
+and analysis.OUTPUT_RULES the tables that every refusal comes from.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ class Field:
     section, then the attribute there), the converter of its text, the label
     that names it in refusals ({value!r} shows the value), the kinds of its
     section that read it (None: every scenario with the section does) and
-    its own requirements as (predicate, text) pairs. An entry both initial
+    its own requirements as (holds(value), text) pairs. An entry both initial
     components share writes {c} for the component."""
     key: str
     path: tuple[str, ...]
@@ -211,7 +212,12 @@ class Field:
 
     def unmet(self, value) -> Optional[str]:
         """The text of the first requirement value fails, None if it meets all."""
-        return next((text for holds, text in self.needs if not holds(value)), None)
+        return _first_unmet(self.needs, value)
+
+
+def _first_unmet(needs, *args) -> Optional[str]:
+    """The text of the first (holds, text) of needs not holding on args, or None."""
+    return next((text for holds, text in needs if not holds(*args)), None)
 
 
 _TERM = re.compile(
@@ -227,6 +233,15 @@ def _terms(text: str) -> tuple[PolyTerm, ...]:
             raise ValueError(f"bad term {entry.strip()!r} (expected \"coeff u^a v^b [ddx]\")")
         terms.append(PolyTerm(float(m[1]), int(m[2]), int(m[3]), 1 if m[4] else 0))
     return tuple(terms)
+
+
+def _term_needs(gamma: int) -> tuple:
+    """What every term of a slot of derivative order gamma requires."""
+    return tuple((lambda terms, holds=holds: all(map(holds, terms)), text) for holds, text in (
+        (lambda t: t.alpha >= 0 and t.beta >= 0, "alpha, beta >= 0"),
+        (lambda t: t.alpha + t.beta >= 2, "alpha+beta >= 2"),
+        (lambda t: t.gamma == gamma, f"gamma = {gamma}"),
+        (lambda t: math.isfinite(t.coeff), "finite coefficient")))
 
 
 _POSITIVE = ((lambda v: v > 0, "> 0"), (math.isfinite, "finite"))
@@ -249,7 +264,8 @@ FIELDS = (
     Field("system.d2", ("system", "d2"), float, "d2", needs=_POSITIVE),
     Field("system.c1", ("system", "c1"), float, "c1", needs=_FINITE),
     Field("system.c2", ("system", "c2"), float, "c2", needs=_FINITE),
-    *(Field(f"system.{slot}", ("system", slot), _terms, slot) for slot in SLOTS),
+    *(Field(f"system.{slot}", ("system", slot), _terms, f"{slot} terms:",
+            needs=_term_needs(gamma)) for slot, (_, gamma) in SLOTS.items()),
     Field("grid.L", ("grid", "half_width"), float, "grid half-width", needs=_POSITIVE),
     Field("grid.n", ("grid", "n"), int, "grid n", needs=(
         (lambda n: n >= 64 and (n & (n - 1)) == 0, "= power of two >= 64"),)),
@@ -299,21 +315,6 @@ def scenario_from(values: dict[tuple[str, ...], object]) -> Scenario:
     return Scenario(**top)
 
 
-def _check_terms(spec: SystemSpec, out: list[str]):
-    """Record the violations of the system's terms."""
-    for name, term in spec.all_terms():
-        if term.alpha < 0 or term.beta < 0:
-            out.append(f"{name}: alpha, beta >= 0 failed for {term}")
-        if term.alpha + term.beta < 2:
-            out.append(f"{name}: alpha+beta >= 2 failed for {term}")
-        if term.gamma not in (0, 1):
-            out.append(f"{name}: gamma in {{0,1}} failed for {term}")
-        elif term.gamma != SLOTS[name][1]:
-            out.append(f"{name}: gamma = {SLOTS[name][1]} failed for {term}")
-        if not math.isfinite(term.coeff):
-            out.append(f"{name}: finite coefficient failed for {term}")
-
-
 def trust_radius(M: float, s: float) -> float:
     """Distance from a comoving centre at which e^{-y^2/(M(1+s))} falls to 1e-12."""
     return math.sqrt(M * (1.0 + s) * TRUST_LOG)
@@ -354,33 +355,27 @@ def sample_times(scenario: Scenario) -> np.ndarray:
         scenario.t_end, scenario.dt, scenario.sample_dt) if sampled)])
 
 
-def _m_floor(sc: Scenario) -> Optional[str]:
-    m0 = max(16.0 * sc.system.d1, 16.0 * sc.system.d2, 1.0)
-    if sc.envelope.kind in ("exponential", "drag") and sc.envelope.M < m0:
-        return f"envelope M >= max(16 d1, 16 d2, 1) = {m0} failed"
-    return None
-
-
-# The requirements that relate fields, as (the keys a check reads, the
-# check, which returns its refusal or None). A check runs once the scenario
-# reads its keys and they met their own requirements and every earlier
-# check's; a refusal fails its keys. validate_scenario checks the initial
-# data on the grid last.
+# The requirements that relate fields, as (the keys a check reads,
+# holds(scenario), text). A check runs once the scenario reads its keys and
+# they met their own requirements and every earlier check's; a refusal
+# fails its keys.
 RELATIONS = (
-    (("time.dt", "time.t_end"), lambda sc: "0 < dt < t_end failed"
-     if not 0 < sc.dt < sc.t_end else None),
-    (("time.dt", "time.t_end"), lambda sc: "t_end = whole number of dt steps failed"
-     if not _whole_steps(sc.t_end, sc.dt) else None),
-    (("time.dt", "time.sample_dt"), lambda sc: "sample_dt = whole multiple of dt failed"
-     if not _whole_steps(sc.sample_dt, sc.dt) else None),
-    # dt*max|c|/dx <= 10, multiplied out so that no dx divides.
+    (("time.dt", "time.t_end"), lambda sc: 0 < sc.dt < sc.t_end, "0 < dt < t_end"),
+    (("time.dt", "time.t_end"), lambda sc: _whole_steps(sc.t_end, sc.dt),
+     "t_end = whole number of dt steps"),
+    (("time.dt", "time.sample_dt"), lambda sc: _whole_steps(sc.sample_dt, sc.dt),
+     "sample_dt = whole multiple of dt"),
+    # Multiplied out, so that no dx divides.
     (("time.dt", "grid.L", "grid.n", "system.c1", "system.c2"),
-     lambda sc: "dt*max|c|/dx <= 10 failed"
-     if sc.dt * max(abs(sc.system.c1), abs(sc.system.c2)) > 10.0 * sc.grid.dx else None),
-    (("envelope.kind", "system.c1", "system.c2"), lambda sc: "drag envelope requires c1 != c2"
-     if sc.envelope.kind == "drag" and sc.system.c1 == sc.system.c2 else None),
-    # An infinite d1 or d2 gives an infinite floor, which is reported too.
-    (("envelope.kind", "envelope.M"), _m_floor),
+     lambda sc: sc.dt * max(abs(sc.system.c1), abs(sc.system.c2)) <= 10.0 * sc.grid.dx,
+     "dt*max|c|/dx <= 10"),
+    (("envelope.kind", "system.c1", "system.c2"),
+     lambda sc: sc.envelope.kind != "drag" or sc.system.c1 != sc.system.c2,
+     "drag envelope: c1 != c2"),
+    (("envelope.kind", "envelope.M", "system.d1", "system.d2"),
+     lambda sc: sc.envelope.kind == "algebraic"
+     or sc.envelope.M >= max(16.0 * sc.system.d1, 16.0 * sc.system.d2, 1.0),
+     "envelope M >= max(16 d1, 16 d2, 1)"),
 )
 
 # The largest |initial value| at the box edge, relative to the maximum, that
@@ -388,19 +383,33 @@ RELATIONS = (
 # power-3 data on a half-width of 60 reads 61^-3 = 4.4e-6.
 _EDGE_RATIO = 1e-5
 
+# What each component's initial values on the grid require, as
+# (holds(values, scenario), text); a component reports its first unmet one.
+# A pole or overflow on a grid point, or data at blow_up_threshold, would
+# be reported as a blow-up at the first step; data cut off at the box edge
+# has a jump there once the grid is made periodic.
+DATA_NEEDS = (
+    (lambda values, _: np.all(np.isfinite(values)), "finite values on the grid"),
+    (lambda values, _: max(abs(values[0]), abs(values[-1]))
+     <= _EDGE_RATIO * np.max(np.abs(values)),
+     f"|value at the box edge| <= {_EDGE_RATIO:g} max|value|"),
+    (lambda values, sc: not 0 < sc.blow_up_threshold <= np.max(np.abs(values)),
+     "max|value| < blow_up_threshold"),
+)
+
 
 def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Validate a full Scenario: each field it reads against its entry in
-    FIELDS, the system's terms, the RELATIONS, the initial data on the grid
-    and, once these hold, what each requested output requires of its
-    initial fields and sample times (analysis.output_violations).
+    FIELDS, the RELATIONS, each component's initial data on the grid against
+    DATA_NEEDS and, once these hold, the requested outputs' requirements
+    (analysis.output_violations). Each refusal is a table entry's text, but
+    for the error of a custom expression or a grid too large to allocate.
 
     Never raises: every float, nan and infinities included, is either
     accepted or reported as a violation. The wraparound warning and the
     initial fields are only worked out for a scenario without violations.
     """
-    violations: list[str] = []
-    read, passed = set(), set()
+    violations, read, passed = [], set(), set()
     for key, entry in KEYS.items():
         if (owner := entry.owner(scenario)) is None:
             continue
@@ -410,42 +419,32 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             passed.add(key)
         else:
             violations.append(f"{entry.label.format(value=value)} {unmet} failed")
-    _check_terms(scenario.system, violations)
-    for reads, check in RELATIONS:
-        if passed.issuperset(reads) and (refusal := check(scenario)) is not None:
-            violations.append(refusal)
+    for reads, holds, text in RELATIONS:
+        if passed.issuperset(reads) and not holds(scenario):
+            violations.append(f"{text} failed")
             passed.difference_update(reads)
-    fields = []
-    for c in "uv":
-        label, init = f"initial.{c}", getattr(scenario, f"initial_{c}")
-        if any(key.startswith((f"{label}.", "grid.")) for key in read - passed):
-            continue
-        try:
-            # A pole or overflow on a grid point would otherwise be reported
-            # as blow-up at the first step.
-            with np.errstate(all="ignore"):
-                values = evaluate_initial(init, scenario.grid.points())
-        except ValueError as exc:  # a custom expression that does not parse
-            violations.append(f"{label}: {exc}")
-            continue
-        if not np.all(np.isfinite(values)):
-            violations.append(f"{label}: finite values on the grid failed")
-            continue
-        peak = np.max(np.abs(values))
-        if max(abs(values[0]), abs(values[-1])) > _EDGE_RATIO * peak:
-            # Data cut off at the box edge has a jump there once the grid is
-            # made periodic.
-            violations.append(f"{label}: |value at the box edge| <= {_EDGE_RATIO:g} "
-                              "max|value| failed")
-        if 0 < scenario.blow_up_threshold <= peak:
-            # The blow-up guard would flag the first step, and the input
-            # would be reported as a blow-up at t = 0.
-            violations.append(f"{label}: max|value| < blow_up_threshold failed")
-        fields.append(values)
-    initial = None
-    if not violations:
-        # A valid scenario has a valid grid and both data, so both were evaluated.
-        initial = np.stack(fields)
+    failed, x, fields = read - passed, None, []
+    with np.errstate(all="ignore"):  # DATA_NEEDS reports a pole or an overflow
+        if not any(key.startswith("grid.") for key in failed):
+            try:
+                x = scenario.grid.points()
+            except MemoryError as exc:
+                violations.append(f"grid n: {exc}")
+        for c in "uv":
+            label = f"initial.{c}"
+            if x is None or any(key.startswith(f"{label}.") for key in failed):
+                continue
+            try:
+                values = evaluate_initial(getattr(scenario, f"initial_{c}"), x)
+            except ValueError as exc:  # a custom expression that does not parse
+                violations.append(f"{label}: {exc}")
+                continue
+            if (unmet := _first_unmet(DATA_NEEDS, values, scenario)) is not None:
+                violations.append(f"{label}: {unmet} failed")
+            fields.append(values)
+    # A valid scenario has a valid grid and both data, so both were evaluated.
+    initial = None if violations else np.stack(fields)
+    if initial is not None:
         initial.flags.writeable = False
     from .analysis import output_violations  # analysis imports this module
     violations += output_violations(scenario, initial)

@@ -436,6 +436,23 @@ class TestMain:
             "error: invalid scenario: initial.u: finite values on the grid failed"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "classify"])
+    def test_grid_too_large_to_allocate_fails_cleanly(self, tmp_path, capsys, command):
+        # 2^57 points are 1 EiB, more than any 64-bit address space, so the
+        # allocation fails at once; with c1 = c2 = 0 the CFL relation holds.
+        # It once ended in a traceback from numpy.
+        conf = tmp_path / "huge.conf"
+        conf.write_text(FAST_CONFIG.replace("grid.n = 256", "grid.n = 144115188075855872")
+                        .replace("system.c2 = 1.0", "system.c2 = 0.0"), encoding="utf-8")
+        out = tmp_path / "out"
+        out_args = ["--out", str(out)] if command == "run" else []
+        assert main([command, str(conf), *out_args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: invalid scenario: grid n: Unable to allocate 1.00 EiB")
+        assert not out.exists()
+
     def test_data_cut_off_at_the_box_edge_fails_before_running(
             self, tmp_path, capsys):
         # cas2-distinct with both Gaussians centred on the edge x = L = 60.
@@ -473,7 +490,7 @@ class TestMain:
          "envelope kind 'normal-form' in ('exponential', 'algebraic', 'drag') failed"),
         ((("envelope.kind = exponential", "envelope.kind = drag"),
           ("system.c2 = 1.0", "system.c2 = 0.0")),
-         "drag envelope requires c1 != c2"),
+         "drag envelope: c1 != c2 failed"),
         ((("outputs = trajectory, envelope, decay",
            "outputs = trajectory, exact_error"),),
          _EXACT_ERROR_REQUIRES),
@@ -594,8 +611,7 @@ class TestMain:
          "blow_up_threshold > 0 failed"),
         ((("name = fast", "name = fast\nblow_up_threshold = nan"),),
          "blow_up_threshold > 0 failed"),
-        ((("system.d2 = 1.0", "system.d2 = inf"),),
-         "d2 finite failed; envelope M >= max(16 d1, 16 d2, 1) = inf failed"),
+        ((("system.d2 = 1.0", "system.d2 = inf"),), "d2 finite failed"),
         ((("initial.u.amplitude = 1e-3",
            "initial.u.amplitude = 1e-3\ninitial.u.width = -1"),),
          "initial.u: width > 0 failed"),

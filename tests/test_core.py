@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rda.analysis import OUTPUT_RULES
 from rda.core import (
+    DATA_NEEDS,
+    KEYS,
+    RELATIONS,
+    SLOTS,
     EnvelopeSpec,
     Grid,
     InitialData,
@@ -64,6 +69,173 @@ class TestValidateSpec:
         assert not validate_scenario(make_scenario(system=spec)).valid
 
 
+_INF, _NAN = math.inf, math.nan
+_EXPONENTIAL = EnvelopeSpec(kind="exponential")
+_GROWTH = SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0, f1=(PolyTerm(1.0, 0, 2),),
+                     f2=(PolyTerm(1.0, 2, 0),))
+
+
+def _system(**overrides):
+    return dataclasses.replace(make_scenario().system, **overrides)
+
+
+def _data(c, **init):
+    return {f"initial_{c}": InitialData(**init)}
+
+
+def _slot_examples():
+    """Per slot, one term that fails each of its requirements alone."""
+    for slot, (_, gamma) in SLOTS.items():
+        for text, term in (("alpha, beta >= 0", PolyTerm(1.0, -1, 3, gamma)),
+                           ("alpha+beta >= 2", PolyTerm(1.0, 1, 0, gamma)),
+                           (f"gamma = {gamma}", PolyTerm(1.0, 2, 0, 1 - gamma)),
+                           ("finite coefficient", PolyTerm(_INF, 2, 0, gamma))):
+            yield (f"system.{slot}", text), dict(system=_system(**{slot: (term,)}))
+
+
+def _component_examples(c):
+    """Per initial component, data that fails each requirement on it alone."""
+    def data(kind, **fields):
+        return _data(c, kind=kind, **{"amplitude": 1e-3, **fields})
+
+    yield from {
+        (f"initial.{c}.kind",
+         "in ('gaussian', 'algebraic', 'remark51', 'zero', 'custom')"): data("bogus"),
+        (f"initial.{c}.amplitude", "finite"): data("gaussian", amplitude=_NAN),
+        (f"initial.{c}.width", "> 0"): data("gaussian", width=-1.0),
+        (f"initial.{c}.width", "finite"): data("gaussian", width=_INF),
+        (f"initial.{c}.power", "> 0"): data("algebraic", power=-1.0),
+        (f"initial.{c}.power", "finite"): data("algebraic", power=_INF),
+        (f"initial.{c}.center", "finite"): data("gaussian", center=_NAN),
+        (f"initial.{c}.expression", "has no '#', line break or surrounding whitespace"):
+            data("custom", expression="1e-3 # comment"),
+        # x = 0 is a grid point, so 1/x is infinite there.
+        (f"DATA_NEEDS initial.{c}", "finite values on the grid"):
+            data("custom", expression="1/x"),
+        # On L = 60 this reads 1/61 of its peak at the edge.
+        (f"DATA_NEEDS initial.{c}", "|value at the box edge| <= 1e-05 max|value|"):
+            data("algebraic", power=1.0),
+        (f"DATA_NEEDS initial.{c}", "max|value| < blow_up_threshold"):
+            data("gaussian", amplitude=2e8),
+    }.items()
+
+
+# (table entry, make_scenario overrides that violate the entry alone), the
+# entry a config key (its own requirements), RELATIONS, DATA_NEEDS with the
+# component, or an output of OUTPUT_RULES, and the requirement's text.
+REFUSAL_EXAMPLES = {
+    ("name", "non-empty, not '.' or '..', no '/' or '\\'"): dict(name=""),
+    ("name", "has no '#', line break or surrounding whitespace"): dict(name="a#b"),
+    ("description", "has no '#', line break or surrounding whitespace"):
+        dict(description=" padded"),
+    ("system.d1", "> 0"): dict(system=_system(d1=-1.0)),
+    ("system.d1", "finite"): dict(system=_system(d1=_INF)),
+    ("system.d2", "> 0"): dict(system=_system(d2=0.0)),
+    ("system.d2", "finite"): dict(system=_system(d2=_INF)),
+    ("system.c1", "finite"): dict(system=_system(c1=_NAN)),
+    ("system.c2", "finite"): dict(system=_system(c2=_INF)),
+    **dict(_slot_examples()),
+    ("grid.L", "> 0"): dict(grid=Grid(half_width=-60.0, n=256)),
+    ("grid.L", "finite"): dict(grid=Grid(half_width=_INF, n=256)),
+    ("grid.n", "= power of two >= 64"): dict(grid=Grid(half_width=60.0, n=32)),
+    ("time.sample_dt", "> 0"): dict(sample_dt=-0.1),
+    **dict(_component_examples("u")),
+    **dict(_component_examples("v")),
+    ("envelope.kind", "in ('exponential', 'algebraic', 'drag')"):
+        dict(envelope=EnvelopeSpec(kind="bogus")),
+    ("envelope.M", "> 0"): dict(envelope=EnvelopeSpec(kind="drag", M=-1.0)),
+    ("envelope.M", "finite"): dict(envelope=EnvelopeSpec(kind="exponential", M=_INF)),
+    ("envelope.r", ">= 3"): dict(envelope=EnvelopeSpec(kind="algebraic", r=2.0)),
+    ("envelope.r", "finite"): dict(envelope=EnvelopeSpec(kind="algebraic", r=_INF)),
+    ("blow_up_threshold", "> 0"): dict(blow_up_threshold=-1.0),
+    ("blow_up_threshold", "finite"): dict(blow_up_threshold=_INF),
+    ("RELATIONS", "0 < dt < t_end"): dict(dt=2.0),
+    ("RELATIONS", "t_end = whole number of dt steps"): dict(dt=0.3),
+    ("RELATIONS", "sample_dt = whole multiple of dt"): dict(sample_dt=0.015),
+    # dx = 120/256, so dt*|c2|/dx = 21.3.
+    ("RELATIONS", "dt*max|c|/dx <= 10"): dict(system=_system(c2=1000.0)),
+    ("RELATIONS", "drag envelope: c1 != c2"):
+        dict(system=_system(c1=1.0), envelope=EnvelopeSpec(kind="drag")),
+    ("RELATIONS", "envelope M >= max(16 d1, 16 d2, 1)"):
+        dict(envelope=EnvelopeSpec(kind="exponential", M=2.0)),
+    ("envelope", "an envelope.kind"): dict(outputs=("envelope",)),
+    ("envelope", "initial.u.center = 0"):
+        dict(outputs=("envelope",), envelope=_EXPONENTIAL,
+             **_data("u", kind="gaussian", amplitude=1e-3, center=10.0)),
+    ("envelope", "initial.v.center = 0"):
+        dict(outputs=("envelope",), envelope=_EXPONENTIAL,
+             **_data("v", kind="gaussian", amplitude=1e-3, center=10.0)),
+    ("envelope", "a sample at t >= 1, its anchor"):
+        dict(outputs=("envelope",), envelope=_EXPONENTIAL, t_end=0.5),
+    ("decay", "nonzero initial data"): dict(outputs=("decay",), **_data("u")),
+    # Three samples, two of them at t >= t_end/4.
+    ("decay", ">= 8 samples at t >= min(5, t_end/4)"):
+        dict(outputs=("decay",), sample_dt=0.5),
+    ("lower_bounds", "the growth system: f1 = v^2, f2 = u^2, no other coupling"):
+        dict(outputs=("lower_bounds",)),
+    ("lower_bounds", "initial.u = nu0 e^{-a x^2} with nu0 > 0"):
+        dict(outputs=("lower_bounds",), system=_GROWTH,
+             **_data("u", kind="gaussian", amplitude=-1e-3)),
+    ("lower_bounds", "initial.v >= 0 on the grid"):
+        dict(outputs=("lower_bounds",), system=_GROWTH,
+             **_data("v", kind="gaussian", amplitude=-1e-3)),
+    ("lower_bounds", ">= 2 samples in the second half of the run"):
+        dict(outputs=("lower_bounds",), system=_GROWTH, sample_dt=1.0),
+    ("amplitude_law", "the normal-form shape: f1 = a uv (+ b u^3), g2 = g (u^2)_x, "
+                      "no f2 or g1, c1 != c2"): dict(outputs=("amplitude_law",)),
+    ("amplitude_law", "a sample at t >= T_BURN = 10"):
+        dict(outputs=("amplitude_law",), system=get_scenario("cas3-stable").system),
+    ("exact_error", "the exactly solvable benchmark shape: d=(1, 1/4), f2 = u^4, "
+                    "u0 the unit-mass width-4 Gaussian, v0 = 0"):
+        dict(outputs=("exact_error",)),
+}
+
+
+def _table_entries():
+    """(entry, refusal(scenario)) of every requirement of the four tables."""
+    for key, field_ in KEYS.items():
+        for _, text in field_.needs:
+            yield (key, text), lambda sc, field_=field_, text=text: (
+                f"{field_.label.format(value=getattr(field_.owner(sc), field_.path[-1]))} "
+                f"{text} failed")
+    for _, _, text in RELATIONS:
+        yield ("RELATIONS", text), lambda sc, text=text: f"{text} failed"
+    for c in "uv":
+        for _, text in DATA_NEEDS:
+            yield (f"DATA_NEEDS initial.{c}", text), \
+                lambda sc, c=c, text=text: f"initial.{c}: {text} failed"
+    for name, rule in OUTPUT_RULES.items():
+        for _, text in (*rule.needs, *rule.samples):
+            yield (name, text), lambda sc, name=name, text=text: (
+                f"{name} output requires {text}")
+
+
+_REFUSALS = dict(_table_entries())
+
+
+class TestRefusalTables:
+    @pytest.mark.parametrize("entry", list(_REFUSALS), ids=": ".join)
+    def test_each_entry_refuses_its_example_alone(self, entry):
+        # Each requirement of core.FIELDS (per key), core.RELATIONS,
+        # core.DATA_NEEDS (per component) and analysis.OUTPUT_RULES has an
+        # example that it alone refuses, with exactly its text; an entry
+        # without an example fails here.
+        scenario = make_scenario(**REFUSAL_EXAMPLES[entry])
+        assert validate_scenario(scenario).violations == (_REFUSALS[entry](scenario),)
+
+    def test_every_example_names_one_entry(self):
+        assert len(_REFUSALS) == len(list(_table_entries()))
+        assert set(REFUSAL_EXAMPLES) == set(_REFUSALS)
+
+    def test_grid_too_large_to_allocate_reported(self):
+        # 2^57 points are 1 EiB, more than any 64-bit address space, so the
+        # allocation fails at once; with c1 = c2 = 0 the CFL relation holds.
+        huge = make_scenario(grid=Grid(half_width=60.0, n=2 ** 57),
+                             system=_system(c2=0.0))
+        (violation,) = validate_scenario(huge).violations
+        assert violation.startswith("grid n: Unable to allocate 1.00 EiB")
+
+
 class TestValidateScenario:
     def test_builtin_like_scenario(self):
         assert validate_scenario(make_scenario()).valid
@@ -102,7 +274,7 @@ class TestValidateScenario:
         equal = make_scenario(system=SystemSpec(d1=1.0, d2=1.0, c1=0.5, c2=0.5),
                               envelope=env)
         assert validate_scenario(equal).violations == (
-            "drag envelope requires c1 != c2",)
+            "drag envelope: c1 != c2 failed",)
         assert validate_scenario(make_scenario(envelope=env)).valid
 
     def test_amplitude_law_requires_the_normal_form_shape(self):
@@ -166,6 +338,21 @@ class TestValidateScenario:
         bad = make_scenario(**{field: InitialData(kind="gaussian", amplitude=2e8)})
         assert validate_scenario(bad).violations == (
             f"{label}: max|value| < blow_up_threshold failed",)
+
+    def test_data_reports_its_first_unmet_requirement(self):
+        # Cut off at the box edge and above the threshold: DATA_NEEDS lists
+        # the edge first.
+        init = InitialData(kind="algebraic", amplitude=2e8, power=1.0)
+        assert validate_scenario(make_scenario(initial_u=init)).violations == (
+            "initial.u: |value at the box edge| <= 1e-05 max|value| failed",)
+
+    def test_slot_reports_its_first_unmet_requirement(self):
+        # Both terms fail gamma = 0; the first also fails alpha+beta >= 2,
+        # which comes first, and the slot is named once.
+        spec = SystemSpec(d1=1, d2=1, c1=0, c2=1, f1=(PolyTerm(1.0, 1, 0, 1),
+                                                      PolyTerm(2.0, 2, 0, 1)))
+        assert validate_scenario(make_scenario(system=spec)).violations == (
+            "f1 terms: alpha+beta >= 2 failed",)
 
     def test_data_reaching_the_threshold_reported(self):
         # x = 0 is a grid point, so the peak is the amplitude itself.

@@ -8,6 +8,19 @@ scipy.optimize, scipy.sparse, scipy.linalg and more, about 160 ms and
 24 MB on top of `import rda.cli`, scipy.fft's costs about 37 ms and
 scipy.special's about 0.27 s. The extension file itself needs only numpy.
 
+Nor is the scipy package itself imported: its directory comes from
+importlib's finder, since scipy's own __init__ pulls in its test
+utilities, subprocess and sysconfig (about 11 ms and 1.2 MB). Loading
+pocketfft and _special_ufuncs leaves scipy out of sys.modules. Two
+readers still import it: QUADPACK's first call, through
+scipy._lib._ccallback_c, and analysis.DecayFit.half_width's stdtrit.
+
+Leaving scipy out, loading the ufunc module on first use through
+special_ufuncs() and the closed-form decay fit of analysis together take
+`rda run toy` from a peak RSS of 36.9 MB to 33.8 MB, and its startup
+(import rda.cli, validate toy) from 0.288 s to 0.258 s: perfbench medians
+of 10 pairs on 2 vCPUs, Python 3.11.7, numpy 2.4.6, scipy 1.17.1.
+
 The module is registered in sys.modules under its full name, so a later
 normal import of its package finds and shares the same module object,
 and a module already imported the normal way is returned as it is.
@@ -15,14 +28,13 @@ and a module already imported the normal way is returned as it is.
 
 from __future__ import annotations
 
+import functools
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from pathlib import Path
 
-import scipy
-
-__all__ = ["load_extension"]
+__all__ = ["load_extension", "special_ufuncs"]
 
 
 def load_extension(name: str):
@@ -34,7 +46,8 @@ def load_extension(name: str):
     if module is not None:
         return module
     package = name.rpartition(".")[0].split(".")
-    directory = Path(scipy.__file__).parent.joinpath(*package[1:])
+    root = find_spec(package[0]).submodule_search_locations[0]
+    directory = Path(root).joinpath(*package[1:])
     finder = FileFinder(str(directory), (ExtensionFileLoader, EXTENSION_SUFFIXES))
     spec = finder.find_spec(name)
     if spec is None:
@@ -43,3 +56,12 @@ def load_extension(name: str):
     spec.loader.exec_module(module)
     sys.modules[name] = module
     return module
+
+
+@functools.cache
+def special_ufuncs():
+    """scipy.special's compiled ufunc module, loaded on first use (about
+    1.1 MB): only the distinct-velocity lower bounds (erf) and the
+    identity suite (erfcx, gamma) call its ufuncs, so no other `rda run`
+    loads it."""
+    return load_extension("scipy.special._special_ufuncs")

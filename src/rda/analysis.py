@@ -9,6 +9,11 @@ output, what validation requires, what each sample is reduced to
 (SampleReduction, the solver's on_sample hook) and how diagnose judges it.
 Each requirement on a system's shape compares SystemSpec.monomials(), and
 a slot's component and derivative order are read from core.SLOTS.
+
+Nothing here loads a scipy module at import: the distinct-velocity lower
+bounds read erf from _scipy_ext.special_ufuncs() on their first call, the
+decay fit is a closed form without LAPACK, and DecayFit.half_width, which
+no rda command reads, imports the scipy.special package for stdtrit.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import kernels
-from ._scipy_ext import load_extension
+from ._scipy_ext import special_ufuncs
 from .core import (
     SLOTS,
     EnvelopeSpec,
@@ -35,10 +40,6 @@ from .core import (
     trust_radius,
 )
 from .kernels import drag_weight_profile
-
-# The same ufunc as scipy.special.erf, loaded without the scipy.special
-# package (about 0.27 s of import); see kernels for erfcx and gamma.
-erf = load_extension("scipy.special._special_ufuncs").erf
 
 # The envelope verdict is anchored at the first sample with t >= T_ANCHOR.
 T_ANCHOR = 1.0
@@ -329,7 +330,10 @@ def fit_decay_exponent(times: np.ndarray, values: np.ndarray,
     """Least-squares slope of log(value) against log(1+t) for t >= t_min.
 
     Requires at least DECAY_MIN_SAMPLES samples past t_min with strictly
-    positive values.
+    positive values. The slope is the closed form dx.dy / dx.dx over the
+    centred X = log1p(t) and Y = log(value), so no LAPACK solver is loaded
+    (np.linalg.lstsq's SVD costs 1.0 MB on its first call). A constant X
+    has no slope: it gives a nan exponent and an infinite stderr.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -340,16 +344,17 @@ def fit_decay_exponent(times: np.ndarray, values: np.ndarray,
                          f"have {len(t)}")
     if np.any(y <= 0.0):
         raise ValueError("values must be strictly positive for a log fit")
-    X = np.log1p(t)
-    Y = np.log(y)
-    A = np.column_stack([X, np.ones_like(X)])
-    coef, _, _, _ = np.linalg.lstsq(A, Y, rcond=None)
-    resid = Y - A @ coef
+    dx = np.log1p(t)
+    dx -= dx.mean()
+    dy = np.log(y)
+    dy -= dy.mean()
+    sxx = float(dx @ dx)
+    slope = float(dx @ dy) / sxx if sxx > 0 else math.nan
+    resid = dy - slope * dx
     dof = len(t) - 2
     s2 = float(resid @ resid) / dof
-    sxx = float(np.sum((X - X.mean()) ** 2))
     stderr = math.sqrt(s2 / sxx) if sxx > 0 else math.inf
-    return DecayFit(float(coef[0]), stderr, dof)
+    return DecayFit(slope, stderr, dof)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +387,7 @@ def cas2_lower_bounds(system: SystemSpec, nu0: float, a: float,
         linf = nu0 ** 4 * dm ** 4 * t ** 3 / (32.0 * d1 ** 3 * d2 * X ** 2)
     else:
         dc = abs(system.c1 - system.c2)
+        erf = special_ufuncs().erf
         erf_l1 = erf(math.sqrt(a) * dc * t / (2.0 * np.sqrt(X)))
         l1 = nu0 ** 4 * dm ** 4 * math.sqrt(math.pi) * t * (
             -2.0 * np.sqrt(X) + math.sqrt(a * math.pi) * dc * t * erf_l1

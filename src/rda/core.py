@@ -355,6 +355,11 @@ def sample_times(scenario: Scenario) -> np.ndarray:
         scenario.t_end, scenario.dt, scenario.sample_dt) if sampled)])
 
 
+# The most steps validate_scenario accepts: 1000x the longest builtin
+# (cas3-stable, 10^4 steps). sample_times walks every step in Python, about
+# 2.6 s for 10^7, so a larger count would stall validation itself.
+_MAX_STEPS = 10**7
+
 # The requirements that relate fields, as (the keys a check reads,
 # holds(scenario), text). A check runs once the scenario reads its keys and
 # they met their own requirements and every earlier check's; a refusal
@@ -363,6 +368,8 @@ RELATIONS = (
     (("time.dt", "time.t_end"), lambda sc: 0 < sc.dt < sc.t_end, "0 < dt < t_end"),
     (("time.dt", "time.t_end"), lambda sc: _whole_steps(sc.t_end, sc.dt),
      "t_end = whole number of dt steps"),
+    (("time.dt", "time.t_end"), lambda sc: round(sc.t_end / sc.dt) <= _MAX_STEPS,
+     f"round(t_end/dt) <= {_MAX_STEPS}"),
     (("time.dt", "time.sample_dt"), lambda sc: _whole_steps(sc.sample_dt, sc.dt),
      "sample_dt = whole multiple of dt"),
     # Multiplied out, so that no dx divides.

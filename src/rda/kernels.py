@@ -9,7 +9,11 @@ compiled module loaded on the suite's first integral by
 _scipy_ext.load_extension: rda never imports the scipy.integrate package,
 which loads scipy.optimize, scipy.sparse and scipy.linalg with it (about
 160 ms and 24 MB). Unlike quad, which only warns, a QUADPACK failure
-gives a nan integral, which fails the suite.
+gives a nan integral, which fails the suite. That first call still imports
+the bare scipy package, through QUADPACK's scipy._lib._ccallback_c. The
+closed forms read erfcx and gamma from _scipy_ext.special_ufuncs(), which
+loads scipy.special's ufunc module on their first call, so importing this
+module loads neither.
 
 Note on conv_same_velocity: the exact value of that convolution carries a
 factor 1/2 relative to the way it is sometimes quoted; the closed form
@@ -24,11 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._scipy_ext import load_extension
-
-# scipy.special's own ufuncs, loaded without importing the package.
-_special = load_extension("scipy.special._special_ufuncs")
-erfcx, gamma = _special.erfcx, _special.gamma
+from ._scipy_ext import load_extension, special_ufuncs
 
 __all__ = [
     "IdentityReport",
@@ -266,14 +266,15 @@ def halfline_gauss_integral(a: float, r: float) -> float:
         raise ValueError("a must be positive")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    return math.sqrt(math.pi) * (erfcx(math.sqrt(4.0 * a * (r + 1.0))) + 1.0) / (2.0 * math.sqrt(a))
+    scaled = special_ufuncs().erfcx(math.sqrt(4.0 * a * (r + 1.0)))
+    return math.sqrt(math.pi) * (scaled + 1.0) / (2.0 * math.sqrt(a))
 
 
 def quartic_tail_integral(a: float) -> float:
     """integral over z in [0, inf) of e^{-z^2 a}/sqrt(z) dz = 2 Gamma(5/4) / a^{1/4}."""
     if a <= 0:
         raise ValueError("a must be positive")
-    return 2.0 * gamma(1.25) / a ** 0.25
+    return 2.0 * special_ufuncs().gamma(1.25) / a ** 0.25
 
 
 # ---------------------------------------------------------------------------

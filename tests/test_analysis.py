@@ -366,6 +366,34 @@ class TestDecayFit:
             reference.stderr * stats.t.ppf(0.975, len(t) - 2), rel=1e-12)
         assert fit.half_width > 0.0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_closed_form_matches_lstsq(self, seed):
+        # The oracle: the two-column least-squares solve the closed form
+        # replaced, on scattered power laws at uneven times.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 400))
+        t = np.sort(rng.uniform(0.0, 10.0 ** rng.uniform(1.0, 4.0), n))
+        y = (rng.uniform(1e-6, 1e3) * (1 + t) ** rng.uniform(-3.0, -0.1)
+             * np.exp(rng.uniform(0.0, 0.5) * rng.standard_normal(n)))
+        fit = fit_decay_exponent(t, y, t_min=0.0)
+        X, Y = np.log1p(t), np.log(y)
+        A = np.column_stack([X, np.ones_like(X)])
+        coef = np.linalg.lstsq(A, Y, rcond=None)[0]
+        resid = Y - A @ coef
+        stderr = math.sqrt(float(resid @ resid) / (n - 2)
+                           / float(np.sum((X - X.mean()) ** 2)))
+        assert fit.exponent == pytest.approx(coef[0], rel=1e-13)
+        assert fit.stderr == pytest.approx(stderr, rel=1e-13)
+        assert fit.dof == n - 2
+
+    def test_constant_log_time_has_no_slope(self):
+        # Every sample at one time: no slope, and no ZeroDivisionError.
+        t = np.full(10, 3.0)
+        fit = fit_decay_exponent(t, np.linspace(1.0, 2.0, 10), t_min=1.0)
+        assert math.isnan(fit.exponent)
+        assert fit.stderr == math.inf
+        assert fit.dof == 8
+
     def test_too_few_samples(self):
         t = np.linspace(1.0, 2.0, 5)
         with pytest.raises(ValueError):

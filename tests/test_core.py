@@ -151,6 +151,8 @@ REFUSAL_EXAMPLES = {
     ("blow_up_threshold", "finite"): dict(blow_up_threshold=_INF),
     ("RELATIONS", "0 < dt < t_end"): dict(dt=2.0),
     ("RELATIONS", "t_end = whole number of dt steps"): dict(dt=0.3),
+    # dt = 0.01, so 10^7 + 1 steps.
+    ("RELATIONS", "round(t_end/dt) <= 10000000"): dict(t_end=100000.01),
     ("RELATIONS", "sample_dt = whole multiple of dt"): dict(sample_dt=0.015),
     # dx = 120/256, so dt*|c2|/dx = 21.3.
     ("RELATIONS", "dt*max|c|/dx <= 10"): dict(system=_system(c2=1000.0)),
@@ -234,6 +236,15 @@ class TestRefusalTables:
                              system=_system(c2=0.0))
         (violation,) = validate_scenario(huge).violations
         assert violation.startswith("grid n: Unable to allocate 1.00 EiB")
+
+
+    def test_huge_step_count_refused_before_the_sample_walk(self):
+        # 6.25e306 steps: the decay output's sample requirement would walk
+        # them all in sample_times; the step ceiling refuses first.
+        huge = make_scenario(t_end=1e308, dt=16.0, sample_dt=16.0,
+                             system=_system(c2=0.0), outputs=("decay",))
+        assert validate_scenario(huge).violations == (
+            "round(t_end/dt) <= 10000000 failed",)
 
 
 class TestValidateScenario:

@@ -113,19 +113,26 @@ def test_every_export_has_a_product_reader(module):
 HEAVY = ["scipy.stats", "scipy.fft", "scipy.integrate", "scipy.optimize",
          "scipy.sparse", "scipy.linalg", "scipy.special"]
 QUADPACK = "scipy.integrate._quadpack"
+# The scipy package's own __init__ (about 11 ms and 1.2 MB), which only
+# QUADPACK's first call imports, and the special ufuncs' module (1.1 MB),
+# which only the distinct-velocity lower bounds and the identity suite read.
+SCIPY = "scipy"
+SPECIAL = "scipy.special._special_ufuncs"
 # Only rda run --jobs N with N > 1 starts a process pool.
 POOL = "concurrent.futures"
-STEPS = ["import", "list", "classify", "run", "run decay", "verify-identities"]
+STEPS = ["import", "list", "classify", "run decay", "run", "verify-identities"]
 
 
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
-    """The HEAVY modules, QUADPACK and the pool module that a fresh
-    interpreter holds after each step: import rda.cli, rda list, rda
-    classify toy, rda run --jobs 1 of two scenarios that between them read
-    lower bounds, the drag envelope and the exact error, rda run --jobs 1
-    of a small config that fits a decay exponent, rda verify-identities,
-    and last, as the control, import scipy.integrate."""
+    """The HEAVY modules, QUADPACK, SCIPY, SPECIAL and the pool module that
+    a fresh interpreter holds after each step: import rda.cli, rda list,
+    rda classify toy, rda run --jobs 1 of a small config that fits a decay
+    exponent, rda run --jobs 1 of two scenarios that between them read the
+    distinct-velocity lower bounds (erf), the drag envelope and the exact
+    error, rda verify-identities, and last, as the control, import
+    scipy.integrate. A module stays loaded, so each step also holds what
+    the steps before it loaded."""
     from test_cli import FAST_CONFIG
 
     out = tmp_path_factory.mktemp("out")
@@ -139,16 +146,16 @@ def loaded(tmp_path_factory):
         import rda.cli
         out = Path(sys.argv[1])
         def seen():
-            return [name for name in {[*HEAVY, QUADPACK, POOL]!r}
+            return [name for name in {[*HEAVY, QUADPACK, SCIPY, SPECIAL, POOL]!r}
                     if name in sys.modules]
         steps = {{"import": seen()}}
         for step, argv in [
                 ("list", ["list"]),
                 ("classify", ["classify", "toy"]),
-                ("run", ["run", "cas2-equal", "remark51-exact",
-                         "--out", str(out / "run"), "--jobs", "1"]),
                 ("run decay", ["run", str(out / "fast.cfg"),
                                "--out", str(out / "fast"), "--jobs", "1"]),
+                ("run", ["run", "cas2-distinct", "remark51-exact",
+                         "--out", str(out / "run"), "--jobs", "1"]),
                 ("verify-identities", ["verify-identities"])]:
             assert rda.cli.main(argv) == 0, step
             steps[step] = seen()
@@ -180,6 +187,27 @@ def test_verify_identities_loads_quadpack(loaded):
     assert QUADPACK in loaded["verify-identities"]
 
 
+@pytest.mark.parametrize("step", ["import", "list", "classify", "run decay"])
+def test_cli_leaves_out_scipy_and_its_special_functions(loaded, step):
+    # Neither the scipy package nor the special ufuncs: fitting a decay
+    # exponent reads neither.
+    assert SCIPY not in loaded[step]
+    assert SPECIAL not in loaded[step]
+
+
+def test_lower_bounds_load_the_special_ufuncs_alone(loaded):
+    # cas2-distinct's bounds call erf, which loads its module on first use,
+    # still without the scipy package.
+    assert SPECIAL in loaded["run"]
+    assert SCIPY not in loaded["run"]
+
+
+def test_verify_identities_loads_scipy_through_quadpack(loaded):
+    # erfcx and gamma load the ufuncs; QUADPACK's first call imports scipy.
+    assert SPECIAL in loaded["verify-identities"]
+    assert SCIPY in loaded["verify-identities"]
+
+
 def test_control_import_is_seen(loaded):
     # The control for the tests above: a package imported normally is seen,
     # with what it loads.
@@ -208,18 +236,61 @@ def test_loaded_extensions_are_scipys_modules(first):
              "import scipy.fft, scipy.integrate, scipy.special"]
     code = "\n".join([*(steps if first == "rda" else steps[::-1]),
                       "import sys",
-                      "from rda import analysis, kernels, solver",
+                      "from rda import kernels, solver",
+                      "from rda._scipy_ext import special_ufuncs",
                       "print(kernels._quadpack() is "
                       "sys.modules['scipy.integrate._quadpack_py']._quadpack, "
                       "solver.pypocketfft is "
                       "sys.modules['scipy.fft._pocketfft.basic'].pfft, "
-                      "analysis.erf is scipy.special.erf, "
-                      "kernels.erfcx is scipy.special.erfcx, "
-                      "kernels.gamma is scipy.special.gamma)"])
+                      "special_ufuncs().erf is scipy.special.erf, "
+                      "special_ufuncs().erfcx is scipy.special.erfcx, "
+                      "special_ufuncs().gamma is scipy.special.gamma)"])
     proc = subprocess.run([sys.executable, "-c", code], check=True,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.stdout.splitlines()[-1] == "True True True True True"
+
+
+def linalg_uses(source: str) -> list[str]:
+    """Reads of numpy.linalg, through any alias of numpy (np.linalg.lstsq),
+    and imports of it or of names from it."""
+    tree = ast.parse(source)
+    numpy_names = {"numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("numpy.linalg"):
+                    found.append((node.lineno, f"import {alias.name}"))
+                elif alias.name == "numpy":
+                    numpy_names.add(alias.asname or alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.startswith("numpy.linalg")
+                or node.module == "numpy"
+                and any(alias.name == "linalg" for alias in node.names)):
+            found.append((node.lineno, f"from {node.module} import ..."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+            found.append((node.lineno, f"{node.value.id}.linalg"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_linalg_checker_catches_a_solver_call():
+    source = ("import numpy as np\nimport numpy.linalg\nfrom numpy import linalg\n"
+              "coef = np.linalg.lstsq(A, y)\nx = numpy.linalg.norm(y)\n"
+              "z = scipy.linalg.solve(A, y)\nw = np.dot(y, y)\n")
+    assert linalg_uses(source) == [
+        "line 2: import numpy.linalg", "line 3: from numpy import ...",
+        "line 4: np.linalg", "line 5: numpy.linalg"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/rda").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_linalg_in_the_package(path):
+    # The decay fit is a closed form: a LAPACK solver's first call costs
+    # about 1.0 MB for what two dot products compute.
+    assert linalg_uses(path.read_text(encoding="utf-8")) == []
 
 
 def test_loader_refuses_a_missing_extension():
@@ -512,6 +583,11 @@ STALE_TRACER_TARGETS = {
     "rda.solver.SpectralState.to_physical not found",
     # Only rda.cli validates; rda.config parses.
     "rda.config.validate_scenario not found, not traced",
+    # The special ufuncs are read through _scipy_ext.special_ufuncs() on
+    # first use, so no module binds them by name.
+    "rda.analysis.erf not found, not traced",
+    "rda.kernels.erfcx not found, not traced",
+    "rda.kernels.gamma not found, not traced",
 }
 
 

@@ -1,7 +1,8 @@
 """The special functions rda calls (scipy.special), against mpmath references.
 
 erf enters the growth lower bounds (analysis); erfcx and gamma enter the
-closed forms of the identity suite (kernels).
+closed forms of the identity suite (kernels). Both read them from
+_scipy_ext.special_ufuncs(), scipy.special's compiled ufunc module.
 """
 
 import math
@@ -9,8 +10,9 @@ import math
 import mpmath
 import pytest
 
-from rda.analysis import erf
-from rda.kernels import erfcx, gamma
+from rda._scipy_ext import special_ufuncs
+
+erf, erfcx, gamma = special_ufuncs().erf, special_ufuncs().erfcx, special_ufuncs().gamma
 
 POINTS = [0.0, 1e-8, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 2.999, 3.0, 3.5, 5.0,
           8.0, 12.0, 20.0, 50.0]

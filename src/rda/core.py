@@ -1,14 +1,18 @@
-"""Domain types, scenario configuration, validation, and the time grid.
+"""Domain types, scenario configuration, validation, the time grid and the
+initial data.
 
 All types are immutable value objects. SLOTS is the one owner of the
 coupling convention, SystemSpec.monomials the one coefficient extractor,
 FIELDS the one owner of the config keys, and FIELDS, RELATIONS, DATA_NEEDS
-and analysis.OUTPUT_RULES the tables that every refusal comes from.
+and analysis.OUTPUT_RULES the tables that every refusal comes from. Each
+initial kind is a named profile: gaussian and algebraic (the paper's
+exponentially and algebraically localized data) are centred at their
+`center` field, which the envelope output's requirements read, and
+remark51 and zero at x = 0 by construction.
 """
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import math
 import re
@@ -35,7 +39,6 @@ __all__ = [
     "sample_times",
     "evaluate_initial",
     "gaussian_profile",
-    "parse_expression",
 ]
 
 DEFAULT_BLOW_UP_THRESHOLD = 1e8
@@ -124,7 +127,6 @@ class InitialData:
     width: float = 4.0       # gaussian: e^{-(x-center)^2/width}
     power: float = 3.0       # algebraic: (1 + |x-center|)^{-power}
     center: float = 0.0
-    expression: str = ""     # custom: small arithmetic grammar in x
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ class ValidationReport:
 # Config keys
 # ---------------------------------------------------------------------------
 
-_INITIAL_KINDS = ("gaussian", "algebraic", "remark51", "zero", "custom")
+_INITIAL_KINDS = ("gaussian", "algebraic", "remark51", "zero")
 _ENVELOPE_KINDS = ("exponential", "algebraic", "drag")
 # The dataclass behind each Scenario attribute that dotted keys fill, and
 # each dataclass field's default, MISSING where it has none.
@@ -283,8 +285,6 @@ FIELDS = (
           "initial.{c}: power", ("algebraic",), _POSITIVE),
     Field("initial.{c}.center", ("initial_{c}", "center"), float,
           "initial.{c}: center", ("gaussian", "algebraic"), _FINITE),
-    Field("initial.{c}.expression", ("initial_{c}", "expression"), str,
-          "initial.{c}: expression", ("custom",), _ONE_LINE),
     Field("envelope.kind", ("envelope", "kind"), str, "envelope kind {value!r}",
           needs=((lambda kind: kind in _ENVELOPE_KINDS, f"in {_ENVELOPE_KINDS}"),)),
     Field("envelope.M", ("envelope", "M"), float, "envelope M", _ENVELOPE_KINDS, _POSITIVE),
@@ -392,9 +392,10 @@ _EDGE_RATIO = 1e-5
 
 # What each component's initial values on the grid require, as
 # (holds(values, scenario), text); a component reports its first unmet one.
-# A pole or overflow on a grid point, or data at blow_up_threshold, would
-# be reported as a blow-up at the first step; data cut off at the box edge
-# has a jump there once the grid is made periodic.
+# A non-finite value on the grid (every kind is finite at finite points, so
+# only a grid whose spacing 2L/n overflows gives one), or data at
+# blow_up_threshold, would be reported as a blow-up at the first step; data
+# cut off at the box edge has a jump there once the grid is made periodic.
 DATA_NEEDS = (
     (lambda values, _: np.all(np.isfinite(values)), "finite values on the grid"),
     (lambda values, _: max(abs(values[0]), abs(values[-1]))
@@ -410,7 +411,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     FIELDS, the RELATIONS, each component's initial data on the grid against
     DATA_NEEDS and, once these hold, the requested outputs' requirements
     (analysis.output_violations). Each refusal is a table entry's text, but
-    for the error of a custom expression or a grid too large to allocate.
+    for the error of a grid too large to allocate.
 
     Never raises: every float, nan and infinities included, is either
     accepted or reported as a violation. The wraparound warning and the
@@ -431,7 +432,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             violations.append(f"{text} failed")
             passed.difference_update(reads)
     failed, x, fields = read - passed, None, []
-    with np.errstate(all="ignore"):  # DATA_NEEDS reports a pole or an overflow
+    with np.errstate(all="ignore"):  # DATA_NEEDS reports non-finite values
         if not any(key.startswith("grid.") for key in failed):
             try:
                 x = scenario.grid.points()
@@ -441,11 +442,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             label = f"initial.{c}"
             if x is None or any(key.startswith(f"{label}.") for key in failed):
                 continue
-            try:
-                values = evaluate_initial(getattr(scenario, f"initial_{c}"), x)
-            except ValueError as exc:  # a custom expression that does not parse
-                violations.append(f"{label}: {exc}")
-                continue
+            values = evaluate_initial(getattr(scenario, f"initial_{c}"), x)
             if (unmet := _first_unmet(DATA_NEEDS, values, scenario)) is not None:
                 violations.append(f"{label}: {unmet} failed")
             fields.append(values)
@@ -470,78 +467,6 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 # Initial data
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+\.?\d*(?:[eE][+-]?\d+)?|[()+\-*/^]|x|exp|abs)")
-# The longest expression parse_expression accepts. It bounds the depth of
-# Python's parser, of the tree walk and of the evaluation, so no input can
-# reach the recursion limit.
-MAX_EXPRESSION_TOKENS = 256
-_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
-           ast.Div: np.divide, ast.Pow: np.power}
-_FUNCTIONS = {"exp": np.exp, "abs": np.abs}
-
-
-def parse_expression(expr: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Parse the small arithmetic grammar (+,-,*,/,^, exp, abs, x).
-
-    Precedence is Python's, with ^ for **: ^ is right-associative and
-    binds tighter than unary minus (-x^2 is -(x^2)), which binds tighter
-    than * and /. At most MAX_EXPRESSION_TOKENS tokens are accepted.
-
-    Returns a numpy-vectorized callable of x. Raises ValueError on any
-    malformed input. Python's parser only builds the syntax tree; a
-    whitelist walk turns it into numpy calls, so there is no eval and no
-    name lookup.
-    """
-    words: list[str] = []
-    constants: dict[str, float] = {}
-    pos = 0
-    while pos < len(expr):
-        m = _TOKEN.match(expr, pos)
-        if m is None:
-            if expr[pos:].strip() == "":
-                break
-            raise ValueError(f"bad token at position {pos} in {expr!r}")
-        if len(words) == MAX_EXPRESSION_TOKENS:
-            raise ValueError(f"more than {MAX_EXPRESSION_TOKENS} tokens in expression")
-        token = m.group(1)
-        if token[0].isdigit():
-            # A placeholder name keeps float()'s reading of 007 and 1e999.
-            name = f"c{len(constants)}"
-            constants[name] = float(token)
-            token = name
-        words.append("**" if token == "^" else token)
-        pos = m.end()
-    if not words:
-        raise ValueError("empty expression")
-    try:
-        tree = ast.parse(" ".join(words), mode="eval").body
-    except SyntaxError:
-        raise ValueError(f"malformed expression {expr!r}") from None
-
-    def build(node):
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            op = _BINARY[type(node.op)]
-            left, right = build(node.left), build(node.right)
-            return lambda x: op(left(x), right(x))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            operand = build(node.operand)
-            return lambda x: np.negative(operand(x))
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in _FUNCTIONS and len(node.args) == 1
-                and not node.keywords):
-            fn, arg = _FUNCTIONS[node.func.id], build(node.args[0])
-            return lambda x: fn(arg(x))
-        if isinstance(node, ast.Name) and node.id == "x":
-            return lambda x: x
-        if isinstance(node, ast.Name) and node.id in constants:
-            value = constants[node.id]
-            return lambda x: np.full_like(x, value, dtype=float)
-        raise ValueError(f"malformed expression {expr!r}")
-
-    result = build(tree)
-    return lambda x: np.asarray(result(np.asarray(x, dtype=float)), dtype=float)
-
-
 def gaussian_profile(zeta: np.ndarray, t: float, d1: float) -> np.ndarray:
     """Unit-mass diffusive profile e^{-zeta^2/(4 d1 (1+t))}/sqrt(4 pi d1 (1+t))."""
     return np.exp(-zeta ** 2 / (4.0 * d1 * (1.0 + t))) / math.sqrt(
@@ -561,6 +486,4 @@ def evaluate_initial(init: InitialData, x: np.ndarray) -> np.ndarray:
         # u-component of the exact drag solution at t=0; the matching
         # v-component starts from zero, so use kind="zero" there.
         return gaussian_profile(x, 0.0, 1.0)
-    if init.kind == "custom":
-        return parse_expression(init.expression)(x)
     raise ValueError(f"unknown initial kind {init.kind!r}")

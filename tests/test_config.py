@@ -17,8 +17,8 @@ from rda.config import (
     parse_scenario_text,
     serialize_scenario,
 )
-from rda.core import (FIELDS, KEYS, SLOTS, InitialData, PolyTerm, parse_expression,
-                      scenario_from, validate_scenario)
+from rda.core import (_INITIAL_KINDS, FIELDS, KEYS, SLOTS, PolyTerm, scenario_from,
+                      validate_scenario)
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 
 MINIMAL = """\
@@ -136,8 +136,6 @@ def test_term_list_with_flux_entries():
     ((("initial.u.kind = gaussian", "initial.u.kind = algebraic"),
       ("", "initial.u.width = 2.0\n")),
      "line 14: 'initial.u.width' is not read by initial.u.kind 'algebraic'"),
-    ((("", "initial.u.expression = x\n"),),
-     "line 14: 'initial.u.expression' is not read by initial.u.kind 'gaussian'"),
     ((("", "initial.v.amplitude = 1e-3\n"),),
      "line 14: 'initial.v.amplitude' is not read by initial.v.kind 'zero'"),
     ((("initial.u.kind = gaussian\ninitial.u.amplitude = 1e-3",
@@ -145,7 +143,7 @@ def test_term_list_with_flux_entries():
      "line 13: 'initial.u.center' is not read by initial.u.kind 'remark51'"),
 ], ids=["envelope_M_without_kind", "envelope_r_without_kind",
         "envelope_r_on_exponential", "power_on_gaussian", "width_on_algebraic",
-        "expression_on_gaussian", "shape_on_zero", "shape_on_remark51"])
+        "shape_on_zero", "shape_on_remark51"])
 def test_key_the_kind_does_not_read_is_rejected(edits, message):
     # Each edit either replaces a line or, with an empty old text, appends.
     text = MINIMAL
@@ -160,11 +158,11 @@ def test_key_the_kind_does_not_read_is_rejected(edits, message):
 def test_keys_the_kind_reads_are_kept():
     text = MINIMAL.replace("initial.u.kind = gaussian", "initial.u.kind = algebraic") + (
         "initial.u.power = 3.0\ninitial.u.center = 2.0\n"
-        "initial.v.kind = custom\ninitial.v.expression = 0.001*exp(-x^2)\n"
+        "initial.v.kind = gaussian\ninitial.v.amplitude = 1e-3\ninitial.v.width = 2.0\n"
         "envelope.kind = algebraic\nenvelope.M = 2.0\nenvelope.r = 4.0\n")
     scenario = parse_scenario_text(text)
     assert (scenario.initial_u.power, scenario.initial_u.center) == (3.0, 2.0)
-    assert scenario.initial_v.expression == "0.001*exp(-x^2)"
+    assert (scenario.initial_v.amplitude, scenario.initial_v.width) == (1e-3, 2.0)
     assert (scenario.envelope.M, scenario.envelope.r) == (2.0, 4.0)
     assert parse_scenario_text(serialize_scenario(scenario)) == scenario
 
@@ -186,10 +184,8 @@ _ONE_LINE = "has no '#', line break or surrounding whitespace failed"
     (dict(description="a # b"), f"description {_ONE_LINE}"),
     (dict(description="  lead"), f"description {_ONE_LINE}"),
     (dict(description="two\nlines"), f"description {_ONE_LINE}"),
-    (dict(initial_u=InitialData(kind="custom", expression="1e-3*exp(-x^2)\n*2")),
-     f"initial.u: expression {_ONE_LINE}"),
 ], ids=["hash_in_name", "hash_in_description", "leading_whitespace",
-        "line_break_in_description", "line_break_in_expression"])
+        "line_break_in_description"])
 def test_string_a_config_line_cannot_hold_is_refused(changes, message):
     scenario = dataclasses.replace(get_scenario("cas3-stable"), **changes)
     assert validate_scenario(scenario).violations == (message,)
@@ -199,12 +195,6 @@ def test_string_a_config_line_cannot_hold_is_refused(changes, message):
         assert parse_scenario_text(serialize_scenario(scenario)) != scenario
 
 
-def test_expression_with_a_line_break_parses():
-    # The grammar skips whitespace, line breaks included, so only the
-    # table's one-line requirement refuses such an expression.
-    assert parse_expression("1e-3*exp(-x^2)\n*2")(0.0) == 2e-3
-
-
 # Boundary values first, then anything a field's own requirements accept.
 _FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 3.0, 16.0]),
                     st.floats(allow_nan=False))
@@ -212,8 +202,8 @@ _STRINGS = st.one_of(
     st.sampled_from(["a", "a#b", "a # b", "  lead", "trail ", "two\nlines", "a\r\nb",
                      "a=b", "a  b", "..a", "1e-3*exp(-x^2)"]),
     st.text(st.characters(codec="utf-8"), max_size=8))
-_KINDS = st.sampled_from(["gaussian", "algebraic", "remark51", "zero", "custom",
-                          "exponential", "drag"])
+_KINDS = st.sampled_from(["gaussian", "algebraic", "remark51", "zero", "exponential",
+                          "drag"])
 
 
 def _domain(key, entry):
@@ -261,8 +251,21 @@ def test_generated_scenarios_round_trip(scenario):
     assert serialize_scenario(parse_scenario_text(text)) == text
 
 
-def test_readme_key_reference_lists_every_key():
+def _readme_config_keys():
+    """The README's "Config keys" section."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
-    assert re.findall(r"^\| `([^`]+)` \|", section, flags=re.M) == [
+    return readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+
+
+def test_readme_key_reference_lists_every_key():
+    assert re.findall(r"^\| `([^`]+)` \|", _readme_config_keys(), flags=re.M) == [
         entry.key for entry in FIELDS]
+
+
+def test_readme_names_the_initial_kinds_the_code_accepts():
+    # The row's requirement cell (cells are split at unescaped pipes) lists
+    # the kinds before its first semicolon.
+    (row,) = re.findall(r"^\| `initial\.\{c\}\.kind` \|.*$", _readme_config_keys(),
+                        flags=re.M)
+    kinds = re.split(r"(?<!\\)\|", row)[5].split(";")[0]
+    assert tuple(re.findall(r"`([^`]+)`", kinds)) == _INITIAL_KINDS

@@ -1,15 +1,14 @@
-"""Domain types, validation, and the initial-data expression grammar."""
+"""Domain types, validation, and the initial data."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rda.analysis import OUTPUT_RULES
 from rda.core import (
+    _INITIAL_KINDS,
     DATA_NEEDS,
     KEYS,
     RELATIONS,
@@ -21,7 +20,6 @@ from rda.core import (
     Scenario,
     SystemSpec,
     evaluate_initial,
-    parse_expression,
     validate_scenario,
     wraparound_budget,
 )
@@ -100,18 +98,18 @@ def _component_examples(c):
 
     yield from {
         (f"initial.{c}.kind",
-         "in ('gaussian', 'algebraic', 'remark51', 'zero', 'custom')"): data("bogus"),
+         "in ('gaussian', 'algebraic', 'remark51', 'zero')"): data("bogus"),
         (f"initial.{c}.amplitude", "finite"): data("gaussian", amplitude=_NAN),
         (f"initial.{c}.width", "> 0"): data("gaussian", width=-1.0),
         (f"initial.{c}.width", "finite"): data("gaussian", width=_INF),
         (f"initial.{c}.power", "> 0"): data("algebraic", power=-1.0),
         (f"initial.{c}.power", "finite"): data("algebraic", power=_INF),
         (f"initial.{c}.center", "finite"): data("gaussian", center=_NAN),
-        (f"initial.{c}.expression", "has no '#', line break or surrounding whitespace"):
-            data("custom", expression="1e-3 # comment"),
-        # x = 0 is a grid point, so 1/x is infinite there.
-        (f"DATA_NEEDS initial.{c}", "finite values on the grid"):
-            data("custom", expression="1/x"),
+        # L = 1e308 is finite, but dx = 2L/n overflows, so the grid points
+        # are not; the other component is zero data, finite everywhere.
+        (f"DATA_NEEDS initial.{c}", "finite values on the grid"): dict(
+            grid=Grid(half_width=1e308, n=64), **_data("uv".replace(c, ""), kind="zero"),
+            **data("gaussian")),
         # On L = 60 this reads 1/61 of its peak at the edge.
         (f"DATA_NEEDS initial.{c}", "|value at the box edge| <= 1e-05 max|value|"):
             data("algebraic", power=1.0),
@@ -320,17 +318,14 @@ class TestValidateScenario:
         assert wraparound_budget(grid, system, 10.0, 16.0) < \
             wraparound_budget(grid, system, 20.0, 16.0)
 
-    def test_bad_custom_expression_reported(self):
-        bad = make_scenario(
-            initial_u=InitialData(kind="custom", expression="exp(x"))
-        report = validate_scenario(bad)
-        assert not report.valid
-
     @pytest.mark.parametrize("label,field", [("initial.u", "initial_u"),
                                              ("initial.v", "initial_v")])
     def test_nonfinite_initial_values_reported(self, label, field):
-        # x = 0 is a grid point, so 1/x is infinite there.
-        bad = make_scenario(**{field: InitialData(kind="custom", expression="1/x")})
+        # grid.L = 1e308 meets its own requirements, but dx = 2L/n overflows
+        # and the grid points are nan and inf; zero data stays finite.
+        data = {"initial_u": InitialData(kind="zero"), "initial_v": InitialData(kind="zero"),
+                field: InitialData(kind="algebraic", amplitude=1e-3)}
+        bad = make_scenario(grid=Grid(half_width=1e308, n=64), **data)
         report = validate_scenario(bad)
         assert report.violations == (f"{label}: finite values on the grid failed",)
 
@@ -476,7 +471,6 @@ class TestValidateScenario:
                                            ("remark51", "power"),
                                            ("zero", "amplitude"),
                                            ("remark51", "amplitude"),
-                                           ("custom", "amplitude"),
                                            ("exponential", "r"),
                                            ("drag", "r")])
     def test_shape_parameter_checked_only_where_read(self, kind, name):
@@ -486,8 +480,7 @@ class TestValidateScenario:
             scenario = make_scenario(envelope=EnvelopeSpec(kind=kind, r=math.nan))
         else:
             scenario = make_scenario(initial_u=InitialData(**{
-                "kind": kind, "amplitude": 1e-3, "expression": "1e-3*exp(-x^2)",
-                name: math.nan}))
+                "kind": kind, "amplitude": 1e-3, name: math.nan}))
         assert validate_scenario(scenario).violations == ()
 
     @pytest.mark.parametrize("field", [
@@ -507,113 +500,30 @@ class TestValidateScenario:
                 scenario = dataclasses.replace(base, **{name: value})
             validate_scenario(scenario)
 
-    @pytest.mark.parametrize("expr", [
-        "(" * 300 + "x" + ")" * 300,
-        "+".join(["x"] * 5001),
-        "-" * 2000 + "x",
-    ], ids=["nested_parentheses", "long_sum", "leading_minus"])
-    def test_deep_expression_reported(self, expr):
-        # Each of these once ended in a RecursionError, while parsing or
-        # while evaluating on the grid.
-        bad = make_scenario(initial_u=InitialData(kind="custom", expression=expr))
-        assert validate_scenario(bad).violations == (
-            "initial.u: more than 256 tokens in expression",)
-
     def test_overflowing_initial_values_reported(self):
-        bad = make_scenario(
-            initial_u=InitialData(kind="custom", expression="exp(x^2)"))
-        report = validate_scenario(bad)
-        assert "initial.u: finite values on the grid failed" in report.violations
+        # Every named kind is finite on a finite grid; only a half-width
+        # whose 2L/n overflows makes both data non-finite.
+        bad = make_scenario(grid=Grid(half_width=1e308, n=64),
+                            initial_v=InitialData(kind="remark51"))
+        assert validate_scenario(bad).violations == (
+            "initial.u: finite values on the grid failed",
+            "initial.v: finite values on the grid failed")
 
-
-# Binding levels of the grammar: 1 sum, 2 product, 3 unary minus, 4 power,
-# 5 atom. A binary operator's right operand binds one level tighter than
-# its left one, except for the right-associative ^.
-_LEVELS = {"+": 1, "-": 1, "*": 2, "/": 2}
-_NUMPY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-          "^": np.power, "neg": np.negative, "exp": np.exp, "abs": np.abs}
-
-_LEAVES = st.one_of(
-    st.just(("x",)),
-    st.floats(0.0, 1e3).map(lambda v: ("num", repr(v))),
-    st.integers(0, 999).map(lambda n: ("num", f"{n:03d}")),
-    st.just(("num", "1e999")),
-)
-_TREES = st.recursive(_LEAVES, lambda children: st.one_of(
-    st.tuples(st.sampled_from("+-*/^"), children, children),
-    st.tuples(st.sampled_from(["neg", "exp", "abs"]), children),
-), max_leaves=24)
-
-
-def _render(tree):
-    """(text, level): tree written with only the parentheses that the
-    grammar's precedence needs."""
-    kind = tree[0]
-    if kind == "x":
-        return "x", 5
-    if kind == "num":
-        return tree[1], 5
-    if kind in ("exp", "abs"):
-        return f"{kind}({_render(tree[1])[0]})", 5
-    if kind == "neg":
-        return "-" + _operand(tree[1], 3), 3
-    if kind == "^":
-        return f"{_operand(tree[1], 5)} ^ {_operand(tree[2], 3)}", 4
-    level = _LEVELS[kind]
-    return f"{_operand(tree[1], level)} {kind} {_operand(tree[2], level + 1)}", level
-
-
-def _operand(tree, min_level):
-    text, level = _render(tree)
-    return text if level >= min_level else f"({text})"
-
-
-def _evaluate(tree, x):
-    if tree[0] == "x":
-        return x
-    if tree[0] == "num":
-        return np.full_like(x, float(tree[1]))
-    return _NUMPY[tree[0]](*(_evaluate(child, x) for child in tree[1:]))
-
-
-class TestExpressionGrammar:
-    @settings(max_examples=300, deadline=None)
-    @given(_TREES)
-    def test_matches_numpy_on_random_trees(self, tree):
-        x = np.linspace(-3.0, 3.0, 25)
-        text = _render(tree)[0]
-        with np.errstate(all="ignore"):
-            expected = _evaluate(tree, x)
-            got = parse_expression(text)(x)
-        assert got.tobytes() == expected.tobytes(), text
-
-    def test_token_bound(self):
-        x = np.linspace(-1.0, 1.0, 5)
-        assert parse_expression("-" * 255 + "x")(x).tobytes() == (-x).tobytes()
-        with pytest.raises(ValueError, match="more than 256 tokens"):
-            parse_expression("-" * 256 + "x")
-
-    @pytest.mark.parametrize("expr,fn", [
-        ("x", lambda x: x),
-        ("2 + 3 * x", lambda x: 2 + 3 * x),
-        ("(1 + x) ^ 2", lambda x: (1 + x) ** 2),
-        ("exp(-x^2 / 4)", lambda x: np.exp(-x ** 2 / 4)),
-        ("1 / (1 + abs(x)) ^ 3", lambda x: 1 / (1 + np.abs(x)) ** 3),
-        ("-x + 2 ^ 2 ^ 2", lambda x: -x + 16.0),
-        ("1.5e-3 * exp(-abs(x))", lambda x: 1.5e-3 * np.exp(-np.abs(x))),
-        ("007 * x - 1e999", lambda x: 7.0 * x - np.inf),
-    ])
-    def test_evaluates(self, expr, fn):
-        x = np.linspace(-5, 5, 101)
-        np.testing.assert_allclose(parse_expression(expr)(x), fn(x), rtol=1e-14)
-
-    @pytest.mark.parametrize("expr", [
-        "", "x +", "(x", "x)", "sin(x)", "x ** 2", "1 2", "exp x",
-        "+x", "exp", "exp()", "exp(*x)", "exp(^x)", "2(x)", "x(2)", "exp(x)(x)",
-    ])
-    def test_rejects(self, expr):
-        with pytest.raises(ValueError):
-            parse_expression(expr)
+    @pytest.mark.parametrize("kind", _INITIAL_KINDS)
+    def test_every_initial_kind_is_centred_where_validation_reads(self, kind):
+        # The envelope weights are centred at x = 0. A kind either has a
+        # center that the envelope output reads, so off-centre data is
+        # refused, or is centred at 0 whatever its fields say.
+        init = InitialData(kind=kind, amplitude=1e-3, center=1.0)
+        if kind in KEYS["initial.u.center"].reads:
+            bad = make_scenario(initial_u=init, envelope=_EXPONENTIAL,
+                                outputs=("envelope",))
+            assert validate_scenario(bad).violations == (
+                "envelope output requires initial.u.center = 0",)
+        else:
+            x = np.linspace(-60.0, 60.0, 1201)
+            mass = np.abs(evaluate_initial(init, x))
+            assert abs(np.sum(x * mass)) <= 1e-12 * 60.0 * np.sum(mass)
 
 
 class TestInitialData:

@@ -84,33 +84,36 @@ def gauss_legendre_panels(a: float, b: float, panels: int, order: int = 16):
     return nodes, weights
 
 
-# Row block of the Gaussian sweep, in doubles: 512 KB, so the block and
-# its exponentials stay in cache while the weights are applied.
+# Block of the Gaussian sweep, in doubles: 512 KB, so the block and its
+# exponentials stay in cache while the weights are applied.
 _BLOCK_DOUBLES = 65536
 
 
 def _gaussian_sweep(x: np.ndarray, nodes: np.ndarray, scale: float,
                     weights: np.ndarray) -> np.ndarray:
-    """sum over j of e^{-(x_i + nodes_j)^2 / scale} weights[j, :], for every x_i.
+    """sum over j of weights[j, :] e^{-(x_i + nodes_j)^2 / scale}, for every x_i.
 
-    weights is (len(nodes), k) and the result (len(x), k). The Gaussian
-    matrix is built in row blocks of about 512 KB in one reused buffer, so
-    no (len(x), len(nodes)) temporary is allocated. The block size and the
-    np.dot layout stay as they are: BLAS sums the products in an order that
-    depends on both, so another block size or a transposed product changes
-    the weights' last bits.
+    weights is (len(nodes), k) and the result (k, len(x)). x and -nodes are
+    scaled by 1/sqrt(scale) once, so each entry of the Gaussian matrix costs
+    one subtract, one square, one negate and one exp. The matrix is built
+    in blocks of whole node rows over the contiguous x axis, about 512 KB
+    in one reused buffer, and each block's weights[rows].T @ block is added
+    to the result, so no (len(x), len(nodes)) temporary is allocated.
     """
-    out = np.empty((len(x), weights.shape[1]))
-    rows = max(1, _BLOCK_DOUBLES // len(nodes))
-    buf = np.empty((min(rows, len(x)), len(nodes)))
-    for start in range(0, len(x), rows):
-        xb = x[start:start + rows]
-        block = buf[:len(xb)]
-        np.add(xb[:, None], nodes, out=block)
+    root = 1.0 / math.sqrt(scale)
+    xs = x * root
+    ns = nodes * -root
+    out = np.zeros((weights.shape[1], len(x)))
+    rows = max(1, _BLOCK_DOUBLES // max(1, len(x)))
+    buf = np.empty((min(rows, len(nodes)), len(x)))
+    for start in range(0, len(nodes), rows):
+        nb = ns[start:start + rows]
+        block = buf[:len(nb)]
+        np.subtract(xs, nb[:, None], out=block)
         np.square(block, out=block)
-        block /= -scale
+        np.negative(block, out=block)
         np.exp(block, out=block)
-        np.dot(block, weights, out=out[start:start + len(xb)])
+        out += weights[start:start + rows].T @ block
     return out
 
 
@@ -162,7 +165,7 @@ def drag_profile(x: np.ndarray, t: float, c_self: float, c_other: float,
     def evaluate(panels):
         s, w = gauss_legendre_panels(0.0, t, panels)
         w = w * (root / (1.0 + s) ** power_decay)
-        return _gaussian_sweep(shifted, s * dc, scale, w[:, None])[:, 0]
+        return _gaussian_sweep(shifted, s * dc, scale, w[:, None])[0]
 
     return _refine_panels(evaluate)
 
@@ -181,8 +184,9 @@ def drag_weight_profile(x: np.ndarray, s: float, c1: float, c2: float,
     Both endpoint singularities are integrable square roots; r = w^2 and
     r = s - w^2 remove them, with w on one set of GL nodes in [0, sqrt(s)].
     In c1's frame v's Gaussian at r is u's at s - r, so one Gaussian matrix
-    over the nodes [w^2, s - w^2] serves both rows: it is evaluated in row
-    blocks of about 512 KB and multiplied by a (2m, 2) weight matrix. The
+    over the nodes [w^2, s - w^2] serves both rows: _gaussian_sweep builds
+    it in blocks of node rows over the contiguous x axis, about 512 KB
+    each, and applies the block's rows of a (2m, 2) weight matrix. The
     panel count is refined until both rows stop moving. s <= 0 gives zeros.
     """
     x = np.asarray(x, dtype=float)
@@ -203,7 +207,7 @@ def drag_weight_profile(x: np.ndarray, s: float, c1: float, c2: float,
         weights = np.column_stack((np.concatenate((at_near, at_far)),
                                    np.concatenate((at_far, at_near))))
         nodes = np.concatenate((near, far)) * dc
-        return _gaussian_sweep(shifted, nodes, scale, weights).T
+        return _gaussian_sweep(shifted, nodes, scale, weights)
 
     return _refine_panels(evaluate)
 

@@ -425,13 +425,19 @@ class TestMain:
         assert not out.exists()
 
     def test_nonfinite_initial_data_fails_cleanly(self, tmp_path, capsys):
-        # dx = 2L/n overflows, so the grid points are not finite; v is zero
-        # data, finite everywhere.
-        assert_rejected_before_running(
-            tmp_path, capsys,
-            (("grid.L = 60.0", "grid.L = 1e308"),
-             ("initial.v.kind = gaussian\ninitial.v.amplitude = 1e-3", "initial.v.kind = zero")),
-            "initial.u: finite values on the grid failed")
+        # At n = 64, dx = 2L/n is inf (1e308), 0 (5e-324) or so small that
+        # pi/dx (1e-320) or (pi/dx)^2 (1e-300) overflows. With zero data
+        # these once gave nan norms, a ZeroDivisionError traceback, a
+        # blow-up at the first step and a RuntimeWarning.
+        for L in ("1e308", "5e-324", "1e-320", "1e-300"):
+            case = tmp_path / L
+            case.mkdir()
+            assert_config_rejected(
+                case, capsys,
+                "name = zero\nsystem.d1 = 1.0\nsystem.d2 = 1.0\nsystem.c1 = 0.0\n"
+                f"system.c2 = 0.0\ngrid.L = {L}\ngrid.n = 64\ntime.dt = 0.02\n"
+                "time.t_end = 4.0\ntime.sample_dt = 0.2\noutputs = trajectory\n",
+                "2L/n and (pi/dx)^2 finite failed")
 
     @pytest.mark.parametrize("command", ["run", "classify"])
     def test_grid_too_large_to_allocate_fails_cleanly(self, tmp_path, capsys, command):

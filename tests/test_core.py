@@ -105,11 +105,6 @@ def _component_examples(c):
         (f"initial.{c}.power", "> 0"): data("algebraic", power=-1.0),
         (f"initial.{c}.power", "finite"): data("algebraic", power=_INF),
         (f"initial.{c}.center", "finite"): data("gaussian", center=_NAN),
-        # L = 1e308 is finite, but dx = 2L/n overflows, so the grid points
-        # are not; the other component is zero data, finite everywhere.
-        (f"DATA_NEEDS initial.{c}", "finite values on the grid"): dict(
-            grid=Grid(half_width=1e308, n=64), **_data("uv".replace(c, ""), kind="zero"),
-            **data("gaussian")),
         # On L = 60 this reads 1/61 of its peak at the edge.
         (f"DATA_NEEDS initial.{c}", "|value at the box edge| <= 1e-05 max|value|"):
             data("algebraic", power=1.0),
@@ -152,6 +147,8 @@ REFUSAL_EXAMPLES = {
     # dt = 0.01, so 10^7 + 1 steps.
     ("RELATIONS", "round(t_end/dt) <= 10000000"): dict(t_end=100000.01),
     ("RELATIONS", "sample_dt = whole multiple of dt"): dict(sample_dt=0.015),
+    # L = 1e308 is finite, but dx = 2L/n overflows.
+    ("RELATIONS", "2L/n and (pi/dx)^2 finite"): dict(grid=Grid(half_width=1e308, n=64)),
     # dx = 120/256, so dt*|c2|/dx = 21.3.
     ("RELATIONS", "dt*max|c|/dx <= 10"): dict(system=_system(c2=1000.0)),
     ("RELATIONS", "drag envelope: c1 != c2"):
@@ -321,13 +318,14 @@ class TestValidateScenario:
     @pytest.mark.parametrize("label,field", [("initial.u", "initial_u"),
                                              ("initial.v", "initial_v")])
     def test_nonfinite_initial_values_reported(self, label, field):
-        # grid.L = 1e308 meets its own requirements, but dx = 2L/n overflows
-        # and the grid points are nan and inf; zero data stays finite.
+        # grid.L = 1e308 meets its own requirements, but dx = 2L/n overflows,
+        # so the grid points would be nan and inf: the grid is refused and
+        # neither datum is evaluated on it.
         data = {"initial_u": InitialData(kind="zero"), "initial_v": InitialData(kind="zero"),
                 field: InitialData(kind="algebraic", amplitude=1e-3)}
         bad = make_scenario(grid=Grid(half_width=1e308, n=64), **data)
         report = validate_scenario(bad)
-        assert report.violations == (f"{label}: finite values on the grid failed",)
+        assert report.violations == ("2L/n and (pi/dx)^2 finite failed",)
 
     def test_data_cut_off_at_the_box_edge_reported(self):
         # On L = 60 this reads 1/61 of its peak at the edge.
@@ -501,13 +499,16 @@ class TestValidateScenario:
             validate_scenario(scenario)
 
     def test_overflowing_initial_values_reported(self):
-        # Every named kind is finite on a finite grid; only a half-width
-        # whose 2L/n overflows makes both data non-finite.
-        bad = make_scenario(grid=Grid(half_width=1e308, n=64),
-                            initial_v=InitialData(kind="remark51"))
-        assert validate_scenario(bad).violations == (
-            "initial.u: finite values on the grid failed",
-            "initial.v: finite values on the grid failed")
+        # Every named kind is finite on a finite grid. At n = 64 these
+        # half-widths meet their own requirements, but dx = 2L/n is inf
+        # (1e308), 0 (5e-324) or so small that pi/dx (1e-320) or (pi/dx)^2
+        # (1e-300) overflows. With c1 = c2 = 0, 5e-324 once raised
+        # ZeroDivisionError.
+        for L in (1e308, 5e-324, 1e-320, 1e-300):
+            bad = make_scenario(grid=Grid(half_width=L, n=64), system=_system(c2=0.0),
+                                initial_v=InitialData(kind="remark51"))
+            assert validate_scenario(bad).violations == (
+                "2L/n and (pi/dx)^2 finite failed",), L
 
     @pytest.mark.parametrize("kind", _INITIAL_KINDS)
     def test_every_initial_kind_is_centred_where_validation_reads(self, kind):

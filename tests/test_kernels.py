@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import mpmath
@@ -388,16 +389,80 @@ def test_drag_weight_short_inputs(n):
         assert profile[:, 0] == pytest.approx(ref[:, 0], abs=1e-8)
 
 
-_SWEEP_NODES = np.linspace(-3.0, 2.0, 257)
-_SWEEP_ROWS = _BLOCK_DOUBLES // len(_SWEEP_NODES)
+def _dense_sweep(x, nodes, scale, weights):
+    """The sweep with its whole (len(x), len(nodes)) Gaussian matrix."""
+    return (np.exp(-(x[:, None] + nodes[None, :]) ** 2 / scale) @ weights).T
 
 
-@pytest.mark.parametrize("n", [0, 1, _SWEEP_ROWS - 1, _SWEEP_ROWS,
+# The sweep builds blocks of whole node rows over x: _SWEEP_ROWS node rows
+# per block at len(x) = len(_SWEEP_X).
+_SWEEP_X = np.linspace(-8.0, 8.0, 257)
+_SWEEP_ROWS = _BLOCK_DOUBLES // len(_SWEEP_X)
+
+
+@pytest.mark.parametrize("m", [0, 1, _SWEEP_ROWS - 1, _SWEEP_ROWS,
                                _SWEEP_ROWS + 1, 4 * _SWEEP_ROWS + 7])
-def test_gaussian_sweep_blocks_match_dense(n):
-    x = np.linspace(-8.0, 8.0, n)
-    weights = np.random.default_rng(0).standard_normal((len(_SWEEP_NODES), 2))
-    dense = np.exp(-(x[:, None] + _SWEEP_NODES[None, :]) ** 2 / 7.0) @ weights
-    swept = _gaussian_sweep(x, _SWEEP_NODES, 7.0, weights)
-    assert swept.shape == (n, 2)
-    np.testing.assert_allclose(swept, dense, rtol=1e-13, atol=1e-13)
+def test_gaussian_sweep_blocks_match_dense(m):
+    nodes = np.linspace(-3.0, 2.0, m)
+    weights = np.random.default_rng(0).standard_normal((m, 2))
+    swept = _gaussian_sweep(_SWEEP_X, nodes, 7.0, weights)
+    assert swept.shape == (2, len(_SWEEP_X))
+    np.testing.assert_allclose(swept, _dense_sweep(_SWEEP_X, nodes, 7.0, weights),
+                               rtol=1e-13, atol=1e-13)
+    assert _gaussian_sweep(np.empty(0), nodes, 7.0, weights).shape == (2, 0)
+
+
+def test_gaussian_sweep_tails_match_dense():
+    # (x + node)^2 / scale reaches 684.5, so the smallest results are about
+    # 1e-220: with positive weights every result is a sum of positive terms,
+    # and rtol with no atol checks each one relative to its own size.
+    x = np.linspace(-74.0, 64.0, 1001)
+    rng = np.random.default_rng(1)
+    for nodes in (np.linspace(0.0, 10.0, 300), np.array([3.5])):
+        weights = rng.uniform(0.5, 1.5, (len(nodes), 2))
+        dense = _dense_sweep(x, nodes, 8.0, weights)
+        assert dense.min() < 1e-200
+        np.testing.assert_allclose(_gaussian_sweep(x, nodes, 8.0, weights), dense,
+                                   rtol=1e-12, atol=0)
+
+
+def test_gaussian_sweep_allocates_no_dense_matrix():
+    # The dense (len(x), len(nodes)) matrix would be 32 MB; the sweep holds
+    # its block buffer, its result and a few vectors of len(x) or len(nodes).
+    x = np.linspace(-60.0, 60.0, 4096)
+    nodes = np.linspace(-10.0, 10.0, 1024)
+    weights = np.ones((len(nodes), 2))
+    tracemalloc.start()
+    try:
+        result = _gaussian_sweep(x, nodes, 40.0, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = _BLOCK_DOUBLES * 8
+    assert peak <= block + result.nbytes + 8 * 8 * (len(x) + len(nodes))
+
+
+def test_drag_quadrature_goes_through_module_globals(monkeypatch):
+    # The drag weights' quadrature nodes and refinement levels are counted by
+    # wrapping these two module attributes, so both profiles must call them
+    # through the module.
+    calls = {"gauss_legendre_panels": 0, "_refine_panels": 0}
+
+    def counted(name):
+        original = getattr(kernels, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(kernels, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    x = np.linspace(-4.0, 4.0, 9)
+    for profile in (lambda: drag_weight_profile(x, 1.5, 0.0, 1.0, 16.0),
+                    lambda: drag_profile(x, 1.5, 1.0, 0.0, 4.0, 1.5)):
+        for name in calls:
+            calls[name] = 0
+        profile()
+        assert calls["gauss_legendre_panels"] >= 1
+        assert calls["_refine_panels"] >= 1

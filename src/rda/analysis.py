@@ -409,7 +409,6 @@ def cas2_lower_bounds(system: SystemSpec, nu0: float, a: float,
 
 @dataclass(frozen=True)
 class AmplitudeLawVerdict:
-    law_values: np.ndarray          # |A(t)| sqrt(2 nu log(1+t))
     passed: bool
     in_window: bool                 # final-decade values within [0.3, 1.1]
     statistic: float                # max law value past the burn-in
@@ -439,8 +438,8 @@ def amplitude_law_check(times: np.ndarray, amplitudes: np.ndarray, mu: float,
     window = law[(times >= T_BURN) & (times >= times[-1] / 10.0)]
     passed = bool(np.all(after <= 1.1))
     in_window = bool(np.all((window >= 0.3) & (window <= 1.1)))
-    return AmplitudeLawVerdict(law_values=law, passed=passed,
-                               in_window=in_window, statistic=float(np.max(after)))
+    return AmplitudeLawVerdict(passed=passed, in_window=in_window,
+                               statistic=float(np.max(after)))
 
 
 # ---------------------------------------------------------------------------

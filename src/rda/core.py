@@ -35,13 +35,25 @@ __all__ = [
     "scenario_from",
     "ValidationReport",
     "validate_scenario",
+    "BLOW_UP_THRESHOLD",
     "steps",
     "sample_times",
     "evaluate_initial",
     "gaussian_profile",
 ]
 
-DEFAULT_BLOW_UP_THRESHOLD = 1e8
+# A run's limits, each checked by one entry of the refusal tables.
+# - The blow-up guard flags the first step whose sup passes
+#   BLOW_UP_THRESHOLD or is not finite, so initial data must lie below it.
+#   1e6 flags the same step as 1e8 in both cas2 builtins at three dt.
+# - _MAX_N is 128x the largest builtin grid (n = 8192): a run at 2^20
+#   points peaks near 0.3 GB, one at 2^25 would need about 8 GB.
+# - _MAX_STEPS is 1000x the longest builtin (cas3-stable, 10^4 steps):
+#   sample_times walks every step in Python, about 2.6 s for 10^7, so a
+#   larger count would stall validation itself.
+BLOW_UP_THRESHOLD = 1e8
+_MAX_N = 2**20
+_MAX_STEPS = 10**7
 
 # Trust-region cutoff: the sup of exponentially weighted fields is only
 # taken where the reference Gaussian exceeds 1e-12 of its peak.
@@ -141,7 +153,6 @@ class Scenario:
     sample_dt: float
     envelope: Optional[EnvelopeSpec] = None
     outputs: tuple[str, ...] = ("trajectory",)
-    blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD
     description: str = ""
 
 
@@ -270,7 +281,8 @@ FIELDS = (
             needs=_term_needs(gamma)) for slot, (_, gamma) in SLOTS.items()),
     Field("grid.L", ("grid", "half_width"), float, "grid half-width", needs=_POSITIVE),
     Field("grid.n", ("grid", "n"), int, "grid n", needs=(
-        (lambda n: n >= 64 and (n & (n - 1)) == 0, "= power of two >= 64"),)),
+        (lambda n: n >= 64 and (n & (n - 1)) == 0, "= power of two >= 64"),
+        (lambda n: n <= _MAX_N, f"<= {_MAX_N}"))),
     Field("time.dt", ("dt",), float, "dt"),
     Field("time.t_end", ("t_end",), float, "t_end"),
     Field("time.sample_dt", ("sample_dt",), float, "sample_dt",
@@ -293,8 +305,6 @@ FIELDS = (
     Field("outputs", ("outputs",),
           lambda text: tuple(name.strip() for name in text.split(",") if name.strip()),
           "outputs"),
-    Field("blow_up_threshold", ("blow_up_threshold",), float, "blow_up_threshold",
-          needs=_POSITIVE),
 )
 # {key: Field} of every config key in serialization order: the run of
 # entries both components share comes once for u, then once for v.
@@ -367,11 +377,6 @@ def _finite_spacing(grid: Grid) -> bool:
     return math.isfinite(dx) and math.isfinite(top * top)
 
 
-# The most steps validate_scenario accepts: 1000x the longest builtin
-# (cas3-stable, 10^4 steps). sample_times walks every step in Python, about
-# 2.6 s for 10^7, so a larger count would stall validation itself.
-_MAX_STEPS = 10**7
-
 # The requirements that relate fields, as (the keys a check reads,
 # holds(scenario), text). A check runs once the scenario reads its keys and
 # they met their own requirements and every earlier check's; a refusal
@@ -404,17 +409,17 @@ RELATIONS = (
 _EDGE_RATIO = 1e-5
 
 # What each component's initial values on the grid require, as
-# (holds(values, scenario), text); a component reports its first unmet one.
-# Data at blow_up_threshold would be reported as a blow-up at the first
-# step; data cut off at the box edge has a jump there once the grid is made
-# periodic. Every kind is finite at the finite points of a grid that meets
+# (holds(values), text); a component reports its first unmet one.
+# Data cut off at the box edge has a jump there once the grid is made
+# periodic; data at BLOW_UP_THRESHOLD would be reported as a blow-up at the
+# first step. Every kind is finite at the finite points of a grid that meets
 # RELATIONS, so no entry checks finiteness.
 DATA_NEEDS = (
-    (lambda values, _: max(abs(values[0]), abs(values[-1]))
+    (lambda values: max(abs(values[0]), abs(values[-1]))
      <= _EDGE_RATIO * np.max(np.abs(values)),
      f"|value at the box edge| <= {_EDGE_RATIO:g} max|value|"),
-    (lambda values, sc: not 0 < sc.blow_up_threshold <= np.max(np.abs(values)),
-     "max|value| < blow_up_threshold"),
+    (lambda values: np.max(np.abs(values)) < BLOW_UP_THRESHOLD,
+     f"max|value| < {BLOW_UP_THRESHOLD:g}, the blow-up threshold"),
 )
 
 
@@ -422,8 +427,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Validate a full Scenario: each field it reads against its entry in
     FIELDS, the RELATIONS, each component's initial data on the grid against
     DATA_NEEDS and, once these hold, the requested outputs' requirements
-    (analysis.output_violations). Each refusal is a table entry's text, but
-    for the error of a grid too large to allocate.
+    (analysis.output_violations). Each refusal is a table entry's text.
 
     Never raises: every float, nan and infinities included, is either
     accepted or reported as a violation. The wraparound warning and the
@@ -446,16 +450,13 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     failed, x, fields = read - passed, None, []
     with np.errstate(all="ignore"):  # e.g. exp(-(x-center)^2/width) underflows
         if not any(key.startswith("grid.") for key in failed):
-            try:
-                x = scenario.grid.points()
-            except MemoryError as exc:
-                violations.append(f"grid n: {exc}")
+            x = scenario.grid.points()
         for c in "uv":
             label = f"initial.{c}"
             if x is None or any(key.startswith(f"{label}.") for key in failed):
                 continue
             values = evaluate_initial(getattr(scenario, f"initial_{c}"), x)
-            if (unmet := _first_unmet(DATA_NEEDS, values, scenario)) is not None:
+            if (unmet := _first_unmet(DATA_NEEDS, values)) is not None:
                 violations.append(f"{label}: {unmet} failed")
             fields.append(values)
     # A valid scenario has a valid grid and both data, so both were evaluated.

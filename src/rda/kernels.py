@@ -55,27 +55,32 @@ def gauss_integral(a: float, b: float, c: float) -> float:
     return math.sqrt(math.pi / a) * math.exp((b * b + 4.0 * a * c) / (4.0 * a))
 
 
+_GL_ORDER = 16  # points of the Gauss-Legendre rule on each panel
+
+
 @functools.cache
-def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The _GL_ORDER-point Gauss-Legendre nodes and weights on [-1, 1],
+    read-only.
 
     leggauss costs about 0.4 ms, and the drag refinement asks for the same
     rule at every level.
     """
-    rule = np.polynomial.legendre.leggauss(order)
+    rule = np.polynomial.legendre.leggauss(_GL_ORDER)
     for values in rule:
         values.flags.writeable = False
     return rule
 
 
-def gauss_legendre_panels(a: float, b: float, panels: int, order: int = 16):
-    """Composite Gauss-Legendre nodes/weights on [a, b] split into equal panels.
+def gauss_legendre_panels(a: float, b: float, panels: int):
+    """Composite Gauss-Legendre nodes/weights on [a, b] split into equal panels
+    of _GL_ORDER points each.
 
     Used by the vectorized envelope evaluators, where the same s-integral is
     needed simultaneously at every grid point x and adaptivity per point
     would be wasteful.
     """
-    xg, wg = _legendre_rule(order)
+    xg, wg = _legendre_rule()
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mids = 0.5 * (edges[1:] + edges[:-1])
@@ -309,8 +314,14 @@ class IdentityReport:
         return self.worst()[1] <= tol
 
 
-def _gauss_window(center: float, width: float, spread: float = 8.0):
-    return center - spread * width, center + spread * width
+# The identity suite's integration windows, in standard widths around the
+# integrand's centre: e^{-64} of a Gaussian's peak, e^{-81} of a product's.
+_GAUSS_SPREAD = 8.0
+_PRODUCT_SPREAD = 9.0
+
+
+def _gauss_window(center: float, width: float):
+    return center - _GAUSS_SPREAD * width, center + _GAUSS_SPREAD * width
 
 
 def _conv_lattice():
@@ -349,17 +360,17 @@ def _quad_conv(f, lo: float, hi: float) -> float:
     return value if ier == 0 else math.nan
 
 
-def _product_gaussian_window(terms, spread: float = 9.0):
+def _product_gaussian_window(terms):
     """Integration window for a product of Gaussians e^{-a_i (y - m_i)^2}.
 
     The product is itself a Gaussian with curvature sum(a_i) and center at
-    the curvature-weighted mean; integrating spread standard widths around
-    that center captures everything above e^{-spread^2}.
+    the curvature-weighted mean; integrating _PRODUCT_SPREAD standard widths
+    around that center captures everything above e^{-_PRODUCT_SPREAD^2}.
     """
     total = sum(a for a, _ in terms)
     center = sum(a * m for a, m in terms) / total
     width = 1.0 / math.sqrt(total)
-    return center - spread * width, center + spread * width
+    return center - _PRODUCT_SPREAD * width, center + _PRODUCT_SPREAD * width
 
 
 def verify_identity_suite() -> IdentityReport:

@@ -73,9 +73,11 @@ caller may keep the spectra it is given. run reads each step's time t
 and whether it is sampled from core.steps, the one owner of the time
 grid, and owns the blow-up check: detect_blow_up runs after every step,
 and the first flagged step ends the run with its t as the blow-up time,
-which run returns. It first bounds the sup by
-sum(|Re| + |Im|) * 2/n, which needs no hypot, and only computes the
-exact sup when that bound is not finite or exceeds the threshold.
+which run returns. A stage that overflows leaves inf or nan, which the
+check flags, so the steps run with numpy's overflow warnings off. The
+check first bounds the sup by sum(|Re| + |Im|) * 2/n, which needs no
+hypot, and only computes the exact sup when that bound is not finite or
+exceeds the threshold, core.BLOW_UP_THRESHOLD.
 Physical fields are materialized only when sampled, by one batched
 inverse transform per sample into a new array, and handed with t and the
 spectrum to the run's on_sample hook. run keeps no sample, not even its
@@ -102,7 +104,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scipy_ext import load_extension
-from .core import DEFAULT_BLOW_UP_THRESHOLD, SLOTS, Grid, Scenario, SystemSpec, steps
+from .core import BLOW_UP_THRESHOLD, SLOTS, Grid, Scenario, SystemSpec, steps
 
 __all__ = [
     "SpectralWorkspace",
@@ -136,29 +138,22 @@ class SpectralWorkspace:
     """Precomputed grids, multipliers, buffers and stage op lists for one run.
 
     dealias is the 2/3-rule mask over all n/2+1 modes; the kept modes are
-    its prefix [:n_kept]. slots holds the (coeff, alpha, beta) triples of
-    each non-empty slot in core.SLOTS order, one row of the batched
-    forward transform each, and rows maps component 0 (u) and 1 (v) to the
-    slot indices of its reaction and flux terms (None when empty). moving
-    is the range of components with coupling terms and still the others.
-    _stages holds (rows, ops, writes) for stage 1 and for stages 2-4: the
-    range of components to inverse-transform (those the monomials read,
-    and at stages 2-4 only those of them that move), the power and
-    monomial calls (None when the stage reuses stage 1's forward
-    transform) and the calls that write acc or k. Each range is a row
-    slice, or None when empty.
+    its prefix [:n_kept]. Each non-empty slot, in core.SLOTS order, is one
+    row of the batched forward transform. moving is the range of
+    components with coupling terms and still the others. _stages holds
+    (rows, ops, writes) for stage 1 and for stages 2-4: the range of
+    components to inverse-transform (those the monomials read, and at
+    stages 2-4 only those of them that move), the power and monomial calls
+    (None when the stage reuses stage 1's forward transform) and the calls
+    that write acc or k. Each range is a row slice, or None when empty.
     """
 
     grid: Grid
     system: SystemSpec
     dt: float
-    k: np.ndarray = field(init=False)
     dealias: np.ndarray = field(init=False)
     n_kept: int = field(init=False)
-    ik: np.ndarray = field(init=False, repr=False)
     lin_half: np.ndarray = field(init=False, repr=False)
-    slots: tuple[tuple[tuple[float, int, int], ...], ...] = field(init=False)
-    rows: tuple[tuple[int | None, int | None], ...] = field(init=False)
     moving: slice | None = field(init=False)
     still: slice | None = field(init=False)
     _buffers: dict = field(init=False, repr=False)
@@ -168,28 +163,29 @@ class SpectralWorkspace:
         n = self.grid.n
         # numpy.fft.rfftfreq(n, d=dx), operation for operation.
         freq = np.arange(n // 2 + 1) * (1.0 / (n * self.grid.dx))
-        self.k = 2.0 * math.pi * freq
-        kmax = np.max(np.abs(self.k))
-        self.dealias = np.abs(self.k) <= (2.0 / 3.0) * kmax
+        k = 2.0 * math.pi * freq
+        kmax = np.max(np.abs(k))
+        self.dealias = np.abs(k) <= (2.0 / 3.0) * kmax
         self.n_kept = int(np.count_nonzero(self.dealias))
-        self.ik = 1j * self.k[:self.n_kept]
-        self.lin_half = np.stack((
-            self._multiplier(self.system.d1, self.system.c1, 0.5 * self.dt),
-            self._multiplier(self.system.d2, self.system.c2, 0.5 * self.dt),
-        ))
+        ik = 1j * k[:self.n_kept]
+        system, half = self.system, 0.5 * self.dt
+        self.lin_half = np.stack([np.exp((-d * k ** 2 + 1j * c * k) * half)
+                                  for d, c in ((system.d1, system.c1),
+                                               (system.d2, system.c2))])
 
+        # The (coeff, alpha, beta) triples of each non-empty slot, and per
+        # component 0 (u) and 1 (v) the slot indices of its reaction and
+        # flux terms (None when empty).
         slots: list[tuple[tuple[float, int, int], ...]] = []
         rows: list[list[int | None]] = [[None, None], [None, None]]
         for name, (comp, order) in SLOTS.items():
-            if terms := getattr(self.system, name):
+            if terms := getattr(system, name):
                 rows[comp][order] = len(slots)
                 slots.append(tuple((t.coeff, t.alpha, t.beta) for t in terms))
-        self.slots = tuple(slots)
-        self.rows = tuple(map(tuple, rows))
         max_alpha = max((a for s in slots for _, a, _ in s), default=0)
         max_beta = max((b for s in slots for _, _, b in s), default=0)
         read = [comp for comp, top in enumerate((max_alpha, max_beta)) if top > 0]
-        moving = [comp for comp, pair in enumerate(self.rows) if pair != (None, None)]
+        moving = [comp for comp, pair in enumerate(rows) if pair != [None, None]]
         self.moving = _row_slice(moving)
         self.still = _row_slice([comp for comp in (0, 1) if comp not in moving])
         late = [comp for comp in read if comp in moving]
@@ -229,11 +225,11 @@ class SpectralWorkspace:
 
         def writes(out):
             calls = []
-            for row, (f_row, g_row) in zip(out, (self.rows[c] for c in moving)):
+            for row, (f_row, g_row) in zip(out, (rows[c] for c in moving)):
                 if g_row is None:
                     calls.append((np.copyto, (row, spec[f_row])))
                     continue
-                calls.append((np.multiply, (self.ik, spec[g_row], row)))
+                calls.append((np.multiply, (ik, spec[g_row], row)))
                 if f_row is not None:
                     calls.append((np.add, (row, spec[f_row], row)))
             return calls
@@ -241,9 +237,6 @@ class SpectralWorkspace:
         self._stages = ((_row_slice(read), ops(read), writes(buf["acc"])),
                         (_row_slice(late), ops(late) if late else None,
                          writes(buf["k"])))
-
-    def _multiplier(self, d: float, c: float, dt: float) -> np.ndarray:
-        return np.exp((-d * self.k ** 2 + 1j * c * self.k) * dt)
 
 
 def _row_slice(comps: list[int]) -> slice | None:
@@ -327,7 +320,7 @@ def _rk4_couplings(ws: SpectralWorkspace, y: np.ndarray) -> None:
 
 
 def detect_blow_up(spectra: np.ndarray, n: int,
-                   threshold: float = DEFAULT_BLOW_UP_THRESHOLD) -> float | None:
+                   threshold: float = BLOW_UP_THRESHOLD) -> float | None:
     """Return the sup amplitude if it is non-finite or above threshold, else None.
 
     spectra is the stacked, C-contiguous (2, n/2+1) rfft of (u, v). The
@@ -365,7 +358,7 @@ def step(ws: SpectralWorkspace, spectra: np.ndarray) -> np.ndarray:
 
 
 def run(ws: SpectralWorkspace, initial: np.ndarray, t_end: float, sample_dt: float,
-        on_sample, blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD) -> float | None:
+        on_sample) -> float | None:
     """Advance the (2, n) initial fields (u, v) from t = 0 to t_end, handing
     a sample to on_sample every sample_dt; return the blow-up time, or None
     when the run reaches t_end.
@@ -376,19 +369,24 @@ def run(ws: SpectralWorkspace, initial: np.ndarray, t_end: float, sample_dt: flo
     (2, n) inverse transform of spectra, so the hook may keep either.
     Blow-up terminates the run cleanly: the first step detect_blow_up
     flags is not accepted and is never sampled, and its t is the blow-up
-    time.
+    time. The steps run with numpy's overflow and invalid-value warnings
+    off, so a stage that overflows leaves inf or nan for detect_blow_up to
+    flag; on_sample runs under the caller's error state.
     """
     # Mask the initial spectrum once: dealiased modes then stay identically
     # zero (the linear multiplier preserves zeros and the RK4 update never
     # touches them), which makes the nullity invariant exact.
     spectra = _rfft(initial) * ws.dealias
     on_sample(0.0, spectra, initial)
-    for t, sampled in steps(t_end, ws.dt, sample_dt):
-        spectra = step(ws, spectra)
-        if detect_blow_up(spectra, ws.grid.n, blow_up_threshold) is not None:
-            return t
-        if sampled:
-            on_sample(t, spectra, _irfft(spectra, ws.grid.n))
+    caller = np.geterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, sampled in steps(t_end, ws.dt, sample_dt):
+            spectra = step(ws, spectra)
+            if detect_blow_up(spectra, ws.grid.n) is not None:
+                return t
+            if sampled:
+                with np.errstate(**caller):
+                    on_sample(t, spectra, _irfft(spectra, ws.grid.n))
     return None
 
 
@@ -397,5 +395,4 @@ def run_scenario(scenario: Scenario, initial: np.ndarray, on_sample) -> float | 
     fields, the ValidationReport.initial of the scenario, handing each
     sample to on_sample; return the blow-up time, or None."""
     ws = SpectralWorkspace(grid=scenario.grid, system=scenario.system, dt=scenario.dt)
-    return run(ws, initial, scenario.t_end, scenario.sample_dt, on_sample,
-               blow_up_threshold=scenario.blow_up_threshold)
+    return run(ws, initial, scenario.t_end, scenario.sample_dt, on_sample)

@@ -9,6 +9,7 @@ import importlib.util
 import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +195,6 @@ class TestRunExperiment:
             initial_v=InitialData(kind="zero"),
             t_end=5.0, dt=1e-3, sample_dt=0.05,
             envelope=None, outputs=("trajectory",),
-            blow_up_threshold=1e6,
         )
         blow_up_time = run_valid(scenario, tmp_path)
         _, rows = read_csv(tmp_path / "trajectory.csv")
@@ -441,20 +441,23 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["run", "classify"])
     def test_grid_too_large_to_allocate_fails_cleanly(self, tmp_path, capsys, command):
-        # 2^57 points are 1 EiB, more than any 64-bit address space, so the
-        # allocation fails at once; with c1 = c2 = 0 the CFL relation holds.
-        # It once ended in a traceback from numpy.
-        conf = tmp_path / "huge.conf"
-        conf.write_text(FAST_CONFIG.replace("grid.n = 256", "grid.n = 144115188075855872")
-                        .replace("system.c2 = 1.0", "system.c2 = 0.0"), encoding="utf-8")
-        out = tmp_path / "out"
-        out_args = ["--out", str(out)] if command == "run" else []
-        assert main([command, str(conf), *out_args]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("error: invalid scenario: grid n: Unable to allocate 1.00 EiB")
-        assert not out.exists()
+        # With c1 = c2 = 0 the CFL relation holds at any n. 2^57 points are
+        # 1 EiB, more than any 64-bit address space: it once ended in a
+        # traceback from numpy. 2^21 points allocate, and a run at 2^25
+        # would need about 8 GB. The grid ceiling refuses both.
+        for n in (2**57, 2**21):
+            conf = tmp_path / f"huge{n}.conf"
+            conf.write_text(FAST_CONFIG.replace("grid.n = 256", f"grid.n = {n}")
+                            .replace("system.c2 = 1.0", "system.c2 = 0.0"),
+                            encoding="utf-8")
+            out = tmp_path / "out"
+            out_args = ["--out", str(out)] if command == "run" else []
+            assert main([command, str(conf), *out_args]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "error: invalid scenario: grid n <= 1048576 failed"]
+            assert not out.exists()
 
     def test_data_cut_off_at_the_box_edge_fails_before_running(
             self, tmp_path, capsys):
@@ -617,23 +620,25 @@ class TestMain:
         ((("envelope.kind = exponential\nenvelope.M = 16.0",
            "envelope.kind = algebraic\nenvelope.M = 16.0\nenvelope.r = nan"),),
          "envelope r >= 3 failed"),
-        ((("name = fast", "name = fast\nblow_up_threshold = -1"),),
-         "blow_up_threshold > 0 failed"),
-        ((("name = fast", "name = fast\nblow_up_threshold = nan"),),
-         "blow_up_threshold > 0 failed"),
         ((("system.d2 = 1.0", "system.d2 = inf"),), "d2 finite failed"),
         ((("initial.u.amplitude = 1e-3",
            "initial.u.amplitude = 1e-3\ninitial.u.width = -1"),),
          "initial.u: width > 0 failed"),
         # Run, it would end at its first step with a blow-up at t = 0.
         ((("initial.u.amplitude = 1e-3", "initial.u.amplitude = 2e8"),),
-         "initial.u: max|value| < blow_up_threshold failed"),
+         "initial.u: max|value| < 1e+08, the blow-up threshold failed"),
     ], ids=["M_nan", "M_negative", "algebraic_M_zero", "r_nan",
-            "threshold_negative", "threshold_nan", "d2_inf", "width_negative",
-            "data_above_threshold"])
+            "d2_inf", "width_negative", "data_above_threshold"])
     def test_number_out_of_range_fails_before_running(
             self, tmp_path, capsys, replacements, message):
         assert_rejected_before_running(tmp_path, capsys, replacements, message)
+
+    def test_blow_up_threshold_is_not_a_key(self, tmp_path, capsys):
+        # The threshold is core.BLOW_UP_THRESHOLD; configs that set the
+        # removed key are refused by the parser.
+        assert_rejected_before_running(
+            tmp_path, capsys, (("name = fast", "name = fast\nblow_up_threshold = 100"),),
+            "line 2: unknown key 'blow_up_threshold'")
 
     def test_bounded_flags_match_envelope_verdict(self, tmp_path):
         assert main(["run", "remark51-exact", "--out", str(tmp_path)]) == 0
@@ -829,7 +834,6 @@ initial.v.kind = gaussian
 initial.v.amplitude = {amplitude}
 envelope.kind = exponential
 envelope.M = 16.0
-blow_up_threshold = 100
 outputs = {outputs}
 """
 
@@ -872,3 +876,19 @@ class TestRunContract:
                 len(analysis.OUTPUT_RULES[name].rows) for name in outputs)
             if trajectory[-1][5] == "0":
                 assert all(math.isfinite(float(row[2])) for row in verdicts)
+
+    def test_overflowing_step_is_a_blow_up(self, tmp_path, capsys):
+        # Without the stabilizing sign, amplitude 5 overflows an RK4 stage of
+        # the step to t = 0.1: the step leaves inf or nan, which the blow-up
+        # guard flags, and numpy warns of nothing.
+        conf, out = tmp_path / "prop.conf", tmp_path / "out"
+        conf.write_text(_PROPERTY_CONFIG.format(
+            t_end=0.1, dt=0.05, sample_dt=0.05, beta=1.5, amplitude=5.0,
+            outputs="trajectory"), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(conf), "--out", str(out)]) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out / "trajectory.csv")
+        assert [(row[0], row[5]) for row in rows] == [("0.0", "0"), ("0.05", "1")]

@@ -9,6 +9,7 @@ import pytest
 from rda.analysis import OUTPUT_RULES
 from rda.core import (
     _INITIAL_KINDS,
+    BLOW_UP_THRESHOLD,
     DATA_NEEDS,
     KEYS,
     RELATIONS,
@@ -108,7 +109,7 @@ def _component_examples(c):
         # On L = 60 this reads 1/61 of its peak at the edge.
         (f"DATA_NEEDS initial.{c}", "|value at the box edge| <= 1e-05 max|value|"):
             data("algebraic", power=1.0),
-        (f"DATA_NEEDS initial.{c}", "max|value| < blow_up_threshold"):
+        (f"DATA_NEEDS initial.{c}", "max|value| < 1e+08, the blow-up threshold"):
             data("gaussian", amplitude=2e8),
     }.items()
 
@@ -131,6 +132,7 @@ REFUSAL_EXAMPLES = {
     ("grid.L", "> 0"): dict(grid=Grid(half_width=-60.0, n=256)),
     ("grid.L", "finite"): dict(grid=Grid(half_width=_INF, n=256)),
     ("grid.n", "= power of two >= 64"): dict(grid=Grid(half_width=60.0, n=32)),
+    ("grid.n", "<= 1048576"): dict(grid=Grid(half_width=60.0, n=2 ** 21)),
     ("time.sample_dt", "> 0"): dict(sample_dt=-0.1),
     **dict(_component_examples("u")),
     **dict(_component_examples("v")),
@@ -140,8 +142,6 @@ REFUSAL_EXAMPLES = {
     ("envelope.M", "finite"): dict(envelope=EnvelopeSpec(kind="exponential", M=_INF)),
     ("envelope.r", ">= 3"): dict(envelope=EnvelopeSpec(kind="algebraic", r=2.0)),
     ("envelope.r", "finite"): dict(envelope=EnvelopeSpec(kind="algebraic", r=_INF)),
-    ("blow_up_threshold", "> 0"): dict(blow_up_threshold=-1.0),
-    ("blow_up_threshold", "finite"): dict(blow_up_threshold=_INF),
     ("RELATIONS", "0 < dt < t_end"): dict(dt=2.0),
     ("RELATIONS", "t_end = whole number of dt steps"): dict(dt=0.3),
     # dt = 0.01, so 10^7 + 1 steps.
@@ -225,12 +225,12 @@ class TestRefusalTables:
         assert set(REFUSAL_EXAMPLES) == set(_REFUSALS)
 
     def test_grid_too_large_to_allocate_reported(self):
-        # 2^57 points are 1 EiB, more than any 64-bit address space, so the
-        # allocation fails at once; with c1 = c2 = 0 the CFL relation holds.
+        # 2^57 points are 1 EiB, more than any 64-bit address space; the grid
+        # ceiling refuses them before any allocation. With c1 = c2 = 0 the
+        # CFL relation holds.
         huge = make_scenario(grid=Grid(half_width=60.0, n=2 ** 57),
                              system=_system(c2=0.0))
-        (violation,) = validate_scenario(huge).violations
-        assert violation.startswith("grid n: Unable to allocate 1.00 EiB")
+        assert validate_scenario(huge).violations == ("grid n <= 1048576 failed",)
 
 
     def test_huge_step_count_refused_before_the_sample_walk(self):
@@ -337,11 +337,11 @@ class TestValidateScenario:
     @pytest.mark.parametrize("label,field", [("initial.u", "initial_u"),
                                              ("initial.v", "initial_v")])
     def test_data_above_blow_up_threshold_reported(self, label, field):
-        # Against the default threshold 1e8 the blow-up guard would flag the
-        # first step and report the input as a blow-up at t = 0.
+        # Against the threshold 1e8 the blow-up guard would flag the first
+        # step and report the input as a blow-up at t = 0.
         bad = make_scenario(**{field: InitialData(kind="gaussian", amplitude=2e8)})
         assert validate_scenario(bad).violations == (
-            f"{label}: max|value| < blow_up_threshold failed",)
+            f"{label}: max|value| < 1e+08, the blow-up threshold failed",)
 
     def test_data_reports_its_first_unmet_requirement(self):
         # Cut off at the box edge and above the threshold: DATA_NEEDS lists
@@ -360,12 +360,13 @@ class TestValidateScenario:
 
     def test_data_reaching_the_threshold_reported(self):
         # x = 0 is a grid point, so the peak is the amplitude itself.
-        init = InitialData(kind="gaussian", amplitude=2.0)
-        at = make_scenario(initial_u=init, blow_up_threshold=2.0)
-        above = make_scenario(initial_u=init, blow_up_threshold=2.5)
+        at = make_scenario(initial_u=InitialData(
+            kind="gaussian", amplitude=BLOW_UP_THRESHOLD))
+        below = make_scenario(initial_u=InitialData(
+            kind="gaussian", amplitude=math.nextafter(BLOW_UP_THRESHOLD, 0.0)))
         assert validate_scenario(at).violations == (
-            "initial.u: max|value| < blow_up_threshold failed",)
-        assert validate_scenario(above).valid
+            "initial.u: max|value| < 1e+08, the blow-up threshold failed",)
+        assert validate_scenario(below).valid
 
     def test_off_centre_data_reported_with_an_envelope_or_lower_bounds(self):
         # The envelope weights are centred at x = 0, and the lower bounds
@@ -419,9 +420,6 @@ class TestValidateScenario:
          "envelope r >= 3 failed"),
         (dict(envelope=EnvelopeSpec(kind="algebraic", r=math.inf)),
          "envelope r finite failed"),
-        (dict(blow_up_threshold=-1.0), "blow_up_threshold > 0 failed"),
-        (dict(blow_up_threshold=math.nan), "blow_up_threshold > 0 failed"),
-        (dict(blow_up_threshold=math.inf), "blow_up_threshold finite failed"),
         (dict(system=SystemSpec(d1=1.0, d2=math.inf, c1=0.0, c2=1.0)),
          "d2 finite failed"),
         (dict(system=SystemSpec(d1=math.inf, d2=1.0, c1=0.0, c2=1.0)),
@@ -433,8 +431,7 @@ class TestValidateScenario:
         (dict(grid=Grid(half_width=math.inf, n=256)),
          "grid half-width finite failed"),
     ], ids=["M_nan", "M_negative", "M_inf_drag", "M_zero_algebraic", "r_nan",
-            "r_inf", "threshold_negative", "threshold_nan", "threshold_inf",
-            "d2_inf", "d1_inf", "d1_nan", "half_width_nan", "half_width_inf"])
+            "r_inf", "d2_inf", "d1_inf", "d1_nan", "half_width_nan", "half_width_inf"])
     def test_nonfinite_or_out_of_range_number_reported(self, overrides, message):
         # Each of these ran before and reported its effect as a result
         # (a pass, a nan statistic or a blow-up), or stopped with a math
@@ -482,7 +479,7 @@ class TestValidateScenario:
         assert validate_scenario(scenario).violations == ()
 
     @pytest.mark.parametrize("field", [
-        "t_end", "dt", "sample_dt", "blow_up_threshold", "system.d1",
+        "t_end", "dt", "sample_dt", "system.d1",
         "system.c2", "grid.half_width", "envelope.M", "envelope.r",
         "initial_u.amplitude", "initial_u.width", "initial_u.power",
         "initial_u.center"])

@@ -474,36 +474,44 @@ def test_config_keys_have_one_owner(path):
 def written_out_refusals(source: str) -> list[str]:
     """String pieces that contain "failed", except a " failed" that ends an
     f-string in validate_scenario: a refusal written out instead of one
-    formatted from a requirement table's text."""
+    formatted from a requirement table's text. Also each try statement in
+    validate_scenario: a handler that turns an error into a refusal."""
     tree = ast.parse(source)
-    shared = set()
+    shared, tries = set(), []
     for func in ast.walk(tree):
         if isinstance(func, ast.FunctionDef) and func.name == "validate_scenario":
             shared = {id(node.values[-1]) for node in ast.walk(func)
                       if isinstance(node, ast.JoinedStr)}
+            tries = [node for node in ast.walk(func) if isinstance(node, ast.Try)]
     found = [node for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and "failed" in node.value
              and not (id(node) in shared and node.value == " failed")]
-    return [f"line {node.lineno}: {node.value!r}"
-            for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+    return [f"line {node.lineno}: try" if isinstance(node, ast.Try) else
+            f"line {node.lineno}: {node.value!r}"
+            for node in sorted(found + tries,
+                               key=lambda node: (node.lineno, node.col_offset))]
 
 
 def test_refusal_checker_catches_a_written_out_refusal():
     source = ('def validate_scenario(scenario):\n'
               '    out = [f"{label} {text} failed", f"{label}: finite failed",\n'
               '           "dt failed", f"{text} failed (twice)"]\n'
+              '    try:\n        x = points()\n'
+              '    except MemoryError as exc:\n        out.append(str(exc))\n'
               'def other(text):\n    return f"{text} failed"\n'
               'NEEDS = ((lambda v: v > 0, "> 0 failed"),)\n')
     assert written_out_refusals(source) == [
         "line 2: ': finite failed'", "line 3: 'dt failed'",
-        "line 3: ' failed (twice)'", "line 5: ' failed'", "line 6: '> 0 failed'"]
+        "line 3: ' failed (twice)'", "line 4: try", "line 9: ' failed'",
+        "line 10: '> 0 failed'"]
 
 
 def test_every_refusal_comes_from_a_table():
     # Every refusal text of validate_scenario is an entry of core.FIELDS,
     # core.RELATIONS, core.DATA_NEEDS or analysis.OUTPUT_RULES, which
-    # tests/test_core.py::TestRefusalTables triggers one by one.
+    # tests/test_core.py::TestRefusalTables triggers one by one, and no try
+    # in it turns an error into a refusal of its own.
     source = (ROOT / "src/rda/core.py").read_text(encoding="utf-8")
     assert written_out_refusals(source) == []
 

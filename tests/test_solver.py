@@ -95,8 +95,7 @@ def test_blow_up_detected_and_run_terminates():
     x = grid.points()
     initial = np.stack((50.0 * np.exp(-x ** 2), np.zeros(grid.n)))
     ws = SpectralWorkspace(grid=grid, system=system, dt=1e-3)
-    result = record_run(ws, initial, t_end=5.0, sample_dt=0.05,
-                        blow_up_threshold=1e6)
+    result = record_run(ws, initial, t_end=5.0, sample_dt=0.05)
     assert result.blew_up
     assert result.blow_up_time is not None and result.blow_up_time < 5.0
     # Only the samples taken before the blow-up are returned.
@@ -115,7 +114,6 @@ def test_blow_up_guard_stops_before_the_flagged_step():
     ws = SpectralWorkspace(grid=grid, system=system, dt=1e-3)
     seen = []
     blow_up_time = run(ws, initial, t_end=1.0, sample_dt=ws.dt,
-                       blow_up_threshold=1e6,
                        on_sample=lambda t, spectra, fields: seen.append(
                            (t, spectra, spectra.copy())))
     assert blow_up_time is not None and seen

@@ -15,7 +15,7 @@ import scipy.fft
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from rda.core import DEFAULT_BLOW_UP_THRESHOLD, Grid, PolyTerm, SystemSpec
+from rda.core import BLOW_UP_THRESHOLD, Grid, PolyTerm, SystemSpec
 from rda.solver import SpectralWorkspace, detect_blow_up, step
 
 RTOL = 1e-12
@@ -91,7 +91,7 @@ def reference_run(grid, system, dt, spectra):
             u_ref, v_ref = reference_step(grid, system, dt, u_ref, v_ref)
             sup = max(np.max(np.abs(np.fft.irfft(u_ref, n=grid.n))),
                       np.max(np.abs(np.fft.irfft(v_ref, n=grid.n))))
-            if not sup <= DEFAULT_BLOW_UP_THRESHOLD:
+            if not sup <= BLOW_UP_THRESHOLD:
                 return None
     return np.stack((u_ref, v_ref))
 

@@ -35,7 +35,6 @@ from .core import (
     PolyTerm,
     Scenario,
     SystemSpec,
-    gaussian_profile,
     sample_times,
     trust_radius,
 )
@@ -65,6 +64,7 @@ __all__ = [
     "AmplitudeLawVerdict",
     "amplitude_law_check",
     "sample_norms",
+    "gaussian_profile",
     "Rule",
     "OUTPUT_RULES",
     "output_violations",
@@ -496,13 +496,22 @@ def _judge_amplitude_law(scenario: Scenario, run):
     return [(law.passed, law.statistic)], None
 
 
+def gaussian_profile(zeta: np.ndarray, t: float, d1: float) -> np.ndarray:
+    """Unit-mass diffusive profile e^{-zeta^2/(4 d1 (1+t))}/sqrt(4 pi d1 (1+t))."""
+    return np.exp(-zeta ** 2 / (4.0 * d1 * (1.0 + t))) / math.sqrt(
+        4.0 * math.pi * d1 * (1.0 + t))
+
+
 def _exact_remark51(scenario: Scenario, t: float):
-    """Closed-form (u, v) of the exactly solvable benchmark at time t."""
+    """Closed-form (u, v) of the exactly solvable benchmark at time t. The
+    unit-mass solution is scaled by the mass m of u0 = a e^{-x^2/4}: u is
+    linear, so it scales by m, and v, driven by u^4, by m^4."""
     s = scenario.system
     x = scenario.grid.points()
-    u_exact = gaussian_profile(x + s.c1 * t, t, s.d1)
-    v_exact = kernels.drag_profile(x, t, s.c2, s.c1, 1.0,
-                                   power_decay=1.5) / (16.0 * math.pi ** 2)
+    mass = scenario.initial_u.amplitude * math.sqrt(4.0 * math.pi)
+    u_exact = mass * gaussian_profile(x + s.c1 * t, t, s.d1)
+    v_exact = mass ** 4 * kernels.drag_profile(x, t, s.c2, s.c1, 1.0,
+                                               power_decay=1.5) / (16.0 * math.pi ** 2)
     return u_exact, v_exact
 
 
@@ -515,11 +524,11 @@ def _judge_exact_error(scenario: Scenario, run):
     return [(err_u <= 1e-4 and err_v <= 5e-4, float(np.maximum(err_u, err_v)))], None
 
 
-def _has_remark51_shape(scenario: Scenario, _initial) -> bool:
-    s = scenario.system
+def _has_remark51_shape(scenario: Scenario, initial) -> bool:
+    s, u0 = scenario.system, scenario.initial_u
     return (s.d1 == 1.0 and s.d2 == 0.25 and s.monomials() == {("f2", 4, 0): 1.0}
-            and scenario.initial_u.kind == "remark51"
-            and scenario.initial_v.kind == "zero")
+            and u0.kind == "gaussian" and u0.width == 4.0 and u0.center == 0.0
+            and u0.amplitude > 0 and not np.any(initial[1]))
 
 
 # Every output, in the order diagnose writes their rows. The envelope
@@ -564,7 +573,7 @@ OUTPUT_RULES = {
     "exact_error": Rule(
         ("exact_error",),
         ((_has_remark51_shape, "the exactly solvable benchmark shape: d=(1, 1/4), "
-          "f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0"),),
+          "f2 = u^4, u0 = a e^{-x^2/4} with a > 0, v0 = 0 on the grid"),),
         judge=_judge_exact_error),
 }
 

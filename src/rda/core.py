@@ -5,10 +5,10 @@ All types are immutable value objects. SLOTS is the one owner of the
 coupling convention, SystemSpec.monomials the one coefficient extractor,
 FIELDS the one owner of the config keys, and FIELDS, RELATIONS, DATA_NEEDS
 and analysis.OUTPUT_RULES the tables that every refusal comes from. Each
-initial kind is a named profile: gaussian and algebraic (the paper's
-exponentially and algebraically localized data) are centred at their
-`center` field, which the envelope output's requirements read, and
-remark51 and zero at x = 0 by construction.
+initial kind is one of the paper's two profiles, gaussian and algebraic
+(exponentially and algebraically localized data), centred at its `center`
+field, which the envelope output's requirements read; amplitude 0, the
+default, is zero data.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "steps",
     "sample_times",
     "evaluate_initial",
-    "gaussian_profile",
 ]
 
 # A run's limits, each checked by one entry of the refusal tables.
@@ -134,7 +133,7 @@ class EnvelopeSpec:
 @dataclass(frozen=True)
 class InitialData:
     """Per-component initial profile."""
-    kind: str = "zero"
+    kind: str = "gaussian"
     amplitude: float = 0.0
     width: float = 4.0       # gaussian: e^{-(x-center)^2/width}
     power: float = 3.0       # algebraic: (1 + |x-center|)^{-power}
@@ -175,7 +174,7 @@ class ValidationReport:
 # Config keys
 # ---------------------------------------------------------------------------
 
-_INITIAL_KINDS = ("gaussian", "algebraic", "remark51", "zero")
+_INITIAL_KINDS = ("gaussian", "algebraic")
 _ENVELOPE_KINDS = ("exponential", "algebraic", "drag")
 # The dataclass behind each Scenario attribute that dotted keys fill, and
 # each dataclass field's default, MISSING where it has none.
@@ -290,13 +289,13 @@ FIELDS = (
     Field("initial.{c}.kind", ("initial_{c}", "kind"), str, "initial.{c}: kind {value!r}",
           needs=((lambda kind: kind in _INITIAL_KINDS, f"in {_INITIAL_KINDS}"),)),
     Field("initial.{c}.amplitude", ("initial_{c}", "amplitude"), float,
-          "initial.{c}: amplitude", ("gaussian", "algebraic"), _FINITE),
+          "initial.{c}: amplitude", needs=_FINITE),
     Field("initial.{c}.width", ("initial_{c}", "width"), float,
           "initial.{c}: width", ("gaussian",), _POSITIVE),
     Field("initial.{c}.power", ("initial_{c}", "power"), float,
           "initial.{c}: power", ("algebraic",), _POSITIVE),
     Field("initial.{c}.center", ("initial_{c}", "center"), float,
-          "initial.{c}: center", ("gaussian", "algebraic"), _FINITE),
+          "initial.{c}: center", needs=_FINITE),
     Field("envelope.kind", ("envelope", "kind"), str, "envelope kind {value!r}",
           needs=((lambda kind: kind in _ENVELOPE_KINDS, f"in {_ENVELOPE_KINDS}"),)),
     Field("envelope.M", ("envelope", "M"), float, "envelope M", _ENVELOPE_KINDS, _POSITIVE),
@@ -480,23 +479,11 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 # Initial data
 # ---------------------------------------------------------------------------
 
-def gaussian_profile(zeta: np.ndarray, t: float, d1: float) -> np.ndarray:
-    """Unit-mass diffusive profile e^{-zeta^2/(4 d1 (1+t))}/sqrt(4 pi d1 (1+t))."""
-    return np.exp(-zeta ** 2 / (4.0 * d1 * (1.0 + t))) / math.sqrt(
-        4.0 * math.pi * d1 * (1.0 + t))
-
-
 def evaluate_initial(init: InitialData, x: np.ndarray) -> np.ndarray:
     """Evaluate an initial profile analytically at the collocation points."""
     x = np.asarray(x, dtype=float)
-    if init.kind == "zero":
-        return np.zeros_like(x)
     if init.kind == "gaussian":
         return init.amplitude * np.exp(-((x - init.center) ** 2) / init.width)
     if init.kind == "algebraic":
         return init.amplitude / (1.0 + np.abs(x - init.center)) ** init.power
-    if init.kind == "remark51":
-        # u-component of the exact drag solution at t=0; the matching
-        # v-component starts from zero, so use kind="zero" there.
-        return gaussian_profile(x, 0.0, 1.0)
     raise ValueError(f"unknown initial kind {init.kind!r}")

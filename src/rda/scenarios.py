@@ -9,6 +9,8 @@ with the stabilizing sign satisfied or violated.
 
 from __future__ import annotations
 
+import math
+
 from .core import (
     EnvelopeSpec,
     Grid,
@@ -23,9 +25,6 @@ __all__ = ["BUILTIN_SCENARIOS", "get_scenario"]
 
 def _gauss(amplitude: float, width: float) -> InitialData:
     return InitialData(kind="gaussian", amplitude=amplitude, width=width)
-
-
-_ZERO = InitialData(kind="zero")
 
 
 def _cas2_system(c2: float) -> SystemSpec:
@@ -116,8 +115,9 @@ _BUILTINS = {scenario.name: scenario for scenario in (
             f2=(PolyTerm(1.0, 4, 0, 0),),
         ),
         grid=Grid(half_width=60.0, n=1024),
-        initial_u=InitialData(kind="remark51"),
-        initial_v=_ZERO,
+        # The unit-mass Gaussian of the closed form at t = 0; v starts at zero.
+        initial_u=_gauss(1.0 / math.sqrt(4.0 * math.pi), 4.0),
+        initial_v=InitialData(),
         t_end=5.0, dt=2.5e-3, sample_dt=0.25,
         envelope=EnvelopeSpec(kind="drag", M=16.0),
         outputs=("trajectory", "envelope", "exact_error"),

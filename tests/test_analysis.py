@@ -535,3 +535,20 @@ class TestExactError:
         passed, statistic = rows["exact_error"]
         assert passed is False
         assert math.isnan(statistic)
+
+    def test_error_reads_the_same_at_a_scaled_amplitude(self):
+        # u is linear and v is driven by u^4, so the closed form scales by
+        # the mass of u0: u by m and v by m^4. A cut run at 1.05 times the
+        # amplitude, which unscaled would read a v error near 0.22, reads
+        # the error of the unit-mass run.
+        exact = dataclasses.replace(get_scenario("remark51-exact"), t_end=1.0,
+                                    outputs=("trajectory", "exact_error"))
+        errors = []
+        for factor in (1.0, 1.05):
+            u0 = exact.initial_u
+            scenario = dataclasses.replace(exact, initial_u=dataclasses.replace(
+                u0, amplitude=factor * u0.amplitude))
+            (row,) = diagnose(scenario, record_scenario(scenario).samples).verdicts
+            assert row[:2] == ("exact_error", True)
+            errors.append(row[2])
+        assert errors[1] == pytest.approx(errors[0], rel=1e-6)

@@ -10,7 +10,9 @@ import io
 import math
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -142,7 +144,7 @@ def _remark51_cut(*f2):
 _CAS2 = get_scenario("cas2-equal")
 _EXACT_ERROR_REQUIRES = (
     "exact_error output requires the exactly solvable benchmark shape: "
-    "d=(1, 1/4), f2 = u^4, u0 the unit-mass width-4 Gaussian, v0 = 0")
+    "d=(1, 1/4), f2 = u^4, u0 = a e^{-x^2/4} with a > 0, v0 = 0 on the grid")
 _GROWTH_SYSTEM_REQUIRED = (
     "lower_bounds output requires the growth system: f1 = v^2, f2 = u^2, "
     "no other coupling")
@@ -192,7 +194,7 @@ class TestRunExperiment:
             system=SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0,
                               f1=(PolyTerm(1.0, 2, 0, 0),)),
             initial_u=InitialData(kind="gaussian", amplitude=50.0),
-            initial_v=InitialData(kind="zero"),
+            initial_v=InitialData(),
             t_end=5.0, dt=1e-3, sample_dt=0.05,
             envelope=None, outputs=("trajectory",),
         )
@@ -245,16 +247,16 @@ class TestMain:
         # validation evaluates both data on the grid and hands the (2, n)
         # array on to the solver.
         target = "remark51-exact"
+        scenario = get_scenario(target)
         if as_config:
             conf = tmp_path / "remark51.conf"
-            conf.write_text(serialize_scenario(get_scenario(target)),
-                            encoding="utf-8")
+            conf.write_text(serialize_scenario(scenario), encoding="utf-8")
             target = str(conf)
         calls = []
         validations = []
 
         def counted(init, x, _evaluate=core.evaluate_initial):
-            calls.append(init.kind)
+            calls.append(init)
             return _evaluate(init, x)
 
         def counted_validation(scenario, _validate=core.validate_scenario):
@@ -267,7 +269,7 @@ class TestMain:
             if hasattr(module, "validate_scenario"):
                 monkeypatch.setattr(module, "validate_scenario", counted_validation)
         assert main(["run", target, "--out", str(tmp_path / "out")]) == 0
-        assert calls == ["remark51", "zero"]
+        assert calls == [scenario.initial_u, scenario.initial_v]
         assert len(validations) == 1
 
     def test_run_multiple_targets_get_subdirs(self, tmp_path):
@@ -510,16 +512,25 @@ class TestMain:
          "unknown output 'decayy'"),
         ((("envelope.kind = exponential\nenvelope.M = 16.0\n", ""),),
          "envelope output requires an envelope.kind"),
-        # Configs written for the removed `custom` kind.
+        # Configs written for the removed `custom`, `remark51` and `zero`
+        # kinds; the last two are gaussian data, a e^{-x^2/4} with
+        # a = 1/sqrt(4 pi) and a = 0.
         ((("initial.u.kind = gaussian\ninitial.u.amplitude = 1e-3",
            "initial.u.kind = custom\ninitial.u.expression = 1e-3*exp(-x^2)"),),
          "line 13: unknown key 'initial.u.expression'"),
         ((("initial.u.kind = gaussian\ninitial.u.amplitude = 1e-3",
            "initial.u.kind = custom"),),
-         "initial.u: kind 'custom' in ('gaussian', 'algebraic', 'remark51', 'zero') failed"),
+         "initial.u: kind 'custom' in ('gaussian', 'algebraic') failed"),
+        ((("initial.u.kind = gaussian\ninitial.u.amplitude = 1e-3",
+           "initial.u.kind = remark51"),),
+         "initial.u: kind 'remark51' in ('gaussian', 'algebraic') failed"),
+        ((("initial.v.kind = gaussian\ninitial.v.amplitude = 1e-3",
+           "initial.v.kind = zero"),),
+         "initial.v: kind 'zero' in ('gaussian', 'algebraic') failed"),
     ], ids=["lower_bounds", "normal_form_envelope", "drag_equal_velocities",
             "exact_error", "amplitude_law", "unknown_output",
-            "envelope_without_kind", "custom_expression", "custom_kind"])
+            "envelope_without_kind", "custom_expression", "custom_kind",
+            "remark51_kind", "zero_kind"])
     def test_uncomputable_output_fails_before_running(
             self, tmp_path, capsys, replacements, message):
         assert_rejected_before_running(tmp_path, capsys, replacements, message)
@@ -543,10 +554,8 @@ class TestMain:
         # 7 samples at t >= 1; the fit needs 8.
         (FAST_CONFIG.replace("time.sample_dt = 0.2", "time.sample_dt = 0.5"),
          "decay output requires >= 8 samples at t >= min(5, t_end/4)"),
-        (FAST_CONFIG.replace("initial.u.kind = gaussian\ninitial.u.amplitude = 1e-3",
-                             "initial.u.kind = zero")
-         .replace("initial.v.kind = gaussian\ninitial.v.amplitude = 1e-3",
-                  "initial.v.kind = zero"),
+        (FAST_CONFIG.replace("initial.u.amplitude = 1e-3", "initial.u.amplitude = 0")
+         .replace("initial.v.amplitude = 1e-3", "initial.v.amplitude = 0"),
          "decay output requires nonzero initial data"),
         (FAST_CONFIG.replace("time.dt = 0.02", "time.dt = 0.1")
          .replace("time.t_end = 4.0", "time.t_end = 1.0")
@@ -767,6 +776,29 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {table}: {message}"]
         assert not svg.exists()
+
+    def test_svg_text_is_escaped(self, tmp_path):
+        # A name with markup characters is valid, and neither chart of its
+        # run, nor the replot of a table whose file and column carry it,
+        # may break the XML.
+        name = "a<b&c"
+        conf = tmp_path / "markup.conf"
+        conf.write_text(FAST_CONFIG.replace("name = fast", f"name = {name}"),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out)]) == 0
+        table = tmp_path / f"{name}.csv"
+        table.write_text(f"t,{name}\n0.0,1.0\n1.0,0.5\n", encoding="utf-8")
+        assert main(["plot", str(table), "--out", str(out / "replot.svg")]) == 0
+        charts = sorted(out.glob("*.svg"))
+        assert [path.name for path in charts] == [
+            "plot_envelope.svg", "plot_trajectory.svg", "replot.svg"]
+        for path in charts:
+            root = ET.parse(path).getroot()
+            texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+            assert any(name in text for text in texts), path.name
+        assert f">{escape(name)}: norms</text>" in (out / "plot_trajectory.svg").read_text(
+            encoding="utf-8")
 
     def test_plot_is_deterministic(self, tmp_path):
         run_valid(fast_scenario(), tmp_path)

@@ -17,8 +17,8 @@ from rda.config import (
     parse_scenario_text,
     serialize_scenario,
 )
-from rda.core import (_INITIAL_KINDS, FIELDS, KEYS, SLOTS, PolyTerm, scenario_from,
-                      validate_scenario)
+from rda.core import (_INITIAL_KINDS, FIELDS, KEYS, SLOTS, InitialData, PolyTerm,
+                      scenario_from, validate_scenario)
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 
 MINIMAL = """\
@@ -42,7 +42,7 @@ def test_minimal_config_parses():
     scenario = parse_scenario_text(MINIMAL, name_hint="minimal")
     assert scenario.name == "minimal"
     assert scenario.system.f1[0].is_mix
-    assert scenario.initial_v.kind == "zero"
+    assert scenario.initial_v == InitialData()  # zero data
     assert scenario.outputs == ("trajectory",)
 
 
@@ -136,14 +136,12 @@ def test_term_list_with_flux_entries():
     ((("initial.u.kind = gaussian", "initial.u.kind = algebraic"),
       ("", "initial.u.width = 2.0\n")),
      "line 14: 'initial.u.width' is not read by initial.u.kind 'algebraic'"),
-    ((("", "initial.v.amplitude = 1e-3\n"),),
-     "line 14: 'initial.v.amplitude' is not read by initial.v.kind 'zero'"),
-    ((("initial.u.kind = gaussian\ninitial.u.amplitude = 1e-3",
-       "initial.u.kind = remark51\ninitial.u.center = 1.0"),),
-     "line 13: 'initial.u.center' is not read by initial.u.kind 'remark51'"),
+    # The default datum, zero data, is gaussian.
+    ((("", "initial.v.power = 7.0\n"),),
+     "line 14: 'initial.v.power' is not read by initial.v.kind 'gaussian'"),
 ], ids=["envelope_M_without_kind", "envelope_r_without_kind",
         "envelope_r_on_exponential", "power_on_gaussian", "width_on_algebraic",
-        "shape_on_zero", "shape_on_remark51"])
+        "shape_on_zero"])
 def test_key_the_kind_does_not_read_is_rejected(edits, message):
     # Each edit either replaces a line or, with an empty old text, appends.
     text = MINIMAL
@@ -202,8 +200,7 @@ _STRINGS = st.one_of(
     st.sampled_from(["a", "a#b", "a # b", "  lead", "trail ", "two\nlines", "a\r\nb",
                      "a=b", "a  b", "..a", "1e-3*exp(-x^2)"]),
     st.text(st.characters(codec="utf-8"), max_size=8))
-_KINDS = st.sampled_from(["gaussian", "algebraic", "remark51", "zero", "exponential",
-                          "drag"])
+_KINDS = st.sampled_from(["gaussian", "algebraic", "exponential", "drag"])
 
 
 def _domain(key, entry):

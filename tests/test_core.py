@@ -33,7 +33,7 @@ def make_scenario(**overrides):
         system=SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0),
         grid=Grid(half_width=60.0, n=256),
         initial_u=InitialData(kind="gaussian", amplitude=1e-3),
-        initial_v=InitialData(kind="zero"),
+        initial_v=InitialData(),
         t_end=1.0, dt=0.01, sample_dt=0.1,
     )
     base.update(overrides)
@@ -70,6 +70,8 @@ class TestValidateSpec:
 
 _INF, _NAN = math.inf, math.nan
 _EXPONENTIAL = EnvelopeSpec(kind="exponential")
+_EXACT_SHAPE = ("the exactly solvable benchmark shape: d=(1, 1/4), f2 = u^4, "
+                "u0 = a e^{-x^2/4} with a > 0, v0 = 0 on the grid")
 _GROWTH = SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0, f1=(PolyTerm(1.0, 0, 2),),
                      f2=(PolyTerm(1.0, 2, 0),))
 
@@ -99,7 +101,7 @@ def _component_examples(c):
 
     yield from {
         (f"initial.{c}.kind",
-         "in ('gaussian', 'algebraic', 'remark51', 'zero')"): data("bogus"),
+         "in ('gaussian', 'algebraic')"): data("bogus"),
         (f"initial.{c}.amplitude", "finite"): data("gaussian", amplitude=_NAN),
         (f"initial.{c}.width", "> 0"): data("gaussian", width=-1.0),
         (f"initial.{c}.width", "finite"): data("gaussian", width=_INF),
@@ -182,9 +184,7 @@ REFUSAL_EXAMPLES = {
                       "no f2 or g1, c1 != c2"): dict(outputs=("amplitude_law",)),
     ("amplitude_law", "a sample at t >= T_BURN = 10"):
         dict(outputs=("amplitude_law",), system=get_scenario("cas3-stable").system),
-    ("exact_error", "the exactly solvable benchmark shape: d=(1, 1/4), f2 = u^4, "
-                    "u0 the unit-mass width-4 Gaussian, v0 = 0"):
-        dict(outputs=("exact_error",)),
+    ("exact_error", _EXACT_SHAPE): dict(outputs=("exact_error",)),
 }
 
 
@@ -232,6 +232,21 @@ class TestRefusalTables:
                              system=_system(c2=0.0))
         assert validate_scenario(huge).violations == ("grid n <= 1048576 failed",)
 
+
+    @pytest.mark.parametrize("field,init", [
+        ("initial_u", InitialData(kind="algebraic", amplitude=0.2)),
+        ("initial_u", InitialData(kind="gaussian", amplitude=0.2, width=3.0)),
+        ("initial_u", InitialData(kind="gaussian", amplitude=0.2, center=1.0)),
+        ("initial_u", InitialData(kind="gaussian", amplitude=0.0)),
+        ("initial_v", InitialData(kind="gaussian", amplitude=1e-3)),
+    ], ids=["algebraic-u", "width-3", "centre-1", "amplitude-0", "nonzero-v"])
+    def test_each_exact_error_clause_refuses_its_example_alone(self, field, init):
+        # remark51-exact with one clause of the exact_error need broken.
+        exact = dataclasses.replace(get_scenario("remark51-exact"), outputs=("exact_error",))
+        assert validate_scenario(exact).valid
+        bad = dataclasses.replace(exact, **{field: init})
+        assert validate_scenario(bad).violations == (
+            f"exact_error output requires {_EXACT_SHAPE}",)
 
     def test_huge_step_count_refused_before_the_sample_walk(self):
         # 6.25e306 steps: the decay output's sample requirement would walk
@@ -321,7 +336,7 @@ class TestValidateScenario:
         # grid.L = 1e308 meets its own requirements, but dx = 2L/n overflows,
         # so the grid points would be nan and inf: the grid is refused and
         # neither datum is evaluated on it.
-        data = {"initial_u": InitialData(kind="zero"), "initial_v": InitialData(kind="zero"),
+        data = {"initial_u": InitialData(), "initial_v": InitialData(),
                 field: InitialData(kind="algebraic", amplitude=1e-3)}
         bad = make_scenario(grid=Grid(half_width=1e308, n=64), **data)
         report = validate_scenario(bad)
@@ -462,10 +477,6 @@ class TestValidateScenario:
 
     @pytest.mark.parametrize("kind,name", [("gaussian", "power"),
                                            ("algebraic", "width"),
-                                           ("zero", "width"),
-                                           ("remark51", "power"),
-                                           ("zero", "amplitude"),
-                                           ("remark51", "amplitude"),
                                            ("exponential", "r"),
                                            ("drag", "r")])
     def test_shape_parameter_checked_only_where_read(self, kind, name):
@@ -496,32 +507,27 @@ class TestValidateScenario:
             validate_scenario(scenario)
 
     def test_overflowing_initial_values_reported(self):
-        # Every named kind is finite on a finite grid. At n = 64 these
+        # Both kinds are finite on a finite grid. At n = 64 these
         # half-widths meet their own requirements, but dx = 2L/n is inf
         # (1e308), 0 (5e-324) or so small that pi/dx (1e-320) or (pi/dx)^2
         # (1e-300) overflows. With c1 = c2 = 0, 5e-324 once raised
         # ZeroDivisionError.
         for L in (1e308, 5e-324, 1e-320, 1e-300):
             bad = make_scenario(grid=Grid(half_width=L, n=64), system=_system(c2=0.0),
-                                initial_v=InitialData(kind="remark51"))
+                                initial_v=InitialData(kind="algebraic", amplitude=1e-3))
             assert validate_scenario(bad).violations == (
                 "2L/n and (pi/dx)^2 finite failed",), L
 
     @pytest.mark.parametrize("kind", _INITIAL_KINDS)
     def test_every_initial_kind_is_centred_where_validation_reads(self, kind):
-        # The envelope weights are centred at x = 0. A kind either has a
-        # center that the envelope output reads, so off-centre data is
-        # refused, or is centred at 0 whatever its fields say.
+        # The envelope weights are centred at x = 0. Every kind reads its
+        # center, which the envelope output reads too, so off-centre data
+        # is refused.
+        assert KEYS["initial.u.center"].reads is None
         init = InitialData(kind=kind, amplitude=1e-3, center=1.0)
-        if kind in KEYS["initial.u.center"].reads:
-            bad = make_scenario(initial_u=init, envelope=_EXPONENTIAL,
-                                outputs=("envelope",))
-            assert validate_scenario(bad).violations == (
-                "envelope output requires initial.u.center = 0",)
-        else:
-            x = np.linspace(-60.0, 60.0, 1201)
-            mass = np.abs(evaluate_initial(init, x))
-            assert abs(np.sum(x * mass)) <= 1e-12 * 60.0 * np.sum(mass)
+        bad = make_scenario(initial_u=init, envelope=_EXPONENTIAL, outputs=("envelope",))
+        assert validate_scenario(bad).violations == (
+            "envelope output requires initial.u.center = 0",)
 
 
 class TestInitialData:
@@ -537,14 +543,16 @@ class TestInitialData:
         np.testing.assert_allclose(evaluate_initial(init, x), [2.0, 0.25])
 
     def test_remark51_is_unit_mass_gaussian(self):
+        # remark51-exact starts u from the closed form's unit-mass Gaussian.
         x = np.linspace(-40, 40, 4001)
-        u = evaluate_initial(InitialData(kind="remark51"), x)
+        u = evaluate_initial(get_scenario("remark51-exact").initial_u, x)
         assert np.trapezoid(u, x) == pytest.approx(1.0, abs=1e-12)
         assert np.max(u) == pytest.approx(1.0 / math.sqrt(4 * math.pi))
 
     def test_zero(self):
-        x = np.linspace(-1, 1, 11)
-        assert not evaluate_initial(InitialData(kind="zero"), x).any()
+        # The default datum, amplitude 0, is zero in every bit.
+        x = np.linspace(-60, 60, 1025)
+        np.testing.assert_array_equal(evaluate_initial(InitialData(), x), np.zeros_like(x))
 
 
 class TestMonomials:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import record_run, record_scenario
 from rda import solver
-from rda.analysis import SampleReduction, diagnose, normal_form_rates
+from rda.analysis import SampleReduction, diagnose, gaussian_profile, normal_form_rates
 from rda.core import (
     EnvelopeSpec,
     Grid,
@@ -20,7 +20,6 @@ from rda.core import (
     PolyTerm,
     Scenario,
     SystemSpec,
-    gaussian_profile,
     validate_scenario,
 )
 from rda.solver import (
@@ -402,7 +401,7 @@ def test_run_scenario_sampling_cadence():
         name="cadence", system=linear_system(),
         grid=grid,
         initial_u=InitialData(kind="gaussian", amplitude=1e-3),
-        initial_v=InitialData(kind="zero"),
+        initial_v=InitialData(),
         t_end=1.0, dt=0.01, sample_dt=0.25,
     )
     result = record_scenario(scenario)

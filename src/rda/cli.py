@@ -69,7 +69,9 @@ def _resolve_target(target: str) -> tuple[Scenario, ValidationReport]:
 
 def write_outputs(scenario: Scenario, diagnosis: analysis.Diagnosis,
                   blew_up: bool, out_dir) -> None:
-    """Write the CSV tables and SVG charts of one diagnosed run to out_dir."""
+    """Write the CSV tables and SVG charts of one diagnosed run to out_dir,
+    removing the envelope files an earlier run left when this run has no
+    envelope; other files in out_dir are left as they are."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     times, linf_u, linf_v, l1_u, l1_v = diagnosis.norms
@@ -80,7 +82,12 @@ def write_outputs(scenario: Scenario, diagnosis: analysis.Diagnosis,
                  1 if blew_up and i == last else 0] for i in range(len(times))])
 
     env = diagnosis.envelope
-    if env is not None:
+    if env is None:
+        # The run's only optional outputs: drop what an earlier run into
+        # out_dir left, so every rda file there is this run's.
+        for name in ("envelope.csv", "plot_envelope.svg"):
+            (out / name).unlink(missing_ok=True)
+    else:
         _write_csv(out / "envelope.csv", ["t", "eta", "bounded_flag"],
                    [[t, eta, int(flag)] for t, eta, flag in zip(
                        times, env.eta_series, env.bounded_flags)])

@@ -12,7 +12,7 @@ the 2/3 rule keeps, |k| <= 2/3 kmax, are a prefix [:K]. The stage input
 is copied into a buffer whose modes beyond K stay zero, which dealiases
 it whatever the state holds beyond K. The flux derivative is the
 multiplier ik in spectral space. The RK4 and transform buffers, the row
-sets below and the stage op lists are built once per workspace. Modes
+sets below and the stage programs are built once per workspace. Modes
 beyond K never enter the RK4 update and only see the linear multiplier,
 so they stay exactly zero once the initial spectrum is masked.
 
@@ -27,25 +27,44 @@ Each RK4 step transforms only what can change:
 
 - stage 1 makes one batched inverse transform of the rows the monomials
   read (components with a power above zero), and one batched forward
-  transform of the non-empty coupling slots f1, f2, g1, g2, of which only
-  the first K modes are kept;
+  transform of the distinct coupling slots among f1, f2, g1, g2, of which
+  only the first K modes are kept;
 - stages 2-4 inverse-transform only the read rows that move; the stage-1
   field and powers of a still component are reused as they are;
 - when no read component moves, the stage-1 forward transform is the
   slope of every stage and is reused, with no transform and no monomial
   work.
 
-No transform is made of an empty set of rows. The stage transforms write
-into a (2, n) field buffer and an (n_slots, n/2+1) spectrum buffer. Stage
-1 and stages 2-4 each have one op list of bound ufunc calls with out=:
-the powers [None, base, base**2, ...] of the rows the stage transforms,
-in the rows of the field and power buffers; each monomial, in one or two
-calls (a coefficient of 1 is not multiplied, a power of 0 is not a
-factor), summed per slot in the order the system lists the terms; and
-the rows of acc or k (a copy of the reaction slot, ik times the flux
-slot, plus the reaction slot). A stage makes no other decision. acc and
-k are the first K modes of zeroed full-width rows, so they have the
-strides of the stage and state rows they are combined with, and the
+No transform is made of an empty set of rows. Stage 1 and stages 2-4 each
+have one program of bound calls with out=, built once as a plan in which
+every distinct product is formed once, in the row that uses it:
+
+- the powers [None, base, base**2, ...] of the rows the stage transforms,
+  by repeated multiplication. A power that is a slot's whole first term
+  (coefficient 1, one factor) is computed straight into that slot's row
+  when nothing reads it after the row is written again; a still
+  component's powers are built at stage 1 only, so they land only in
+  single-term slots;
+- each slot's terms, summed into its row in the order the system lists
+  them, single-term slots first. Identical slots share one row (thm1-*'s
+  f1 = f2 = uv), and a term that already sits in a buffer, a power or a
+  single-term slot, is copied or added from there (thm2-irrelevant's f2
+  adds f1's uv row). A coefficient of 1 is not multiplied and a power of
+  0 is not a factor;
+- the rows of acc or k. When each moving component has one slot of its
+  own and stages 2-4 transform, the forward transform writes straight
+  into the full-width acc (stage 1) and k (stages 2-4) rows, and a flux
+  row is multiplied by ik in place. Otherwise it writes a spectrum
+  buffer, and a row is a copy of the reaction slot, or ik times the flux
+  slot plus the reaction slot; remark51-exact, whose stages 2-4 reuse the
+  stage-1 slope, and thm1-* take this path.
+
+A stage makes no other decision. Per stage, toy and thm2-irrelevant make
+5 calls besides the transforms, thm1-* 7, cas2-* 2 and cas3-* 6, where
+forming every product in a buffer of its own and copying it made 7, 9,
+10, 6 and 8, and thm1-*'s forward transform takes 3 rows instead of 4.
+acc and k are the first K modes of zeroed full-width rows, so they have
+the strides of the stage and state rows they are combined with, and the
 still-row flush below writes into workspace buffers of the strides it
 reads: a ufunc that writes a strided output from an operand of other
 strides copies through a temporary buffer. So a step allocates its
@@ -53,8 +72,9 @@ strides copies through a temporary buffer. So a step allocates its
 1024 is 1.04 (toy's shape) to 1.10 (both components move) times the
 result's bytes. The updates of acc and k alone (k *= 2, acc += k, acc *=
 dt/6) run over one contiguous span, from the first element to the last
-kept mode, whose modes beyond K stay zero; with two moving rows this is
-about 0.8 us per call faster than the strided rows.
+kept mode; with two moving rows this is about 0.8 us per call faster
+than the strided rows. The modes of that span beyond K are zero, or hold
+what a direct forward transform left there; nothing reads them.
 
 A still component only sees its linear multiplier, so its high modes
 decay geometrically into the subnormal range, where rounding pins them
@@ -75,9 +95,10 @@ grid, and owns the blow-up check: detect_blow_up runs after every step,
 and the first flagged step ends the run with its t as the blow-up time,
 which run returns. A stage that overflows leaves inf or nan, which the
 check flags, so the steps run with numpy's overflow warnings off. The
-check first bounds the sup by sum(|Re| + |Im|) * 2/n, which needs no
-hypot, and only computes the exact sup when that bound is not finite or
-exceeds the threshold, core.BLOW_UP_THRESHOLD.
+check first bounds the sup by (2/n) sqrt(N sum|c|^2) over the N entries c
+of the spectrum, one dot product, and only computes the exact sup when
+that bound is not finite or exceeds the threshold,
+core.BLOW_UP_THRESHOLD.
 Physical fields are materialized only when sampled, by one batched
 inverse transform per sample into a new array, and handed with t and the
 spectrum to the run's on_sample hook. run keeps no sample, not even its
@@ -118,6 +139,8 @@ pypocketfft = load_extension("scipy.fft._pocketfft.pypocketfft")
 
 # The smallest positive normal float; a smaller nonzero magnitude is subnormal.
 _TINY = np.finfo(np.float64).tiny
+# The most entries detect_blow_up hands one np.vdot; OpenBLAS threads more.
+_DOT_BLOCK = 10000
 
 
 def _rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -135,17 +158,20 @@ def _irfft(x: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass
 class SpectralWorkspace:
-    """Precomputed grids, multipliers, buffers and stage op lists for one run.
+    """Precomputed grids, multipliers, buffers and stage programs for one run.
 
     dealias is the 2/3-rule mask over all n/2+1 modes; the kept modes are
-    its prefix [:n_kept]. Each non-empty slot, in core.SLOTS order, is one
-    row of the batched forward transform. moving is the range of
-    components with coupling terms and still the others. _stages holds
-    (rows, ops, writes) for stage 1 and for stages 2-4: the range of
-    components to inverse-transform (those the monomials read, and at
-    stages 2-4 only those of them that move), the power and monomial calls
-    (None when the stage reuses stage 1's forward transform) and the calls
-    that write acc or k. Each range is a row slice, or None when empty.
+    its prefix [:n_kept]. Each distinct slot is one row of the batched
+    forward transform: in core.SLOTS order, or in the order of the moving
+    components when the transform writes acc and k directly. moving is
+    the range of components with coupling terms and still the others.
+    _stages holds (inverse, ops, spectra, writes) for stage 1 and for
+    stages 2-4: the rows of the stage and field buffers to inverse-
+    transform, of the components the monomials read (at stages 2-4 only
+    those of them that move), or None when there are none; the power and
+    monomial calls (None when the stage reuses stage 1's forward
+    transform); the array the forward transform writes; and the calls
+    that write acc or k.
     """
 
     grid: Grid
@@ -173,22 +199,28 @@ class SpectralWorkspace:
                                   for d, c in ((system.d1, system.c1),
                                                (system.d2, system.c2))])
 
-        # The (coeff, alpha, beta) triples of each non-empty slot, and per
-        # component 0 (u) and 1 (v) the slot indices of its reaction and
-        # flux terms (None when empty).
-        slots: list[tuple[tuple[float, int, int], ...]] = []
-        rows: list[list[int | None]] = [[None, None], [None, None]]
+        # Per component 0 (u) and 1 (v), the (coeff, alpha, beta) triples of
+        # its reaction and flux slots (None when empty).
+        comp_slots: list[list] = [[None, None], [None, None]]
         for name, (comp, order) in SLOTS.items():
             if terms := getattr(system, name):
-                rows[comp][order] = len(slots)
-                slots.append(tuple((t.coeff, t.alpha, t.beta) for t in terms))
-        max_alpha = max((a for s in slots for _, a, _ in s), default=0)
-        max_beta = max((b for s in slots for _, _, b in s), default=0)
-        read = [comp for comp, top in enumerate((max_alpha, max_beta)) if top > 0]
-        moving = [comp for comp, pair in enumerate(rows) if pair != [None, None]]
+                comp_slots[comp][order] = tuple((t.coeff, t.alpha, t.beta)
+                                                for t in terms)
+        named = [s for comp, order in SLOTS.values() if (s := comp_slots[comp][order])]
+        tops = [max((t[1 + c] for s in named for t in s), default=0) for c in (0, 1)]
+        read = [comp for comp in (0, 1) if tops[comp] > 0]
+        moving = [comp for comp in (0, 1) if comp_slots[comp] != [None, None]]
         self.moving = _row_slice(moving)
         self.still = _row_slice([comp for comp in (0, 1) if comp not in moving])
         late = [comp for comp in read if comp in moving]
+        own = [[s for s in comp_slots[comp] if s] for comp in moving]
+        # The forward transform writes straight into acc and k when each
+        # moving component has one slot of its own and stages 2-4 transform;
+        # otherwise identical slots share a row of a spectrum buffer that
+        # the stage slope is assembled from.
+        direct = (bool(late) and all(len(s) == 1 for s in own)
+                  and len({s[0] for s in own}) == len(own))
+        slots = [s for s, in own] if direct else list(dict.fromkeys(named))
         modes, n_still = n // 2 + 1, 2 - len(moving)
         # One zeroed full-width row per moving component for acc and k.
         acc, k = [np.zeros((len(moving), modes), dtype=complex) for _ in range(2)]
@@ -196,7 +228,6 @@ class SpectralWorkspace:
         buf = self._buffers = {
             "fields": np.empty((2, n)),
             "phys": np.empty((len(slots), n)),
-            "spec": np.empty((len(slots), modes), dtype=complex),
             "acc": acc[:, :self.n_kept],
             "k": k[:, :self.n_kept],
             # From the first element to the last kept mode, in one run.
@@ -208,34 +239,44 @@ class SpectralWorkspace:
             "still_abs": np.empty((n_still, 2 * modes))[:, :2 * self.n_kept],
             "still_tiny": np.empty((n_still, 2 * modes), dtype=bool)[:, :2 * self.n_kept],
         }
-        # [None, base, base**2, ...] for u and v; None is the zeroth power.
-        pows = [np.empty((max(top - 1, 0), n)) for top in (max_alpha, max_beta)]
-        pu, pv = powers = [[None, buf["fields"][c], *pows[c]] for c in (0, 1)]
-        term, mono = np.empty(n), []
-        for row, ((coeff, alpha, beta), *rest) in zip(buf["phys"], slots):
-            mono += _product_ops(row, coeff, pu[alpha], pv[beta])
-            for coeff, alpha, beta in rest:
-                mono += _product_ops(term, coeff, pu[alpha], pv[beta])
-                mono.append((np.add, (row, term, row)))
-        spec = buf["spec"][:, :self.n_kept]
+        # One view per slot row, so that a power placed in a row is that view.
+        phys = list(buf["phys"])
+        powers = _place_powers(buf["fields"], tops, slots, phys, moving)
+        mono = _slot_ops(slots, phys, powers)
 
         def ops(comps):
-            return [(np.multiply, (powers[c][j], powers[c][1], powers[c][j + 1]))
-                    for c in comps for j in range(1, len(powers[c]) - 1)] + mono
+            return [(np.multiply, (powers[c][j - 1], powers[c][1], powers[c][j]))
+                    for c in comps for j in range(2, len(powers[c]))] + mono
 
-        def writes(out):
-            calls = []
-            for row, (f_row, g_row) in zip(out, (rows[c] for c in moving)):
-                if g_row is None:
-                    calls.append((np.copyto, (row, spec[f_row])))
-                    continue
-                calls.append((np.multiply, (ik, spec[g_row], row)))
-                if f_row is not None:
-                    calls.append((np.add, (row, spec[f_row], row)))
-            return calls
+        if direct:
+            outs = (acc, k)
+            fluxes = [comp_slots[comp][1] is not None for comp in moving]
 
-        self._stages = ((_row_slice(read), ops(read), writes(buf["acc"])),
-                        (_row_slice(late), ops(late) if late else None,
+            def writes(out):
+                return [(np.multiply, (ik, row, row))
+                        for row, flux in zip(out, fluxes) if flux]
+        else:
+            row_of = {s: r for r, s in enumerate(slots)}
+            spec_full = np.empty((len(slots), modes), dtype=complex)
+            spec, outs = spec_full[:, :self.n_kept], (spec_full, spec_full)
+
+            def writes(out):
+                calls = []
+                for row, (f, g) in zip(out, (comp_slots[c] for c in moving)):
+                    if g is None:
+                        calls.append((np.copyto, (row, spec[row_of[f]])))
+                        continue
+                    calls.append((np.multiply, (ik, spec[row_of[g]], row)))
+                    if f is not None:
+                        calls.append((np.add, (row, spec[row_of[f]], row)))
+                return calls
+
+        def inverse(comps):
+            rows = _row_slice(comps)
+            return None if rows is None else (buf["stage"][rows], buf["fields"][rows])
+
+        self._stages = ((inverse(read), ops(read), outs[0], writes(buf["acc"])),
+                        (inverse(late), ops(late) if late else None, outs[1],
                          writes(buf["k"])))
 
 
@@ -247,16 +288,77 @@ def _row_slice(comps: list[int]) -> slice | None:
     return slice(comps[0], comps[-1] + 1) if comps else None
 
 
-def _product_ops(out: np.ndarray, coeff: float, x, y) -> list:
-    """The calls that set out = (coeff * x) * y, skipping factors that are
-    1 (coeff 1, power 0)."""
-    factors = [f for f in (x, y) if f is not None]
+def _power_term(comp: int, j: int) -> tuple[float, int, int]:
+    """The (coeff, alpha, beta) triple of the bare power u^j or v^j."""
+    return (1.0, j, 0) if comp == 0 else (1.0, 0, j)
+
+
+def _place_powers(fields: np.ndarray, tops: list[int], slots: list, phys: list,
+                  moving: list[int]) -> list[list]:
+    """[None, base, base**2, ..., base**top] for u and v, None being the
+    zeroth power and base the field row.
+
+    A power that is the whole first term of a slot is computed straight
+    into that slot's row, where the slot's own calls leave it: always in a
+    single-term slot, which nothing writes again. In a multi-term slot the
+    power is lost once the slot adds its second term, so it lands there
+    only when its component moves, so that every stage rebuilds it, and
+    no term of any multi-term slot but that first one reads it: single-term
+    slots are formed before multi-term ones. Other powers get a buffer.
+    """
+    n = fields.shape[1]
+    powers = [[None, fields[c]] for c in (0, 1)]
+    for c in (0, 1):
+        for j in range(2, tops[c] + 1):
+            power = _power_term(c, j)
+            readers = sum(t[1 + c] == j for s in slots if len(s) > 1 for t in s)
+            hosts = [r for r, s in enumerate(slots) if s == (power,)] + [
+                r for r, s in enumerate(slots) if len(s) > 1 and s[0] == power
+                and c in moving and readers == 1]
+            powers[c].append(phys[hosts[0]] if hosts else np.empty(n))
+    return powers
+
+
+def _slot_ops(slots: list, phys: list, powers: list[list]) -> list:
+    """The calls that sum each slot's terms into its row of phys, in the
+    order the system lists them, single-term slots first.
+
+    Each product is formed once: a term that already sits in a buffer, a
+    power or a single-term slot formed before, is copied (a first term) or
+    added (a later term) from there, and a power computed into its slot's
+    row needs no call.
+    """
+    sits = {_power_term(c, j): powers[c][j]
+            for c in (0, 1) for j in range(1, len(powers[c]))}
+    term, calls = np.empty_like(powers[0][1]), []
+    for r in sorted(range(len(slots)), key=lambda r: len(slots[r]) > 1):
+        row, (first, *rest) = phys[r], slots[r]
+        if sits.get(first) is not row:
+            calls += _product_ops(row, first, powers, sits)
+        for t in rest:
+            if t in sits:
+                calls.append((np.add, (row, sits[t], row)))
+            else:
+                calls += _product_ops(term, t, powers, sits)
+                calls.append((np.add, (row, term, row)))
+        if not rest:
+            sits.setdefault(first, row)
+    return calls
+
+
+def _product_ops(out: np.ndarray, term: tuple[float, int, int], powers: list[list],
+                 sits: dict) -> list:
+    """The calls that set out = (coeff * u^alpha) * v^beta: a copy when the
+    product sits in a buffer, else skipping factors that are 1 (coeff 1,
+    power 0)."""
+    if term in sits:
+        return [(np.copyto, (out, sits[term]))]
+    coeff, alpha, beta = term
+    factors = [f for f in (powers[0][alpha], powers[1][beta]) if f is not None]
     if not factors:
         return [(out.fill, (coeff,))]
     if coeff == 1.0:
-        if len(factors) == 2:
-            return [(np.multiply, (*factors, out))]
-        return [(np.copyto, (out, factors[0]))]
+        return [(np.multiply, (*factors, out))]
     return [(np.multiply, (factors[0], coeff, out)),
             *[(np.multiply, (out, f, out)) for f in factors[1:]]]
 
@@ -269,14 +371,13 @@ def _coupling_rhs(ws: SpectralWorkspace, first: bool) -> None:
     stages transform only the read rows that move and reuse the others'
     powers, or, when none moves, reuse the first stage's forward transform.
     """
-    rows, ops, writes = ws._stages[0 if first else 1]
+    inverse, ops, spectra, writes = ws._stages[0 if first else 1]
     if ops is not None:
-        buf = ws._buffers
-        if rows is not None:
-            _irfft(buf["stage"][rows], ws.grid.n, out=buf["fields"][rows])
+        if inverse is not None:
+            _irfft(inverse[0], ws.grid.n, out=inverse[1])
         for op, args in ops:
             op(*args)
-        _rfft(buf["phys"], out=buf["spec"])
+        _rfft(ws._buffers["phys"], out=spectra)
     for op, args in writes:
         op(*args)
 
@@ -323,12 +424,22 @@ def detect_blow_up(spectra: np.ndarray, n: int,
                    threshold: float = BLOW_UP_THRESHOLD) -> float | None:
     """Return the sup amplitude if it is non-finite or above threshold, else None.
 
-    spectra is the stacked, C-contiguous (2, n/2+1) rfft of (u, v). The
-    bound sum(|Re| + |Im|) * 2/n on the sup needs no hypot; the exact sup
-    norm is only computed when that bound is not finite or exceeds the
-    threshold.
+    spectra is the stacked, C-contiguous (2, n/2+1) rfft of (u, v). Its N
+    entries c bound the sup by (2/n) sum|c| <= (2/n) sqrt(N sum|c|^2)
+    (Cauchy-Schwarz), and the right side is one np.vdot of the spectrum
+    with itself: no abs pass and no temporary. The exact sup norm is only
+    computed when that bound is not finite or exceeds the threshold, so the
+    step flagged is the one whose exact sup is. OpenBLAS runs a dot product
+    of more than 10000 entries on its thread pool, whose waiting threads
+    take the CPU a step needs, so a larger spectrum is summed in blocks of
+    _DOT_BLOCK entries; every builtin's (n <= 8192) is one block.
     """
-    bound = float(np.sum(np.abs(spectra.view(np.float64)))) * (2.0 / n)
+    flat = spectra.reshape(-1)
+    power = 0.0
+    for start in range(0, flat.size, _DOT_BLOCK):
+        block = flat[start:start + _DOT_BLOCK]
+        power += np.vdot(block, block).real
+    bound = math.sqrt(flat.size * power) * (2.0 / n)
     if math.isfinite(bound) and bound <= threshold:
         return None
     sup = float(np.max(np.abs(_irfft(spectra, n))))

@@ -178,6 +178,20 @@ class TestRunExperiment:
         assert (tmp_path / "plot_trajectory.svg").exists()
         assert (tmp_path / "plot_envelope.svg").exists()
 
+    def test_second_run_leaves_no_stale_envelope(self, tmp_path):
+        # A run without an envelope into the directory of one with it
+        # removes the envelope files, and only those.
+        run_valid(fast_scenario(), tmp_path)
+        (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
+        assert (tmp_path / "envelope.csv").exists()
+        run_valid(fast_scenario(envelope=None, outputs=("trajectory", "decay")),
+                  tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "notes.txt", "plot_trajectory.svg", "trajectory.csv", "verdicts.csv"]
+        assert (tmp_path / "notes.txt").read_text(encoding="utf-8") == "kept"
+        _, v_rows = read_csv(tmp_path / "verdicts.csv")
+        assert [row[0] for row in v_rows] == ["decay_exponent"]
+
     def test_csv_floats_parse_back_exactly(self, tmp_path):
         # Values are written with repr, i.e. shortest round-trip precision.
         run_valid(fast_scenario(), tmp_path)

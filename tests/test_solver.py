@@ -149,9 +149,13 @@ def _count_transform_rows(monkeypatch):
     # Both components move: every stage transforms both rows.
     (dict(f1=(PolyTerm(1.0, 1, 1, 0),), f2=(PolyTerm(-1.0, 2, 0, 0),)),
      [2, 2, 2, 2], [2, 2, 2, 2]),
+    # thm1: the identical slots f1 = f2 = uv share one forward row.
+    (dict(f1=(PolyTerm(1.0, 1, 1, 0),), f2=(PolyTerm(1.0, 1, 1, 0),),
+          g1=(PolyTerm(1.0, 2, 0, 1),), g2=(PolyTerm(1.0, 0, 2, 1),)),
+     [2, 2, 2, 2], [3, 3, 3, 3]),
     # No couplings: both rows are still and nothing is transformed.
     ({}, [], []),
-], ids=["toy", "remark51", "both_move", "no_coupling"])
+], ids=["toy", "remark51", "both_move", "thm1", "no_coupling"])
 def test_rows_transformed_per_step(monkeypatch, couplings, inverse, forward):
     grid = Grid(half_width=30.0, n=128)
     system = SystemSpec(d1=1.0, d2=0.25, c1=0.0, c2=5.0, **couplings)
@@ -393,6 +397,19 @@ def test_detect_blow_up_flags_threshold_and_nan():
     bad = zeros.copy()
     bad[0] = np.nan
     assert detect_blow_up(np.stack((bad, zeros)), n, threshold=1.0) == math.inf
+
+
+@pytest.mark.parametrize("value", [1.5, math.nan], ids=["above", "nan"])
+@pytest.mark.parametrize("row,mode", [(0, 1), (1, 16383)], ids=["first", "last"])
+def test_detect_blow_up_reads_every_block(row, mode, value):
+    # A spectrum of more than solver._DOT_BLOCK entries is bounded block by
+    # block; a mode in the first or the last block alone must be flagged.
+    n = 32768
+    spectra = np.zeros((2, n // 2 + 1), dtype=complex)
+    assert spectra.size > 3 * solver._DOT_BLOCK
+    spectra[row, mode] = value * n / 2  # sup = value, at x = 0
+    flagged = detect_blow_up(spectra, n, threshold=1.0)
+    assert flagged == (pytest.approx(1.5) if value == 1.5 else math.inf)
 
 
 def test_run_scenario_sampling_cadence():

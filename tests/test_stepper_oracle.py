@@ -11,11 +11,13 @@ that does not, as solver.run does.
 import math
 
 import numpy as np
+import pytest
 import scipy.fft
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from rda.core import BLOW_UP_THRESHOLD, Grid, PolyTerm, SystemSpec
+from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 from rda.solver import SpectralWorkspace, detect_blow_up, step
 
 RTOL = 1e-12
@@ -163,6 +165,60 @@ _CONSTANT_ONLY = dict(
                       g2=(PolyTerm(2.0, 0, 0, 1),)),
     n=64, dt=0.04, seed=3)
 
+# thm1: f1 = f2 = uv share one transform row, and g1 = u^2, g2 = v^2 are
+# computed straight into their rows.
+_IDENTICAL_SLOTS = dict(
+    system=SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=1.0,
+                      f1=(PolyTerm(1.0, 1, 1, 0),), f2=(PolyTerm(1.0, 1, 1, 0),),
+                      g1=(PolyTerm(1.0, 2, 0, 1),), g2=(PolyTerm(1.0, 0, 2, 1),)),
+    n=128, dt=0.02, seed=4)
+# thm2 with f1 and f2 swapped: f1's later uv term is f2's whole slot,
+# which is formed first and which f1 adds; u^4 is computed into f1's row.
+_SHARED_TERM = dict(
+    system=SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=5.0,
+                      f1=(PolyTerm(1.0, 4, 0, 0), PolyTerm(1.0, 1, 1, 0)),
+                      f2=(PolyTerm(1.0, 1, 1, 0),)),
+    n=128, dt=0.02, seed=5)
+# cas3: u^2 is g2's whole slot and a factor of f1's u^3.
+_POWER_ALONE_AND_INSIDE = dict(
+    system=SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0,
+                      f1=(PolyTerm(1.0, 1, 1, 0), PolyTerm(1.5, 3, 0, 0)),
+                      g2=(PolyTerm(1.0, 2, 0, 1),)),
+    n=64, dt=0.02, seed=6)
+# v is still, so its v^2 is built at stage 1 only; placed in f1's row, it
+# would be overwritten by "+ u" before stages 2-4 read it.
+_STILL_POWER_IN_SUM = dict(
+    system=SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=0.0,
+                      f1=(PolyTerm(1.0, 0, 2, 0), PolyTerm(1.0, 1, 0, 0))),
+    n=64, dt=0.02, seed=7)
+# u^2 starts f1, but f2 reads it after f1 has added its v: it keeps its
+# own buffer.
+_POWER_READ_AFTER_SUM = dict(
+    system=SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=1.0,
+                      f1=(PolyTerm(1.0, 2, 0, 0), PolyTerm(1.0, 0, 1, 0)),
+                      f2=(PolyTerm(2.0, 2, 0, 0), PolyTerm(1.0, 1, 0, 0))),
+    n=64, dt=0.02, seed=8)
+_UNMASKED_SYSTEM = SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=2.0,
+                              f1=(PolyTerm(-0.7, 4, 0, 0), PolyTerm(2.0, 1, 1, 0)),
+                              f2=(PolyTerm(0.3, 0, 3, 0),),
+                              g1=(PolyTerm(1.5, 2, 0, 1),),
+                              g2=(PolyTerm(-2.0, 1, 2, 1),))
+_FLUX_ONLY_SYSTEM = SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0,
+                               g1=(PolyTerm(1.5, 2, 0, 1),),
+                               g2=(PolyTerm(-0.5, 0, 2, 1), PolyTerm(2.0, 1, 1, 1)))
+# Every system the tests below step by name.
+ORACLE_SYSTEMS = {
+    **{name: case["system"] for name, case in (
+        ("unstable", _UNSTABLE), ("toy_shape", _TOY_SHAPE),
+        ("remark51_shape", _REMARK51_SHAPE), ("constant_only", _CONSTANT_ONLY),
+        ("identical_slots", _IDENTICAL_SLOTS), ("shared_term", _SHARED_TERM),
+        ("power_alone_and_inside", _POWER_ALONE_AND_INSIDE),
+        ("still_power_in_sum", _STILL_POWER_IN_SUM),
+        ("power_read_after_sum", _POWER_READ_AFTER_SUM))},
+    "unmasked": _UNMASKED_SYSTEM,
+    "flux_only": _FLUX_ONLY_SYSTEM,
+}
+
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -172,6 +228,11 @@ _CONSTANT_ONLY = dict(
 @example(**_TOY_SHAPE)
 @example(**_REMARK51_SHAPE)
 @example(**_CONSTANT_ONLY)
+@example(**_IDENTICAL_SLOTS)
+@example(**_SHARED_TERM)
+@example(**_POWER_ALONE_AND_INSIDE)
+@example(**_STILL_POWER_IN_SUM)
+@example(**_POWER_READ_AFTER_SUM)
 def test_all_slots_match_reference(system, n, dt, seed):
     grid = Grid(half_width=20.0, n=n)
     spectra = _initial_spectra(grid, seed)
@@ -193,11 +254,7 @@ def test_unmasked_input_matches_reference():
     # step() must dealias an input whose masked modes are not zero, as the
     # reference does by re-masking.
     grid = Grid(half_width=20.0, n=128)
-    system = SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=2.0,
-                        f1=(PolyTerm(-0.7, 4, 0, 0), PolyTerm(2.0, 1, 1, 0)),
-                        f2=(PolyTerm(0.3, 0, 3, 0),),
-                        g1=(PolyTerm(1.5, 2, 0, 1),),
-                        g2=(PolyTerm(-2.0, 1, 2, 1),))
+    system = _UNMASKED_SYSTEM
     spectra = _initial_spectra(grid, seed=3, masked=False)
     _, mask = _wavenumbers(grid)
     assert np.max(np.abs(spectra[:, ~mask])) > 0.0
@@ -212,7 +269,52 @@ def test_no_couplings_match_reference():
 
 def test_flux_only_matches_reference():
     grid = Grid(half_width=20.0, n=128)
-    system = SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0,
-                        g1=(PolyTerm(1.5, 2, 0, 1),),
-                        g2=(PolyTerm(-0.5, 0, 2, 1), PolyTerm(2.0, 1, 1, 1)))
-    assert_matches_reference(grid, system, 0.01, _initial_spectra(grid, seed=7))
+    assert_matches_reference(grid, _FLUX_ONLY_SYSTEM, 0.01,
+                             _initial_spectra(grid, seed=7))
+
+
+def repeated_ufunc_calls(ws):
+    """The ufunc calls of each stage program of ws that repeat an earlier
+    call of that program on the same operands, with nothing written to any
+    operand in between.
+
+    An array operand is known by its memory and the number of writes to
+    memory it shares so far; the forward transform writes its spectra
+    between the monomial calls and the slope calls.
+    """
+    repeats = []
+    for _, ops, spectra, writes in ws._stages:
+        written, seen = [], set()
+
+        def operand(x):
+            if not isinstance(x, np.ndarray):
+                return x
+            return (x.__array_interface__["data"][0], x.shape, x.strides,
+                    sum(np.shares_memory(x, w) for w in written))
+
+        program = [*(ops or []), (None, (spectra,)), *writes]
+        for op, args in program:
+            owner = getattr(op, "__self__", None)
+            if isinstance(op, np.ufunc):
+                key = (op, *map(operand, args[:-1]))
+                if key in seen:
+                    repeats.append((op.__name__, key))
+                seen.add(key)
+                written.append(args[-1])
+            elif isinstance(owner, np.ndarray):
+                written.append(owner)  # a buffer's fill
+            else:
+                written.append(args[0])  # np.copyto or the transform
+    return repeats
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_SCENARIOS, *ORACLE_SYSTEMS])
+def test_no_stage_repeats_a_product(name):
+    if name in ORACLE_SYSTEMS:
+        ws = SpectralWorkspace(grid=Grid(half_width=20.0, n=64),
+                               system=ORACLE_SYSTEMS[name], dt=0.01)
+    else:
+        scenario = get_scenario(name)
+        ws = SpectralWorkspace(grid=scenario.grid, system=scenario.system,
+                               dt=scenario.dt)
+    assert repeated_ufunc_calls(ws) == []

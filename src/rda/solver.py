@@ -96,8 +96,8 @@ and the first flagged step ends the run with its t as the blow-up time,
 which run returns. A stage that overflows leaves inf or nan, which the
 check flags, so the steps run with numpy's overflow warnings off. The
 check first bounds the sup by (2/n) sqrt(N sum|c|^2) over the N entries c
-of the spectrum, one dot product, and only computes the exact sup when
-that bound is not finite or exceeds the threshold,
+of the spectrum, a dot product with no temporary, and only computes the
+exact sup when that bound is not finite or exceeds the threshold,
 core.BLOW_UP_THRESHOLD.
 Physical fields are materialized only when sampled, by one batched
 inverse transform per sample into a new array, and handed with t and the

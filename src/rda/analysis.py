@@ -166,13 +166,11 @@ def normal_form_rates(system: SystemSpec) -> tuple[float, float]:
     """(mu, nu) of the normal form of the shape f1 = alpha uv + beta u^3,
     g2 = gamma u^2, each coefficient summed over its monomial (0 if absent).
 
-    The transform v + (gamma/c) u^2 divides by c = c2 - c1, so c1 != c2 is
-    required. mu = gamma*alpha/c - beta is the effective cubic coefficient
-    and nu = mu/(4 sqrt(3) d1 pi) the amplitude-law rate.
+    The transform v + (gamma/c) u^2 divides by c = c2 - c1, which the shape
+    makes nonzero. mu = gamma*alpha/c - beta is the effective cubic
+    coefficient and nu = mu/(4 sqrt(3) d1 pi) the amplitude-law rate.
     """
     c = system.c2 - system.c1
-    if c == 0.0:
-        raise ValueError("normal form requires c1 != c2")
     monomials = system.monomials()
     alpha, beta, gamma = (monomials.get(key, 0) for key in (_UV, _U3, _U2X))
     mu = gamma * alpha / c - beta
@@ -214,21 +212,15 @@ class Envelope:
     """The weighted supremum eta(s) = sup_x sum_i |field_i| / denom_i of one
     sample under env.kind's weights.
 
-    Each rule maps the sample time s to (denom, keep), two (2, n) arrays for
-    u and v: the weight denominators and the trust region where the
-    weighted field counts. Outside it the weighted field is round-off
-    amplified past meaning. The grid points and the velocity column
-    (c1, c2) are built once, here.
+    Each rule, the method _<kind>_rule, maps the sample time s to
+    (denom, keep), two (2, n) arrays for u and v: the weight denominators
+    and the trust region where the weighted field counts. Outside it the
+    weighted field is round-off amplified past meaning. The grid points
+    and the velocity column (c1, c2) are built once, here.
     """
 
     def __init__(self, grid: Grid, system: SystemSpec, env: EnvelopeSpec):
-        rules = {"exponential": self._exponential_rule,
-                 "algebraic": self._algebraic_rule, "drag": self._drag_rule}
-        self._rule = rules.get(env.kind)
-        if self._rule is None:
-            raise ValueError(f"envelope kind {env.kind!r} has no evaluator")
-        if env.kind == "drag" and system.c1 == system.c2:
-            raise ValueError("drag weight requires c1 != c2")
+        self._rule = getattr(self, f"_{env.kind}_rule")
         self.grid, self.system, self.env = grid, system, env
         self.x = grid.points()
         self.velocity = np.array([[system.c1], [system.c2]])
@@ -329,19 +321,17 @@ def fit_decay_exponent(times: np.ndarray, values: np.ndarray,
                        t_min: float) -> DecayFit:
     """Least-squares slope of log(value) against log(1+t) for t >= t_min.
 
-    Requires at least DECAY_MIN_SAMPLES samples past t_min with strictly
-    positive values. The slope is the closed form dx.dy / dx.dx over the
-    centred X = log1p(t) and Y = log(value), so no LAPACK solver is loaded
-    (np.linalg.lstsq's SVD costs 1.0 MB on its first call). A constant X
-    has no slope: it gives a nan exponent and an infinite stderr.
+    The values past t_min must be strictly positive; the decay output's
+    rule supplies at least DECAY_MIN_SAMPLES of them. The slope is the
+    closed form dx.dy / dx.dx over the centred X = log1p(t) and
+    Y = log(value), so no LAPACK solver is loaded (np.linalg.lstsq's SVD
+    costs 1.0 MB on its first call). A constant X has no slope: it gives a
+    nan exponent and an infinite stderr.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     sel = times >= t_min
     t, y = times[sel], values[sel]
-    if len(t) < DECAY_MIN_SAMPLES:
-        raise ValueError(f"need >= {DECAY_MIN_SAMPLES} samples with t >= {t_min}, "
-                         f"have {len(t)}")
     if np.any(y <= 0.0):
         raise ValueError("values must be strictly positive for a log fit")
     dx = np.log1p(t)
@@ -422,17 +412,14 @@ def amplitude_law_check(times: np.ndarray, amplitudes: np.ndarray, mu: float,
     times[j]; mu and nu come from normal_form_rates.
 
     The pass verdict is the upper bound alone for t >= T_BURN, and the
-    statistic is the largest law value there; times must reach T_BURN. The
+    statistic is the largest law value there; times must reach T_BURN and
+    mu must be positive, as the amplitude_law output's rule makes them. The
     in_window flag additionally asks the quantity to sit in [0.3, 1.1] over
     the final decade past the burn-in; it diagnoses whether the law is
     saturated rather than vacuously satisfied and is not part of the pass
     verdict.
     """
     times = np.asarray(times, dtype=float)
-    if not np.any(times >= T_BURN):
-        raise ValueError(f"amplitude law needs a sample at t >= {T_BURN:g}")
-    if mu <= 0.0:
-        raise ValueError("amplitude law requires mu > 0")
     law = np.abs(amplitudes) * np.sqrt(2.0 * nu * np.log1p(times))
     after = law[times >= T_BURN]
     window = law[(times >= T_BURN) & (times >= times[-1] / 10.0)]
@@ -637,8 +624,10 @@ def diagnose(scenario: Scenario, samples: SampleReduction) -> Diagnosis:
     """Norm series, envelope verdict and verdict rows of one validated run.
 
     Each declared output's judge adds its rows in the order of OUTPUT_RULES.
-    An output whose sample requirements fail on the times the run reached,
-    which only a blow-up can cut short, writes its rows as fail, nan.
+    Only a blow-up can cut a run short of the times validation predicted.
+    A run whose only sample is t = 0 has nothing to judge, and an output
+    whose sample requirements fail on the times the run reached is not
+    judged either: each such output writes its rows as fail, nan.
     """
     norms = tuple(np.array(samples.rows).T)
     times, linf_u, linf_v, l1_u, l1_v = norms
@@ -646,7 +635,8 @@ def diagnose(scenario: Scenario, samples: SampleReduction) -> Diagnosis:
     envelope, rows = None, []
     for name, rule in _declared(scenario):
         values = [(False, math.nan)] * len(rule.rows)
-        if rule.judge and all(holds(times) for holds, _ in rule.samples):
+        if (rule.judge and len(times) > 1
+                and all(holds(times) for holds, _ in rule.samples)):
             values, drawn = rule.judge(scenario, SimpleNamespace(
                 times=times, sup=sup, l1=l1, last=samples.last,
                 column=np.array(samples.columns.get(name, ()))))

@@ -480,10 +480,9 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def evaluate_initial(init: InitialData, x: np.ndarray) -> np.ndarray:
-    """Evaluate an initial profile analytically at the collocation points."""
+    """Evaluate an initial profile of a kind in _INITIAL_KINDS analytically
+    at the collocation points."""
     x = np.asarray(x, dtype=float)
-    if init.kind == "gaussian":
-        return init.amplitude * np.exp(-((x - init.center) ** 2) / init.width)
     if init.kind == "algebraic":
         return init.amplitude / (1.0 + np.abs(x - init.center)) ** init.power
-    raise ValueError(f"unknown initial kind {init.kind!r}")
+    return init.amplitude * np.exp(-((x - init.center) ** 2) / init.width)

@@ -1,19 +1,24 @@
-"""Closed-form Gaussian/drift kernels and the integral-identity suite.
+"""Drag integrals and the paper's convolution identities.
 
-Everything here is a pure function of its arguments. The closed forms are
-the analytic building blocks of the envelope machinery; each one is paired
-with a left-hand side integrated by QUADPACK in verify_identity_suite, so
-the quadrature acts as the oracle for the algebra. QUADPACK's _qagse is
-called with the arguments scipy.integrate.quad passes it, from the
-compiled module loaded on the suite's first integral by
-_scipy_ext.load_extension: rda never imports the scipy.integrate package,
-which loads scipy.optimize, scipy.sparse and scipy.linalg with it (about
-160 ms and 24 MB). Unlike quad, which only warns, a QUADPACK failure
-gives a nan integral, which fails the suite. That first call still imports
-the bare scipy package, through QUADPACK's scipy._lib._ccallback_c. The
-closed forms read erfcx and gamma from _scipy_ext.special_ufuncs(), which
-loads scipy.special's ufunc module on their first call, so importing this
-module loads neither.
+Everything here is a pure function of its arguments. drag_weight_profile
+is the drag envelope's weight and drag_profile the exactly solvable
+benchmark's v, both on composite Gauss-Legendre nodes shared across the
+grid. The six closed forms (gauss_integral, conv_same_velocity,
+conv_mix, conv_cross_velocity, halfline_gauss_integral,
+quartic_tail_integral) are the paper's convolution identities. Their one
+caller is verify_identity_suite, which checks each against its left-hand
+side integrated by QUADPACK, so the quadrature acts as the oracle for
+the algebra. QUADPACK's _qagse is called with the arguments
+scipy.integrate.quad passes it, from the compiled module loaded on the
+suite's first integral by _scipy_ext.load_extension: rda never imports
+the scipy.integrate package, which loads scipy.optimize, scipy.sparse
+and scipy.linalg with it (about 160 ms and 24 MB). Unlike quad, which
+only warns, a QUADPACK failure gives a nan integral, which fails the
+suite. That first call still imports the bare scipy package, through
+QUADPACK's scipy._lib._ccallback_c. The closed forms read erfcx and
+gamma from _scipy_ext.special_ufuncs(), which loads scipy.special's
+ufunc module on their first call, so importing this module loads
+neither.
 
 Note on conv_same_velocity: the exact value of that convolution carries a
 factor 1/2 relative to the way it is sometimes quoted; the closed form
@@ -48,10 +53,9 @@ __all__ = [
 def gauss_integral(a: float, b: float, c: float) -> float:
     """Exact value of the completed-square Gaussian integral.
 
-    integral over R of e^{-a y^2 + b y + c} dy = sqrt(pi) e^{(b^2+4ac)/(4a)} / sqrt(a).
+    integral over R of e^{-a y^2 + b y + c} dy = sqrt(pi) e^{(b^2+4ac)/(4a)} / sqrt(a),
+    for a > 0.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
     return math.sqrt(math.pi / a) * math.exp((b * b + 4.0 * a * c) / (4.0 * a))
 
 
@@ -149,18 +153,13 @@ def drag_profile(x: np.ndarray, t: float, c_self: float, c_other: float,
         e^{-(x + t c_self + s(c_other-c_self))^2 / (M(1+t))}
         / (sqrt(1+t) (1+s)^{power_decay}) ds,
 
-    a Gaussian whose center sweeps from the c_self-comoving frame to the
-    c_other one, damped algebraically in (1+s).
+    for t > 0 and M > 0: a Gaussian whose center sweeps from the
+    c_self-comoving frame to the c_other one, damped algebraically in (1+s).
 
     The s-quadrature nodes are shared across all x, which is what the
-    envelope checks and the exact-solution comparison need (one integral
-    per grid point would re-adapt the same smooth integrand thousands of
-    times).
+    exact-solution comparison needs (one integral per grid point would
+    re-adapt the same smooth integrand thousands of times).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if M <= 0:
-        raise ValueError("M must be positive")
     x = np.asarray(x, dtype=float)
     root = 1.0 / math.sqrt(1.0 + t)
     shifted = x + t * c_self
@@ -266,23 +265,19 @@ def conv_cross_velocity(x: float, t: float, s: float, c1: float, c2: float, M: f
 
 
 def halfline_gauss_integral(a: float, r: float) -> float:
-    """integral over s in [r, inf) of e^{-(s-r)^2 a/(1+s)} / sqrt(1+s) ds.
+    """integral over s in [r, inf) of e^{-(s-r)^2 a/(1+s)} / sqrt(1+s) ds,
+    for a > 0 and r >= 0.
 
     Closed form sqrt(pi)(e^{4a(r+1)} erfc(sqrt(4a(r+1))) + 1)/(2 sqrt(a)),
     evaluated through erfcx to dodge the overflow/underflow pair.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
     scaled = special_ufuncs().erfcx(math.sqrt(4.0 * a * (r + 1.0)))
     return math.sqrt(math.pi) * (scaled + 1.0) / (2.0 * math.sqrt(a))
 
 
 def quartic_tail_integral(a: float) -> float:
-    """integral over z in [0, inf) of e^{-z^2 a}/sqrt(z) dz = 2 Gamma(5/4) / a^{1/4}."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    """integral over z in [0, inf) of e^{-z^2 a}/sqrt(z) dz = 2 Gamma(5/4) / a^{1/4},
+    for a > 0."""
     return 2.0 * special_ufuncs().gamma(1.25) / a ** 0.25
 
 

@@ -938,3 +938,20 @@ class TestRunContract:
         assert capsys.readouterr().err == ""
         _, rows = read_csv(out / "trajectory.csv")
         assert [(row[0], row[5]) for row in rows] == [("0.0", "0"), ("0.05", "1")]
+
+    def test_blow_up_before_the_first_sample_is_a_verdict(self, tmp_path, capsys):
+        # At amplitude 1e3, remark51-exact's v crosses the blow-up threshold
+        # in its first step, so the run's only sample is t = 0: there is
+        # nothing to judge, and every declared verdict row is fail, nan.
+        scenario = get_scenario("remark51-exact")
+        conf, out = tmp_path / "early.conf", tmp_path / "out"
+        conf.write_text(serialize_scenario(dataclasses.replace(
+            scenario, grid=dataclasses.replace(scenario.grid, n=64),
+            initial_u=dataclasses.replace(scenario.initial_u, amplitude=1e3),
+            outputs=("trajectory", "envelope", "exact_error"))), encoding="utf-8")
+        assert main(["run", str(conf), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, verdicts = read_csv(out / "verdicts.csv")
+        assert verdicts == [["eta_drag", "fail", "nan"], ["exact_error", "fail", "nan"]]
+        _, rows = read_csv(out / "trajectory.csv")
+        assert [(row[0], row[5]) for row in rows] == [("0.0", "1")]

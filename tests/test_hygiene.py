@@ -516,6 +516,44 @@ def test_every_refusal_comes_from_a_table():
     assert written_out_refusals(source) == []
 
 
+def raising_functions(source: str, module: str) -> list[str]:
+    """The scope of each raise statement in source order: module.function,
+    with each enclosing class and function, or module alone at top level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise):
+                found.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_raise_checker_names_each_enclosing_function():
+    source = ("def f(x):\n    if x:\n        raise ValueError('x')\n"
+              "class C:\n    def m(self):\n        def inner():\n"
+              "            raise KeyError\n        raise TypeError\n"
+              "raise SystemExit\n")
+    assert raising_functions(source, "mod") == [
+        "mod.f", "mod.C.m.inner", "mod.C.m", "mod"]
+
+
+def test_each_precondition_has_one_owner():
+    # What a run can be asked is decided once: by core.FIELDS,
+    # core.RELATIONS, core.DATA_NEEDS and analysis.OUTPUT_RULES before it
+    # starts, and by analysis.diagnose for what a blow-up cut short. The
+    # functions behind them compute without checking again. Only a config
+    # term that does not parse and a sup norm that is not positive, which
+    # no table rules out, are raised.
+    found = [scope for module in ("analysis", "kernels", "solver", "core")
+             for scope in raising_functions(
+                 (ROOT / f"src/rda/{module}.py").read_text(encoding="utf-8"), module)]
+    assert found == ["analysis.fit_decay_exponent", "core._terms"]
+
+
 def rda_module_patches(source: str) -> list[str]:
     """Assignments to an attribute of an rda module (solver.run = f,
     rda.cli.main = g, kernels.x += 1) and setattr calls on one: a script

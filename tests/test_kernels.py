@@ -288,12 +288,6 @@ def test_drag_profile_matches_pointwise():
         assert vi == pytest.approx(drag_integral(float(xi), 4.0, **drag), abs=1e-7)
 
 
-@pytest.mark.parametrize("M", [0.0, -1.0])
-def test_drag_profile_rejects_nonpositive_m(M):
-    with pytest.raises(ValueError, match="M must be positive"):
-        drag_profile(np.zeros(3), 1.0, 1.0, 0.0, M)
-
-
 @pytest.mark.parametrize("a,r", [(0.5, 0.0), (1.0, 2.0), (4.0, 10.0)])
 def test_halfline_gauss_vs_mpmath(a, r):
     ref = float(mpmath.quad(

@@ -480,11 +480,6 @@ class TestNormalForm:
     grid = Grid(half_width=40.0, n=512)
     system = SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0)
 
-    def test_requires_distinct_velocities(self):
-        equal = SystemSpec(d1=1, d2=1, c1=2.0, c2=2.0)
-        with pytest.raises(ValueError):
-            normal_form_rates(equal)
-
     def test_gaussian_input_has_no_residual(self):
         # A Gaussian u is all amplitude: A, the trapezoid integral of u as
         # the CLI takes it over the sample array, is its mass.

@@ -2,13 +2,13 @@
 
 Commands:
   rda run TARGET... --out DIR [--jobs N]   run builtin scenarios or config files
-  rda verify-identities [--tol TOL]        closed-form vs quadrature identity suite
+  rda verify-identities                    closed-form vs quadrature identity suite
   rda classify TARGET                      term classification and admissibility
   rda list                                 builtin scenario registry
   rda plot TRAJECTORY.CSV --out FILE.SVG   re-plot an emitted trajectory table
 
-Exit status is 0 iff the pipeline completed; scientific verdicts (including
-blow-up) are recorded in verdicts.csv, not in the exit status.
+Exit status is 0 iff the pipeline completed; each failure, a usage error too,
+is one `error:` line and exit 1. Verdicts (blow-up too) go to verdicts.csv.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import collections
 import csv
 import errno
 import functools
-import math
 import os
 import sys
 from pathlib import Path
@@ -207,16 +206,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
-    if not (0 < args.tol < math.inf):
-        raise ValueError(f"--tol must be finite and > 0, got {args.tol:g}")
     report = kernels.verify_identity_suite()
     worst_name, worst = report.worst()
     for name in sorted(report.max_abs_error):
         print(f"{name:24s} cases={report.cases[name]:3d} "
               f"max_abs_error={report.max_abs_error[name]:.3e}")
-    ok = report.passed(args.tol)
+    ok = report.passed()
     print(f"worst: {worst_name} at {worst:.3e} "
-          f"({'within' if ok else 'EXCEEDS'} tolerance {args.tol:g})")
+          f"({'within' if ok else 'EXCEEDS'} tolerance {kernels.IDENTITY_TOL:g})")
     return 0 if ok else 1
 
 
@@ -284,10 +281,17 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError for main to report; subparsers inherit this."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The rda argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rda",
         description="numerical laboratory for two-component "
                     "reaction-diffusion-advection systems")
@@ -303,7 +307,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify-identities",
                            help="closed forms vs adaptive quadrature")
-    p_ver.add_argument("--tol", type=float, default=1e-8)
     p_ver.set_defaults(func=_cmd_verify_identities)
 
     p_cls = sub.add_parser("classify",
@@ -322,8 +325,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,8 +6,8 @@ coupling convention, SystemSpec.monomials the one coefficient extractor,
 FIELDS the one owner of the config keys, and FIELDS, RELATIONS, DATA_NEEDS
 and analysis.OUTPUT_RULES the tables that every refusal comes from. Each
 initial kind is one of the paper's two profiles, gaussian and algebraic
-(exponentially and algebraically localized data), centred at its `center`
-field, which the envelope output's requirements read; amplitude 0, the
+(exponentially and algebraically localized data), centred at the origin,
+where the paper's results and every envelope weight are; amplitude 0, the
 default, is zero data.
 """
 
@@ -135,9 +135,8 @@ class InitialData:
     """Per-component initial profile."""
     kind: str = "gaussian"
     amplitude: float = 0.0
-    width: float = 4.0       # gaussian: e^{-(x-center)^2/width}
-    power: float = 3.0       # algebraic: (1 + |x-center|)^{-power}
-    center: float = 0.0
+    width: float = 4.0       # gaussian: e^{-x^2/width}
+    power: float = 3.0       # algebraic: (1 + |x|)^{-power}
 
 
 @dataclass(frozen=True)
@@ -294,8 +293,6 @@ FIELDS = (
           "initial.{c}: width", ("gaussian",), _POSITIVE),
     Field("initial.{c}.power", ("initial_{c}", "power"), float,
           "initial.{c}: power", ("algebraic",), _POSITIVE),
-    Field("initial.{c}.center", ("initial_{c}", "center"), float,
-          "initial.{c}: center", needs=_FINITE),
     Field("envelope.kind", ("envelope", "kind"), str, "envelope kind {value!r}",
           needs=((lambda kind: kind in _ENVELOPE_KINDS, f"in {_ENVELOPE_KINDS}"),)),
     Field("envelope.M", ("envelope", "M"), float, "envelope M", _ENVELOPE_KINDS, _POSITIVE),
@@ -447,7 +444,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             violations.append(f"{text} failed")
             passed.difference_update(reads)
     failed, x, fields = read - passed, None, []
-    with np.errstate(all="ignore"):  # e.g. exp(-(x-center)^2/width) underflows
+    with np.errstate(all="ignore"):  # e.g. exp(-x^2/width) underflows
         if not any(key.startswith("grid.") for key in failed):
             x = scenario.grid.points()
         for c in "uv":
@@ -480,9 +477,9 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def evaluate_initial(init: InitialData, x: np.ndarray) -> np.ndarray:
-    """Evaluate an initial profile of a kind in _INITIAL_KINDS analytically
-    at the collocation points."""
+    """Evaluate an initial profile of a kind in _INITIAL_KINDS, centred at
+    the origin, analytically at the collocation points."""
     x = np.asarray(x, dtype=float)
     if init.kind == "algebraic":
-        return init.amplitude / (1.0 + np.abs(x - init.center)) ** init.power
-    return init.amplitude * np.exp(-((x - init.center) ** 2) / init.width)
+        return init.amplitude / (1.0 + np.abs(x)) ** init.power
+    return init.amplitude * np.exp(-(x ** 2) / init.width)

@@ -45,12 +45,12 @@ every distinct product is formed once, in the row that uses it:
   when nothing reads it after the row is written again; a still
   component's powers are built at stage 1 only, so they land only in
   single-term slots;
-- each slot's terms, summed into its row in the order the system lists
-  them, single-term slots first. Identical slots share one row (thm1-*'s
-  f1 = f2 = uv), and a term that already sits in a buffer, a power or a
-  single-term slot, is copied or added from there (thm2-irrelevant's f2
-  adds f1's uv row). A coefficient of 1 is not multiplied and a power of
-  0 is not a factor;
+- each slot's SystemSpec.monomials (equal terms summed once), summed
+  into its row in that order, single-term slots first. Identical slots
+  share one row (thm1-*'s f1 = f2 = uv), and a term that already sits in
+  a buffer, a power or a single-term slot, is copied or added from there
+  (thm2-irrelevant's f2 adds f1's uv row). A coefficient of 1 is not
+  multiplied and a power of 0 is not a factor;
 - the rows of acc or k. When each moving component has one slot of its
   own and stages 2-4 transform, the forward transform writes straight
   into the full-width acc (stage 1) and k (stages 2-4) rows, and a flux
@@ -199,13 +199,12 @@ class SpectralWorkspace:
                                   for d, c in ((system.d1, system.c1),
                                                (system.d2, system.c2))])
 
-        # Per component 0 (u) and 1 (v), the (coeff, alpha, beta) triples of
-        # its reaction and flux slots (None when empty).
+        # Per component 0 (u) and 1 (v), the (coeff, alpha, beta) monomials
+        # of its reaction and flux slots (None when empty).
         comp_slots: list[list] = [[None, None], [None, None]]
-        for name, (comp, order) in SLOTS.items():
-            if terms := getattr(system, name):
-                comp_slots[comp][order] = tuple((t.coeff, t.alpha, t.beta)
-                                                for t in terms)
+        for (name, alpha, beta), coeff in system.monomials().items():
+            comp, order = SLOTS[name]
+            comp_slots[comp][order] = (*(comp_slots[comp][order] or ()), (coeff, alpha, beta))
         named = [s for comp, order in SLOTS.values() if (s := comp_slots[comp][order])]
         tops = [max((t[1 + c] for s in named for t in s), default=0) for c in (0, 1)]
         read = [comp for comp in (0, 1) if tops[comp] > 0]
@@ -320,8 +319,8 @@ def _place_powers(fields: np.ndarray, tops: list[int], slots: list, phys: list,
 
 
 def _slot_ops(slots: list, phys: list, powers: list[list]) -> list:
-    """The calls that sum each slot's terms into its row of phys, in the
-    order the system lists them, single-term slots first.
+    """The calls that sum each slot's monomials into its row of phys, in
+    order of first appearance, single-term slots first.
 
     Each product is formed once: a term that already sits in a buffer, a
     power or a single-term slot formed before, is copied (a first term) or

@@ -68,8 +68,7 @@ def test_criterion_2_exact_benchmark(remark51_run):
 
     u_exact = np.exp(-((x + s.c1 * t) ** 2) / (4.0 * (1.0 + t))) / math.sqrt(
         4.0 * math.pi * (1.0 + t))
-    v_exact = kernels.drag_profile(x, t, s.c2, s.c1, 1.0,
-                                   power_decay=1.5) / (16.0 * math.pi ** 2)
+    v_exact = kernels.drag_profile(x, t, s.c2, s.c1) / (16.0 * math.pi ** 2)
 
     err_u = np.max(np.abs(final_u - u_exact)) / np.max(np.abs(u_exact))
     err_v = np.max(np.abs(final_v - v_exact)) / np.max(np.abs(v_exact))

@@ -477,14 +477,15 @@ class TestMain:
 
     def test_data_cut_off_at_the_box_edge_fails_before_running(
             self, tmp_path, capsys):
-        # cas2-distinct with both Gaussians centred on the edge x = L = 60.
+        # cas2-distinct with both Gaussians so wide (width 3600 on L = 60)
+        # that they read e^{-1} of their peak at the box edge.
         scenario = get_scenario("cas2-distinct")
-        shifted = dataclasses.replace(
+        wide = dataclasses.replace(
             scenario,
-            initial_u=dataclasses.replace(scenario.initial_u, center=60.0),
-            initial_v=dataclasses.replace(scenario.initial_v, center=60.0))
+            initial_u=dataclasses.replace(scenario.initial_u, width=3600.0),
+            initial_v=dataclasses.replace(scenario.initial_v, width=3600.0))
         conf = tmp_path / "edge.conf"
-        conf.write_text(serialize_scenario(shifted), encoding="utf-8")
+        conf.write_text(serialize_scenario(wide), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["run", str(conf), "--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -497,11 +498,13 @@ class TestMain:
 
     def test_off_centre_data_with_an_envelope_fails_before_running(
             self, tmp_path, capsys):
+        # Data are centred at the origin, like every envelope weight; a
+        # config that sets the removed center key is refused by the parser.
         assert_rejected_before_running(
             tmp_path, capsys,
             (("initial.u.amplitude = 1e-3",
               "initial.u.amplitude = 1e-3\ninitial.u.center = 10"),),
-            "envelope output requires initial.u.center = 0")
+            "line 14: unknown key 'initial.u.center'")
 
     @pytest.mark.parametrize("replacements,message", [
         ((("initial.u.kind = gaussian", "initial.u.kind = algebraic"),
@@ -599,14 +602,11 @@ class TestMain:
             kind="gaussian", amplitude=-0.5, width=1.0)),
          "lower_bounds output requires initial.v >= 0 on the grid"),
         (dataclasses.replace(_CAS2, initial_u=InitialData(
-            kind="gaussian", amplitude=0.5, width=1.0, center=5.0)),
-         _GAUSSIAN_U_REQUIRED),
-        (dataclasses.replace(_CAS2, initial_u=InitialData(
             kind="gaussian", amplitude=0.0, width=1.0)),
          _GAUSSIAN_U_REQUIRED),
     ], ids=["remark51-f2-2u4", "remark51-f2-0u4", "cas2-equal-thm1-exp-system",
             "cas2-equal-f1-minus-v2", "cas2-equal-negative-v0",
-            "cas2-equal-u0-centred-at-5", "cas2-equal-zero-u0"])
+            "cas2-equal-zero-u0"])
     def test_input_outside_the_theorem_fails_before_running(
             self, tmp_path, capsys, scenario, message):
         assert_config_rejected(tmp_path, capsys, serialize_scenario(scenario), message)
@@ -715,16 +715,31 @@ class TestMain:
                 "conv_mix                 cases= 31 max_abs_error=nan"]
             assert out[-1] == "worst: conv_mix at nan (EXCEEDS tolerance 1e-08)"
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-    def test_verify_identities_rejects_bad_tol(self, capsys, monkeypatch, tol):
-        # A bad tolerance is an input defect, not a failed identity, so the
-        # suite must not even run.
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "toy"], "rda run: the following arguments are required: --out"),
+        (["run", "toy", "--out", "out", "--jobs", "abc"],
+         "rda run: argument --jobs: invalid int value: 'abc'"),
+        # The identity suite's tolerance is kernels.IDENTITY_TOL, not an option.
+        (["verify-identities", "--tol", "1e-8"], "rda: unrecognized arguments: --tol 1e-8"),
+    ], ids=["run-without-out", "jobs-not-an-int", "verify-identities-tol"])
+    def test_usage_error_is_one_error_line(self, capsys, monkeypatch, tmp_path,
+                                           argv, message):
+        # A usage error is an input defect: nothing runs, and main reports
+        # it like any other, one `error:` line and exit status 1.
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli.kernels, "verify_identity_suite", None)
-        assert main(["verify-identities", "--tol", tol]) == 1
+        monkeypatch.setattr(cli, "run_experiment", None)
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"error: --tol must be finite and > 0, got {tol}"]
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "-h"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rda run ")
 
     def test_classify_builtin(self, capsys):
         assert main(["classify", "toy"]) == 0

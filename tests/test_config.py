@@ -155,11 +155,11 @@ def test_key_the_kind_does_not_read_is_rejected(edits, message):
 
 def test_keys_the_kind_reads_are_kept():
     text = MINIMAL.replace("initial.u.kind = gaussian", "initial.u.kind = algebraic") + (
-        "initial.u.power = 3.0\ninitial.u.center = 2.0\n"
+        "initial.u.power = 3.0\n"
         "initial.v.kind = gaussian\ninitial.v.amplitude = 1e-3\ninitial.v.width = 2.0\n"
         "envelope.kind = algebraic\nenvelope.M = 2.0\nenvelope.r = 4.0\n")
     scenario = parse_scenario_text(text)
-    assert (scenario.initial_u.power, scenario.initial_u.center) == (3.0, 2.0)
+    assert scenario.initial_u.power == 3.0
     assert (scenario.initial_v.amplitude, scenario.initial_v.width) == (1e-3, 2.0)
     assert (scenario.envelope.M, scenario.envelope.r) == (2.0, 4.0)
     assert parse_scenario_text(serialize_scenario(scenario)) == scenario

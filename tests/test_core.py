@@ -107,7 +107,6 @@ def _component_examples(c):
         (f"initial.{c}.width", "finite"): data("gaussian", width=_INF),
         (f"initial.{c}.power", "> 0"): data("algebraic", power=-1.0),
         (f"initial.{c}.power", "finite"): data("algebraic", power=_INF),
-        (f"initial.{c}.center", "finite"): data("gaussian", center=_NAN),
         # On L = 60 this reads 1/61 of its peak at the edge.
         (f"DATA_NEEDS initial.{c}", "|value at the box edge| <= 1e-05 max|value|"):
             data("algebraic", power=1.0),
@@ -158,12 +157,6 @@ REFUSAL_EXAMPLES = {
     ("RELATIONS", "envelope M >= max(16 d1, 16 d2, 1)"):
         dict(envelope=EnvelopeSpec(kind="exponential", M=2.0)),
     ("envelope", "an envelope.kind"): dict(outputs=("envelope",)),
-    ("envelope", "initial.u.center = 0"):
-        dict(outputs=("envelope",), envelope=_EXPONENTIAL,
-             **_data("u", kind="gaussian", amplitude=1e-3, center=10.0)),
-    ("envelope", "initial.v.center = 0"):
-        dict(outputs=("envelope",), envelope=_EXPONENTIAL,
-             **_data("v", kind="gaussian", amplitude=1e-3, center=10.0)),
     ("envelope", "a sample at t >= 1, its anchor"):
         dict(outputs=("envelope",), envelope=_EXPONENTIAL, t_end=0.5),
     ("decay", "nonzero initial data"): dict(outputs=("decay",), **_data("u")),
@@ -236,10 +229,9 @@ class TestRefusalTables:
     @pytest.mark.parametrize("field,init", [
         ("initial_u", InitialData(kind="algebraic", amplitude=0.2)),
         ("initial_u", InitialData(kind="gaussian", amplitude=0.2, width=3.0)),
-        ("initial_u", InitialData(kind="gaussian", amplitude=0.2, center=1.0)),
         ("initial_u", InitialData(kind="gaussian", amplitude=0.0)),
         ("initial_v", InitialData(kind="gaussian", amplitude=1e-3)),
-    ], ids=["algebraic-u", "width-3", "centre-1", "amplitude-0", "nonzero-v"])
+    ], ids=["algebraic-u", "width-3", "amplitude-0", "nonzero-v"])
     def test_each_exact_error_clause_refuses_its_example_alone(self, field, init):
         # remark51-exact with one clause of the exact_error need broken.
         exact = dataclasses.replace(get_scenario("remark51-exact"), outputs=("exact_error",))
@@ -383,28 +375,6 @@ class TestValidateScenario:
             "initial.u: max|value| < 1e+08, the blow-up threshold failed",)
         assert validate_scenario(below).valid
 
-    def test_off_centre_data_reported_with_an_envelope_or_lower_bounds(self):
-        # The envelope weights are centred at x = 0, and the lower bounds
-        # are stated for u0 >= nu0 e^{-a x^2}; a trajectory reads no centre.
-        shifted = InitialData(kind="gaussian", amplitude=1e-3, center=10.0)
-        enveloped = make_scenario(
-            initial_u=shifted, initial_v=shifted,
-            envelope=EnvelopeSpec(kind="exponential", M=16.0),
-            outputs=("trajectory", "envelope"))
-        assert validate_scenario(enveloped).violations == (
-            "envelope output requires initial.u.center = 0",
-            "envelope output requires initial.v.center = 0")
-        bounded = make_scenario(system=get_scenario("cas2-equal").system,
-                                initial_u=shifted, initial_v=shifted,
-                                outputs=("trajectory", "lower_bounds"))
-        assert validate_scenario(bounded).violations == (
-            "lower_bounds output requires initial.u = nu0 e^{-a x^2} with nu0 > 0",)
-        centred = InitialData(kind="gaussian", amplitude=1e-3)
-        assert validate_scenario(dataclasses.replace(
-            bounded, initial_u=centred, initial_v=centred)).valid
-        assert validate_scenario(make_scenario(
-            initial_u=shifted, initial_v=shifted)).valid
-
     @pytest.mark.parametrize("name", ["../escaped", "a/b", "", ".", "..", "a\\b"],
                              ids=["parent", "nested", "empty", "dot", "dotdot",
                                   "backslash"])
@@ -492,8 +462,7 @@ class TestValidateScenario:
     @pytest.mark.parametrize("field", [
         "t_end", "dt", "sample_dt", "system.d1",
         "system.c2", "grid.half_width", "envelope.M", "envelope.r",
-        "initial_u.amplitude", "initial_u.width", "initial_u.power",
-        "initial_u.center"])
+        "initial_u.amplitude", "initial_u.width", "initial_u.power"])
     @pytest.mark.parametrize("kind", ["exponential", "algebraic", "drag"])
     def test_never_raises_on_any_float(self, kind, field):
         base = make_scenario(envelope=EnvelopeSpec(kind=kind))
@@ -519,21 +488,18 @@ class TestValidateScenario:
                 "2L/n and (pi/dx)^2 finite failed",), L
 
     @pytest.mark.parametrize("kind", _INITIAL_KINDS)
-    def test_every_initial_kind_is_centred_where_validation_reads(self, kind):
-        # The envelope weights are centred at x = 0. Every kind reads its
-        # center, which the envelope output reads too, so off-centre data
-        # is refused.
-        assert KEYS["initial.u.center"].reads is None
-        init = InitialData(kind=kind, amplitude=1e-3, center=1.0)
-        bad = make_scenario(initial_u=init, envelope=_EXPONENTIAL, outputs=("envelope",))
-        assert validate_scenario(bad).violations == (
-            "envelope output requires initial.u.center = 0",)
+    def test_every_initial_kind_is_centred_at_the_origin(self, kind):
+        # The envelope weights, the lower bounds and the closed form are all
+        # centred at x = 0, and so is every kind: even in x, bit for bit.
+        init = InitialData(kind=kind, amplitude=1e-3, width=2.5, power=1.5)
+        x = np.concatenate((Grid(half_width=60.0, n=256).points(), [0.3, 7.0, 1e3]))
+        assert evaluate_initial(init, x).tobytes() == evaluate_initial(init, -x).tobytes()
 
 
 class TestInitialData:
     def test_gaussian(self):
-        init = InitialData(kind="gaussian", amplitude=0.5, width=2.0, center=1.0)
-        x = np.array([1.0, 3.0])
+        init = InitialData(kind="gaussian", amplitude=0.5, width=2.0)
+        x = np.array([0.0, 2.0])
         expected = 0.5 * np.exp(-np.array([0.0, 4.0]) / 2.0)
         np.testing.assert_allclose(evaluate_initial(init, x), expected)
 

@@ -471,6 +471,32 @@ def test_config_keys_have_one_owner(path):
     assert [f for f in found if f.partition(": ")[2] not in allowed] == []
 
 
+# The config keys that every builtin reading them sets to one value, each
+# with why it is still a key. A setting that no run varies is a constant
+# of the package, not a key.
+ONE_VALUE_KEYS = {
+    "system.d1": "a coefficient of the paper's system, read by the growth bounds",
+    "system.c1": "a coefficient of the paper's system, read by the normal-form rates",
+    "initial.u.power": "the exponent of the paper's algebraically localized data",
+    "initial.v.power": "the exponent of the paper's algebraically localized data",
+    "envelope.r": "the exponent of the algebraic weight, the same class's bound",
+}
+
+
+def test_every_config_key_is_varied_or_named():
+    # A builtin counts for a key only when it reads the key (Field.owner).
+    from rda.core import KEYS
+    from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
+
+    builtins = [get_scenario(name) for name in BUILTIN_SCENARIOS]
+    values = {key: {getattr(owner, entry.path[-1]) for scenario in builtins
+                    if (owner := entry.owner(scenario)) is not None}
+              for key, entry in KEYS.items()}
+    assert sorted(set(ONE_VALUE_KEYS) - set(KEYS)) == []
+    assert sorted(key for key, seen in values.items() if len(seen) < 2) == sorted(
+        ONE_VALUE_KEYS)
+
+
 def written_out_refusals(source: str) -> list[str]:
     """String pieces that contain "failed", except a " failed" that ends an
     f-string in validate_scenario: a refusal written out instead of one

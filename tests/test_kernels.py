@@ -63,12 +63,13 @@ def linear_envelope_bound(x, t, M: float, d: float, c: float, delta: float):
     )
 
 
-def drag_integral(x: float, t: float, c_self: float, c_other: float, M: float,
-                  power_decay: float = 0.0, tol: float = 1e-9) -> float:
+def drag_integral(x: float, t: float, c_self: float, c_other: float,
+                  M: float = 1.0, power_decay: float = 1.5, tol: float = 1e-9) -> float:
     """QUADPACK value of the drag integral at a single point.
 
-    The pointwise oracle for drag_profile: the same integrand, each point
-    adapted on its own.
+    The pointwise oracle for drag_profile, whose M = 1 and (1+s)^{-3/2}
+    are the defaults here: the same integrand, each point adapted on its
+    own.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -95,7 +96,7 @@ def test_identity_suite_passes_strict():
     assert set(report.max_abs_error) == IDENTITY_NAMES
     for name in IDENTITY_NAMES:
         assert report.cases[name] >= 20
-    assert report.passed(1e-8)
+    assert report.passed()
     name, worst = report.worst()
     assert worst <= 1e-12, (name, worst)
 
@@ -276,12 +277,12 @@ def test_drag_integral_constant_integrand():
     # With equal velocities and no extra decay factors the integrand is
     # constant in s, so the integral is t * e^{...} / sqrt(1+t).
     t = 3.0
-    assert drag_integral(-t * 1.0, t, 1.0, 1.0, 8.0) == pytest.approx(
+    assert drag_integral(-t * 1.0, t, 1.0, 1.0, 8.0, power_decay=0.0) == pytest.approx(
         t / math.sqrt(1 + t), rel=1e-9)
 
 
 def test_drag_profile_matches_pointwise():
-    drag = dict(c_self=1.0, c_other=0.0, M=4.0, power_decay=1.5)
+    drag = dict(c_self=1.0, c_other=0.0)
     x = np.linspace(-10, 5, 7)
     profile = drag_profile(x, 4.0, **drag)
     for xi, vi in zip(x, profile):
@@ -453,7 +454,7 @@ def test_drag_quadrature_goes_through_module_globals(monkeypatch):
         counted(name)
     x = np.linspace(-4.0, 4.0, 9)
     for profile in (lambda: drag_weight_profile(x, 1.5, 0.0, 1.0, 16.0),
-                    lambda: drag_profile(x, 1.5, 1.0, 0.0, 4.0, 1.5)):
+                    lambda: drag_profile(x, 1.5, 1.0, 0.0)):
         for name in calls:
             calls[name] = 0
         profile()

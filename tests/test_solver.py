@@ -171,6 +171,23 @@ def test_rows_transformed_per_step(monkeypatch, couplings, inverse, forward):
     assert rows["rfft"] == forward * steps
 
 
+def _stage_programs(ws):
+    """The names of the calls of each stage program of ws, in order."""
+    return [[op.__name__ for op, _ in (*(ops or ()), *writes)]
+            for _, ops, _, writes in ws._stages]
+
+
+def test_equal_monomials_build_one_product():
+    # The stepper reads SystemSpec.monomials(): f1 = 0.5 uv + 0.5 uv is
+    # f1 = uv, one product and not two products and a sum.
+    grid = Grid(half_width=30.0, n=128)
+    programs = [_stage_programs(SpectralWorkspace(
+        grid=grid, dt=0.01, system=SystemSpec(d1=1.0, d2=0.25, c1=0.0, c2=5.0, f1=terms)))
+        for terms in ((PolyTerm(1.0, 1, 1, 0),), (PolyTerm(0.5, 1, 1, 0),) * 2)]
+    assert programs[1] == programs[0]
+    assert programs[0][0] == ["multiply"]
+
+
 @pytest.mark.parametrize("n", [64, 1024, 8192])
 @pytest.mark.parametrize("rows", [slice(1, 2), slice(0, 2)], ids=["1row", "2rows"])
 def test_transforms_equal_scipy_fft_bit_for_bit(rows, n):

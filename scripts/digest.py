@@ -18,7 +18,7 @@ CPU model:
     (tests/test_digest.py checks these and the two cas2 builtins, which
     blow up in under a second);
   - identities: the SHA-256 of the `rda verify-identities` printout and of
-    the 158 values its QUADPACK integrals return, as
+    the 158 left-hand sides its Gauss-Legendre quadrature returns, as
     kernels.verify_identity_suite reports them in IdentityReport.integrals.
 
 The script watches a run only through run_experiment's observers and the
@@ -112,8 +112,8 @@ def run_digest(scenario, out_dir=None) -> dict:
 
 
 def identity_digest() -> dict:
-    """Hashes of the `rda verify-identities` printout and of the values the
-    identity suite's QUADPACK integrals return, in call order."""
+    """Hashes of the `rda verify-identities` printout and of the left-hand
+    sides the identity suite's quadrature returns, family by family."""
     values = kernels.verify_identity_suite().integrals
     printout = io.StringIO()
     with contextlib.redirect_stdout(printout):

@@ -1,19 +1,17 @@
 """Load one of scipy's compiled modules from its file, without its package.
 
-rda calls one C function of scipy.integrate (QUADPACK's _qagse), two of
-scipy.fft (pocketfft's r2c and c2r) and three ufuncs of scipy.special
-(erf, erfcx and gamma, from _special_ufuncs). Importing any of these
-packages to reach them runs its __init__: scipy.integrate's also loads
-scipy.optimize, scipy.sparse, scipy.linalg and more, about 160 ms and
-24 MB on top of `import rda.cli`, scipy.fft's costs about 37 ms and
-scipy.special's about 0.27 s. The extension file itself needs only numpy.
+rda calls two of scipy.fft's C functions (pocketfft's r2c and c2r) and
+three ufuncs of scipy.special (erf, erfcx and gamma, from
+_special_ufuncs), so it loads two private modules. Importing either
+package to reach them runs its __init__: scipy.fft's costs about 37 ms
+and scipy.special's about 0.27 s. The extension file itself needs only
+numpy.
 
 Nor is the scipy package itself imported: its directory comes from
 importlib's finder, since scipy's own __init__ pulls in its test
 utilities, subprocess and sysconfig (about 11 ms and 1.2 MB). Loading
-pocketfft and _special_ufuncs leaves scipy out of sys.modules. Two
-readers still import it: QUADPACK's first call, through
-scipy._lib._ccallback_c, and analysis.DecayFit.half_width's stdtrit.
+pocketfft and _special_ufuncs leaves scipy out of sys.modules. One reader
+still imports it: analysis.DecayFit.half_width's stdtrit.
 
 Leaving scipy out, loading the ufunc module on first use through
 special_ufuncs() and the closed-form decay fit of analysis together take
@@ -38,7 +36,7 @@ __all__ = ["load_extension", "special_ufuncs"]
 
 
 def load_extension(name: str):
-    """The compiled module name, such as "scipy.integrate._quadpack".
+    """The compiled module name, such as "scipy.special._special_ufuncs".
 
     Raises ImportError when scipy has no extension file of that name.
     """

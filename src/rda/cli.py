@@ -306,7 +306,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_ver = sub.add_parser("verify-identities",
-                           help="closed forms vs adaptive quadrature")
+                           help="closed forms vs Gauss-Legendre quadrature")
     p_ver.set_defaults(func=_cmd_verify_identities)
 
     p_cls = sub.add_parser("classify",

@@ -1,24 +1,20 @@
 """Drag integrals and the paper's convolution identities.
 
-Everything here is a pure function of its arguments. drag_weight_profile
-is the drag envelope's weight and drag_profile the exactly solvable
-benchmark's v, both on composite Gauss-Legendre nodes shared across the
-grid. The six closed forms (gauss_integral, conv_same_velocity,
-conv_mix, conv_cross_velocity, halfline_gauss_integral,
-quartic_tail_integral) are the paper's convolution identities. Their one
-caller is verify_identity_suite, which checks each against its left-hand
-side integrated by QUADPACK, so the quadrature acts as the oracle for
-the algebra. QUADPACK's _qagse is called with the arguments
-scipy.integrate.quad passes it, from the compiled module loaded on the
-suite's first integral by _scipy_ext.load_extension: rda never imports
-the scipy.integrate package, which loads scipy.optimize, scipy.sparse
-and scipy.linalg with it (about 160 ms and 24 MB). Unlike quad, which
-only warns, a QUADPACK failure gives a nan integral, which fails the
-suite. That first call still imports the bare scipy package, through
-QUADPACK's scipy._lib._ccallback_c. The closed forms read erfcx and
-gamma from _scipy_ext.special_ufuncs(), which loads scipy.special's
-ufunc module on their first call, so importing this module loads
-neither.
+Everything here is a pure function of its arguments. One quadrature
+serves the module: composite Gauss-Legendre panels (gauss_legendre_panels)
+whose count _refine_panels doubles until the result stops moving.
+drag_weight_profile is the drag envelope's weight and drag_profile the
+exactly solvable benchmark's v, both on nodes shared across the grid.
+The six closed forms (gauss_integral, conv_same_velocity, conv_mix,
+conv_cross_velocity, halfline_gauss_integral, quartic_tail_integral) are
+the paper's convolution identities. Their one caller is
+verify_identity_suite, which checks each against its left-hand side
+integrated on the same panels, every case of a family at once, so the
+quadrature acts as the oracle for the algebra; the tests check those
+left-hand sides against scipy's adaptive quadrature. The closed forms
+read erfcx and gamma from _scipy_ext.special_ufuncs(), which loads
+scipy.special's ufunc module on their first call: importing this module
+loads no scipy module, and the suite imports no scipy package.
 
 Note on conv_same_velocity: the exact value of that convolution carries a
 factor 1/2 relative to the way it is sometimes quoted; the closed form
@@ -28,12 +24,13 @@ below is the exact one (checked symbolically and against quadrature).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._scipy_ext import load_extension, special_ufuncs
+from ._scipy_ext import special_ufuncs
 
 __all__ = [
     "IDENTITY_TOL",
@@ -68,8 +65,9 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     """The _GL_ORDER-point Gauss-Legendre nodes and weights on [-1, 1],
     read-only.
 
-    leggauss costs about 0.4 ms, and the drag refinement asks for the same
-    rule at every level.
+    leggauss costs about 0.4 ms, and the drag weights and the identity
+    suite ask for the same rule at every refinement level. Its first call
+    loads numpy's LAPACK (about 1.1 MB of peak RSS) for the eigenvalues.
     """
     rule = np.polynomial.legendre.leggauss(_GL_ORDER)
     for values in rule:
@@ -81,9 +79,11 @@ def gauss_legendre_panels(a: float, b: float, panels: int):
     """Composite Gauss-Legendre nodes/weights on [a, b] split into equal panels
     of _GL_ORDER points each.
 
-    Used by the vectorized envelope evaluators, where the same s-integral is
-    needed simultaneously at every grid point x and adaptivity per point
-    would be wasteful.
+    The module's one quadrature. The drag weights need the same s-integral
+    at every grid point x at once, and the identity suite maps the nodes of
+    [0, 1] onto every case's window at once, where adaptivity per point or
+    per case would be wasteful. On smooth integrands over finite windows
+    the panels converge geometrically as _refine_panels doubles them.
     """
     xg, wg = _legendre_rule()
     edges = np.linspace(a, b, panels + 1)
@@ -292,11 +292,21 @@ _TIMES = (0.5, 1.0, 5.0, 20.0)
 _S_FRACTIONS = (0.0, 0.25, 0.5, 0.75)
 _X_VALUES = (0.0, 1.0, -1.0, 5.0, -5.0)
 
+# (a, b, c) of the completed-square cases, (a, r) of the half-line ones and
+# a of the quartic-tail ones.
+_GAUSS_CASES = tuple((a, b, (-1.0, 0.0, 1.0)[i % 3]) for i, (a, b) in enumerate(
+    itertools.product((0.5, 1.0, 2.0, 5.0), (-3.0, -1.0, 0.0, 1.5, 2.0))))
+_HALFLINE_CASES = tuple(itertools.product((0.25, 0.5, 1.0, 2.0, 4.0),
+                                          (0.0, 0.5, 1.0, 3.0, 10.0)))
+_QUARTIC_CASES = tuple(float(a) for a in np.geomspace(0.1, 50.0, 20))
+
 
 @dataclass(frozen=True)
 class IdentityReport:
     """Max absolute quadrature-vs-closed-form discrepancy per identity, and
-    the values the QUADPACK integrals returned, in call order."""
+    the left-hand sides the quadrature returned, family by family (gauss,
+    conv_same_velocity, conv_mix, conv_cross_velocity, halfline_gauss,
+    quartic_tail), each family's cases in the order of its lattice."""
     max_abs_error: dict[str, float] = field(default_factory=dict)
     cases: dict[str, int] = field(default_factory=dict)
     integrals: tuple[float, ...] = ()
@@ -313,11 +323,14 @@ class IdentityReport:
 
 # The identity suite's integration windows, in standard widths around the
 # integrand's centre: e^{-64} of a Gaussian's peak, e^{-81} of a product's.
+# The half-line and quartic-tail windows end at twice the point where the
+# exponent reaches _TAIL_EXPONENT.
 _GAUSS_SPREAD = 8.0
 _PRODUCT_SPREAD = 9.0
+_TAIL_EXPONENT = 45.0
 
 
-def _gauss_window(center: float, width: float):
+def _gauss_window(center, width):
     return center - _GAUSS_SPREAD * width, center + _GAUSS_SPREAD * width
 
 
@@ -340,142 +353,124 @@ def _conv_lattice():
     return cases
 
 
-@functools.cache
-def _quadpack():
-    """scipy's QUADPACK module, loaded on first use: `rda run` never integrates."""
-    return load_extension("scipy.integrate._quadpack")
-
-
-def _quad_conv(f, lo: float, hi: float) -> float:
-    """QUADPACK integral of f over [lo, hi] to an absolute tolerance of 1e-11,
-    or nan when QUADPACK reports a failure (ier != 0).
-
-    This is integrate.quad(f, lo, hi, epsabs=1e-11, epsrel=0.0, limit=4000)
-    for lo < hi: the same _qagse call, without quad's argument handling.
-    """
-    value, _, ier = _quadpack()._qagse(f, lo, hi, (), 0, 1e-11, 0.0, 4000)
-    return value if ier == 0 else math.nan
-
-
 def _product_gaussian_window(terms):
     """Integration window for a product of Gaussians e^{-a_i (y - m_i)^2}.
 
     The product is itself a Gaussian with curvature sum(a_i) and center at
     the curvature-weighted mean; integrating _PRODUCT_SPREAD standard widths
     around that center captures everything above e^{-_PRODUCT_SPREAD^2}.
+    The a_i and m_i may be arrays of cases.
     """
     total = sum(a for a, _ in terms)
     center = sum(a * m for a, m in terms) / total
-    width = 1.0 / math.sqrt(total)
+    width = 1.0 / np.sqrt(total)
     return center - _PRODUCT_SPREAD * width, center + _PRODUCT_SPREAD * width
 
 
+def _halfline_cutoff(a, r):
+    """The u > 0 where a u^2 / (1 + r + u) reaches _TAIL_EXPONENT: the root of
+    a u^2 - K u - K(1 + r) for K = _TAIL_EXPONENT."""
+    K = _TAIL_EXPONENT
+    return (K + np.sqrt(K * K + 4.0 * a * K * (1.0 + r))) / (2.0 * a)
+
+
+def _quartic_cutoff(a):
+    """The w > 0 where a w^4 reaches _TAIL_EXPONENT."""
+    return (_TAIL_EXPONENT / a) ** 0.25
+
+
+def _panel_integrals(integrand, lo, hi) -> np.ndarray:
+    """The integral of integrand over [lo[k], hi[k]] for every case k.
+
+    The composite Gauss-Legendre nodes of [0, 1] are mapped onto every
+    case's window at once, and integrand takes the (cases, nodes) array of
+    points, row k in case k's window, to the integrand's values there. The
+    panel count is refined by _refine_panels, as the drag weights' is,
+    until no case's integral moves by more than _REFINE_TOL.
+    """
+    lo = np.reshape(lo, (-1, 1))
+    width = np.reshape(hi, (-1, 1)) - lo
+
+    def evaluate(panels):
+        nodes, weights = gauss_legendre_panels(0.0, 1.0, panels)
+        return (integrand(lo + width * nodes) @ weights) * width[:, 0]
+
+    return _refine_panels(evaluate)
+
+
+def _columns(cases):
+    """One (cases, 1) column per parameter of a list of parameter tuples."""
+    return [np.array(column)[:, None] for column in zip(*cases)]
+
+
 def verify_identity_suite() -> IdentityReport:
-    """Evaluate every identity LHS by quadrature and RHS in closed form.
+    """Evaluate every identity's left-hand side by quadrature and its right-
+    hand side in closed form.
 
-    The quadrature runs to an absolute tolerance of 1e-11; the reported
-    numbers are the actual discrepancies, which the caller judges
-    (the acceptance gate is 1e-8).
-
-    QUADPACK calls each integrand one point at a time, about 35 000 times
-    per suite, so the integrands are scalar functions of `math.exp` and
-    `math.sqrt` (a numpy ufunc costs about twice as much on a Python
-    float), bound as defaults like every per-case constant, and everything
-    that does not depend on the integration variable is computed once per
-    case. The integrands square by multiplication, since a float ** 2 is a
-    libm pow call. Only the quartic tail keeps w ** 4: (w * w) * (w * w)
-    rounds twice and doubles that identity's largest error.
-
-    Each exponent's sign, and the mix term's factor -2, is folded into a
-    per-case default (-a, -M(t-s), M(t-s)/-2), so no integrand negates per
-    call. This changes no bit: IEEE multiplication and division are
-    sign-symmetric, and scaling by a power of two is exact, so
-    -(a*a)/M == (a*a)/(-M) and (-2*x)/M == x/(M/-2).
+    Each family integrates all its cases as one numpy expression over a
+    (cases, nodes) array (_panel_integrals). The half-line family
+    integrates in t = sqrt(1 + r + u), where its integrand is
+    2 e^{-a (t^2 - 1 - r)^2 / t^2}: in u the branch point of
+    sqrt(1 + r + u) lies one unit from the window, and uniform panels need
+    128-256 of them, where in t every family is accepted at 16. The
+    reported numbers are the actual discrepancies, which the caller
+    judges against IDENTITY_TOL. The closed forms are scalar, called once
+    per case, and a NaN error stays the family's maximum.
     """
     errors: dict[str, float] = {}
     counts: dict[str, int] = {}
     integrals: list[float] = []
 
-    def record(name: str, lhs: float, rhs: float):
-        integrals.append(lhs)
-        err = abs(lhs - rhs)
-        # A NaN error stays recorded: max(0.0, nan) would drop it.
-        old = errors.get(name, 0.0)
-        errors[name] = err if math.isnan(err) or err > old else old
-        counts[name] = counts.get(name, 0) + 1
+    def record(name: str, lhs: np.ndarray, rhs: list[float]):
+        integrals.extend(lhs.tolist())
+        # np.max propagates a NaN, where max(0.0, nan) would drop it.
+        errors[name] = float(np.max(np.abs(lhs - np.array(rhs))))
+        counts[name] = len(rhs)
 
     # Completed-square Gaussian integral.
-    c_cycle = (-1.0, 0.0, 1.0)
-    i = 0
-    for a in (0.5, 1.0, 2.0, 5.0):
-        for b in (-3.0, -1.0, 0.0, 1.5, 2.0):
-            c = c_cycle[i % 3]
-            i += 1
-            lo, hi = _gauss_window(b / (2 * a), 1.0 / math.sqrt(a))
-            lhs = _quad_conv(lambda y, na=-a, b=b, c=c, exp=math.exp:
-                             exp(na * y * y + b * y + c), lo, hi)
-            record("gauss", lhs, gauss_integral(a, b, c))
+    a, b, c = _columns(_GAUSS_CASES)
+    lo, hi = _gauss_window(b / (2.0 * a), 1.0 / np.sqrt(a))
+    record("gauss", _panel_integrals(lambda y: np.exp(-a * y * y + b * y + c), lo, hi),
+           [gauss_integral(*case) for case in _GAUSS_CASES])
 
+    lattice = _conv_lattice()
+    x, t, s, c1, c2, M = _columns(lattice)
     d1 = 1.0
-    for x, t, s, c1, c2, M in _conv_lattice():
-        xc, m1, m2 = x + c1 * (t - s), c1 * s, c2 * s
-        M_ts, M_s = M * (t - s), M * (1.0 + s)
-        root = math.sqrt(4.0 * math.pi * d1 * (t - s))
-        a_ts, a_s = 1.0 / M_ts, 1.0 / M_s
+    xc, m1, m2 = x + c1 * (t - s), c1 * s, c2 * s
+    M_ts, M_s = M * (t - s), M * (1.0 + s)
+    root = np.sqrt(4.0 * np.pi * d1 * (t - s))
+    a_ts, a_s = 1.0 / M_ts, 1.0 / M_s
 
-        lo, hi = _product_gaussian_window([(a_ts, xc), (a_s, -m1)])
+    lo, hi = _product_gaussian_window([(a_ts, xc), (a_s, -m1)])
+    record("conv_same_velocity", _panel_integrals(
+        lambda y: np.exp(-(xc - y) ** 2 / M_ts - (y + m1) ** 2 / M_s)
+        / (root * (1.0 + s) ** 2), lo, hi),
+        [conv_same_velocity(xk, tk, sk, c1k, Mk, d1) for xk, tk, sk, c1k, _, Mk in lattice])
 
-        def lhs1(y, xc=xc, m1=m1, nM_ts=-M_ts, M_s=M_s, norm=root * (1.0 + s) ** 2,
-                 exp=math.exp):
-            a, b = xc - y, y + m1
-            return exp((a * a) / nM_ts - (b * b) / M_s) / norm
+    lo, hi = _product_gaussian_window([(2.0 * a_ts, xc), (a_s, -m1), (a_s, -m2)])
+    record("conv_mix", _panel_integrals(
+        lambda y: np.exp(-2.0 * (xc - y) ** 2 / M_ts - (y + m1) ** 2 / M_s
+                         - (y + m2) ** 2 / M_s) / (root * (1.0 + s)), lo, hi),
+        [conv_mix(*case, d1) for case in lattice])
 
-        record("conv_same_velocity", _quad_conv(lhs1, lo, hi),
-               conv_same_velocity(x, t, s, c1, M, d1))
+    lo, hi = _product_gaussian_window([(a_ts, xc), (a_s, -m2)])
+    record("conv_cross_velocity", _panel_integrals(
+        lambda y: np.exp(-(xc - y) ** 2 / M_ts - (y + m2) ** 2 / M_s), lo, hi),
+        [conv_cross_velocity(*case) for case in lattice])
 
-        lo, hi = _product_gaussian_window([(2.0 * a_ts, xc), (a_s, -m1), (a_s, -m2)])
-
-        def lhs2(y, xc=xc, m1=m1, m2=m2, hM_ts=M_ts / -2.0, M_s=M_s,
-                 norm=root * (1.0 + s), exp=math.exp):
-            a, b, c = xc - y, y + m1, y + m2
-            return exp((a * a) / hM_ts - (b * b) / M_s - (c * c) / M_s) / norm
-
-        record("conv_mix", _quad_conv(lhs2, lo, hi),
-               conv_mix(x, t, s, c1, c2, M, d1))
-
-        lo, hi = _product_gaussian_window([(a_ts, xc), (a_s, -m2)])
-
-        def lhs3(y, xc=xc, m2=m2, nM_ts=-M_ts, M_s=M_s, exp=math.exp):
-            a, b = xc - y, y + m2
-            return exp((a * a) / nM_ts - (b * b) / M_s)
-
-        record("conv_cross_velocity", _quad_conv(lhs3, lo, hi),
-               conv_cross_velocity(x, t, s, c1, c2, M))
-
-    # Half-line Gaussian integral (erfc closed form).
-    for a in (0.25, 0.5, 1.0, 2.0, 4.0):
-        for r in (0.0, 0.5, 1.0, 3.0, 10.0):
-            # Solve u^2 a - K u - K(1+r) >= 0 for the truncation point.
-            K = 45.0
-            u_star = (K + math.sqrt(K * K + 4.0 * a * K * (1.0 + r))) / (2.0 * a)
-
-            def lhs4(u, na=-a, r1=1.0 + r, exp=math.exp, sqrt=math.sqrt):
-                w = r1 + u
-                return exp(u * u * na / w) / sqrt(w)
-
-            lhs = _quad_conv(lhs4, 0.0, 2.0 * u_star)
-            record("halfline_gauss", lhs, halfline_gauss_integral(a, r))
+    # Half-line Gaussian integral (erfc closed form), u = t^2 - 1 - r.
+    a, r = _columns(_HALFLINE_CASES)
+    r1 = 1.0 + r
+    record("halfline_gauss", _panel_integrals(
+        lambda t: 2.0 * np.exp(-a * ((t * t - r1) / t) ** 2),
+        np.sqrt(r1), np.sqrt(r1 + 2.0 * _halfline_cutoff(a, r))),
+        [halfline_gauss_integral(*case) for case in _HALFLINE_CASES])
 
     # Quartic-tail integral (Gamma closed form), z = w^2.
-    for a in np.geomspace(0.1, 50.0, 20):
-        a = float(a)
-        cutoff = (45.0 / a) ** 0.25
-
-        def lhs5(w, na=-a, exp=math.exp):
-            return 2.0 * exp(na * w ** 4)
-
-        lhs = _quad_conv(lhs5, 0.0, 2.0 * cutoff)
-        record("quartic_tail", lhs, quartic_tail_integral(a))
+    a = np.array(_QUARTIC_CASES)[:, None]
+    record("quartic_tail", _panel_integrals(
+        lambda w: 2.0 * np.exp(-a * w ** 4), 0.0, 2.0 * _quartic_cutoff(a)),
+        [quartic_tail_integral(ak) for ak in _QUARTIC_CASES])
 
     return IdentityReport(max_abs_error=errors, cases=counts,
                           integrals=tuple(integrals))

@@ -1,7 +1,7 @@
 """End-to-end acceptance suite.
 
 Each criterion pins one headline claim of the laboratory:
-  1. closed-form kernel identities vs adaptive quadrature,
+  1. closed-form kernel identities vs Gauss-Legendre quadrature,
   2. the exactly solvable benchmark vs simulation,
   3. small-data Gaussian decay (mix couplings),
   4. decay with an irrelevant cross coupling (drag envelope),

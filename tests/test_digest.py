@@ -4,12 +4,12 @@ suite's integrals bit for bit.
 scripts/digest.py checks the whole set (about 20 s); these tests check the
 part that runs in about two seconds: every builtin cut to t_end <= 2 and
 sample_dt <= 0.5 on its full grid, cas2-equal and cas2-distinct run to
-their blow-up, and the 158 values the identity suite's QUADPACK integrals
-return, with the `rda verify-identities` printout. A failure names the
-first differing sample. Every test skips, naming the versions, when the
-installed Python, numpy or scipy differs from the recorded one, since a
-version can move bits without any change to the code; a CPU that differs
-is named in the failure message.
+their blow-up, and the 158 left-hand sides the identity suite's
+Gauss-Legendre quadrature returns, with the `rda verify-identities`
+printout. A failure names the first differing sample. Every test skips,
+naming the versions, when the installed Python, numpy or scipy differs
+from the recorded one, since a version can move bits without any change
+to the code; a CPU that differs is named in the failure message.
 """
 
 import importlib.util

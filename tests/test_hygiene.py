@@ -108,14 +108,14 @@ def test_every_export_has_a_product_reader(module):
 
 # Each costs startup time and memory that rda never uses: scipy.integrate
 # alone, with the rest it loads, is a quarter of both, and scipy.special
-# is 0.27 s of import. rda loads the compiled modules it calls, QUADPACK,
-# pocketfft and scipy.special's ufuncs, without their packages.
+# is 0.27 s of import. rda loads the compiled modules it calls, pocketfft
+# and scipy.special's ufuncs, without their packages.
 HEAVY = ["scipy.stats", "scipy.fft", "scipy.integrate", "scipy.optimize",
          "scipy.sparse", "scipy.linalg", "scipy.special"]
-QUADPACK = "scipy.integrate._quadpack"
-# The scipy package's own __init__ (about 11 ms and 1.2 MB), which only
-# QUADPACK's first call imports, and the special ufuncs' module (1.1 MB),
+# QUADPACK's module and the scipy package's own __init__ (about 11 ms and
+# 1.2 MB), which no command loads, and the special ufuncs' module (1.1 MB),
 # which only the distinct-velocity lower bounds and the identity suite read.
+QUADPACK = "scipy.integrate._quadpack"
 SCIPY = "scipy"
 SPECIAL = "scipy.special._special_ufuncs"
 # Only rda run --jobs N with N > 1 starts a process pool.
@@ -180,13 +180,6 @@ def test_cli_leaves_out_the_process_pool(loaded, step):
     assert POOL not in loaded[step]
 
 
-def test_verify_identities_loads_quadpack(loaded):
-    # Only the suite integrates, so only it loads QUADPACK.
-    assert QUADPACK not in loaded["run"]
-    assert QUADPACK not in loaded["run decay"]
-    assert QUADPACK in loaded["verify-identities"]
-
-
 @pytest.mark.parametrize("step", ["import", "list", "classify", "run decay"])
 def test_cli_leaves_out_scipy_and_its_special_functions(loaded, step):
     # Neither the scipy package nor the special ufuncs: fitting a decay
@@ -202,10 +195,13 @@ def test_lower_bounds_load_the_special_ufuncs_alone(loaded):
     assert SCIPY not in loaded["run"]
 
 
-def test_verify_identities_loads_scipy_through_quadpack(loaded):
-    # erfcx and gamma load the ufuncs; QUADPACK's first call imports scipy.
+def test_verify_identities_loads_the_special_ufuncs_alone(loaded):
+    # erfcx and gamma load the ufuncs. The suite integrates on numpy's
+    # Gauss-Legendre panels, so neither QUADPACK's module nor the scipy
+    # package is loaded, by this step or any step before it.
     assert SPECIAL in loaded["verify-identities"]
-    assert SCIPY in loaded["verify-identities"]
+    assert QUADPACK not in loaded["verify-identities"]
+    assert SCIPY not in loaded["verify-identities"]
 
 
 def test_control_import_is_seen(loaded):
@@ -233,14 +229,12 @@ def test_loaded_extensions_are_scipys_modules(first):
     # A direct load and a normal import of the package share one module
     # object, in either order, so neither runs a second copy.
     steps = ["import rda.cli; assert rda.cli.main(['verify-identities']) == 0",
-             "import scipy.fft, scipy.integrate, scipy.special"]
+             "import scipy.fft, scipy.special"]
     code = "\n".join([*(steps if first == "rda" else steps[::-1]),
                       "import sys",
-                      "from rda import kernels, solver",
+                      "from rda import solver",
                       "from rda._scipy_ext import special_ufuncs",
-                      "print(kernels._quadpack() is "
-                      "sys.modules['scipy.integrate._quadpack_py']._quadpack, "
-                      "solver.pypocketfft is "
+                      "print(solver.pypocketfft is "
                       "sys.modules['scipy.fft._pocketfft.basic'].pfft, "
                       "special_ufuncs().erf is scipy.special.erf, "
                       "special_ufuncs().erfcx is scipy.special.erfcx, "
@@ -248,7 +242,7 @@ def test_loaded_extensions_are_scipys_modules(first):
     proc = subprocess.run([sys.executable, "-c", code], check=True,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
-    assert proc.stdout.splitlines()[-1] == "True True True True True"
+    assert proc.stdout.splitlines()[-1] == "True True True True"
 
 
 def linalg_uses(source: str) -> list[str]:
@@ -625,7 +619,7 @@ def rda_module_patches(source: str) -> list[str]:
 def test_patch_checker_catches_a_planted_patch():
     source = ("import rda.cli\nfrom rda import kernels, solver as s\n"
               "import numpy as np\ns.run_scenario = f\nrda.cli.main = g\n"
-              "setattr(kernels, '_quad_conv', h)\nnp.x = 1\nx.y = s.z\n"
+              "setattr(kernels, '_refine_panels', h)\nnp.x = 1\nx.y = s.z\n"
               "a, kernels.b = 1, 2\nkernels.c += 1\nmp.setattr(s.run, 'y', 2)\n"
               "value = kernels.verify_identity_suite().integrals\n")
     assert rda_module_patches(source) == [

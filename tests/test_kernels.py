@@ -1,7 +1,6 @@
 """Kernel closed forms against independent oracles (mpmath, scipy)."""
 
-import ast
-import inspect
+import functools
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -109,108 +108,105 @@ def test_conv_lattice_has_s_before_t():
         assert 0.0 <= s < t, (x, t, s)
 
 
-def test_identity_suite_oracle_is_strict_and_integrands_scalar(monkeypatch):
-    quadpack = kernels._quadpack()
-    qagse = quadpack._qagse
-    calls = []
+def _gauss_lhs(y, a, b, c):
+    return math.exp(-a * y * y + b * y + c)
 
-    values = []
 
-    def recording_qagse(f, lo, hi, *args):
-        calls.append((args, f(0.5 * (lo + hi)), f.__closure__))
-        result = qagse(f, lo, hi, *args)
-        values.append(result[0])
-        return result
+def _same_velocity_lhs(y, x, t, s, c1, c2, M, d1):
+    return (math.exp(-(x - y + c1 * (t - s)) ** 2 / (M * (t - s))
+                     - (y + c1 * s) ** 2 / (M * (1.0 + s)))
+            / (math.sqrt(4.0 * math.pi * d1 * (t - s)) * (1.0 + s) ** 2))
 
-    monkeypatch.setattr(quadpack, "_qagse", recording_qagse)
+
+def _mix_lhs(y, x, t, s, c1, c2, M, d1):
+    return (math.exp(-2.0 * (x - y + c1 * (t - s)) ** 2 / (M * (t - s))
+                     - (y + c1 * s) ** 2 / (M * (1.0 + s))
+                     - (y + c2 * s) ** 2 / (M * (1.0 + s)))
+            / (math.sqrt(4.0 * math.pi * d1 * (t - s)) * (1.0 + s)))
+
+
+def _cross_velocity_lhs(y, x, t, s, c1, c2, M, d1):
+    return math.exp(-(x - y + c1 * (t - s)) ** 2 / (M * (t - s))
+                    - (y + c2 * s) ** 2 / (M * (1.0 + s)))
+
+
+def _halfline_lhs(u, a, r):
+    # The identity's own variable u = s - r, not the suite's t.
+    return math.exp(-a * u * u / (1.0 + r + u)) / math.sqrt(1.0 + r + u)
+
+
+def _quartic_lhs(w, a):
+    return 2.0 * math.exp(-a * w ** 4)
+
+
+def _identity_oracle_cases():
+    """(f, lo, hi) of every left-hand side of the identity suite, in the
+    order of IdentityReport.integrals: a scalar integrand on the suite's
+    window."""
+    cases = []
+    for a, b, c in kernels._GAUSS_CASES:
+        cases.append((functools.partial(_gauss_lhs, a=a, b=b, c=c),
+                      *kernels._gauss_window(b / (2.0 * a), 1.0 / math.sqrt(a))))
+    same, mix, cross = [], [], []
+    window = kernels._product_gaussian_window
+    for x, t, s, c1, c2, M in _conv_lattice():
+        params = dict(x=x, t=t, s=s, c1=c1, c2=c2, M=M, d1=1.0)
+        # Each Gaussian factor e^{-k (y - m)^2} as (k, m): the kernel, and
+        # the data moving at c1 and at c2.
+        k_ts, k_s = 1.0 / (M * (t - s)), 1.0 / (M * (1.0 + s))
+        centre = x + c1 * (t - s)
+        at_c1, at_c2 = (k_s, -c1 * s), (k_s, -c2 * s)
+        same.append((functools.partial(_same_velocity_lhs, **params),
+                     *window([(k_ts, centre), at_c1])))
+        mix.append((functools.partial(_mix_lhs, **params),
+                    *window([(2.0 * k_ts, centre), at_c1, at_c2])))
+        cross.append((functools.partial(_cross_velocity_lhs, **params),
+                      *window([(k_ts, centre), at_c2])))
+    cases += same + mix + cross
+    for a, r in kernels._HALFLINE_CASES:
+        cases.append((functools.partial(_halfline_lhs, a=a, r=r),
+                      0.0, 2.0 * kernels._halfline_cutoff(a, r)))
+    for a in kernels._QUARTIC_CASES:
+        cases.append((functools.partial(_quartic_lhs, a=a),
+                      0.0, 2.0 * kernels._quartic_cutoff(a)))
+    return cases
+
+
+def test_identity_integrals_match_quadpack():
+    # QUADPACK, adapted per case in each identity's own variable, is the
+    # oracle of the suite's Gauss-Legendre panels.
     report = verify_identity_suite()
-    assert len(calls) == 158
-    # The report holds each integral's value, in call order, one per case.
-    assert report.integrals == tuple(values)
-    assert len(report.integrals) == sum(report.cases.values())
-    for args, midpoint_value, closure in calls:
-        # (args, full_output, epsabs, epsrel, limit), as integrate.quad
-        # passes them for epsabs=1e-11, epsrel=0.0, limit=4000.
-        assert args == ((), 0, 1e-11, 0.0, 4000)
-        # An np.float64 here means a numpy scalar path crept back in.
-        assert type(midpoint_value) is float
-        # Everything an integrand reads, exp and sqrt included, is a default
-        # (a fast local), not a cell of the enclosing suite.
-        assert closure is None
+    cases = _identity_oracle_cases()
+    assert len(report.integrals) == len(cases) == sum(report.cases.values()) == 158
+    for value, (f, lo, hi) in zip(report.integrals, cases):
+        expected, _, _, *failure = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=0.0,
+                                                  limit=4000, full_output=1)
+        # QUADPACK flags roundoff (ier = 2) on a few integrals between 18 and
+        # 83, where 1e-13 is a few ulps of the value; any other flag fails.
+        assert not failure or failure[0].startswith("The occurrence of roundoff"), (
+            f, failure)
+        assert abs(value - expected) <= 1e-12, (f, value, expected)
 
 
-def _suite_integrals():
-    """(f, lo, hi) of every integral the identity suite computes."""
-    quad_conv = kernels._quad_conv
-    integrals = []
+def test_identity_families_accepted_at_16_panels(monkeypatch):
+    # Every family's integrals move by at most _REFINE_TOL from 8 panels to
+    # 16, far below _REFINE_CAP: a later window or change of variable that
+    # slows a family fails here instead of quietly costing time.
+    refine, levels = kernels._refine_panels, []
 
-    def recording(f, lo, hi):
-        integrals.append((f, lo, hi))
-        return quad_conv(f, lo, hi)
+    def spy(evaluate):
+        seen = []
+        levels.append(seen)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "_quad_conv", recording)
-        verify_identity_suite()
-    return integrals
+        def recorded(panels):
+            seen.append(panels)
+            return evaluate(panels)
+        return refine(recorded)
 
-
-def test_quad_conv_equals_scipy_quad_bit_for_bit():
-    # _quad_conv calls QUADPACK's private _qagse from the compiled module
-    # it loads itself; a change of that call's signature or convention in
-    # scipy, or a moved module, must fail here.
-    integrals = _suite_integrals()
-    assert len(integrals) == 158
-    for f, lo, hi in integrals:
-        assert lo < hi
-        expected = integrate.quad(f, lo, hi, epsabs=1e-11, epsrel=0.0,
-                                  limit=4000)[0]
-        assert kernels._quad_conv(f, lo, hi) == expected
-
-
-def test_quad_conv_is_nan_when_quadpack_fails():
-    # QUADPACK gives up on 1/y with ier = 3 and 709.87; integrate.quad only
-    # warns and returns that number, which the suite would have judged.
-    with pytest.warns(integrate.IntegrationWarning):
-        value = integrate.quad(lambda y: 1.0 / y, 0.0, 1.0, epsabs=1e-11,
-                               epsrel=0.0, limit=4000)[0]
-    assert 709.0 < value < 710.0
-    assert math.isnan(kernels._quad_conv(lambda y: 1.0 / y, 0.0, 1.0))
-
-
-def _integrand_body_nodes():
-    """(function, node) for every AST node in the body of every function
-    nested in the identity suite, the integrands among them. Only the
-    bodies run per call; the defaults are per-case constants, evaluated
-    once."""
-    (suite,) = ast.parse(inspect.getsource(verify_identity_suite)).body
-    for node in ast.walk(suite):
-        if isinstance(node, ast.Lambda):
-            name, body = "lambda", [node.body]
-        elif isinstance(node, ast.FunctionDef) and node is not suite:
-            name, body = node.name, node.body
-        else:
-            continue
-        for stmt in body:
-            for op in ast.walk(stmt):
-                yield name, op
-
-
-def test_identity_integrands_square_by_multiplication():
-    # QUADPACK calls the integrands about 35 000 times per suite, and each
-    # float ** 2 is a libm pow call.
-    pows = [(name, ast.unparse(op)) for name, op in _integrand_body_nodes()
-            if isinstance(op, ast.BinOp) and isinstance(op.op, ast.Pow)]
-    # The one exception: (w * w) * (w * w) rounds twice, and the quartic
-    # tail's largest error doubles from 4.441e-16 to 8.882e-16 with it.
-    assert pows == [("lhs5", "w ** 4")]
-
-
-def test_identity_integrands_negate_nothing():
-    # Each sign (and the mix term's -2) is a per-case default, which keeps
-    # every bit: -(a*a)/M == (a*a)/(-M) and (-2*x)/M == x/(M/-2).
-    negations = [(name, ast.unparse(op)) for name, op in _integrand_body_nodes()
-                 if isinstance(op, ast.UnaryOp) and isinstance(op.op, ast.USub)]
-    assert negations == []
+    monkeypatch.setattr(kernels, "_refine_panels", spy)
+    verify_identity_suite()
+    assert levels == [[8, 16]] * len(IDENTITY_NAMES)
+    assert 16 < kernels._REFINE_CAP
 
 
 def test_gauss_legendre_panels_weights_sum():

@@ -195,12 +195,15 @@ def test_lower_bounds_load_the_special_ufuncs_alone(loaded):
     assert SCIPY not in loaded["run"]
 
 
+def test_no_command_loads_quadpack(loaded):
+    # The identity suite integrates on numpy's Gauss-Legendre panels, so
+    # no step loads QUADPACK's module.
+    assert [step for step in STEPS if QUADPACK in loaded[step]] == []
+
+
 def test_verify_identities_loads_the_special_ufuncs_alone(loaded):
-    # erfcx and gamma load the ufuncs. The suite integrates on numpy's
-    # Gauss-Legendre panels, so neither QUADPACK's module nor the scipy
-    # package is loaded, by this step or any step before it.
+    # erfcx and gamma load the ufuncs, still without the scipy package.
     assert SPECIAL in loaded["verify-identities"]
-    assert QUADPACK not in loaded["verify-identities"]
     assert SCIPY not in loaded["verify-identities"]
 
 

@@ -2,9 +2,11 @@
 
 This module turns sampled trajectories into the quantities the theory
 talks about: scaling classes of polynomial terms, structural admissibility
-of a system for each stability result, spatio-temporal weight suprema, the
-fitted temporal decay exponent, the explicit blow-up lower bounds, and the
-logarithmic amplitude law of the normal form. OUTPUT_RULES holds, per
+of a system for each stability result, spatio-temporal weight suprema
+(with their trust radius, and the wraparound budget past which the
+envelope output is refused), the fitted temporal decay exponent, the
+explicit blow-up lower bounds, and the logarithmic amplitude law of the
+normal form. OUTPUT_RULES holds, per
 output, what validation requires, what each sample is reduced to
 (SampleReduction, the solver's on_sample hook) and how diagnose judges it.
 Each requirement on a system's shape compares SystemSpec.monomials(), and
@@ -36,7 +38,6 @@ from .core import (
     Scenario,
     SystemSpec,
     sample_times,
-    trust_radius,
 )
 from .kernels import drag_weight_profile
 
@@ -204,6 +205,25 @@ def sample_norms(fields: np.ndarray, dx: float, buf: np.ndarray | None = None):
     return buf.max(axis=-1), buf.sum(axis=-1) * dx
 
 
+# The trust cut-off: a weighted field counts only where its weight is at
+# least TRUST_FLOOR of the weight's peak.
+TRUST_FLOOR = 1e-12
+
+
+def trust_radius(M: float, s: float) -> float:
+    """Distance from a comoving centre at which e^{-y^2/(M(1+s))} falls to
+    TRUST_FLOOR of its peak."""
+    return math.sqrt(M * (1.0 + s) * -math.log(TRUST_FLOOR))
+
+
+def wraparound_budget(grid: Grid, system: SystemSpec, t_end: float, M: float) -> float:
+    """Fraction of the half-width that frame drift plus the trust radius
+    take up by t_end. Past 1, a tail of the drifting pulses wraps around
+    the periodic box, where the line's envelope bounds say nothing."""
+    drift = max(abs(system.c1), abs(system.c2)) * t_end
+    return (drift + trust_radius(M, t_end)) / grid.half_width
+
+
 def _gaussian(shifted: np.ndarray, s: float, M: float) -> np.ndarray:
     return np.exp(-shifted ** 2 / (M * (1.0 + s))) / math.sqrt(1.0 + s)
 
@@ -262,8 +282,8 @@ class Envelope:
 
         Both components share one unwrapped segment, the one swept between
         the comoving centres plus the trust radius; within it a denominator
-        below 1e-12 of its segment max is dropped, as in the Gaussian trust
-        region.
+        below TRUST_FLOOR of its segment max is dropped, as in the Gaussian
+        trust region.
         """
         x, M = self.x, self.env.M
         c1, c2 = self.system.c1, self.system.c2
@@ -274,7 +294,8 @@ class Envelope:
         denom = np.zeros((2, len(x)))
         denom[:, segment] = _gaussian(xs + self.velocity * s, s, M) \
             + drag_weight_profile(xs, s, c1, c2, M)
-        return denom, segment & (denom >= 1e-12 * denom.max(axis=1, keepdims=True))
+        floor = TRUST_FLOOR * denom.max(axis=1, keepdims=True)
+        return denom, segment & (denom >= floor)
 
 
 def envelope_verdict(times: np.ndarray, eta: np.ndarray) -> EnvelopeVerdict:
@@ -524,7 +545,11 @@ OUTPUT_RULES = {
     "trajectory": Rule(),
     "envelope": Rule(
         ("eta_{envelope.kind}",),
-        ((lambda sc, _: sc.envelope is not None, "an envelope.kind"),),
+        ((lambda sc, _: sc.envelope is not None, "an envelope.kind"),
+         (lambda sc, _: sc.envelope is None or wraparound_budget(
+             sc.grid, sc.system, sc.t_end, sc.envelope.M) <= 1.0,
+          "frame drift plus the trust radius within the half-width: "
+          "max|c| t_end + sqrt(M (1 + t_end) ln 1e12) <= L")),
         ((lambda times: np.any(times >= T_ANCHOR),
           f"a sample at t >= {T_ANCHOR:g}, its anchor"),),
         column=lambda sc: Envelope(sc.grid, sc.system, sc.envelope).eta,

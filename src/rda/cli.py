@@ -116,8 +116,6 @@ def run_experiment(scenario: Scenario, report: ValidationReport, out_dir,
     reduction keeps no sample but the last, so a run holds one (2, n)
     sample at a time.
     """
-    for warning in report.warnings:
-        print(f"[{scenario.name}] warning: {warning}", file=sys.stderr)
     samples = analysis.SampleReduction(scenario)
     hooks = (samples, *observers)
 

@@ -8,7 +8,8 @@ and analysis.OUTPUT_RULES the tables that every refusal comes from. Each
 initial kind is one of the paper's two profiles, gaussian and algebraic
 (exponentially and algebraically localized data), centred at the origin,
 where the paper's results and every envelope weight are; amplitude 0, the
-default, is zero data.
+default, is zero data. The envelope weights, their trust radius and the
+wraparound budget are analysis's: core holds no envelope numerics.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ __all__ = [
 BLOW_UP_THRESHOLD = 1e8
 _MAX_N = 2**20
 _MAX_STEPS = 10**7
-
-# Trust-region cutoff: the sup of exponentially weighted fields is only
-# taken where the reference Gaussian exceeds 1e-12 of its peak.
-TRUST_LOG = math.log(1e12)
 
 
 # Each coupling slot's (component whose equation it enters, derivative
@@ -156,12 +153,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """What validation found. validate_scenario also hands on the read-only
-    (2, n) initial fields (u, v) it evaluated on the grid when the scenario
-    is valid, so a run does not evaluate them again; initial is None
-    otherwise."""
+    """What validation found: the refusals, each a table entry's text, and,
+    for a valid scenario, the read-only (2, n) initial fields (u, v) it
+    evaluated on the grid, so a run does not evaluate them again; initial
+    is None otherwise."""
     violations: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
     initial: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @property
@@ -321,17 +317,6 @@ def scenario_from(values: dict[tuple[str, ...], object]) -> Scenario:
     return Scenario(**top)
 
 
-def trust_radius(M: float, s: float) -> float:
-    """Distance from a comoving centre at which e^{-y^2/(M(1+s))} falls to 1e-12."""
-    return math.sqrt(M * (1.0 + s) * TRUST_LOG)
-
-
-def wraparound_budget(grid: Grid, system: SystemSpec, t_end: float, M: float) -> float:
-    """Fraction of the half-domain consumed by frame drift plus the trust radius."""
-    drift = max(abs(system.c1), abs(system.c2)) * t_end
-    return (drift + trust_radius(M, t_end)) / grid.half_width
-
-
 def _whole_steps(span: float, dt: float) -> bool:
     """True iff span is a whole number >= 1 of dt steps, to 1e-9 relative.
 
@@ -426,8 +411,9 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     (analysis.output_violations). Each refusal is a table entry's text.
 
     Never raises: every float, nan and infinities included, is either
-    accepted or reported as a violation. The wraparound warning and the
-    initial fields are only worked out for a scenario without violations.
+    accepted or reported as a violation. Validation has no other channel:
+    what it does not refuse runs, and the initial fields are handed on
+    only for a scenario without violations.
     """
     violations, read, passed = [], set(), set()
     for key, entry in KEYS.items():
@@ -461,14 +447,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         initial.flags.writeable = False
     from .analysis import output_violations  # analysis imports this module
     violations += output_violations(scenario, initial)
-    env, warnings = scenario.envelope, []
-    if env is not None and not violations and wraparound_budget(
-            scenario.grid, scenario.system, scenario.t_end, env.M) > 1.0:
-        warnings.append(
-            "wraparound budget exceeded: envelope checks unreliable past the "
-            "time where frame drift plus the trust radius reaches the "
-            "half-domain width")
-    return ValidationReport(violations=tuple(violations), warnings=tuple(warnings),
+    return ValidationReport(violations=tuple(violations),
                             initial=None if violations else initial)
 
 

@@ -134,13 +134,15 @@ _REFINE_TOL = 1e-8
 
 def _refine_panels(evaluate):
     """Double composite-GL panel counts from _REFINE_START until the
-    profile moves by at most _REFINE_TOL, or the count reaches _REFINE_CAP."""
+    profile moves by no more than _REFINE_TOL, or the count reaches
+    _REFINE_CAP. A NaN change is not more than _REFINE_TOL, so a NaN
+    ends the doubling: more panels cannot mend it."""
     panels = _REFINE_START
     prev = evaluate(panels)
     while panels < _REFINE_CAP:
         panels *= 2
         cur = evaluate(panels)
-        if float(np.max(np.abs(cur - prev), initial=0.0)) <= _REFINE_TOL:
+        if not float(np.max(np.abs(cur - prev), initial=0.0)) > _REFINE_TOL:
             return cur
         prev = cur
     return prev

@@ -18,9 +18,9 @@ from rda.analysis import (
     classify_term,
     diagnose,
     fit_decay_exponent,
+    trust_radius,
 )
-from rda.core import (EnvelopeSpec, Grid, PolyTerm, SystemSpec, trust_radius,
-                      validate_scenario)
+from rda.core import EnvelopeSpec, Grid, PolyTerm, SystemSpec, validate_scenario
 from rda.kernels import drag_weight_profile
 from rda.scenarios import get_scenario
 

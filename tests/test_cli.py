@@ -529,6 +529,11 @@ class TestMain:
          "unknown output 'decayy'"),
         ((("envelope.kind = exponential\nenvelope.M = 16.0\n", ""),),
          "envelope output requires an envelope.kind"),
+        # Drift 10 * 4 plus the trust radius 47.0 pass L = 60: a tail of
+        # the pulses would wrap around the box by t_end.
+        ((("system.c2 = 1.0", "system.c2 = 10.0"),),
+         "envelope output requires frame drift plus the trust radius within "
+         "the half-width: max|c| t_end + sqrt(M (1 + t_end) ln 1e12) <= L"),
         # Configs written for the removed `custom`, `remark51` and `zero`
         # kinds; the last two are gaussian data, a e^{-x^2/4} with
         # a = 1/sqrt(4 pi) and a = 0.
@@ -546,7 +551,8 @@ class TestMain:
          "initial.v: kind 'zero' in ('gaussian', 'algebraic') failed"),
     ], ids=["lower_bounds", "normal_form_envelope", "drag_equal_velocities",
             "exact_error", "amplitude_law", "unknown_output",
-            "envelope_without_kind", "custom_expression", "custom_kind",
+            "envelope_without_kind", "envelope_past_its_budget",
+            "custom_expression", "custom_kind",
             "remark51_kind", "zero_kind"])
     def test_uncomputable_output_fails_before_running(
             self, tmp_path, capsys, replacements, message):
@@ -897,8 +903,9 @@ class TestRunContract:
            amplitude=st.sampled_from([1e-3, 5.0]))
     def test_exit_status_matches_what_is_written(
             self, t_end, dt, sample_dt, outputs, beta, amplitude):
-        # Exit 0: every verdict statistic is finite unless the run blew up.
-        # Exit 1: one `error:` line and no output directory.
+        # Exit 0: nothing on stderr, and every verdict statistic is finite
+        # unless the run blew up. Exit 1: one `error:` line and no output
+        # directory.
         text = _PROPERTY_CONFIG.format(
             t_end=t_end, dt=dt, sample_dt=sample_dt, beta=beta,
             amplitude=amplitude, outputs=", ".join(["trajectory", *outputs]))
@@ -915,6 +922,7 @@ class TestRunContract:
                 assert not out.exists()
                 return
             assert code == 0
+            assert err.getvalue() == ""
             _, trajectory = read_csv(out / "trajectory.csv")
             _, verdicts = read_csv(out / "verdicts.csv")
             assert len(verdicts) == sum(

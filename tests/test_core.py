@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rda.analysis import OUTPUT_RULES
+from rda.analysis import OUTPUT_RULES, wraparound_budget
 from rda.core import (
     _INITIAL_KINDS,
     BLOW_UP_THRESHOLD,
@@ -22,7 +22,6 @@ from rda.core import (
     SystemSpec,
     evaluate_initial,
     validate_scenario,
-    wraparound_budget,
 )
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 
@@ -159,6 +158,11 @@ REFUSAL_EXAMPLES = {
     ("envelope", "an envelope.kind"): dict(outputs=("envelope",)),
     ("envelope", "a sample at t >= 1, its anchor"):
         dict(outputs=("envelope",), envelope=_EXPONENTIAL, t_end=0.5),
+    # Drift 50 * 10 alone is 500 > L = 60.
+    ("envelope", "frame drift plus the trust radius within the half-width: "
+                 "max|c| t_end + sqrt(M (1 + t_end) ln 1e12) <= L"):
+        dict(outputs=("envelope",), envelope=_EXPONENTIAL, t_end=10.0,
+             system=_system(c2=50.0)),
     ("decay", "nonzero initial data"): dict(outputs=("decay",), **_data("u")),
     # Three samples, two of them at t >= t_end/4.
     ("decay", ">= 8 samples at t >= min(5, t_end/4)"):
@@ -306,15 +310,6 @@ class TestValidateScenario:
     def test_algebraic_r_floor(self):
         bad = make_scenario(envelope=EnvelopeSpec(kind="algebraic", M=16.0, r=2.0))
         assert not validate_scenario(bad).valid
-
-    def test_wraparound_warning(self):
-        slow = make_scenario(
-            system=SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=50.0),
-            t_end=10.0,
-            envelope=EnvelopeSpec(kind="exponential", M=16.0))
-        report = validate_scenario(slow)
-        assert report.valid
-        assert any("wraparound" in w for w in report.warnings)
 
     def test_budget_monotone_in_time(self):
         grid = Grid(half_width=100.0, n=256)

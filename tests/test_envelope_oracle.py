@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import history_envelope
-from rda.core import TRUST_LOG, EnvelopeSpec, Grid, SystemSpec
+from rda.core import EnvelopeSpec, Grid, SystemSpec
 from rda.kernels import drag_weight_profile
 
 RTOL = 1e-12
+# A weight counts where it is at least 1e-12 of its peak.
+TRUST_LOG = math.log(1e12)
 
 
 def _wrapped(x, c, s, half_width):

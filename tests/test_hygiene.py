@@ -539,20 +539,25 @@ def test_every_refusal_comes_from_a_table():
     assert written_out_refusals(source) == []
 
 
-def raising_functions(source: str, module: str) -> list[str]:
-    """The scope of each raise statement in source order: module.function,
+def scopes_of(source: str, module: str, matches) -> list[str]:
+    """The scope of each node that matches, in source order: module.function,
     with each enclosing class and function, or module alone at top level."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Raise):
+            if matches(child):
                 found.append(scope)
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             visit(child, f"{scope}.{child.name}" if named else scope)
 
     visit(ast.parse(source), module)
     return found
+
+
+def raising_functions(source: str, module: str) -> list[str]:
+    """The scope of each raise statement in source order."""
+    return scopes_of(source, module, lambda node: isinstance(node, ast.Raise))
 
 
 def test_raise_checker_names_each_enclosing_function():
@@ -575,6 +580,31 @@ def test_each_precondition_has_one_owner():
              for scope in raising_functions(
                  (ROOT / f"src/rda/{module}.py").read_text(encoding="utf-8"), module)]
     assert found == ["analysis.fit_decay_exponent", "core._terms"]
+
+
+def stderr_writers(source: str, module: str) -> list[str]:
+    """The scope of each use of sys.stderr in source order: a print(...,
+    file=sys.stderr), a sys.stderr.write(...) or any other reach for it."""
+    return scopes_of(source, module, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "stderr"
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"))
+
+
+def test_stderr_checker_catches_a_planted_write():
+    source = ("import sys\ndef warn(m):\n    print(m, file=sys.stderr)\n"
+              "class R:\n    def log(self, m):\n        sys.stderr.write(m)\n"
+              "def quiet(m):\n    print(m, file=sys.stdout)\n"
+              "err = sys.stderr\n")
+    assert stderr_writers(source, "mod") == ["mod.warn", "mod.R.log", "mod"]
+
+
+def test_stderr_carries_only_errors():
+    # A run that exits 0 writes nothing to stderr: only the CLI's `error:`
+    # lines go there, from main (a refused command) and _cmd_run (each
+    # failed target of a multi-target run).
+    found = [scope for path in sorted((ROOT / "src/rda").glob("*.py"))
+             for scope in stderr_writers(path.read_text(encoding="utf-8"), path.stem)]
+    assert found == ["cli._cmd_run", "cli.main"]
 
 
 def rda_module_patches(source: str) -> list[str]:

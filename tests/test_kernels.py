@@ -188,10 +188,9 @@ def test_identity_integrals_match_quadpack():
         assert abs(value - expected) <= 1e-12, (f, value, expected)
 
 
-def test_identity_families_accepted_at_16_panels(monkeypatch):
-    # Every family's integrals move by at most _REFINE_TOL from 8 panels to
-    # 16, far below _REFINE_CAP: a later window or change of variable that
-    # slows a family fails here instead of quietly costing time.
+def refinement_levels(monkeypatch):
+    """Spy on _refine_panels: the list it returns gets, per refinement, the
+    list of panel counts evaluated."""
     refine, levels = kernels._refine_panels, []
 
     def spy(evaluate):
@@ -204,9 +203,31 @@ def test_identity_families_accepted_at_16_panels(monkeypatch):
         return refine(recorded)
 
     monkeypatch.setattr(kernels, "_refine_panels", spy)
+    return levels
+
+
+def test_identity_families_accepted_at_16_panels(monkeypatch):
+    # Every family's integrals move by at most _REFINE_TOL from 8 panels to
+    # 16, far below _REFINE_CAP: a later window or change of variable that
+    # slows a family fails here instead of quietly costing time.
+    levels = refinement_levels(monkeypatch)
     verify_identity_suite()
     assert levels == [[8, 16]] * len(IDENTITY_NAMES)
     assert 16 < kernels._REFINE_CAP
+
+
+def test_nan_case_ends_its_refinement(monkeypatch):
+    # A NaN change is not more than _REFINE_TOL: one NaN case used to
+    # double its family's panels up to _REFINE_CAP before it returned.
+    a, b, _ = kernels._GAUSS_CASES[3]
+    monkeypatch.setattr(kernels, "_GAUSS_CASES", (
+        *kernels._GAUSS_CASES[:3], (a, b, math.nan), *kernels._GAUSS_CASES[4:]))
+    levels = refinement_levels(monkeypatch)
+    report = verify_identity_suite()
+    assert levels == [[8, 16]] * len(IDENTITY_NAMES)
+    assert math.isnan(report.max_abs_error["gauss"])
+    assert report.worst()[0] == "gauss"
+    assert not report.passed()
 
 
 def test_gauss_legendre_panels_weights_sum():

@@ -4,10 +4,10 @@ This module turns sampled trajectories into the quantities the theory
 talks about: scaling classes of polynomial terms, structural admissibility
 of a system for each stability result, spatio-temporal weight suprema
 (with their trust radius, and the wraparound budget past which the
-envelope output is refused), the fitted temporal decay exponent, the
-explicit blow-up lower bounds, and the logarithmic amplitude law of the
-normal form. OUTPUT_RULES holds, per
-output, what validation requires, what each sample is reduced to
+envelope and decay outputs are refused), the fitted temporal decay
+exponent, the explicit blow-up lower bounds, and the logarithmic
+amplitude law of the normal form. OUTPUT_RULES holds, per output, what
+validation requires, what each sample is reduced to
 (SampleReduction, the solver's on_sample hook) and how diagnose judges it.
 Each requirement on a system's shape compares SystemSpec.monomials(), and
 a slot's component and derivative order are read from core.SLOTS.
@@ -219,7 +219,9 @@ def trust_radius(M: float, s: float) -> float:
 def wraparound_budget(grid: Grid, system: SystemSpec, t_end: float, M: float) -> float:
     """Fraction of the half-width that frame drift plus the trust radius
     take up by t_end. Past 1, a tail of the drifting pulses wraps around
-    the periodic box, where the line's envelope bounds say nothing."""
+    the periodic box, where the line's envelope bounds say nothing. At
+    M = 4 max(d1, d2) the trust radius is the heat kernel's spread, the
+    decay output's budget."""
     drift = max(abs(system.c1), abs(system.c2)) * t_end
     return (drift + trust_radius(M, t_end)) / grid.half_width
 
@@ -556,7 +558,11 @@ OUTPUT_RULES = {
         judge=_judge_envelope),
     "decay": Rule(
         ("decay_exponent",),
-        ((lambda sc, initial: np.any(initial), "nonzero initial data"),),
+        ((lambda sc, initial: np.any(initial), "nonzero initial data"),
+         (lambda sc, _: wraparound_budget(
+             sc.grid, sc.system, sc.t_end, 4.0 * max(sc.system.d1, sc.system.d2)) <= 1.0,
+          "frame drift plus the heat kernel's spread within the half-width: "
+          "max|c| t_end + sqrt(4 max(d1, d2) (1 + t_end) ln 1e12) <= L")),
         ((lambda times: np.count_nonzero(times >= _decay_t_min(times)) >= DECAY_MIN_SAMPLES,
           f">= {DECAY_MIN_SAMPLES} samples at t >= min(5, t_end/4)"),),
         judge=_judge_decay),

@@ -5,6 +5,12 @@ serves the module: composite Gauss-Legendre panels (gauss_legendre_panels)
 whose count _refine_panels doubles until the result stops moving.
 drag_weight_profile is the drag envelope's weight and drag_profile the
 exactly solvable benchmark's v, both on nodes shared across the grid.
+Both sum Gaussians of the grid points over those nodes in
+_gaussian_sweep. It cuts the evenly spaced points into blocks and splits
+each Gaussian into three factors: one per block and node, one per point,
+and one per node and offset within a block, which every block shares. A
+block of B points then costs m + B exponentials for m nodes, and one
+small matrix product.
 The six closed forms (gauss_integral, conv_same_velocity, conv_mix,
 conv_cross_velocity, halfline_gauss_integral, quartic_tail_integral) are
 the paper's convolution identities. Their one caller is
@@ -94,36 +100,88 @@ def gauss_legendre_panels(a: float, b: float, panels: int):
     return nodes, weights
 
 
-# Block of the Gaussian sweep, in doubles: 512 KB, so the block and its
-# exponentials stay in cache while the weights are applied.
+# Block of the Gaussian sweep, in doubles: 512 KB, so the offset matrix
+# that every block of x shares stays in cache while they multiply it.
 _BLOCK_DOUBLES = 65536
+# The most multiply-adds one GEMM of the sweep makes. OpenBLAS runs a GEMM
+# of more on its thread pool, whose waiting threads take the CPU the run
+# needs (solver._DOT_BLOCK's reason): one GEMM over all blocks of x at once
+# took twice the sweep's wall time in CPU time.
+_GEMM_MADDS = 4 * 65536
+# The bound on the exponent of each factor the sweep splits an entry into.
+# It keeps every factor far from exp's overflow, and every entry above
+# e^{-(708 - _SPLIT_EXPONENT)}, where its factors are still normal floats,
+# at full relative precision.
+_SPLIT_EXPONENT = 16.0
+
+
+def _block_half_width(n: int, m: int, k: int, steps: float) -> int:
+    """h of the sweep's blocks of B = 2h + 1 points, for n points of x, m
+    nodes, k weight columns and a reach of at most `steps` grid steps.
+
+    B is at most sqrt(n), where the m n/B + m B exponentials are fewest;
+    m B is at most _BLOCK_DOUBLES, the shared offset matrix, and k m B at
+    most _GEMM_MADDS, each block's GEMM.
+    """
+    cap = min(_BLOCK_DOUBLES, _GEMM_MADDS // k) // m
+    return max(0, int(min(math.isqrt(n) // 2, (cap - 1) // 2, steps)))
 
 
 def _gaussian_sweep(x: np.ndarray, nodes: np.ndarray, scale: float,
                     weights: np.ndarray) -> np.ndarray:
-    """sum over j of weights[j, :] e^{-(x_i + nodes_j)^2 / scale}, for every x_i.
+    """sum over j of weights[j, :] e^{-(x_i + nodes_j)^2 / scale}, for every
+    x_i of the ascending, evenly spaced x.
 
-    weights is (len(nodes), k) and the result (k, len(x)). x and -nodes are
-    scaled by 1/sqrt(scale) once, so each entry of the Gaussian matrix costs
-    one subtract, one square, one negate and one exp. The matrix is built
-    in blocks of whole node rows over the contiguous x axis, about 512 KB
-    in one reused buffer, and each block's weights[rows].T @ block is added
-    to the result, so no (len(x), len(nodes)) temporary is allocated.
+    weights is (len(nodes), k) and the result (k, len(x)). In units of
+    sqrt(scale), shifted by the node midpoint c, the points are
+    X_i = (x_i + c)/sqrt(scale) and the nodes N_j = (c - nodes_j)/sqrt(scale).
+    x is cut into blocks of B = 2h + 1 points, block b anchored at its
+    centre A_b, with offsets d_k = k dx/sqrt(scale) for |k| <= h, and
+
+        e^{-(A_b + d_k - N_j)^2} = e^{-(A_b - N_j)^2} e^{-2 d_k A_b - d_k^2} e^{2 d_k N_j}.
+
+    The last factor does not depend on the block, so its (m, B) matrix is
+    built once, and each block costs m exponentials, B more and one
+    (k, m) @ (m, B) GEMM: the fast Gauss transform (Greengard and Strain,
+    1991) on a uniform grid, where it needs no expansion. The first factor
+    is taken from the unscaled x + nodes, as an entry alone would be. With
+    |X| + |N| at most extent, offsets of at most reach keep the exponent of
+    each factor, and the first factor's distance from the entry's, within
+    2 reach extent + 3 reach^2; reach makes that _SPLIT_EXPONENT, however
+    wide the nodes and x, and _block_half_width takes B within it.
     """
+    n, m, k = len(x), len(nodes), weights.shape[1]
+    out = np.zeros((k, n))
+    if n == 0 or m == 0:
+        return out
     root = 1.0 / math.sqrt(scale)
-    xs = x * root
-    ns = nodes * -root
-    out = np.zeros((weights.shape[1], len(x)))
-    rows = max(1, _BLOCK_DOUBLES // max(1, len(x)))
-    buf = np.empty((min(rows, len(nodes)), len(x)))
-    for start in range(0, len(nodes), rows):
-        nb = ns[start:start + rows]
-        block = buf[:len(nb)]
-        np.subtract(xs, nb[:, None], out=block)
-        np.square(block, out=block)
-        np.negative(block, out=block)
-        np.exp(block, out=block)
-        out += weights[start:start + rows].T @ block
+    lo, hi = float(nodes.min()), float(nodes.max())
+    c = 0.5 * (lo + hi)
+    dx = (x[-1] - x[0]) / (n - 1) if n > 1 else 0.0
+    step = dx * root
+    extent = (max(abs(x[0] + c), abs(x[-1] + c)) + 0.5 * (hi - lo)) * root
+    # The positive root of 2 reach extent + 3 reach^2 = _SPLIT_EXPONENT.
+    reach = _SPLIT_EXPONENT / (
+        extent + math.sqrt(extent * extent + 3.0 * _SPLIT_EXPONENT))
+    h = _block_half_width(n, m, k, reach / step if step > 0 else 0.0)
+    size = 2 * h + 1
+    offsets = np.arange(-h, h + 1) * step
+    shared = np.multiply.outer((c - nodes) * root, 2.0 * offsets)
+    np.exp(shared, out=shared)
+    anchors = x[0] + (np.arange(0, n, size) + h) * dx
+    per_block = np.multiply.outer((anchors + c) * root, -2.0 * offsets)
+    per_block -= offsets * offsets
+    np.exp(per_block, out=per_block)
+    gauss = np.empty(m)
+    for b, start in enumerate(range(0, n, size)):
+        np.add(nodes, anchors[b], out=gauss)
+        gauss *= root
+        np.square(gauss, out=gauss)
+        np.negative(gauss, out=gauss)
+        np.exp(gauss, out=gauss)
+        block = (weights.T * gauss) @ shared
+        block *= per_block[b]
+        out[:, start:start + size] = block[:, :n - start]
     return out
 
 
@@ -160,7 +218,8 @@ def drag_profile(x: np.ndarray, t: float, c_self: float, c_other: float) -> np.n
 
     The s-quadrature nodes are shared across all x, which is what the
     exact-solution comparison needs (one integral per grid point would
-    re-adapt the same smooth integrand thousands of times).
+    re-adapt the same smooth integrand thousands of times). x is ascending
+    and evenly spaced, as _gaussian_sweep requires: the grid's points.
     """
     x = np.asarray(x, dtype=float)
     root = 1.0 / math.sqrt(1.0 + t)
@@ -188,11 +247,11 @@ def drag_weight_profile(x: np.ndarray, s: float, c1: float, c2: float,
 
     Both endpoint singularities are integrable square roots; r = w^2 and
     r = s - w^2 remove them, with w on one set of GL nodes in [0, sqrt(s)].
-    In c1's frame v's Gaussian at r is u's at s - r, so one Gaussian matrix
-    over the nodes [w^2, s - w^2] serves both rows: _gaussian_sweep builds
-    it in blocks of node rows over the contiguous x axis, about 512 KB
-    each, and applies the block's rows of a (2m, 2) weight matrix. The
-    panel count is refined until both rows stop moving. s <= 0 gives zeros.
+    In c1's frame v's Gaussian at r is u's at s - r, so one sweep over the
+    nodes [w^2, s - w^2] with a (2m, 2) weight matrix serves both rows.
+    x is ascending and evenly spaced, as _gaussian_sweep requires: a
+    segment of the grid's points. The panel count is refined until both
+    rows stop moving. s <= 0 gives zeros.
     """
     x = np.asarray(x, dtype=float)
     if s <= 0:

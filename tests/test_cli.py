@@ -150,6 +150,9 @@ _GROWTH_SYSTEM_REQUIRED = (
     "no other coupling")
 _GAUSSIAN_U_REQUIRED = (
     "lower_bounds output requires initial.u = nu0 e^{-a x^2} with nu0 > 0")
+_DECAY_PAST_ITS_BUDGET = (
+    "decay output requires frame drift plus the heat kernel's spread within "
+    "the half-width: max|c| t_end + sqrt(4 max(d1, d2) (1 + t_end) ln 1e12) <= L")
 
 
 def read_csv(path):
@@ -530,10 +533,15 @@ class TestMain:
         ((("envelope.kind = exponential\nenvelope.M = 16.0\n", ""),),
          "envelope output requires an envelope.kind"),
         # Drift 10 * 4 plus the trust radius 47.0 pass L = 60: a tail of
-        # the pulses would wrap around the box by t_end.
+        # the pulses would wrap around the box by t_end. Plus the heat
+        # kernel's spread 23.5 they pass it too, so decay is refused as well.
         ((("system.c2 = 1.0", "system.c2 = 10.0"),),
          "envelope output requires frame drift plus the trust radius within "
-         "the half-width: max|c| t_end + sqrt(M (1 + t_end) ln 1e12) <= L"),
+         "the half-width: max|c| t_end + sqrt(M (1 + t_end) ln 1e12) <= L; "
+         f"{_DECAY_PAST_ITS_BUDGET}"),
+        ((("system.c2 = 1.0", "system.c2 = 10.0"),
+          ("outputs = trajectory, envelope, decay", "outputs = trajectory, decay")),
+         _DECAY_PAST_ITS_BUDGET),
         # Configs written for the removed `custom`, `remark51` and `zero`
         # kinds; the last two are gaussian data, a e^{-x^2/4} with
         # a = 1/sqrt(4 pi) and a = 0.
@@ -552,6 +560,7 @@ class TestMain:
     ], ids=["lower_bounds", "normal_form_envelope", "drag_equal_velocities",
             "exact_error", "amplitude_law", "unknown_output",
             "envelope_without_kind", "envelope_past_its_budget",
+            "decay_past_its_budget",
             "custom_expression", "custom_kind",
             "remark51_kind", "zero_kind"])
     def test_uncomputable_output_fails_before_running(

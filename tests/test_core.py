@@ -164,6 +164,10 @@ REFUSAL_EXAMPLES = {
         dict(outputs=("envelope",), envelope=_EXPONENTIAL, t_end=10.0,
              system=_system(c2=50.0)),
     ("decay", "nonzero initial data"): dict(outputs=("decay",), **_data("u")),
+    # Drift 50 * 10 alone is 500 > L = 60.
+    ("decay", "frame drift plus the heat kernel's spread within the half-width: "
+              "max|c| t_end + sqrt(4 max(d1, d2) (1 + t_end) ln 1e12) <= L"):
+        dict(outputs=("decay",), t_end=10.0, system=_system(c2=50.0)),
     # Three samples, two of them at t >= t_end/4.
     ("decay", ">= 8 samples at t >= min(5, t_end/4)"):
         dict(outputs=("decay",), sample_dt=0.5),

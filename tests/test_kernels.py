@@ -17,6 +17,8 @@ from rda.kernels import (
     conv_mix,
     conv_same_velocity,
     _BLOCK_DOUBLES,
+    _GEMM_MADDS,
+    _block_half_width,
     _gaussian_sweep,
     drag_profile,
     drag_weight_profile,
@@ -368,7 +370,9 @@ def _drag_weight_quad(x, s, c_self, c_other, M):
 @pytest.mark.parametrize("s,c1,c2,M", [(3.0, 0.0, 1.0, 32.0),
                                        (0.7, -1.5, 2.0, 16.0)])
 def test_drag_weight_rows_vs_quad(s, c1, c2, M):
-    x = np.array([-2.5 * s, -s, 0.0, 0.5, 3.0])
+    # Evenly spaced, as the sweep requires: from -2.5 s to 3 in steps of
+    # 0.05, which hold -2.5 s, -s, 0, 0.5 and 3.
+    x = np.linspace(-2.5 * s, 3.0, round((3.0 + 2.5 * s) / 0.05) + 1)
     profile = drag_weight_profile(x, s, c1, c2, M)
     assert profile.shape == (2, len(x))
     for row, (c_self, c_other) in enumerate(((c1, c2), (c2, c1))):
@@ -405,8 +409,8 @@ def _dense_sweep(x, nodes, scale, weights):
     return (np.exp(-(x[:, None] + nodes[None, :]) ** 2 / scale) @ weights).T
 
 
-# The sweep builds blocks of whole node rows over x: _SWEEP_ROWS node rows
-# per block at len(x) = len(_SWEEP_X).
+# Node counts around _SWEEP_ROWS, the rows of len(_SWEEP_X) that fill one
+# cache block, and several blocks' worth.
 _SWEEP_X = np.linspace(-8.0, 8.0, 257)
 _SWEEP_ROWS = _BLOCK_DOUBLES // len(_SWEEP_X)
 
@@ -435,6 +439,37 @@ def test_gaussian_sweep_tails_match_dense():
         assert dense.min() < 1e-200
         np.testing.assert_allclose(_gaussian_sweep(x, nodes, 8.0, weights), dense,
                                    rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("x,nodes", [
+    (np.linspace(-2100.0, 100.0, 786), np.linspace(0.0, 2000.0, 300)),
+    (np.linspace(-2100.0, 100.0, 786), np.linspace(0.0, 10.0, 300)),
+    (np.linspace(-10100.0, -9900.0, 2001), np.linspace(0.0, 20000.0, 300)),
+], ids=["wide-nodes", "far-points", "midpoint-of-wide-nodes"])
+def test_gaussian_sweep_wide_extent_matches_dense(x, nodes):
+    # In units of sqrt(scale) the first two cases' points span 778, about
+    # 0.99 apart, and the wide nodes 707; blocks of x that reached one unit
+    # would split an entry into factors near e^{2 * 389}, or e^{2 * 740} for
+    # the points far from the narrow nodes. The last case's points span 71
+    # at the midpoint of nodes spanning 7071, where a reach of 0.2 would
+    # make factors near e^{0.4 * 3535}. Each is past exp's overflow; the
+    # reach shrinks with the extent of points and nodes both.
+    weights = np.random.default_rng(2).uniform(0.5, 1.5, (len(nodes), 2))
+    swept = _gaussian_sweep(x, nodes, 8.0, weights)
+    assert np.all(np.isfinite(swept))
+    np.testing.assert_allclose(swept, _dense_sweep(x, nodes, 8.0, weights),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("m", [1, 300, 1024, 4096])
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_sweep_blocks_fit_cache_and_one_blas_thread(m, k):
+    # However many points and however far the reach, the shared offset
+    # matrix (m, B) fits the cache block, and each (k, m) @ (m, B) GEMM
+    # stays at or below OpenBLAS's threading threshold of 4 * 65536.
+    size = 2 * _block_half_width(10 ** 8, m, k, math.inf) + 1
+    assert m * size <= _BLOCK_DOUBLES
+    assert k * m * size <= _GEMM_MADDS == 4 * 65536
 
 
 def test_gaussian_sweep_allocates_no_dense_matrix():

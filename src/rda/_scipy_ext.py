@@ -21,7 +21,10 @@ of 10 pairs on 2 vCPUs, Python 3.11.7, numpy 2.4.6, scipy 1.17.1.
 
 The module is registered in sys.modules under its full name, so a later
 normal import of its package finds and shares the same module object,
-and a module already imported the normal way is returned as it is.
+and a module already imported the normal way is returned as it is. A
+module that cannot be loaded raises one ImportError that names it and the
+installed scipy's version, read from its metadata, not by importing it:
+the CLI reports that as one `error:` line.
 """
 
 from __future__ import annotations
@@ -35,23 +38,45 @@ from pathlib import Path
 __all__ = ["load_extension", "special_ufuncs"]
 
 
+def _release(distribution: str) -> str:
+    """distribution and its installed version, read from its metadata
+    without importing it, such as "scipy 1.17.1"."""
+    # Imported here: importlib.metadata costs startup that only an error
+    # needs.
+    from importlib import metadata
+
+    try:
+        return f"{distribution} {metadata.version(distribution)}"
+    except metadata.PackageNotFoundError:
+        return f"{distribution} (version unknown)"
+
+
 def load_extension(name: str):
     """The compiled module name, such as "scipy.special._special_ufuncs".
 
-    Raises ImportError when scipy has no extension file of that name.
+    Raises ImportError, naming the module and the installed version of its
+    top-level package, when there is no extension file of that name or it
+    does not load.
     """
     module = sys.modules.get(name)
     if module is not None:
         return module
     package = name.rpartition(".")[0].split(".")
-    root = find_spec(package[0]).submodule_search_locations[0]
-    directory = Path(root).joinpath(*package[1:])
-    finder = FileFinder(str(directory), (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec(name)
+    top = find_spec(package[0])
+    spec = None
+    if top is not None:
+        directory = Path(top.submodule_search_locations[0]).joinpath(*package[1:])
+        finder = FileFinder(str(directory), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
     if spec is None:
-        raise ImportError(f"no compiled module {name} in {directory}", name=name)
+        raise ImportError(f"{_release(package[0])} has no compiled module {name}",
+                          name=name)
     module = module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except ImportError as exc:
+        raise ImportError(f"{_release(package[0])} cannot load its compiled "
+                          f"module {name}: {exc}", name=name) from None
     sys.modules[name] = module
     return module
 

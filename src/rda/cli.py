@@ -9,6 +9,10 @@ Commands:
 
 Exit status is 0 iff the pipeline completed; each failure, a usage error too,
 is one `error:` line and exit 1. Verdicts (blow-up too) go to verdicts.csv.
+Only `rda run` imports solver, which loads scipy's compiled pocketfft
+module, so the other commands run whatever happens to it, and a scipy
+without it fails `rda run` with one line that names the module and
+scipy's version.
 """
 
 from __future__ import annotations
@@ -24,15 +28,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, kernels, scenarios, solver
+from . import analysis, kernels, scenarios
 from .config import ConfigError, parse_scenario
 from .core import Scenario, ValidationReport, validate_scenario
 from .svg import line_chart
 
 __all__ = ["main", "run_experiment", "write_outputs"]
 
-# The errors main reports as one `error:` line and exit status 1.
-_REPORTED = (ConfigError, ValueError, OSError)
+# The errors main reports as one `error:` line and exit status 1. An
+# ImportError is a compiled scipy module that _scipy_ext cannot load.
+_REPORTED = (ConfigError, ValueError, OSError, ImportError)
 
 
 def _fmt(value) -> str:
@@ -116,6 +121,9 @@ def run_experiment(scenario: Scenario, report: ValidationReport, out_dir,
     reduction keeps no sample but the last, so a run holds one (2, n)
     sample at a time.
     """
+    # Imported on the run path only: solver loads scipy's pocketfft.
+    from . import solver
+
     samples = analysis.SampleReduction(scenario)
     hooks = (samples, *observers)
 
@@ -150,6 +158,9 @@ def _error_of(fn, *args):
 def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    # The stepper's transforms: a scipy whose pocketfft cannot be loaded
+    # fails here, in one line, and not once per target.
+    from . import solver  # noqa: F401
     out_root = Path(args.out)
     single = len(args.targets) == 1
     # Each target fails on its own: (name, error), the target as given when

@@ -17,10 +17,16 @@ the paper's convolution identities. Their one caller is
 verify_identity_suite, which checks each against its left-hand side
 integrated on the same panels, every case of a family at once, so the
 quadrature acts as the oracle for the algebra; the tests check those
-left-hand sides against scipy's adaptive quadrature. The closed forms
-read erfcx and gamma from _scipy_ext.special_ufuncs(), which loads
-scipy.special's ufunc module on their first call: importing this module
-loads no scipy module, and the suite imports no scipy package.
+left-hand sides against scipy's adaptive quadrature. Every family is
+accepted at 16 panels, so _panel_integrals evaluates its integrand once
+on the nodes of 8 and 16 panels together and sums each level with its
+own weights. The [0, 1] rule (_unit_panels) is built once per panel count
+and each family's columns and windows (_identity_families) once per set
+of cases; the closed forms and integrals are computed on every call. The
+suite takes about 0.8 ms. The closed forms read erfcx and gamma from
+_scipy_ext.special_ufuncs(), which loads scipy.special's ufunc module on
+their first call: importing this module loads no scipy module, and the
+suite imports no scipy package.
 
 Note on conv_same_velocity: the exact value of that convolution carries a
 factor 1/2 relative to the way it is sometimes quoted; the closed form
@@ -411,7 +417,7 @@ def _conv_lattice():
     for x in _X_VALUES:
         for c1, c2 in _VELOCITY_PAIRS:
             cases.append((x, 5.0, 1.25, c1, c2, 16.0))
-    return cases
+    return tuple(cases)
 
 
 def _product_gaussian_window(terms):
@@ -440,28 +446,112 @@ def _quartic_cutoff(a):
     return (_TAIL_EXPONENT / a) ** 0.25
 
 
+@functools.cache
+def _unit_panels(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """gauss_legendre_panels(0, 1, panels), read-only: the identity suite's
+    rule at one refinement level, built once per panel count."""
+    rule = gauss_legendre_panels(0.0, 1.0, panels)
+    for values in rule:
+        values.flags.writeable = False
+    return rule
+
+
 def _panel_integrals(integrand, lo, hi) -> np.ndarray:
     """The integral of integrand over [lo[k], hi[k]] for every case k.
 
-    The composite Gauss-Legendre nodes of [0, 1] are mapped onto every
-    case's window at once, and integrand takes the (cases, nodes) array of
-    points, row k in case k's window, to the integrand's values there. The
-    panel count is refined by _refine_panels, as the drag weights' is,
-    until no case's integral moves by more than _REFINE_TOL.
+    The composite Gauss-Legendre nodes of [0, 1] (_unit_panels) are mapped
+    onto every case's window at once, and integrand takes the (cases,
+    nodes) array of points, row k in case k's window, to the integrand's
+    values there. The panel count is refined by _refine_panels, as the drag
+    weights' is, until no case's integral moves by more than _REFINE_TOL.
+    Every family of the suite is accepted at 2 _REFINE_START panels, so
+    the nodes of _REFINE_START and 2 _REFINE_START panels are evaluated in
+    one integrand call, (cases, 384) points, and each level is summed with
+    its own weights; a later level is evaluated when _refine_panels asks.
     """
     lo = np.reshape(lo, (-1, 1))
     width = np.reshape(hi, (-1, 1)) - lo
+    scale = width[:, 0]
+    first, second = _REFINE_START, 2 * _REFINE_START
+    nodes, weights = _unit_panels(first)
+    next_nodes, next_weights = _unit_panels(second)
+    values = integrand(lo + width * np.concatenate((nodes, next_nodes)))
+    # Two matrix-vector products: one GEMM against a block-diagonal weight
+    # matrix would add its zero blocks in, and move the integrals' bits.
+    split = len(nodes)
+    levels = {first: (values[:, :split] @ weights) * scale,
+              second: (values[:, split:] @ next_weights) * scale}
 
     def evaluate(panels):
-        nodes, weights = gauss_legendre_panels(0.0, 1.0, panels)
-        return (integrand(lo + width * nodes) @ weights) * width[:, 0]
+        if panels in levels:
+            return levels[panels]
+        nodes, weights = _unit_panels(panels)
+        return (integrand(lo + width * nodes) @ weights) * scale
 
     return _refine_panels(evaluate)
 
 
 def _columns(cases):
-    """One (cases, 1) column per parameter of a list of parameter tuples."""
+    """One (cases, 1) column per parameter of a tuple of parameter tuples."""
     return [np.array(column)[:, None] for column in zip(*cases)]
+
+
+@functools.lru_cache(maxsize=1)
+def _identity_families(gauss_cases, lattice, halfline_cases, quartic_cases):
+    """(name, integrand, lo, hi) of each family of the identity suite, in the
+    order of IdentityReport.integrals: the integrand over the (cases, nodes)
+    points of _panel_integrals and the cases' windows, read-only.
+
+    Built once per set of cases, from the columns of the case tuples it is
+    handed; nothing the suite verifies is kept here. The half-line family
+    integrates in t = sqrt(1 + r + u), where its integrand is
+    2 e^{-a (t^2 - 1 - r)^2 / t^2}: in u the branch point of
+    sqrt(1 + r + u) lies one unit from the window, and uniform panels need
+    128-256 of them, where in t every family is accepted at 16.
+    """
+    families = []
+
+    # Completed-square Gaussian integral.
+    ga, gb, gc = _columns(gauss_cases)
+    families.append(("gauss", lambda y: np.exp(-ga * y * y + gb * y + gc),
+                     *_gauss_window(gb / (2.0 * ga), 1.0 / np.sqrt(ga))))
+
+    x, t, s, c1, c2, M = _columns(lattice)
+    d1 = 1.0
+    xc, m1, m2 = x + c1 * (t - s), c1 * s, c2 * s
+    M_ts, M_s = M * (t - s), M * (1.0 + s)
+    root = np.sqrt(4.0 * np.pi * d1 * (t - s))
+    a_ts, a_s = 1.0 / M_ts, 1.0 / M_s
+    same_scale, mix_scale = root * (1.0 + s) ** 2, root * (1.0 + s)
+    families.append((
+        "conv_same_velocity",
+        lambda y: np.exp(-(xc - y) ** 2 / M_ts - (y + m1) ** 2 / M_s) / same_scale,
+        *_product_gaussian_window([(a_ts, xc), (a_s, -m1)])))
+    families.append((
+        "conv_mix",
+        lambda y: np.exp(-2.0 * (xc - y) ** 2 / M_ts - (y + m1) ** 2 / M_s
+                         - (y + m2) ** 2 / M_s) / mix_scale,
+        *_product_gaussian_window([(2.0 * a_ts, xc), (a_s, -m1), (a_s, -m2)])))
+    families.append((
+        "conv_cross_velocity",
+        lambda y: np.exp(-(xc - y) ** 2 / M_ts - (y + m2) ** 2 / M_s),
+        *_product_gaussian_window([(a_ts, xc), (a_s, -m2)])))
+
+    # Half-line Gaussian integral (erfc closed form), u = t^2 - 1 - r.
+    ha, hr = _columns(halfline_cases)
+    r1 = 1.0 + hr
+    families.append(("halfline_gauss",
+                     lambda t: 2.0 * np.exp(-ha * ((t * t - r1) / t) ** 2),
+                     np.sqrt(r1), np.sqrt(r1 + 2.0 * _halfline_cutoff(ha, hr))))
+
+    # Quartic-tail integral (Gamma closed form), z = w^2.
+    qa = np.array(quartic_cases)[:, None]
+    families.append(("quartic_tail", lambda w: 2.0 * np.exp(-qa * w ** 4),
+                     np.zeros((1, 1)), 2.0 * _quartic_cutoff(qa)))
+
+    for _, _, lo, hi in families:
+        lo.flags.writeable = hi.flags.writeable = False
+    return tuple(families)
 
 
 def verify_identity_suite() -> IdentityReport:
@@ -469,69 +559,32 @@ def verify_identity_suite() -> IdentityReport:
     hand side in closed form.
 
     Each family integrates all its cases as one numpy expression over a
-    (cases, nodes) array (_panel_integrals). The half-line family
-    integrates in t = sqrt(1 + r + u), where its integrand is
-    2 e^{-a (t^2 - 1 - r)^2 / t^2}: in u the branch point of
-    sqrt(1 + r + u) lies one unit from the window, and uniform panels need
-    128-256 of them, where in t every family is accepted at 16. The
-    reported numbers are the actual discrepancies, which the caller
-    judges against IDENTITY_TOL. The closed forms are scalar, called once
-    per case, and a NaN error stays the family's maximum.
+    (cases, nodes) array (_panel_integrals), with the integrand and windows
+    of _identity_families. The reported numbers are the actual
+    discrepancies, which the caller judges against IDENTITY_TOL. The
+    closed forms are scalar, called once per case on every call, and a
+    NaN error stays the family's maximum.
     """
     errors: dict[str, float] = {}
     counts: dict[str, int] = {}
     integrals: list[float] = []
-
-    def record(name: str, lhs: np.ndarray, rhs: list[float]):
+    lattice = _conv_lattice()
+    closed_forms = {
+        "gauss": [gauss_integral(*case) for case in _GAUSS_CASES],
+        "conv_same_velocity": [conv_same_velocity(x, t, s, c1, M, 1.0)
+                               for x, t, s, c1, _, M in lattice],
+        "conv_mix": [conv_mix(*case, 1.0) for case in lattice],
+        "conv_cross_velocity": [conv_cross_velocity(*case) for case in lattice],
+        "halfline_gauss": [halfline_gauss_integral(*case) for case in _HALFLINE_CASES],
+        "quartic_tail": [quartic_tail_integral(a) for a in _QUARTIC_CASES],
+    }
+    for name, integrand, lo, hi in _identity_families(
+            _GAUSS_CASES, lattice, _HALFLINE_CASES, _QUARTIC_CASES):
+        lhs, rhs = _panel_integrals(integrand, lo, hi), closed_forms[name]
         integrals.extend(lhs.tolist())
         # np.max propagates a NaN, where max(0.0, nan) would drop it.
         errors[name] = float(np.max(np.abs(lhs - np.array(rhs))))
         counts[name] = len(rhs)
-
-    # Completed-square Gaussian integral.
-    a, b, c = _columns(_GAUSS_CASES)
-    lo, hi = _gauss_window(b / (2.0 * a), 1.0 / np.sqrt(a))
-    record("gauss", _panel_integrals(lambda y: np.exp(-a * y * y + b * y + c), lo, hi),
-           [gauss_integral(*case) for case in _GAUSS_CASES])
-
-    lattice = _conv_lattice()
-    x, t, s, c1, c2, M = _columns(lattice)
-    d1 = 1.0
-    xc, m1, m2 = x + c1 * (t - s), c1 * s, c2 * s
-    M_ts, M_s = M * (t - s), M * (1.0 + s)
-    root = np.sqrt(4.0 * np.pi * d1 * (t - s))
-    a_ts, a_s = 1.0 / M_ts, 1.0 / M_s
-
-    lo, hi = _product_gaussian_window([(a_ts, xc), (a_s, -m1)])
-    record("conv_same_velocity", _panel_integrals(
-        lambda y: np.exp(-(xc - y) ** 2 / M_ts - (y + m1) ** 2 / M_s)
-        / (root * (1.0 + s) ** 2), lo, hi),
-        [conv_same_velocity(xk, tk, sk, c1k, Mk, d1) for xk, tk, sk, c1k, _, Mk in lattice])
-
-    lo, hi = _product_gaussian_window([(2.0 * a_ts, xc), (a_s, -m1), (a_s, -m2)])
-    record("conv_mix", _panel_integrals(
-        lambda y: np.exp(-2.0 * (xc - y) ** 2 / M_ts - (y + m1) ** 2 / M_s
-                         - (y + m2) ** 2 / M_s) / (root * (1.0 + s)), lo, hi),
-        [conv_mix(*case, d1) for case in lattice])
-
-    lo, hi = _product_gaussian_window([(a_ts, xc), (a_s, -m2)])
-    record("conv_cross_velocity", _panel_integrals(
-        lambda y: np.exp(-(xc - y) ** 2 / M_ts - (y + m2) ** 2 / M_s), lo, hi),
-        [conv_cross_velocity(*case) for case in lattice])
-
-    # Half-line Gaussian integral (erfc closed form), u = t^2 - 1 - r.
-    a, r = _columns(_HALFLINE_CASES)
-    r1 = 1.0 + r
-    record("halfline_gauss", _panel_integrals(
-        lambda t: 2.0 * np.exp(-a * ((t * t - r1) / t) ** 2),
-        np.sqrt(r1), np.sqrt(r1 + 2.0 * _halfline_cutoff(a, r))),
-        [halfline_gauss_integral(*case) for case in _HALFLINE_CASES])
-
-    # Quartic-tail integral (Gamma closed form), z = w^2.
-    a = np.array(_QUARTIC_CASES)[:, None]
-    record("quartic_tail", _panel_integrals(
-        lambda w: 2.0 * np.exp(-a * w ** 4), 0.0, 2.0 * _quartic_cutoff(a)),
-        [quartic_tail_integral(ak) for ak in _QUARTIC_CASES])
 
     return IdentityReport(max_abs_error=errors, cases=counts,
                           integrals=tuple(integrals))

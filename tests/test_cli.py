@@ -5,9 +5,14 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import importlib.metadata
 import importlib.util
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
@@ -19,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rda import analysis, cli, config, core, scenarios, solver
+from rda import analysis, cli, config, core, kernels, scenarios, solver
 from rda.cli import main, run_experiment
 from rda.config import serialize_scenario
 from rda.core import (
@@ -971,3 +976,67 @@ class TestRunContract:
         assert verdicts == [["eta_drag", "fail", "nan"], ["exact_error", "fail", "nan"]]
         _, rows = read_csv(out / "trajectory.csv")
         assert [(row[0], row[5]) for row in rows] == [("0.0", "1")]
+
+
+def test_verify_identities_keeps_no_result_between_calls(monkeypatch, capsys):
+    # The suite caches its rule and its cases' columns and windows, and
+    # nothing it verifies: a closed form that changes between two calls in
+    # one process fails the second.
+    assert main(["verify-identities"]) == 0
+    exact = kernels.conv_mix
+    monkeypatch.setattr(kernels, "conv_mix", lambda *args: exact(*args) + 1e-6)
+    capsys.readouterr()
+    assert main(["verify-identities"]) == 1
+    worst = capsys.readouterr().out.splitlines()[-1]
+    assert worst.startswith("worst: conv_mix at 1.000e-06 (EXCEEDS"), worst
+
+
+_MISSING_MODULE = """if True:
+    import contextlib, io, json, sys
+    import rda._scipy_ext as ext
+    missing, commands = sys.argv[1], json.loads(sys.argv[2])
+    load = ext.load_extension
+    ext.load_extension = lambda name: load(name + "_moved" if name == missing else name)
+    from rda import cli
+    results = []
+    for argv in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        results.append((code, err.getvalue().splitlines()))
+    print(json.dumps(results))
+    """
+
+
+def run_with_missing_module(module, *commands):
+    """(exit status, stderr lines) of each rda command, run in turn in one
+    fresh interpreter whose loader looks for module under a name scipy
+    does not have."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _MISSING_MODULE, module, json.dumps(commands)],
+        check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    return [(code, lines) for code, lines in json.loads(proc.stdout.splitlines()[-1])]
+
+
+def missing_module_line(module):
+    return (f"error: scipy {importlib.metadata.version('scipy')} "
+            f"has no compiled module {module}_moved")
+
+
+def test_missing_pocketfft_fails_only_run_in_one_line(tmp_path):
+    module = "scipy.fft._pocketfft.pypocketfft"
+    one, two = tmp_path / "one", tmp_path / "two"
+    results = run_with_missing_module(
+        module, ["run", "toy", "--out", str(one)],
+        ["run", "toy", "remark51-exact", "--out", str(two)],
+        ["list"], ["classify", "toy"], ["verify-identities"])
+    line = missing_module_line(module)
+    assert results == [(1, [line]), (1, [line]), (0, []), (0, []), (0, [])]
+    assert not one.exists() and not two.exists()
+
+
+def test_missing_special_ufuncs_fails_verify_identities_in_one_line():
+    module = "scipy.special._special_ufuncs"
+    results = run_with_missing_module(module, ["verify-identities"], ["list"])
+    assert results == [(1, [missing_module_line(module)]), (0, [])]

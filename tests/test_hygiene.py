@@ -120,19 +120,25 @@ SCIPY = "scipy"
 SPECIAL = "scipy.special._special_ufuncs"
 # Only rda run --jobs N with N > 1 starts a process pool.
 POOL = "concurrent.futures"
+# The stepper and the compiled pocketfft module it loads, which only rda run
+# imports.
+SOLVER = "rda.solver"
+POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
 STEPS = ["import", "list", "classify", "run decay", "run", "verify-identities"]
 
 
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
-    """The HEAVY modules, QUADPACK, SCIPY, SPECIAL and the pool module that
-    a fresh interpreter holds after each step: import rda.cli, rda list,
-    rda classify toy, rda run --jobs 1 of a small config that fits a decay
-    exponent, rda run --jobs 1 of two scenarios that between them read the
-    distinct-velocity lower bounds (erf), the drag envelope and the exact
-    error, rda verify-identities, and last, as the control, import
+    """The HEAVY modules, QUADPACK, SCIPY, SPECIAL, the pool module, SOLVER
+    and POCKETFFT that a fresh interpreter holds after each step: import
+    rda.cli, rda list, rda classify toy, rda run --jobs 1 of a small config
+    that fits a decay exponent, rda run --jobs 1 of two scenarios that
+    between them read the distinct-velocity lower bounds (erf), the drag
+    envelope and the exact error, and last, as the control, import
     scipy.integrate. A module stays loaded, so each step also holds what
-    the steps before it loaded."""
+    the steps before it loaded. rda verify-identities runs in a second
+    interpreter, right after import rda.cli, so its step holds no module
+    that only a run loads."""
     from test_cli import FAST_CONFIG
 
     out = tmp_path_factory.mktemp("out")
@@ -142,31 +148,37 @@ def loaded(tmp_path_factory):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = f"""if True:
         import json, sys
-        from pathlib import Path
         import rda.cli
-        out = Path(sys.argv[1])
         def seen():
-            return [name for name in {[*HEAVY, QUADPACK, SCIPY, SPECIAL, POOL]!r}
+            return [name for name in {[*HEAVY, QUADPACK, SCIPY, SPECIAL, POOL,
+                                       SOLVER, POCKETFFT]!r}
                     if name in sys.modules]
         steps = {{"import": seen()}}
-        for step, argv in [
-                ("list", ["list"]),
-                ("classify", ["classify", "toy"]),
-                ("run decay", ["run", str(out / "fast.cfg"),
-                               "--out", str(out / "fast"), "--jobs", "1"]),
-                ("run", ["run", "cas2-distinct", "remark51-exact",
-                         "--out", str(out / "run"), "--jobs", "1"]),
-                ("verify-identities", ["verify-identities"])]:
-            assert rda.cli.main(argv) == 0, step
+        for step, argv in json.loads(sys.argv[1]):
+            if argv is None:
+                import scipy.integrate
+            else:
+                assert rda.cli.main(argv) == 0, step
             steps[step] = seen()
-        assert "decay_exponent" in (out / "fast" / "verdicts.csv").read_text()
-        import scipy.integrate
-        steps["import scipy.integrate"] = seen()
         print(json.dumps(steps))
         """
-    proc = subprocess.run([sys.executable, "-c", code, str(out)],
-                          env=env, check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+
+    def steps(*argvs):
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                              env=env, check=True, capture_output=True, text=True)
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    found = steps(("list", ["list"]),
+                  ("classify", ["classify", "toy"]),
+                  ("run decay", ["run", str(out / "fast.cfg"),
+                                 "--out", str(out / "fast"), "--jobs", "1"]),
+                  ("run", ["run", "cas2-distinct", "remark51-exact",
+                           "--out", str(out / "run"), "--jobs", "1"]),
+                  ("import scipy.integrate", None))
+    assert "decay_exponent" in (out / "fast" / "verdicts.csv").read_text()
+    found["verify-identities"] = steps(
+        ("verify-identities", ["verify-identities"]))["verify-identities"]
+    return found
 
 
 @pytest.mark.parametrize("module", HEAVY)
@@ -205,6 +217,20 @@ def test_verify_identities_loads_the_special_ufuncs_alone(loaded):
     # erfcx and gamma load the ufuncs, still without the scipy package.
     assert SPECIAL in loaded["verify-identities"]
     assert SCIPY not in loaded["verify-identities"]
+
+
+@pytest.mark.parametrize("step", ["import", "list", "classify", "verify-identities"])
+def test_only_run_imports_the_solver_and_pocketfft(loaded, step):
+    # These commands make no transform, so they run whatever happens to
+    # scipy's private pocketfft module.
+    assert SOLVER not in loaded[step]
+    assert POCKETFFT not in loaded[step]
+
+
+def test_run_imports_the_solver_and_pocketfft(loaded):
+    # The control for the test above.
+    assert SOLVER in loaded["run decay"]
+    assert POCKETFFT in loaded["run decay"]
 
 
 def test_control_import_is_seen(loaded):

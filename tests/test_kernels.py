@@ -232,6 +232,38 @@ def test_nan_case_ends_its_refinement(monkeypatch):
     assert not report.passed()
 
 
+def test_identity_suite_evaluates_two_levels_in_one_call(monkeypatch):
+    # Every family is accepted at 16 panels, so its integrand is evaluated
+    # once, on the nodes of 8 and 16 panels of 16 points together: 158
+    # cases times 384 nodes per suite. A suite that evaluates each level
+    # apart makes twelve calls here.
+    shapes = []
+    integrals = kernels._panel_integrals
+
+    def counted(integrand, lo, hi):
+        def recorded(points):
+            shapes.append(points.shape)
+            return integrand(points)
+        return integrals(recorded, lo, hi)
+
+    monkeypatch.setattr(kernels, "_panel_integrals", counted)
+    report = verify_identity_suite()
+    nodes = kernels._GL_ORDER * 3 * kernels._REFINE_START
+    assert nodes == 384
+    assert shapes == [(report.cases[name], nodes) for name in report.cases]
+    assert sum(rows * cols for rows, cols in shapes) == 158 * 384
+
+
+@pytest.mark.parametrize("panels", [8, 16, 32])
+def test_unit_rule_built_once_and_read_only(panels):
+    nodes, weights = kernels._unit_panels(panels)
+    assert kernels._unit_panels(panels)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    fresh = gauss_legendre_panels(0.0, 1.0, panels)
+    assert nodes.tobytes() == fresh[0].tobytes()
+    assert weights.tobytes() == fresh[1].tobytes()
+
+
 def test_gauss_legendre_panels_weights_sum():
     nodes, weights = gauss_legendre_panels(-3.0, 5.0, panels=7)
     assert weights.sum() == pytest.approx(8.0, abs=1e-12)

@@ -13,9 +13,9 @@ Each requirement on a system's shape compares SystemSpec.monomials(), and
 a slot's component and derivative order are read from core.SLOTS.
 
 Nothing here loads a scipy module at import: the distinct-velocity lower
-bounds read erf from _scipy_ext.special_ufuncs() on their first call, the
-decay fit is a closed form without LAPACK, and DecayFit.half_width, which
-no rda command reads, imports the scipy.special package for stdtrit.
+bounds apply the standard library's erf elementwise, the decay fit is a
+closed form without LAPACK, and DecayFit.half_width, which no rda command
+reads, imports the scipy.special package for stdtrit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import kernels
-from ._scipy_ext import special_ufuncs
 from .core import (
     SLOTS,
     EnvelopeSpec,
@@ -400,7 +399,7 @@ def cas2_lower_bounds(system: SystemSpec, nu0: float, a: float,
         linf = nu0 ** 4 * dm ** 4 * t ** 3 / (32.0 * d1 ** 3 * d2 * X ** 2)
     else:
         dc = abs(system.c1 - system.c2)
-        erf = special_ufuncs().erf
+        erf = np.vectorize(math.erf, otypes=[float])
         erf_l1 = erf(math.sqrt(a) * dc * t / (2.0 * np.sqrt(X)))
         l1 = nu0 ** 4 * dm ** 4 * math.sqrt(math.pi) * t * (
             -2.0 * np.sqrt(X) + math.sqrt(a * math.pi) * dc * t * erf_l1

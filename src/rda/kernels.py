@@ -23,10 +23,11 @@ on the nodes of 8 and 16 panels together and sums each level with its
 own weights. The [0, 1] rule (_unit_panels) is built once per panel count
 and each family's columns and windows (_identity_families) once per set
 of cases; the closed forms and integrals are computed on every call. The
-suite takes about 0.8 ms. The closed forms read erfcx and gamma from
-_scipy_ext.special_ufuncs(), which loads scipy.special's ufunc module on
-their first call: importing this module loads no scipy module, and the
-suite imports no scipy package.
+suite takes about 0.8 ms. The Gauss-Legendre rule is a pinned table
+(_legendre_rule), the half-line closed form reads the standard library's
+exp and erfc, and the quartic tail's Gamma(5/4) is a literal: this module
+loads no scipy module, numpy.polynomial or LAPACK routine, at import or
+in any call.
 
 Note on conv_same_velocity: the exact value of that convolution carries a
 factor 1/2 relative to the way it is sometimes quoted; the closed form
@@ -41,8 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from ._scipy_ext import special_ufuncs
 
 __all__ = [
     "IDENTITY_TOL",
@@ -70,18 +69,31 @@ def gauss_integral(a: float, b: float, c: float) -> float:
 
 
 _GL_ORDER = 16  # points of the Gauss-Legendre rule on each panel
+# The nonnegative half of numpy.polynomial.legendre.leggauss(16), bit for
+# bit: its nodes ascending, and the weight of each. The rule is symmetric
+# about 0, and leggauss's is exactly so.
+_GL_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                  0.9445750230732326, 0.9894009349916499)
+_GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                    0.062253523938647456, 0.027152459411754176)
 
 
 @functools.cache
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     """The _GL_ORDER-point Gauss-Legendre nodes and weights on [-1, 1],
-    read-only.
+    ascending and read-only.
 
-    leggauss costs about 0.4 ms, and the drag weights and the identity
-    suite ask for the same rule at every refinement level. Its first call
-    loads numpy's LAPACK (about 1.1 MB of peak RSS) for the eigenvalues.
+    A pinned table and not leggauss: importing numpy.polynomial costs
+    about 4.4 ms and 0.9 MB, and leggauss's first call runs LAPACK's
+    eigvalsh (the Golub-Welsch construction) for 1.0 MB more, to recompute
+    the same 32 numbers. Built once, since the drag weights and the
+    identity suite ask for it at every refinement level.
     """
-    rule = np.polynomial.legendre.leggauss(_GL_ORDER)
+    half_nodes, half_weights = np.array(_GL_HALF_NODES), np.array(_GL_HALF_WEIGHTS)
+    rule = (np.concatenate((-half_nodes[::-1], half_nodes)),
+            np.concatenate((half_weights[::-1], half_weights)))
     for values in rule:
         values.flags.writeable = False
     return rule
@@ -332,19 +344,26 @@ def conv_cross_velocity(x: float, t: float, s: float, c1: float, c2: float, M: f
 
 def halfline_gauss_integral(a: float, r: float) -> float:
     """integral over s in [r, inf) of e^{-(s-r)^2 a/(1+s)} / sqrt(1+s) ds,
-    for a > 0 and r >= 0.
+    for a > 0, r >= 0 and q = 4a(r+1) <= 700.
 
-    Closed form sqrt(pi)(e^{4a(r+1)} erfc(sqrt(4a(r+1))) + 1)/(2 sqrt(a)),
-    evaluated through erfcx to dodge the overflow/underflow pair.
+    Closed form sqrt(pi)(e^q erfc(sqrt(q)) + 1)/(2 sqrt(a)), from the
+    standard library's exp and erfc. Past q = 709.78, e^q overflows. The
+    suite's largest q is 176, and on its cases e^q erfc(sqrt(q)) agrees
+    with mpmath to 6.8e-15 relative, far below IDENTITY_TOL.
     """
-    scaled = special_ufuncs().erfcx(math.sqrt(4.0 * a * (r + 1.0)))
+    q = 4.0 * a * (r + 1.0)
+    scaled = math.exp(q) * math.erfc(math.sqrt(q))
     return math.sqrt(math.pi) * (scaled + 1.0) / (2.0 * math.sqrt(a))
+
+
+# Gamma(5/4), correctly rounded; math.gamma(1.25) is two ulps above it.
+_GAMMA_5_4 = 0.906402477055477
 
 
 def quartic_tail_integral(a: float) -> float:
     """integral over z in [0, inf) of e^{-z^2 a}/sqrt(z) dz = 2 Gamma(5/4) / a^{1/4},
     for a > 0."""
-    return 2.0 * special_ufuncs().gamma(1.25) / a ** 0.25
+    return 2.0 * _GAMMA_5_4 / a ** 0.25
 
 
 # ---------------------------------------------------------------------------

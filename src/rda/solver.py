@@ -114,10 +114,14 @@ checks cost about 10 us per call, as much as the transform itself at
 n <= 2048, and a step makes up to 8 calls. The kernels' compiled module
 is loaded from its file by _scipy_ext.load_extension, so rda never
 imports the scipy.fft package (about 37 ms). The kernels' signature and
-the module's place are private to scipy; a test pins both functions bit
-for bit to scipy.fft (checked on scipy 1.17.1), so a changed signature or
-a moved module fails loudly, and a hygiene test keeps every other
-transform and kernel load out of rda.
+the module's place are private to scipy. A test pins both functions bit
+for bit to scipy.fft (checked on scipy 1.17.1), and a hygiene test keeps
+every other transform and kernel load out of rda. At import the loader
+also hands the module to _transforms_agree, which takes a unit impulse
+through the two functions and compares it with its closed-form spectrum.
+So a scipy that moved the module or changed what the kernels compute
+fails every `rda run` with the loader's one-line ImportError, and not
+with wrong numbers.
 """
 
 from __future__ import annotations
@@ -138,25 +142,44 @@ __all__ = [
     "detect_blow_up",
 ]
 
-pypocketfft = load_extension("scipy.fft._pocketfft.pypocketfft")
-
 # The smallest positive normal float; a smaller nonzero magnitude is subnormal.
 _TINY = np.finfo(np.float64).tiny
 # The most entries detect_blow_up hands one np.vdot; OpenBLAS threads more.
 _DOT_BLOCK = 10000
 
 
-def _rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """scipy.fft's rfft(x, axis=-1) of a float64 array: pocketfft's r2c
-    kernel, written into out when it is given."""
-    return pypocketfft.r2c(x, (x.ndim - 1,), True, 0, out, 1)
+def _transforms(kernels):
+    """(_rfft, _irfft) on kernels, pocketfft's compiled module."""
+
+    def rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """scipy.fft's rfft(x, axis=-1) of a float64 array: pocketfft's r2c
+        kernel, written into out when it is given."""
+        return kernels.r2c(x, (x.ndim - 1,), True, 0, out, 1)
+
+    def irfft(x: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """scipy.fft's irfft(x, n=n, axis=-1) of a complex128 array with
+        n//2+1 modes on its last axis: pocketfft's c2r kernel, written into
+        out when it is given."""
+        return kernels.c2r(x, (x.ndim - 1,), n, False, 2, out, 1)
+
+    return rfft, irfft
 
 
-def _irfft(x: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """scipy.fft's irfft(x, n=n, axis=-1) of a complex128 array with n//2+1
-    modes on its last axis: pocketfft's c2r kernel, written into out when
-    it is given."""
-    return pypocketfft.c2r(x, (x.ndim - 1,), n, False, 2, out, 1)
+def _transforms_agree(kernels) -> bool:
+    """Whether _transforms(kernels) takes the unit impulse at index 1 of
+    length 8 to its spectrum e^{-2 pi i k/8}, k = 0..4, and back, each to
+    1e-15. It costs a few microseconds."""
+    rfft, irfft = _transforms(kernels)
+    impulse = np.zeros(8)
+    impulse[1] = 1.0
+    spectrum = rfft(impulse)
+    expected = np.exp(-0.25j * math.pi * np.arange(5))
+    return (np.allclose(spectrum, expected, rtol=0.0, atol=1e-15)
+            and np.allclose(irfft(spectrum, 8), impulse, rtol=0.0, atol=1e-15))
+
+
+pypocketfft = load_extension("scipy.fft._pocketfft.pypocketfft", check=_transforms_agree)
+_rfft, _irfft = _transforms(pypocketfft)
 
 
 @dataclass

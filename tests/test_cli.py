@@ -991,15 +991,14 @@ def test_verify_identities_keeps_no_result_between_calls(monkeypatch, capsys):
     assert worst.startswith("worst: conv_mix at 1.000e-06 (EXCEEDS"), worst
 
 
-_MISSING_MODULE = """if True:
-    import contextlib, io, json, sys
+_PATCHED_LOADER = """if True:
+    import contextlib, io, json, sys, types
     import rda._scipy_ext as ext
-    missing, commands = sys.argv[1], json.loads(sys.argv[2])
     load = ext.load_extension
-    ext.load_extension = lambda name: load(name + "_moved" if name == missing else name)
+    exec(sys.argv[1])
     from rda import cli
     results = []
-    for argv in commands:
+    for argv in json.loads(sys.argv[2]):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -1008,15 +1007,23 @@ _MISSING_MODULE = """if True:
     """
 
 
-def run_with_missing_module(module, *commands):
+def run_with_loader(setup, *commands):
     """(exit status, stderr lines) of each rda command, run in turn in one
-    fresh interpreter whose loader looks for module under a name scipy
-    does not have."""
+    fresh interpreter after the statements setup, which may replace
+    _scipy_ext.load_extension (ext) and call the real one as load."""
     proc = subprocess.run(
-        [sys.executable, "-c", _MISSING_MODULE, module, json.dumps(commands)],
+        [sys.executable, "-c", _PATCHED_LOADER, setup, json.dumps(commands)],
         check=True, capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
     return [(code, lines) for code, lines in json.loads(proc.stdout.splitlines()[-1])]
+
+
+def run_with_missing_module(module, *commands):
+    """run_with_loader with a loader that looks for module under a name
+    scipy does not have."""
+    return run_with_loader(
+        "ext.load_extension = lambda name, check=None: "
+        f"load(name + '_moved' if name == {module!r} else name, check)", *commands)
 
 
 def missing_module_line(module):
@@ -1036,7 +1043,35 @@ def test_missing_pocketfft_fails_only_run_in_one_line(tmp_path):
     assert not one.exists() and not two.exists()
 
 
-def test_missing_special_ufuncs_fails_verify_identities_in_one_line():
-    module = "scipy.special._special_ufuncs"
-    results = run_with_missing_module(module, ["verify-identities"], ["list"])
-    assert results == [(1, [missing_module_line(module)]), (0, [])]
+def test_missing_special_ufuncs_fails_no_command(tmp_path):
+    # erf, erfc and Gamma(5/4) come from the standard library and a
+    # literal, so neither the identity suite nor the lower bounds read
+    # scipy.special's ufunc module.
+    results = run_with_missing_module(
+        "scipy.special._special_ufuncs", ["verify-identities"],
+        ["run", "cas2-distinct", "remark51-exact", "--out", str(tmp_path / "run")])
+    assert results == [(0, []), (0, [])]
+
+
+# A pocketfft whose r2c ignores its forward flag, where the loader finds
+# the module: each transform is then the backward one, the conjugate of
+# the spectrum.
+_BROKEN_R2C = """if True:
+    real = load("scipy.fft._pocketfft.pypocketfft")
+    sys.modules["scipy.fft._pocketfft.pypocketfft"] = types.SimpleNamespace(
+        r2c=lambda x, axes, forward, *rest: real.r2c(x, axes, False, *rest),
+        c2r=real.c2r)
+    """
+
+
+def test_transforms_that_fail_their_check_fail_run_in_one_line(tmp_path):
+    # The loader hands pocketfft to solver's unit-impulse check of _rfft
+    # and _irfft, so kernels that compute something else fail every rda
+    # run before it writes anything, and no other command.
+    out = tmp_path / "out"
+    results = run_with_loader(_BROKEN_R2C, ["run", "toy", "--out", str(out)], ["list"])
+    module = "scipy.fft._pocketfft.pypocketfft"
+    line = (f"error: scipy {importlib.metadata.version('scipy')} has a compiled "
+            f"module {module} that fails its check")
+    assert results == [(1, [line]), (0, [])]
+    assert not out.exists()

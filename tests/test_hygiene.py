@@ -108,16 +108,21 @@ def test_every_export_has_a_product_reader(module):
 
 # Each costs startup time and memory that rda never uses: scipy.integrate
 # alone, with the rest it loads, is a quarter of both, and scipy.special
-# is 0.27 s of import. rda loads the compiled modules it calls, pocketfft
-# and scipy.special's ufuncs, without their packages.
+# is 0.27 s of import. rda loads the one compiled module it calls,
+# pocketfft, without its package.
 HEAVY = ["scipy.stats", "scipy.fft", "scipy.integrate", "scipy.optimize",
          "scipy.sparse", "scipy.linalg", "scipy.special"]
-# QUADPACK's module and the scipy package's own __init__ (about 11 ms and
-# 1.2 MB), which no command loads, and the special ufuncs' module (1.1 MB),
-# which only the distinct-velocity lower bounds and the identity suite read.
+# QUADPACK's module, the scipy package's own __init__ (about 11 ms and
+# 1.2 MB), scipy.special's ufunc module (1.1 MB) and numpy.polynomial
+# (0.9 MB, and LAPACK's eigvalsh on leggauss's first call), which no
+# command loads: erf and erfc come from the standard library, Gamma(5/4)
+# is a literal and the Gauss-Legendre rule a pinned table.
 QUADPACK = "scipy.integrate._quadpack"
 SCIPY = "scipy"
 SPECIAL = "scipy.special._special_ufuncs"
+POLYNOMIAL = "numpy.polynomial"
+# The loader of scipy's compiled modules, which only rda run imports.
+EXT = "rda._scipy_ext"
 # Only rda run --jobs N with N > 1 starts a process pool.
 POOL = "concurrent.futures"
 # The stepper and the compiled pocketfft module it loads, which only rda run
@@ -129,12 +134,13 @@ STEPS = ["import", "list", "classify", "run decay", "run", "verify-identities"]
 
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
-    """The HEAVY modules, QUADPACK, SCIPY, SPECIAL, the pool module, SOLVER
-    and POCKETFFT that a fresh interpreter holds after each step: import
-    rda.cli, rda list, rda classify toy, rda run --jobs 1 of a small config
-    that fits a decay exponent, rda run --jobs 1 of two scenarios that
-    between them read the distinct-velocity lower bounds (erf), the drag
-    envelope and the exact error, and last, as the control, import
+    """The HEAVY modules, QUADPACK, SPECIAL, POLYNOMIAL, the pool module,
+    SOLVER, EXT, POCKETFFT, SCIPY and every other scipy module that a
+    fresh interpreter holds after each step: import rda.cli, rda list,
+    rda classify toy, rda run --jobs 1 of a small config that fits a
+    decay exponent, rda run --jobs 1 of two scenarios that between them
+    read the distinct-velocity lower bounds (erf), the drag envelope and
+    the exact error, and last, as the control, import
     scipy.integrate. A module stays loaded, so each step also holds what
     the steps before it loaded. rda verify-identities runs in a second
     interpreter, right after import rda.cli, so its step holds no module
@@ -150,9 +156,10 @@ def loaded(tmp_path_factory):
         import json, sys
         import rda.cli
         def seen():
-            return [name for name in {[*HEAVY, QUADPACK, SCIPY, SPECIAL, POOL,
-                                       SOLVER, POCKETFFT]!r}
-                    if name in sys.modules]
+            watched = {[*HEAVY, QUADPACK, SPECIAL, POLYNOMIAL, POOL, SOLVER,
+                        EXT, POCKETFFT]!r}
+            return sorted(name for name in sys.modules if name in watched
+                          or name.partition(".")[0] == {SCIPY!r})
         steps = {{"import": seen()}}
         for step, argv in json.loads(sys.argv[1]):
             if argv is None:
@@ -200,11 +207,12 @@ def test_cli_leaves_out_scipy_and_its_special_functions(loaded, step):
     assert SPECIAL not in loaded[step]
 
 
-def test_lower_bounds_load_the_special_ufuncs_alone(loaded):
-    # cas2-distinct's bounds call erf, which loads its module on first use,
-    # still without the scipy package.
-    assert SPECIAL in loaded["run"]
-    assert SCIPY not in loaded["run"]
+def test_no_step_loads_the_special_ufuncs_or_numpy_polynomial(loaded):
+    # cas2-distinct's bounds call math.erf, the identity suite math.erfc,
+    # and the drag weights and the suite read the pinned Gauss-Legendre
+    # table: no step holds either module.
+    assert [step for step in STEPS
+            if SPECIAL in loaded[step] or POLYNOMIAL in loaded[step]] == []
 
 
 def test_no_command_loads_quadpack(loaded):
@@ -213,10 +221,11 @@ def test_no_command_loads_quadpack(loaded):
     assert [step for step in STEPS if QUADPACK in loaded[step]] == []
 
 
-def test_verify_identities_loads_the_special_ufuncs_alone(loaded):
-    # erfcx and gamma load the ufuncs, still without the scipy package.
-    assert SPECIAL in loaded["verify-identities"]
-    assert SCIPY not in loaded["verify-identities"]
+def test_verify_identities_loads_no_scipy_module(loaded):
+    # The suite reads nothing of scipy's, so it loads no scipy module and
+    # not even the loader of scipy's compiled modules.
+    assert [name for name in loaded["verify-identities"]
+            if name.partition(".")[0] == SCIPY or name == EXT] == []
 
 
 @pytest.mark.parametrize("step", ["import", "list", "classify", "verify-identities"])
@@ -238,7 +247,7 @@ def test_control_import_is_seen(loaded):
     # with what it loads.
     assert set(loaded["import scipy.integrate"]) >= {
         "scipy.fft", "scipy.integrate", "scipy.optimize", "scipy.sparse",
-        "scipy.linalg", "scipy.special", QUADPACK}
+        "scipy.linalg", "scipy.special", QUADPACK, SPECIAL, POLYNOMIAL}
 
 
 def test_half_width_imports_scipy_special():
@@ -254,24 +263,26 @@ def test_half_width_imports_scipy_special():
 
 
 @pytest.mark.parametrize("first", ["rda", "scipy"])
-def test_loaded_extensions_are_scipys_modules(first):
-    # A direct load and a normal import of the package share one module
-    # object, in either order, so neither runs a second copy.
-    steps = ["import rda.cli; assert rda.cli.main(['verify-identities']) == 0",
-             "import scipy.fft, scipy.special"]
+def test_loaded_extensions_are_scipys_modules(first, tmp_path):
+    # pocketfft loaded directly by rda run and by a normal import of
+    # scipy.fft is one module object, in either order, so neither runs a
+    # second copy.
+    from test_cli import FAST_CONFIG
+
+    config = tmp_path / "fast.cfg"
+    config.write_text(FAST_CONFIG, encoding="utf-8")
+    argv = ["run", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"]
+    steps = [f"import rda.cli; assert rda.cli.main({argv!r}) == 0",
+             "import scipy.fft"]
     code = "\n".join([*(steps if first == "rda" else steps[::-1]),
                       "import sys",
                       "from rda import solver",
-                      "from rda._scipy_ext import special_ufuncs",
                       "print(solver.pypocketfft is "
-                      "sys.modules['scipy.fft._pocketfft.basic'].pfft, "
-                      "special_ufuncs().erf is scipy.special.erf, "
-                      "special_ufuncs().erfcx is scipy.special.erfcx, "
-                      "special_ufuncs().gamma is scipy.special.gamma)"])
+                      "sys.modules['scipy.fft._pocketfft.basic'].pfft)"])
     proc = subprocess.run([sys.executable, "-c", code], check=True,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
-    assert proc.stdout.splitlines()[-1] == "True True True True"
+    assert proc.stdout.splitlines()[-1] == "True"
 
 
 def linalg_uses(source: str) -> list[str]:

@@ -277,9 +277,14 @@ def test_legendre_rule_built_once_and_read_only():
     nodes, weights = kernels._legendre_rule()
     assert kernels._legendre_rule()[0] is nodes
     assert not nodes.flags.writeable and not weights.flags.writeable
+    # The pinned table is leggauss's rule bit for bit, and integrates every
+    # x^k with k <= 2*16 - 1 exactly.
     fresh = np.polynomial.legendre.leggauss(16)
     assert nodes.tobytes() == fresh[0].tobytes()
     assert weights.tobytes() == fresh[1].tobytes()
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert float(np.dot(weights, nodes ** k)) == pytest.approx(exact, abs=1e-15)
 
 
 def test_heat_kernel_unit_mass():

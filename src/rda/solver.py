@@ -4,10 +4,37 @@ The linear part u_t = d u_xx + c u_x diagonalizes in Fourier space, so it
 is propagated exactly through the multiplier e^{(-d k^2 + i c k) dt}. The
 polynomial couplings are advanced with classical RK4 in spectral space,
 with products formed on the collocation grid and the 2/3 rule applied both
-to the inputs of each product and to the result. That rule is exact for
-quadratic products only: a cubic or quartic product aliases into the kept
-band, by at most 3.7e-8 relative on cas3-stable's under-resolved initial
-sample and 3.8e-16 on remark51-exact.
+to the inputs of each product and to the result: the projected step. That
+rule is exact for quadratic products only: a cubic or quartic product
+aliases into the kept band, by at most 3.7e-8 relative on cas3-stable's
+under-resolved initial sample and 3.8e-16 on remark51-exact.
+
+The 2/3 rule (Orszag, J. Atmos. Sci. 28, 1971) has to hold for the step's
+result only. So a step whose coupling terms are all reactions (no g1 or g2
+term) and read a moving component (see below) first tries the grid path:
+RK4 on the grid values of the half-stepped spectrum. It inverse-transforms
+the read rows once, runs the stage programs below four times on the grid
+with the moving rows set to u + c h N, sums h/6 (k1 + 2 k2 + 2 k3 + k4) on
+the grid and forward-transforms that increment once. It differs from the
+projected step only through what the projection would cut between stages,
+the slopes' modes beyond the kept band, and the increment's own modes
+beyond the band bound that part. The step accepts the increment's kept
+modes only if no real or imaginary part of its modes K..n/2 exceeds
+_ROUND_OFF = 1e-15 times the largest part of the kept modes of the moving
+rows; a nan or inf fails. Otherwise, for data that fill the kept band or an
+attempt that overflows, it takes the projected step, with the attempt's
+transforms spent. The projected step stays the only path for flux terms,
+whose derivative ik needs a spectrum at every stage, and for couplings
+that read only still components (remark51-exact), whose stage-1 slope
+serves every stage at one transform pair already.
+
+An accepted grid step transforms 3 rows at toy's shape and 4 when both
+components move, where the projected step transforms 9 (toy) and 16
+(thm2-irrelevant, cas2-*). toy and thm2-irrelevant take the grid path at
+every step: their 5000 steps at n = 8192, blow-up checks included, took
+1.6 s instead of 3.0 and 2.1 s instead of 4.6 (medians of three on a
+2-vCPU VM). cas2-equal takes it at 801 of its 816 steps and cas2-distinct
+at 1413 of 1421: the last steps before the blow-up fall back.
 
 The evolving state is one stacked (2, n/2+1) array: row 0 is the rfft of
 u, row 1 the rfft of v. Over the non-negative rfft frequencies the modes
@@ -26,7 +53,7 @@ component, and the still rows of the stage buffer are copied from the
 state once per step, so a still component enters every stage with the
 same kept modes and leaves RK4 untouched.
 
-Each RK4 step transforms only what can change:
+Each projected step transforms only what can change:
 
 - stage 1 makes one batched inverse transform of the rows the monomials
   read (components with a power above zero), and one batched forward
@@ -111,7 +138,7 @@ Every transform goes through _rfft and _irfft, which call pocketfft's
 r2c and c2r kernels directly with the arguments that scipy.fft's rfft
 and irfft pass them along the last axis. scipy.fft's dispatch and argument
 checks cost about 10 us per call, as much as the transform itself at
-n <= 2048, and a step makes up to 8 calls. The kernels' compiled module
+n <= 2048, and a projected step makes up to 8 calls. The kernels' compiled module
 is loaded from its file by _scipy_ext.load_extension, so rda never
 imports the scipy.fft package (about 37 ms). The kernels' signature and
 the module's place are private to scipy. A test pins both functions bit
@@ -146,6 +173,10 @@ __all__ = [
 _TINY = np.finfo(np.float64).tiny
 # The most entries detect_blow_up hands one np.vdot; OpenBLAS threads more.
 _DOT_BLOCK = 10000
+# A grid step's increment is accepted when no real or imaginary part of its
+# modes beyond the kept band exceeds this fraction of the largest part of
+# the kept modes of the moving rows.
+_ROUND_OFF = 1e-15
 
 
 def _transforms(kernels):
@@ -197,7 +228,10 @@ class SpectralWorkspace:
     those of them that move), or None when there are none; the power and
     monomial calls (None when the stage reuses stage 1's forward
     transform); the array the forward transform writes; and the calls
-    that write acc or k.
+    that write acc or k. _grid holds the grid path's arrays, or None when
+    a step takes the projected path only: (base, fields, slope,
+    late_slope, acc, increment), each over the moving rows or the read
+    moving rows, in the idle acc, k and stage buffers.
     """
 
     grid: Grid
@@ -210,6 +244,7 @@ class SpectralWorkspace:
     still: slice | None = field(init=False)
     _buffers: dict = field(init=False, repr=False)
     _stages: tuple = field(init=False, repr=False)
+    _grid: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.grid.n
@@ -303,6 +338,18 @@ class SpectralWorkspace:
         self._stages = ((inverse(read), ops(read), outs[0], writes(buf["acc"])),
                         (inverse(late), ops(late) if late else None, outs[1],
                          writes(buf["k"])))
+        self._grid = None
+        if late and all(g is None for _, g in comp_slots):
+            # The grid path's buffers, over the idle acc, k and stage rows:
+            # acc and k hold n floats per row, stage a spectrum per row.
+            # Reaction slots are one row each in moving order, or one row
+            # that f1 = f2 share.
+            rows = _row_slice([moving.index(c) for c in late])
+            slope = (buf["phys"] if len(slots) == len(moving)
+                     else np.broadcast_to(buf["phys"][0], (len(moving), n)))
+            self._grid = (k.view(np.float64)[rows, :n], buf["fields"][_row_slice(late)],
+                          slope, slope[rows], acc.view(np.float64)[:, :n],
+                          buf["stage"][self.moving])
 
 
 def _row_slice(comps: list[int]) -> slice | None:
@@ -445,6 +492,52 @@ def _rk4_couplings(ws: SpectralWorkspace, y: np.ndarray) -> None:
     kept += acc
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _grid_rk4(ws: SpectralWorkspace, y: np.ndarray) -> bool:
+    """Advance the kept modes y[moving, :K] by one RK4 step of the couplings
+    taken on the grid values, if the round-off check accepts it; return
+    whether it did. A rejected attempt leaves y as it was.
+
+    The read rows of the dealiased stage buffer are inverse-transformed
+    once; base keeps the moving ones. Each stage runs the stage programs on
+    the field buffer and leaves the slope of every moving component on the
+    grid in slope; the next stage input of a read moving row is base +
+    c h slope. acc sums h/6 (k1 + 2 k2 + 2 k3 + k4) on the grid, and one
+    forward transform into the moving rows of the stage buffer makes the
+    increment, whose modes beyond K are set back to zero afterwards. The
+    attempt runs with overflow warnings off: an overflow leaves inf or nan
+    in the increment, which the check rejects.
+    """
+    base, fields, slope, late_slope, acc, increment = ws._grid
+    (inverse, ops, _, _), (_, late_ops, _, _) = ws._stages
+    n_kept, dt = ws.n_kept, ws.dt
+    ws._buffers["stage"][:, :n_kept] = y[:, :n_kept]
+    _irfft(inverse[0], ws.grid.n, out=inverse[1])
+    np.copyto(base, fields)
+    for op, args in ops:
+        op(*args)
+    np.copyto(acc, slope)
+    for c, twice in ((0.5 * dt, True), (0.5 * dt, True), (dt, False)):
+        np.multiply(late_slope, c, out=fields)
+        fields += base
+        for op, args in late_ops:
+            op(*args)
+        acc += slope
+        if twice:
+            acc += slope
+    acc *= dt / 6.0
+    _rfft(acc, out=increment)
+    kept = y[ws.moving, :n_kept]
+    parts, tail = kept.view(np.float64), increment[:, n_kept:].view(np.float64)
+    # A nan on either side fails the comparison.
+    bound = _ROUND_OFF * max(parts.max(), -parts.min())
+    accepted = max(tail.max(), -tail.min()) <= bound < math.inf
+    if accepted:
+        kept += increment[:, :n_kept]
+    increment[:, n_kept:] = 0.0
+    return accepted
+
+
 def detect_blow_up(spectra: np.ndarray, n: int,
                    threshold: float = BLOW_UP_THRESHOLD) -> float | None:
     """Return the sup amplitude if it is non-finite or above threshold, else None.
@@ -477,7 +570,7 @@ def step(ws: SpectralWorkspace, spectra: np.ndarray) -> np.ndarray:
     """One Strang step of the (2, n/2+1) spectra: half linear, RK4 on the
     couplings, half linear. Returns a new array; spectra is not written."""
     y = spectra * ws.lin_half
-    if ws.moving is not None:
+    if ws.moving is not None and (ws._grid is None or not _grid_rk4(ws, y)):
         _rk4_couplings(ws, y)
     y *= ws.lin_half
     if ws.still is not None:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from rda import solver
 from rda.analysis import Envelope, SampleReduction, envelope_verdict, sample_norms
 from rda.core import validate_scenario
 from rda.scenarios import get_scenario
@@ -57,6 +58,21 @@ def record_scenario(scenario) -> Recorded:
                                 _recorder(times, kept, samples))
     return Recorded(np.array(times), np.array(kept), blow_up_time is not None,
                     blow_up_time, samples)
+
+
+def count_transform_rows(monkeypatch) -> dict[str, list[int]]:
+    """Wrap the solver's _irfft/_rfft; each records the number of rows of
+    every call."""
+    rows = {"irfft": [], "rfft": []}
+    for name, calls in rows.items():
+        transform = getattr(solver, f"_{name}")
+
+        def counted(x, *args, _transform=transform, _calls=calls, **kwargs):
+            _calls.append(1 if np.ndim(x) == 1 else len(x))
+            return _transform(x, *args, **kwargs)
+
+        monkeypatch.setattr(solver, f"_{name}", counted)
+    return rows
 
 
 def history_norms(times, fields, dx):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rda import core
 from rda.analysis import OUTPUT_RULES, wraparound_budget
 from rda.core import (
     _INITIAL_KINDS,
@@ -249,7 +250,7 @@ class TestRefusalTables:
             f"exact_error output requires {_EXACT_SHAPE}",)
 
     def test_huge_step_count_refused_before_the_sample_walk(self):
-        # 6.25e306 steps: the decay output's sample requirement would walk
+        # 6.25e306 steps: the decay output's sample requirement would sum
         # them all in sample_times; the step ceiling refuses first.
         huge = make_scenario(t_end=1e308, dt=16.0, sample_dt=16.0,
                              system=_system(c2=0.0), outputs=("decay",))
@@ -564,3 +565,38 @@ class TestPolyTerm:
         assert x[0] == -10.0
         assert len(x) == 8
         assert x[-1] == pytest.approx(10.0 - grid.dx)
+
+
+def plain_time_grid(t_end, dt, sample_dt):
+    """(t, sampled) per step by the loop the time grid stands for."""
+    total, stride, t, grid = round(t_end / dt), max(1, round(sample_dt / dt)), 0.0, []
+    for i in range(1, total + 1):
+        t += dt
+        grid.append((t, i % stride == 0 or i == total))
+    return grid
+
+
+# (dt, t_end, sample_dt): strides whose sums drift off i*dt, and 70000
+# steps, more than one accumulation chunk.
+_STRIDES = [(0.1, 1.0, 0.3), (0.02, 10.0, 0.06), (1e-3, 7.0, 0.013),
+            (0.037, 50.0, 0.111), (1e-3, 70.0, 0.25)]
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("chunk", [2**16, 7])
+    @pytest.mark.parametrize("case", [
+        *[get_scenario(name) for name in BUILTIN_SCENARIOS],
+        *[make_scenario(dt=dt, t_end=t_end, sample_dt=sample_dt)
+          for dt, t_end, sample_dt in _STRIDES]],
+        ids=[*BUILTIN_SCENARIOS, *(f"{dt}-{t_end}-{sample_dt}" for dt, t_end, sample_dt in _STRIDES)])
+    def test_chunked_sums_equal_the_plain_loop(self, monkeypatch, case, chunk):
+        # Bit for bit, as Python floats: DIGEST.json hashes repr(t). A chunk
+        # of 7 steps makes every run cross chunk boundaries.
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+        plain = plain_time_grid(case.t_end, case.dt, case.sample_dt)
+        grid = list(core.steps(case.t_end, case.dt, case.sample_dt))
+        assert [(repr(t), sampled) for t, sampled in grid] == [
+            (repr(t), sampled) for t, sampled in plain]
+        assert all(type(t) is float for t, _ in grid)
+        sampled = core.sample_times(case)
+        assert sampled.tolist() == [0.0, *(t for t, s in plain if s)]

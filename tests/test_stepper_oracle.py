@@ -6,9 +6,14 @@ result, and the powers are rebuilt for every monomial. The stacked
 stepper must reproduce it to round-off while the solution stays below the
 blow-up threshold, and its blow-up check must stop it at the first step
 that does not, as solver.run does.
+
+A reaction-only system whose couplings read a moving component may take
+its coupling substep on the grid instead; the tests at the end tell the
+two paths apart by the rows the step transforms.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +21,8 @@ import scipy.fft
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import count_transform_rows
+from rda import solver
 from rda.core import BLOW_UP_THRESHOLD, Grid, PolyTerm, SystemSpec
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 from rda.solver import SpectralWorkspace, detect_blow_up, step
@@ -318,3 +325,140 @@ def test_no_stage_repeats_a_product(name):
         ws = SpectralWorkspace(grid=scenario.grid, system=scenario.system,
                                dt=scenario.dt)
     assert repeated_ufunc_calls(ws) == []
+
+
+# The rows (inverse, forward) one grid step transforms: the read rows in,
+# the moving rows out.
+_GRID_SHAPES = {
+    # toy: f1 = u^4 + uv; u moves, v is still.
+    "toy": (_TOY_SHAPE["system"], [2], [1]),
+    # thm2-irrelevant: f1 = uv, f2 = u^4 + uv.
+    "thm2": (SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=5.0,
+                        f1=(PolyTerm(1.0, 1, 1, 0),),
+                        f2=(PolyTerm(1.0, 4, 0, 0), PolyTerm(1.0, 1, 1, 0))), [2], [2]),
+    # cas2-distinct: f1 = v^2, f2 = u^2.
+    "cas2": (SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=2.0,
+                        f1=(PolyTerm(1.0, 0, 2, 0),), f2=(PolyTerm(1.0, 2, 0, 0),)),
+             [2], [2]),
+    # f1 = f2 = uv share one row, whose grid values are both slopes.
+    "shared_reaction": (SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=1.0,
+                                   f1=(PolyTerm(1.0, 1, 1, 0),),
+                                   f2=(PolyTerm(1.0, 1, 1, 0),)), [2], [2]),
+    # u moves but no term reads it: only v's grid values are taken in.
+    "unread_mover": (SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=1.0,
+                                f1=(PolyTerm(1.0, 0, 2, 0),),
+                                f2=(PolyTerm(-1.0, 0, 3, 0),)), [1], [2]),
+}
+
+
+def _gaussian_spectra(grid, amplitude):
+    """Gaussians of width 3: u^4 keeps nothing but round-off beyond the
+    kept band of a 256-point grid on [-30, 30)."""
+    x = grid.points()
+    fields = amplitude * np.stack((np.exp(-x ** 2 / 9.0), np.exp(-(x - 1.0) ** 2 / 9.0)))
+    return scipy.fft.rfft(fields, axis=-1) * _wavenumbers(grid)[1]
+
+
+def counted_steps(monkeypatch, ws, spectra, steps=STEPS):
+    """steps steps of spectra and the transform rows of each step."""
+    rows = count_transform_rows(monkeypatch)
+    per_step = []
+    for _ in range(steps):
+        spectra = step(ws, spectra)
+        per_step.append((rows["irfft"][:], rows["rfft"][:]))
+        rows["irfft"].clear()
+        rows["rfft"].clear()
+    return spectra, per_step
+
+
+def projected_steps(monkeypatch, ws, spectra, steps=STEPS):
+    """steps steps of spectra with the grid path refused."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_grid_rk4", lambda ws, y: False)
+        for _ in range(steps):
+            spectra = step(ws, spectra)
+    return spectra
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_SHAPES))
+def test_smooth_data_take_the_grid_path(monkeypatch, name):
+    system, inverse, forward = _GRID_SHAPES[name]
+    grid, dt = Grid(half_width=30.0, n=256), 0.02
+    spectra = _gaussian_spectra(grid, 0.5 if name == "cas2" else 0.05)
+    ws = SpectralWorkspace(grid=grid, system=system, dt=dt)
+    stepped_spectra, per_step = counted_steps(monkeypatch, ws, spectra)
+    assert per_step == [(inverse, forward)] * STEPS
+    ref = reference_run(grid, system, dt, spectra)
+    assert np.max(np.abs(stepped_spectra - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# The reaction-only systems above whose couplings read a moving component,
+# and the rows (inverse, forward) of a rejected grid attempt followed by
+# a projected step.
+_REACTION_ONLY = {
+    "toy_shape": (_TOY_SHAPE, [2, 2, 1, 1, 1], [1, 1, 1, 1, 1]),
+    "shared_term": (_SHARED_TERM, [2, 2, 2, 2, 2], [2, 2, 2, 2, 2]),
+    "still_power_in_sum": (_STILL_POWER_IN_SUM, [2, 2, 1, 1, 1], [1, 1, 1, 1, 1]),
+    "power_read_after_sum": (_POWER_READ_AFTER_SUM, [2, 2, 2, 2, 2], [2, 2, 2, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REACTION_ONLY))
+def test_rough_data_fall_back_to_the_projected_step(monkeypatch, name):
+    # The noise fills the kept band, so the products reach beyond it and
+    # every grid attempt is rejected: the step makes the attempt's rows,
+    # then the projected step's, and returns the projected step's bits.
+    case, inverse, forward = _REACTION_ONLY[name]
+    grid = Grid(half_width=20.0, n=case["n"])
+    spectra = _initial_spectra(grid, case["seed"])
+    ws = SpectralWorkspace(grid=grid, system=case["system"], dt=case["dt"])
+    expected = projected_steps(monkeypatch, ws, spectra)
+    stepped_spectra, per_step = counted_steps(monkeypatch, ws, spectra)
+    assert per_step == [(inverse, forward)] * STEPS
+    assert stepped_spectra.tobytes() == expected.tobytes()
+
+
+# Flux slots, and couplings that read no moving component (remark51's
+# f2 = u^4 with u still), keep the projected step even on smooth data.
+_NEVER_GRID = {
+    "remark51_shape": (_REMARK51_SHAPE["system"], [1], [1]),
+    "identical_slots": (_IDENTICAL_SLOTS["system"], [2, 2, 2, 2], [3, 3, 3, 3]),
+    "power_alone_and_inside": (_POWER_ALONE_AND_INSIDE["system"], [2, 2, 2, 2], [2, 2, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEVER_GRID))
+def test_flux_and_still_reads_never_take_the_grid_path(monkeypatch, name):
+    system, inverse, forward = _NEVER_GRID[name]
+    grid = Grid(half_width=30.0, n=256)
+    ws = SpectralWorkspace(grid=grid, system=system, dt=0.02)
+    spectra = _gaussian_spectra(grid, 0.05)
+    expected = projected_steps(monkeypatch, ws, spectra)
+    stepped_spectra, per_step = counted_steps(monkeypatch, ws, spectra)
+    assert per_step == [(inverse, forward)] * STEPS
+    assert stepped_spectra.tobytes() == expected.tobytes()
+
+
+def test_overflowing_grid_attempt_falls_back_without_a_warning(monkeypatch):
+    # u = A cos(12 x), v = A sin(12 x) on 64 points: uv = A^2/2 sin(24 x)
+    # lies wholly beyond the kept band (modes 0-21). One projected step cuts
+    # it from every stage input and stays finite; on the grid each stage
+    # multiplies u by about h A = 1e4, and the third stage overflows.
+    grid, n = Grid(half_width=20.0, n=64), 64
+    amplitude, dt = 1e152, 1e-148
+    system = SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=0.0, f1=(PolyTerm(1.0, 1, 1, 0),))
+    phase = 2.0 * np.pi * 12 * np.arange(n) / n
+    u, v = amplitude * np.cos(phase), amplitude * np.sin(phase)
+    with np.errstate(over="ignore"):
+        second = u + 0.5 * dt * u * v
+        third = u + 0.5 * dt * second * v
+        assert np.isinf(third * v).any()
+    spectra = scipy.fft.rfft(np.stack((u, v)), axis=-1)
+    ws = SpectralWorkspace(grid=grid, system=system, dt=dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = projected_steps(monkeypatch, ws, spectra, steps=1)
+        stepped_spectra, per_step = counted_steps(monkeypatch, ws, spectra, steps=1)
+    assert np.isfinite(expected).all()
+    assert per_step == [([2, 2, 1, 1, 1], [1, 1, 1, 1, 1])]
+    assert stepped_spectra.tobytes() == expected.tobytes()

@@ -12,10 +12,13 @@ validation requires, what each sample is reduced to
 Each requirement on a system's shape compares SystemSpec.monomials(), and
 a slot's component and derivative order are read from core.SLOTS.
 
-Nothing here loads a scipy module at import: the distinct-velocity lower
-bounds apply the standard library's erf elementwise, the decay fit is a
-closed form without LAPACK, and DecayFit.half_width, which no rda command
-reads, imports the scipy.special package for stdtrit.
+Nothing here imports the stepper: the exact remark 5.1 solution that
+exact_error compares with is built from gaussian_profile and
+kernels.drag_profile. Nothing here loads a scipy module at import: the
+distinct-velocity lower bounds apply the standard library's erf
+elementwise, the decay fit is a closed form without LAPACK, and
+DecayFit.half_width, which no rda command reads, imports the scipy.special
+package for stdtrit.
 """
 
 from __future__ import annotations

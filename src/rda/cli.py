@@ -8,7 +8,19 @@ Commands:
   rda plot TRAJECTORY.CSV --out FILE.SVG   re-plot an emitted trajectory table
 
 Exit status is 0 iff the pipeline completed; each failure, a usage error too,
-is one `error:` line and exit 1. Verdicts (blow-up too) go to verdicts.csv.
+is one `error:` line and exit 1, and -h prints the help and exits 0.
+Verdicts (blow-up too) go to verdicts.csv. Validation refuses or accepts
+and warns of nothing, so a command that exits 0 writes nothing to stderr.
+
+`rda run` resolves and validates each target once, before anything runs,
+so an invalid target never reaches the process pool. With several targets
+each writes to <out>/<name>, and one that fails (an invalid config, an
+output directory that cannot be written) prints `error: <name>: <message>`
+while the others still run; targets that share a name all fail. `rda
+plot` refuses a table with no header row, a repeated column, a row of the
+wrong length or a cell that is not a number (`error: <file>: line <k>:
+...`), or with nothing to plot, and then writes no SVG.
+
 Only `rda run` imports solver, which loads scipy's compiled pocketfft
 module, so the other commands run whatever happens to it, and a scipy
 without it fails `rda run` with one line that names the module and
@@ -75,7 +87,14 @@ def write_outputs(scenario: Scenario, diagnosis: analysis.Diagnosis,
                   blew_up: bool, out_dir) -> None:
     """Write the CSV tables and SVG charts of one diagnosed run to out_dir,
     removing the envelope files an earlier run left when this run has no
-    envelope; other files in out_dir are left as they are."""
+    envelope; other files in out_dir are left as they are.
+
+    trajectory.csv holds t and the four norms per sample, with a
+    blow_up_flag of 1 only on the final row of a run that blew up;
+    verdicts.csv one (name, pass/fail, statistic) row per verdict row;
+    envelope.csv, with an envelope verdict, the running supremum and the
+    bounded flag per sample. Each table but verdicts.csv has its chart.
+    This only formats: every threshold and statistic is diagnosis's."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     times, linf_u, linf_v, l1_u, l1_v = diagnosis.norms

@@ -4,7 +4,8 @@ Format: one `key = value` pair per line, dotted section names, `#`
 comments, UTF-8, LF. Polynomial term lists use entries of the form
 "coeff u^a v^b" with an optional trailing "ddx" marking a flux (derivative)
 term, separated by commas. Every key, its field and its converter come
-from core.FIELDS. Parsing and serialization round-trip exactly.
+from core.FIELDS. A file without a name line takes its stem as the name.
+Parsing and serialization round-trip exactly.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def _reject_unread(pairs) -> None:
 def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
     """Parse config text into the Scenario it describes, unvalidated.
 
-    ConfigError reports format errors only: syntax, unknown, duplicate,
-    unread or missing keys, and bad values."""
+    ConfigError reports format errors only, each but a missing key with its
+    line number: syntax, unknown, duplicate, unread or missing keys, and
+    bad values."""
     pairs = _parse_pairs(text)
     pairs.setdefault(NAME.key, (name_hint, 0))
     _reject_unread(pairs)

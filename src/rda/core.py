@@ -410,6 +410,7 @@ RELATIONS = (
     (("envelope.kind", "system.c1", "system.c2"),
      lambda sc: sc.envelope.kind != "drag" or sc.system.c1 != sc.system.c2,
      "drag envelope: c1 != c2"),
+    # The floor of the exponential and drag weights; the algebraic one has none.
     (("envelope.kind", "envelope.M", "system.d1", "system.d2"),
      lambda sc: sc.envelope.kind == "algebraic"
      or sc.envelope.M >= max(16.0 * sc.system.d1, 16.0 * sc.system.d2, 1.0),
@@ -425,8 +426,9 @@ _EDGE_RATIO = 1e-5
 # (holds(values), text); a component reports its first unmet one.
 # Data cut off at the box edge has a jump there once the grid is made
 # periodic; data at BLOW_UP_THRESHOLD would be reported as a blow-up at the
-# first step. Every kind is finite at the finite points of a grid that meets
-# RELATIONS, so no entry checks finiteness.
+# first step. Zero data meets the edge need (0 <= 0). Every kind is finite at
+# the finite points of a grid that meets RELATIONS, so no entry checks
+# finiteness.
 DATA_NEEDS = (
     (lambda values: max(abs(values[0]), abs(values[-1]))
      <= _EDGE_RATIO * np.max(np.abs(values)),

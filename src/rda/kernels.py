@@ -148,7 +148,7 @@ def _block_half_width(n: int, m: int, k: int, steps: float) -> int:
 def _gaussian_sweep(x: np.ndarray, nodes: np.ndarray, scale: float,
                     weights: np.ndarray) -> np.ndarray:
     """sum over j of weights[j, :] e^{-(x_i + nodes_j)^2 / scale}, for every
-    x_i of the ascending, evenly spaced x.
+    x_i of the ascending, evenly spaced x (nothing checks the spacing).
 
     weights is (len(nodes), k) and the result (k, len(x)). In units of
     sqrt(scale), shifted by the node midpoint c, the points are
@@ -166,7 +166,10 @@ def _gaussian_sweep(x: np.ndarray, nodes: np.ndarray, scale: float,
     |X| + |N| at most extent, offsets of at most reach keep the exponent of
     each factor, and the first factor's distance from the entry's, within
     2 reach extent + 3 reach^2; reach makes that _SPLIT_EXPONENT, however
-    wide the nodes and x, and _block_half_width takes B within it.
+    wide the nodes and x, and _block_half_width takes B within it. No
+    (len(x), m) matrix is allocated. B fixes the rounding of the factors
+    and the order in which BLAS sums each product, so a change of B moves
+    the last bits of every weight.
     """
     n, m, k = len(x), len(nodes), weights.shape[1]
     out = np.zeros((k, n))

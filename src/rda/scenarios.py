@@ -4,7 +4,9 @@ Each entry is a ready-to-run Scenario covering one regime of the theory:
 small-data decay under mix couplings, decay with irrelevant cross
 couplings, the exactly solvable drag benchmark, norm growth of the
 quadratically cross-coupled system, and the normal-form amplitude law
-with the stabilizing sign satisfied or violated.
+with the stabilizing sign satisfied or violated. BUILTIN_SCENARIOS is the
+tuple of names, in the order `rda list` prints them, and get_scenario the
+one accessor.
 """
 
 from __future__ import annotations
@@ -122,11 +124,15 @@ _BUILTINS = {scenario.name: scenario for scenario in (
         envelope=EnvelopeSpec(kind="drag", M=16.0),
         outputs=("trajectory", "envelope", "exact_error"),
     ),
-    # Blow-up is flagged at t = 8.16 with this data at dt = 0.01; t_end leaves
-    # room to observe it.
+    # Both cas2 runs blow up, and t_end leaves room to observe it. A blow-up
+    # time is the t of the first flagged step, so it moves with dt at first
+    # order: cas2-equal's 8.16 at dt = 0.01 reads 8.155 at dt = 0.005 and
+    # 8.1525 at dt = 0.0025, and cas2-distinct's 14.21 reads 14.20 and
+    # 14.1975.
     Scenario(
         name="cas2-equal",
-        description="quadratic cross couplings, equal velocities; finite-time blow-up",
+        description=("quadratic cross couplings, equal velocities; "
+                     "blow-up flagged at t = 8.16 with dt = 0.01"),
         system=_cas2_system(0.0),
         grid=Grid(half_width=60.0, n=1024),
         initial_u=_gauss(0.5, 1.0),

@@ -1,13 +1,16 @@
 """Pseudospectral Strang-splitting time stepper on the periodic line.
 
 The linear part u_t = d u_xx + c u_x diagonalizes in Fourier space, so it
-is propagated exactly through the multiplier e^{(-d k^2 + i c k) dt}. The
-polynomial couplings are advanced with classical RK4 in spectral space,
-with products formed on the collocation grid and the 2/3 rule applied both
-to the inputs of each product and to the result: the projected step. That
-rule is exact for quadratic products only: a cubic or quartic product
-aliases into the kept band, by at most 3.7e-8 relative on cas3-stable's
-under-resolved initial sample and 3.8e-16 on remark51-exact.
+is propagated exactly through the multiplier e^{(-d k^2 + i c k) dt}, and a
+linear problem is solved exactly at any dt. The splitting is second order:
+scripts/convergence_study.py measures an error ratio of 4 per halving of
+dt on toy. The polynomial couplings are advanced with classical RK4 in
+spectral space, with products formed on the collocation grid and the 2/3
+rule applied both to the inputs of each product and to the result: the
+projected step. That rule is exact for quadratic products only: a cubic
+or quartic product aliases into the kept band, by at most 3.7e-8 relative
+on cas3-stable's under-resolved initial sample and 3.8e-16 on
+remark51-exact.
 
 The 2/3 rule (Orszag, J. Atmos. Sci. 28, 1971) has to hold for the step's
 result only. So a step whose coupling terms are all reactions (no g1 or g2
@@ -81,18 +84,13 @@ every distinct product is formed once, in the row that uses it:
   a buffer, a power or a single-term slot, is copied or added from there
   (thm2-irrelevant's f2 adds f1's uv row). A coefficient of 1 is not
   multiplied and a power of 0 is not a factor;
-- the rows of acc or k. When each moving component has one slot of its
-  own and stages 2-4 transform, the forward transform writes straight
-  into the full-width acc (stage 1) and k (stages 2-4) rows, and a flux
-  row is multiplied by ik in place. Otherwise it writes a spectrum
-  buffer, and a row is a copy of the reaction slot, or ik times the flux
-  slot plus the reaction slot; remark51-exact, whose stages 2-4 reuse the
-  stage-1 slope, and thm1-* take this path.
+- the rows of acc (stage 1) or k (stages 2-4). The forward transform
+  writes one spectrum buffer, and a row is a copy of its component's
+  reaction slot, or ik times its flux slot plus its reaction slot.
 
-A stage makes no other decision. Per stage, toy and thm2-irrelevant make
-5 calls besides the transforms, thm1-* 7, cas2-* 2 and cas3-* 6, where
-forming every product in a buffer of its own and copying it made 7, 9,
-10, 6 and 8, and thm1-*'s forward transform takes 3 rows instead of 4.
+A stage makes no other decision. Per projected stage, toy makes 6 calls
+besides the transforms, thm1-*, thm2-irrelevant and cas3-* 7 and cas2-*
+4, and thm1-*'s forward transform takes 3 rows instead of 4.
 acc and k are the first K modes of zeroed full-width rows, so they have
 the strides of the stage and state rows they are combined with, and the
 still-row flush below writes into workspace buffers of the strides it
@@ -104,7 +102,7 @@ result's bytes. The updates of acc and k alone (k *= 2, acc += k, acc *=
 dt/6) run over one contiguous span, from the first element to the last
 kept mode; with two moving rows this is about 0.8 us per call faster
 than the strided rows. The modes of that span beyond K are zero, or hold
-what a direct forward transform left there; nothing reads them.
+what the grid path left in these buffers; nothing reads them.
 
 A still component only sees its linear multiplier, so its high modes
 decay geometrically into the subnormal range, where rounding pins them
@@ -148,7 +146,7 @@ also hands the module to _transforms_agree, which takes a unit impulse
 through the two functions and compares it with its closed-form spectrum.
 So a scipy that moved the module or changed what the kernels compute
 fails every `rda run` with the loader's one-line ImportError, and not
-with wrong numbers.
+with wrong numbers, which lets pyproject.toml leave scipy>=1.17 open.
 """
 
 from __future__ import annotations
@@ -219,19 +217,18 @@ class SpectralWorkspace:
 
     dealias is the 2/3-rule mask over all n/2+1 modes; the kept modes are
     its prefix [:n_kept]. Each distinct slot is one row of the batched
-    forward transform: in core.SLOTS order, or in the order of the moving
-    components when the transform writes acc and k directly. moving is
-    the range of components with coupling terms and still the others.
-    _stages holds (inverse, ops, spectra, writes) for stage 1 and for
-    stages 2-4: the rows of the stage and field buffers to inverse-
-    transform, of the components the monomials read (at stages 2-4 only
-    those of them that move), or None when there are none; the power and
-    monomial calls (None when the stage reuses stage 1's forward
-    transform); the array the forward transform writes; and the calls
-    that write acc or k. _grid holds the grid path's arrays, or None when
-    a step takes the projected path only: (base, fields, slope,
-    late_slope, acc, increment), each over the moving rows or the read
-    moving rows, in the idle acc, k and stage buffers.
+    forward transform, in core.SLOTS order. moving is the range of
+    components with coupling terms and still the others. _stages holds
+    (inverse, ops, writes) for stage 1 and for stages 2-4: the rows of the
+    stage and field buffers to inverse-transform, of the components the
+    monomials read (at stages 2-4 only those of them that move), or None
+    when there are none; the power and monomial calls (None when the
+    stage reuses stage 1's forward transform); and the calls that write
+    acc or k from the forward transform's spectra. _grid holds the grid
+    path's arrays, or None when a step takes the projected path only:
+    (base, fields, slope, late_slope, acc, increment), each over the
+    moving rows or the read moving rows, in the idle acc, k and stage
+    buffers.
     """
 
     grid: Grid
@@ -273,14 +270,9 @@ class SpectralWorkspace:
         self.moving = _row_slice(moving)
         self.still = _row_slice([comp for comp in (0, 1) if comp not in moving])
         late = [comp for comp in read if comp in moving]
-        own = [[s for s in comp_slots[comp] if s] for comp in moving]
-        # The forward transform writes straight into acc and k when each
-        # moving component has one slot of its own and stages 2-4 transform;
-        # otherwise identical slots share a row of a spectrum buffer that
-        # the stage slope is assembled from.
-        direct = (bool(late) and all(len(s) == 1 for s in own)
-                  and len({s[0] for s in own}) == len(own))
-        slots = [s for s, in own] if direct else list(dict.fromkeys(named))
+        # Identical slots share a row of the forward transform's spectrum
+        # buffer, from which each stage slope is assembled.
+        slots = list(dict.fromkeys(named))
         modes, n_still = n // 2 + 1, 2 - len(moving)
         # One zeroed full-width row per moving component for acc and k.
         acc, k = [np.zeros((len(moving), modes), dtype=complex) for _ in range(2)]
@@ -294,6 +286,7 @@ class SpectralWorkspace:
             "acc_span": acc.reshape(-1)[:span],
             "k_span": k.reshape(-1)[:span],
             "stage": np.zeros((2, modes), dtype=complex),
+            "spectra": np.empty((len(slots), modes), dtype=complex),
             # |Re|, |Im| of the kept modes of the still rows and the mask
             # of the subnormal ones, strided as y[still, :K].view(float).
             "still_abs": np.empty((n_still, 2 * modes))[:, :2 * self.n_kept],
@@ -308,36 +301,26 @@ class SpectralWorkspace:
             return [(np.multiply, (powers[c][j - 1], powers[c][1], powers[c][j]))
                     for c in comps for j in range(2, len(powers[c]))] + mono
 
-        if direct:
-            outs = (acc, k)
-            fluxes = [comp_slots[comp][1] is not None for comp in moving]
+        row_of = {s: r for r, s in enumerate(slots)}
+        spec = buf["spectra"][:, :self.n_kept]
 
-            def writes(out):
-                return [(np.multiply, (ik, row, row))
-                        for row, flux in zip(out, fluxes) if flux]
-        else:
-            row_of = {s: r for r, s in enumerate(slots)}
-            spec_full = np.empty((len(slots), modes), dtype=complex)
-            spec, outs = spec_full[:, :self.n_kept], (spec_full, spec_full)
-
-            def writes(out):
-                calls = []
-                for row, (f, g) in zip(out, (comp_slots[c] for c in moving)):
-                    if g is None:
-                        calls.append((np.copyto, (row, spec[row_of[f]])))
-                        continue
-                    calls.append((np.multiply, (ik, spec[row_of[g]], row)))
-                    if f is not None:
-                        calls.append((np.add, (row, spec[row_of[f]], row)))
-                return calls
+        def writes(out):
+            calls = []
+            for row, (f, g) in zip(out, (comp_slots[c] for c in moving)):
+                if g is None:
+                    calls.append((np.copyto, (row, spec[row_of[f]])))
+                    continue
+                calls.append((np.multiply, (ik, spec[row_of[g]], row)))
+                if f is not None:
+                    calls.append((np.add, (row, spec[row_of[f]], row)))
+            return calls
 
         def inverse(comps):
             rows = _row_slice(comps)
             return None if rows is None else (buf["stage"][rows], buf["fields"][rows])
 
-        self._stages = ((inverse(read), ops(read), outs[0], writes(buf["acc"])),
-                        (inverse(late), ops(late) if late else None, outs[1],
-                         writes(buf["k"])))
+        self._stages = ((inverse(read), ops(read), writes(buf["acc"])),
+                        (inverse(late), ops(late) if late else None, writes(buf["k"])))
         self._grid = None
         if late and all(g is None for _, g in comp_slots):
             # The grid path's buffers, over the idle acc, k and stage rows:
@@ -443,13 +426,13 @@ def _coupling_rhs(ws: SpectralWorkspace, first: bool) -> None:
     stages transform only the read rows that move and reuse the others'
     powers, or, when none moves, reuse the first stage's forward transform.
     """
-    inverse, ops, spectra, writes = ws._stages[0 if first else 1]
+    inverse, ops, writes = ws._stages[0 if first else 1]
     if ops is not None:
         if inverse is not None:
             _irfft(inverse[0], ws.grid.n, out=inverse[1])
         for op, args in ops:
             op(*args)
-        _rfft(ws._buffers["phys"], out=spectra)
+        _rfft(ws._buffers["phys"], out=ws._buffers["spectra"])
     for op, args in writes:
         op(*args)
 
@@ -509,7 +492,7 @@ def _grid_rk4(ws: SpectralWorkspace, y: np.ndarray) -> bool:
     in the increment, which the check rejects.
     """
     base, fields, slope, late_slope, acc, increment = ws._grid
-    (inverse, ops, _, _), (_, late_ops, _, _) = ws._stages
+    (inverse, ops, _), (_, late_ops, _) = ws._stages
     n_kept, dt = ws.n_kept, ws.dt
     ws._buffers["stage"][:, :n_kept] = y[:, :n_kept]
     _irfft(inverse[0], ws.grid.n, out=inverse[1])

@@ -1,8 +1,13 @@
 """The helper scripts run against the current package API."""
 
+import dataclasses
+import importlib.util
 import runpy
+import subprocess
 import sys
 from pathlib import Path
+
+from rda import core
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -16,3 +21,62 @@ def test_convergence_study_runs(monkeypatch, capsys):
     assert lines[2].startswith("dt=0.004 vs dt=0.002: max diff ")
     assert 0.0 < float(lines[2].rsplit(" ", 1)[1]) < 1e-9
 
+
+_spec = importlib.util.spec_from_file_location("readme", SCRIPTS / "readme.py")
+readme = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(readme)
+
+
+def _stale_line(block: str) -> str:
+    return (f"README.md: block {block!r} differs from the code;"
+            " regenerate with python3 scripts/readme.py")
+
+
+def test_committed_readme_matches_the_code(capsys):
+    assert readme.main(["--check"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_readme_check_runs_without_the_stepper():
+    # The check reads the tables alone: neither rda.solver nor pocketfft loads.
+    code = f"""if True:
+        import runpy, sys
+        sys.argv = [{str(SCRIPTS / "readme.py")!r}, "--check"]
+        try:
+            runpy.run_path(sys.argv[0], run_name="__main__")
+        except SystemExit as exc:
+            print(exc.code, "rda.solver" in sys.modules,
+                  any("pocketfft" in name for name in sys.modules))
+    """
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert result.stdout.split() == ["0", "False", "False"], result.stderr
+
+
+def test_changed_requirement_text_fails_the_check(monkeypatch, capsys):
+    # A requirement text edited in core.FIELDS and not in the README.
+    fields = list(core.FIELDS)
+    i = next(i for i, entry in enumerate(fields) if entry.needs)
+    (holds, text), *rest = fields[i].needs
+    fields[i] = dataclasses.replace(fields[i], needs=((holds, text + " (edited)"), *rest))
+    monkeypatch.setattr(core, "FIELDS", tuple(fields))
+    before = readme.README.read_bytes()
+    assert readme.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [_stale_line("keys")]
+    assert readme.README.read_bytes() == before
+
+
+def test_hand_edit_inside_a_block_fails_the_check(monkeypatch, tmp_path, capsys):
+    committed = readme.README.read_text(encoding="utf-8")
+    begin = committed.index("<!-- begin builtins")
+    row = committed.index("\n|", committed.index("| --- |", begin)) + 1
+    edited = committed[:row] + "| `mine` | a row added by hand | none | `trajectory` |\n" \
+        + committed[row:]
+    copy = tmp_path / "README.md"
+    copy.write_text(edited, encoding="utf-8")
+    monkeypatch.setattr(readme, "README", copy)
+    assert readme.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [_stale_line("builtins")]
+    # Without --check the script writes the blocks back from the code.
+    assert readme.main([]) == 0
+    assert copy.read_text(encoding="utf-8") == committed

@@ -162,7 +162,7 @@ def test_rows_transformed_per_step(monkeypatch, couplings, inverse, forward):
 def _stage_programs(ws):
     """The names of the calls of each stage program of ws, in order."""
     return [[op.__name__ for op, _ in (*(ops or ()), *writes)]
-            for _, ops, _, writes in ws._stages]
+            for _, ops, writes in ws._stages]
 
 
 def test_equal_monomials_build_one_product():
@@ -173,7 +173,8 @@ def test_equal_monomials_build_one_product():
         grid=grid, dt=0.01, system=SystemSpec(d1=1.0, d2=0.25, c1=0.0, c2=5.0, f1=terms)))
         for terms in ((PolyTerm(1.0, 1, 1, 0),), (PolyTerm(0.5, 1, 1, 0),) * 2)]
     assert programs[1] == programs[0]
-    assert programs[0][0] == ["multiply"]
+    # The one product, then the copy of its spectrum into the RK4 row.
+    assert programs[0][0] == ["multiply", "copyto"]
 
 
 @pytest.mark.parametrize("n", [64, 1024, 8192])

@@ -290,7 +290,7 @@ def repeated_ufunc_calls(ws):
     between the monomial calls and the slope calls.
     """
     repeats = []
-    for _, ops, spectra, writes in ws._stages:
+    for _, ops, writes in ws._stages:
         written, seen = [], set()
 
         def operand(x):
@@ -299,7 +299,7 @@ def repeated_ufunc_calls(ws):
             return (x.__array_interface__["data"][0], x.shape, x.strides,
                     sum(np.shares_memory(x, w) for w in written))
 
-        program = [*(ops or []), (None, (spectra,)), *writes]
+        program = [*(ops or []), (None, (ws._buffers["spectra"],)), *writes]
         for op, args in program:
             owner = getattr(op, "__self__", None)
             if isinstance(op, np.ufunc):

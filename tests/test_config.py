@@ -2,6 +2,8 @@
 
 import contextlib
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from rda.config import (
     parse_scenario_text,
     serialize_scenario,
 )
-from rda.core import (KEYS, SLOTS, InitialData, PolyTerm, scenario_from,
-                      validate_scenario)
+from rda.core import (_INITIAL_KINDS, FIELDS, KEYS, SLOTS, InitialData, PolyTerm,
+                      scenario_from, validate_scenario)
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 
 MINIMAL = """\
@@ -244,3 +246,23 @@ def test_generated_scenarios_round_trip(scenario):
     text = serialize_scenario(scenario)
     assert parse_scenario_text(text) == scenario
     assert serialize_scenario(parse_scenario_text(text)) == text
+
+
+def _readme_config_keys():
+    """The README's "Config keys" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+
+
+def test_readme_key_reference_lists_every_key():
+    assert re.findall(r"^\| `([^`]+)` \|", _readme_config_keys(), flags=re.M) == [
+        entry.key for entry in FIELDS]
+
+
+def test_readme_names_the_initial_kinds_the_code_accepts():
+    # The row's requirements cell (cells are split at unescaped pipes) names
+    # the kinds as quoted strings.
+    (row,) = re.findall(r"^\| `initial\.\{c\}\.kind` \|.*$", _readme_config_keys(),
+                        flags=re.M)
+    requirements = re.split(r"(?<!\\)\|", row)[4]
+    assert tuple(re.findall(r"'([^']+)'", requirements)) == _INITIAL_KINDS

@@ -590,7 +590,7 @@ OUTPUT_RULES = {
     "exact_error": Rule(
         ("exact_error",),
         ((_has_remark51_shape, "the exactly solvable benchmark shape: d=(1, 1/4), "
-          "f2 = u^4, u0 = a e^{-x^2/4} with a > 0, v0 = 0 on the grid"),),
+          "f2 = u^4, no other coupling, u0 = a e^{-x^2/4} with a > 0, v0 = 0 on the grid"),),
         judge=_judge_exact_error),
 }
 

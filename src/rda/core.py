@@ -50,8 +50,8 @@ __all__ = [
 #   points peaks near 0.3 GB, one at 2^25 would need about 8 GB.
 # - _MAX_STEPS is 1000x the longest builtin (cas3-stable, 10^4 steps).
 #   sample_times sums the time grid in chunks, 33 ms for 10^7 steps on a
-#   2-vCPU VM; the run itself, at about 0.3 ms a step on the largest
-#   builtin grid, would take close to an hour.
+#   2-vCPU VM; the run itself, at about 0.28 ms a step on the largest
+#   builtin grid (toy), would take about 45 minutes.
 BLOW_UP_THRESHOLD = 1e8
 _MAX_N = 2**20
 _MAX_STEPS = 10**7
@@ -414,7 +414,7 @@ RELATIONS = (
     (("envelope.kind", "envelope.M", "system.d1", "system.d2"),
      lambda sc: sc.envelope.kind == "algebraic"
      or sc.envelope.M >= max(16.0 * sc.system.d1, 16.0 * sc.system.d2, 1.0),
-     "envelope M >= max(16 d1, 16 d2, 1)"),
+     "exponential or drag envelope: M >= max(16 d1, 16 d2, 1)"),
 )
 
 # The largest |initial value| at the box edge, relative to the maximum, that

@@ -35,7 +35,7 @@ An accepted grid step transforms 3 rows at toy's shape and 4 when both
 components move, where the projected step transforms 9 (toy) and 16
 (thm2-irrelevant, cas2-*). toy and thm2-irrelevant take the grid path at
 every step: their 5000 steps at n = 8192, blow-up checks included, took
-1.6 s instead of 3.0 and 2.1 s instead of 4.6 (medians of three on a
+1.4 s instead of 2.8 and 1.7 s instead of 3.7 (medians of five on a
 2-vCPU VM). cas2-equal takes it at 801 of its 816 steps and cas2-distinct
 at 1413 of 1421: the last steps before the blow-up fall back.
 
@@ -63,41 +63,40 @@ Each projected step transforms only what can change:
   transform of the distinct coupling slots among f1, f2, g1, g2, of which
   only the first K modes are kept;
 - stages 2-4 inverse-transform only the read rows that move; the stage-1
-  field and powers of a still component are reused as they are;
+  field of a still component is reused as it is;
 - when no read component moves, the stage-1 forward transform is the
   slope of every stage and is reused, with no transform and no monomial
   work.
 
-No transform is made of an empty set of rows. Stage 1 and stages 2-4 each
-have one program of bound calls with out=, built once as a plan in which
-every distinct product is formed once, in the row that uses it:
+No transform is made of an empty set of rows. Each stage runs a program
+of bound calls with out=, built once:
 
-- the powers [None, base, base**2, ...] of the rows the stage transforms,
-  by repeated multiplication. A power that is a slot's whole first term
-  (coefficient 1, one factor) is computed straight into that slot's row
-  when nothing reads it after the row is written again; a still
-  component's powers are built at stage 1 only, so they land only in
-  single-term slots;
-- each slot's SystemSpec.monomials (equal terms summed once), summed
-  into its row in that order, single-term slots first. Identical slots
-  share one row (thm1-*'s f1 = f2 = uv), and a term that already sits in
-  a buffer, a power or a single-term slot, is copied or added from there
-  (thm2-irrelevant's f2 adds f1's uv row). A coefficient of 1 is not
-  multiplied and a power of 0 is not a factor;
+- the slot calls, the same at every stage. Each distinct slot's
+  SystemSpec.monomials (equal terms summed once) are evaluated into its
+  own row by Horner's rule (Knuth, TAOCP vol. 2, 4.6.4) in the component
+  of the higher power, u on a tie; identical slots share one row
+  (thm1-*'s f1 = f2 = uv). Each coefficient is a polynomial in the other
+  component: a constant, the bare field row, or one temp row that
+  Horner's rule fills just before it is read. A leading coefficient of 1
+  is not multiplied and the leading factor enters the first multiply, so
+  nothing is copied: toy's u^4 + uv is ((u u) u + v) u, 4 calls over the
+  u, v and slot rows. A still component read at a power of 2 or more is
+  raised again at every stage; no builtin reads one so;
 - the rows of acc (stage 1) or k (stages 2-4). The forward transform
   writes one spectrum buffer, and a row is a copy of its component's
   reaction slot, or ik times its flux slot plus its reaction slot.
 
-A stage makes no other decision. Per projected stage, toy makes 6 calls
-besides the transforms, thm1-*, thm2-irrelevant and cas3-* 7 and cas2-*
-4, and thm1-*'s forward transform takes 3 rows instead of 4.
+A stage makes no other decision. Per projected stage the slot calls are
+toy 4, thm1-* 3, thm2-irrelevant and cas3-* 5 and cas2-* 2 (remark51-exact
+3 at stage 1 only), and thm1-*'s forward transform takes 3 rows instead
+of 4.
 acc and k are the first K modes of zeroed full-width rows, so they have
 the strides of the stage and state rows they are combined with, and the
 still-row flush below writes into workspace buffers of the strides it
 reads: a ufunc that writes a strided output from an operand of other
 strides copies through a temporary buffer. So a step allocates its
 (2, n/2+1) result and little else: under tracemalloc its peak at n =
-1024 is 1.04 (toy's shape) to 1.10 (both components move) times the
+1024 is 1.10 (both components move) to 1.11 (toy's shape) times the
 result's bytes. The updates of acc and k alone (k *= 2, acc += k, acc *=
 dt/6) run over one contiguous span, from the first element to the last
 kept mode; with two moving rows this is about 0.8 us per call faster
@@ -222,9 +221,10 @@ class SpectralWorkspace:
     (inverse, ops, writes) for stage 1 and for stages 2-4: the rows of the
     stage and field buffers to inverse-transform, of the components the
     monomials read (at stages 2-4 only those of them that move), or None
-    when there are none; the power and monomial calls (None when the
-    stage reuses stage 1's forward transform); and the calls that write
-    acc or k from the forward transform's spectra. _grid holds the grid
+    when there are none; the Horner calls that write each slot's row of
+    phys, one list for every stage (None at stages 2-4 when they reuse
+    stage 1's forward transform); and the calls that write acc or k from
+    the forward transform's spectra. _grid holds the grid
     path's arrays, or None when a step takes the projected path only:
     (base, fields, slope, late_slope, acc, increment), each over the
     moving rows or the read moving rows, in the idle acc, k and stage
@@ -264,8 +264,7 @@ class SpectralWorkspace:
             comp, order = SLOTS[name]
             comp_slots[comp][order] = (*(comp_slots[comp][order] or ()), (coeff, alpha, beta))
         named = [s for comp, order in SLOTS.values() if (s := comp_slots[comp][order])]
-        tops = [max((t[1 + c] for s in named for t in s), default=0) for c in (0, 1)]
-        read = [comp for comp in (0, 1) if tops[comp] > 0]
+        read = [comp for comp in (0, 1) if any(t[1 + comp] for s in named for t in s)]
         moving = [comp for comp in (0, 1) if comp_slots[comp] != [None, None]]
         self.moving = _row_slice(moving)
         self.still = _row_slice([comp for comp in (0, 1) if comp not in moving])
@@ -292,15 +291,11 @@ class SpectralWorkspace:
             "still_abs": np.empty((n_still, 2 * modes))[:, :2 * self.n_kept],
             "still_tiny": np.empty((n_still, 2 * modes), dtype=bool)[:, :2 * self.n_kept],
         }
-        # One view per slot row, so that a power placed in a row is that view.
-        phys = list(buf["phys"])
-        powers = _place_powers(buf["fields"], tops, slots, phys, moving)
-        mono = _slot_ops(slots, phys, powers)
-
-        def ops(comps):
-            return [(np.multiply, (powers[c][j - 1], powers[c][1], powers[c][j]))
-                    for c in comps for j in range(2, len(powers[c]))] + mono
-
+        # Each slot's Horner program writes its own row of phys; temp holds
+        # a coefficient that is neither a constant nor a bare field.
+        temp = np.empty(n)
+        ops = [call for row, s in zip(buf["phys"], slots)
+               for call in _slot_program(row, s, buf["fields"], temp)]
         row_of = {s: r for r, s in enumerate(slots)}
         spec = buf["spectra"][:, :self.n_kept]
 
@@ -319,8 +314,8 @@ class SpectralWorkspace:
             rows = _row_slice(comps)
             return None if rows is None else (buf["stage"][rows], buf["fields"][rows])
 
-        self._stages = ((inverse(read), ops(read), writes(buf["acc"])),
-                        (inverse(late), ops(late) if late else None, writes(buf["k"])))
+        self._stages = ((inverse(read), ops, writes(buf["acc"])),
+                        (inverse(late), ops if late else None, writes(buf["k"])))
         self._grid = None
         if late and all(g is None for _, g in comp_slots):
             # The grid path's buffers, over the idle acc, k and stage rows:
@@ -343,79 +338,56 @@ def _row_slice(comps: list[int]) -> slice | None:
     return slice(comps[0], comps[-1] + 1) if comps else None
 
 
-def _power_term(comp: int, j: int) -> tuple[float, int, int]:
-    """The (coeff, alpha, beta) triple of the bare power u^j or v^j."""
-    return (1.0, j, 0) if comp == 0 else (1.0, 0, j)
+def _slot_program(row: np.ndarray, slot: tuple, fields: np.ndarray,
+                  temp: np.ndarray) -> list:
+    """The calls that evaluate slot's (coeff, alpha, beta) monomials into
+    row by Horner's rule in the component of the higher power (u on a tie).
 
-
-def _place_powers(fields: np.ndarray, tops: list[int], slots: list, phys: list,
-                  moving: list[int]) -> list[list]:
-    """[None, base, base**2, ..., base**top] for u and v, None being the
-    zeroth power and base the field row.
-
-    A power that is the whole first term of a slot is computed straight
-    into that slot's row, where the slot's own calls leave it: always in a
-    single-term slot, which nothing writes again. In a multi-term slot the
-    power is lost once the slot adds its second term, so it lands there
-    only when its component moves, so that every stage rebuilds it, and
-    no term of any multi-term slot but that first one reads it: single-term
-    slots are formed before multi-term ones. Other powers get a buffer.
+    Each coefficient is a polynomial in the other component: a constant,
+    the bare field row, or else filled into temp by Horner's rule just
+    before the call that reads it.
     """
-    n = fields.shape[1]
-    powers = [[None, fields[c]] for c in (0, 1)]
-    for c in (0, 1):
-        for j in range(2, tops[c] + 1):
-            power = _power_term(c, j)
-            readers = sum(t[1 + c] == j for s in slots if len(s) > 1 for t in s)
-            hosts = [r for r, s in enumerate(slots) if s == (power,)] + [
-                r for r, s in enumerate(slots) if len(s) > 1 and s[0] == power
-                and c in moving and readers == 1]
-            powers[c].append(phys[hosts[0]] if hosts else np.empty(n))
-    return powers
+    x = max((0, 1), key=lambda c: max(t[1 + c] for t in slot))
+    polys: dict[int, dict] = {}
+    for coeff, *powers in slot:
+        polys.setdefault(powers[x], {})[powers[1 - x]] = (coeff, ())
+
+    def coefficient(poly):
+        if list(poly) == [0]:
+            return poly[0]
+        if poly == {1: (1.0, ())}:
+            return fields[1 - x], ()
+        return temp, _horner(temp, fields[1 - x], poly)
+
+    return _horner(row, fields[x], {j: coefficient(p) for j, p in polys.items()})
 
 
-def _slot_ops(slots: list, phys: list, powers: list[list]) -> list:
-    """The calls that sum each slot's monomials into its row of phys, in
-    order of first appearance, single-term slots first.
+def _horner(out: np.ndarray, base: np.ndarray, coeffs: dict) -> list:
+    """The calls that set out = sum_j c_j base**j by Horner's rule, from
+    {j: (c_j, fill)}: c_j is a float, or an array that the calls fill
+    write just before c_j is read. A missing c_j is zero.
 
-    Each product is formed once: a term that already sits in a buffer, a
-    power or a single-term slot formed before, is copied (a first term) or
-    added (a later term) from there, and a power computed into its slot's
-    row needs no call.
+    The value starts as the leading coefficient and is not copied: 1 times
+    base is base itself, and the first multiply or add writes out from it.
+    A value that never reaches out, a constant or a bare field, is copied
+    into it at the end.
     """
-    sits = {_power_term(c, j): powers[c][j]
-            for c in (0, 1) for j in range(1, len(powers[c]))}
-    term, calls = np.empty_like(powers[0][1]), []
-    for r in sorted(range(len(slots)), key=lambda r: len(slots[r]) > 1):
-        row, (first, *rest) = phys[r], slots[r]
-        if sits.get(first) is not row:
-            calls += _product_ops(row, first, powers, sits)
-        for t in rest:
-            if t in sits:
-                calls.append((np.add, (row, sits[t], row)))
-            else:
-                calls += _product_ops(term, t, powers, sits)
-                calls.append((np.add, (row, term, row)))
-        if not rest:
-            sits.setdefault(first, row)
+    top = max(coeffs)
+    value, fill = coeffs[top]
+    calls = list(fill)
+    for j in range(top - 1, -1, -1):
+        if isinstance(value, np.ndarray) or value != 1.0:
+            calls.append((np.multiply, (value, base, out)))
+            value = out
+        else:
+            value = base
+        if j in coeffs:
+            c, fill = coeffs[j]
+            calls += [*fill, (np.add, (value, c, out))]
+            value = out
+    if value is not out:
+        calls.append((np.copyto, (out, value)))
     return calls
-
-
-def _product_ops(out: np.ndarray, term: tuple[float, int, int], powers: list[list],
-                 sits: dict) -> list:
-    """The calls that set out = (coeff * u^alpha) * v^beta: a copy when the
-    product sits in a buffer, else skipping factors that are 1 (coeff 1,
-    power 0)."""
-    if term in sits:
-        return [(np.copyto, (out, sits[term]))]
-    coeff, alpha, beta = term
-    factors = [f for f in (powers[0][alpha], powers[1][beta]) if f is not None]
-    if not factors:
-        return [(out.fill, (coeff,))]
-    if coeff == 1.0:
-        return [(np.multiply, (*factors, out))]
-    return [(np.multiply, (factors[0], coeff, out)),
-            *[(np.multiply, (out, f, out)) for f in factors[1:]]]
 
 
 def _coupling_rhs(ws: SpectralWorkspace, first: bool) -> None:
@@ -424,7 +396,7 @@ def _coupling_rhs(ws: SpectralWorkspace, first: bool) -> None:
 
     At the first stage of a step every read row is transformed; later
     stages transform only the read rows that move and reuse the others'
-    powers, or, when none moves, reuse the first stage's forward transform.
+    fields, or, when none moves, reuse the first stage's forward transform.
     """
     inverse, ops, writes = ws._stages[0 if first else 1]
     if ops is not None:

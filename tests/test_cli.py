@@ -137,19 +137,20 @@ def assert_config_rejected(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
-def _remark51_cut(*f2):
-    """remark51-exact with f2 = the terms f2, cut to t_end = 2, its exact
-    error alone judged."""
+def _remark51_cut(*f2, f1=()):
+    """remark51-exact with f2 = the terms f2 and f1 = the terms f1, cut to
+    t_end = 2, its exact error alone judged."""
     scenario = get_scenario("remark51-exact")
     return dataclasses.replace(
-        scenario, system=dataclasses.replace(scenario.system, f2=f2), t_end=2.0,
+        scenario, system=dataclasses.replace(scenario.system, f1=f1, f2=f2), t_end=2.0,
         outputs=("trajectory", "exact_error"))
 
 
 _CAS2 = get_scenario("cas2-equal")
 _EXACT_ERROR_REQUIRES = (
     "exact_error output requires the exactly solvable benchmark shape: "
-    "d=(1, 1/4), f2 = u^4, u0 = a e^{-x^2/4} with a > 0, v0 = 0 on the grid")
+    "d=(1, 1/4), f2 = u^4, no other coupling, u0 = a e^{-x^2/4} with a > 0, "
+    "v0 = 0 on the grid")
 _GROWTH_SYSTEM_REQUIRED = (
     "lower_bounds output requires the growth system: f1 = v^2, f2 = u^2, "
     "no other coupling")
@@ -607,12 +608,16 @@ class TestMain:
         assert_config_rejected(tmp_path, capsys, text, message)
 
     # Each of these once ran and wrote a verdict on an input outside the
-    # result it judges: the exact solution has f2 = u^4 with coefficient 1,
-    # and the lower bounds hold for f1 = v^2, f2 = u^2, u0 >= nu0 e^{-a x^2}
+    # result it judges: the exact solution has f2 = u^4 with coefficient 1
+    # and no other coupling, and the lower bounds hold for f1 = v^2, f2 = u^2, u0 >= nu0 e^{-a x^2}
     # and v0 >= 0.
     @pytest.mark.parametrize("scenario,message", [
         (_remark51_cut(PolyTerm(2.0, 4, 0, 0)), _EXACT_ERROR_REQUIRES),
         (_remark51_cut(PolyTerm(0.0, 4, 0, 0)), _EXACT_ERROR_REQUIRES),
+        (_remark51_cut(PolyTerm(1.0, 4, 0, 0), f1=(PolyTerm(1.0, 1, 1, 0),)),
+         _EXACT_ERROR_REQUIRES),
+        (_remark51_cut(PolyTerm(1.0, 4, 0, 0), f1=(PolyTerm(1e-3, 2, 0, 0),)),
+         _EXACT_ERROR_REQUIRES),
         (dataclasses.replace(_CAS2, system=get_scenario("thm1-exp").system),
          _GROWTH_SYSTEM_REQUIRED),
         (dataclasses.replace(_CAS2, system=dataclasses.replace(
@@ -624,7 +629,8 @@ class TestMain:
         (dataclasses.replace(_CAS2, initial_u=InitialData(
             kind="gaussian", amplitude=0.0, width=1.0)),
          _GAUSSIAN_U_REQUIRED),
-    ], ids=["remark51-f2-2u4", "remark51-f2-0u4", "cas2-equal-thm1-exp-system",
+    ], ids=["remark51-f2-2u4", "remark51-f2-0u4", "remark51-plus-f1-uv",
+            "remark51-plus-f1-u2", "cas2-equal-thm1-exp-system",
             "cas2-equal-f1-minus-v2", "cas2-equal-negative-v0",
             "cas2-equal-zero-u0"])
     def test_input_outside_the_theorem_fails_before_running(

@@ -71,7 +71,7 @@ class TestValidateSpec:
 _INF, _NAN = math.inf, math.nan
 _EXPONENTIAL = EnvelopeSpec(kind="exponential")
 _EXACT_SHAPE = ("the exactly solvable benchmark shape: d=(1, 1/4), f2 = u^4, "
-                "u0 = a e^{-x^2/4} with a > 0, v0 = 0 on the grid")
+                "no other coupling, u0 = a e^{-x^2/4} with a > 0, v0 = 0 on the grid")
 _GROWTH = SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0, f1=(PolyTerm(1.0, 0, 2),),
                      f2=(PolyTerm(1.0, 2, 0),))
 
@@ -154,7 +154,7 @@ REFUSAL_EXAMPLES = {
     ("RELATIONS", "dt*max|c|/dx <= 10"): dict(system=_system(c2=1000.0)),
     ("RELATIONS", "drag envelope: c1 != c2"):
         dict(system=_system(c1=1.0), envelope=EnvelopeSpec(kind="drag")),
-    ("RELATIONS", "envelope M >= max(16 d1, 16 d2, 1)"):
+    ("RELATIONS", "exponential or drag envelope: M >= max(16 d1, 16 d2, 1)"):
         dict(envelope=EnvelopeSpec(kind="exponential", M=2.0)),
     ("envelope", "an envelope.kind"): dict(outputs=("envelope",)),
     ("envelope", "a sample at t >= 1, its anchor"):

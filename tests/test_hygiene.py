@@ -719,8 +719,8 @@ STALE_TRACER_TARGETS = {
     "rda.solver.SpectralState.to_physical not found",
     # Only rda.cli validates; rda.config parses.
     "rda.config.validate_scenario not found, not traced",
-    # The special ufuncs are read through _scipy_ext.special_ufuncs() on
-    # first use, so no module binds them by name.
+    # erf and erfc come from the standard library's math module and
+    # Gamma(5/4) is a literal, so no rda module binds erf, erfcx or gamma.
     "rda.analysis.erf not found, not traced",
     "rda.kernels.erfcx not found, not traced",
     "rda.kernels.gamma not found, not traced",

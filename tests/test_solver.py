@@ -22,6 +22,7 @@ from rda.core import (
     SystemSpec,
     validate_scenario,
 )
+from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 from rda.solver import (
     SpectralWorkspace,
     detect_blow_up,
@@ -160,9 +161,37 @@ def test_rows_transformed_per_step(monkeypatch, couplings, inverse, forward):
 
 
 def _stage_programs(ws):
-    """The names of the calls of each stage program of ws, in order."""
-    return [[op.__name__ for op, _ in (*(ops or ()), *writes)]
+    """The names of the slot calls (None when the stage reuses stage 1's
+    forward transform) and of the writes of each stage program of ws, in
+    order."""
+    return [(None if ops is None else [op.__name__ for op, _ in ops],
+             [op.__name__ for op, _ in writes])
             for _, ops, writes in ws._stages]
+
+
+# The slot calls of stage 1 and of stages 2-4 of every builtin. Horner's
+# rule builds no power buffer: toy's u^4 + uv is ((u u) u + v) u, and
+# cas3's uv + b u^3 is ((b u) u + v) u. remark51-exact reuses its stage-1
+# slope.
+_SLOT_CALLS = {
+    "toy": (4, 4),
+    "thm1-exp": (3, 3),
+    "thm1-alg": (3, 3),
+    "thm2-irrelevant": (5, 5),
+    "remark51-exact": (3, None),
+    "cas2-equal": (2, 2),
+    "cas2-distinct": (2, 2),
+    "cas3-stable": (5, 5),
+    "cas3-sign-violated": (5, 5),
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_slot_calls_per_stage(name):
+    scenario = get_scenario(name)
+    ws = SpectralWorkspace(grid=scenario.grid, system=scenario.system, dt=scenario.dt)
+    assert tuple(None if ops is None else len(ops)
+                 for ops, _ in _stage_programs(ws)) == _SLOT_CALLS[name]
 
 
 def test_equal_monomials_build_one_product():
@@ -174,7 +203,7 @@ def test_equal_monomials_build_one_product():
         for terms in ((PolyTerm(1.0, 1, 1, 0),), (PolyTerm(0.5, 1, 1, 0),) * 2)]
     assert programs[1] == programs[0]
     # The one product, then the copy of its spectrum into the RK4 row.
-    assert programs[0][0] == ["multiply", "copyto"]
+    assert programs[0][0] == (["multiply"], ["copyto"])
 
 
 @pytest.mark.parametrize("n", [64, 1024, 8192])

@@ -126,7 +126,8 @@ def assert_matches_reference(grid, system, dt, spectra):
     assert_close(stepped(grid, system, dt, spectra), ref)
 
 
-# Every builtin term has coefficient 1, which the stepper does not multiply.
+# Every builtin term has coefficient 1, which Horner's rule does not
+# multiply by.
 _coeffs = st.one_of(st.just(1.0), st.floats(-3.0, 3.0, allow_nan=False))
 
 
@@ -173,38 +174,58 @@ _CONSTANT_ONLY = dict(
     n=64, dt=0.04, seed=3)
 
 # thm1: f1 = f2 = uv share one transform row, and g1 = u^2, g2 = v^2 are
-# computed straight into their rows.
+# one multiply each.
 _IDENTICAL_SLOTS = dict(
     system=SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=1.0,
                       f1=(PolyTerm(1.0, 1, 1, 0),), f2=(PolyTerm(1.0, 1, 1, 0),),
                       g1=(PolyTerm(1.0, 2, 0, 1),), g2=(PolyTerm(1.0, 0, 2, 1),)),
     n=128, dt=0.02, seed=4)
-# thm2 with f1 and f2 swapped: f1's later uv term is f2's whole slot,
-# which is formed first and which f1 adds; u^4 is computed into f1's row.
+# thm2 with f1 and f2 swapped: f1 = ((u u) u + v) u by Horner's rule in
+# u, in its own row beside f2's uv.
 _SHARED_TERM = dict(
     system=SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=5.0,
                       f1=(PolyTerm(1.0, 4, 0, 0), PolyTerm(1.0, 1, 1, 0)),
                       f2=(PolyTerm(1.0, 1, 1, 0),)),
     n=128, dt=0.02, seed=5)
-# cas3: u^2 is g2's whole slot and a factor of f1's u^3.
+# cas3: f1 = ((1.5 u) u + v) u, its leading constant folded into the
+# first multiply, beside g2 = u^2.
 _POWER_ALONE_AND_INSIDE = dict(
     system=SystemSpec(d1=1.0, d2=1.0, c1=0.0, c2=1.0,
                       f1=(PolyTerm(1.0, 1, 1, 0), PolyTerm(1.5, 3, 0, 0)),
                       g2=(PolyTerm(1.0, 2, 0, 1),)),
     n=64, dt=0.02, seed=6)
-# v is still, so its v^2 is built at stage 1 only; placed in f1's row, it
-# would be overwritten by "+ u" before stages 2-4 read it.
+# v is still and read at power 2 in a sum: every stage squares its stage-1
+# field again and adds the moving u.
 _STILL_POWER_IN_SUM = dict(
     system=SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=0.0,
                       f1=(PolyTerm(1.0, 0, 2, 0), PolyTerm(1.0, 1, 0, 0))),
     n=64, dt=0.02, seed=7)
-# u^2 starts f1, but f2 reads it after f1 has added its v: it keeps its
-# own buffer.
+# u^2 is in both slots: f1 = u u + v, and f2 = (2 u + 1) u adds its
+# constant coefficient 1.
 _POWER_READ_AFTER_SUM = dict(
     system=SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=1.0,
                       f1=(PolyTerm(1.0, 2, 0, 0), PolyTerm(1.0, 0, 1, 0)),
                       f2=(PolyTerm(2.0, 2, 0, 0), PolyTerm(1.0, 1, 0, 0))),
     n=64, dt=0.02, seed=8)
+# v's power is the higher, so Horner's rule runs in v, and the
+# coefficients 2 u^2 and -u of v^3 and v are filled into the temp row by
+# Horner's rule in u: ((2 u^2) v v - u) v + 3.
+_HORNER_IN_V = dict(
+    system=SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=1.0,
+                      f1=(PolyTerm(2.0, 2, 3, 0), PolyTerm(-1.0, 1, 1, 0),
+                          PolyTerm(3.0, 0, 0, 0))),
+    n=64, dt=0.02, seed=9)
+# A constant-only slot beside a product: f1 is filled, f2 = uv multiplied.
+_CONSTANT_BESIDE_PRODUCT = dict(
+    system=SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=1.0,
+                      f1=(PolyTerm(0.75, 0, 0, 0),), f2=(PolyTerm(1.0, 1, 1, 0),)),
+    n=64, dt=0.02, seed=10)
+# The still v is read at power 2 with the moving u as its coefficient:
+# (u v) v at every stage.
+_STILL_SQUARED = dict(
+    system=SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=1.0,
+                      f1=(PolyTerm(1.0, 1, 2, 0),)),
+    n=64, dt=0.02, seed=11)
 _UNMASKED_SYSTEM = SystemSpec(d1=1.0, d2=0.5, c1=0.0, c2=2.0,
                               f1=(PolyTerm(-0.7, 4, 0, 0), PolyTerm(2.0, 1, 1, 0)),
                               f2=(PolyTerm(0.3, 0, 3, 0),),
@@ -221,7 +242,9 @@ ORACLE_SYSTEMS = {
         ("identical_slots", _IDENTICAL_SLOTS), ("shared_term", _SHARED_TERM),
         ("power_alone_and_inside", _POWER_ALONE_AND_INSIDE),
         ("still_power_in_sum", _STILL_POWER_IN_SUM),
-        ("power_read_after_sum", _POWER_READ_AFTER_SUM))},
+        ("power_read_after_sum", _POWER_READ_AFTER_SUM), ("horner_in_v", _HORNER_IN_V),
+        ("constant_beside_product", _CONSTANT_BESIDE_PRODUCT),
+        ("still_squared", _STILL_SQUARED))},
     "unmasked": _UNMASKED_SYSTEM,
     "flux_only": _FLUX_ONLY_SYSTEM,
 }
@@ -240,6 +263,9 @@ ORACLE_SYSTEMS = {
 @example(**_POWER_ALONE_AND_INSIDE)
 @example(**_STILL_POWER_IN_SUM)
 @example(**_POWER_READ_AFTER_SUM)
+@example(**_HORNER_IN_V)
+@example(**_CONSTANT_BESIDE_PRODUCT)
+@example(**_STILL_SQUARED)
 def test_all_slots_match_reference(system, n, dt, seed):
     grid = Grid(half_width=20.0, n=n)
     spectra = _initial_spectra(grid, seed)

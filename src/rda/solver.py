@@ -31,13 +31,48 @@ whose derivative ik needs a spectrum at every stage, and for couplings
 that read only still components (remark51-exact), whose stage-1 slope
 serves every stage at one transform pair already.
 
+The grid path steps only the window where the couplings can move a bit.
+Every monomial c u^a v^b other than a constant has a gate, u when a >= 1
+and v otherwise, and is at most |gate(x)| times |c| and the grid maxima
+of its other factors (a constant moves every point, so a coupling with
+one always takes the whole grid). After the one inverse transform, A_g
+sums |c| times those maxima over the monomials that g gates, and a point
+is quiet when every gate g is at most tau_g = 2^-53 M / (h A_g) there,
+with M the largest grid value of the moving rows the couplings read. At
+a quiet point, h times the monomials of each gate is at most 2^-53 M,
+below one unit in the last place of M: the size of the rounding that the
+inverse transform already leaves in the grid values the stages start
+from. So leaving the quiet points' increments out moves the state by no
+more than the transforms' own rounding (to first order in h, as the
+stage values stay within O(h) of the stage-1 values the gates are read
+from). The window is the smallest index range that holds every loud
+point, rounded out to whole blocks of _WINDOW_BLOCK points. The stage
+programs, the stage-input updates and the acc sums run on the window's
+views, and acc stays zero outside it; the one inverse and one forward
+transform stay whole. The views and slot calls are rebound only when
+the window moves. When no point is loud, say when every gate is zero,
+the increment is zero and no stage runs.
+
+The window is a plain index range, so a gate above tau at both box edges
+(a pulse across the periodic edge) takes the whole grid, as do data loud
+everywhere, such as noise: one code path serves every case. The 1e-15
+tail check stays the guard. A window that cut off increments that reach
+the kept modes would leave a step in acc at its edge, whose modes beyond
+the band fail the check, and the projected step would take over; a tau
+2^20 times too large is caught this way in tests/test_stepper_oracle.py.
+
 An accepted grid step transforms 3 rows at toy's shape and 4 when both
 components move, where the projected step transforms 9 (toy) and 16
 (thm2-irrelevant, cas2-*). toy and thm2-irrelevant take the grid path at
-every step: their 5000 steps at n = 8192, blow-up checks included, took
-1.4 s instead of 2.8 and 1.7 s instead of 3.7 (medians of five on a
-2-vCPU VM). cas2-equal takes it at 801 of its 816 steps and cas2-distinct
-at 1413 of 1421: the last steps before the blow-up fall back.
+every step, on windows of 128 to 896 of their 8192 points (median 640),
+rebound 13 times in 5000 steps. Those 5000 steps, blow-up checks
+included, took 1.2 s for toy and 1.5 s for thm2-irrelevant, against 1.45
+and 1.8 s with the window set to the whole grid and 3.0 and 4.3 s on the
+projected path (medians of five alternating rounds on a 2-vCPU VM).
+cas2-equal takes the grid path at 801 of its 816 steps and cas2-distinct
+at 1413 of 1421 (the last steps before the blow-up fall back), on
+windows of 128 to 1024 of their 1024 points. At n = 1024 the window's
+own calls cost about as much as the stage work they save.
 
 The evolving state is one stacked (2, n/2+1) array: row 0 is the rfft of
 u, row 1 the rfft of v. Over the non-negative rfft frequencies the modes
@@ -174,6 +209,8 @@ _DOT_BLOCK = 10000
 # modes beyond the kept band exceeds this fraction of the largest part of
 # the kept modes of the moving rows.
 _ROUND_OFF = 1e-15
+# The grid path's window is rounded out to whole blocks of this many points.
+_WINDOW_BLOCK = 64
 
 
 def _transforms(kernels):
@@ -225,10 +262,20 @@ class SpectralWorkspace:
     phys, one list for every stage (None at stages 2-4 when they reuse
     stage 1's forward transform); and the calls that write acc or k from
     the forward transform's spectra. _grid holds the grid
-    path's arrays, or None when a step takes the projected path only:
-    (base, fields, slope, late_slope, acc, increment), each over the
-    moving rows or the read moving rows, in the idle acc, k and stage
-    buffers.
+    path's arrays over the whole grid, or None when a step takes the
+    projected path only: (base, fields, slope, late_slope, acc, increment,
+    program), each over the moving rows or the read moving rows. base and
+    increment lie in the idle k and stage buffers, and acc is the grid
+    path's own, zero outside the window; program(points) builds the slot
+    calls over a slice of grid points. _gates holds what _window reads:
+    the read rows of the field buffer, the |fields| buffer, one boolean
+    row per gate of its loud points with the first row's 64-bit words in
+    order and reversed, each gate's row and (|coeff|, a, b) terms, and the
+    read and read moving components; it is None when the window is always
+    the whole grid. _bound holds the window the grid path is bound to and
+    its views of base, fields, slope, late_slope and acc, and its slot
+    calls: (window, base, fields, slope, late_slope, acc, ops), or (None,)
+    before the first grid step.
     """
 
     grid: Grid
@@ -242,6 +289,8 @@ class SpectralWorkspace:
     _buffers: dict = field(init=False, repr=False)
     _stages: tuple = field(init=False, repr=False)
     _grid: tuple | None = field(init=False, repr=False)
+    _gates: tuple | None = field(init=False, repr=False)
+    _bound: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.grid.n
@@ -294,8 +343,12 @@ class SpectralWorkspace:
         # Each slot's Horner program writes its own row of phys; temp holds
         # a coefficient that is neither a constant nor a bare field.
         temp = np.empty(n)
-        ops = [call for row, s in zip(buf["phys"], slots)
-               for call in _slot_program(row, s, buf["fields"], temp)]
+
+        def program(points=slice(None)):
+            return [call for row, s in zip(buf["phys"][:, points], slots)
+                    for call in _slot_program(row, s, buf["fields"][:, points], temp[points])]
+
+        ops = program()
         row_of = {s: r for r, s in enumerate(slots)}
         spec = buf["spectra"][:, :self.n_kept]
 
@@ -316,18 +369,91 @@ class SpectralWorkspace:
 
         self._stages = ((inverse(read), ops, writes(buf["acc"])),
                         (inverse(late), ops if late else None, writes(buf["k"])))
-        self._grid = None
+        self._grid = self._gates = None
+        self._bound = (None,)
         if late and all(g is None for _, g in comp_slots):
-            # The grid path's buffers, over the idle acc, k and stage rows:
-            # acc and k hold n floats per row, stage a spectrum per row.
-            # Reaction slots are one row each in moving order, or one row
-            # that f1 = f2 share.
+            # The grid path's buffers: base in the idle k rows, which hold n
+            # floats each, the increment in the moving stage rows, and a
+            # zeroed acc of its own. Reaction slots are one row each in
+            # moving order, or one row that f1 = f2 share.
             rows = _row_slice([moving.index(c) for c in late])
             slope = (buf["phys"] if len(slots) == len(moving)
                      else np.broadcast_to(buf["phys"][0], (len(moving), n)))
             self._grid = (k.view(np.float64)[rows, :n], buf["fields"][_row_slice(late)],
-                          slope, slope[rows], acc.view(np.float64)[:, :n],
-                          buf["stage"][self.moving])
+                          slope, slope[rows], np.zeros((len(moving), n)),
+                          buf["stage"][self.moving], program)
+            # Per gate component, the (|coeff|, power of u, power of v) of
+            # the monomials it gates, with the gate's own power lowered by
+            # one. A constant monomial moves every point, and then the
+            # window is always the whole grid (_gates is None).
+            terms = [(coeff, alpha, beta)
+                     for (_, alpha, beta), coeff in system.monomials().items() if coeff]
+            if terms and all(alpha or beta for _, alpha, beta in terms):
+                gated: dict[int, list] = {}
+                for coeff, alpha, beta in terms:
+                    gate = 0 if alpha else 1
+                    gated.setdefault(gate, []).append(
+                        (abs(coeff), alpha - (gate == 0), beta - (gate == 1)))
+                # |fields| of the read rows, one row per gate of the points
+                # it leaves loud, and the first row as 64-bit words in
+                # order and reversed; the rows are padded with False to
+                # whole words.
+                gates = tuple((read.index(g), tuple(t)) for g, t in gated.items())
+                loud = np.zeros((len(gates), -(-n // 8) * 8), dtype=bool)
+                words = loud[0].view(np.uint64)
+                self._gates = (buf["fields"][_row_slice(read)], np.empty((len(read), n)),
+                               loud[:, :n], (words, words[::-1]), gates, read, late)
+
+
+def _window(ws: SpectralWorkspace) -> tuple[int, int] | None:
+    """The grid points (lo, hi) that the grid path steps, from the fields
+    of the read rows, or None when every point is quiet.
+
+    With M_u and M_v the grid maxima of |u| and |v|, M the largest of the
+    read moving rows, and A_g the sum of |coeff| M_u^a M_v^b over the
+    monomials that gate g gates (its own power lowered by one), a point is
+    loud when some gate exceeds 2^-53 M / (h A_g) there. The window is the
+    smallest index range that holds every loud point, rounded out to
+    whole 8-point words and then to whole _WINDOW_BLOCK blocks. It is the
+    whole grid when a constant monomial moves every point, or when M or a
+    bound is not a finite float.
+    """
+    n = ws.grid.n
+    if ws._gates is None:
+        return 0, n
+    fields, absolute, loud, words, gates, read, late = ws._gates
+    np.abs(fields, out=absolute)
+    maxima = [1.0, 1.0]
+    for comp, peak in zip(read, absolute.max(axis=1).tolist()):
+        maxima[comp] = peak
+    scale = 2.0 ** -53 * max([maxima[comp] for comp in late]) / ws.dt
+    mu, mv = maxima
+    try:
+        bounds = [sum([c * mu ** a * mv ** b for c, a, b in terms]) for _, terms in gates]
+    except OverflowError:
+        return 0, n
+    if not math.isfinite(scale + sum(bounds)):
+        return 0, n
+    for row, (gate, _), bound in zip(loud, gates, bounds):
+        np.greater(absolute[gate], scale / bound if bound else math.inf, out=row)
+    if len(gates) > 1:
+        np.logical_or(loud[0], loud[1], out=loud[0])
+    first = int(words[0].argmax())
+    if not words[0][first]:
+        return None
+    last = words[0].size - int(words[1].argmax())
+    block = math.gcd(n, _WINDOW_BLOCK)
+    return 8 * first // block * block, min(n, -(-8 * last // block) * block)
+
+
+def _bind_window(ws: SpectralWorkspace, window: tuple[int, int]) -> None:
+    """Bind the grid path's views and slot calls to the points of window
+    and zero acc, which the grid path writes only inside it."""
+    base, fields, slope, late_slope, acc, _, program = ws._grid
+    points = slice(*window)
+    acc.fill(0.0)
+    ws._bound = (window, base[:, points], fields[:, points], slope[:, points],
+                 late_slope[:, points], acc[:, points], program(points))
 
 
 def _row_slice(comps: list[int]) -> slice | None:
@@ -454,20 +580,27 @@ def _grid_rk4(ws: SpectralWorkspace, y: np.ndarray) -> bool:
     whether it did. A rejected attempt leaves y as it was.
 
     The read rows of the dealiased stage buffer are inverse-transformed
-    once; base keeps the moving ones. Each stage runs the stage programs on
-    the field buffer and leaves the slope of every moving component on the
-    grid in slope; the next stage input of a read moving row is base +
-    c h slope. acc sums h/6 (k1 + 2 k2 + 2 k3 + k4) on the grid, and one
-    forward transform into the moving rows of the stage buffer makes the
-    increment, whose modes beyond K are set back to zero afterwards. The
-    attempt runs with overflow warnings off: an overflow leaves inf or nan
-    in the increment, which the check rejects.
+    once, and _window picks the points to step; when it picks none, the
+    increment is zero and the step is accepted. Over the window, base
+    keeps the moving read rows, each stage runs the slot calls on the field
+    buffer and leaves the slope of every moving component in slope, and
+    the next stage input of a read moving row is base + c h slope. acc sums
+    h/6 (k1 + 2 k2 + 2 k3 + k4) over the window and stays zero outside it,
+    and one forward transform of acc into the moving rows of the stage
+    buffer makes the increment, whose modes beyond K are set back to zero
+    afterwards. The attempt runs with overflow warnings off: an overflow
+    leaves inf or nan in the increment, which the check rejects.
     """
-    base, fields, slope, late_slope, acc, increment = ws._grid
-    (inverse, ops, _), (_, late_ops, _) = ws._stages
+    inverse = ws._stages[0][0]
     n_kept, dt = ws.n_kept, ws.dt
     ws._buffers["stage"][:, :n_kept] = y[:, :n_kept]
     _irfft(inverse[0], ws.grid.n, out=inverse[1])
+    window = _window(ws)
+    if window is None:
+        return True
+    if ws._bound[0] != window:
+        _bind_window(ws, window)
+    _, base, fields, slope, late_slope, acc, ops = ws._bound
     np.copyto(base, fields)
     for op, args in ops:
         op(*args)
@@ -475,13 +608,14 @@ def _grid_rk4(ws: SpectralWorkspace, y: np.ndarray) -> bool:
     for c, twice in ((0.5 * dt, True), (0.5 * dt, True), (dt, False)):
         np.multiply(late_slope, c, out=fields)
         fields += base
-        for op, args in late_ops:
+        for op, args in ops:
             op(*args)
         acc += slope
         if twice:
             acc += slope
     acc *= dt / 6.0
-    _rfft(acc, out=increment)
+    whole_acc, increment = ws._grid[4:6]
+    _rfft(whole_acc, out=increment)
     kept = y[ws.moving, :n_kept]
     parts, tail = kept.view(np.float64), increment[:, n_kept:].view(np.float64)
     # A nan on either side fails the comparison.

@@ -1,7 +1,7 @@
 """The committed DIGEST.json pins the builtins' samples and the identity
 suite's integrals bit for bit.
 
-scripts/digest.py checks the whole set (8.5 s on a 2-vCPU VM); these tests
+scripts/digest.py checks the whole set (5.4 s on a 2-vCPU VM); these tests
 check the part that runs in about two seconds: every builtin cut to t_end <= 2 and
 sample_dt <= 0.5 on its full grid, cas2-equal and cas2-distinct run to
 their blow-up, and the 158 left-hand sides the identity suite's

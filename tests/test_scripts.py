@@ -2,10 +2,13 @@
 
 import dataclasses
 import importlib.util
+import multiprocessing
 import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from rda import core
 
@@ -80,3 +83,24 @@ def test_hand_edit_inside_a_block_fails_the_check(monkeypatch, tmp_path, capsys)
     # Without --check the script writes the blocks back from the code.
     assert readme.main([]) == 0
     assert copy.read_text(encoding="utf-8") == committed
+
+
+_digest_spec = importlib.util.spec_from_file_location("digest", SCRIPTS / "digest.py")
+digest = importlib.util.module_from_spec(_digest_spec)
+_digest_spec.loader.exec_module(digest)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched module reaches the workers only by fork")
+def test_failed_digest_worker_is_named_in_one_line(monkeypatch, capsys):
+    def failing(scenario, out_dir=None):
+        raise ValueError("the run broke")
+
+    # The workers unpickle section_digest from the forked module table.
+    monkeypatch.setitem(sys.modules, "digest", digest)
+    monkeypatch.setattr(digest, "BUILTIN_SCENARIOS", ("cas2-equal",))
+    monkeypatch.setattr(digest, "run_digest", failing)
+    monkeypatch.setattr(digest, "identity_digest", dict)
+    assert digest.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "error: builtins cas2-equal: ValueError: the run broke"]

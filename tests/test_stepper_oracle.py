@@ -9,7 +9,8 @@ that does not, as solver.run does.
 
 A reaction-only system whose couplings read a moving component may take
 its coupling substep on the grid instead; the tests at the end tell the
-two paths apart by the rows the step transforms.
+two paths apart by the rows the step transforms, and check the grid
+path's window against the same step on the whole grid.
 """
 
 import math
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from conftest import count_transform_rows
 from rda import solver
-from rda.core import BLOW_UP_THRESHOLD, Grid, PolyTerm, SystemSpec
+from rda.core import BLOW_UP_THRESHOLD, Grid, PolyTerm, SystemSpec, validate_scenario
 from rda.scenarios import BUILTIN_SCENARIOS, get_scenario
 from rda.solver import SpectralWorkspace, detect_blow_up, step
 
@@ -416,6 +417,134 @@ def test_smooth_data_take_the_grid_path(monkeypatch, name):
     assert per_step == [(inverse, forward)] * STEPS
     ref = reference_run(grid, system, dt, spectra)
     assert np.max(np.abs(stepped_spectra - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def recorded_windows(monkeypatch) -> list:
+    """Wrap solver._window; the list records every window it picks."""
+    windows = []
+    window = solver._window
+
+    def recorded(ws):
+        windows.append(window(ws))
+        return windows[-1]
+
+    monkeypatch.setattr(solver, "_window", recorded)
+    return windows
+
+
+def recorded_attempts(monkeypatch) -> list:
+    """Wrap solver._grid_rk4; the list records whether each attempt was
+    accepted."""
+    attempts = []
+    grid_rk4 = solver._grid_rk4
+
+    def recorded(ws, y):
+        attempts.append(grid_rk4(ws, y))
+        return attempts[-1]
+
+    monkeypatch.setattr(solver, "_grid_rk4", recorded)
+    return attempts
+
+
+def whole_grid_step(monkeypatch, ws, spectra):
+    """One step of spectra with the grid path's window set to the whole grid."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_window", lambda ws: (0, ws.grid.n))
+        return step(ws, spectra)
+
+
+def assert_windowed_steps_agree(monkeypatch, grid, system, dt, inputs) -> list:
+    """Step each of inputs once on the window and once on the whole grid;
+    check that both grid attempts are accepted and that the steps agree to
+    1e-14 of the largest kept mode. Returns the windows picked.
+
+    A window that cut points whose increment reaches the kept modes would
+    leave a step in acc at its edge, whose modes beyond the kept band the
+    round-off check rejects, and the projected step would take over.
+    """
+    windowed_ws, whole_ws = (SpectralWorkspace(grid=grid, system=system, dt=dt)
+                             for _ in range(2))
+    windows = recorded_windows(monkeypatch)
+    attempts = recorded_attempts(monkeypatch)
+    for spectra in inputs:
+        windowed = step(windowed_ws, spectra)
+        whole = whole_grid_step(monkeypatch, whole_ws, spectra)
+        assert attempts[-2:] == [True, True]
+        largest = np.max(np.abs(whole[:, :whole_ws.n_kept]))
+        assert np.max(np.abs(windowed - whole)) <= 1e-14 * largest
+    return windows
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_SHAPES))
+def test_windowed_steps_agree_with_whole_grid_steps(monkeypatch, name):
+    # Gaussians of width 8 on [-60, 60), so each window leaves points out.
+    # Where u gates every monomial, v is a plateau: near the window's edge
+    # uv is then as large as the bound on it allows.
+    system = _GRID_SHAPES[name][0]
+    grid, dt = Grid(half_width=60.0, n=1024), 0.02
+    x = grid.points()
+    amplitude = 0.5 if name == "cas2" else 0.05
+    v = (1.5 + np.cos(np.pi * x / 60.0) if name in ("toy", "thm2", "shared_reaction")
+         else np.exp(-(x - 1.0) ** 2 / 64.0))
+    fields = amplitude * np.stack((np.exp(-x ** 2 / 64.0), v))
+    ws = SpectralWorkspace(grid=grid, system=system, dt=dt)
+    inputs = [scipy.fft.rfft(fields, axis=-1) * ws.dealias]
+    for _ in range(STEPS - 1):
+        inputs.append(step(ws, inputs[-1]))
+    windows = assert_windowed_steps_agree(monkeypatch, grid, system, dt, inputs)
+    assert len(windows) == STEPS
+    assert all(0 < hi - lo < grid.n for lo, hi in windows)
+
+
+def test_windowed_steps_agree_before_the_cas2_blow_up(monkeypatch):
+    # cas2-equal's last STEPS grid steps before its first rejected attempt,
+    # as the solution grows towards the blow-up.
+    scenario = get_scenario("cas2-equal")
+    ws = SpectralWorkspace(grid=scenario.grid, system=scenario.system, dt=scenario.dt)
+    spectra = scipy.fft.rfft(validate_scenario(scenario).initial) * ws.dealias
+    with monkeypatch.context() as patch:
+        attempts = recorded_attempts(patch)
+        inputs = []
+        while not attempts or attempts[-1]:
+            inputs = [*inputs[-STEPS:], spectra]
+            spectra = step(ws, spectra)
+    assert len(attempts) == 802
+    assert_windowed_steps_agree(monkeypatch, scenario.grid, scenario.system, scenario.dt,
+                                inputs[:-1])
+
+
+def test_gate_across_the_box_edge_takes_the_whole_grid(monkeypatch):
+    # u is one pulse centred on the periodic edge x = -L = L.
+    system = _GRID_SHAPES["toy"][0]
+    grid, dt = Grid(half_width=60.0, n=1024), 0.02
+    x = grid.points()
+    pulse = 0.05 * (np.exp(-(x + 60.0) ** 2 / 9.0) + np.exp(-(x - 60.0) ** 2 / 9.0))
+    spectra = scipy.fft.rfft(np.stack((pulse, pulse)), axis=-1) * _wavenumbers(grid)[1]
+    windows = recorded_windows(monkeypatch)
+    windowed = step(SpectralWorkspace(grid=grid, system=system, dt=dt), spectra)
+    whole = whole_grid_step(monkeypatch, SpectralWorkspace(grid=grid, system=system, dt=dt),
+                            spectra)
+    assert windows == [(0, grid.n)]
+    assert windowed.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("name", ["toy", "thm2"])
+def test_quiet_gates_give_a_zero_increment_without_the_stages(monkeypatch, name):
+    # u gates every monomial of these shapes, so u = 0 leaves every point
+    # quiet: the step transforms the read rows in and nothing out.
+    system = _GRID_SHAPES[name][0]
+    grid, dt = Grid(half_width=30.0, n=256), 0.02
+    spectra = _gaussian_spectra(grid, 0.05)
+    spectra[0] = 0.0
+    whole = whole_grid_step(monkeypatch, SpectralWorkspace(grid=grid, system=system, dt=dt),
+                            spectra)
+    windows = recorded_windows(monkeypatch)
+    ws = SpectralWorkspace(grid=grid, system=system, dt=dt)
+    stepped_spectra, per_step = counted_steps(monkeypatch, ws, spectra, steps=1)
+    assert windows == [None]
+    assert per_step == [([2], [])]
+    assert not stepped_spectra[0].any()
+    assert stepped_spectra.tobytes() == whole.tobytes()
 
 
 # The reaction-only systems above whose couplings read a moving component,
